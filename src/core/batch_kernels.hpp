@@ -11,14 +11,20 @@
 // Kernels take precomputed displacement components instead of Vec2 pairs so
 // the batch paths can stream them out of contiguous double arrays, and they
 // work on SQUARED distances throughout: hypot() — correct but sequential —
-// never appears on the hot path; the few places that need a length use one
-// sqrt of an already-computed squared distance.
+// never appears on CDPF's hot path; the few places that need a length use
+// one sqrt of an already-computed squared distance.
+//
+// The one exception is bearing_hypot_log_likelihood, the baselines' kernel
+// (CPF/DPF, GMM-DPF, SDPF). It keeps the standard-deviation form those
+// trackers have always evaluated, so their outputs stay bit-identical to the
+// pinned golden digests (tests/golden_outputs_test.cpp).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 
 #include "geom/angles.hpp"
+#include "geom/vec2.hpp"
 #include "support/check.hpp"
 
 namespace cdpf::core {
@@ -62,6 +68,34 @@ inline double bearing_pair_log_likelihood(double z, double dx, double dy, double
       params.sigma0_sq + params.delta_sq / std::max(d2, params.floor_sq);
   return -0.5 * std::log(sigma_sq) - kLogSqrt2Pi -
          0.5 * residual * residual / sigma_sq;
+}
+
+/// Parameters of the baselines' bearing likelihood: base noise `sigma0`
+/// (rad), spatial resolution `delta` (m) folded in as extra angular noise
+/// delta / d, and the distance `floor` (m) that keeps that term finite. The
+/// floor is the caller's: CPF and GMM-DPF use max(delta, 1e-3), SDPF uses
+/// delta > 0 ? delta : 1e-3.
+struct BearingHypotParams {
+  double sigma0 = 0.0;
+  double delta = 0.0;
+  double floor = 0.0;
+};
+
+/// Log-likelihood of bearing `z` measured at `sensor` for a target at `p`,
+/// in standard-deviation form:
+///   sigma = hypot(sigma0, delta / max(|p - sensor|, floor)),
+///   log N(wrap(z - atan2(p - sensor)); 0, sigma^2).
+/// Mathematically the quantity bearing_pair_log_likelihood evaluates in
+/// variance form, but not bit for bit; the baselines keep this form until
+/// their golden digests are deliberately re-pinned.
+inline double bearing_hypot_log_likelihood(double z, geom::Vec2 sensor, geom::Vec2 p,
+                                           const BearingHypotParams& params) {
+  const double d = std::max(geom::distance(sensor, p), params.floor);
+  const double sigma = std::hypot(params.sigma0, params.delta / d);
+  CDPF_CHECK_MSG(sigma > 0.0, "inflated sigma must be positive");
+  const double residual = geom::angle_difference(z, (p - sensor).angle());
+  const double u = residual / sigma;
+  return -std::log(sigma) - kLogSqrt2Pi - 0.5 * u * u;
 }
 
 }  // namespace cdpf::core

@@ -36,7 +36,8 @@ Cdpf::Cdpf(wsn::Network& network, wsn::Radio& radio, CdpfConfig config)
       radio_(radio),
       config_(config),
       motion_(tracking::make_motion_model(config.motion, config.dt)),
-      bearing_(config.sigma_bearing) {
+      bearing_(config.sigma_bearing),
+      router_(network) {
   CDPF_CHECK_MSG(config_.initial_weight > 0.0, "initial weight must be positive");
   CDPF_CHECK_MSG(config_.prune_threshold >= 0.0, "prune threshold must be >= 0");
   // Keep the two radii configurations coherent by default.
@@ -221,7 +222,6 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
         // sink hop by hop. Ties in distance break toward the lowest NodeId
         // so the selection — and therefore the charged route — does not
         // depend on store iteration order.
-        const wsn::GreedyGeographicRouter router(network_);
         wsn::NodeId reporter = wsn::kInvalidNodeId;
         double best = std::numeric_limits<double>::infinity();
         for (const NodeParticle& p : store_.particles()) {
@@ -236,8 +236,8 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
           }
         }
         if (reporter != wsn::kInvalidNodeId) {
-          router.send(radio_, reporter, network_.sink(), wsn::MessageKind::kEstimate,
-                      radio_.payloads().estimate, route_path_, route_neighbors_);
+          router_.send(radio_, reporter, network_.sink(), wsn::MessageKind::kEstimate,
+                       radio_.payloads().estimate, route_path_, route_neighbors_);
         }
       }
 

@@ -36,6 +36,7 @@
 #include "tracking/motion_model.hpp"
 #include "wsn/network.hpp"
 #include "wsn/radio.hpp"
+#include "wsn/routing.hpp"
 
 namespace cdpf::support {
 class ThreadPool;
@@ -255,6 +256,8 @@ class Cdpf final : public TrackerAlgorithm {
   std::vector<double> host_ys_;
   std::vector<double> host_acc_;
   std::vector<std::uint8_t> host_heard_;
+  /// Sink reports; a member so its next-hop memo stays warm across rounds.
+  wsn::GreedyGeographicRouter router_;
   std::vector<wsn::NodeId> route_path_;
   std::vector<wsn::NodeId> route_neighbors_;
   std::vector<wsn::NodeId> area_nodes_;

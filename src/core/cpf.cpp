@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/batch_kernels.hpp"
 #include "geom/angles.hpp"
 #include "support/check.hpp"
 
@@ -28,8 +29,7 @@ CentralizedPf::CentralizedPf(wsn::Network& network, wsn::Radio& radio, CpfConfig
       radio_(radio),
       config_(config),
       bearing_(config.sigma_bearing),
-      effective_bearing_(effective_sigma(config.sigma_bearing,
-                                         config.quantization_levels)),
+      effective_sigma_(effective_sigma(config.sigma_bearing, config.quantization_levels)),
       router_(network),
       filter_(tracking::make_motion_model(config.motion, config.dt),
               filters::SirFilterConfig{config.num_particles, config.resampling,
@@ -39,6 +39,14 @@ CentralizedPf::CentralizedPf(wsn::Network& network, wsn::Radio& radio, CpfConfig
     CDPF_CHECK_MSG(*config_.quantization_levels >= 2,
                    "quantization needs at least two levels");
   }
+  // Size the per-iteration buffers for the worst case (every node detects,
+  // a route visits every node) so steady-state iterations never allocate.
+  // Reserving does not touch the pages, so it costs no resident memory.
+  const std::size_t nodes = network_.size();
+  detecting_.reserve(nodes);
+  received_.reserve(nodes);
+  route_path_.reserve(nodes + 1);
+  route_neighbors_.reserve(nodes);
   if (config_.adaptive_encoding) {
     CDPF_CHECK_MSG(config_.quantization_levels.has_value(),
                    "adaptive encoding requires quantization");
@@ -87,15 +95,12 @@ double CentralizedPf::quantize(double bearing_rad) const {
 void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
                             rng::Rng& rng) {
   CDPF_CHECK_MSG(std::isfinite(time), "iteration time must be finite");
-  const std::vector<wsn::NodeId> detecting = network_.detecting_nodes(truth.position);
+  network_.active_nodes_within(truth.position, network_.config().sensing_radius,
+                               detecting_);
 
   // Convergecast: one measurement per detecting node, hop by hop to the
   // sink. Payload is D_m, or the compressed size P for the DPF variant.
-  struct Received {
-    geom::Vec2 sensor;
-    double bearing;
-  };
-  std::vector<Received> received;
+  received_.clear();
   // Fixed-width payload: ceil(log2(levels)) bits rounded up to bytes for
   // quantized bearings (1 byte at the paper's 256 levels — its P), the raw
   // D_m otherwise.
@@ -120,7 +125,7 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
                                  radio_.payloads().estimate);
   }
   const std::size_t levels = config_.quantization_levels.value_or(0);
-  for (const wsn::NodeId id : detecting) {
+  for (const wsn::NodeId id : detecting_) {
     const double z = bearing_.measure(network_.position(id), truth.position, rng);
     std::size_t payload = fixed_payload;
     double z_for_filter = quantize(z);
@@ -147,22 +152,22 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
     }
     const auto hops =
         router_.send(radio_, id, network_.sink(), wsn::MessageKind::kMeasurement,
-                     payload);
+                     payload, route_path_, route_neighbors_);
     if (!hops) {
       continue;  // greedy void: this measurement never reaches the sink
     }
-    received.push_back({network_.position(id), z_for_filter});
+    received_.push_back({network_.position(id), z_for_filter});
   }
 
   if (!filter_.initialized()) {
-    if (received.empty()) {
+    if (received_.empty()) {
       return;  // nothing to initialize from yet
     }
     geom::Vec2 centroid{};
-    for (const Received& r : received) {
+    for (const Received& r : received_) {
       centroid += r.sensor;
     }
-    centroid = centroid / static_cast<double>(received.size());
+    centroid = centroid / static_cast<double>(received_.size());
     filter_.initialize(
         {centroid, config_.initial_velocity_mean},
         {config_.init_position_sigma, config_.init_position_sigma},
@@ -172,16 +177,14 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
   }
 
   filter_.predict(rng);
-  if (!received.empty()) {
+  if (!received_.empty()) {
     const double delta = config_.position_resolution_m;
+    const BearingHypotParams params{effective_sigma_, delta, std::max(delta, 1e-3)};
     filter_.update([&](const tracking::TargetState& state) {
       double log_likelihood = 0.0;
-      for (const Received& r : received) {
-        const double d =
-            std::max(geom::distance(r.sensor, state.position), std::max(delta, 1e-3));
-        const double sigma = std::hypot(effective_bearing_.sigma(), delta / d);
-        log_likelihood += effective_bearing_.log_likelihood_inflated(
-            r.bearing, r.sensor, state.position, sigma);
+      for (const Received& r : received_) {
+        log_likelihood +=
+            bearing_hypot_log_likelihood(r.bearing, r.sensor, state.position, params);
       }
       return log_likelihood;
     });
@@ -191,7 +194,8 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
 }
 
 std::vector<TimedEstimate> CentralizedPf::take_estimates() {
-  std::vector<TimedEstimate> out = std::move(pending_estimates_);
+  // Copy-out keeps pending_estimates_' capacity (see Cdpf::take_estimates).
+  std::vector<TimedEstimate> out(pending_estimates_.begin(), pending_estimates_.end());
   pending_estimates_.clear();
   return out;
 }

@@ -92,12 +92,23 @@ class CentralizedPf final : public TrackerAlgorithm {
   wsn::Radio& radio_;
   CpfConfig config_;
   tracking::BearingMeasurementModel bearing_;
-  /// Effective measurement model seen by the filter (quantization noise
-  /// folded in when the DPF variant is active).
-  tracking::BearingMeasurementModel effective_bearing_;
+  /// Bearing noise seen by the filter (quantization noise folded in when
+  /// the DPF variant is active).
+  double effective_sigma_;
   wsn::GreedyGeographicRouter router_;
   filters::SirFilter filter_;
   std::vector<TimedEstimate> pending_estimates_;
+  // Per-iteration buffers, members so steady-state iterations do not
+  // allocate: detecting nodes, measurements delivered to the sink, and the
+  // routing scratch.
+  struct Received {
+    geom::Vec2 sensor;
+    double bearing;
+  };
+  std::vector<wsn::NodeId> detecting_;
+  std::vector<Received> received_;
+  std::vector<wsn::NodeId> route_path_;
+  std::vector<wsn::NodeId> route_neighbors_;
   /// Huffman code over the quantized-innovation alphabet (adaptive mode).
   std::optional<filters::HuffmanCode> innovation_code_;
   std::size_t encoded_bits_ = 0;

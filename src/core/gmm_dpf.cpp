@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/batch_kernels.hpp"
 #include "support/check.hpp"
 #include "support/statistics.hpp"
 
@@ -121,16 +122,14 @@ void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& 
   }
   if (!received.empty()) {
     const double delta = config_.position_resolution_m;
+    const BearingHypotParams params{bearing_.sigma(), delta, std::max(delta, 1e-3)};
     double max_ll = -std::numeric_limits<double>::infinity();
     std::vector<double> ll(cloud_.size());
     for (std::size_t i = 0; i < cloud_.size(); ++i) {
       double sum = 0.0;
       for (const Received& r : received) {
-        const double d = std::max(geom::distance(r.sensor, cloud_[i].state.position),
-                                  std::max(delta, 1e-3));
-        const double sigma = std::hypot(bearing_.sigma(), delta / d);
-        sum += bearing_.log_likelihood_inflated(r.bearing, r.sensor,
-                                                cloud_[i].state.position, sigma);
+        sum += bearing_hypot_log_likelihood(r.bearing, r.sensor,
+                                            cloud_[i].state.position, params);
       }
       ll[i] = sum;
       max_ll = std::max(max_ll, sum);

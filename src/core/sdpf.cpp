@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/batch_kernels.hpp"
 #include "support/check.hpp"
 #include "support/log.hpp"
 #include "support/statistics.hpp"
@@ -81,7 +82,6 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
     //    per particle: D_p + D_w) and every particle re-hosts on the
     //    receiver nearest its propagated state. -----------------------
     MultiParticleStore next;
-    std::vector<wsn::NodeId> receivers;
     const std::size_t payload = radio_.payloads().particle + radio_.payloads().weight;
     for (const wsn::NodeId host : store_.sorted_hosts()) {
       if (!network_.is_active(host)) {
@@ -89,7 +89,12 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
       }
       const std::vector<HostedParticle>& list = *store_.find(host);
       radio_.broadcast(host, wsn::MessageKind::kParticle,
-                       payload * list.size(), receivers);
+                       payload * list.size(), receivers_);
+      const geom::Vec2 host_pos = network_.position(host);
+      receiver_positions_.clear();
+      for (const wsn::NodeId r : receivers_) {
+        receiver_positions_.push_back(network_.position(r));
+      }
       for (const HostedParticle& particle : list) {
         HostedParticle moved{motion_->sample(particle.state, rng), particle.weight};
         // Re-host on the receiver nearest the particle's propagated state;
@@ -98,18 +103,18 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
         // and its heading follows the actual hop displacement so position
         // and velocity stay consistent (see PropagationConfig).
         wsn::NodeId best = host;
-        double best_d =
-            geom::distance_squared(network_.position(host), moved.state.position);
-        for (const wsn::NodeId r : receivers) {
+        geom::Vec2 new_pos = host_pos;
+        double best_d = geom::distance_squared(host_pos, moved.state.position);
+        for (std::size_t k = 0; k < receivers_.size(); ++k) {
           const double d =
-              geom::distance_squared(network_.position(r), moved.state.position);
+              geom::distance_squared(receiver_positions_[k], moved.state.position);
           if (d < best_d) {
             best_d = d;
-            best = r;
+            best = receivers_[k];
+            new_pos = receiver_positions_[k];
           }
         }
-        const geom::Vec2 new_pos = network_.position(best);
-        const geom::Vec2 displacement = new_pos - network_.position(host);
+        const geom::Vec2 displacement = new_pos - host_pos;
         if (displacement.norm_squared() > 1e-12) {
           moved.state.velocity =
               displacement.normalized() * moved.state.velocity.norm();
@@ -135,16 +140,15 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   // Newly detecting nodes without particles seed fresh ones.
   seed_detecting_nodes(truth, rng);
 
-  // -- 2. Measurement sharing: detecting nodes broadcast bearings. --------
-  struct Shared {
-    geom::Vec2 sensor;
-    double bearing;
-  };
-  std::vector<Shared> shared;
+  // -- 2. Measurement sharing: detecting nodes broadcast bearings. Only the
+  //    receiver count is charged; who hears what is decided geometrically
+  //    in step 3. -------------------------------------------------------
+  shared_.clear();
   for (const wsn::NodeId id : network_.detecting_nodes(truth.position)) {
     const double z = bearing_.measure(network_.position(id), truth.position, rng);
-    radio_.broadcast(id, wsn::MessageKind::kMeasurement, radio_.payloads().measurement);
-    shared.push_back({network_.position(id), z});
+    radio_.broadcast_count(id, wsn::MessageKind::kMeasurement,
+                           radio_.payloads().measurement);
+    shared_.push_back({network_.position(id), z});
   }
 
   // -- 3. Weight update: likelihood of the measurements each host hears,
@@ -152,38 +156,38 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   //    measurement senders) so the product over many sensors stays inside
   //    double range; the shared constant cancels at normalization. --------
   const double comm_radius = network_.config().comm_radius;
-  if (!shared.empty()) {
+  if (!shared_.empty()) {
     const double delta =
         quantization_length(config_.position_quantization_m, network_);
-    auto effective_sigma = [&](geom::Vec2 sensor, geom::Vec2 p) {
-      const double d = std::max(geom::distance(sensor, p), delta > 0.0 ? delta : 1e-3);
-      return std::hypot(bearing_.sigma(), delta / d);
-    };
+    const BearingHypotParams params{bearing_.sigma(), delta, delta > 0.0 ? delta : 1e-3};
     geom::Vec2 reference{};
-    for (const Shared& s : shared) {
+    for (const Shared& s : shared_) {
       reference += s.sensor;
     }
-    reference = reference / static_cast<double>(shared.size());
+    reference = reference / static_cast<double>(shared_.size());
     double reference_log_likelihood = 0.0;
-    for (const Shared& s : shared) {
-      reference_log_likelihood += bearing_.log_likelihood_inflated(
-          s.bearing, s.sensor, reference, effective_sigma(s.sensor, reference));
+    for (const Shared& s : shared_) {
+      reference_log_likelihood +=
+          bearing_hypot_log_likelihood(s.bearing, s.sensor, reference, params);
     }
     for (const wsn::NodeId host : store_.sorted_hosts()) {
+      // The measurements this host hears depend on the host, not on its
+      // particles: gather them once.
       const geom::Vec2 host_pos = network_.position(host);
+      heard_.clear();
+      for (const Shared& s : shared_) {
+        if (geom::distance(s.sensor, host_pos) <= comm_radius) {
+          heard_.push_back(s);
+        }
+      }
       std::vector<HostedParticle>& list = *store_.find_mutable(host);
       for (HostedParticle& p : list) {
-        double log_likelihood = 0.0;
-        bool heard_any = false;
-        for (const Shared& s : shared) {
-          if (geom::distance(s.sensor, host_pos) <= comm_radius) {
-            log_likelihood += bearing_.log_likelihood_inflated(
-                s.bearing, s.sensor, p.state.position,
-                effective_sigma(s.sensor, p.state.position));
-            heard_any = true;
+        if (!heard_.empty()) {
+          double log_likelihood = 0.0;
+          for (const Shared& s : heard_) {
+            log_likelihood += bearing_hypot_log_likelihood(s.bearing, s.sensor,
+                                                           p.state.position, params);
           }
-        }
-        if (heard_any) {
           p.weight *= std::exp(std::clamp(log_likelihood - reference_log_likelihood,
                                           -kMaxLogWeightFactor, kMaxLogWeightFactor));
         } else {
@@ -231,14 +235,14 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
     if (local <= 0.0 || list.size() <= 1) {
       continue;
     }
-    std::vector<filters::Particle> generic;
-    generic.reserve(list.size());
+    generic_.clear();
     for (const HostedParticle& p : list) {
-      generic.push_back({p.state, p.weight});
+      generic_.push_back({p.state, p.weight});
     }
-    filters::resample_particles(generic, generic.size(), config_.resampling, rng);
+    filters::resample_particles(generic_, list.size(), config_.resampling, rng,
+                                resample_scratch_);
     for (std::size_t i = 0; i < list.size(); ++i) {
-      list[i] = {generic[i].state, generic[i].weight};
+      list[i] = {generic_[i].state, generic_[i].weight};
     }
   }
 }

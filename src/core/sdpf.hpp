@@ -85,6 +85,18 @@ class Sdpf final : public TrackerAlgorithm {
 
   MultiParticleStore store_;
   std::vector<TimedEstimate> pending_estimates_;
+
+  // Iteration-local workspaces, members so they stay warm across rounds.
+  struct Shared {
+    geom::Vec2 sensor;
+    double bearing;
+  };
+  std::vector<Shared> shared_;  // bearings broadcast this iteration
+  std::vector<Shared> heard_;   // the subset one host hears
+  std::vector<wsn::NodeId> receivers_;
+  std::vector<geom::Vec2> receiver_positions_;
+  std::vector<filters::Particle> generic_;
+  filters::ResampleScratch resample_scratch_;
 };
 
 }  // namespace cdpf::core

@@ -158,23 +158,31 @@ void resample_indices_into(std::span<const double> weights, std::size_t count,
   throw Error("unknown resampling scheme");
 }
 
+// Thin wrapper: the scratch overload validates every precondition.
+// cdpf-lint: allow(entry-check)
 void resample_particles(std::vector<Particle>& particles, std::size_t count,
                         ResamplingScheme scheme, rng::Rng& rng) {
+  ResampleScratch scratch;
+  resample_particles(particles, count, scheme, rng, scratch);
+}
+
+void resample_particles(std::vector<Particle>& particles, std::size_t count,
+                        ResamplingScheme scheme, rng::Rng& rng,
+                        ResampleScratch& scratch) {
   CDPF_CHECK_MSG(!particles.empty(), "cannot resample an empty particle set");
-  std::vector<double> weights;
-  weights.reserve(particles.size());
+  scratch.weights.clear();
   for (const Particle& p : particles) {
-    weights.push_back(p.weight);
+    scratch.weights.push_back(p.weight);
   }
-  const double total = checked_total(weights);
-  const auto indices = resample_indices(weights, count, scheme, rng);
-  std::vector<Particle> next;
-  next.reserve(count);
+  const double total = checked_total(scratch.weights);
+  resample_indices_into(scratch.weights, count, scheme, rng, scratch.indices,
+                        scratch.cumulative);
+  scratch.next.clear();
   const double equal_weight = total / static_cast<double>(count);
-  for (const std::size_t i : indices) {
-    next.push_back({particles[i].state, equal_weight});
+  for (const std::size_t i : scratch.indices) {
+    scratch.next.push_back({particles[i].state, equal_weight});
   }
-  particles = std::move(next);
+  particles.swap(scratch.next);
 }
 
 }  // namespace cdpf::filters

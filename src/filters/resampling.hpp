@@ -53,10 +53,25 @@ void resample_indices_into(std::span<const double> weights, std::size_t count,
                            std::vector<std::size_t>& indices,
                            std::vector<double>& scratch);
 
+/// Reusable buffers of resample_particles(): once they have grown to the
+/// particle count, resampling a set of that size does not allocate.
+struct ResampleScratch {
+  std::vector<double> weights;
+  std::vector<std::size_t> indices;
+  std::vector<double> cumulative;
+  std::vector<Particle> next;
+};
+
 /// In-place resampling of a particle set to `count` particles with equal
 /// weights summing to the original total (so un-normalized sets keep their
 /// mass — important for CDPF where the total is the overheard aggregate).
 void resample_particles(std::vector<Particle>& particles, std::size_t count,
                         ResamplingScheme scheme, rng::Rng& rng);
+
+/// The same resampling (same draws, same arithmetic) through caller-owned
+/// buffers; `particles` swaps storage with `scratch.next`.
+void resample_particles(std::vector<Particle>& particles, std::size_t count,
+                        ResamplingScheme scheme, rng::Rng& rng,
+                        ResampleScratch& scratch);
 
 }  // namespace cdpf::filters

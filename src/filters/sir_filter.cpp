@@ -47,17 +47,8 @@ void SirFilter::predict(rng::Rng& rng) {
   }
 }
 
-double SirFilter::update(
-    const std::function<double(const tracking::TargetState&)>& log_likelihood) {
-  CDPF_CHECK_MSG(initialized(), "update() before initialize()");
-  std::vector<double> ll(particles_.size());
-  double max_ll = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < particles_.size(); ++i) {
-    ll[i] = log_likelihood(particles_[i].state);
-    if (ll[i] > max_ll) {
-      max_ll = ll[i];
-    }
-  }
+double SirFilter::reweight(double max_ll) {
+  const std::vector<double>& ll = log_likelihoods_;
   if (!std::isfinite(max_ll)) {
     // Track lost: no particle explains the measurement. Reset to uniform so
     // the filter can re-acquire instead of dividing by zero.
@@ -90,7 +81,8 @@ bool SirFilter::maybe_resample(rng::Rng& rng) {
       config_.resample_every_step ||
       ess() < config_.ess_threshold_fraction * static_cast<double>(particles_.size());
   if (should) {
-    resample_particles(particles_, config_.num_particles, config_.scheme, rng);
+    resample_particles(particles_, config_.num_particles, config_.scheme, rng,
+                       resample_scratch_);
     if (config_.regularize) {
       // Silverman's rule for a Gaussian kernel in d = 2 (position) resp.
       // d = 2 (velocity), applied per axis: h = A * sigma * N^(-1/(d+4)),

@@ -14,13 +14,14 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "filters/particle.hpp"
 #include "filters/resampling.hpp"
 #include "random/rng.hpp"
+#include "support/check.hpp"
 #include "tracking/motion_model.hpp"
 
 namespace cdpf::filters {
@@ -67,7 +68,22 @@ class SirFilter {
   /// normalize. Returns the pre-normalization max log-likelihood (a
   /// diagnostic for track loss). If all likelihoods vanish, the weights are
   /// reset to uniform (standard track-recovery fallback) and -inf returned.
-  double update(const std::function<double(const tracking::TargetState&)>& log_likelihood);
+  /// `log_likelihood` is any callable TargetState -> double; it is inlined
+  /// into the per-particle loop rather than dispatched through a wrapper.
+  template <typename LogLikelihood>
+  double update(LogLikelihood&& log_likelihood) {
+    CDPF_CHECK_MSG(initialized(), "update() before initialize()");
+    log_likelihoods_.resize(particles_.size());
+    double max_ll = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < particles_.size(); ++i) {
+      const double ll = log_likelihood(particles_[i].state);
+      log_likelihoods_[i] = ll;
+      if (ll > max_ll) {
+        max_ll = ll;
+      }
+    }
+    return reweight(max_ll);
+  }
 
   /// Resampling step per config (plus regularization jitter when enabled);
   /// returns true when resampling ran.
@@ -79,9 +95,15 @@ class SirFilter {
   double ess() const { return effective_sample_size(particles_); }
 
  private:
+  /// Second half of update(): weights *= exp(ll - max_ll), normalized.
+  double reweight(double max_ll);
+
   std::unique_ptr<const tracking::MotionModel> model_;
   SirFilterConfig config_;
   std::vector<Particle> particles_;
+  // Per-step buffers, members so steady-state iterations do not allocate.
+  std::vector<double> log_likelihoods_;
+  ResampleScratch resample_scratch_;
 };
 
 }  // namespace cdpf::filters

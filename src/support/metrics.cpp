@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/check.hpp"
+
 namespace cdpf::support {
 
 namespace {
@@ -126,8 +128,13 @@ MetricsRegistry::Id MetricsRegistry::get_or_create(std::string_view name,
   if (auto it = by_name_.find(name); it != by_name_.end()) {
     return it->second;
   }
-  const Id id = cells_.size();
-  Cell& cell = cells_.emplace_back();
+  const Id id = size_;
+  CDPF_CHECK_MSG(id < kChunkCells * kMaxChunks, "too many registered metrics");
+  if (id % kChunkCells == 0) {
+    chunks_[id / kChunkCells] = std::make_unique<Cell[]>(kChunkCells);
+  }
+  ++size_;
+  Cell& cell = this->cell(id);
   cell.name.assign(name);
   cell.unit.assign(unit);
   cell.kind = kind;
@@ -159,16 +166,16 @@ MetricsRegistry::Id MetricsRegistry::histogram(std::string_view name,
 }
 
 void MetricsRegistry::add(Id id, std::uint64_t delta) {
-  cells_[id].count.fetch_add(delta, std::memory_order_relaxed);
+  cell(id).count.fetch_add(delta, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::set(Id id, double value) {
-  cells_[id].value_bits.store(std::bit_cast<std::uint64_t>(value),
-                              std::memory_order_relaxed);
+  cell(id).value_bits.store(std::bit_cast<std::uint64_t>(value),
+                            std::memory_order_relaxed);
 }
 
 void MetricsRegistry::observe(Id id, double value) {
-  Cell& cell = cells_[id];
+  Cell& cell = this->cell(id);
   cell.count.fetch_add(1, std::memory_order_relaxed);
   // Sum as fixed-point nanounits would lose range; the histogram sum is the
   // one value that is *not* order-exact under concurrency, so accumulate it
@@ -196,8 +203,9 @@ void MetricsRegistry::observe(Id id, double value) {
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard lock(mutex_);
   MetricsSnapshot out;
-  out.entries.reserve(cells_.size());
-  for (const Cell& cell : cells_) {
+  out.entries.reserve(size_);
+  for (Id id = 0; id < size_; ++id) {
+    const Cell& cell = this->cell(id);
     MetricsSnapshot::Entry entry;
     entry.name = cell.name;
     entry.unit = cell.unit;
@@ -217,7 +225,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::reset() {
   std::lock_guard lock(mutex_);
-  for (Cell& cell : cells_) {
+  for (Id id = 0; id < size_; ++id) {
+    Cell& cell = this->cell(id);
     cell.count.store(0, std::memory_order_relaxed);
     cell.value_bits.store(0, std::memory_order_relaxed);
     for (auto& bucket : cell.buckets) {

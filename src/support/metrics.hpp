@@ -13,15 +13,19 @@
 //   * Thread safety without locks on the update path. add()/set()/observe()
 //     are lock-free atomics; only registration and snapshot take the
 //     registry mutex (both off the per-iteration path).
-//   * Stable handles. Registration returns a dense Id; cells live in a
-//     deque so handles and concurrent updates survive later registrations.
+//   * Stable handles. Registration returns a dense Id; cells live in
+//     fixed-size chunks under a fixed top-level table, so handles and
+//     concurrent updates survive later registrations, and an update never
+//     reads memory a concurrent registration writes.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -102,9 +106,17 @@ class MetricsRegistry {
 
   Id get_or_create(std::string_view name, std::string_view unit, MetricKind kind,
                    std::vector<double> bounds);
+  Cell& cell(Id id) const { return chunks_[id / kChunkCells][id % kChunkCells]; }
+
+  static constexpr std::size_t kChunkCells = 64;
+  static constexpr std::size_t kMaxChunks = 256;  // 16384 metrics
 
   mutable std::mutex mutex_;  // registration + snapshot only
-  std::deque<Cell> cells_;    // deque: Ids and atomics stable under growth
+  // Neither the table nor a chunk ever moves (a deque's block map does, as
+  // it grows), and registration writes only a slot no issued Id points
+  // into, so the lock-free update path never races with it.
+  std::array<std::unique_ptr<Cell[]>, kMaxChunks> chunks_;
+  std::size_t size_ = 0;
   std::map<std::string, Id, std::less<>> by_name_;
 };
 

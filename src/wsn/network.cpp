@@ -47,6 +47,12 @@ void Network::set_believed_positions(std::vector<geom::Vec2> believed) {
   CDPF_CHECK_MSG(believed.size() == nodes_.size(),
                  "need one believed position per node");
   believed_positions_ = std::move(believed);
+  ++activity_epoch_;
+}
+
+void Network::clear_believed_positions() {
+  believed_positions_.clear();
+  ++activity_epoch_;
 }
 
 void Network::refresh_active(NodeId id) {

@@ -96,7 +96,7 @@ class Network {
   /// physical); only the coordinates the algorithms read change.
   void set_believed_positions(std::vector<geom::Vec2> believed);
   /// Restore believed == true positions.
-  void clear_believed_positions() { believed_positions_.clear(); }
+  void clear_believed_positions();
   bool has_believed_positions() const { return !believed_positions_.empty(); }
   const std::vector<Node>& nodes() const { return nodes_; }
 
@@ -117,6 +117,12 @@ class Network {
   bool all_active() const { return inactive_count_ == 0; }
   /// Reset every node to alive + awake.
   void reset_runtime_state();
+  /// Number of active nodes, O(1).
+  std::size_t active_count() const { return nodes_.size() - inactive_count_; }
+  /// Bumps on every change a position-reading query can observe: an
+  /// activity transition (set_alive / set_power / reset_runtime_state) or
+  /// a change of believed positions. Caches keyed on it are never stale.
+  std::uint64_t activity_epoch() const { return activity_epoch_; }
 
   // -- Spatial queries (include inactive nodes; callers filter) -----------
   /// Ids of all nodes within `radius` of `center`.
@@ -153,6 +159,14 @@ class Network {
   /// under the instant-detection model.
   std::vector<NodeId> detecting_nodes(geom::Vec2 target) const;
 
+  /// The link predicate of the radio, applied to two nodes' position()s:
+  /// are they within the communication radius of each other?
+  /// Radio::in_range and greedy routing share it.
+  bool in_comm_range(geom::Vec2 a, geom::Vec2 b) const {
+    const double rc = config_.comm_radius;
+    return geom::distance_squared(a, b) <= rc * rc;
+  }
+
   /// Active one-hop communication neighbors of `id` (excluding `id`).
   std::vector<NodeId> comm_neighbors(NodeId id) const;
 
@@ -176,9 +190,9 @@ class Network {
   std::size_t inactive_count_ = 0;
   // Per-node comm-disk receiver-count memo, keyed by the activity epoch. The
   // epoch bumps on every activity transition (set_alive / set_power /
-  // reset_runtime_state), so a stale entry can never be served. Mutable:
-  // logically the cache of a const query. Not thread-safe — radio accounting
-  // runs on the simulation thread only.
+  // reset_runtime_state) and believed-position change, so a stale entry can
+  // never be served. Mutable: logically the cache of a const query. Not
+  // thread-safe — radio accounting runs on the simulation thread only.
   std::uint64_t activity_epoch_ = 1;
   mutable std::vector<std::size_t> comm_count_;
   mutable std::vector<std::uint64_t> comm_count_epoch_;

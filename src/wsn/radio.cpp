@@ -9,8 +9,7 @@ Radio::Radio(Network& network, PayloadSizes payloads, EnergyModel* energy)
     : network_(network), payloads_(payloads), energy_(energy) {}
 
 bool Radio::in_range(NodeId u, NodeId v) const {
-  const double rc = network_.config().comm_radius;
-  return geom::distance_squared(network_.position(u), network_.position(v)) <= rc * rc;
+  return network_.in_comm_range(network_.position(u), network_.position(v));
 }
 
 bool Radio::interferes(NodeId tx, NodeId src, NodeId rx, double guard) const {
@@ -77,16 +76,14 @@ bool Radio::unicast(NodeId from, NodeId to, MessageKind kind, std::size_t payloa
 
 void Radio::transceiver_broadcast(MessageKind kind, std::size_t payload_bytes) {
   CDPF_TRACE_INSTANT("radio-transceiver-broadcast");
-  std::size_t receivers = 0;
-  for (const Node& n : network_.nodes()) {
-    if (n.active()) {
-      ++receivers;
-      if (energy_ != nullptr) {
+  if (energy_ != nullptr) {
+    for (const Node& n : network_.nodes()) {
+      if (n.active()) {
         energy_->charge_rx(n.id, payload_bytes);
       }
     }
   }
-  stats_.record(kind, payload_bytes, receivers);
+  stats_.record(kind, payload_bytes, network_.active_count());
 }
 
 void Radio::send_to_transceiver(NodeId from, MessageKind kind,

@@ -58,7 +58,8 @@ class Radio {
   bool unicast(NodeId from, NodeId to, MessageKind kind, std::size_t payload_bytes);
 
   /// Transmission from an out-of-band global transceiver (SDPF): reaches
-  /// every active node in the network in one hop by assumption.
+  /// every active node in the network in one hop by assumption. O(1)
+  /// without an energy model; with one, each receiver is charged.
   void transceiver_broadcast(MessageKind kind, std::size_t payload_bytes);
 
   /// Transmission from a node *to* the global transceiver (always in range

@@ -9,11 +9,48 @@ namespace cdpf::wsn {
 GreedyGeographicRouter::GreedyGeographicRouter(const Network& network)
     : network_(network) {}
 
+NodeId GreedyGeographicRouter::scan_next_hop(NodeId current, geom::Vec2 destination,
+                                             std::vector<NodeId>& neighbors) const {
+  const geom::Vec2 here = network_.position(current);
+  const double current_dist = geom::distance(here, destination);
+  network_.active_nodes_within(here, network_.config().comm_radius, neighbors);
+  NodeId best = kInvalidNodeId;
+  double best_dist = current_dist;
+  for (const NodeId n : neighbors) {
+    if (n == current) {
+      continue;
+    }
+    // The disk query runs on true positions around current's believed one;
+    // under believed positions it can return nodes the radio's link
+    // predicate rejects, and a hop the radio cannot deliver is no hop.
+    const geom::Vec2 there = network_.position(n);
+    if (!network_.in_comm_range(here, there)) {
+      continue;
+    }
+    const double d = geom::distance(there, destination);
+    if (d < best_dist) {
+      best_dist = d;
+      best = n;
+    }
+  }
+  return best;
+}
+
 bool GreedyGeographicRouter::route_into(NodeId from, NodeId to,
                                         std::vector<NodeId>& path,
                                         std::vector<NodeId>& neighbors) const {
   CDPF_CHECK_MSG(network_.is_active(from), "route source must be active");
   CDPF_CHECK_MSG(network_.is_active(to), "route destination must be active");
+
+  if (next_hop_.size() != network_.size()) {
+    next_hop_.assign(network_.size(), kInvalidNodeId);
+    next_hop_stamp_.assign(network_.size(), 0);
+  }
+  if (to != memo_destination_ || network_.activity_epoch() != memo_epoch_) {
+    ++memo_stamp_;
+    memo_destination_ = to;
+    memo_epoch_ = network_.activity_epoch();
+  }
 
   const geom::Vec2 destination = network_.position(to);
   path.clear();
@@ -24,22 +61,11 @@ bool GreedyGeographicRouter::route_into(NodeId from, NodeId to,
   // loop terminates. The explicit bound is a belt-and-braces guard.
   const std::size_t max_hops = network_.size() + 1;
   while (current != to && path.size() <= max_hops) {
-    const double current_dist =
-        geom::distance(network_.position(current), destination);
-    network_.active_nodes_within(network_.position(current),
-                                 network_.config().comm_radius, neighbors);
-    NodeId best = kInvalidNodeId;
-    double best_dist = current_dist;
-    for (const NodeId n : neighbors) {
-      if (n == current) {
-        continue;
-      }
-      const double d = geom::distance(network_.position(n), destination);
-      if (d < best_dist) {
-        best_dist = d;
-        best = n;
-      }
+    if (next_hop_stamp_[current] != memo_stamp_) {
+      next_hop_[current] = scan_next_hop(current, destination, neighbors);
+      next_hop_stamp_[current] = memo_stamp_;
     }
+    const NodeId best = next_hop_[current];
     if (best == kInvalidNodeId) {
       return false;  // greedy void: no strictly closer neighbor
     }

@@ -7,9 +7,17 @@
 // forwarding (always forward to the neighbor closest to the destination)
 // reproduces exactly that bound for the evaluated densities and is standard
 // for position-aware WSNs.
+//
+// Greedy forwarding is memoryless: the next hop from a node depends only on
+// that node, the destination, the active set and the positions the
+// algorithms read. The router therefore memoizes it lazily — one entry per
+// node, filled on first use and valid for one (destination,
+// Network::activity_epoch()) key. A miss runs the plain neighbor scan, so
+// memoized routes are the scanned routes, tie-breaks and voids included.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -18,6 +26,8 @@
 
 namespace cdpf::wsn {
 
+/// Not thread-safe: the next-hop memo is mutable state behind const
+/// queries. Give each thread (each tracker) its own router.
 class GreedyGeographicRouter {
  public:
   explicit GreedyGeographicRouter(const Network& network);
@@ -50,7 +60,23 @@ class GreedyGeographicRouter {
                                   std::vector<NodeId>& neighbors) const;
 
  private:
+  /// The active neighbor of `current` that the radio can reach
+  /// (Network::in_comm_range), strictly closer to `destination` than
+  /// `current` itself and closest among those (the first in query order on
+  /// ties), or kInvalidNodeId on a greedy void.
+  NodeId scan_next_hop(NodeId current, geom::Vec2 destination,
+                       std::vector<NodeId>& neighbors) const;
+
   const Network& network_;
+  // Lazy next-hop memo: next_hop_[n] is valid while next_hop_stamp_[n] ==
+  // memo_stamp_. Changing the (destination, activity epoch) key bumps
+  // memo_stamp_, which invalidates every entry in O(1). Sized on the first
+  // route, so constructing a router stays free.
+  mutable std::vector<NodeId> next_hop_;
+  mutable std::vector<std::uint64_t> next_hop_stamp_;
+  mutable std::uint64_t memo_stamp_ = 0;
+  mutable NodeId memo_destination_ = kInvalidNodeId;
+  mutable std::uint64_t memo_epoch_ = 0;
 };
 
 }  // namespace cdpf::wsn

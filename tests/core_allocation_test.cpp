@@ -1,9 +1,11 @@
 // Steady-state allocation freedom (the hot-path contract): once a Cdpf
 // filter's buffers are warm, iterate_snapshot() must not touch the global
 // heap at all — for CDPF and CDPF-NE alike, including the propagation
-// round, the weight-assignment step, and the sink report. The test swaps in
-// counting replacements for the global allocation functions and asserts the
-// counter stays at zero across measured iterations.
+// round, the weight-assignment step, and the sink report. The same holds
+// for CentralizedPf::iterate(): detection, the convergecast, the SIR update
+// and resampling. The test swaps in counting replacements for the global
+// allocation functions and asserts the counter stays at zero across
+// measured iterations.
 //
 // take_estimates() intentionally stays OUTSIDE the measured window: handing
 // the pending estimates to the caller materializes a fresh vector by
@@ -14,9 +16,11 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "core/cdpf.hpp"
+#include "core/cpf.hpp"
 #include "tracking/measurement.hpp"
 #include "wsn/deployment.hpp"
 
@@ -119,6 +123,49 @@ std::size_t steady_state_allocations(bool neighborhood_estimation) {
   }
   EXPECT_FALSE(filter.particles().empty()) << "measured phase lost the track";
   return g_allocations.load();
+}
+
+/// Allocations performed inside CentralizedPf::iterate() after a warm-up
+/// phase (`levels` set: the quantized DPF variant).
+std::size_t cpf_steady_state_allocations(std::optional<std::size_t> levels) {
+  rng::Rng rng(424242);
+  const geom::Aabb field = geom::Aabb::square(200.0);
+  const auto positions = wsn::deploy_uniform_random(
+      wsn::node_count_for_density(20.0, field), field, rng);
+  wsn::Network network(positions, wsn::NetworkConfig{field, 10.0, 30.0});
+  wsn::Radio radio(network, wsn::PayloadSizes{});
+
+  core::CpfConfig config;
+  config.dt = kDt;
+  config.quantization_levels = levels;
+  core::CentralizedPf filter(network, radio, config);
+  auto truth = [](int step) {
+    const double t = kDt * static_cast<double>(step);
+    return tracking::TargetState{{60.0 + 3.0 * t, 100.0}, {3.0, 0.0}};
+  };
+
+  for (int step = 0; step < kWarmupSteps; ++step) {
+    filter.iterate(truth(step), kDt * static_cast<double>(step), rng);
+    (void)filter.take_estimates();
+  }
+  EXPECT_TRUE(filter.filter().initialized()) << "warm-up never initialized";
+
+  g_allocations.store(0);
+  for (int step = kWarmupSteps; step < kWarmupSteps + kMeasuredSteps; ++step) {
+    g_counting.store(true);
+    filter.iterate(truth(step), kDt * static_cast<double>(step), rng);
+    g_counting.store(false);
+    (void)filter.take_estimates();
+  }
+  return g_allocations.load();
+}
+
+TEST(SteadyStateAllocation, CpfIterationIsAllocationFree) {
+  EXPECT_EQ(cpf_steady_state_allocations(std::nullopt), 0u);
+}
+
+TEST(SteadyStateAllocation, DpfIterationIsAllocationFree) {
+  EXPECT_EQ(cpf_steady_state_allocations(256), 0u);
 }
 
 TEST(SteadyStateAllocation, CdpfIterationIsAllocationFree) {

@@ -1,0 +1,206 @@
+// Golden outputs: a bit-level pin of every tracker's per-iteration output.
+//
+// Each cell runs one complete trial (sim::run_trial: deployment, trajectory,
+// tracking) and folds the raw bits of every estimate (x, y, vx, vy, time)
+// plus the per-kind CommStats messages, receptions and bytes into one
+// FNV-1a digest. The expected digests were recorded on the library before
+// any of the baselines' hot paths were optimized, so a refactor that claims
+// "same numbers, less time" is checked here rather than argued.
+//
+// The grid covers all six trackers at two seeds and three densities, CPF and
+// SDPF under a randomized 50% duty cycle with TDSS wake-ups (sink kept
+// awake, as perfbench's churn-dense workload does), and CPF running on
+// believed positions from wsn::localize.
+//
+// A change that moves numbers ON PURPOSE must update the table in the same
+// change and say why; a failing cell prints the digest it produced in the
+// table's own syntax.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <ostream>
+#include <string>
+
+#include "random/engine.hpp"
+#include "sim/experiment.hpp"
+#include "wsn/deployment.hpp"
+#include "wsn/duty_cycle.hpp"
+#include "wsn/localization.hpp"
+
+namespace cdpf::sim {
+namespace {
+
+enum class Environment : std::uint8_t {
+  kStatic,             // every node alive and awake, true positions
+  kDutyCycle,          // randomized 50% duty cycle + TDSS, sink kept awake
+  kBelievedPositions,  // positions from anchor-based localization
+};
+
+struct GoldenCell {
+  const char* name;
+  AlgorithmKind kind;
+  double density;
+  std::uint64_t seed;
+  Environment environment;
+  std::uint64_t digest;
+};
+
+void PrintTo(const GoldenCell& cell, std::ostream* os) { *os << cell.name; }
+
+class Fnv1a {
+ public:
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/// The churn hook perfbench's churn-dense workload applies: a 10 s period,
+/// 50% awake, randomized phases; TDSS wakes a 25 m disk around the true
+/// target position every step; the sink stays awake as the base station.
+HookFactory duty_cycle_hook(const Scenario& scenario, std::uint64_t seed) {
+  // Replay the trial stream up to the trajectory run_trial generates.
+  rng::Rng replay(rng::derive_stream_seed(seed, 0));
+  (void)wsn::deploy_uniform_random(scenario.node_count(), scenario.network.field, replay);
+  auto truth = std::make_shared<tracking::Trajectory>(
+      tracking::generate_random_turn_trajectory(scenario.trajectory, replay));
+  const std::uint64_t phase_seed = rng::derive_stream_seed(seed ^ 0xd0c1ull, 0) | 1u;
+  return [truth, phase_seed](wsn::Network& net, rng::Rng&) -> StepHook {
+    auto schedule = std::make_shared<wsn::DutyCycleSchedule>(10.0, 0.5, phase_seed);
+    auto tdss = std::make_shared<wsn::TdssScheduler>(net, 25.0);
+    return [&net, schedule, tdss, truth](double t) {
+      schedule->apply(net, t);
+      tdss->wake_predicted_area(truth->at_time(t).position);
+      net.set_power(net.sink(), wsn::PowerState::kAwake);
+    };
+  };
+}
+
+HookFactory localization_hook() {
+  return [](wsn::Network& net, rng::Rng& rng) -> StepHook {
+    wsn::LocalizationConfig config;
+    config.anchor_fraction = 0.1;
+    config.range_sigma_m = 1.0;
+    net.set_believed_positions(wsn::localize(net, config, rng).positions);
+    return {};
+  };
+}
+
+struct Digest {
+  std::uint64_t value = 0;
+  std::size_t estimates = 0;
+};
+
+Digest run_cell(const GoldenCell& cell) {
+  Scenario scenario;
+  scenario.density_per_100m2 = cell.density;
+  HookFactory hook;
+  switch (cell.environment) {
+    case Environment::kStatic: break;
+    case Environment::kDutyCycle: hook = duty_cycle_hook(scenario, cell.seed); break;
+    case Environment::kBelievedPositions: hook = localization_hook(); break;
+  }
+  const TrialResult result =
+      run_trial(scenario, cell.kind, AlgorithmParams{}, cell.seed, 0, hook);
+  Fnv1a fnv;
+  for (const ScoredEstimate& s : result.outcome.scored) {
+    fnv.add(s.estimate.state.position.x);
+    fnv.add(s.estimate.state.position.y);
+    fnv.add(s.estimate.state.velocity.x);
+    fnv.add(s.estimate.state.velocity.y);
+    fnv.add(s.estimate.time);
+  }
+  const wsn::CommStats& comm = result.outcome.comm;
+  for (std::size_t k = 0; k < wsn::kNumMessageKinds; ++k) {
+    const auto kind = static_cast<wsn::MessageKind>(k);
+    fnv.add(static_cast<std::uint64_t>(comm.messages(kind)));
+    fnv.add(static_cast<std::uint64_t>(comm.receptions(kind)));
+    fnv.add(static_cast<std::uint64_t>(comm.bytes(kind)));
+  }
+  return {fnv.value(), result.outcome.scored.size()};
+}
+
+constexpr std::uint64_t kSeedA = 1;
+constexpr std::uint64_t kSeedB = 20110516;
+
+using enum AlgorithmKind;
+using enum Environment;
+
+// clang-format off
+constexpr GoldenCell kCells[] = {
+    {"CPF_d10_a", kCpf, 10.0, kSeedA, kStatic, 0xebab51f7710e40ebull},
+    {"CPF_d10_b", kCpf, 10.0, kSeedB, kStatic, 0x793a6c81493918c8ull},
+    {"CPF_d20_a", kCpf, 20.0, kSeedA, kStatic, 0x70bdffbdcc3a2badull},
+    {"CPF_d20_b", kCpf, 20.0, kSeedB, kStatic, 0xd6cd0411ab06f0ffull},
+    {"CPF_d40_a", kCpf, 40.0, kSeedA, kStatic, 0x7322dac668ad701cull},
+    {"CPF_d40_b", kCpf, 40.0, kSeedB, kStatic, 0xb7a2ed0e3fc1cbbeull},
+    {"DPF_d10_a", kDpf, 10.0, kSeedA, kStatic, 0x442ee05f6756990aull},
+    {"DPF_d10_b", kDpf, 10.0, kSeedB, kStatic, 0xc15ca6d73c42a875ull},
+    {"DPF_d20_a", kDpf, 20.0, kSeedA, kStatic, 0x6da778fa9ef40788ull},
+    {"DPF_d20_b", kDpf, 20.0, kSeedB, kStatic, 0x92f713baa35c8ee2ull},
+    {"DPF_d40_a", kDpf, 40.0, kSeedA, kStatic, 0xf9d84fd602b2f0e6ull},
+    {"DPF_d40_b", kDpf, 40.0, kSeedB, kStatic, 0x11401e98d6c206d1ull},
+    {"GMMDPF_d10_a", kGmmDpf, 10.0, kSeedA, kStatic, 0x13f71b5333016f60ull},
+    {"GMMDPF_d10_b", kGmmDpf, 10.0, kSeedB, kStatic, 0x4d86810c2430a963ull},
+    {"GMMDPF_d20_a", kGmmDpf, 20.0, kSeedA, kStatic, 0xd41343c64833eefdull},
+    {"GMMDPF_d20_b", kGmmDpf, 20.0, kSeedB, kStatic, 0xb81c60827532c594ull},
+    {"GMMDPF_d40_a", kGmmDpf, 40.0, kSeedA, kStatic, 0x9ac42ac57085fdb8ull},
+    {"GMMDPF_d40_b", kGmmDpf, 40.0, kSeedB, kStatic, 0x60da3132280c7c6dull},
+    {"SDPF_d10_a", kSdpf, 10.0, kSeedA, kStatic, 0xbd7482470eef1781ull},
+    {"SDPF_d10_b", kSdpf, 10.0, kSeedB, kStatic, 0xff2dbcaef395f07cull},
+    {"SDPF_d20_a", kSdpf, 20.0, kSeedA, kStatic, 0x538b75d12a30f244ull},
+    {"SDPF_d20_b", kSdpf, 20.0, kSeedB, kStatic, 0xe4b9fe887959e38bull},
+    {"SDPF_d40_a", kSdpf, 40.0, kSeedA, kStatic, 0x5d592c8dfe4d537cull},
+    {"SDPF_d40_b", kSdpf, 40.0, kSeedB, kStatic, 0xb67738d2b6afc7a1ull},
+    {"CDPF_d10_a", kCdpf, 10.0, kSeedA, kStatic, 0x1a2f5865e861b5d7ull},
+    {"CDPF_d10_b", kCdpf, 10.0, kSeedB, kStatic, 0x9623e5a539111be4ull},
+    {"CDPF_d20_a", kCdpf, 20.0, kSeedA, kStatic, 0x600755a144ee4b67ull},
+    {"CDPF_d20_b", kCdpf, 20.0, kSeedB, kStatic, 0x2784c132ad218cffull},
+    {"CDPF_d40_a", kCdpf, 40.0, kSeedA, kStatic, 0x43eed1411e2ef72dull},
+    {"CDPF_d40_b", kCdpf, 40.0, kSeedB, kStatic, 0x65ac14b7fc34b7daull},
+    {"CDPFNE_d10_a", kCdpfNe, 10.0, kSeedA, kStatic, 0x27e0e920c23c8688ull},
+    {"CDPFNE_d10_b", kCdpfNe, 10.0, kSeedB, kStatic, 0xf622cf9296f81b48ull},
+    {"CDPFNE_d20_a", kCdpfNe, 20.0, kSeedA, kStatic, 0x8afc7c3c8b32be0dull},
+    {"CDPFNE_d20_b", kCdpfNe, 20.0, kSeedB, kStatic, 0x8e0aabbdccb9da4bull},
+    {"CDPFNE_d40_a", kCdpfNe, 40.0, kSeedA, kStatic, 0x821f44aac00dabd5ull},
+    {"CDPFNE_d40_b", kCdpfNe, 40.0, kSeedB, kStatic, 0x8cde8dcb05679490ull},
+    {"CPF_duty_d20_a", kCpf, 20.0, kSeedA, kDutyCycle, 0x032800c48bbb3315ull},
+    {"CPF_duty_d20_b", kCpf, 20.0, kSeedB, kDutyCycle, 0xf4c48d7edbb77670ull},
+    {"SDPF_duty_d20_a", kSdpf, 20.0, kSeedA, kDutyCycle, 0xd7094d629b7ed2a9ull},
+    {"SDPF_duty_d20_b", kSdpf, 20.0, kSeedB, kDutyCycle, 0x19714fa4d9e91c16ull},
+    {"CPF_localized_d20_a", kCpf, 20.0, kSeedA, kBelievedPositions, 0x1a5786008b7e0817ull},
+    {"CPF_localized_d20_b", kCpf, 20.0, kSeedB, kBelievedPositions, 0xa9ddabb5d564ba14ull},
+};
+// clang-format on
+
+class GoldenOutputs : public ::testing::TestWithParam<GoldenCell> {};
+
+TEST_P(GoldenOutputs, DigestMatchesRecordedBits) {
+  const GoldenCell& cell = GetParam();
+  const Digest digest = run_cell(cell);
+  EXPECT_GT(digest.estimates, 0u) << cell.name << " produced no estimate";
+  char actual[32];
+  std::snprintf(actual, sizeof actual, "0x%016llxull",
+                static_cast<unsigned long long>(digest.value));
+  EXPECT_EQ(digest.value, cell.digest)
+      << cell.name << ": digest " << actual << " over " << digest.estimates
+      << " estimates differs from the recorded bits";
+}
+
+INSTANTIATE_TEST_SUITE_P(Cells, GoldenOutputs, ::testing::ValuesIn(kCells),
+                         [](const ::testing::TestParamInfo<GoldenCell>& param_info) {
+                           return std::string(param_info.param.name);
+                         });
+
+}  // namespace
+}  // namespace cdpf::sim

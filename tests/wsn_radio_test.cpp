@@ -83,6 +83,32 @@ TEST(Radio, TransceiverPrimitives) {
   EXPECT_EQ(radio.stats().bytes(MessageKind::kWeight), 8u);
 }
 
+TEST(Radio, TransceiverBroadcastCountsActiveNodesOnly) {
+  // The receiver count comes from Network::active_count(); with an energy
+  // model each active node is charged once and inactive ones not at all.
+  const std::vector<geom::Vec2> positions{
+      {10.0, 10.0}, {90.0, 90.0}, {50.0, 50.0}, {20.0, 80.0}};
+  Network net(positions, small_config());
+  EnergyModel energy(net.size(), EnergyParams{});
+  Radio plain(net, PayloadSizes{});
+  Radio charged(net, PayloadSizes{}, &energy);
+  net.set_alive(1, false);
+  net.set_power(3, PowerState::kAsleep);
+  EXPECT_EQ(net.active_count(), 2u);
+  plain.transceiver_broadcast(MessageKind::kControl, 4);
+  charged.transceiver_broadcast(MessageKind::kControl, 4);
+  EXPECT_EQ(plain.stats().receptions(MessageKind::kControl), 2u);
+  EXPECT_EQ(charged.stats().receptions(MessageKind::kControl), 2u);
+  EXPECT_GT(energy.consumed_uj(0), 0.0);
+  EXPECT_EQ(energy.consumed_uj(1), 0.0);
+  EXPECT_GT(energy.consumed_uj(2), 0.0);
+  EXPECT_EQ(energy.consumed_uj(3), 0.0);
+
+  net.reset_runtime_state();
+  plain.transceiver_broadcast(MessageKind::kControl, 4);
+  EXPECT_EQ(plain.stats().receptions(MessageKind::kControl), 2u + 4u);
+}
+
 TEST(Radio, InterferencePredicate) {
   const std::vector<geom::Vec2> positions{{50.0, 50.0}, {60.0, 50.0}, {62.0, 50.0}};
   Network net(positions, small_config());

@@ -2,6 +2,9 @@
 // four hops at the most" remark for its evaluation geometry.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "random/rng.hpp"
 #include "wsn/deployment.hpp"
 #include "wsn/network.hpp"
@@ -105,6 +108,150 @@ TEST(Routing, PaperGeometryFourHopsToSink) {
   // so <= 6-7 hops; the paper's ideal-forwarding bound is 4-5.
   EXPECT_LE(max_hops, 7u);
   EXPECT_GE(max_hops, 4u);
+}
+
+TEST(Routing, BelievedPositionsOnlyRouteOverRadioLinks) {
+  // Node 1 physically sits 25 m from node 0 but believes it sits 45 m away,
+  // beyond r_c: the radio refuses that link, so greedy must not pick it
+  // even though its believed position is the closest to the destination.
+  const std::vector<geom::Vec2> positions{
+      {0.0, 50.0}, {25.0, 50.0}, {70.0, 50.0}, {20.0, 60.0}, {45.0, 55.0}};
+  Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
+  std::vector<geom::Vec2> believed = positions;
+  believed[1] = {45.0, 50.0};
+  net.set_believed_positions(believed);
+  Radio radio(net, PayloadSizes{});
+  const GreedyGeographicRouter router(net);
+  const auto path = router.route(0, 2);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_EQ(*path, (std::vector<NodeId>{0, 3, 1, 2}));
+  for (std::size_t i = 0; i + 1 < path->size(); ++i) {
+    EXPECT_TRUE(radio.in_range((*path)[i], (*path)[i + 1]));
+  }
+  EXPECT_EQ(router.send(radio, 0, 2, MessageKind::kMeasurement, 4), 3u);
+  EXPECT_EQ(radio.stats().messages(MessageKind::kMeasurement), 3u);
+}
+
+// -- Next-hop memo ---------------------------------------------------------
+// A long-lived router memoizes next hops per (destination, activity epoch).
+// After any change a route can observe, it must agree with a router built
+// from scratch — route for route, voids included.
+
+/// Every `stride`-th active node's route to `to`, or nullopt for a void.
+std::vector<std::optional<std::vector<NodeId>>> routes_to(
+    const GreedyGeographicRouter& router, const Network& net, NodeId to,
+    NodeId stride = 7) {
+  std::vector<std::optional<std::vector<NodeId>>> out;
+  for (NodeId id = 0; id < net.size(); id += stride) {
+    if (net.is_active(id)) {
+      out.push_back(router.route(id, to));
+    }
+  }
+  return out;
+}
+
+void expect_matches_fresh_router(const GreedyGeographicRouter& long_lived,
+                                 const Network& net, NodeId to) {
+  const GreedyGeographicRouter fresh(net);
+  EXPECT_EQ(routes_to(long_lived, net, to), routes_to(fresh, net, to));
+}
+
+class RoutingMemo : public ::testing::Test {
+ protected:
+  RoutingMemo()
+      : net_(deploy(), NetworkConfig{geom::Aabb::square(200.0), 10.0, 30.0}),
+        router_(net_) {
+    // Warm the memo toward the sink and pick a route with a relay to break.
+    for (NodeId id = 0; id < net_.size(); ++id) {
+      const auto path = router_.route(id, net_.sink());
+      if (path && path->size() >= 4 && !relay_source_) {
+        relay_source_ = id;
+        relay_ = (*path)[1];
+      }
+    }
+  }
+
+  static std::vector<geom::Vec2> deploy() {
+    rng::Rng rng(11);
+    return deploy_uniform_random(1200, geom::Aabb::square(200.0), rng);
+  }
+
+  /// Route of the chosen source, which the mutations below must reroute.
+  std::optional<std::vector<NodeId>> relay_route() const {
+    return router_.route(*relay_source_, net_.sink());
+  }
+
+  Network net_;
+  GreedyGeographicRouter router_;
+  std::optional<NodeId> relay_source_;
+  NodeId relay_ = kInvalidNodeId;
+};
+
+TEST_F(RoutingMemo, FollowsSetAlive) {
+  ASSERT_TRUE(relay_source_.has_value());
+  const auto before = relay_route();
+  net_.set_alive(relay_, false);
+  EXPECT_NE(relay_route(), before);
+  expect_matches_fresh_router(router_, net_, net_.sink());
+}
+
+TEST_F(RoutingMemo, FollowsSetPowerAndReset) {
+  ASSERT_TRUE(relay_source_.has_value());
+  const auto before = relay_route();
+  for (NodeId id = 0; id < net_.size(); id += 3) {
+    if (id != net_.sink() && id != *relay_source_) {
+      net_.set_power(id, PowerState::kAsleep);
+    }
+  }
+  net_.set_power(relay_, PowerState::kAsleep);
+  EXPECT_NE(relay_route(), before);
+  expect_matches_fresh_router(router_, net_, net_.sink());
+
+  net_.reset_runtime_state();
+  EXPECT_EQ(relay_route(), before);
+  expect_matches_fresh_router(router_, net_, net_.sink());
+}
+
+TEST_F(RoutingMemo, FollowsBelievedPositions) {
+  ASSERT_TRUE(relay_source_.has_value());
+  const auto before = relay_route();
+  // Every node believes it sits 12 m east of where it is, except the relay,
+  // which believes it sits 25 m west: greedy now ranks neighbors differently.
+  std::vector<geom::Vec2> believed;
+  for (const Node& n : net_.nodes()) {
+    believed.push_back(n.position + geom::Vec2{n.id == relay_ ? -25.0 : 12.0, 0.0});
+  }
+  net_.set_believed_positions(believed);
+  EXPECT_NE(relay_route(), before);
+  expect_matches_fresh_router(router_, net_, net_.sink());
+
+  net_.clear_believed_positions();
+  EXPECT_EQ(relay_route(), before);
+  expect_matches_fresh_router(router_, net_, net_.sink());
+}
+
+TEST_F(RoutingMemo, FollowsDestinationChange) {
+  const NodeId corner = 0;
+  expect_matches_fresh_router(router_, net_, corner);
+  // And back: the sink's routes are recomputed, not served from a memo
+  // filled for the other destination.
+  expect_matches_fresh_router(router_, net_, net_.sink());
+}
+
+TEST(Routing, MemoizedVoidStillFailsAndChargesNothing) {
+  // 1 -> 2 is a void (40 m gap > r_c); 0 -> 2 reaches 1 first, then hits
+  // the void memoized by the first query.
+  const std::vector<geom::Vec2> positions{{0.0, 50.0}, {20.0, 50.0}, {60.0, 50.0}};
+  Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
+  Radio radio(net, PayloadSizes{});
+  const GreedyGeographicRouter router(net);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_FALSE(router.route(1, 2).has_value());
+    EXPECT_FALSE(router.send(radio, 1, 2, MessageKind::kMeasurement, 4).has_value());
+    EXPECT_FALSE(router.send(radio, 0, 2, MessageKind::kMeasurement, 4).has_value());
+  }
+  EXPECT_EQ(radio.stats().total_messages(), 0u);
+  EXPECT_EQ(radio.stats().total_bytes(), 0u);
 }
 
 }  // namespace
