@@ -1,17 +1,18 @@
 // Machine-readable perf baseline: every bench can serialize its timings to
 // a small JSON artifact (schema "cdpf-bench/1") so CI and developers can
 // diff performance across revisions with tools/bench_compare.py instead of
-// eyeballing console tables. Header-only and dependency-free on purpose —
-// the benches must build with nothing beyond the standard library.
+// eyeballing console tables. Header-only; strings are escaped by the
+// library's shared support::json_escape.
 #pragma once
 
 #include <cstddef>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "support/json_escape.hpp"
 
 namespace cdpf::bench {
 
@@ -64,36 +65,6 @@ inline std::string git_revision() {
   return "unknown";
 }
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Serialize the report. `context` carries free-form key/value metadata
 /// (bench binary name, flags, worker count, ...).
 inline std::string to_json(
@@ -102,17 +73,17 @@ inline std::string to_json(
   std::ostringstream os;
   os.precision(17);
   os << "{\n  \"schema\": \"cdpf-bench/1\",\n";
-  os << "  \"git_revision\": \"" << json_escape(git_revision()) << "\",\n";
+  os << "  \"git_revision\": \"" << support::json_escape(git_revision()) << "\",\n";
   os << "  \"context\": {";
   for (std::size_t i = 0; i < context.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << "    \"" << json_escape(context[i].first)
-       << "\": \"" << json_escape(context[i].second) << "\"";
+    os << (i == 0 ? "\n" : ",\n") << "    \"" << support::json_escape(context[i].first)
+       << "\": \"" << support::json_escape(context[i].second) << "\"";
   }
   os << (context.empty() ? "" : "\n  ") << "},\n";
   os << "  \"benchmarks\": [";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const BenchEntry& e = entries[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << json_escape(e.name)
+    os << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << support::json_escape(e.name)
        << "\", \"wall_seconds\": " << e.wall_seconds
        << ", \"iterations\": " << e.iterations
        << ", \"iterations_per_second\": " << e.iterations_per_second << "}";

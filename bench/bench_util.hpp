@@ -65,8 +65,7 @@ inline std::string config_list(const std::vector<double>& values) {
 inline void announce_snapshot(const sim::ExperimentRunner& runner) {
   std::cout << "Shard " << runner.spec().shard.to_string()
             << " complete; snapshot written to " << runner.snapshot_path()
-            << "\nFuse all shards with --merge=<snapshots> (or "
-               "tools/shard_merge.py) to get the full table.\n";
+            << "\nFuse all shards with --merge=<snapshots> to get the full table.\n";
 }
 
 }  // namespace cdpf::bench

@@ -19,7 +19,6 @@
 #include "filters/resampling.hpp"
 #include "filters/sir_filter.hpp"
 #include "geom/grid_index.hpp"
-#include "geom/kdtree.hpp"
 #include "sim/experiment.hpp"
 #include "wsn/deployment.hpp"
 
@@ -59,21 +58,6 @@ void BM_GridIndexQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridIndexQuery)->Arg(5)->Arg(20)->Arg(40)->ArgName("density");
-
-void BM_KdTreeQuery(benchmark::State& state) {
-  const double density = static_cast<double>(state.range(0));
-  rng::Rng rng(2);
-  const geom::Aabb field = geom::Aabb::square(200.0);
-  const auto points = wsn::deploy_uniform_random(
-      wsn::node_count_for_density(density, field), field, rng);
-  const geom::KdTree tree(points);
-  std::vector<std::size_t> out;
-  for (auto _ : state) {
-    const geom::Vec2 c{rng.uniform(20.0, 180.0), rng.uniform(20.0, 180.0)};
-    benchmark::DoNotOptimize(tree.query_disk(c, 30.0, out));
-  }
-}
-BENCHMARK(BM_KdTreeQuery)->Arg(5)->Arg(20)->Arg(40)->ArgName("density");
 
 void BM_PropagationRound(benchmark::State& state) {
   const double density = static_cast<double>(state.range(0));

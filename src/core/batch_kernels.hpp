@@ -1,16 +1,8 @@
-// Shared per-pair kernels of the SoA batch-compute plane.
-//
-// The scalar reference paths and the batched paths of the CDPF hot loops
-// (likelihood evaluation, record gating, neighborhood contributions) both
-// call the inline kernels defined here, with identical arithmetic on
-// identical inputs. That is the whole equivalence contract: as long as the
-// two paths feed the kernels the same (dx, dy, d2) values in the same order
-// and accumulate with the same plain additions, their results are bitwise
-// identical — tested by core_batch_equivalence_test.
+// Shared per-pair bearing likelihood kernels.
 //
 // Kernels take precomputed displacement components instead of Vec2 pairs so
-// the batch paths can stream them out of contiguous double arrays, and they
-// work on SQUARED distances throughout: hypot() — correct but sequential —
+// callers can stream them out of contiguous double arrays, and CDPF's kernel
+// works on SQUARED distances throughout: hypot() — correct but sequential —
 // never appears on CDPF's hot path; the few places that need a length use
 // one sqrt of an already-computed squared distance.
 //
@@ -35,7 +27,7 @@ inline constexpr double kLogSqrt2Pi = 0.9189385332046727;
 /// Precomputed squared parameters of the quantization-inflated bearing
 /// likelihood. The inflated noise of the AoS formulation was
 ///   sigma_eff = hypot(sigma0, delta / max(d, floor)),
-/// which this plane evaluates as a variance:
+/// which CDPF evaluates as a variance:
 ///   sigma_eff^2 = sigma0^2 + delta^2 / max(d^2, floor^2)
 /// — the same quantity (squaring is monotone, so the max commutes) without
 /// the hypot or the sqrt of d^2.

@@ -7,7 +7,6 @@
 #include "core/batch_kernels.hpp"
 #include "support/check.hpp"
 #include "support/log.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 #include "wsn/routing.hpp"
 
@@ -57,25 +56,17 @@ Cdpf::Cdpf(wsn::Network& network, wsn::Radio& radio, CdpfConfig config)
   sender_xs_.reserve(nodes);
   sender_ys_.reserve(nodes);
   sender_z_.reserve(nodes);
-  host_xs_.reserve(nodes);
-  host_ys_.reserve(nodes);
-  host_acc_.reserve(nodes);
-  host_heard_.reserve(nodes);
   route_path_.reserve(nodes);
   route_neighbors_.reserve(nodes);
   pending_estimates_.reserve(64);
   if (config_.use_neighborhood_estimation) {
     area_nodes_.reserve(nodes);
     area_positions_.reserve(nodes);
-    area_soa_.reserve(nodes);
     area_contributions_.reserve(nodes);
     node_contribution_.resize(nodes, 0.0);
     contribution_stamp_.resize(nodes, 0);
     detection_stamp_.resize(nodes, 0);
   }
-  // One switch flips the whole compute plane: the propagation gates follow
-  // the filter-level kernel selection unless the caller overrode them.
-  config_.propagation.use_batch_gates = config_.use_batch_kernels;
   // The paper's correctness argument for the overheard total (every recorder
   // hears every broadcast of the previous round) needs r_s <= r_c / 2.
   // Experiments may explore violations deliberately, so warn, don't reject.
@@ -241,13 +232,8 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
         }
       }
 
-      if (config_.use_batch_kernels) {
-        store_.normalize_and_prune(propagation_.global.total_weight,
-                                   config_.prune_threshold);
-      } else {
-        store_.normalize(propagation_.global.total_weight);
-        store_.prune_below(config_.prune_threshold);
-      }
+      store_.normalize_and_prune(propagation_.global.total_weight,
+                                 config_.prune_threshold);
     }
   }
 
@@ -322,8 +308,8 @@ void Cdpf::likelihood_and_assign(const SensingSnapshot& snapshot) {
     return;  // no information this iteration; weights carry over
   }
   // Sender coordinates are read once per (measurement, host) pair below;
-  // resolve them once per measurement into SoA scratch that both the scalar
-  // and the batch evaluation loops stream.
+  // resolve them once per measurement into SoA scratch the host loop
+  // streams.
   const std::size_t num_measurements = shared.size();
   sender_xs_.resize(num_measurements);
   sender_ys_.resize(num_measurements);
@@ -367,8 +353,20 @@ void Cdpf::likelihood_and_assign(const SensingSnapshot& snapshot) {
   // same displacement serves the gate and the likelihood kernel.
   const double comm_radius_sq =
       network_.config().comm_radius * network_.config().comm_radius;
-  const std::vector<wsn::NodeId>& hosts = store_.sorted_hosts();
-  auto apply_weight = [&](wsn::NodeId host, double log_likelihood, bool heard_any) {
+  // Evaluate and apply host by host, in sorted-host order.
+  for (const wsn::NodeId host : store_.sorted_hosts()) {
+    const geom::Vec2 host_pos = network_.position(host);
+    double log_likelihood = 0.0;
+    bool heard_any = false;
+    for (std::size_t i = 0; i < num_measurements; ++i) {
+      const double dx = host_pos.x - sender_xs_[i];
+      const double dy = host_pos.y - sender_ys_[i];
+      const double d2 = dx * dx + dy * dy;
+      if (d2 <= comm_radius_sq) {
+        log_likelihood += bearing_pair_log_likelihood(sender_z_[i], dx, dy, d2, params);
+        heard_any = true;
+      }
+    }
     if (heard_any) {
       store_.scale_weight(host,
                           std::exp(std::clamp(log_likelihood - reference_log_likelihood,
@@ -382,71 +380,6 @@ void Cdpf::likelihood_and_assign(const SensingSnapshot& snapshot) {
       // renormalized (the paper's blank-node rule: drop on ~zero density).
       store_.scale_weight(host, std::exp(-kMaxLogWeightFactor));
     }
-  };
-  if (!config_.use_batch_kernels) {
-    // Scalar reference: evaluate and apply host by host.
-    for (const wsn::NodeId host : hosts) {
-      const geom::Vec2 host_pos = network_.position(host);
-      double log_likelihood = 0.0;
-      bool heard_any = false;
-      for (std::size_t i = 0; i < num_measurements; ++i) {
-        const double dx = host_pos.x - sender_xs_[i];
-        const double dy = host_pos.y - sender_ys_[i];
-        const double d2 = dx * dx + dy * dy;
-        if (d2 <= comm_radius_sq) {
-          log_likelihood +=
-              bearing_pair_log_likelihood(sender_z_[i], dx, dy, d2, params);
-          heard_any = true;
-        }
-      }
-      apply_weight(host, log_likelihood, heard_any);
-    }
-    return;
-  }
-  // Batch plane: gather host coordinates once, evaluate every (host,
-  // measurement-set) accumulation into pre-sized disjoint slots — a pure
-  // function of the gathered inputs, so the evaluation stage can shard
-  // across the pool with bit-identical results for any worker count — then
-  // apply the weights serially in the same sorted-host order as the scalar
-  // path. Per-host accumulation order (measurement index, plain +=) matches
-  // the scalar loop exactly.
-  const std::size_t num_hosts = hosts.size();
-  host_xs_.resize(num_hosts);
-  host_ys_.resize(num_hosts);
-  host_acc_.resize(num_hosts);
-  host_heard_.resize(num_hosts);
-  for (std::size_t j = 0; j < num_hosts; ++j) {
-    const geom::Vec2 host_pos = network_.position(hosts[j]);
-    host_xs_[j] = host_pos.x;
-    host_ys_[j] = host_pos.y;
-  }
-  auto evaluate_host = [&](std::size_t j) {
-    const double hx = host_xs_[j];
-    const double hy = host_ys_[j];
-    double log_likelihood = 0.0;
-    std::uint8_t heard_any = 0;
-    for (std::size_t i = 0; i < num_measurements; ++i) {
-      const double dx = hx - sender_xs_[i];
-      const double dy = hy - sender_ys_[i];
-      const double d2 = dx * dx + dy * dy;
-      if (d2 <= comm_radius_sq) {
-        log_likelihood +=
-            bearing_pair_log_likelihood(sender_z_[i], dx, dy, d2, params);
-        heard_any = 1;
-      }
-    }
-    host_acc_[j] = log_likelihood;
-    host_heard_[j] = heard_any;
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(num_hosts, evaluate_host);
-  } else {
-    for (std::size_t j = 0; j < num_hosts; ++j) {
-      evaluate_host(j);
-    }
-  }
-  for (std::size_t j = 0; j < num_hosts; ++j) {
-    apply_weight(hosts[j], host_acc_[j], host_heard_[j] != 0);
   }
 }
 
@@ -461,41 +394,26 @@ void Cdpf::neighborhood_assign(const std::vector<wsn::NodeId>& detecting) {
   const geom::Vec2 predicted = *predicted_position_;
   // All active nodes inside the estimation area participate in the
   // normalization set (they are the nodes that may detect the target). The
-  // batch plane collects them as SoA coordinate arrays straight from the
-  // grid — valid only while believed == true positions, since the grid
-  // indexes physical coordinates; under a localization experiment the
-  // scalar gather through position() remains authoritative. Both routes
-  // produce the same nodes in the same order and feed the same contribution
-  // arithmetic, so the resulting weights are bitwise identical.
-  const bool batch =
-      config_.use_batch_kernels && !network_.has_believed_positions();
-  std::span<const wsn::NodeId> area_ids;
-  if (batch) {
-    network_.collect_active_within(predicted, config_.neighborhood.sensing_radius,
-                                   area_soa_);
-    estimated_contributions(area_soa_.xs, area_soa_.ys, predicted,
-                            config_.neighborhood, area_contributions_);
-    area_ids = area_soa_.ids;
-  } else {
-    network_.active_nodes_within(predicted, config_.neighborhood.sensing_radius,
-                                 area_nodes_);
-    area_positions_.clear();
-    for (const wsn::NodeId id : area_nodes_) {
-      area_positions_.push_back(network_.position(id));
-    }
-    estimated_contributions(area_positions_, predicted, config_.neighborhood,
-                            area_contributions_);
-    area_ids = area_nodes_;
+  // grid selects them by physical position; their contributions use the
+  // positions the nodes believe they hold (position()), which is what a
+  // node shares with its neighbors under a localization experiment.
+  network_.active_nodes_within(predicted, config_.neighborhood.sensing_radius,
+                               area_nodes_);
+  area_positions_.clear();
+  for (const wsn::NodeId id : area_nodes_) {
+    area_positions_.push_back(network_.position(id));
   }
+  estimated_contributions(area_positions_, predicted, config_.neighborhood,
+                          area_contributions_);
 
   // Index contributions and the detecting set by NodeId so the host loop
   // below is O(hosts) instead of O(hosts * (area + detections)). The tables
   // are epoch-stamped: bumping node_epoch_ invalidates every stale entry
   // without clearing the arrays.
   ++node_epoch_;
-  for (std::size_t i = 0; i < area_ids.size(); ++i) {
-    node_contribution_[area_ids[i]] = area_contributions_[i];
-    contribution_stamp_[area_ids[i]] = node_epoch_;
+  for (std::size_t i = 0; i < area_nodes_.size(); ++i) {
+    node_contribution_[area_nodes_[i]] = area_contributions_[i];
+    contribution_stamp_[area_nodes_[i]] = node_epoch_;
   }
   for (const wsn::NodeId id : detecting) {
     detection_stamp_[id] = node_epoch_;
@@ -512,7 +430,7 @@ void Cdpf::neighborhood_assign(const std::vector<wsn::NodeId>& detecting) {
       // A detecting host outside the (mispredicted) estimation area floors
       // its contribution at the area's mean — its own detection says the
       // prediction, not the particle, is wrong.
-      c = std::max(c, 1.0 / static_cast<double>(area_ids.size() + 1)) *
+      c = std::max(c, 1.0 / static_cast<double>(area_nodes_.size() + 1)) *
           config_.detection_weight_boost;
     }
     store_.scale_weight(host, c);

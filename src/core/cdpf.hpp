@@ -38,10 +38,6 @@
 #include "wsn/radio.hpp"
 #include "wsn/routing.hpp"
 
-namespace cdpf::support {
-class ThreadPool;
-}
-
 namespace cdpf::core {
 
 /// Every tunable of the CDPF / CDPF-NE filter, defaulting to the paper's
@@ -110,19 +106,6 @@ struct CdpfConfig {
   /// message charged per iteration); off by default like the paper's
   /// "possibly report it to sink nodes".
   bool report_estimates_to_sink = false;
-
-  /// Run the per-iteration hot loops (likelihood evaluation, weight
-  /// assignment, normalize+prune, propagation gates) through the SoA batch
-  /// compute plane. The scalar reference implementation stays selectable —
-  /// here, or repo-wide by configuring with -DCDPF_SCALAR_KERNELS=ON — and
-  /// produces bitwise-identical weights and estimates (the equivalence the
-  /// property tests pin). The ctor mirrors this flag into
-  /// propagation.use_batch_gates so one switch flips the whole plane.
-#ifdef CDPF_SCALAR_KERNELS
-  bool use_batch_kernels = false;
-#else
-  bool use_batch_kernels = true;
-#endif
 };
 
 /// What the sensor field reports for one filter iteration: the detecting
@@ -149,9 +132,8 @@ struct SensingSnapshot {
 /// The paper's filter. One instance tracks one target over one deployment;
 /// every broadcast is charged to `radio` so comm_stats() reproduces the
 /// Table I accounting. Deterministic: identical (network, config, rng
-/// stream) input gives bitwise-identical estimates for either kernel path
-/// and any thread-pool worker count. Not thread-safe externally — drive
-/// iterate() from a single thread (internal sharding is the filter's own).
+/// stream) input gives bitwise-identical estimates. Not thread-safe — drive
+/// iterate() from a single thread.
 class Cdpf final : public TrackerAlgorithm {
  public:
   /// Binds to `network`/`radio` (both must outlive the filter) and sizes
@@ -204,15 +186,6 @@ class Cdpf final : public TrackerAlgorithm {
     neighborhood_assign(detecting);
   }
 
-  /// Shard the RNG-free likelihood evaluation across `pool` (nullptr =
-  /// serial, the default). Each (host, measurement-set) evaluation writes a
-  /// pre-sized per-host slot and the weight application replays the slots
-  /// serially in sorted-host order, so results are bitwise identical for any
-  /// worker count — including the serial path. Only the batch plane shards;
-  /// the serial path keeps the zero-allocation steady state that
-  /// core_allocation_test pins (parallel_for's futures are heap-backed).
-  void set_thread_pool(support::ThreadPool* pool) { pool_ = pool; }
-
  private:
   void initialize_from_detections(const SensingSnapshot& snapshot, rng::Rng& rng);
   /// Steps 3+4 of the reordered pipeline for plain CDPF.
@@ -243,26 +216,19 @@ class Cdpf final : public TrackerAlgorithm {
   bool has_iterated_ = false;
   std::vector<TimedEstimate> pending_estimates_;
 
-  support::ThreadPool* pool_ = nullptr;
-
   // Iteration-local workspaces, members so they stay warm across rounds.
   std::vector<wsn::NodeId> detecting_scratch_;
   // SoA staging of the likelihood step: measurement senders (coordinates +
-  // bearing) and hosts (coordinates + per-host accumulator slots).
+  // bearing), resolved once per iteration.
   std::vector<double> sender_xs_;
   std::vector<double> sender_ys_;
   std::vector<double> sender_z_;
-  std::vector<double> host_xs_;
-  std::vector<double> host_ys_;
-  std::vector<double> host_acc_;
-  std::vector<std::uint8_t> host_heard_;
   /// Sink reports; a member so its next-hop memo stays warm across rounds.
   wsn::GreedyGeographicRouter router_;
   std::vector<wsn::NodeId> route_path_;
   std::vector<wsn::NodeId> route_neighbors_;
   std::vector<wsn::NodeId> area_nodes_;
   std::vector<geom::Vec2> area_positions_;
-  wsn::NodeSoa area_soa_;
   std::vector<double> area_contributions_;
   // Epoch-stamped NodeId-indexed lookups for the neighborhood assignment:
   // contribution-by-host and detecting-set membership in O(1) instead of a

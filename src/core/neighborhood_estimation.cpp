@@ -10,8 +10,8 @@ namespace cdpf::core {
 
 namespace {
 
-// One arithmetic for every contribution path (Vec2 spans, SoA coordinate
-// arrays, own_contribution): Theorem 2 — every node computes identical
+// One arithmetic for every contribution path (estimated_contributions,
+// own_contribution): Theorem 2 — every node computes identical
 // values — is asserted as exact equality by the tests, so the paths must
 // not merely agree mathematically but share the same operations. The
 // distance comes from sqrt(dx^2 + dy^2) rather than hypot: an ulp-level
@@ -72,29 +72,6 @@ void estimated_contributions(std::span<const geom::Vec2> positions,
   }
   for (double& c : out) {
     c /= inv_sum.value();  // c_i = (1/d_i) / D
-  }
-  assert_distribution(out);
-}
-
-void estimated_contributions(std::span<const double> xs, std::span<const double> ys,
-                             geom::Vec2 predicted_position,
-                             const NeighborhoodEstimationConfig& config,
-                             std::vector<double>& out) {
-  CDPF_CHECK_MSG(config.min_distance_m > 0.0, "min distance clamp must be positive");
-  CDPF_CHECK_MSG(xs.size() == ys.size(), "coordinate arrays must be parallel");
-  out.resize(xs.size());
-  if (xs.empty()) {
-    return;
-  }
-  support::NeumaierSum inv_sum;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    out[i] = inverse_clamped_distance(xs[i] - predicted_position.x,
-                                      ys[i] - predicted_position.y,
-                                      config.min_distance_m);
-    inv_sum.add(out[i]);
-  }
-  for (double& c : out) {
-    c /= inv_sum.value();
   }
   assert_distribution(out);
 }

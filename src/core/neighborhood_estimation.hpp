@@ -50,14 +50,6 @@ void estimated_contributions(std::span<const geom::Vec2> positions,
                              const NeighborhoodEstimationConfig& config,
                              std::vector<double>& out);
 
-/// SoA variant over parallel coordinate arrays (the batch compute plane's
-/// feed from wsn::Network::collect_active_within). Same arithmetic as the
-/// Vec2-span overloads on the same values — contributions are bitwise equal.
-void estimated_contributions(std::span<const double> xs, std::span<const double> ys,
-                             geom::Vec2 predicted_position,
-                             const NeighborhoodEstimationConfig& config,
-                             std::vector<double>& out);
-
 /// The contribution c_0 of the node at `self`, with `others` being the other
 /// node positions inside the estimation area (the normalization set is
 /// {self} ∪ others). This is the per-node update path: each node only needs

@@ -90,7 +90,6 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
 #endif
   std::vector<wsn::NodeId>& receivers = scratch.receivers;
   std::vector<wsn::NodeId>& recorders = scratch.recorders;
-  std::vector<wsn::NodeId>& candidates = scratch.record_candidates;
   std::vector<double>& probabilities = scratch.probabilities;
   std::vector<double>& rec_dx = scratch.rec_dx;
   std::vector<double>& rec_dy = scratch.rec_dy;
@@ -112,7 +111,7 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
   // The squared-distance pre-gate is deliberately loose (record_radius
   // inflated by a few ulp): it only ever skips nodes the exact linear-model
   // test would reject with certainty, so which nodes record — and with what
-  // probability — is decided by the same arithmetic on both scan paths.
+  // probability — is decided by the same arithmetic on both recorder routes.
   const double record_gate_sq =
       config.record_radius * config.record_radius * (1.0 + 1e-12);
   // Grid query radius for the direct record-disk scan: anything covering the
@@ -159,11 +158,10 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
     outcome.global.add(particle.weight, host_position, particle.velocity, speed);
 
     // Recorders: receivers inside the predicted area by the linear model.
-    // Every path below fills the same parallel arrays (recorder id, record
+    // Both routes below fill the same parallel arrays (recorder id, record
     // probability, displacement-from-host) that the shared division loop
-    // consumes; the acceptance arithmetic — dx/dy/d2 differences, squared
-    // gates, probability(sqrt(d2)) — is identical across paths, so the
-    // scalar and batch gate routes produce bitwise-equal rounds.
+    // consumes, with the same acceptance arithmetic — dx/dy/d2 differences,
+    // squared gates, probability(sqrt(d2)).
     recorders.clear();
     probabilities.clear();
     rec_dx.clear();
@@ -193,42 +191,18 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
                  receiver_position.y - host_position.y);
         }
       }
-    } else if (!config.use_batch_gates) {
-      // Scalar reference of the direct record-disk scan. Grid visitation
-      // order is global (cell-major, then build order), so filtering the
-      // record-disk query by comm-range membership yields the SAME recorder
-      // sequence — hence the same rng consumption — as filtering the
-      // comm-disk receiver list by the record gate; the comm test below is
-      // the identical arithmetic the grid uses for receiver membership.
-      network.active_nodes_within(predicted, record_query_radius, candidates);
-      for (const wsn::NodeId r : candidates) {
-        if (r == host) {
-          continue;  // a broadcaster never receives its own transmission
-        }
-        const geom::Vec2 receiver_position = network.position(r);
-        const double dxh = receiver_position.x - host_position.x;
-        const double dyh = receiver_position.y - host_position.y;
-        if (dxh * dxh + dyh * dyh > comm_radius_sq) {
-          continue;  // inside the record disk but out of the broadcast's reach
-        }
-        const double dxp = receiver_position.x - predicted.x;
-        const double dyp = receiver_position.y - predicted.y;
-        const double d2p = dxp * dxp + dyp * dyp;
-        if (d2p > record_gate_sq) {
-          continue;
-        }
-        const double p = lin_prob.probability(std::sqrt(d2p));
-        if (p > config.min_record_probability && p > 0.0) {
-          accept(r, p, dxh, dyh);
-        }
-      }
     } else {
-      // Batch direct scan: candidates arrive as SoA coordinate arrays
+      // Direct record-disk scan: candidates arrive as SoA coordinate arrays
       // straight from the grid (true positions — valid here because
-      // use_receiver_list is false exactly when believed == true). Pass 1
-      // computes every displacement/distance contiguously and branch-free;
-      // pass 2 applies the gates in the same candidate order as the scalar
-      // loop above, on the very same values.
+      // use_receiver_list is false exactly when believed == true). Grid
+      // visitation order is global (cell-major, then build order), so
+      // filtering the record-disk query by comm-range membership yields the
+      // SAME recorder sequence — hence the same rng consumption — as
+      // filtering the comm-disk receiver list by the record gate; the comm
+      // test is the identical arithmetic the grid uses for receiver
+      // membership. Pass 1 computes every displacement/distance contiguously
+      // and branch-free; pass 2 applies the gates in candidate order. A
+      // broadcaster never receives its own transmission.
       wsn::NodeSoa& soa = scratch.candidates_soa;
       network.collect_active_within(predicted, record_query_radius, soa);
       const std::size_t n = soa.size();

@@ -61,18 +61,6 @@ struct PropagationConfig {
   /// tests verify). Off by default; the overhearing-completeness
   /// diagnostics switch it on.
   bool per_node_overhearing = false;
-  /// Run the recorder-selection gates (comm range + record gate) as a
-  /// two-pass SoA batch over the grid's contiguous coordinate arrays instead
-  /// of the scalar per-candidate loop. Both paths feed the same gate
-  /// arithmetic in the same candidate order, so results are bitwise
-  /// identical; the scalar path stays as the equivalence reference. Only
-  /// effective on the direct-scan route (no per-node overhearing, believed
-  /// == true positions) — the receiver-list route is unaffected.
-#ifdef CDPF_SCALAR_KERNELS
-  bool use_batch_gates = false;
-#else
-  bool use_batch_gates = true;
-#endif
 };
 
 /// What one node learns by overhearing a propagation round.
@@ -161,17 +149,16 @@ struct PropagationOutcome {
 struct PropagationScratch {
   std::vector<wsn::NodeId> receivers;
   std::vector<wsn::NodeId> recorders;
-  std::vector<wsn::NodeId> record_candidates;
   std::vector<double> probabilities;
-  // SoA staging of the batch gate path: candidate coordinates straight from
-  // the grid, then per-candidate displacement/distance passes.
+  // SoA staging of the direct record-disk scan: candidate coordinates
+  // straight from the grid, then per-candidate displacement/distance passes.
   wsn::NodeSoa candidates_soa;
   std::vector<double> gate_dxh;  // candidate - host displacement
   std::vector<double> gate_dyh;
   std::vector<double> gate_d2h;  // |candidate - host|^2 (comm gate)
   std::vector<double> gate_d2p;  // |candidate - predicted|^2 (record gate)
-  // Accepted-recorder displacements from the host, shared by every gate path
-  // and consumed by the division loop (velocity_from_displacement).
+  // Accepted-recorder displacements from the host, shared by both recorder
+  // routes and consumed by the division loop (velocity_from_displacement).
   std::vector<double> rec_dx;
   std::vector<double> rec_dy;
   std::vector<double> rec_d2;
@@ -181,7 +168,6 @@ struct PropagationScratch {
   void reserve(std::size_t nodes) {
     receivers.reserve(nodes);
     recorders.reserve(nodes);
-    record_candidates.reserve(nodes);
     probabilities.reserve(nodes);
     candidates_soa.reserve(nodes);
     gate_dxh.reserve(nodes);

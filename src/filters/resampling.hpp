@@ -34,9 +34,8 @@ std::string_view resampling_scheme_name(ResamplingScheme scheme);
 /// Batch prefix sum of `weights` into `out` (resized to weights.size()):
 /// out[i] = sum of weights[0..i], each partial compensated (NeumaierSum) so
 /// the sequence matches an incremental compensated walk value for value.
-/// Returns the total (== out.back()). This is the normalize/resample
-/// prefix-sum pass of the batch compute plane, shared by the multinomial
-/// and residual schemes.
+/// Returns the total (== out.back()). Shared by the multinomial and
+/// residual schemes.
 double cumulative_weights(std::span<const double> weights, std::vector<double>& out);
 
 /// Draw `count` ancestor indices according to `scheme`.

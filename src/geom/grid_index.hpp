@@ -63,8 +63,8 @@ class GridIndex {
     });
   }
 
-  /// Visit (id, x, y) triples within the disk — the SoA feed of the batch
-  /// compute plane: callers append into structure-of-arrays scratch without
+  /// Visit (id, x, y) triples within the disk — the SoA feed of CDPF's
+  /// propagation scan: callers append into structure-of-arrays scratch without
   /// ever touching the AoS point table. Visitation order, membership and
   /// arithmetic are identical to visit_disk.
   template <typename Visitor>

@@ -132,7 +132,7 @@ MonteCarloResult fold_monte_carlo(const std::vector<SlotRecord>& records,
                                   std::size_t offset, std::size_t count);
 
 /// Repeat run_trial() `trials` times (trial seeds derived from root_seed)
-/// and aggregate. `workers` > 1 distributes trials over a thread pool;
+/// and aggregate. `workers` > 1 distributes trials over worker threads;
 /// aggregation order is fixed by trial index either way, so the result is
 /// identical for any worker count.
 MonteCarloResult run_monte_carlo(const Scenario& scenario, AlgorithmKind kind,

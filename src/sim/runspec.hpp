@@ -22,38 +22,72 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/snapshot.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace cdpf::sim {
 
 /// Run `count` independent jobs — Monte Carlo trials or per-variant
-/// measurements — with `job(i)` producing slot i, distributed over
-/// `workers` threads when both exceed one. Each job writes only its own
-/// pre-sized slot and the caller folds the returned vector serially in
-/// ascending slot order, so every aggregate is identical for any worker
-/// count (the determinism contract of the batch compute plane; see
-/// DESIGN.md). `job` must be self-contained: derive the trial RNG from the
-/// slot index, never share mutable state across slots.
+/// measurements — with `job(i)` producing slot i. With more than one worker,
+/// min(workers, count) threads each pull single slot indices from a shared
+/// cursor until none is left; otherwise the calling thread runs every slot.
+/// Each job writes only its own pre-sized slot and the caller folds the
+/// returned vector serially in ascending slot order, so every aggregate is
+/// identical for any worker count (see DESIGN.md). `job` must be
+/// self-contained: derive the trial RNG from the slot index, never share
+/// mutable state across slots.
+///
+/// Every slot runs even when some throw; afterwards the exception of the
+/// lowest-index failing slot is rethrown, so the serial and threaded paths
+/// report the same error.
 template <typename Result, typename JobFn>
 std::vector<Result> run_slots_ordered(std::size_t count, std::size_t workers,
                                       JobFn job) {
+  // std::vector<bool> packs slots into shared words: concurrent writes race.
+  static_assert(!std::is_same_v<Result, bool>, "use a byte-sized slot type");
   std::vector<Result> results(count);
-  auto run_one = [&](std::size_t i) { results[i] = job(i); };
-  if (workers > 1 && count > 1) {
-    ThreadPool pool(std::min(workers, count));
-    pool.parallel_for(count, run_one);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      run_one(i);
+  std::atomic<std::size_t> cursor{0};
+  std::mutex error_mutex;
+  std::size_t error_slot = count;
+  std::exception_ptr error;
+  auto drain = [&] {
+    for (std::size_t i = cursor++; i < count; i = cursor++) {
+      try {
+        results[i] = job(i);
+      } catch (...) {
+        const std::lock_guard lock(error_mutex);
+        if (i < error_slot) {
+          error_slot = i;
+          error = std::current_exception();
+        }
+      }
     }
+  };
+  const std::size_t threads = std::min(workers, count);
+  if (threads > 1) {
+    // jthreads join on destruction, so a failed spawn still waits for the
+    // threads already draining before the stack they reference unwinds.
+    std::vector<std::jthread> pool;
+    pool.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+      pool.emplace_back(drain);
+    }
+  } else {
+    drain();
+  }
+  if (error) {
+    std::rethrow_exception(error);
   }
   return results;
 }

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "support/check.hpp"
+#include "support/json_escape.hpp"
 
 namespace cdpf::sim {
 namespace {
@@ -253,28 +254,6 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Doubles travel as the hex of their IEEE-754 bit pattern so the
 /// round trip is bitwise exact for every value, including -0.0, denormals
 /// and infinities (the merged run must be byte-identical to the unsharded
@@ -351,8 +330,8 @@ ShardSpec parse_shard(const std::string& text) {
 std::string ShardSnapshot::to_json() const {
   std::ostringstream os;
   os << "{\n  \"schema\": \"cdpf-shard/1\",\n";
-  os << "  \"experiment\": \"" << json_escape(experiment) << "\",\n";
-  os << "  \"config\": \"" << json_escape(config) << "\",\n";
+  os << "  \"experiment\": \"" << support::json_escape(experiment) << "\",\n";
+  os << "  \"config\": \"" << support::json_escape(config) << "\",\n";
   os << "  \"shard_index\": " << shard.index << ",\n";
   os << "  \"shard_count\": " << shard.count << ",\n";
   os << "  \"slot_count\": " << slot_count << ",\n";

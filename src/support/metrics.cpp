@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "support/check.hpp"
+#include "support/json_escape.hpp"
 
 namespace cdpf::support {
 
@@ -21,19 +22,6 @@ const char* kind_name(MetricKind kind) {
       return "histogram";
   }
   return "unknown";
-}
-
-void write_escaped(std::ostream& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xF]
-          << "0123456789abcdef"[c & 0xF];
-    } else {
-      out << c;
-    }
-  }
 }
 
 }  // namespace
@@ -81,13 +69,10 @@ std::string MetricsSnapshot::to_json() const {
       out << ",";
     }
     first = false;
-    out << "\n{\"name\":\"";
-    write_escaped(out, entry.name);
-    out << "\",\"kind\":\"" << kind_name(entry.kind) << "\"";
+    out << "\n{\"name\":\"" << json_escape(entry.name) << "\",\"kind\":\""
+        << kind_name(entry.kind) << "\"";
     if (!entry.unit.empty()) {
-      out << ",\"unit\":\"";
-      write_escaped(out, entry.unit);
-      out << "\"";
+      out << ",\"unit\":\"" << json_escape(entry.unit) << "\"";
     }
     if (entry.kind == MetricKind::kCounter) {
       out << ",\"count\":" << entry.count;

@@ -7,8 +7,8 @@
 //   * Exactness. Counters are unsigned 64-bit integers with atomic
 //     increments, so totals folded from concurrently running Monte-Carlo
 //     trials are bit-identical to a serial fold for any worker count —
-//     the same determinism contract the batch compute plane makes
-//     (DESIGN.md §7), and what lets a metrics snapshot reproduce
+//     the same determinism contract sim::run_slots_ordered makes
+//     (DESIGN.md §6), and what lets a metrics snapshot reproduce
 //     wsn::CommStats totals exactly.
 //   * Thread safety without locks on the update path. add()/set()/observe()
 //     are lock-free atomics; only registration and snapshot take the

@@ -6,6 +6,8 @@
 #include <memory>
 #include <mutex>
 
+#include "support/json_escape.hpp"
+
 namespace cdpf::support {
 
 namespace {
@@ -69,22 +71,6 @@ void record(const char* name, char phase, std::uint64_t ts_ns, std::uint64_t dur
     return;
   }
   buffer->events.push_back({name, phase, buffer->tid, ts_ns, dur_ns, value});
-}
-
-/// Minimal JSON string escaping. Span names are lint-enforced kebab-case
-/// literals, but counter/instant names from future call sites stay safe.
-void write_escaped(std::ostream& out, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xF]
-          << "0123456789abcdef"[c & 0xF];
-    } else {
-      out << c;
-    }
-  }
 }
 
 }  // namespace
@@ -175,9 +161,8 @@ bool Trace::write_chrome_json(const std::string& path) {
         out << ",";
       }
       first = false;
-      out << "\n{\"name\":\"";
-      write_escaped(out, e.name);
-      out << "\",\"cat\":\"cdpf\",\"ph\":\"" << e.phase
+      out << "\n{\"name\":\"" << json_escape(e.name)
+          << "\",\"cat\":\"cdpf\",\"ph\":\"" << e.phase
           << "\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":"
           << static_cast<double>(e.ts_ns) / 1e3;
       if (e.phase == 'X') {
@@ -204,10 +189,8 @@ bool Trace::write_jsonl(const std::string& path) {
   }
   for (const auto& buffer : r.buffers) {
     for (const TraceEvent& e : buffer->events) {
-      out << "{\"name\":\"";
-      write_escaped(out, e.name);
-      out << "\",\"ph\":\"" << e.phase << "\",\"tid\":" << e.tid
-          << ",\"ts_ns\":" << e.ts_ns;
+      out << "{\"name\":\"" << json_escape(e.name) << "\",\"ph\":\"" << e.phase
+          << "\",\"tid\":" << e.tid << ",\"ts_ns\":" << e.ts_ns;
       if (e.phase == 'X') {
         out << ",\"dur_ns\":" << e.dur_ns;
       } else if (e.phase == 'C') {

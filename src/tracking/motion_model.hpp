@@ -48,7 +48,7 @@ class MotionModel {
   /// division discards sample()'s position (recorder geometry decides where
   /// the particle lands), so this shaves the per-substep trigonometry off
   /// the hottest call in the filter. Overrides must preserve the RNG-stream
-  /// and bitwise-velocity contract or scalar/batch equivalence breaks.
+  /// and bitwise-velocity contract or the golden outputs move.
   virtual SampledKinematics sample_velocity(const TargetState& state,
                                             rng::Rng& rng) const {
     const geom::Vec2 v = sample(state, rng).velocity;

@@ -124,7 +124,7 @@ std::size_t Network::active_nodes_within(geom::Vec2 center, double radius,
 std::size_t Network::collect_active_within(geom::Vec2 center, double radius,
                                            NodeSoa& out) const {
   CDPF_CHECK_MSG(believed_positions_.empty(),
-                 "SoA collection serves batch kernels that read true positions; "
+                 "SoA collection reads true positions; "
                  "use active_nodes_within + position() under believed positions");
   out.clear();
   if (inactive_count_ == 0) {

@@ -22,7 +22,7 @@
 namespace cdpf::wsn {
 
 /// Structure-of-arrays view of a set of nodes: parallel id/x/y arrays filled
-/// by spatial queries so batch kernels can stream coordinates contiguously.
+/// by spatial queries so hot loops can stream coordinates contiguously.
 /// Coordinates are TRUE (physical) positions — callers that must honor
 /// believed positions (Network::position) cannot use the SoA path.
 struct NodeSoa {

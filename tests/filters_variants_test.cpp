@@ -1,8 +1,6 @@
-// Tests for the PF-branch extensions (UKF, auxiliary PF) and the k-d tree
-// spatial index.
+// Tests for the PF-branch extensions (UKF, auxiliary PF).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
 #include <memory>
 
@@ -10,8 +8,6 @@
 #include "geom/angles.hpp"
 #include "filters/ekf.hpp"
 #include "filters/ukf.hpp"
-#include "geom/grid_index.hpp"
-#include "geom/kdtree.hpp"
 #include "random/rng.hpp"
 #include "support/check.hpp"
 #include "tracking/measurement.hpp"
@@ -134,67 +130,6 @@ TEST(Apf, PredictOnlyAdvancesTheCloud) {
   EXPECT_THROW(
       filters::AuxiliaryParticleFilter(nullptr, filters::AuxiliaryFilterConfig{}),
       Error);
-}
-
-// ------------------------------------------------------------------ k-d tree
-TEST(KdTree, MatchesBruteForceOnRandomPoints) {
-  rng::Rng rng(61);
-  std::vector<geom::Vec2> points;
-  for (int i = 0; i < 3000; ++i) {
-    points.push_back({rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)});
-  }
-  const geom::KdTree tree(points);
-  for (int q = 0; q < 30; ++q) {
-    const geom::Vec2 c{rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)};
-    const double r = rng.uniform(0.0, 50.0);
-    auto got = tree.query_disk(c, r);
-    std::sort(got.begin(), got.end());
-    std::vector<std::size_t> expected;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (geom::distance(points[i], c) <= r) {
-        expected.push_back(i);
-      }
-    }
-    ASSERT_EQ(got, expected);
-  }
-}
-
-TEST(KdTree, AgreesWithGridIndexOnClusteredPoints) {
-  // A corridor deployment: pathological for grid buckets, fine for k-d.
-  rng::Rng rng(63);
-  std::vector<geom::Vec2> points;
-  for (int i = 0; i < 2000; ++i) {
-    points.push_back({rng.uniform(0.0, 200.0), 100.0 + rng.gaussian(0.0, 2.0)});
-  }
-  for (geom::Vec2& p : points) {
-    p.y = std::clamp(p.y, 0.0, 200.0);
-  }
-  const geom::KdTree tree(points);
-  const geom::GridIndex grid(points, geom::Aabb::square(200.0), 10.0);
-  for (int q = 0; q < 20; ++q) {
-    const geom::Vec2 c{rng.uniform(0.0, 200.0), rng.uniform(90.0, 110.0)};
-    auto a = tree.query_disk(c, 15.0);
-    auto b = grid.query_disk(c, 15.0);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    ASSERT_EQ(a, b);
-  }
-}
-
-TEST(KdTree, NearestNeighbor) {
-  const std::vector<geom::Vec2> points{{0.0, 0.0}, {10.0, 0.0}, {5.0, 5.0}};
-  const geom::KdTree tree(points);
-  EXPECT_EQ(tree.nearest({9.0, 1.0}), 1u);
-  EXPECT_EQ(tree.nearest({4.0, 4.0}), 2u);
-  const geom::KdTree empty(std::span<const geom::Vec2>{});
-  EXPECT_EQ(empty.nearest({0.0, 0.0}), 0u);  // == size() for empty
-}
-
-TEST(KdTree, NegativeRadiusYieldsNothing) {
-  const std::vector<geom::Vec2> points{{1.0, 1.0}};
-  const geom::KdTree tree(points);
-  EXPECT_TRUE(tree.query_disk({1.0, 1.0}, -1.0).empty());
-  EXPECT_EQ(tree.query_disk({1.0, 1.0}, 0.0).size(), 1u);
 }
 
 }  // namespace

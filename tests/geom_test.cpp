@@ -1,5 +1,6 @@
 // Unit + randomized tests for geometry: vectors, angles, shapes and the
-// uniform-grid spatial index (checked against brute force).
+// uniform-grid spatial index (checked against brute force on uniform and
+// corridor deployments).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -110,23 +111,34 @@ TEST_P(GridIndexRandomized, MatchesBruteForce) {
   const auto [count, radius] = GetParam();
   rng::Rng rng(static_cast<std::uint64_t>(count) * 1000 + 7);
   const Aabb bounds = Aabb::square(100.0);
-  std::vector<Vec2> points;
-  points.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    points.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
-  }
-  const GridIndex index(points, bounds, 7.0);
-  for (int q = 0; q < 25; ++q) {
-    const Vec2 center{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
-    auto got = index.query_disk(center, radius);
-    std::sort(got.begin(), got.end());
-    std::vector<std::size_t> expected;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (distance(points[i], center) <= radius) {
-        expected.push_back(i);
-      }
+  // Each size runs on a uniform deployment and on a corridor (every point
+  // within a few meters of y = 50), which piles the points into one row of
+  // grid cells.
+  for (const bool corridor : {false, true}) {
+    std::vector<Vec2> points;
+    points.reserve(static_cast<std::size_t>(count));
+    for (int i = 0; i < count; ++i) {
+      const double x = rng.uniform(0.0, 100.0);
+      const double y = corridor ? std::clamp(50.0 + rng.gaussian(0.0, 2.0), 0.0, 100.0)
+                                : rng.uniform(0.0, 100.0);
+      points.push_back({x, y});
     }
-    ASSERT_EQ(got, expected) << "count=" << count << " radius=" << radius;
+    const GridIndex index(points, bounds, 7.0);
+    for (int q = 0; q < 25; ++q) {
+      const double cx = rng.uniform(0.0, 100.0);
+      const double cy = corridor ? rng.uniform(40.0, 60.0) : rng.uniform(0.0, 100.0);
+      const Vec2 center{cx, cy};
+      auto got = index.query_disk(center, radius);
+      std::sort(got.begin(), got.end());
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        if (distance(points[i], center) <= radius) {
+          expected.push_back(i);
+        }
+      }
+      ASSERT_EQ(got, expected) << "count=" << count << " radius=" << radius
+                               << " corridor=" << corridor;
+    }
   }
 }
 

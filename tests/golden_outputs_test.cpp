@@ -10,7 +10,10 @@
 // The grid covers all six trackers at two seeds and three densities, CPF and
 // SDPF under a randomized 50% duty cycle with TDSS wake-ups (sink kept
 // awake, as perfbench's churn-dense workload does), and CPF running on
-// believed positions from wsn::localize.
+// believed positions from wsn::localize. CDPF and CDPF-NE run under both
+// environments too: the duty cycle drives CDPF's receiver-list propagation
+// route, and believed positions drive it plus CDPF-NE's believed-position
+// neighbour gather.
 //
 // A change that moves numbers ON PURPOSE must update the table in the same
 // change and say why; a failing cell prints the digest it produced in the
@@ -180,6 +183,14 @@ constexpr GoldenCell kCells[] = {
     {"SDPF_duty_d20_b", kSdpf, 20.0, kSeedB, kDutyCycle, 0x19714fa4d9e91c16ull},
     {"CPF_localized_d20_a", kCpf, 20.0, kSeedA, kBelievedPositions, 0x1a5786008b7e0817ull},
     {"CPF_localized_d20_b", kCpf, 20.0, kSeedB, kBelievedPositions, 0xa9ddabb5d564ba14ull},
+    {"CDPF_duty_d20_a", kCdpf, 20.0, kSeedA, kDutyCycle, 0xbbda9ac41d22c2e3ull},
+    {"CDPF_duty_d20_b", kCdpf, 20.0, kSeedB, kDutyCycle, 0x3a08057af7e0956cull},
+    {"CDPF_localized_d20_a", kCdpf, 20.0, kSeedA, kBelievedPositions, 0x8f1099c9d95318d7ull},
+    {"CDPF_localized_d20_b", kCdpf, 20.0, kSeedB, kBelievedPositions, 0x812655b3e98e7888ull},
+    {"CDPFNE_duty_d20_a", kCdpfNe, 20.0, kSeedA, kDutyCycle, 0xd820d70115fafeb5ull},
+    {"CDPFNE_duty_d20_b", kCdpfNe, 20.0, kSeedB, kDutyCycle, 0x92771e27b6a4742bull},
+    {"CDPFNE_localized_d20_a", kCdpfNe, 20.0, kSeedA, kBelievedPositions, 0xe76261777eedcc81ull},
+    {"CDPFNE_localized_d20_b", kCdpfNe, 20.0, kSeedB, kBelievedPositions, 0x7b17b5d0a9499736ull},
 };
 // clang-format on
 

@@ -4,12 +4,9 @@
 // deep fades, mixed extension features enabled together.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "core/cdpf.hpp"
 #include "core/multi_target.hpp"
 #include "filters/ospa.hpp"
-#include "geom/kdtree.hpp"
 #include "sim/experiment.hpp"
 #include "support/check.hpp"
 #include "wsn/failure.hpp"
@@ -97,26 +94,6 @@ TEST(Robustness, MultiTargetSurvivesCrossingPaths) {
   // After separation the tracker recovers both targets (allow one phantom).
   EXPECT_GE(tracker.live_tracks(), 1u);
   EXPECT_LT(after_crossing_ospa, ospa.cutoff);
-}
-
-TEST(Robustness, KdTreeNearestMatchesBruteForce) {
-  rng::Rng rng(79);
-  std::vector<geom::Vec2> points;
-  for (int i = 0; i < 500; ++i) {
-    points.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
-  }
-  const geom::KdTree tree(points);
-  for (int q = 0; q < 50; ++q) {
-    const geom::Vec2 c{rng.uniform(-10.0, 110.0), rng.uniform(-10.0, 110.0)};
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < points.size(); ++i) {
-      if (geom::distance_squared(points[i], c) <
-          geom::distance_squared(points[best], c)) {
-        best = i;
-      }
-    }
-    ASSERT_EQ(tree.nearest(c), best);
-  }
 }
 
 TEST(Robustness, SnapshotApiAcceptsForeignMeasurements) {

@@ -1,52 +1,73 @@
-// Tests for the simulation engine, thread pool and Monte-Carlo runner.
+// Tests for the simulation engine, the slot dispatcher and the Monte-Carlo
+// runner.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
-#include "sim/thread_pool.hpp"
+#include "sim/runspec.hpp"
 #include "support/check.hpp"
 
 namespace cdpf::sim {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.worker_count(), 3u);
-  auto f1 = pool.submit([] { return 21 * 2; });
-  auto f2 = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
+TEST(RunSlotsOrdered, EverySlotRunsOnceIntoItsSlot) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    for (const std::size_t count : {std::size_t{0}, std::size_t{3}, std::size_t{10007}}) {
+      std::vector<std::atomic<int>> hits(count);
+      const std::vector<std::uint64_t> results =
+          run_slots_ordered<std::uint64_t>(count, workers, [&](std::size_t i) {
+            hits[i].fetch_add(1);
+            return std::uint64_t{i} * 7919u + 1u;
+          });
+      ASSERT_EQ(results.size(), count) << "workers=" << workers;
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers << " slot=" << i;
+        EXPECT_EQ(results[i], std::uint64_t{i} * 7919u + 1u)
+            << "workers=" << workers << " slot=" << i;
+      }
+    }
   }
 }
 
-TEST(ThreadPool, ExceptionsPropagate) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  EXPECT_THROW(pool.parallel_for(4,
-                                 [](std::size_t i) {
-                                   if (i == 2) {
-                                     throw std::runtime_error("task failed");
-                                   }
-                                 }),
-               std::runtime_error);
+TEST(RunSlotsOrdered, RethrowsLowestFailingSlotAfterRunningEverySlot) {
+  constexpr std::size_t kCount = 64;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    std::vector<std::atomic<int>> hits(kCount);
+    try {
+      (void)run_slots_ordered<int>(kCount, workers, [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        if (i == 7) {
+          // Fail last in time, so threaded runs see slots 20 and 50 fail first.
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        if (i == 50 || i == 7 || i == 20) {
+          throw std::runtime_error("slot " + std::to_string(i));
+        }
+        return static_cast<int>(i);
+      });
+      ADD_FAILURE() << "no exception, workers=" << workers;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "slot 7") << "workers=" << workers;
+    }
+    for (std::size_t i = 0; i < kCount; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers << " slot=" << i;
+    }
+  }
 }
 
-TEST(ThreadPool, DefaultWorkerCountIsPositive) {
-  ThreadPool pool;
-  EXPECT_GE(pool.worker_count(), 1u);
+TEST(RunSlotsOrdered, MoreWorkersThanSlotsRunsEverySlot) {
+  const std::vector<int> results =
+      run_slots_ordered<int>(3, 16, [](std::size_t i) { return static_cast<int>(i) + 1; });
+  EXPECT_EQ(results, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(RunOutcome, ErrorMetrics) {

@@ -1,5 +1,5 @@
-// Unit tests for the support library: checks, logging, tables, CLI parsing
-// and streaming statistics.
+// Unit tests for the support library: checks, logging, tables, CLI parsing,
+// JSON string escaping and streaming statistics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +10,7 @@
 
 #include "support/check.hpp"
 #include "support/cli.hpp"
+#include "support/json_escape.hpp"
 #include "support/log.hpp"
 #include "support/statistics.hpp"
 #include "support/stopwatch.hpp"
@@ -238,6 +239,15 @@ TEST(RunningStats, SampleVarianceUsesBesselCorrection) {
   s.add(3.0);
   EXPECT_NEAR(s.variance(), 1.0, 1e-12);
   EXPECT_NEAR(s.sample_variance(), 2.0, 1e-12);
+}
+
+TEST(JsonEscape, EscapesQuoteBackslashAndControlCharacters) {
+  EXPECT_EQ(support::json_escape("plain-name_1.0 m/s"), "plain-name_1.0 m/s");
+  EXPECT_EQ(support::json_escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(support::json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(support::json_escape("l1\nl2\tx"), "l1\\nl2\\tx");
+  EXPECT_EQ(support::json_escape(std::string("x\x01y\x1f", 4)), "x\\u0001y\\u001f");
+  EXPECT_EQ(support::json_escape(""), "");
 }
 
 TEST(Stopwatch, MeasuresForwardTime) {

@@ -1,6 +1,6 @@
 // Observability plane tests: trace sessions produce valid Chrome-trace
 // JSON under span nesting and thread interleaving, and metrics counters are
-// exact (bitwise-identical snapshots) for any parallel_for worker count.
+// exact (bitwise-identical snapshots) for any run_slots_ordered worker count.
 //
 // These tests exercise the always-compiled runtime API (Trace::record_*,
 // MetricsRegistry) directly, so they pass identically whether or not the
@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "sim/observability.hpp"
+#include "sim/runspec.hpp"
 #include "support/metrics.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 #include "wsn/comm_stats.hpp"
 #include "wsn/message.hpp"
@@ -370,9 +370,9 @@ TEST(Metrics, CounterTotalsExactForAnyWorkerCount) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3},
                                     std::size_t{8}}) {
     registry.reset();
-    support::ThreadPool pool(workers);
-    pool.parallel_for(kItems, [&](std::size_t i) {
+    (void)sim::run_slots_ordered<char>(kItems, workers, [&](std::size_t i) {
       registry.add(id, static_cast<std::uint64_t>(i) + 1);
+      return char{};
     });
     const support::MetricsSnapshot snap = registry.snapshot();
     const auto* entry = snap.find("test-work-items");
@@ -499,9 +499,10 @@ TEST(ObserveComm, ConcurrentFoldsMatchSerialFoldForAnyWorkerCount) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4},
                                     std::size_t{9}}) {
     support::MetricsRegistry registry;
-    support::ThreadPool pool(workers);
-    pool.parallel_for(kTrials,
-                      [&](std::size_t t) { sim::observe_comm(trials[t], registry); });
+    (void)sim::run_slots_ordered<char>(kTrials, workers, [&](std::size_t t) {
+      sim::observe_comm(trials[t], registry);
+      return char{};
+    });
     const support::MetricsSnapshot snap = registry.snapshot();
     EXPECT_EQ(snap.find("comm-total-bytes")->count,
               static_cast<std::uint64_t>(serial_total.total_bytes()))

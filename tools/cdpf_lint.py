@@ -283,17 +283,13 @@ def main() -> int:
         trace_files.append((path.relative_to(root), path.read_text().splitlines()))
     findings += lint_trace_span_names(trace_files)
 
-    # Entry-check scope: every core translation unit, plus the batch-compute-
-    # plane kernels that live outside core/*.cpp — the inline SoA kernel
-    # header and the two hot-path units (prefix-sum resampling, thread pool)
-    # it shards work through. These carry the same NaN-poisoning risk as the
-    # core entry points, so they get the same precondition lint.
+    # Entry-check scope: every core translation unit, plus the hot-path
+    # kernels that live outside core/*.cpp — the inline bearing-kernel header
+    # and prefix-sum resampling. These carry the same NaN-poisoning risk as
+    # the core entry points, so they get the same precondition lint.
     entry_check_scope = sorted((root / "src" / "core").glob("*.cpp"))
     entry_check_scope += sorted((root / "src" / "core").glob("batch_kernels*.hpp"))
-    entry_check_scope += [
-        root / "src" / "filters" / "resampling.cpp",
-        root / "src" / "support" / "thread_pool.cpp",
-    ]
+    entry_check_scope += [root / "src" / "filters" / "resampling.cpp"]
     for path in entry_check_scope:
         lines = path.read_text().splitlines()
         findings += lint_entry_check(path.relative_to(root), lines)
