@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
+#include "core/batch_kernels.hpp"
 #include "filters/auxiliary.hpp"
 #include "filters/ekf.hpp"
 #include "filters/ukf.hpp"
@@ -78,15 +79,17 @@ int main(int argc, char** argv) {
     const tracking::TargetState prior{{0.0, 100.0}, {3.0, 0.0}};
     const linalg::Mat<4, 4> p0 = linalg::Mat<4, 4>::identity() * 25.0;
 
-    const tracking::BearingMeasurementModel bearing(0.05);
-    auto log_likelihood = [bearing](const std::vector<filters::BearingObservation>& obs,
-                                    const tracking::TargetState& s) {
+    // The trackers' bearing likelihood: sigma 0.05 rad inflated by a 0.5 m
+    // spatial resolution.
+    const core::BearingBatchParams params(0.05, 0.5);
+    auto log_likelihood = [params](const std::vector<filters::BearingObservation>& obs,
+                                   const tracking::TargetState& s) {
       double ll = 0.0;
       for (const auto& o : obs) {
-        const double d = std::max(geom::distance(o.sensor, s.position), 0.5);
-        const double sigma = std::hypot(0.05, 0.5 / d);
-        ll += bearing.log_likelihood_inflated(o.bearing_rad, o.sensor, s.position,
-                                              sigma);
+        const double dx = s.position.x - o.sensor.x;
+        const double dy = s.position.y - o.sensor.y;
+        ll += core::bearing_pair_log_likelihood(o.bearing_rad, dx, dy, dx * dx + dy * dy,
+                                                params);
       }
       return ll;
     };

@@ -1,22 +1,28 @@
-// Shared per-pair bearing likelihood kernels.
+// The one bearing log-likelihood every tracker evaluates.
 //
-// Kernels take precomputed displacement components instead of Vec2 pairs so
-// callers can stream them out of contiguous double arrays, and CDPF's kernel
-// works on SQUARED distances throughout: hypot() — correct but sequential —
-// never appears on CDPF's hot path; the few places that need a length use
-// one sqrt of an already-computed squared distance.
+// CDPF, CDPF-NE, CPF/DPF, GMM-DPF and SDPF all score a bearing through
+// bearing_pair_log_likelihood(), in variance form: the inflated noise
+//   sigma^2 = sigma0^2 + delta^2 / max(d^2, floor^2)
+// needs neither hypot() nor a sqrt, so a pair costs one atan2 and one log.
+// The kernel takes precomputed displacement components instead of Vec2
+// pairs, so the caller computes dx, dy and d^2 once and shares them between
+// its comm-range gate (d^2 <= r_c^2) and the kernel, and can stream them out
+// of contiguous double arrays.
 //
-// The one exception is bearing_hypot_log_likelihood, the baselines' kernel
-// (CPF/DPF, GMM-DPF, SDPF). It keeps the standard-deviation form those
-// trackers have always evaluated, so their outputs stay bit-identical to the
-// pinned golden digests (tests/golden_outputs_test.cpp).
+// The residual is wrapped by geom::wrap_angle, which is bitwise equal to
+// std::remainder by 2pi but skips the libm call for |x| < 3pi, the only
+// residuals two bearings in (-pi, pi] can produce.
+//
+// Callers evaluate the kernel only as often as its inputs differ: SDPF's
+// particles sit exactly on their host's position ("motes as particles"), so
+// it scores each host once and scales all of that host's particles by one
+// factor.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 
 #include "geom/angles.hpp"
-#include "geom/vec2.hpp"
 #include "support/check.hpp"
 
 namespace cdpf::core {
@@ -25,12 +31,14 @@ namespace cdpf::core {
 inline constexpr double kLogSqrt2Pi = 0.9189385332046727;
 
 /// Precomputed squared parameters of the quantization-inflated bearing
-/// likelihood. The inflated noise of the AoS formulation was
+/// likelihood. The base noise sigma0 (rad) is inflated by the angle a
+/// spatial resolution delta (m) subtends at distance d,
 ///   sigma_eff = hypot(sigma0, delta / max(d, floor)),
-/// which CDPF evaluates as a variance:
+/// evaluated as a variance:
 ///   sigma_eff^2 = sigma0^2 + delta^2 / max(d^2, floor^2)
 /// — the same quantity (squaring is monotone, so the max commutes) without
-/// the hypot or the sqrt of d^2.
+/// the hypot or the sqrt of d^2. The floor is delta, or 1e-3 m when delta
+/// is 0.
 struct BearingBatchParams {
   double sigma0_sq = 0.0;  // base bearing-noise variance
   double delta_sq = 0.0;   // quantization length, squared
@@ -60,34 +68,6 @@ inline double bearing_pair_log_likelihood(double z, double dx, double dy, double
       params.sigma0_sq + params.delta_sq / std::max(d2, params.floor_sq);
   return -0.5 * std::log(sigma_sq) - kLogSqrt2Pi -
          0.5 * residual * residual / sigma_sq;
-}
-
-/// Parameters of the baselines' bearing likelihood: base noise `sigma0`
-/// (rad), spatial resolution `delta` (m) folded in as extra angular noise
-/// delta / d, and the distance `floor` (m) that keeps that term finite. The
-/// floor is the caller's: CPF and GMM-DPF use max(delta, 1e-3), SDPF uses
-/// delta > 0 ? delta : 1e-3.
-struct BearingHypotParams {
-  double sigma0 = 0.0;
-  double delta = 0.0;
-  double floor = 0.0;
-};
-
-/// Log-likelihood of bearing `z` measured at `sensor` for a target at `p`,
-/// in standard-deviation form:
-///   sigma = hypot(sigma0, delta / max(|p - sensor|, floor)),
-///   log N(wrap(z - atan2(p - sensor)); 0, sigma^2).
-/// Mathematically the quantity bearing_pair_log_likelihood evaluates in
-/// variance form, but not bit for bit; the baselines keep this form until
-/// their golden digests are deliberately re-pinned.
-inline double bearing_hypot_log_likelihood(double z, geom::Vec2 sensor, geom::Vec2 p,
-                                           const BearingHypotParams& params) {
-  const double d = std::max(geom::distance(sensor, p), params.floor);
-  const double sigma = std::hypot(params.sigma0, params.delta / d);
-  CDPF_CHECK_MSG(sigma > 0.0, "inflated sigma must be positive");
-  const double residual = geom::angle_difference(z, (p - sensor).angle());
-  const double u = residual / sigma;
-  return -std::log(sigma) - kLogSqrt2Pi - 0.5 * u * u;
 }
 
 }  // namespace cdpf::core

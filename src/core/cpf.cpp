@@ -178,13 +178,14 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
 
   filter_.predict(rng);
   if (!received_.empty()) {
-    const double delta = config_.position_resolution_m;
-    const BearingHypotParams params{effective_sigma_, delta, std::max(delta, 1e-3)};
+    const BearingBatchParams params(effective_sigma_, config_.position_resolution_m);
     filter_.update([&](const tracking::TargetState& state) {
       double log_likelihood = 0.0;
       for (const Received& r : received_) {
+        const double dx = state.position.x - r.sensor.x;
+        const double dy = state.position.y - r.sensor.y;
         log_likelihood +=
-            bearing_hypot_log_likelihood(r.bearing, r.sensor, state.position, params);
+            bearing_pair_log_likelihood(r.bearing, dx, dy, dx * dx + dy * dy, params);
       }
       return log_likelihood;
     });

@@ -121,15 +121,16 @@ void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& 
     p.state = motion_->sample(p.state, rng);
   }
   if (!received.empty()) {
-    const double delta = config_.position_resolution_m;
-    const BearingHypotParams params{bearing_.sigma(), delta, std::max(delta, 1e-3)};
+    const BearingBatchParams params(bearing_.sigma(), config_.position_resolution_m);
     double max_ll = -std::numeric_limits<double>::infinity();
     std::vector<double> ll(cloud_.size());
     for (std::size_t i = 0; i < cloud_.size(); ++i) {
+      const geom::Vec2 p = cloud_[i].state.position;
       double sum = 0.0;
       for (const Received& r : received) {
-        sum += bearing_hypot_log_likelihood(r.bearing, r.sensor,
-                                            cloud_[i].state.position, params);
+        const double dx = p.x - r.sensor.x;
+        const double dy = p.y - r.sensor.y;
+        sum += bearing_pair_log_likelihood(r.bearing, dx, dy, dx * dx + dy * dy, params);
       }
       ll[i] = sum;
       max_ll = std::max(max_ll, sum);

@@ -107,13 +107,6 @@ void ParticleStore::raise_weight_to(wsn::NodeId host, double weight) {
   }
 }
 
-void ParticleStore::normalize(double total) {
-  CDPF_CHECK_MSG(total > 0.0, "cannot normalize with a non-positive total weight");
-  for (NodeParticle& p : particles_) {
-    p.weight /= total;
-  }
-}
-
 std::size_t ParticleStore::prune_below(double threshold) {
   CDPF_CHECK_MSG(std::isfinite(threshold) && threshold >= 0.0,
                  "prune threshold must be finite and non-negative");

@@ -104,21 +104,18 @@ class ParticleStore {
   /// Raise the weight of `host`'s particle to at least `weight`.
   void raise_weight_to(wsn::NodeId host, double weight);
 
-  /// Divide every weight by `total` (the overheard aggregate).
-  void normalize(double total);
-
   /// Remove particles whose weight is below `threshold` (the distributed
   /// degenerate form of resampling: prune negligible-weight hosts; the
   /// "multiply" half of resampling is performed by division during
   /// propagation). Returns the number of dropped particles.
   std::size_t prune_below(double threshold);
 
-  /// Fused normalize(total) + prune_below(threshold) in one pass over the
-  /// dense array: each weight is divided once and the survivor compaction
-  /// happens in the same traversal, halving the memory traffic of the
-  /// correction step. Same checks, same division, same stable survivor
-  /// order — the result is bitwise identical to calling the two steps.
-  /// Returns the number of dropped particles.
+  /// Divide every weight by `total` (the overheard aggregate), then drop
+  /// the particles whose normalized weight is below `threshold`, in one
+  /// pass over the dense array: each weight is divided once and the
+  /// survivor compaction happens in the same traversal. Survivors keep
+  /// their order, as prune_below() does. Returns the number of dropped
+  /// particles.
   std::size_t normalize_and_prune(double total, double threshold);
 
   /// Weighted mean state over the hosted particles (positions taken from

@@ -155,11 +155,9 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   //    evaluated relative to a common reference point (the centroid of the
   //    measurement senders) so the product over many sensors stays inside
   //    double range; the shared constant cancels at normalization. --------
-  const double comm_radius = network_.config().comm_radius;
   if (!shared_.empty()) {
-    const double delta =
-        quantization_length(config_.position_quantization_m, network_);
-    const BearingHypotParams params{bearing_.sigma(), delta, delta > 0.0 ? delta : 1e-3};
+    const BearingBatchParams params(
+        bearing_.sigma(), quantization_length(config_.position_quantization_m, network_));
     geom::Vec2 reference{};
     for (const Shared& s : shared_) {
       reference += s.sensor;
@@ -167,34 +165,39 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
     reference = reference / static_cast<double>(shared_.size());
     double reference_log_likelihood = 0.0;
     for (const Shared& s : shared_) {
+      const double dx = reference.x - s.sensor.x;
+      const double dy = reference.y - s.sensor.y;
       reference_log_likelihood +=
-          bearing_hypot_log_likelihood(s.bearing, s.sensor, reference, params);
+          bearing_pair_log_likelihood(s.bearing, dx, dy, dx * dx + dy * dy, params);
     }
+    // Range gate on squared distance, sharing the displacement with the
+    // kernel (see the CDPF note on why `d^2 <= r_c^2` is the same test).
+    const double comm_radius_sq =
+        network_.config().comm_radius * network_.config().comm_radius;
     for (const wsn::NodeId host : store_.sorted_hosts()) {
-      // The measurements this host hears depend on the host, not on its
-      // particles: gather them once.
+      // Every particle sits exactly on its host ("motes as particles"), so
+      // the host's likelihood and one exp serve the whole list.
       const geom::Vec2 host_pos = network_.position(host);
-      heard_.clear();
+      double log_likelihood = 0.0;
+      bool heard_any = false;
       for (const Shared& s : shared_) {
-        if (geom::distance(s.sensor, host_pos) <= comm_radius) {
-          heard_.push_back(s);
+        const double dx = host_pos.x - s.sensor.x;
+        const double dy = host_pos.y - s.sensor.y;
+        const double d2 = dx * dx + dy * dy;
+        if (d2 <= comm_radius_sq) {
+          log_likelihood += bearing_pair_log_likelihood(s.bearing, dx, dy, d2, params);
+          heard_any = true;
         }
       }
-      std::vector<HostedParticle>& list = *store_.find_mutable(host);
-      for (HostedParticle& p : list) {
-        if (!heard_.empty()) {
-          double log_likelihood = 0.0;
-          for (const Shared& s : heard_) {
-            log_likelihood += bearing_hypot_log_likelihood(s.bearing, s.sensor,
-                                                           p.state.position, params);
-          }
-          p.weight *= std::exp(std::clamp(log_likelihood - reference_log_likelihood,
-                                          -kMaxLogWeightFactor, kMaxLogWeightFactor));
-        } else {
-          // Out of earshot of every detecting sensor while the target is
-          // detected: negligible likelihood (see the CDPF note).
-          p.weight *= std::exp(-kMaxLogWeightFactor);
-        }
+      // A host out of earshot of every detecting sensor while the target is
+      // detected gets a negligible likelihood (see the CDPF note).
+      const double factor =
+          heard_any ? std::exp(std::clamp(log_likelihood - reference_log_likelihood,
+                                          -kMaxLogWeightFactor, kMaxLogWeightFactor))
+                    : std::exp(-kMaxLogWeightFactor);
+      for (HostedParticle& p : *store_.find_mutable(host)) {
+        CDPF_ASSERT(p.state.position == host_pos);
+        p.weight *= factor;
       }
     }
   }

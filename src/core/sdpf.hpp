@@ -92,7 +92,6 @@ class Sdpf final : public TrackerAlgorithm {
     double bearing;
   };
   std::vector<Shared> shared_;  // bearings broadcast this iteration
-  std::vector<Shared> heard_;   // the subset one host hears
   std::vector<wsn::NodeId> receivers_;
   std::vector<geom::Vec2> receiver_positions_;
   std::vector<filters::Particle> generic_;

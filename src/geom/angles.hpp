@@ -18,8 +18,27 @@ constexpr double deg_to_rad(double degrees) { return degrees * kPi / 180.0; }
 constexpr double rad_to_deg(double radians) { return radians * 180.0 / kPi; }
 
 /// Wrap an angle to (-pi, pi].
+///
+/// Bitwise equal to wrapping std::remainder(radians, 2pi), without the libm
+/// call for the inputs bearing residuals produce. For |x| <= pi the IEEE
+/// remainder is x itself (at |x| == pi the quotient ties to the even 0). For
+/// pi < |x| < 3pi the quotient rounds to +-1 and the remainder is
+/// sign(x) * (|x| - 2pi); that subtraction is exact (Sterbenz: 2pi lies
+/// within a factor of two of |x|), and taking the sign afterwards gives the
+/// zero at |x| == 2pi the sign of x, as remainder does. The strict
+/// `< 3 * kPi` is safe whichever way the product rounds, since no double
+/// lies between it and the exact 3pi. Larger magnitudes, infinities and NaN
+/// keep std::remainder.
 inline double wrap_angle(double radians) {
-  double a = std::remainder(radians, kTwoPi);
+  const double magnitude = std::abs(radians);
+  double a;
+  if (magnitude <= kPi) {
+    a = radians;
+  } else if (magnitude < 3.0 * kPi) {
+    a = std::copysign(1.0, radians) * (magnitude - kTwoPi);
+  } else {
+    a = std::remainder(radians, kTwoPi);
+  }
   if (a <= -kPi) {
     a += kTwoPi;
   }

@@ -39,15 +39,6 @@ double BearingMeasurementModel::likelihood(double z, geom::Vec2 sensor,
   return std::exp(log_likelihood(z, sensor, target));
 }
 
-double BearingMeasurementModel::log_likelihood_inflated(double z, geom::Vec2 sensor,
-                                                        geom::Vec2 target,
-                                                        double sigma_rad) const {
-  CDPF_CHECK_MSG(sigma_rad > 0.0, "inflated sigma must be positive");
-  const double residual = geom::angle_difference(z, ideal(sensor, target));
-  const double u = residual / sigma_rad;
-  return -std::log(sigma_rad) - kLogSqrt2Pi - 0.5 * u * u;
-}
-
 RssMeasurementModel::RssMeasurementModel(Params params)
     : params_(params), log_norm_(-std::log(params.sigma_dbm) - kLogSqrt2Pi) {
   CDPF_CHECK_MSG(params_.sigma_dbm > 0.0, "RSS sigma must be positive");

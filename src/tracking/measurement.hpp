@@ -35,16 +35,6 @@ class BearingMeasurementModel {
   /// log of likelihood(); preferred when multiplying many terms.
   double log_likelihood(double z, geom::Vec2 sensor, geom::Vec2 target) const;
 
-  /// Log-density with the noise inflated to `sigma_rad` (for one
-  /// evaluation). Node-hosted filters use this to fold the angular
-  /// uncertainty caused by snapping particle positions to node positions
-  /// into the measurement model: without the inflation the joint bearing
-  /// likelihood of tens of sensors is far sharper than the node spacing
-  /// can resolve, and every hosted particle degenerates to (numerically)
-  /// zero weight.
-  double log_likelihood_inflated(double z, geom::Vec2 sensor, geom::Vec2 target,
-                                 double sigma_rad) const;
-
  private:
   double sigma_;
   double log_norm_;  // -log(sigma * sqrt(2 pi))

@@ -2,12 +2,16 @@
 // CDPF-NE) on small controlled scenarios.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/cdpf.hpp"
 #include "core/cpf.hpp"
 #include "core/sdpf.hpp"
 #include "geom/angles.hpp"
 #include "random/rng.hpp"
 #include "wsn/deployment.hpp"
+#include "wsn/duty_cycle.hpp"
+#include "wsn/localization.hpp"
 #include "wsn/radio.hpp"
 
 namespace cdpf::core {
@@ -179,6 +183,67 @@ TEST(Sdpf, UsesGlobalTransceiverEveryIteration) {
   EXPECT_EQ(f.radio.stats().messages(wsn::MessageKind::kControl), 3u);
   EXPECT_EQ(f.radio.stats().messages(wsn::MessageKind::kAggregate), 3u);
 }
+
+enum class SdpfEnvironment : std::uint8_t { kStatic, kDutyCycle, kBelievedPositions };
+
+class SdpfHostInvariant : public ::testing::TestWithParam<SdpfEnvironment> {};
+
+// SDPF evaluates one likelihood per host and applies it to every particle
+// on that host. That is exact only while each particle sits bitwise on its
+// host's position(), which seeding, re-hosting and local resampling all
+// preserve; check it after every iteration at density 40, on true
+// positions, under a 50% duty cycle with TDSS wake-ups, and on believed
+// positions.
+TEST_P(SdpfHostInvariant, ParticlesSitExactlyOnTheirHost) {
+  Fixture f(733, 16000);
+  const SdpfEnvironment environment = GetParam();
+  const wsn::DutyCycleSchedule schedule(10.0, 0.5, 0xd0c1u);
+  wsn::TdssScheduler tdss(f.network, 25.0);
+  if (environment == SdpfEnvironment::kBelievedPositions) {
+    wsn::LocalizationConfig config;
+    config.anchor_fraction = 0.1;
+    config.range_sigma_m = 1.0;
+    f.network.set_believed_positions(wsn::localize(f.network, config, f.rng).positions);
+  }
+  Sdpf filter(f.network, f.radio, SdpfConfig{});
+  std::size_t checked = 0;
+  for (int k = 0; k <= 16; ++k) {
+    const double t = 5.0 * k;
+    const tracking::TargetState truth{{20.0 + 3.0 * t, 100.0}, {3.0, 0.0}};
+    if (environment == SdpfEnvironment::kDutyCycle) {
+      schedule.apply(f.network, t);
+      tdss.wake_predicted_area(truth.position);
+      f.network.set_power(f.network.sink(), wsn::PowerState::kAwake);
+    }
+    filter.iterate(truth, t, f.rng);
+    for (const auto& [host, list] : filter.particles().by_host()) {
+      const geom::Vec2 host_pos = f.network.position(host);
+      for (const HostedParticle& p : list) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.state.position.x),
+                  std::bit_cast<std::uint64_t>(host_pos.x))
+            << "host " << host << " at t=" << t;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.state.position.y),
+                  std::bit_cast<std::uint64_t>(host_pos.y))
+            << "host " << host << " at t=" << t;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Environments, SdpfHostInvariant,
+                         ::testing::Values(SdpfEnvironment::kStatic,
+                                           SdpfEnvironment::kDutyCycle,
+                                           SdpfEnvironment::kBelievedPositions),
+                         [](const ::testing::TestParamInfo<SdpfEnvironment>& param_info) {
+                           switch (param_info.param) {
+                             case SdpfEnvironment::kStatic: return "Static";
+                             case SdpfEnvironment::kDutyCycle: return "DutyCycle";
+                             case SdpfEnvironment::kBelievedPositions: break;
+                           }
+                           return "BelievedPositions";
+                         });
 
 TEST(Cpf, EstimatesAtEveryStepOnceInitialized) {
   Fixture f(723, 4000);

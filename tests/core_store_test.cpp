@@ -31,10 +31,10 @@ TEST(ParticleStore, TotalWeightAndNormalize) {
   store.add(0, {1.0, 0.0}, 2.0);
   store.add(1, {1.0, 0.0}, 6.0);
   EXPECT_DOUBLE_EQ(store.total_weight(), 8.0);
-  store.normalize(8.0);
+  EXPECT_EQ(store.normalize_and_prune(8.0, 0.0), 0u);  // threshold 0 keeps all
   EXPECT_DOUBLE_EQ(store.total_weight(), 1.0);
   EXPECT_DOUBLE_EQ(store.find(1)->weight, 0.75);
-  EXPECT_THROW(store.normalize(0.0), Error);
+  EXPECT_THROW(store.normalize_and_prune(0.0, 0.0), Error);
 }
 
 TEST(ParticleStore, ScaleAndRaiseWeight) {

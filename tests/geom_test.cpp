@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "geom/angles.hpp"
@@ -55,6 +58,42 @@ TEST(Angles, WrapIntoHalfOpenInterval) {
     const double w = wrap_angle(a);
     EXPECT_GT(w, -kPi - 1e-12);
     EXPECT_LE(w, kPi + 1e-12);
+  }
+}
+
+/// The pre-shortcut definition of wrap_angle: the IEEE remainder by 2pi,
+/// with the -pi edge moved to +pi.
+double wrap_angle_by_remainder(double radians) {
+  double a = std::remainder(radians, kTwoPi);
+  if (a <= -kPi) {
+    a += kTwoPi;
+  }
+  return a;
+}
+
+void expect_bitwise_wrap(double x) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(wrap_angle(x)),
+            std::bit_cast<std::uint64_t>(wrap_angle_by_remainder(x)))
+      << "x = " << std::hexfloat << x;
+}
+
+TEST(Angles, WrapMatchesRemainderBitForBit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // The branch edges of the shortcut (|x| = pi, 3pi), the tie at 2pi and
+  // the signed zeros, each with both floating-point neighbours.
+  for (const double edge : {0.0, kPi, kTwoPi, 3.0 * kPi}) {
+    for (const double x : {edge, -edge}) {
+      expect_bitwise_wrap(x);
+      expect_bitwise_wrap(std::nextafter(x, kInf));
+      expect_bitwise_wrap(std::nextafter(x, -kInf));
+    }
+  }
+  expect_bitwise_wrap(kInf);
+  expect_bitwise_wrap(-kInf);
+  EXPECT_TRUE(std::isnan(wrap_angle(std::numeric_limits<double>::quiet_NaN())));
+  rng::Rng rng(20110516);
+  for (int i = 0; i < 1'000'000; ++i) {
+    expect_bitwise_wrap(rng.uniform(-8.0 * kPi, 8.0 * kPi));
   }
 }
 

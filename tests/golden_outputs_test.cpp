@@ -5,12 +5,15 @@
 // plus the per-kind CommStats messages, receptions and bytes into one
 // FNV-1a digest. The expected digests were recorded on the library before
 // any of the baselines' hot paths were optimized, so a refactor that claims
-// "same numbers, less time" is checked here rather than argued.
+// "same numbers, less time" is checked here rather than argued. The CPF,
+// DPF, GMM-DPF and SDPF cells were re-pinned once, on purpose, when those
+// trackers moved to CDPF's variance-form bearing kernel (rounding-level
+// drift; CommStats unchanged).
 //
 // The grid covers all six trackers at two seeds and three densities, CPF and
 // SDPF under a randomized 50% duty cycle with TDSS wake-ups (sink kept
-// awake, as perfbench's churn-dense workload does), and CPF running on
-// believed positions from wsn::localize. CDPF and CDPF-NE run under both
+// awake, as perfbench's churn-dense workload does), and CPF and SDPF running
+// on believed positions from wsn::localize. CDPF and CDPF-NE run under both
 // environments too: the duty cycle drives CDPF's receiver-list propagation
 // route, and believed positions drive it plus CDPF-NE's believed-position
 // neighbour gather.
@@ -141,30 +144,30 @@ using enum Environment;
 
 // clang-format off
 constexpr GoldenCell kCells[] = {
-    {"CPF_d10_a", kCpf, 10.0, kSeedA, kStatic, 0xebab51f7710e40ebull},
-    {"CPF_d10_b", kCpf, 10.0, kSeedB, kStatic, 0x793a6c81493918c8ull},
-    {"CPF_d20_a", kCpf, 20.0, kSeedA, kStatic, 0x70bdffbdcc3a2badull},
-    {"CPF_d20_b", kCpf, 20.0, kSeedB, kStatic, 0xd6cd0411ab06f0ffull},
-    {"CPF_d40_a", kCpf, 40.0, kSeedA, kStatic, 0x7322dac668ad701cull},
-    {"CPF_d40_b", kCpf, 40.0, kSeedB, kStatic, 0xb7a2ed0e3fc1cbbeull},
-    {"DPF_d10_a", kDpf, 10.0, kSeedA, kStatic, 0x442ee05f6756990aull},
-    {"DPF_d10_b", kDpf, 10.0, kSeedB, kStatic, 0xc15ca6d73c42a875ull},
-    {"DPF_d20_a", kDpf, 20.0, kSeedA, kStatic, 0x6da778fa9ef40788ull},
-    {"DPF_d20_b", kDpf, 20.0, kSeedB, kStatic, 0x92f713baa35c8ee2ull},
-    {"DPF_d40_a", kDpf, 40.0, kSeedA, kStatic, 0xf9d84fd602b2f0e6ull},
-    {"DPF_d40_b", kDpf, 40.0, kSeedB, kStatic, 0x11401e98d6c206d1ull},
-    {"GMMDPF_d10_a", kGmmDpf, 10.0, kSeedA, kStatic, 0x13f71b5333016f60ull},
-    {"GMMDPF_d10_b", kGmmDpf, 10.0, kSeedB, kStatic, 0x4d86810c2430a963ull},
-    {"GMMDPF_d20_a", kGmmDpf, 20.0, kSeedA, kStatic, 0xd41343c64833eefdull},
-    {"GMMDPF_d20_b", kGmmDpf, 20.0, kSeedB, kStatic, 0xb81c60827532c594ull},
-    {"GMMDPF_d40_a", kGmmDpf, 40.0, kSeedA, kStatic, 0x9ac42ac57085fdb8ull},
-    {"GMMDPF_d40_b", kGmmDpf, 40.0, kSeedB, kStatic, 0x60da3132280c7c6dull},
-    {"SDPF_d10_a", kSdpf, 10.0, kSeedA, kStatic, 0xbd7482470eef1781ull},
-    {"SDPF_d10_b", kSdpf, 10.0, kSeedB, kStatic, 0xff2dbcaef395f07cull},
-    {"SDPF_d20_a", kSdpf, 20.0, kSeedA, kStatic, 0x538b75d12a30f244ull},
-    {"SDPF_d20_b", kSdpf, 20.0, kSeedB, kStatic, 0xe4b9fe887959e38bull},
-    {"SDPF_d40_a", kSdpf, 40.0, kSeedA, kStatic, 0x5d592c8dfe4d537cull},
-    {"SDPF_d40_b", kSdpf, 40.0, kSeedB, kStatic, 0xb67738d2b6afc7a1ull},
+    {"CPF_d10_a", kCpf, 10.0, kSeedA, kStatic, 0x3c8d962e88fd8fe7ull},
+    {"CPF_d10_b", kCpf, 10.0, kSeedB, kStatic, 0xf810e1bd7d81e079ull},
+    {"CPF_d20_a", kCpf, 20.0, kSeedA, kStatic, 0x01b62f3fb4368908ull},
+    {"CPF_d20_b", kCpf, 20.0, kSeedB, kStatic, 0xa99892358bac2e0eull},
+    {"CPF_d40_a", kCpf, 40.0, kSeedA, kStatic, 0xa1003679adb2af0eull},
+    {"CPF_d40_b", kCpf, 40.0, kSeedB, kStatic, 0x7c21fdc5c21d1393ull},
+    {"DPF_d10_a", kDpf, 10.0, kSeedA, kStatic, 0x73d7d5ec0911e4c5ull},
+    {"DPF_d10_b", kDpf, 10.0, kSeedB, kStatic, 0x1762cf43d07c0a01ull},
+    {"DPF_d20_a", kDpf, 20.0, kSeedA, kStatic, 0x83b65aad971c58c0ull},
+    {"DPF_d20_b", kDpf, 20.0, kSeedB, kStatic, 0xe0f32dd8e4042348ull},
+    {"DPF_d40_a", kDpf, 40.0, kSeedA, kStatic, 0xd27db388234c7da9ull},
+    {"DPF_d40_b", kDpf, 40.0, kSeedB, kStatic, 0x87967ca5f85baeddull},
+    {"GMMDPF_d10_a", kGmmDpf, 10.0, kSeedA, kStatic, 0x1c671d0d27232579ull},
+    {"GMMDPF_d10_b", kGmmDpf, 10.0, kSeedB, kStatic, 0xe64a50e6f09d7d5full},
+    {"GMMDPF_d20_a", kGmmDpf, 20.0, kSeedA, kStatic, 0x754217a81d1c49c5ull},
+    {"GMMDPF_d20_b", kGmmDpf, 20.0, kSeedB, kStatic, 0x62e782abbf7a4834ull},
+    {"GMMDPF_d40_a", kGmmDpf, 40.0, kSeedA, kStatic, 0xec2efd90fb097e09ull},
+    {"GMMDPF_d40_b", kGmmDpf, 40.0, kSeedB, kStatic, 0xdf88032345c66870ull},
+    {"SDPF_d10_a", kSdpf, 10.0, kSeedA, kStatic, 0x2659c70084a07378ull},
+    {"SDPF_d10_b", kSdpf, 10.0, kSeedB, kStatic, 0xffab25fc43995688ull},
+    {"SDPF_d20_a", kSdpf, 20.0, kSeedA, kStatic, 0x8740e97c9d5412d8ull},
+    {"SDPF_d20_b", kSdpf, 20.0, kSeedB, kStatic, 0x15e34fe40257878eull},
+    {"SDPF_d40_a", kSdpf, 40.0, kSeedA, kStatic, 0x784d1602fb8200acull},
+    {"SDPF_d40_b", kSdpf, 40.0, kSeedB, kStatic, 0xbba4ff576a74059cull},
     {"CDPF_d10_a", kCdpf, 10.0, kSeedA, kStatic, 0x1a2f5865e861b5d7ull},
     {"CDPF_d10_b", kCdpf, 10.0, kSeedB, kStatic, 0x9623e5a539111be4ull},
     {"CDPF_d20_a", kCdpf, 20.0, kSeedA, kStatic, 0x600755a144ee4b67ull},
@@ -177,12 +180,12 @@ constexpr GoldenCell kCells[] = {
     {"CDPFNE_d20_b", kCdpfNe, 20.0, kSeedB, kStatic, 0x8e0aabbdccb9da4bull},
     {"CDPFNE_d40_a", kCdpfNe, 40.0, kSeedA, kStatic, 0x821f44aac00dabd5ull},
     {"CDPFNE_d40_b", kCdpfNe, 40.0, kSeedB, kStatic, 0x8cde8dcb05679490ull},
-    {"CPF_duty_d20_a", kCpf, 20.0, kSeedA, kDutyCycle, 0x032800c48bbb3315ull},
-    {"CPF_duty_d20_b", kCpf, 20.0, kSeedB, kDutyCycle, 0xf4c48d7edbb77670ull},
-    {"SDPF_duty_d20_a", kSdpf, 20.0, kSeedA, kDutyCycle, 0xd7094d629b7ed2a9ull},
+    {"CPF_duty_d20_a", kCpf, 20.0, kSeedA, kDutyCycle, 0x27aa4280aadc72f0ull},
+    {"CPF_duty_d20_b", kCpf, 20.0, kSeedB, kDutyCycle, 0xec5747b417a8ff75ull},
+    {"SDPF_duty_d20_a", kSdpf, 20.0, kSeedA, kDutyCycle, 0x3bcd68a0cb715a60ull},
     {"SDPF_duty_d20_b", kSdpf, 20.0, kSeedB, kDutyCycle, 0x19714fa4d9e91c16ull},
-    {"CPF_localized_d20_a", kCpf, 20.0, kSeedA, kBelievedPositions, 0x1a5786008b7e0817ull},
-    {"CPF_localized_d20_b", kCpf, 20.0, kSeedB, kBelievedPositions, 0xa9ddabb5d564ba14ull},
+    {"CPF_localized_d20_a", kCpf, 20.0, kSeedA, kBelievedPositions, 0xf33b1379dce03b84ull},
+    {"CPF_localized_d20_b", kCpf, 20.0, kSeedB, kBelievedPositions, 0x36a7ea916ab48d90ull},
     {"CDPF_duty_d20_a", kCdpf, 20.0, kSeedA, kDutyCycle, 0xbbda9ac41d22c2e3ull},
     {"CDPF_duty_d20_b", kCdpf, 20.0, kSeedB, kDutyCycle, 0x3a08057af7e0956cull},
     {"CDPF_localized_d20_a", kCdpf, 20.0, kSeedA, kBelievedPositions, 0x8f1099c9d95318d7ull},
@@ -191,6 +194,8 @@ constexpr GoldenCell kCells[] = {
     {"CDPFNE_duty_d20_b", kCdpfNe, 20.0, kSeedB, kDutyCycle, 0x92771e27b6a4742bull},
     {"CDPFNE_localized_d20_a", kCdpfNe, 20.0, kSeedA, kBelievedPositions, 0xe76261777eedcc81ull},
     {"CDPFNE_localized_d20_b", kCdpfNe, 20.0, kSeedB, kBelievedPositions, 0x7b17b5d0a9499736ull},
+    {"SDPF_localized_d20_a", kSdpf, 20.0, kSeedA, kBelievedPositions, 0x04e6f3a1ba6ed41cull},
+    {"SDPF_localized_d20_b", kSdpf, 20.0, kSeedB, kBelievedPositions, 0x75d279d64c2cd719ull},
 };
 // clang-format on
 

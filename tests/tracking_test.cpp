@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/batch_kernels.hpp"
 #include "geom/angles.hpp"
 #include "random/rng.hpp"
 #include "support/check.hpp"
@@ -220,19 +221,27 @@ TEST(BearingModel, MeasurementNoiseStatistics) {
 }
 
 TEST(BearingModel, InflatedSigmaFlattensRelativePenalty) {
-  // Inflation must shrink the log-likelihood GAP between a matching and an
-  // off-target hypothesis (the absolute density also drops at the peak,
-  // which is irrelevant after normalization).
+  // The trackers' shared kernel inflates the bearing noise by the spatial
+  // resolution delta / d. Inflation must shrink the log-likelihood GAP
+  // between a matching and an off-target hypothesis (the absolute density
+  // also drops at the peak, which is irrelevant after normalization).
   const BearingMeasurementModel m(0.05);
   const geom::Vec2 sensor{0.0, 0.0}, truth{10.0, 0.0}, off{10.0, 1.0};
   const double z = m.ideal(sensor, truth);
-  const double sharp_gap =
-      m.log_likelihood(z, sensor, truth) - m.log_likelihood(z, sensor, off);
-  const double flat_gap = m.log_likelihood_inflated(z, sensor, truth, 0.5) -
-                          m.log_likelihood_inflated(z, sensor, off, 0.5);
+  const auto kernel = [&](geom::Vec2 p, const core::BearingBatchParams& params) {
+    const double dx = p.x - sensor.x;
+    const double dy = p.y - sensor.y;
+    return core::bearing_pair_log_likelihood(z, dx, dy, dx * dx + dy * dy, params);
+  };
+  // Without inflation the kernel is the measurement model's density.
+  const core::BearingBatchParams sharp(0.05, 0.0);
+  EXPECT_NEAR(kernel(off, sharp), m.log_likelihood(z, sensor, off), 1e-12);
+  const double sharp_gap = kernel(truth, sharp) - kernel(off, sharp);
+  const core::BearingBatchParams inflated(0.05, 5.0);  // delta / d = 0.5 rad at 10 m
+  const double flat_gap = kernel(truth, inflated) - kernel(off, inflated);
   EXPECT_GT(sharp_gap, flat_gap);
   EXPECT_GT(flat_gap, 0.0);  // still prefers the truth
-  EXPECT_THROW(m.log_likelihood_inflated(z, sensor, off, 0.0), Error);
+  EXPECT_THROW(core::BearingBatchParams(0.0, 5.0), Error);
 }
 
 TEST(RangeModel, LikelihoodAndMoments) {
