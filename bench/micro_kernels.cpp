@@ -94,35 +94,22 @@ void BM_SirFilterIteration(benchmark::State& state) {
   const geom::Vec2 target{100.0, 100.0};
   filter.initialize({target, {3.0, 0.0}}, {5.0, 5.0}, {1.0, 1.0}, rng);
   const tracking::BearingMeasurementModel bearing(0.05);
-  struct Sensor {
-    geom::Vec2 position;
-    double z;
-  };
-  std::vector<Sensor> sensors;
-  while (sensors.size() < 124) {
+  core::BearingEvidence sensors(0.05, 0.5);  // CpfConfig defaults
+  while (sensors.records().size() < 124) {
     const geom::Vec2 offset{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)};
     if (offset.norm_squared() <= 100.0) {
       const geom::Vec2 position = target + offset;
-      sensors.push_back({position, bearing.measure(position, target, rng)});
+      sensors.add(position, bearing.measure(position, target, rng));
     }
   }
-  const core::BearingBatchParams params(0.05, 0.5);  // CpfConfig defaults
   for (auto _ : state) {
     filter.predict(rng);
-    filter.update([&](const tracking::TargetState& s) {
-      double ll = 0.0;
-      for (const Sensor& sensor : sensors) {
-        const double dx = s.position.x - sensor.position.x;
-        const double dy = s.position.y - sensor.position.y;
-        ll += core::bearing_pair_log_likelihood(sensor.z, dx, dy, dx * dx + dy * dy,
-                                                params);
-      }
-      return ll;
-    });
+    filter.update(
+        [&](const tracking::TargetState& s) { return sensors.log_likelihood(s.position); });
     filter.maybe_resample(rng);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(particles * sensors.size()));
+                          static_cast<std::int64_t>(particles * sensors.records().size()));
 }
 BENCHMARK(BM_SirFilterIteration)->Arg(100)->Arg(1000)->Arg(10000)->ArgName("particles");
 

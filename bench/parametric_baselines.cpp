@@ -26,7 +26,7 @@ using namespace cdpf;
 /// the Kalman-family and particle-family baselines.
 struct Estimator {
   std::function<void()> predict;
-  std::function<void(const std::vector<filters::BearingObservation>&, rng::Rng&)> update;
+  std::function<void(const core::BearingEvidence&, rng::Rng&)> update;
   std::function<tracking::TargetState()> estimate;
 };
 
@@ -38,17 +38,19 @@ double run_estimator_trial(const sim::Scenario& scenario, std::uint64_t seed,
   const tracking::Trajectory trajectory =
       tracking::generate_random_turn_trajectory(scenario.trajectory, rng);
   const tracking::BearingMeasurementModel bearing(0.05);
+  // The trackers' bearing likelihood: sigma 0.05 rad inflated by a 0.5 m
+  // spatial resolution.
+  core::BearingEvidence observations(0.05, 0.5);
   Estimator estimator = make(rng);
 
   support::RunningStats sq_errors;
   for (double time = 1.0; time <= trajectory.duration() + 1e-9; time += 1.0) {
     const tracking::TargetState truth = trajectory.at_time(time);
     estimator.predict();
-    std::vector<filters::BearingObservation> observations;
+    observations.clear();
     for (const wsn::NodeId id : network.detecting_nodes(truth.position)) {
-      observations.push_back(
-          {network.position(id),
-           bearing.measure(network.position(id), truth.position, rng)});
+      observations.add(network.position(id),
+                       bearing.measure(network.position(id), truth.position, rng));
     }
     estimator.update(observations, rng);
     const double e = geom::distance(estimator.estimate().position, truth.position);
@@ -79,21 +81,6 @@ int main(int argc, char** argv) {
     const tracking::TargetState prior{{0.0, 100.0}, {3.0, 0.0}};
     const linalg::Mat<4, 4> p0 = linalg::Mat<4, 4>::identity() * 25.0;
 
-    // The trackers' bearing likelihood: sigma 0.05 rad inflated by a 0.5 m
-    // spatial resolution.
-    const core::BearingBatchParams params(0.05, 0.5);
-    auto log_likelihood = [params](const std::vector<filters::BearingObservation>& obs,
-                                   const tracking::TargetState& s) {
-      double ll = 0.0;
-      for (const auto& o : obs) {
-        const double dx = s.position.x - o.sensor.x;
-        const double dy = s.position.y - o.sensor.y;
-        ll += core::bearing_pair_log_likelihood(o.bearing_rad, dx, dy, dx * dx + dy * dy,
-                                                params);
-      }
-      return ll;
-    };
-
     struct Baseline {
       const char* name;
       std::function<Estimator(rng::Rng&)> make;
@@ -104,7 +91,7 @@ int main(int argc, char** argv) {
            auto ekf = std::make_shared<filters::BearingsOnlyEkf>(
                tracking::ConstantVelocityModel(1.0, 0.6, 0.6), 0.05, prior, p0);
            return Estimator{[ekf] { ekf->predict(); },
-                            [ekf](const auto& obs, rng::Rng&) { ekf->update(obs); },
+                            [ekf](const auto& obs, rng::Rng&) { ekf->update(obs.records()); },
                             [ekf] { return ekf->estimate(); }};
          }},
         {"UKF (unscented)",
@@ -112,7 +99,7 @@ int main(int argc, char** argv) {
            auto ukf = std::make_shared<filters::BearingsOnlyUkf>(
                tracking::ConstantVelocityModel(1.0, 0.6, 0.6), 0.05, prior, p0);
            return Estimator{[ukf] { ukf->predict(); },
-                            [ukf](const auto& obs, rng::Rng&) { ukf->update(obs); },
+                            [ukf](const auto& obs, rng::Rng&) { ukf->update(obs.records()); },
                             [ukf] { return ukf->estimate(); }};
          }},
         {"SIR PF (1000 particles)",
@@ -123,11 +110,11 @@ int main(int argc, char** argv) {
            pf->initialize(prior, {5.0, 5.0}, {1.0, 1.0}, rng);
            return Estimator{
                [pf]() {},
-               [pf, log_likelihood](const auto& obs, rng::Rng& rng2) {
+               [pf](const auto& obs, rng::Rng& rng2) {
                  pf->predict(rng2);
                  if (!obs.empty()) {
                    pf->update([&](const tracking::TargetState& s) {
-                     return log_likelihood(obs, s);
+                     return obs.log_likelihood(s.position);
                    });
                    pf->maybe_resample(rng2);
                  }
@@ -141,12 +128,12 @@ int main(int argc, char** argv) {
            apf->initialize(prior, {5.0, 5.0}, {1.0, 1.0}, rng);
            return Estimator{
                [apf]() {},
-               [apf, log_likelihood](const auto& obs, rng::Rng& rng2) {
+               [apf](const auto& obs, rng::Rng& rng2) {
                  if (obs.empty()) {
                    apf->predict_only(rng2);
                  } else {
                    apf->step([&](const tracking::TargetState& s) {
-                     return log_likelihood(obs, s);
+                     return obs.log_likelihood(s.position);
                    },
                              rng2);
                  }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/batch_kernels.hpp"
 #include "support/check.hpp"
 #include "support/log.hpp"
 #include "support/trace.hpp"
@@ -12,30 +11,15 @@
 
 namespace cdpf::core {
 
-namespace {
-// Clamp for log-domain weight factors: keeps exp() finite even when a
-// sensor lies almost on top of the target and its bearing residual makes
-// the log-likelihood difference astronomically large in either direction.
-constexpr double kMaxLogWeightFactor = 600.0;
-
-/// Position-quantization length used for likelihood inflation: explicit
-/// config value, or half the mean node spacing of the deployment.
-double quantization_length(double configured, const wsn::Network& network) {
-  if (configured >= 0.0) {
-    return configured;
-  }
-  const double density_per_m2 =
-      static_cast<double>(network.size()) / network.config().field.area();
-  return density_per_m2 > 0.0 ? 0.5 / std::sqrt(density_per_m2) : 0.0;
-}
-}  // namespace
-
 Cdpf::Cdpf(wsn::Network& network, wsn::Radio& radio, CdpfConfig config)
     : network_(network),
       radio_(radio),
       config_(config),
       motion_(tracking::make_motion_model(config.motion, config.dt)),
       bearing_(config.sigma_bearing),
+      evidence_(config.sigma_bearing,
+              quantization_length(config.position_quantization_m, network),
+              network.config().comm_radius),
       router_(network) {
   CDPF_CHECK_MSG(config_.initial_weight > 0.0, "initial weight must be positive");
   CDPF_CHECK_MSG(config_.prune_threshold >= 0.0, "prune threshold must be >= 0");
@@ -53,9 +37,7 @@ Cdpf::Cdpf(wsn::Network& network, wsn::Radio& radio, CdpfConfig config)
   propagation_scratch_.reserve(nodes);
   last_recorders_.reserve(nodes);
   detecting_scratch_.reserve(nodes);
-  sender_xs_.reserve(nodes);
-  sender_ys_.reserve(nodes);
-  sender_z_.reserve(nodes);
+  evidence_.reserve(nodes);
   route_path_.reserve(nodes);
   route_neighbors_.reserve(nodes);
   pending_estimates_.reserve(64);
@@ -296,9 +278,9 @@ void Cdpf::likelihood_and_assign(const SensingSnapshot& snapshot) {
   CDPF_TRACE_SPAN("cdpf-likelihood");
   // Step 3: every measuring node broadcasts its measurement (D_m). Hosts
   // evaluate the joint likelihood of the measurements they can hear.
-  // Whether a host heard measurement m is decided by the distance gate
-  // below, so the broadcasts only need their statistics charged — no
-  // receiver list.
+  // Whether a host heard measurement m is decided by the distance gate of
+  // BearingEvidence::host_factor, so the broadcasts only need their
+  // statistics charged — no receiver list.
   const auto& shared = snapshot.measurements;
   for (const SensingSnapshot::Measurement& m : shared) {
     radio_.broadcast_count(m.sender, wsn::MessageKind::kMeasurement,
@@ -307,79 +289,18 @@ void Cdpf::likelihood_and_assign(const SensingSnapshot& snapshot) {
   if (shared.empty()) {
     return;  // no information this iteration; weights carry over
   }
-  // Sender coordinates are read once per (measurement, host) pair below;
-  // resolve them once per measurement into SoA scratch the host loop
-  // streams.
-  const std::size_t num_measurements = shared.size();
-  sender_xs_.resize(num_measurements);
-  sender_ys_.resize(num_measurements);
-  sender_z_.resize(num_measurements);
-  for (std::size_t i = 0; i < num_measurements; ++i) {
-    const geom::Vec2 sensor = network_.position(shared[i].sender);
-    sender_xs_[i] = sensor.x;
-    sender_ys_[i] = sensor.y;
-    sender_z_[i] = shared[i].bearing_rad;
-  }
-
   // Step 4: w <- w * prod_m p(z_m | particle position), evaluated in the
-  // log domain RELATIVE to a commonly known reference point so the product
-  // over dozens of sensors neither overflows nor underflows for plausible
-  // hosts. Any constant shared by all hosts cancels at the next
-  // normalization. Genuine underflow to zero remains the paper's "drop the
-  // particle when the likelihood shows (almost) zero density".
-  // The reference is the centroid of the measurement senders: every host
-  // hears the same measurements (sender positions included), so the
-  // constant is consistent across hosts, and the centroid is always close
-  // to the target, which keeps the clamped range from saturating and
-  // erasing the ordering between hosts.
-  const double delta = quantization_length(config_.position_quantization_m, network_);
-  const BearingBatchParams params(bearing_.sigma(), delta);
-  geom::Vec2 reference;
-  for (std::size_t i = 0; i < num_measurements; ++i) {
-    reference += geom::Vec2{sender_xs_[i], sender_ys_[i]};
+  // log domain relative to the sender centroid, a reference every host
+  // knows (BearingEvidence::host_factor). Any constant shared by all hosts
+  // cancels at the next normalization. Genuine underflow to zero remains
+  // the paper's "drop the particle when the likelihood shows (almost) zero
+  // density". Hosts are scored in sorted-host order.
+  evidence_.clear();
+  for (const SensingSnapshot::Measurement& m : shared) {
+    evidence_.add(network_.position(m.sender), m.bearing_rad);
   }
-  reference = reference / static_cast<double>(num_measurements);
-  double reference_log_likelihood = 0.0;
-  for (std::size_t i = 0; i < num_measurements; ++i) {
-    const double dx = reference.x - sender_xs_[i];
-    const double dy = reference.y - sender_ys_[i];
-    reference_log_likelihood += bearing_pair_log_likelihood(
-        sender_z_[i], dx, dy, dx * dx + dy * dy, params);
-  }
-
-  // Range gate on squared distance: `d <= r_c` and `d^2 <= r_c^2` agree for
-  // every representable distance (both sides exact or within half an ulp of
-  // the same comparison), and the squared form skips the sqrt per pair. The
-  // same displacement serves the gate and the likelihood kernel.
-  const double comm_radius_sq =
-      network_.config().comm_radius * network_.config().comm_radius;
-  // Evaluate and apply host by host, in sorted-host order.
   for (const wsn::NodeId host : store_.sorted_hosts()) {
-    const geom::Vec2 host_pos = network_.position(host);
-    double log_likelihood = 0.0;
-    bool heard_any = false;
-    for (std::size_t i = 0; i < num_measurements; ++i) {
-      const double dx = host_pos.x - sender_xs_[i];
-      const double dy = host_pos.y - sender_ys_[i];
-      const double d2 = dx * dx + dy * dy;
-      if (d2 <= comm_radius_sq) {
-        log_likelihood += bearing_pair_log_likelihood(sender_z_[i], dx, dy, d2, params);
-        heard_any = true;
-      }
-    }
-    if (heard_any) {
-      store_.scale_weight(host,
-                          std::exp(std::clamp(log_likelihood - reference_log_likelihood,
-                                              -kMaxLogWeightFactor, kMaxLogWeightFactor)));
-    } else {
-      // The target IS detected this iteration, yet this host is out of
-      // earshot of every detecting sensor — it must be > r_c - r_s from
-      // the target, where the bearing likelihood is negligible anyway.
-      // Without this, distant hosts would sit in a "no information"
-      // sanctuary and keep their weight while plausible hosts are being
-      // renormalized (the paper's blank-node rule: drop on ~zero density).
-      store_.scale_weight(host, std::exp(-kMaxLogWeightFactor));
-    }
+    store_.scale_weight(host, evidence_.host_factor(network_.position(host)));
   }
 }
 

@@ -27,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "core/batch_kernels.hpp"
 #include "core/neighborhood_estimation.hpp"
 #include "core/node_particle.hpp"
 #include "core/propagation.hpp"
@@ -218,11 +219,9 @@ class Cdpf final : public TrackerAlgorithm {
 
   // Iteration-local workspaces, members so they stay warm across rounds.
   std::vector<wsn::NodeId> detecting_scratch_;
-  // SoA staging of the likelihood step: measurement senders (coordinates +
-  // bearing), resolved once per iteration.
-  std::vector<double> sender_xs_;
-  std::vector<double> sender_ys_;
-  std::vector<double> sender_z_;
+  /// The likelihood step's shared measurements, sender positions resolved
+  /// once per iteration.
+  BearingEvidence evidence_;
   /// Sink reports; a member so its next-hop memo stays warm across rounds.
   wsn::GreedyGeographicRouter router_;
   std::vector<wsn::NodeId> route_path_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/batch_kernels.hpp"
 #include "geom/angles.hpp"
 #include "support/check.hpp"
 
@@ -29,12 +28,13 @@ CentralizedPf::CentralizedPf(wsn::Network& network, wsn::Radio& radio, CpfConfig
       radio_(radio),
       config_(config),
       bearing_(config.sigma_bearing),
-      effective_sigma_(effective_sigma(config.sigma_bearing, config.quantization_levels)),
       router_(network),
       filter_(tracking::make_motion_model(config.motion, config.dt),
               filters::SirFilterConfig{config.num_particles, config.resampling,
                                        /*resample_every_step=*/true,
-                                       /*ess_threshold_fraction=*/0.5}) {
+                                       /*ess_threshold_fraction=*/0.5}),
+      received_(effective_sigma(config.sigma_bearing, config.quantization_levels),
+                config.position_resolution_m) {
   if (config_.quantization_levels) {
     CDPF_CHECK_MSG(*config_.quantization_levels >= 2,
                    "quantization needs at least two levels");
@@ -126,7 +126,7 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
   }
   const std::size_t levels = config_.quantization_levels.value_or(0);
   for (const wsn::NodeId id : detecting_) {
-    const double z = bearing_.measure(network_.position(id), truth.position, rng);
+    const double z = bearing_.measure(network_.true_position(id), truth.position, rng);
     std::size_t payload = fixed_payload;
     double z_for_filter = quantize(z);
     if (fed_back_prediction) {
@@ -156,20 +156,15 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
     if (!hops) {
       continue;  // greedy void: this measurement never reaches the sink
     }
-    received_.push_back({network_.position(id), z_for_filter});
+    received_.add(network_.position(id), z_for_filter);
   }
 
   if (!filter_.initialized()) {
     if (received_.empty()) {
       return;  // nothing to initialize from yet
     }
-    geom::Vec2 centroid{};
-    for (const Received& r : received_) {
-      centroid += r.sensor;
-    }
-    centroid = centroid / static_cast<double>(received_.size());
     filter_.initialize(
-        {centroid, config_.initial_velocity_mean},
+        {received_.centroid(), config_.initial_velocity_mean},
         {config_.init_position_sigma, config_.init_position_sigma},
         {config_.initial_velocity_sigma, config_.initial_velocity_sigma}, rng);
     pending_estimates_.push_back({filter_.estimate(), time});
@@ -178,16 +173,8 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
 
   filter_.predict(rng);
   if (!received_.empty()) {
-    const BearingBatchParams params(effective_sigma_, config_.position_resolution_m);
     filter_.update([&](const tracking::TargetState& state) {
-      double log_likelihood = 0.0;
-      for (const Received& r : received_) {
-        const double dx = state.position.x - r.sensor.x;
-        const double dy = state.position.y - r.sensor.y;
-        log_likelihood +=
-            bearing_pair_log_likelihood(r.bearing, dx, dy, dx * dx + dy * dy, params);
-      }
-      return log_likelihood;
+      return received_.log_likelihood(state.position);
     });
     filter_.maybe_resample(rng);
   }

@@ -19,6 +19,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/batch_kernels.hpp"
 #include "core/tracker.hpp"
 #include "filters/huffman.hpp"
 #include "filters/sir_filter.hpp"
@@ -92,21 +93,15 @@ class CentralizedPf final : public TrackerAlgorithm {
   wsn::Radio& radio_;
   CpfConfig config_;
   tracking::BearingMeasurementModel bearing_;
-  /// Bearing noise seen by the filter (quantization noise folded in when
-  /// the DPF variant is active).
-  double effective_sigma_;
   wsn::GreedyGeographicRouter router_;
   filters::SirFilter filter_;
   std::vector<TimedEstimate> pending_estimates_;
   // Per-iteration buffers, members so steady-state iterations do not
-  // allocate: detecting nodes, measurements delivered to the sink, and the
-  // routing scratch.
-  struct Received {
-    geom::Vec2 sensor;
-    double bearing;
-  };
+  // allocate: detecting nodes, the measurements delivered to the sink
+  // (scored with the quantization noise folded into sigma when the DPF
+  // variant is active), and the routing scratch.
   std::vector<wsn::NodeId> detecting_;
-  std::vector<Received> received_;
+  BearingEvidence received_;
   std::vector<wsn::NodeId> route_path_;
   std::vector<wsn::NodeId> route_neighbors_;
   /// Huffman code over the quantized-innovation alphabet (adaptive mode).

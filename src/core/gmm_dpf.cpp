@@ -1,12 +1,9 @@
 #include "core/gmm_dpf.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
-#include "core/batch_kernels.hpp"
 #include "support/check.hpp"
-#include "support/statistics.hpp"
 
 namespace cdpf::core {
 
@@ -16,24 +13,19 @@ GmmDpf::GmmDpf(wsn::Network& network, wsn::Radio& radio, GmmDpfConfig config)
       config_(config),
       bearing_(config.sigma_bearing),
       router_(network),
-      motion_(tracking::make_motion_model(config.motion, config.dt)) {
-  CDPF_CHECK_MSG(config_.num_particles > 0, "GMM-DPF needs particles");
+      filter_(tracking::make_motion_model(config.motion, config.dt),
+              filters::SirFilterConfig{config.num_particles, config.resampling,
+                                       /*resample_every_step=*/true,
+                                       /*ess_threshold_fraction=*/0.5}),
+      received_(config.sigma_bearing, config.position_resolution_m) {
   CDPF_CHECK_MSG(config_.mixture_components >= 1, "GMM-DPF needs >= 1 component");
 }
 
 void GmmDpf::reinitialize_cloud(geom::Vec2 center, rng::Rng& rng) {
-  cloud_.clear();
-  cloud_.reserve(config_.num_particles);
-  const double w = 1.0 / static_cast<double>(config_.num_particles);
-  for (std::size_t i = 0; i < config_.num_particles; ++i) {
-    tracking::TargetState s;
-    s.position = {rng.gaussian(center.x, config_.init_position_sigma),
-                  rng.gaussian(center.y, config_.init_position_sigma)};
-    s.velocity = {
-        rng.gaussian(config_.initial_velocity_mean.x, config_.initial_velocity_sigma),
-        rng.gaussian(config_.initial_velocity_mean.y, config_.initial_velocity_sigma)};
-    cloud_.push_back({s, w});
-  }
+  filter_.initialize({center, config_.initial_velocity_mean},
+                     {config_.init_position_sigma, config_.init_position_sigma},
+                     {config_.initial_velocity_sigma, config_.initial_velocity_sigma},
+                     rng);
 }
 
 void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rng) {
@@ -41,14 +33,12 @@ void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& 
   const std::vector<wsn::NodeId> detecting = network_.detecting_nodes(truth.position);
 
   if (detecting.empty()) {
-    if (cloud_.empty()) {
+    if (!filter_.initialized()) {
       return;  // nothing to do before first contact
     }
     // Coast: predict at the current head, no communication.
-    for (filters::Particle& p : cloud_) {
-      p.state = motion_->sample(p.state, rng);
-    }
-    pending_estimates_.push_back({filters::weighted_mean_state(cloud_), time});
+    filter_.predict(rng);
+    pending_estimates_.push_back({filter_.estimate(), time});
     return;
   }
 
@@ -68,15 +58,14 @@ void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& 
     }
   }
 
-  if (cloud_.empty()) {
+  if (!filter_.initialized()) {
     head_ = new_head;
     reinitialize_cloud(centroid, rng);
   } else if (new_head != head_) {
     // 4. Lossy handoff: fit the posterior to a mixture, transmit the
     // parameters, and reconstruct the cloud at the new head by sampling.
-    const filters::GaussianMixture mixture =
-        filters::GaussianMixture::fit(cloud_, config_.mixture_components, rng,
-                                      config_.em_iterations);
+    const filters::GaussianMixture mixture = filters::GaussianMixture::fit(
+        filter_.particles(), config_.mixture_components, rng, config_.em_iterations);
     if (head_ != wsn::kInvalidNodeId && network_.is_active(head_) &&
         network_.is_active(new_head)) {
       router_.send(radio_, head_, new_head, wsn::MessageKind::kParticle,
@@ -87,71 +76,47 @@ void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& 
     // Positions come from the mixture; velocities survive only through the
     // mixture mean drift, so re-draw them around the previous mean velocity
     // (the handoff is genuinely lossy — that is the point of the baseline).
-    const tracking::TargetState prev_mean = filters::weighted_mean_state(cloud_);
-    cloud_.clear();
+    const tracking::TargetState prev_mean = filter_.estimate();
+    std::vector<filters::Particle> cloud;
+    cloud.reserve(config_.num_particles);
     for (std::size_t i = 0; i < config_.num_particles; ++i) {
       tracking::TargetState s;
       s.position = mixture.sample(rng);
       s.velocity = {rng.gaussian(prev_mean.velocity.x, config_.initial_velocity_sigma),
                     rng.gaussian(prev_mean.velocity.y, config_.initial_velocity_sigma)};
-      cloud_.push_back({s, w});
+      cloud.push_back({s, w});
     }
+    filter_.initialize(std::move(cloud));
     head_ = new_head;
   }
 
   // 2. Members unicast their measurements to the head.
-  struct Received {
-    geom::Vec2 sensor;
-    double bearing;
-  };
-  std::vector<Received> received;
+  received_.clear();
   for (const wsn::NodeId id : detecting) {
-    const double z = bearing_.measure(network_.position(id), truth.position, rng);
+    const double z = bearing_.measure(network_.true_position(id), truth.position, rng);
     if (id != head_) {
       if (!radio_.unicast(id, head_, wsn::MessageKind::kMeasurement,
                           radio_.payloads().measurement)) {
         continue;  // member out of the head's range: measurement lost
       }
     }
-    received.push_back({network_.position(id), z});
+    received_.add(network_.position(id), z);
   }
 
   // 3. Local SIR step at the head.
-  for (filters::Particle& p : cloud_) {
-    p.state = motion_->sample(p.state, rng);
-  }
-  if (!received.empty()) {
-    const BearingBatchParams params(bearing_.sigma(), config_.position_resolution_m);
-    double max_ll = -std::numeric_limits<double>::infinity();
-    std::vector<double> ll(cloud_.size());
-    for (std::size_t i = 0; i < cloud_.size(); ++i) {
-      const geom::Vec2 p = cloud_[i].state.position;
-      double sum = 0.0;
-      for (const Received& r : received) {
-        const double dx = p.x - r.sensor.x;
-        const double dy = p.y - r.sensor.y;
-        sum += bearing_pair_log_likelihood(r.bearing, dx, dy, dx * dx + dy * dy, params);
-      }
-      ll[i] = sum;
-      max_ll = std::max(max_ll, sum);
-    }
-    support::NeumaierSum sum;
-    for (std::size_t i = 0; i < cloud_.size(); ++i) {
-      cloud_[i].weight *= std::exp(ll[i] - max_ll);
-      sum.add(cloud_[i].weight);
-    }
-    const double total = sum.value();
-    if (total > 0.0) {
-      filters::normalize_weights(cloud_, total);
-      filters::resample_particles(cloud_, config_.num_particles, config_.resampling,
-                                  rng);
-    } else {
+  filter_.predict(rng);
+  if (!received_.empty()) {
+    const double max_log_likelihood = filter_.update([&](const tracking::TargetState& s) {
+      return received_.log_likelihood(s.position);
+    });
+    if (max_log_likelihood == -std::numeric_limits<double>::infinity()) {
       reinitialize_cloud(centroid, rng);  // track lost: restart on detections
+    } else {
+      filter_.maybe_resample(rng);
     }
   }
 
-  const tracking::TargetState estimate = filters::weighted_mean_state(cloud_);
-  pending_estimates_.push_back({estimate, time});
+  pending_estimates_.push_back({filter_.estimate(), time});
 
   // 5. Report to the sink.
   if (config_.report_to_sink && network_.is_active(head_)) {

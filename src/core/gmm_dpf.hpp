@@ -8,8 +8,8 @@
 //      their centroid — a local computation once positions are shared).
 //   2. Member nodes unicast their bearing measurements to the head
 //      (one hop: detecting nodes are within 2 r_s <= r_c of each other).
-//   3. The head maintains the particle cloud: predict, weight with the
-//      members' measurements, resample.
+//   3. The head runs a SIR filter (filters::SirFilter): predict, weight
+//      with the members' measurements, resample.
 //   4. When the head changes between iterations, the outgoing head
 //      compresses its posterior into a k-component Gaussian mixture and
 //      routes the parameters to the incoming head (the lossy handoff that
@@ -24,6 +24,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/batch_kernels.hpp"
 #include "core/tracker.hpp"
 #include "filters/gmm.hpp"
 #include "filters/resampling.hpp"
@@ -80,10 +81,10 @@ class GmmDpf final : public TrackerAlgorithm {
   GmmDpfConfig config_;
   tracking::BearingMeasurementModel bearing_;
   wsn::GreedyGeographicRouter router_;
-  std::unique_ptr<const tracking::MotionModel> motion_;
 
   wsn::NodeId head_ = wsn::kInvalidNodeId;
-  std::vector<filters::Particle> cloud_;  // maintained at the head
+  filters::SirFilter filter_;  // the particle cloud maintained at the head
+  BearingEvidence received_;   // measurements the head received this step
   std::size_t handoffs_ = 0;
   std::vector<TimedEstimate> pending_estimates_;
 };

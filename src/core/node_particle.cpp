@@ -158,17 +158,6 @@ tracking::TargetState ParticleStore::estimate(const wsn::Network& network) const
   return {position / total, velocity / total};
 }
 
-std::vector<filters::Particle> ParticleStore::to_particles(
-    const wsn::Network& network) const {
-  std::vector<filters::Particle> out;
-  out.reserve(particles_.size());
-  for (const wsn::NodeId host : sorted_hosts()) {
-    const NodeParticle& p = *find(host);
-    out.push_back({{network.position(host), p.velocity}, p.weight});
-  }
-  return out;
-}
-
 const std::vector<wsn::NodeId>& ParticleStore::sorted_hosts() const {
   if (sorted_version_ != host_version_) {
     sorted_cache_.clear();
@@ -181,7 +170,7 @@ const std::vector<wsn::NodeId>& ParticleStore::sorted_hosts() const {
   return sorted_cache_;
 }
 
-void MultiParticleStore::add(wsn::NodeId host, HostedParticle particle) {
+void MultiParticleStore::add(wsn::NodeId host, filters::Particle particle) {
   CDPF_CHECK_MSG(particle.weight >= 0.0, "particle weight must be non-negative");
   auto [it, inserted] = hosts_.try_emplace(host);
   it->second.push_back(particle);
@@ -206,7 +195,7 @@ std::size_t MultiParticleStore::particle_count() const {
 double MultiParticleStore::total_weight() const {
   support::NeumaierSum total;
   for (const auto& [host, list] : hosts_) {
-    for (const HostedParticle& p : list) {
+    for (const filters::Particle& p : list) {
       total.add(p.weight);
     }
   }
@@ -216,18 +205,18 @@ double MultiParticleStore::total_weight() const {
 void MultiParticleStore::normalize(double total) {
   CDPF_CHECK_MSG(total > 0.0, "cannot normalize with a non-positive total weight");
   for (auto& [host, list] : hosts_) {
-    for (HostedParticle& p : list) {
+    for (filters::Particle& p : list) {
       p.weight /= total;
     }
   }
 }
 
-const std::vector<HostedParticle>* MultiParticleStore::find(wsn::NodeId host) const {
+const std::vector<filters::Particle>* MultiParticleStore::find(wsn::NodeId host) const {
   const auto it = hosts_.find(host);
   return it == hosts_.end() ? nullptr : &it->second;
 }
 
-std::vector<HostedParticle>* MultiParticleStore::find_mutable(wsn::NodeId host) {
+std::vector<filters::Particle>* MultiParticleStore::find_mutable(wsn::NodeId host) {
   const auto it = hosts_.find(host);
   return it == hosts_.end() ? nullptr : &it->second;
 }
@@ -237,9 +226,7 @@ std::size_t MultiParticleStore::prune_hosts_below(double threshold) {
                  "prune threshold must be finite and non-negative");
   std::size_t dropped = 0;
   for (auto it = hosts_.begin(); it != hosts_.end();) {
-    const double mass = support::weight_total(
-        it->second, [](const HostedParticle& p) { return p.weight; });
-    if (mass < threshold) {
+    if (filters::total_weight(it->second) < threshold) {
       it = hosts_.erase(it);
       ++dropped;
     } else {
@@ -258,23 +245,12 @@ tracking::TargetState MultiParticleStore::estimate() const {
   geom::Vec2 position{};
   geom::Vec2 velocity{};
   for (const auto& [host, list] : hosts_) {
-    for (const HostedParticle& p : list) {
+    for (const filters::Particle& p : list) {
       position += p.state.position * p.weight;
       velocity += p.state.velocity * p.weight;
     }
   }
   return {position / total, velocity / total};
-}
-
-std::vector<filters::Particle> MultiParticleStore::to_particles() const {
-  std::vector<filters::Particle> out;
-  out.reserve(particle_count());
-  for (const wsn::NodeId host : sorted_hosts()) {
-    for (const HostedParticle& p : hosts_.at(host)) {
-      out.push_back({p.state, p.weight});
-    }
-  }
-  return out;
 }
 
 const std::vector<wsn::NodeId>& MultiParticleStore::sorted_hosts() const {

@@ -122,9 +122,6 @@ class ParticleStore {
   /// `network`). Requires a positive total weight.
   tracking::TargetState estimate(const wsn::Network& network) const;
 
-  /// Materialize as generic weighted particles (positions from `network`).
-  std::vector<filters::Particle> to_particles(const wsn::Network& network) const;
-
   /// Dense particle storage. Order is deterministic: hosts appear in the
   /// order their particle was first created (which itself derives from the
   /// deterministic sorted-host broadcast order of the previous round).
@@ -189,15 +186,10 @@ class ParticleStore {
   mutable std::uint64_t sorted_version_ = 0;
 };
 
-/// A free-state particle hosted on a node (SDPF).
-struct HostedParticle {
-  tracking::TargetState state;
-  double weight = 0.0;
-};
-
+/// Free-state particles (filters::Particle) grouped by host node (SDPF).
 class MultiParticleStore {
  public:
-  void add(wsn::NodeId host, HostedParticle particle);
+  void add(wsn::NodeId host, filters::Particle particle);
 
   /// Total number of particles across hosts (N_s for SDPF).
   std::size_t particle_count() const;
@@ -210,16 +202,15 @@ class MultiParticleStore {
   void normalize(double total);
 
   bool contains(wsn::NodeId host) const { return hosts_.contains(host); }
-  const std::vector<HostedParticle>* find(wsn::NodeId host) const;
-  std::vector<HostedParticle>* find_mutable(wsn::NodeId host);
+  const std::vector<filters::Particle>* find(wsn::NodeId host) const;
+  std::vector<filters::Particle>* find_mutable(wsn::NodeId host);
 
   /// Drop hosts whose local mass is below `threshold`.
   std::size_t prune_hosts_below(double threshold);
 
   tracking::TargetState estimate() const;
-  std::vector<filters::Particle> to_particles() const;
 
-  const std::unordered_map<wsn::NodeId, std::vector<HostedParticle>>& by_host() const {
+  const std::unordered_map<wsn::NodeId, std::vector<filters::Particle>>& by_host() const {
     return hosts_;
   }
   /// Cached exactly like ParticleStore::sorted_hosts(); same validity and
@@ -227,7 +218,7 @@ class MultiParticleStore {
   const std::vector<wsn::NodeId>& sorted_hosts() const;
 
  private:
-  std::unordered_map<wsn::NodeId, std::vector<HostedParticle>> hosts_;
+  std::unordered_map<wsn::NodeId, std::vector<filters::Particle>> hosts_;
   std::uint64_t host_version_ = 1;
   mutable std::vector<wsn::NodeId> sorted_cache_;
   mutable std::uint64_t sorted_version_ = 0;

@@ -1,40 +1,22 @@
 #include "core/sdpf.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "core/batch_kernels.hpp"
 #include "support/check.hpp"
 #include "support/log.hpp"
 #include "support/statistics.hpp"
 
 namespace cdpf::core {
 
-namespace {
-// Clamp for log-domain weight factors: keeps exp() finite even when a
-// sensor lies almost on top of the target and its bearing residual makes
-// the log-likelihood difference astronomically large in either direction.
-constexpr double kMaxLogWeightFactor = 600.0;
-
-/// Position-quantization length used for likelihood inflation: explicit
-/// config value, or half the mean node spacing of the deployment.
-double quantization_length(double configured, const wsn::Network& network) {
-  if (configured >= 0.0) {
-    return configured;
-  }
-  const double density_per_m2 =
-      static_cast<double>(network.size()) / network.config().field.area();
-  return density_per_m2 > 0.0 ? 0.5 / std::sqrt(density_per_m2) : 0.0;
-}
-}  // namespace
-
 Sdpf::Sdpf(wsn::Network& network, wsn::Radio& radio, SdpfConfig config)
     : network_(network),
       radio_(radio),
       config_(config),
       motion_(tracking::make_motion_model(config.motion, config.dt)),
-      bearing_(config.sigma_bearing) {
+      bearing_(config.sigma_bearing),
+      shared_(config.sigma_bearing,
+              quantization_length(config.position_quantization_m, network),
+              network.config().comm_radius) {
   CDPF_CHECK_MSG(config_.particles_per_detection > 0,
                  "SDPF needs at least one particle per detection");
   CDPF_CHECK_MSG(config_.initial_weight > 0.0, "initial weight must be positive");
@@ -50,7 +32,7 @@ void Sdpf::seed_detecting_nodes(const tracking::TargetState& truth, rng::Rng& rn
       count > 0 ? store_.total_weight() / static_cast<double>(count)
                 : config_.initial_weight;
   for (const wsn::NodeId id : network_.detecting_nodes(truth.position)) {
-    const std::vector<HostedParticle>* existing = store_.find(id);
+    const std::vector<filters::Particle>* existing = store_.find(id);
     const std::size_t have = existing ? existing->size() : 0;
     if (have >= config_.particles_per_detection) {
       continue;
@@ -59,7 +41,7 @@ void Sdpf::seed_detecting_nodes(const tracking::TargetState& truth, rng::Rng& rn
     // position; only velocity hypotheses differ across a node's particles.
     const geom::Vec2 node_pos = network_.position(id);
     for (std::size_t i = have; i < config_.particles_per_detection; ++i) {
-      HostedParticle p;
+      filters::Particle p;
       p.state.position = node_pos;
       p.state.velocity = {
           rng.gaussian(config_.initial_velocity_mean.x, config_.initial_velocity_sigma),
@@ -87,7 +69,7 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
       if (!network_.is_active(host)) {
         continue;  // dead/sleeping host: its particles are lost
       }
-      const std::vector<HostedParticle>& list = *store_.find(host);
+      const std::vector<filters::Particle>& list = *store_.find(host);
       radio_.broadcast(host, wsn::MessageKind::kParticle,
                        payload * list.size(), receivers_);
       const geom::Vec2 host_pos = network_.position(host);
@@ -95,8 +77,8 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
       for (const wsn::NodeId r : receivers_) {
         receiver_positions_.push_back(network_.position(r));
       }
-      for (const HostedParticle& particle : list) {
-        HostedParticle moved{motion_->sample(particle.state, rng), particle.weight};
+      for (const filters::Particle& particle : list) {
+        filters::Particle moved{motion_->sample(particle.state, rng), particle.weight};
         // Re-host on the receiver nearest the particle's propagated state;
         // the host keeps it if it is still the nearest candidate. The
         // particle position snaps to its new host ("motes as particles"),
@@ -145,57 +127,22 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   //    in step 3. -------------------------------------------------------
   shared_.clear();
   for (const wsn::NodeId id : network_.detecting_nodes(truth.position)) {
-    const double z = bearing_.measure(network_.position(id), truth.position, rng);
+    const double z = bearing_.measure(network_.true_position(id), truth.position, rng);
     radio_.broadcast_count(id, wsn::MessageKind::kMeasurement,
                            radio_.payloads().measurement);
-    shared_.push_back({network_.position(id), z});
+    shared_.add(network_.position(id), z);
   }
 
-  // -- 3. Weight update: likelihood of the measurements each host hears,
-  //    evaluated relative to a common reference point (the centroid of the
-  //    measurement senders) so the product over many sensors stays inside
-  //    double range; the shared constant cancels at normalization. --------
+  // -- 3. Weight update: each host weights its particles by the likelihood
+  //    of the measurements it hears, relative to the sender centroid (see
+  //    BearingEvidence::host_factor; the same computation as CDPF's
+  //    likelihood step). Every particle sits exactly on its host ("motes as
+  //    particles"), so one factor serves the host's whole list. ----------
   if (!shared_.empty()) {
-    const BearingBatchParams params(
-        bearing_.sigma(), quantization_length(config_.position_quantization_m, network_));
-    geom::Vec2 reference{};
-    for (const Shared& s : shared_) {
-      reference += s.sensor;
-    }
-    reference = reference / static_cast<double>(shared_.size());
-    double reference_log_likelihood = 0.0;
-    for (const Shared& s : shared_) {
-      const double dx = reference.x - s.sensor.x;
-      const double dy = reference.y - s.sensor.y;
-      reference_log_likelihood +=
-          bearing_pair_log_likelihood(s.bearing, dx, dy, dx * dx + dy * dy, params);
-    }
-    // Range gate on squared distance, sharing the displacement with the
-    // kernel (see the CDPF note on why `d^2 <= r_c^2` is the same test).
-    const double comm_radius_sq =
-        network_.config().comm_radius * network_.config().comm_radius;
     for (const wsn::NodeId host : store_.sorted_hosts()) {
-      // Every particle sits exactly on its host ("motes as particles"), so
-      // the host's likelihood and one exp serve the whole list.
       const geom::Vec2 host_pos = network_.position(host);
-      double log_likelihood = 0.0;
-      bool heard_any = false;
-      for (const Shared& s : shared_) {
-        const double dx = host_pos.x - s.sensor.x;
-        const double dy = host_pos.y - s.sensor.y;
-        const double d2 = dx * dx + dy * dy;
-        if (d2 <= comm_radius_sq) {
-          log_likelihood += bearing_pair_log_likelihood(s.bearing, dx, dy, d2, params);
-          heard_any = true;
-        }
-      }
-      // A host out of earshot of every detecting sensor while the target is
-      // detected gets a negligible likelihood (see the CDPF note).
-      const double factor =
-          heard_any ? std::exp(std::clamp(log_likelihood - reference_log_likelihood,
-                                          -kMaxLogWeightFactor, kMaxLogWeightFactor))
-                    : std::exp(-kMaxLogWeightFactor);
-      for (HostedParticle& p : *store_.find_mutable(host)) {
+      const double factor = shared_.host_factor(host_pos);
+      for (filters::Particle& p : *store_.find_mutable(host)) {
         CDPF_ASSERT(p.state.position == host_pos);
         p.weight *= factor;
       }
@@ -209,9 +156,8 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   radio_.transceiver_broadcast(wsn::MessageKind::kControl, radio_.payloads().control);
   support::NeumaierSum total_sum;
   for (const wsn::NodeId host : store_.sorted_hosts()) {
-    const std::vector<HostedParticle>& list = *store_.find(host);
-    total_sum.add(support::weight_total(
-        list, [](const HostedParticle& p) { return p.weight; }));
+    const std::vector<filters::Particle>& list = *store_.find(host);
+    total_sum.add(filters::total_weight(list));
     radio_.send_to_transceiver(host, wsn::MessageKind::kWeight,
                                radio_.payloads().weight * list.size());
   }
@@ -232,21 +178,12 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   // preserving the local mass (a standard local approximation when the
   // global total, but not the particle states, is shared).
   for (const wsn::NodeId host : store_.sorted_hosts()) {
-    std::vector<HostedParticle>& list = *store_.find_mutable(host);
-    const double local = support::weight_total(
-        list, [](const HostedParticle& p) { return p.weight; });
-    if (local <= 0.0 || list.size() <= 1) {
+    std::vector<filters::Particle>& list = *store_.find_mutable(host);
+    if (filters::total_weight(list) <= 0.0 || list.size() <= 1) {
       continue;
     }
-    generic_.clear();
-    for (const HostedParticle& p : list) {
-      generic_.push_back({p.state, p.weight});
-    }
-    filters::resample_particles(generic_, list.size(), config_.resampling, rng,
+    filters::resample_particles(list, list.size(), config_.resampling, rng,
                                 resample_scratch_);
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      list[i] = {generic_[i].state, generic_[i].weight};
-    }
   }
 }
 

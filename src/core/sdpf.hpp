@@ -27,6 +27,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/batch_kernels.hpp"
 #include "core/node_particle.hpp"
 #include "core/tracker.hpp"
 #include "filters/resampling.hpp"
@@ -87,14 +88,9 @@ class Sdpf final : public TrackerAlgorithm {
   std::vector<TimedEstimate> pending_estimates_;
 
   // Iteration-local workspaces, members so they stay warm across rounds.
-  struct Shared {
-    geom::Vec2 sensor;
-    double bearing;
-  };
-  std::vector<Shared> shared_;  // bearings broadcast this iteration
+  BearingEvidence shared_;  // bearings broadcast this iteration
   std::vector<wsn::NodeId> receivers_;
   std::vector<geom::Vec2> receiver_positions_;
-  std::vector<filters::Particle> generic_;
   filters::ResampleScratch resample_scratch_;
 };
 

@@ -23,8 +23,9 @@ void BearingsOnlyEkf::predict() {
   kf_.predict(model_.phi(), model_.process_noise_covariance());
 }
 
-void BearingsOnlyEkf::update(std::span<const BearingObservation> observations) {
-  for (const BearingObservation& obs : observations) {
+void BearingsOnlyEkf::update(
+    std::span<const tracking::BearingObservation> observations) {
+  for (const tracking::BearingObservation& obs : observations) {
     const linalg::Vec<4>& x = kf_.state();
     const double dx = x[0] - obs.sensor.x;
     const double dy = x[1] - obs.sensor.y;

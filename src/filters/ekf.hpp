@@ -10,16 +10,11 @@
 
 #include "filters/kalman.hpp"
 #include "geom/vec2.hpp"
+#include "tracking/measurement.hpp"
 #include "tracking/motion_model.hpp"
 #include "tracking/state.hpp"
 
 namespace cdpf::filters {
-
-/// One sensor's bearing observation.
-struct BearingObservation {
-  geom::Vec2 sensor;
-  double bearing_rad = 0.0;
-};
 
 class BearingsOnlyEkf {
  public:
@@ -36,7 +31,7 @@ class BearingsOnlyEkf {
   void predict();
 
   /// Sequential scalar updates, one per observation.
-  void update(std::span<const BearingObservation> observations);
+  void update(std::span<const tracking::BearingObservation> observations);
 
  private:
   tracking::ConstantVelocityModel model_;

@@ -71,14 +71,15 @@ void BearingsOnlyUkf::predict() {
                            model_.process_noise_covariance());
 }
 
-void BearingsOnlyUkf::update(std::span<const BearingObservation> observations) {
+void BearingsOnlyUkf::update(
+    std::span<const tracking::BearingObservation> observations) {
   const double n = static_cast<double>(kN);
   const double wm0 = lambda_ / (n + lambda_);
   const double wc0 =
       wm0 + (1.0 - params_.alpha * params_.alpha + params_.beta);
   const double wi = 1.0 / (2.0 * (n + lambda_));
 
-  for (const BearingObservation& obs : observations) {
+  for (const tracking::BearingObservation& obs : observations) {
     // Near-field guard: a sensor closer to the estimate than the sigma-
     // point spread sees bearings that flip by ~pi across the sigma cloud,
     // which wrecks the unscented statistics. Far-field sensors carry the

@@ -10,8 +10,8 @@
 
 #include <span>
 
-#include "filters/ekf.hpp"  // BearingObservation
 #include "linalg/matrix.hpp"
+#include "tracking/measurement.hpp"
 #include "tracking/motion_model.hpp"
 #include "tracking/state.hpp"
 
@@ -39,7 +39,7 @@ class BearingsOnlyUkf {
   /// Sequential scalar unscented updates, one per observation. Angular
   /// residuals are wrapped; the predicted-measurement mean is a circular
   /// mean of the sigma-point bearings.
-  void update(std::span<const BearingObservation> observations);
+  void update(std::span<const tracking::BearingObservation> observations);
 
  private:
   /// 2n+1 sigma points of the current (x, P).

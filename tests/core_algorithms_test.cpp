@@ -218,7 +218,7 @@ TEST_P(SdpfHostInvariant, ParticlesSitExactlyOnTheirHost) {
     filter.iterate(truth, t, f.rng);
     for (const auto& [host, list] : filter.particles().by_host()) {
       const geom::Vec2 host_pos = f.network.position(host);
-      for (const HostedParticle& p : list) {
+      for (const filters::Particle& p : list) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(p.state.position.x),
                   std::bit_cast<std::uint64_t>(host_pos.x))
             << "host " << host << " at t=" << t;

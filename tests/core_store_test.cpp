@@ -78,10 +78,14 @@ TEST(ParticleStore, SortedHostsAndConversion) {
   store.add(0, {}, 2.0);
   store.add(2, {}, 3.0);
   EXPECT_EQ(store.sorted_hosts(), (std::vector<wsn::NodeId>{0, 2, 3}));
-  const auto particles = store.to_particles(net);
-  ASSERT_EQ(particles.size(), 3u);
-  EXPECT_EQ(particles[0].state.position, geom::Vec2(10.0, 10.0));
-  EXPECT_DOUBLE_EQ(particles[2].weight, 1.0);
+  // Dense storage keeps creation order; find() resolves a host to its
+  // particle, whose position is the host node's.
+  ASSERT_EQ(store.particles().size(), 3u);
+  EXPECT_EQ(store.particles()[0].host, 3u);
+  const wsn::NodeId first = store.sorted_hosts().front();
+  EXPECT_EQ(net.position(first), geom::Vec2(10.0, 10.0));
+  EXPECT_DOUBLE_EQ(store.find(first)->weight, 2.0);
+  EXPECT_DOUBLE_EQ(store.find(store.sorted_hosts().back())->weight, 1.0);
 }
 
 TEST(ParticleStore, ZeroWeightCombinationKeepsVelocityFinite) {
@@ -127,10 +131,10 @@ TEST(MultiParticleStore, SortedConversionIsDeterministic) {
   MultiParticleStore store;
   store.add(9, {{{9.0, 0.0}, {}}, 1.0});
   store.add(1, {{{1.0, 0.0}, {}}, 1.0});
-  const auto particles = store.to_particles();
-  ASSERT_EQ(particles.size(), 2u);
-  EXPECT_DOUBLE_EQ(particles[0].state.position.x, 1.0);
-  EXPECT_DOUBLE_EQ(particles[1].state.position.x, 9.0);
+  ASSERT_EQ(store.sorted_hosts(), (std::vector<wsn::NodeId>{1, 9}));
+  ASSERT_EQ(store.find(1)->size(), 1u);
+  EXPECT_DOUBLE_EQ(store.find(1)->front().state.position.x, 1.0);
+  EXPECT_DOUBLE_EQ(store.find(9)->front().state.position.x, 9.0);
 }
 
 TEST(MultiParticleStore, EstimateRequiresMass) {

@@ -102,7 +102,7 @@ TEST(Ekf, LocalizesStaticTargetFromBearings) {
                       linalg::Mat<4, 4>::identity() * 100.0);
   for (int k = 0; k < 30; ++k) {
     ekf.predict();
-    std::vector<BearingObservation> obs;
+    std::vector<tracking::BearingObservation> obs;
     for (const geom::Vec2 s : sensors) {
       obs.push_back({s, geom::wrap_angle((truth - s).angle() + rng.gaussian(0.0, 0.05))});
     }
@@ -123,7 +123,7 @@ TEST(Ekf, HandlesWrapAroundBearings) {
                       linalg::Mat<4, 4>::identity() * 50.0);
   for (int k = 0; k < 40; ++k) {
     ekf.predict();
-    std::vector<BearingObservation> obs;
+    std::vector<tracking::BearingObservation> obs;
     for (const geom::Vec2 s : sensors) {
       obs.push_back({s, geom::wrap_angle((truth - s).angle() + rng.gaussian(0.0, 0.02))});
     }
@@ -137,7 +137,7 @@ TEST(Ekf, SkipsObservationAtSingularGeometry) {
   BearingsOnlyEkf ekf(model, 0.05, {{10.0, 10.0}, {0.0, 0.0}},
                       linalg::Mat<4, 4>::identity());
   // Sensor exactly at the estimated position: update must not blow up.
-  std::vector<BearingObservation> obs{{{10.0, 10.0}, 0.3}};
+  std::vector<tracking::BearingObservation> obs{{{10.0, 10.0}, 0.3}};
   EXPECT_NO_THROW(ekf.update(obs));
   EXPECT_NEAR(ekf.estimate().position.x, 10.0, 1e-9);
 }

@@ -26,7 +26,7 @@ TEST(Ukf, LocalizesStaticTargetFromBearings) {
                                linalg::Mat<4, 4>::identity() * 100.0);
   for (int k = 0; k < 30; ++k) {
     ukf.predict();
-    std::vector<filters::BearingObservation> obs;
+    std::vector<tracking::BearingObservation> obs;
     for (const geom::Vec2 s : sensors) {
       obs.push_back({s, geom::wrap_angle((truth - s).angle() + rng.gaussian(0.0, 0.05))});
     }
@@ -40,7 +40,7 @@ TEST(Ukf, CovarianceContractsWithInformation) {
   filters::BearingsOnlyUkf ukf(model, 0.05, {{50.0, 50.0}, {0.0, 0.0}},
                                linalg::Mat<4, 4>::identity() * 100.0);
   const double before = ukf.covariance().trace();
-  std::vector<filters::BearingObservation> obs{{{0.0, 0.0}, 0.785},
+  std::vector<tracking::BearingObservation> obs{{{0.0, 0.0}, 0.785},
                                                {{100.0, 0.0}, 2.356}};
   ukf.update(obs);
   EXPECT_LT(ukf.covariance().trace(), before);
@@ -58,7 +58,7 @@ TEST(Ukf, MatchesEkfOnMildGeometry) {
   filters::BearingsOnlyEkf ekf(model, 0.02, {{40.0, 60.0}, {0.0, 0.0}},
                                linalg::Mat<4, 4>::identity() * 40.0);
   for (int k = 0; k < 25; ++k) {
-    std::vector<filters::BearingObservation> obs;
+    std::vector<tracking::BearingObservation> obs;
     for (const geom::Vec2 s : sensors) {
       obs.push_back(
           {s, geom::wrap_angle((truth - s).angle() + rng_a.gaussian(0.0, 0.02))});
@@ -76,7 +76,7 @@ TEST(Ukf, SkipsDegenerateSensorGeometry) {
   const tracking::ConstantVelocityModel model(1.0, 0.01, 0.01);
   filters::BearingsOnlyUkf ukf(model, 0.05, {{10.0, 10.0}, {0.0, 0.0}},
                                linalg::Mat<4, 4>::identity() * 1e-6);
-  std::vector<filters::BearingObservation> obs{{{10.0, 10.0}, 0.5}};
+  std::vector<tracking::BearingObservation> obs{{{10.0, 10.0}, 0.5}};
   EXPECT_NO_THROW(ukf.update(obs));
 }
 

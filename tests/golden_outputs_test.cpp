@@ -8,7 +8,11 @@
 // "same numbers, less time" is checked here rather than argued. The CPF,
 // DPF, GMM-DPF and SDPF cells were re-pinned once, on purpose, when those
 // trackers moved to CDPF's variance-form bearing kernel (rounding-level
-// drift; CommStats unchanged).
+// drift; CommStats unchanged). The CPF and SDPF believed-position cells
+// were re-pinned once more when CPF/DPF, SDPF and GMM-DPF started measuring
+// bearings from each sensor's true position, as CDPF, the multi-target
+// tracker and the detection model do; they had measured from the believed
+// one. No other cell runs on believed positions, so no other cell moved.
 //
 // The grid covers all six trackers at two seeds and three densities, CPF and
 // SDPF under a randomized 50% duty cycle with TDSS wake-ups (sink kept
@@ -184,8 +188,8 @@ constexpr GoldenCell kCells[] = {
     {"CPF_duty_d20_b", kCpf, 20.0, kSeedB, kDutyCycle, 0xec5747b417a8ff75ull},
     {"SDPF_duty_d20_a", kSdpf, 20.0, kSeedA, kDutyCycle, 0x3bcd68a0cb715a60ull},
     {"SDPF_duty_d20_b", kSdpf, 20.0, kSeedB, kDutyCycle, 0x19714fa4d9e91c16ull},
-    {"CPF_localized_d20_a", kCpf, 20.0, kSeedA, kBelievedPositions, 0xf33b1379dce03b84ull},
-    {"CPF_localized_d20_b", kCpf, 20.0, kSeedB, kBelievedPositions, 0x36a7ea916ab48d90ull},
+    {"CPF_localized_d20_a", kCpf, 20.0, kSeedA, kBelievedPositions, 0x2b1884b2c40709ddull},
+    {"CPF_localized_d20_b", kCpf, 20.0, kSeedB, kBelievedPositions, 0x7f806331ec2d76faull},
     {"CDPF_duty_d20_a", kCdpf, 20.0, kSeedA, kDutyCycle, 0xbbda9ac41d22c2e3ull},
     {"CDPF_duty_d20_b", kCdpf, 20.0, kSeedB, kDutyCycle, 0x3a08057af7e0956cull},
     {"CDPF_localized_d20_a", kCdpf, 20.0, kSeedA, kBelievedPositions, 0x8f1099c9d95318d7ull},
@@ -194,8 +198,8 @@ constexpr GoldenCell kCells[] = {
     {"CDPFNE_duty_d20_b", kCdpfNe, 20.0, kSeedB, kDutyCycle, 0x92771e27b6a4742bull},
     {"CDPFNE_localized_d20_a", kCdpfNe, 20.0, kSeedA, kBelievedPositions, 0xe76261777eedcc81ull},
     {"CDPFNE_localized_d20_b", kCdpfNe, 20.0, kSeedB, kBelievedPositions, 0x7b17b5d0a9499736ull},
-    {"SDPF_localized_d20_a", kSdpf, 20.0, kSeedA, kBelievedPositions, 0x04e6f3a1ba6ed41cull},
-    {"SDPF_localized_d20_b", kSdpf, 20.0, kSeedB, kBelievedPositions, 0x75d279d64c2cd719ull},
+    {"SDPF_localized_d20_a", kSdpf, 20.0, kSeedA, kBelievedPositions, 0x6482f88324599c41ull},
+    {"SDPF_localized_d20_b", kSdpf, 20.0, kSeedB, kBelievedPositions, 0x30266acb8b7ffb3bull},
 };
 // clang-format on
 

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "sim/experiment.hpp"
 #include "wsn/duty_cycle.hpp"
@@ -127,6 +128,47 @@ TEST(Integration, DutyCycledNetworkWithTdssStillTracks) {
       });
   EXPECT_EQ(r.trials_without_estimates, 0u);
   EXPECT_LT(r.rmse.mean(), 15.0);
+}
+
+TEST(Integration, EveryTrackerEstimatesInTheBelievedFrame) {
+  // Shift every believed position by one offset. Distances, links and
+  // routes stay identical; only the frame the nodes share moves. A sensor
+  // measures the bearing from where it really is and shares it with the
+  // position it believes it holds, so every tracker must estimate in the
+  // believed frame: the mean estimate error is the offset.
+  const geom::Vec2 offset{15.0, 0.0};
+  const HookFactory shift = [offset](wsn::Network& net, rng::Rng&) -> StepHook {
+    std::vector<geom::Vec2> believed;
+    believed.reserve(net.size());
+    for (wsn::NodeId id = 0; id < net.size(); ++id) {
+      believed.push_back(net.true_position(id) + offset);
+    }
+    net.set_believed_positions(std::move(believed));
+    return {};
+  };
+  for (const double density : {10.0, 20.0}) {
+    Scenario scenario;
+    scenario.density_per_100m2 = density;
+    for (const AlgorithmKind kind :
+         {AlgorithmKind::kCpf, AlgorithmKind::kDpf, AlgorithmKind::kSdpf,
+          AlgorithmKind::kCdpf, AlgorithmKind::kCdpfNe, AlgorithmKind::kGmmDpf}) {
+      geom::Vec2 error_sum{};
+      std::size_t estimates = 0;
+      for (std::size_t trial = 0; trial < 3; ++trial) {
+        const TrialResult r =
+            run_trial(scenario, kind, AlgorithmParams{}, 20110516, trial, shift);
+        for (const ScoredEstimate& s : r.outcome.scored) {
+          error_sum += s.estimate.state.position - s.truth.position;
+          ++estimates;
+        }
+      }
+      ASSERT_GT(estimates, 0u) << algorithm_name(kind);
+      const geom::Vec2 mean_error = error_sum / static_cast<double>(estimates);
+      EXPECT_LT(geom::distance(mean_error, offset), 2.5)
+          << algorithm_name(kind) << " at density " << density << ": mean error ("
+          << mean_error.x << ", " << mean_error.y << ")";
+    }
+  }
 }
 
 }  // namespace

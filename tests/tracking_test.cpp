@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/batch_kernels.hpp"
 #include "geom/angles.hpp"
@@ -242,6 +243,101 @@ TEST(BearingModel, InflatedSigmaFlattensRelativePenalty) {
   EXPECT_GT(sharp_gap, flat_gap);
   EXPECT_GT(flat_gap, 0.0);  // still prefers the truth
   EXPECT_THROW(core::BearingBatchParams(0.0, 5.0), Error);
+}
+
+// BearingEvidence scores the records through the same pair kernel the
+// tests above pin; these cases pin the two sums and the host factor's clamp
+// and earshot floor.
+double pair_log_likelihood(const core::BearingEvidence& evidence, geom::Vec2 p,
+                           const core::BearingBatchParams& params, double gate_sq) {
+  double sum = 0.0;
+  for (const BearingObservation& r : evidence.records()) {
+    const double dx = p.x - r.sensor.x;
+    const double dy = p.y - r.sensor.y;
+    const double d2 = dx * dx + dy * dy;
+    if (d2 <= gate_sq) {
+      sum += core::bearing_pair_log_likelihood(r.bearing_rad, dx, dy, d2, params);
+    }
+  }
+  return sum;
+}
+
+TEST(BearingEvidence, LogLikelihoodSumsEveryRecordWithoutGate) {
+  const BearingMeasurementModel m(0.05);
+  const geom::Vec2 target{5.0, 5.0};
+  core::BearingEvidence evidence(0.05, 0.5, /*comm_radius=*/10.0);
+  for (const geom::Vec2 sensor : {geom::Vec2{0.0, 0.0}, geom::Vec2{10.0, 0.0},
+                                  geom::Vec2{40.0, 0.0}}) {
+    evidence.add(sensor, m.ideal(sensor, target) + 0.01);
+  }
+  const core::BearingBatchParams params(0.05, 0.5);
+  const geom::Vec2 p{4.0, 6.0};
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DOUBLE_EQ(evidence.log_likelihood(p), pair_log_likelihood(evidence, p, params, inf));
+  // The sensor at (40, 0) is beyond the 10 m gate and still counts.
+  EXPECT_NE(evidence.log_likelihood(p), pair_log_likelihood(evidence, p, params, 100.0));
+  EXPECT_EQ(evidence.centroid(), geom::Vec2(50.0 / 3.0, 0.0));
+}
+
+TEST(BearingEvidence, HostFactorIsHeardSumRelativeToCentroid) {
+  const BearingMeasurementModel m(0.05);
+  const geom::Vec2 target{5.0, 5.0};
+  core::BearingEvidence evidence(0.05, 0.5, /*comm_radius=*/20.0);
+  for (const geom::Vec2 sensor : {geom::Vec2{0.0, 0.0}, geom::Vec2{10.0, 0.0},
+                                  geom::Vec2{0.0, 10.0}, geom::Vec2{40.0, 0.0}}) {
+    evidence.add(sensor, m.ideal(sensor, target));
+  }
+  const core::BearingBatchParams params(0.05, 0.5);
+  const double inf = std::numeric_limits<double>::infinity();
+  const geom::Vec2 host{4.0, 6.0};  // hears all but the sensor at (40, 0)
+  const double relative = pair_log_likelihood(evidence, host, params, 400.0) -
+                          pair_log_likelihood(evidence, evidence.centroid(), params, inf);
+  ASSERT_LT(std::abs(relative), core::kMaxLogWeightFactor);  // unsaturated
+  EXPECT_DOUBLE_EQ(evidence.host_factor(host), std::exp(relative));
+  // Refilling the evidence refreshes the cached centroid reference.
+  evidence.clear();
+  evidence.add({0.0, 0.0}, m.ideal({0.0, 0.0}, target));
+  EXPECT_DOUBLE_EQ(evidence.host_factor(host),
+                   std::exp(pair_log_likelihood(evidence, host, params, inf) -
+                            pair_log_likelihood(evidence, {0.0, 0.0}, params, inf)));
+}
+
+TEST(BearingEvidence, HostOutOfEarshotGetsTheFloor) {
+  core::BearingEvidence evidence(0.05, 0.5, /*comm_radius=*/20.0);
+  evidence.add({0.0, 0.0}, 0.3);
+  evidence.add({10.0, 0.0}, 2.0);
+  EXPECT_EQ(evidence.host_factor({100.0, 100.0}), std::exp(-core::kMaxLogWeightFactor));
+}
+
+TEST(BearingEvidence, HostFactorClampSaturatesAtBothEnds) {
+  const BearingMeasurementModel m(0.001);
+  const double inf = std::numeric_limits<double>::infinity();
+  const core::BearingBatchParams params(0.001, 0.0);
+  // Upper end: every sensor sits on one side of the target, so the sender
+  // centroid lies behind them and contradicts every bearing, while a host
+  // on the target matches them all.
+  const geom::Vec2 target{0.0, 0.0};
+  core::BearingEvidence one_sided(0.001, 0.0, /*comm_radius=*/50.0);
+  for (const geom::Vec2 sensor : {geom::Vec2{10.0, 0.0}, geom::Vec2{10.0, 5.0},
+                                  geom::Vec2{10.0, -5.0}, geom::Vec2{15.0, 0.0}}) {
+    one_sided.add(sensor, m.ideal(sensor, target));
+  }
+  ASSERT_GT(pair_log_likelihood(one_sided, target, params, inf) -
+                pair_log_likelihood(one_sided, one_sided.centroid(), params, inf),
+            core::kMaxLogWeightFactor);
+  EXPECT_EQ(one_sided.host_factor(target), std::exp(core::kMaxLogWeightFactor));
+  // Lower end: sensors surround the target, so the centroid matches every
+  // bearing, while a heard host off the target contradicts them.
+  core::BearingEvidence surrounding(0.001, 0.0, /*comm_radius=*/50.0);
+  for (const geom::Vec2 sensor : {geom::Vec2{10.0, 0.0}, geom::Vec2{-10.0, 0.0},
+                                  geom::Vec2{0.0, 10.0}, geom::Vec2{0.0, -10.0}}) {
+    surrounding.add(sensor, m.ideal(sensor, target));
+  }
+  const geom::Vec2 off{5.0, 5.0};
+  ASSERT_LT(pair_log_likelihood(surrounding, off, params, inf) -
+                pair_log_likelihood(surrounding, surrounding.centroid(), params, inf),
+            -core::kMaxLogWeightFactor);
+  EXPECT_EQ(surrounding.host_factor(off), std::exp(-core::kMaxLogWeightFactor));
 }
 
 TEST(RangeModel, LikelihoodAndMoments) {
