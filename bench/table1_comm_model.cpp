@@ -44,7 +44,7 @@ sim::SlotRecord measure(sim::AlgorithmKind kind, const sim::Scenario& scenario,
   // Population entering the second iteration (the N_s that broadcasts).
   std::size_t particles = 0;
   if (kind == sim::AlgorithmKind::kSdpf) {
-    particles = dynamic_cast<core::Sdpf*>(tracker.get())->particles().particle_count();
+    particles = dynamic_cast<core::Sdpf*>(tracker.get())->particles().size();
   } else if (kind == sim::AlgorithmKind::kCdpf || kind == sim::AlgorithmKind::kCdpfNe) {
     particles = dynamic_cast<core::Cdpf*>(tracker.get())->particles().size();
   } else {

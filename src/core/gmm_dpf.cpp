@@ -119,7 +119,7 @@ void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& 
   pending_estimates_.push_back({filter_.estimate(), time});
 
   // 5. Report to the sink.
-  if (config_.report_to_sink && network_.is_active(head_)) {
+  if (network_.is_active(head_)) {
     router_.send(radio_, head_, network_.sink(), wsn::MessageKind::kEstimate,
                  radio_.payloads().estimate);
   }

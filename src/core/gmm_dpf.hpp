@@ -53,10 +53,6 @@ struct GmmDpfConfig {
   double init_position_sigma = 10.0;
   geom::Vec2 initial_velocity_mean{3.0, 0.0};
   double initial_velocity_sigma = 1.0;
-
-  /// Report every estimate to the sink (the scheme's consumer); disable to
-  /// measure the pure in-network cost.
-  bool report_to_sink = true;
 };
 
 class GmmDpf final : public TrackerAlgorithm {

@@ -1,9 +1,8 @@
 #include "core/multi_target.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <map>
 
 #include "support/check.hpp"
 #include "support/log.hpp"
@@ -29,8 +28,13 @@ void MultiTargetTracker::iterate(std::span<const tracking::TargetState> truths,
   std::vector<SensingSnapshot::Detection> detections;
   std::vector<SensingSnapshot::Measurement> measurements;
   {
-    std::unordered_map<wsn::NodeId, double> nearest;  // node -> distance^2
-    std::unordered_map<wsn::NodeId, geom::Vec2> toward;
+    struct Nearest {
+      double d2;          // squared distance to the nearest target
+      geom::Vec2 toward;  // that target's position
+    };
+    // Ordered by node id, so the bearing-noise draws below happen in
+    // ascending node order and the outputs come out sorted.
+    std::map<wsn::NodeId, Nearest> nearest;
     std::vector<wsn::NodeId> scratch;
     for (const tracking::TargetState& truth : truths) {
       network_.active_nodes_within(truth.position,
@@ -38,23 +42,17 @@ void MultiTargetTracker::iterate(std::span<const tracking::TargetState> truths,
       for (const wsn::NodeId id : scratch) {
         const double d2 =
             geom::distance_squared(network_.true_position(id), truth.position);
-        const auto it = nearest.find(id);
-        if (it == nearest.end() || d2 < it->second) {
-          nearest[id] = d2;
-          toward[id] = truth.position;
+        const auto [it, inserted] = nearest.try_emplace(id, Nearest{d2, truth.position});
+        if (!inserted && d2 < it->second.d2) {
+          it->second = {d2, truth.position};
         }
       }
     }
-    for (const auto& [id, d2] : nearest) {
+    for (const auto& [id, n] : nearest) {
       detections.push_back({id, std::numeric_limits<double>::quiet_NaN()});
       measurements.push_back(
-          {id, bearing_.measure(network_.true_position(id), toward[id], rng)});
+          {id, bearing_.measure(network_.true_position(id), n.toward, rng)});
     }
-    // Deterministic order for reproducible downstream rng consumption.
-    std::sort(detections.begin(), detections.end(),
-              [](const auto& a, const auto& b) { return a.node < b.node; });
-    std::sort(measurements.begin(), measurements.end(),
-              [](const auto& a, const auto& b) { return a.sender < b.sender; });
   }
 
   // --- Data association: nearest gate within the gating radius wins. -----

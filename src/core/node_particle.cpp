@@ -170,99 +170,4 @@ const std::vector<wsn::NodeId>& ParticleStore::sorted_hosts() const {
   return sorted_cache_;
 }
 
-void MultiParticleStore::add(wsn::NodeId host, filters::Particle particle) {
-  CDPF_CHECK_MSG(particle.weight >= 0.0, "particle weight must be non-negative");
-  auto [it, inserted] = hosts_.try_emplace(host);
-  it->second.push_back(particle);
-  if (inserted) {
-    ++host_version_;
-  }
-}
-
-void MultiParticleStore::clear() {
-  hosts_.clear();
-  ++host_version_;
-}
-
-std::size_t MultiParticleStore::particle_count() const {
-  std::size_t count = 0;
-  for (const auto& [host, list] : hosts_) {
-    count += list.size();
-  }
-  return count;
-}
-
-double MultiParticleStore::total_weight() const {
-  support::NeumaierSum total;
-  for (const auto& [host, list] : hosts_) {
-    for (const filters::Particle& p : list) {
-      total.add(p.weight);
-    }
-  }
-  return total.value();
-}
-
-void MultiParticleStore::normalize(double total) {
-  CDPF_CHECK_MSG(total > 0.0, "cannot normalize with a non-positive total weight");
-  for (auto& [host, list] : hosts_) {
-    for (filters::Particle& p : list) {
-      p.weight /= total;
-    }
-  }
-}
-
-const std::vector<filters::Particle>* MultiParticleStore::find(wsn::NodeId host) const {
-  const auto it = hosts_.find(host);
-  return it == hosts_.end() ? nullptr : &it->second;
-}
-
-std::vector<filters::Particle>* MultiParticleStore::find_mutable(wsn::NodeId host) {
-  const auto it = hosts_.find(host);
-  return it == hosts_.end() ? nullptr : &it->second;
-}
-
-std::size_t MultiParticleStore::prune_hosts_below(double threshold) {
-  CDPF_CHECK_MSG(std::isfinite(threshold) && threshold >= 0.0,
-                 "prune threshold must be finite and non-negative");
-  std::size_t dropped = 0;
-  for (auto it = hosts_.begin(); it != hosts_.end();) {
-    if (filters::total_weight(it->second) < threshold) {
-      it = hosts_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  if (dropped > 0) {
-    ++host_version_;
-  }
-  return dropped;
-}
-
-tracking::TargetState MultiParticleStore::estimate() const {
-  const double total = total_weight();
-  CDPF_CHECK_MSG(total > 0.0, "estimate needs a positive total weight");
-  geom::Vec2 position{};
-  geom::Vec2 velocity{};
-  for (const auto& [host, list] : hosts_) {
-    for (const filters::Particle& p : list) {
-      position += p.state.position * p.weight;
-      velocity += p.state.velocity * p.weight;
-    }
-  }
-  return {position / total, velocity / total};
-}
-
-const std::vector<wsn::NodeId>& MultiParticleStore::sorted_hosts() const {
-  if (sorted_version_ != host_version_) {
-    sorted_cache_.clear();
-    for (const auto& [host, list] : hosts_) {
-      sorted_cache_.push_back(host);
-    }
-    std::sort(sorted_cache_.begin(), sorted_cache_.end());
-    sorted_version_ = host_version_;
-  }
-  return sorted_cache_;
-}
-
 }  // namespace cdpf::core

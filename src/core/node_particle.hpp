@@ -3,17 +3,12 @@
 //
 // A particle is constrained to *locate on a sensor node*: its position is
 // its host node's position, so only the velocity part of the state and the
-// weight are stored per particle. Two stores implement the two maintenance
-// disciplines in the paper:
-//
-//  * ParticleStore — at most ONE particle per node: particles arriving at
-//    the same host are combined (weights summed, velocity weight-averaged).
-//    This is CDPF's discipline and the stated source of most of its
-//    communication savings.
-//  * MultiParticleStore — a LIST of particles per node (positions free,
-//    hosts fixed): SDPF's discipline, where each detecting node seeds a
-//    configurable number of particles (the paper uses eight) and no
-//    combining happens.
+// weight are stored per particle. ParticleStore keeps at most ONE particle
+// per node: particles arriving at the same host are combined (weights
+// summed, velocity weight-averaged). This is CDPF's discipline and the
+// stated source of most of its communication savings. (SDPF's discipline, a
+// list of uncombined particles per node, lives in Sdpf as one host-sorted
+// particle array.)
 //
 // ParticleStore sits on the per-iteration hot path (one lookup per broadcast
 // receiver), so it stores particles in a dense vector indexed by an
@@ -25,10 +20,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "filters/particle.hpp"
 #include "geom/vec2.hpp"
 #include "tracking/state.hpp"
 #include "wsn/network.hpp"
@@ -181,44 +174,6 @@ class ParticleStore {
   unsigned hash_shift_ = 0;  // 64 - log2(slot count)
 
   // sorted_hosts() cache, invalidated by host-set version mismatch.
-  std::uint64_t host_version_ = 1;
-  mutable std::vector<wsn::NodeId> sorted_cache_;
-  mutable std::uint64_t sorted_version_ = 0;
-};
-
-/// Free-state particles (filters::Particle) grouped by host node (SDPF).
-class MultiParticleStore {
- public:
-  void add(wsn::NodeId host, filters::Particle particle);
-
-  /// Total number of particles across hosts (N_s for SDPF).
-  std::size_t particle_count() const;
-  /// Number of hosting nodes (N_n).
-  std::size_t host_count() const { return hosts_.size(); }
-  bool empty() const { return hosts_.empty(); }
-  void clear();
-
-  double total_weight() const;
-  void normalize(double total);
-
-  bool contains(wsn::NodeId host) const { return hosts_.contains(host); }
-  const std::vector<filters::Particle>* find(wsn::NodeId host) const;
-  std::vector<filters::Particle>* find_mutable(wsn::NodeId host);
-
-  /// Drop hosts whose local mass is below `threshold`.
-  std::size_t prune_hosts_below(double threshold);
-
-  tracking::TargetState estimate() const;
-
-  const std::unordered_map<wsn::NodeId, std::vector<filters::Particle>>& by_host() const {
-    return hosts_;
-  }
-  /// Cached exactly like ParticleStore::sorted_hosts(); same validity and
-  /// thread-safety caveats.
-  const std::vector<wsn::NodeId>& sorted_hosts() const;
-
- private:
-  std::unordered_map<wsn::NodeId, std::vector<filters::Particle>> hosts_;
   std::uint64_t host_version_ = 1;
   mutable std::vector<wsn::NodeId> sorted_cache_;
   mutable std::uint64_t sorted_version_ = 0;

@@ -186,7 +186,7 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
           continue;
         }
         const double p = lin_prob.probability(std::sqrt(d2p));
-        if (p > config.min_record_probability && p > 0.0) {
+        if (p > 0.0) {
           accept(r, p, receiver_position.x - host_position.x,
                  receiver_position.y - host_position.y);
         }
@@ -226,7 +226,7 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
           continue;
         }
         const double p = lin_prob.probability(std::sqrt(scratch.gate_d2p[k]));
-        if (p > config.min_record_probability && p > 0.0) {
+        if (p > 0.0) {
           accept(soa.ids[k], p, scratch.gate_dxh[k], scratch.gate_dyh[k]);
         }
       }

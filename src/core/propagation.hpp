@@ -33,11 +33,9 @@
 namespace cdpf::core {
 
 struct PropagationConfig {
-  /// Radius of the predicted area (paper: the sensing radius).
+  /// Radius of the predicted area (paper: the sensing radius); every
+  /// receiver strictly inside it records.
   double record_radius = 10.0;
-  /// Minimum linear-model probability for a neighbor to record a particle
-  /// (0 = every node strictly inside the predicted area records).
-  double min_record_probability = 0.0;
   /// When no receiver lies inside the predicted area, hand the whole
   /// particle to the receiver nearest to the predicted position instead of
   /// losing it (keeps the filter alive in sparse deployments; disabled in
@@ -96,7 +94,7 @@ struct OverheardAggregate {
 
 /// NodeId -> OverheardAggregate for one propagation round. A dense slot per
 /// node plus an epoch stamp per slot: reset() is O(1) (one epoch bump) and a
-/// round performs no allocation once the slots exist, which an unordered_map
+/// round performs no allocation once the slots exist, which a hash map
 /// cannot offer at ~10^5 aggregate updates per dense-network round.
 class OverheardTable {
  public:

@@ -1,12 +1,34 @@
 #include "core/sdpf.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
 
 #include "support/check.hpp"
 #include "support/log.hpp"
 #include "support/statistics.hpp"
 
 namespace cdpf::core {
+
+namespace {
+
+/// Call fn(host, group) for every host's contiguous particle range, in
+/// ascending host order; `hosts` must be grouped as Sdpf::hosts() is.
+template <typename Fn>
+void for_each_host(const std::vector<wsn::NodeId>& hosts,
+                   std::vector<filters::Particle>& particles, Fn&& fn) {
+  for (std::size_t begin = 0; begin < hosts.size();) {
+    std::size_t end = begin + 1;
+    while (end < hosts.size() && hosts[end] == hosts[begin]) {
+      ++end;
+    }
+    fn(hosts[begin], std::span(particles).subspan(begin, end - begin));
+    begin = end;
+  }
+}
+
+}  // namespace
 
 Sdpf::Sdpf(wsn::Network& network, wsn::Radio& radio, SdpfConfig config)
     : network_(network),
@@ -20,20 +42,24 @@ Sdpf::Sdpf(wsn::Network& network, wsn::Radio& radio, SdpfConfig config)
   CDPF_CHECK_MSG(config_.particles_per_detection > 0,
                  "SDPF needs at least one particle per detection");
   CDPF_CHECK_MSG(config_.initial_weight > 0.0, "initial weight must be positive");
+  CDPF_CHECK_MSG(std::isfinite(config_.prune_threshold) && config_.prune_threshold >= 0.0,
+                 "prune threshold must be finite and non-negative");
 }
 
-void Sdpf::seed_detecting_nodes(const tracking::TargetState& truth, rng::Rng& rng) {
+void Sdpf::seed_detecting_nodes(rng::Rng& rng) {
   // Every node currently detecting the target maintains
   // `particles_per_detection` particles (the paper's "eight particles on
   // each node that detects the target"). Fresh particles take the current
   // mean weight so they join the population without swamping it.
-  const std::size_t count = store_.particle_count();
+  const std::size_t grouped = particles_.size();
   const double fresh_weight =
-      count > 0 ? store_.total_weight() / static_cast<double>(count)
-                : config_.initial_weight;
-  for (const wsn::NodeId id : network_.detecting_nodes(truth.position)) {
-    const std::vector<filters::Particle>* existing = store_.find(id);
-    const std::size_t have = existing ? existing->size() : 0;
+      grouped > 0 ? filters::total_weight(particles_) / static_cast<double>(grouped)
+                  : config_.initial_weight;
+  for (const wsn::NodeId id : detecting_) {
+    const auto [first, last] =
+        std::equal_range(hosts_.begin(),
+                         hosts_.begin() + static_cast<std::ptrdiff_t>(grouped), id);
+    const auto have = static_cast<std::size_t>(last - first);
     if (have >= config_.particles_per_detection) {
       continue;
     }
@@ -47,37 +73,57 @@ void Sdpf::seed_detecting_nodes(const tracking::TargetState& truth, rng::Rng& rn
           rng.gaussian(config_.initial_velocity_mean.x, config_.initial_velocity_sigma),
           rng.gaussian(config_.initial_velocity_mean.y, config_.initial_velocity_sigma)};
       p.weight = fresh_weight;
-      store_.add(id, p);
+      particles_.push_back(p);
+      hosts_.push_back(id);
     }
   }
+  if (particles_.size() > grouped) {
+    regroup_by_host();
+  }
+}
+
+void Sdpf::regroup_by_host() {
+  // (host, index) is a total order, so std::sort is deterministic and keeps
+  // each host's arrival order without std::stable_sort's heap buffer.
+  order_.resize(particles_.size());
+  std::iota(order_.begin(), order_.end(), 0u);
+  std::sort(order_.begin(), order_.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return hosts_[a] != hosts_[b] ? hosts_[a] < hosts_[b] : a < b;
+  });
+  next_particles_.clear();
+  next_hosts_.clear();
+  for (const std::uint32_t i : order_) {
+    next_particles_.push_back(particles_[i]);
+    next_hosts_.push_back(hosts_[i]);
+  }
+  particles_.swap(next_particles_);
+  hosts_.swap(next_hosts_);
 }
 
 void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rng) {
   CDPF_CHECK_MSG(std::isfinite(time), "iteration time must be finite");
-  if (store_.empty()) {
-    seed_detecting_nodes(truth, rng);
-    if (store_.empty()) {
-      return;
-    }
-  } else {
+  network_.active_nodes_within(truth.position, network_.config().sensing_radius,
+                               detecting_);
+  if (!particles_.empty()) {
     // -- 1. Propagation: each host broadcasts its particles (one message
     //    per particle: D_p + D_w) and every particle re-hosts on the
     //    receiver nearest its propagated state. -----------------------
-    MultiParticleStore next;
+    next_particles_.clear();
+    next_hosts_.clear();
     const std::size_t payload = radio_.payloads().particle + radio_.payloads().weight;
-    for (const wsn::NodeId host : store_.sorted_hosts()) {
+    for_each_host(hosts_, particles_, [&](wsn::NodeId host,
+                                          std::span<filters::Particle> group) {
       if (!network_.is_active(host)) {
-        continue;  // dead/sleeping host: its particles are lost
+        return;  // dead/sleeping host: its particles are lost
       }
-      const std::vector<filters::Particle>& list = *store_.find(host);
-      radio_.broadcast(host, wsn::MessageKind::kParticle,
-                       payload * list.size(), receivers_);
+      radio_.broadcast(host, wsn::MessageKind::kParticle, payload * group.size(),
+                       receivers_);
       const geom::Vec2 host_pos = network_.position(host);
       receiver_positions_.clear();
       for (const wsn::NodeId r : receivers_) {
         receiver_positions_.push_back(network_.position(r));
       }
-      for (const filters::Particle& particle : list) {
+      for (const filters::Particle& particle : group) {
         filters::Particle moved{motion_->sample(particle.state, rng), particle.weight};
         // Re-host on the receiver nearest the particle's propagated state;
         // the host keeps it if it is still the nearest candidate. The
@@ -102,31 +148,46 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
               displacement.normalized() * moved.state.velocity.norm();
         }
         moved.state.position = new_pos;
-        next.add(best, moved);
+        next_particles_.push_back(moved);
+        next_hosts_.push_back(best);
       }
-    }
-    store_ = std::move(next);
+    });
+    particles_.swap(next_particles_);
+    hosts_.swap(next_hosts_);
+    regroup_by_host();
     // Drop hosts whose (normalized) mass became negligible at the previous
     // weight update — the pruning happens AFTER they were propagated once,
     // so the paper's per-iteration propagation cost structure (every
-    // detecting node's particles are broadcast) is preserved.
-    store_.prune_hosts_below(config_.prune_threshold);
-    if (store_.empty()) {
-      seed_detecting_nodes(truth, rng);
-      if (store_.empty()) {
+    // detecting node's particles are broadcast) is preserved. Survivors are
+    // compacted in place; the writes never pass the group being read.
+    std::size_t kept = 0;
+    for_each_host(hosts_, particles_, [&](wsn::NodeId host,
+                                          std::span<filters::Particle> group) {
+      if (filters::total_weight(group) < config_.prune_threshold) {
         return;
       }
-    }
+      for (const filters::Particle& p : group) {
+        particles_[kept] = p;
+        hosts_[kept] = host;
+        ++kept;
+      }
+    });
+    particles_.resize(kept);
+    hosts_.resize(kept);
   }
 
-  // Newly detecting nodes without particles seed fresh ones.
-  seed_detecting_nodes(truth, rng);
+  // Detecting nodes without a full list seed fresh particles (every
+  // detecting node, when the set is empty).
+  seed_detecting_nodes(rng);
+  if (particles_.empty()) {
+    return;
+  }
 
   // -- 2. Measurement sharing: detecting nodes broadcast bearings. Only the
   //    receiver count is charged; who hears what is decided geometrically
   //    in step 3. -------------------------------------------------------
   shared_.clear();
-  for (const wsn::NodeId id : network_.detecting_nodes(truth.position)) {
+  for (const wsn::NodeId id : detecting_) {
     const double z = bearing_.measure(network_.true_position(id), truth.position, rng);
     radio_.broadcast_count(id, wsn::MessageKind::kMeasurement,
                            radio_.payloads().measurement);
@@ -137,16 +198,17 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   //    of the measurements it hears, relative to the sender centroid (see
   //    BearingEvidence::host_factor; the same computation as CDPF's
   //    likelihood step). Every particle sits exactly on its host ("motes as
-  //    particles"), so one factor serves the host's whole list. ----------
+  //    particles"), so one factor serves the host's whole group. ---------
   if (!shared_.empty()) {
-    for (const wsn::NodeId host : store_.sorted_hosts()) {
+    for_each_host(hosts_, particles_, [&](wsn::NodeId host,
+                                          std::span<filters::Particle> group) {
       const geom::Vec2 host_pos = network_.position(host);
       const double factor = shared_.host_factor(host_pos);
-      for (filters::Particle& p : *store_.find_mutable(host)) {
+      for (filters::Particle& p : group) {
         CDPF_ASSERT(p.state.position == host_pos);
         p.weight *= factor;
       }
-    }
+    });
   }
 
   // -- 4. Weight aggregation via the global transceiver. ------------------
@@ -155,40 +217,45 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   // the transceiver broadcasts the total ("+2" in the paper's accounting).
   radio_.transceiver_broadcast(wsn::MessageKind::kControl, radio_.payloads().control);
   support::NeumaierSum total_sum;
-  for (const wsn::NodeId host : store_.sorted_hosts()) {
-    const std::vector<filters::Particle>& list = *store_.find(host);
-    total_sum.add(filters::total_weight(list));
+  for_each_host(hosts_, particles_, [&](wsn::NodeId host,
+                                        std::span<filters::Particle> group) {
+    total_sum.add(filters::total_weight(group));
     radio_.send_to_transceiver(host, wsn::MessageKind::kWeight,
-                               radio_.payloads().weight * list.size());
-  }
+                               radio_.payloads().weight * group.size());
+  });
   radio_.transceiver_broadcast(wsn::MessageKind::kAggregate, radio_.payloads().weight);
 
   const double total = total_sum.value();
   if (total <= 0.0) {
     CDPF_LOG_DEBUG("SDPF: total weight vanished at t=" << time << ", reseeding");
-    store_.clear();
+    particles_.clear();
+    hosts_.clear();
     return;
   }
 
   // -- 5. Correction: normalize, estimate, local resampling. --------------
-  store_.normalize(total);
-  pending_estimates_.push_back({store_.estimate(), time});
+  // A division per weight: filters::normalize_weights multiplies by the
+  // reciprocal, which rounds differently.
+  for (filters::Particle& p : particles_) {
+    p.weight /= total;
+  }
+  pending_estimates_.push_back({filters::weighted_mean_state(particles_), time});
 
-  // Local resampling: each host resamples its own list back to its size,
+  // Local resampling: each host resamples its own group back to its size,
   // preserving the local mass (a standard local approximation when the
   // global total, but not the particle states, is shared).
-  for (const wsn::NodeId host : store_.sorted_hosts()) {
-    std::vector<filters::Particle>& list = *store_.find_mutable(host);
-    if (filters::total_weight(list) <= 0.0 || list.size() <= 1) {
-      continue;
+  for_each_host(hosts_, particles_, [&](wsn::NodeId,
+                                        std::span<filters::Particle> group) {
+    if (filters::total_weight(group) <= 0.0 || group.size() <= 1) {
+      return;
     }
-    filters::resample_particles(list, list.size(), config_.resampling, rng,
-                                resample_scratch_);
-  }
+    filters::resample_particles(group, config_.resampling, rng, resample_scratch_);
+  });
 }
 
 std::vector<TimedEstimate> Sdpf::take_estimates() {
-  std::vector<TimedEstimate> out = std::move(pending_estimates_);
+  // Copy-out keeps pending_estimates_' capacity (see Cdpf::take_estimates).
+  std::vector<TimedEstimate> out(pending_estimates_.begin(), pending_estimates_.end());
   pending_estimates_.clear();
   return out;
 }

@@ -23,12 +23,11 @@
 // Total: N_s (D_p + D_m + 2 D_w) — the Table I row for SDPF.
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/batch_kernels.hpp"
-#include "core/node_particle.hpp"
 #include "core/tracker.hpp"
 #include "filters/resampling.hpp"
 #include "tracking/measurement.hpp"
@@ -50,9 +49,6 @@ struct SdpfConfig {
   /// Particles seeded on each newly detecting node (paper: eight).
   std::size_t particles_per_detection = 8;
 
-  /// Position scatter of seeded particles around the detecting node
-  /// (bounded by the sensing radius: the target is somewhere in the disk).
-  double seed_position_sigma = 5.0;
   geom::Vec2 initial_velocity_mean{3.0, 0.0};
   double initial_velocity_sigma = 1.0;
   double initial_weight = 1.0;
@@ -73,10 +69,19 @@ class Sdpf final : public TrackerAlgorithm {
   std::vector<TimedEstimate> take_estimates() override;
   const wsn::CommStats& comm_stats() const override { return radio_.stats(); }
 
-  const MultiParticleStore& particles() const { return store_; }
+  /// The particle set (N_s particles), grouped by host in ascending host
+  /// order; each host keeps its particles in arrival order.
+  const std::vector<filters::Particle>& particles() const { return particles_; }
+  /// hosts()[i] is the node hosting particles()[i] (non-decreasing).
+  const std::vector<wsn::NodeId>& hosts() const { return hosts_; }
 
  private:
-  void seed_detecting_nodes(const tracking::TargetState& truth, rng::Rng& rng);
+  /// Give every detecting node without a full list fresh particles, then
+  /// regroup.
+  void seed_detecting_nodes(rng::Rng& rng);
+  /// Sort the particles by (host, current index): groups them by ascending
+  /// host and keeps each host's particles in arrival order.
+  void regroup_by_host();
 
   wsn::Network& network_;
   wsn::Radio& radio_;
@@ -84,13 +89,19 @@ class Sdpf final : public TrackerAlgorithm {
   std::unique_ptr<const tracking::MotionModel> motion_;
   tracking::BearingMeasurementModel bearing_;
 
-  MultiParticleStore store_;
+  // The particle set as two parallel arrays (see particles() and hosts()).
+  std::vector<filters::Particle> particles_;
+  std::vector<wsn::NodeId> hosts_;
   std::vector<TimedEstimate> pending_estimates_;
 
   // Iteration-local workspaces, members so they stay warm across rounds.
-  BearingEvidence shared_;  // bearings broadcast this iteration
+  std::vector<wsn::NodeId> detecting_;  // this iteration's detecting nodes
+  BearingEvidence shared_;              // bearings broadcast this iteration
   std::vector<wsn::NodeId> receivers_;
   std::vector<geom::Vec2> receiver_positions_;
+  std::vector<filters::Particle> next_particles_;  // propagation / regroup
+  std::vector<wsn::NodeId> next_hosts_;
+  std::vector<std::uint32_t> order_;  // regroup permutation
   filters::ResampleScratch resample_scratch_;
 };
 

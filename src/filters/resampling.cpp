@@ -166,7 +166,11 @@ void resample_particles(std::vector<Particle>& particles, std::size_t count,
   resample_particles(particles, count, scheme, rng, scratch);
 }
 
-void resample_particles(std::vector<Particle>& particles, std::size_t count,
+namespace {
+
+/// Draw `count` equally weighted offspring of `particles` into
+/// `scratch.next`; the shared body of both resample_particles overloads.
+void resample_into_next(std::span<const Particle> particles, std::size_t count,
                         ResamplingScheme scheme, rng::Rng& rng,
                         ResampleScratch& scratch) {
   CDPF_CHECK_MSG(!particles.empty(), "cannot resample an empty particle set");
@@ -182,7 +186,21 @@ void resample_particles(std::vector<Particle>& particles, std::size_t count,
   for (const std::size_t i : scratch.indices) {
     scratch.next.push_back({particles[i].state, equal_weight});
   }
+}
+
+}  // namespace
+
+void resample_particles(std::vector<Particle>& particles, std::size_t count,
+                        ResamplingScheme scheme, rng::Rng& rng,
+                        ResampleScratch& scratch) {
+  resample_into_next(particles, count, scheme, rng, scratch);
   particles.swap(scratch.next);
+}
+
+void resample_particles(std::span<Particle> particles, ResamplingScheme scheme,
+                        rng::Rng& rng, ResampleScratch& scratch) {
+  resample_into_next(particles, particles.size(), scheme, rng, scratch);
+  std::copy(scratch.next.begin(), scratch.next.end(), particles.begin());
 }
 
 }  // namespace cdpf::filters

@@ -73,4 +73,10 @@ void resample_particles(std::vector<Particle>& particles, std::size_t count,
                         ResamplingScheme scheme, rng::Rng& rng,
                         ResampleScratch& scratch);
 
+/// The same resampling of a contiguous range back to its own size, written
+/// in place (for a sub-range of a larger array, such as one SDPF host's
+/// particles).
+void resample_particles(std::span<Particle> particles, ResamplingScheme scheme,
+                        rng::Rng& rng, ResampleScratch& scratch);
+
 }  // namespace cdpf::filters

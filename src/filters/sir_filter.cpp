@@ -89,8 +89,7 @@ bool SirFilter::maybe_resample(rng::Rng& rng) {
       // A = (4 / (d + 2))^(1/(d+4)).
       const double n = static_cast<double>(particles_.size());
       const double a = std::pow(4.0 / 4.0, 1.0 / 6.0);  // d = 2
-      const double shrink =
-          config_.regularization_scale * a * std::pow(n, -1.0 / 6.0);
+      const double shrink = a * std::pow(n, -1.0 / 6.0);
       const PositionCovariance cov = weighted_position_covariance(particles_);
       const double hx = shrink * std::sqrt(std::max(cov.xx, 1e-12));
       const double hy = shrink * std::sqrt(std::max(cov.yy, 1e-12));

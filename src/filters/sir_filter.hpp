@@ -39,8 +39,6 @@ struct SirFilterConfig {
   /// sharper than the proposal — one of the "derivative efforts" the
   /// paper's future work points at (§VIII).
   bool regularize = false;
-  /// Bandwidth multiplier on the Silverman-optimal value.
-  double regularization_scale = 1.0;
 };
 
 class SirFilter {

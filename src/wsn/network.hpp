@@ -59,8 +59,9 @@ struct NetworkConfig {
 /// The deployed field. Node ids are dense [0, size()) in deployment order
 /// and never change after construction; spatial queries return ids in the
 /// grid's global cell-major order, which is deterministic for a given
-/// deployment — algorithm results therefore never depend on hash or
-/// pointer order. Not thread-safe for mutation; const queries may be read
+/// deployment. Trackers walk the sets they keep in ascending node id (no
+/// hash container is used in src/), so algorithm results never depend on
+/// hash or pointer order. Not thread-safe for mutation; const queries may be read
 /// from multiple threads as long as no runtime-state change is concurrent
 /// (active_comm_disk_count is the exception — see its note).
 class Network {

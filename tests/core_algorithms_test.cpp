@@ -2,6 +2,7 @@
 // CDPF-NE) on small controlled scenarios.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 
 #include "core/cdpf.hpp"
@@ -150,13 +151,50 @@ TEST(Sdpf, SeedsEightParticlesPerDetectingNode) {
   const auto truth = truth_at(0.0);
   filter.iterate(truth, 0.0, f.rng);
   const std::size_t detecting = f.network.detecting_nodes(truth.position).size();
-  EXPECT_EQ(filter.particles().particle_count(), 8 * detecting);
+  EXPECT_EQ(filter.particles().size(), 8 * detecting);
+  ASSERT_EQ(filter.hosts().size(), filter.particles().size());
   // All particle positions coincide with their host node ("motes as
   // particles").
-  for (const auto& [host, list] : filter.particles().by_host()) {
-    for (const auto& p : list) {
-      EXPECT_EQ(p.state.position, f.network.position(host));
+  for (std::size_t i = 0; i < filter.particles().size(); ++i) {
+    EXPECT_EQ(filter.particles()[i].state.position,
+              f.network.position(filter.hosts()[i]));
+  }
+}
+
+// SDPF prunes whole hosts, never single particles: a host whose summed
+// normalized mass is below prune_threshold loses its entire list. With the
+// threshold at 1 every host of the propagated set is light, so after each
+// iteration only the reseeded detecting nodes remain, each with a full list
+// of particles_per_detection; with no pruning, propagated particles also sit
+// on nodes that do not detect the target. Either way the correction leaves
+// unit total mass.
+TEST(Sdpf, PruneDropsWholeLightHosts) {
+  for (const double threshold : {1.0, 0.0}) {
+    Fixture f(723);
+    SdpfConfig config;
+    config.prune_threshold = threshold;
+    Sdpf filter(f.network, f.radio, config);
+    bool saw_non_detecting_host = false;
+    for (int k = 0; k <= 4; ++k) {
+      const auto truth = truth_at(5.0 * k);
+      filter.iterate(truth, 5.0 * k, f.rng);
+      EXPECT_NEAR(filters::total_weight(filter.particles()), 1.0, 1e-12);
+      std::vector<wsn::NodeId> detecting = f.network.detecting_nodes(truth.position);
+      std::sort(detecting.begin(), detecting.end());
+      std::vector<wsn::NodeId> expected_hosts;
+      for (const wsn::NodeId id : detecting) {
+        expected_hosts.insert(expected_hosts.end(), config.particles_per_detection, id);
+      }
+      if (threshold > 0.0) {
+        EXPECT_EQ(filter.hosts(), expected_hosts) << "t=" << 5.0 * k;
+      } else {
+        for (const wsn::NodeId host : filter.hosts()) {
+          saw_non_detecting_host |=
+              !std::binary_search(detecting.begin(), detecting.end(), host);
+        }
+      }
     }
+    EXPECT_EQ(saw_non_detecting_host, threshold == 0.0);
   }
 }
 
@@ -193,7 +231,8 @@ class SdpfHostInvariant : public ::testing::TestWithParam<SdpfEnvironment> {};
 // host's position(), which seeding, re-hosting and local resampling all
 // preserve; check it after every iteration at density 40, on true
 // positions, under a 50% duty cycle with TDSS wake-ups, and on believed
-// positions.
+// positions. Every per-host step also walks the particles as contiguous
+// host groups in ascending host order, so hosts() must stay non-decreasing.
 TEST_P(SdpfHostInvariant, ParticlesSitExactlyOnTheirHost) {
   Fixture f(733, 16000);
   const SdpfEnvironment environment = GetParam();
@@ -216,17 +255,19 @@ TEST_P(SdpfHostInvariant, ParticlesSitExactlyOnTheirHost) {
       f.network.set_power(f.network.sink(), wsn::PowerState::kAwake);
     }
     filter.iterate(truth, t, f.rng);
-    for (const auto& [host, list] : filter.particles().by_host()) {
-      const geom::Vec2 host_pos = f.network.position(host);
-      for (const filters::Particle& p : list) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.state.position.x),
-                  std::bit_cast<std::uint64_t>(host_pos.x))
-            << "host " << host << " at t=" << t;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.state.position.y),
-                  std::bit_cast<std::uint64_t>(host_pos.y))
-            << "host " << host << " at t=" << t;
-        ++checked;
-      }
+    const std::vector<wsn::NodeId>& hosts = filter.hosts();
+    ASSERT_EQ(hosts.size(), filter.particles().size());
+    ASSERT_TRUE(std::is_sorted(hosts.begin(), hosts.end())) << "t=" << t;
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      const geom::Vec2 host_pos = f.network.position(hosts[i]);
+      const filters::Particle& p = filter.particles()[i];
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(p.state.position.x),
+                std::bit_cast<std::uint64_t>(host_pos.x))
+          << "host " << hosts[i] << " at t=" << t;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(p.state.position.y),
+                std::bit_cast<std::uint64_t>(host_pos.y))
+          << "host " << hosts[i] << " at t=" << t;
+      ++checked;
     }
   }
   EXPECT_GT(checked, 0u);

@@ -3,7 +3,9 @@
 // heap at all — for CDPF and CDPF-NE alike, including the propagation
 // round, the weight-assignment step, and the sink report. The same holds
 // for CentralizedPf::iterate(): detection, the convergecast, the SIR update
-// and resampling. The test swaps in counting replacements for the global
+// and resampling; and for Sdpf::iterate(): propagation and re-hosting, the
+// regroup by host, pruning, seeding, the transceiver round and local
+// resampling. The test swaps in counting replacements for the global
 // allocation functions and asserts the counter stays at zero across
 // measured iterations.
 //
@@ -21,6 +23,7 @@
 
 #include "core/cdpf.hpp"
 #include "core/cpf.hpp"
+#include "core/sdpf.hpp"
 #include "tracking/measurement.hpp"
 #include "wsn/deployment.hpp"
 
@@ -160,12 +163,50 @@ std::size_t cpf_steady_state_allocations(std::optional<std::size_t> levels) {
   return g_allocations.load();
 }
 
+/// Allocations performed inside Sdpf::iterate() after a warm-up phase.
+std::size_t sdpf_steady_state_allocations() {
+  rng::Rng rng(424242);
+  const geom::Aabb field = geom::Aabb::square(200.0);
+  const auto positions = wsn::deploy_uniform_random(
+      wsn::node_count_for_density(20.0, field), field, rng);
+  wsn::Network network(positions, wsn::NetworkConfig{field, 10.0, 30.0});
+  wsn::Radio radio(network, wsn::PayloadSizes{});
+
+  core::SdpfConfig config;
+  config.dt = kDt;
+  core::Sdpf filter(network, radio, config);
+  auto truth = [](int step) {
+    const double t = kDt * static_cast<double>(step);
+    return tracking::TargetState{{60.0 + 3.0 * t, 100.0}, {3.0, 0.0}};
+  };
+
+  for (int step = 0; step < kWarmupSteps; ++step) {
+    filter.iterate(truth(step), kDt * static_cast<double>(step), rng);
+    (void)filter.take_estimates();
+  }
+  EXPECT_FALSE(filter.particles().empty()) << "warm-up lost the track";
+
+  g_allocations.store(0);
+  for (int step = kWarmupSteps; step < kWarmupSteps + kMeasuredSteps; ++step) {
+    g_counting.store(true);
+    filter.iterate(truth(step), kDt * static_cast<double>(step), rng);
+    g_counting.store(false);
+    (void)filter.take_estimates();
+  }
+  EXPECT_FALSE(filter.particles().empty()) << "measured phase lost the track";
+  return g_allocations.load();
+}
+
 TEST(SteadyStateAllocation, CpfIterationIsAllocationFree) {
   EXPECT_EQ(cpf_steady_state_allocations(std::nullopt), 0u);
 }
 
 TEST(SteadyStateAllocation, DpfIterationIsAllocationFree) {
   EXPECT_EQ(cpf_steady_state_allocations(256), 0u);
+}
+
+TEST(SteadyStateAllocation, SdpfIterationIsAllocationFree) {
+  EXPECT_EQ(sdpf_steady_state_allocations(), 0u);
 }
 
 TEST(SteadyStateAllocation, CdpfIterationIsAllocationFree) {

@@ -99,7 +99,7 @@ TEST(CostModel, MeasuredSdpfIterationMatchesFormula) {
   // particle propagation yet.
   EXPECT_EQ(radio.stats().messages(wsn::MessageKind::kParticle), 0u);
   const std::size_t iter0_bytes = radio.stats().total_bytes();
-  const std::size_t ns0 = filter.particles().particle_count();
+  const std::size_t ns0 = filter.particles().size();
   const std::size_t nd0 = net.detecting_nodes(t0.position).size();
   // iter0 = Nd*Dm + Ns*Dw + query + total == sdpf_cost - Ns(Dp+Dw).
   EXPECT_EQ(iter0_bytes, sdpf_cost_bytes(ns0, nd0, paper_payloads()) -
@@ -108,7 +108,7 @@ TEST(CostModel, MeasuredSdpfIterationMatchesFormula) {
   filter.iterate(t1, 5.0, rng);
   // Second iteration propagates the ns0 particles from iteration 0 and does
   // a full share/aggregate round for the (possibly reseeded) population.
-  const std::size_t ns1 = filter.particles().particle_count();
+  const std::size_t ns1 = filter.particles().size();
   const std::size_t nd1 = net.detecting_nodes(t1.position).size();
   const std::size_t expected =
       iter0_bytes + ns0 * (paper_payloads().particle + paper_payloads().weight) +

@@ -1,4 +1,4 @@
-// Unit tests for the particles-on-nodes stores (combine/divide disciplines).
+// Unit tests for CDPF's particles-on-nodes store (the combine discipline).
 #include <gtest/gtest.h>
 
 #include "core/node_particle.hpp"
@@ -94,53 +94,6 @@ TEST(ParticleStore, ZeroWeightCombinationKeepsVelocityFinite) {
   store.add(0, {2.0, 2.0}, 0.0);
   EXPECT_DOUBLE_EQ(store.find(0)->weight, 0.0);
   EXPECT_TRUE(std::isfinite(store.find(0)->velocity.x));
-}
-
-TEST(MultiParticleStore, KeepsDistinctParticlesPerHost) {
-  MultiParticleStore store;
-  store.add(5, {{{1.0, 1.0}, {1.0, 0.0}}, 0.5});
-  store.add(5, {{{2.0, 2.0}, {0.0, 1.0}}, 0.25});
-  store.add(7, {{{3.0, 3.0}, {1.0, 1.0}}, 0.25});
-  EXPECT_EQ(store.host_count(), 2u);
-  EXPECT_EQ(store.particle_count(), 3u);
-  ASSERT_NE(store.find(5), nullptr);
-  EXPECT_EQ(store.find(5)->size(), 2u);
-  EXPECT_EQ(store.find(9), nullptr);
-}
-
-TEST(MultiParticleStore, NormalizeAndEstimate) {
-  MultiParticleStore store;
-  store.add(0, {{{0.0, 0.0}, {}}, 1.0});
-  store.add(1, {{{4.0, 0.0}, {}}, 3.0});
-  store.normalize(4.0);
-  EXPECT_NEAR(store.total_weight(), 1.0, 1e-15);
-  EXPECT_DOUBLE_EQ(store.estimate().position.x, 3.0);
-}
-
-TEST(MultiParticleStore, PruneDropsWholeLightHosts) {
-  MultiParticleStore store;
-  store.add(0, {{{0.0, 0.0}, {}}, 0.4});
-  store.add(0, {{{0.0, 0.0}, {}}, 0.4});
-  store.add(1, {{{0.0, 0.0}, {}}, 0.05});
-  EXPECT_EQ(store.prune_hosts_below(0.1), 1u);
-  EXPECT_TRUE(store.contains(0));
-  EXPECT_FALSE(store.contains(1));
-}
-
-TEST(MultiParticleStore, SortedConversionIsDeterministic) {
-  MultiParticleStore store;
-  store.add(9, {{{9.0, 0.0}, {}}, 1.0});
-  store.add(1, {{{1.0, 0.0}, {}}, 1.0});
-  ASSERT_EQ(store.sorted_hosts(), (std::vector<wsn::NodeId>{1, 9}));
-  ASSERT_EQ(store.find(1)->size(), 1u);
-  EXPECT_DOUBLE_EQ(store.find(1)->front().state.position.x, 1.0);
-  EXPECT_DOUBLE_EQ(store.find(9)->front().state.position.x, 9.0);
-}
-
-TEST(MultiParticleStore, EstimateRequiresMass) {
-  MultiParticleStore store;
-  store.add(0, {{{0.0, 0.0}, {}}, 0.0});
-  EXPECT_THROW(store.estimate(), Error);
 }
 
 }  // namespace

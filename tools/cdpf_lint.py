@@ -22,6 +22,14 @@ compiler warnings) cannot express:
                        cdpf::support::NeumaierSum / weight_total so the
                        rounding error stays independent of particle count.
 
+  ordered-containers   No std::unordered_map / std::unordered_set (or their
+                       multi- forms) in src/. Their iteration order is
+                       implementation-defined, and the determinism contract
+                       (bit-identical results on any standard library) needs
+                       every order that reaches an RNG draw, a sum or an
+                       output to be chosen by the code: use a sorted vector,
+                       a dense id-indexed array or std::map instead.
+
   example-includes     examples/ may only use the library's public surface:
                        no library-internal headers (support/check.hpp,
                        support/log.hpp) and no `detail/` headers.
@@ -61,6 +69,8 @@ WEIGHT_ACCUM_RE = re.compile(
 )
 
 RAND_RE = re.compile(r"(?<![\w:])(?:std::)?(?:s?rand)\s*\(")
+
+UNORDERED_RE = re.compile(r"\bstd::unordered_(?:multi)?(?:map|set)\b")
 
 INTERNAL_HEADERS_RE = re.compile(
     r'#\s*include\s+"(?:support/check\.hpp|support/log\.hpp|[^"]*/detail/[^"]*)"'
@@ -108,6 +118,19 @@ def lint_no_std_rand(path: pathlib.Path, lines: list[str]) -> list[Finding]:
             findings.append(
                 Finding(path, i + 1, "no-std-rand",
                         "rand()/srand() is banned; use cdpf::rng streams"))
+    return findings
+
+
+def lint_ordered_containers(path: pathlib.Path, lines: list[str]) -> list[Finding]:
+    findings = []
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]
+        if UNORDERED_RE.search(code) and not allowed(lines, i, "ordered-containers"):
+            findings.append(
+                Finding(path, i + 1, "ordered-containers",
+                        "hash containers iterate in an implementation-defined "
+                        "order; use a sorted vector, an id-indexed array or "
+                        "std::map"))
     return findings
 
 
@@ -272,6 +295,7 @@ def main() -> int:
             (root / "src").rglob("*.hpp")):
         lines = path.read_text().splitlines()
         findings += lint_weight_accumulation(path.relative_to(root), lines)
+        findings += lint_ordered_containers(path.relative_to(root), lines)
 
     for path in sorted((root / "examples").glob("*.cpp")):
         lines = path.read_text().splitlines()
