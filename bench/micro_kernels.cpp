@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the simulator's hot kernels:
-// resampling, spatial queries, particle propagation, the two CDPF
-// weight-assignment kernels, and one full filter iteration per algorithm.
+// resampling, spatial queries, particle propagation, the bearing likelihood
+// (a SIR update and CDPF's host factor), the two CDPF weight-assignment
+// kernels, and one full filter iteration per algorithm.
 //
 // Beyond the stock google-benchmark flags, `--json=PATH` writes a
 // cdpf-bench/1 report (see bench_report.hpp) for tools/bench_compare.py.
@@ -21,6 +22,7 @@
 #include "filters/sir_filter.hpp"
 #include "geom/grid_index.hpp"
 #include "sim/experiment.hpp"
+#include "tracking/measurement.hpp"
 #include "wsn/deployment.hpp"
 
 namespace {
@@ -112,6 +114,42 @@ void BM_SirFilterIteration(benchmark::State& state) {
                           static_cast<std::int64_t>(particles * sensors.records().size()));
 }
 BENCHMARK(BM_SirFilterIteration)->Arg(100)->Arg(1000)->Arg(10000)->ArgName("particles");
+
+/// CDPF's weight factor at its density-40 load: each node within r_s of a
+/// prediction 2 m off the target hosts particles and scores the bearings of
+/// the ~124 detecting sensors through BearingEvidence::host_factor, gated
+/// at r_c = 30 m (every sender is heard). Items are (host, sensor) pairs,
+/// so 1 / items_per_second is the cost per pair.
+void BM_BearingHostFactor(benchmark::State& state) {
+  rng::Rng rng(6);
+  sim::Scenario scenario;
+  scenario.density_per_100m2 = 40.0;
+  const wsn::Network network = sim::build_network(scenario, rng);
+  const core::CdpfConfig config;
+  core::BearingEvidence evidence(
+      config.sigma_bearing, core::quantization_length(config.position_quantization_m, network),
+      network.config().comm_radius);
+  const tracking::BearingMeasurementModel bearing(config.sigma_bearing);
+  const geom::Vec2 target{100.0, 100.0};
+  for (const wsn::NodeId id : network.detecting_nodes(target)) {
+    evidence.add(network.position(id), bearing.measure(network.position(id), target, rng));
+  }
+  std::vector<geom::Vec2> hosts;
+  for (const wsn::NodeId id :
+       network.nodes_within({101.5, 99.0}, network.config().sensing_radius)) {
+    hosts.push_back(network.position(id));
+  }
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (const geom::Vec2 host : hosts) {
+      sum += evidence.host_factor(host);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(hosts.size() * evidence.records().size()));
+}
+BENCHMARK(BM_BearingHostFactor);
 
 /// Build a CDPF (or CDPF-NE) filter warmed up on a short straight track, so
 /// the store, prediction, and scratch buffers reflect steady-state tracking

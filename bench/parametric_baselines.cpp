@@ -9,6 +9,7 @@
 #include <cmath>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/batch_kernels.hpp"
@@ -16,17 +17,26 @@
 #include "filters/ekf.hpp"
 #include "filters/ukf.hpp"
 #include "support/statistics.hpp"
+#include "tracking/measurement.hpp"
 
 namespace {
 
 using namespace cdpf;
+
+/// One step's bearings in the two forms the estimators take: the raw
+/// observations (Kalman family) and the shared bearing likelihood
+/// (particle family).
+struct Observations {
+  std::vector<tracking::BearingObservation> raw;
+  core::BearingEvidence evidence{0.05, 0.5};  // sigma 0.05 rad, 0.5 m resolution
+};
 
 /// Drive one centralized estimator over the paper scenario; returns RMSE.
 /// The estimator is abstracted as three callbacks so the same loop serves
 /// the Kalman-family and particle-family baselines.
 struct Estimator {
   std::function<void()> predict;
-  std::function<void(const core::BearingEvidence&, rng::Rng&)> update;
+  std::function<void(const Observations&, rng::Rng&)> update;
   std::function<tracking::TargetState()> estimate;
 };
 
@@ -38,19 +48,20 @@ double run_estimator_trial(const sim::Scenario& scenario, std::uint64_t seed,
   const tracking::Trajectory trajectory =
       tracking::generate_random_turn_trajectory(scenario.trajectory, rng);
   const tracking::BearingMeasurementModel bearing(0.05);
-  // The trackers' bearing likelihood: sigma 0.05 rad inflated by a 0.5 m
-  // spatial resolution.
-  core::BearingEvidence observations(0.05, 0.5);
+  Observations observations;
   Estimator estimator = make(rng);
 
   support::RunningStats sq_errors;
   for (double time = 1.0; time <= trajectory.duration() + 1e-9; time += 1.0) {
     const tracking::TargetState truth = trajectory.at_time(time);
     estimator.predict();
-    observations.clear();
+    observations.raw.clear();
+    observations.evidence.clear();
     for (const wsn::NodeId id : network.detecting_nodes(truth.position)) {
-      observations.add(network.position(id),
-                       bearing.measure(network.position(id), truth.position, rng));
+      const geom::Vec2 sensor = network.position(id);
+      const double z = bearing.measure(sensor, truth.position, rng);
+      observations.raw.push_back({sensor, z});
+      observations.evidence.add(sensor, z);
     }
     estimator.update(observations, rng);
     const double e = geom::distance(estimator.estimate().position, truth.position);
@@ -91,7 +102,7 @@ int main(int argc, char** argv) {
            auto ekf = std::make_shared<filters::BearingsOnlyEkf>(
                tracking::ConstantVelocityModel(1.0, 0.6, 0.6), 0.05, prior, p0);
            return Estimator{[ekf] { ekf->predict(); },
-                            [ekf](const auto& obs, rng::Rng&) { ekf->update(obs.records()); },
+                            [ekf](const auto& obs, rng::Rng&) { ekf->update(obs.raw); },
                             [ekf] { return ekf->estimate(); }};
          }},
         {"UKF (unscented)",
@@ -99,7 +110,7 @@ int main(int argc, char** argv) {
            auto ukf = std::make_shared<filters::BearingsOnlyUkf>(
                tracking::ConstantVelocityModel(1.0, 0.6, 0.6), 0.05, prior, p0);
            return Estimator{[ukf] { ukf->predict(); },
-                            [ukf](const auto& obs, rng::Rng&) { ukf->update(obs.records()); },
+                            [ukf](const auto& obs, rng::Rng&) { ukf->update(obs.raw); },
                             [ukf] { return ukf->estimate(); }};
          }},
         {"SIR PF (1000 particles)",
@@ -112,9 +123,9 @@ int main(int argc, char** argv) {
                [pf]() {},
                [pf](const auto& obs, rng::Rng& rng2) {
                  pf->predict(rng2);
-                 if (!obs.empty()) {
+                 if (!obs.evidence.empty()) {
                    pf->update([&](const tracking::TargetState& s) {
-                     return obs.log_likelihood(s.position);
+                     return obs.evidence.log_likelihood(s.position);
                    });
                    pf->maybe_resample(rng2);
                  }
@@ -129,11 +140,11 @@ int main(int argc, char** argv) {
            return Estimator{
                [apf]() {},
                [apf](const auto& obs, rng::Rng& rng2) {
-                 if (obs.empty()) {
+                 if (obs.evidence.empty()) {
                    apf->predict_only(rng2);
                  } else {
                    apf->step([&](const tracking::TargetState& s) {
-                     return obs.log_likelihood(s.position);
+                     return obs.evidence.log_likelihood(s.position);
                    },
                              rng2);
                  }

@@ -13,8 +13,7 @@ namespace {
 constexpr double kLogSqrt2Pi = 0.9189385332046727;  // log(sqrt(2*pi))
 }
 
-BearingMeasurementModel::BearingMeasurementModel(double sigma_rad)
-    : sigma_(sigma_rad), log_norm_(-std::log(sigma_rad) - kLogSqrt2Pi) {
+BearingMeasurementModel::BearingMeasurementModel(double sigma_rad) : sigma_(sigma_rad) {
   CDPF_CHECK_MSG(sigma_rad > 0.0, "bearing noise sigma must be positive");
 }
 
@@ -25,18 +24,6 @@ double BearingMeasurementModel::ideal(geom::Vec2 sensor, geom::Vec2 target) cons
 double BearingMeasurementModel::measure(geom::Vec2 sensor, geom::Vec2 target,
                                         rng::Rng& rng) const {
   return geom::wrap_angle(ideal(sensor, target) + rng.gaussian(0.0, sigma_));
-}
-
-double BearingMeasurementModel::log_likelihood(double z, geom::Vec2 sensor,
-                                               geom::Vec2 target) const {
-  const double residual = geom::angle_difference(z, ideal(sensor, target));
-  const double u = residual / sigma_;
-  return log_norm_ - 0.5 * u * u;
-}
-
-double BearingMeasurementModel::likelihood(double z, geom::Vec2 sensor,
-                                           geom::Vec2 target) const {
-  return std::exp(log_likelihood(z, sensor, target));
 }
 
 RssMeasurementModel::RssMeasurementModel(Params params)

@@ -21,6 +21,8 @@ struct BearingObservation {
 };
 
 /// z = atan2(ty - sy, tx - sx) + n,  n ~ N(0, sigma^2), wrapped to (-pi, pi].
+/// Its likelihood, normal in the wrapped residual and optionally inflated
+/// by a spatial resolution, is scored by core::BearingEvidence.
 class BearingMeasurementModel {
  public:
   explicit BearingMeasurementModel(double sigma_rad);
@@ -33,18 +35,8 @@ class BearingMeasurementModel {
   /// Noisy measurement draw.
   double measure(geom::Vec2 sensor, geom::Vec2 target, rng::Rng& rng) const;
 
-  /// Likelihood p(z | target position) for a sensor at `sensor`. The
-  /// residual is the wrapped angular difference; the density is the normal
-  /// pdf evaluated at it (an accurate approximation of the wrapped normal
-  /// for the paper's sigma = 0.05 rad).
-  double likelihood(double z, geom::Vec2 sensor, geom::Vec2 target) const;
-
-  /// log of likelihood(); preferred when multiplying many terms.
-  double log_likelihood(double z, geom::Vec2 sensor, geom::Vec2 target) const;
-
  private:
   double sigma_;
-  double log_norm_;  // -log(sigma * sqrt(2 pi))
 };
 
 /// Received-signal-strength model with log-distance path loss:

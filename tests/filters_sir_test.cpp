@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 
+#include "core/batch_kernels.hpp"
 #include "filters/sir_filter.hpp"
 #include "support/check.hpp"
 #include "tracking/measurement.hpp"
@@ -106,7 +107,11 @@ TEST(SirFilter, TracksStaticTargetWithBearings) {
   // concentrate near the truth within a few iterations.
   const tracking::BearingMeasurementModel bearing(0.05);
   const geom::Vec2 truth{50.0, 50.0};
-  const geom::Vec2 sensors[] = {{30.0, 30.0}, {70.0, 30.0}, {50.0, 80.0}};
+  core::BearingEvidence evidence(0.05, 0.0);  // no inflation: the plain Gaussian
+  for (const geom::Vec2 sensor :
+       {geom::Vec2{30.0, 30.0}, geom::Vec2{70.0, 30.0}, geom::Vec2{50.0, 80.0}}) {
+    evidence.add(sensor, bearing.ideal(sensor, truth));
+  }
 
   SirFilterConfig config;
   config.num_particles = 2000;
@@ -115,13 +120,8 @@ TEST(SirFilter, TracksStaticTargetWithBearings) {
   filter.initialize({{45.0, 55.0}, {0.0, 0.0}}, {10.0, 10.0}, {0.1, 0.1}, rng);
   for (int k = 0; k < 10; ++k) {
     filter.predict(rng);
-    filter.update([&](const tracking::TargetState& s) {
-      double ll = 0.0;
-      for (const geom::Vec2 sensor : sensors) {
-        ll += bearing.log_likelihood(bearing.ideal(sensor, truth), sensor, s.position);
-      }
-      return ll;
-    });
+    filter.update(
+        [&](const tracking::TargetState& s) { return evidence.log_likelihood(s.position); });
     filter.maybe_resample(rng);
   }
   EXPECT_NEAR(geom::distance(filter.estimate().position, truth), 0.0, 1.0);

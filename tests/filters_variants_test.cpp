@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 
+#include "core/batch_kernels.hpp"
 #include "filters/auxiliary.hpp"
 #include "geom/angles.hpp"
 #include "filters/ekf.hpp"
@@ -84,13 +85,13 @@ TEST(Ukf, SkipsDegenerateSensorGeometry) {
 TEST(Apf, ConcentratesOnSharpLikelihoodFasterThanBlindPropagation) {
   const tracking::BearingMeasurementModel bearing(0.05);
   const geom::Vec2 truth{50.0, 50.0};
-  const geom::Vec2 sensors[] = {{20.0, 20.0}, {80.0, 20.0}, {50.0, 85.0}};
+  core::BearingEvidence evidence(0.05, 0.0);  // no inflation: the plain Gaussian
+  for (const geom::Vec2 sensor :
+       {geom::Vec2{20.0, 20.0}, geom::Vec2{80.0, 20.0}, geom::Vec2{50.0, 85.0}}) {
+    evidence.add(sensor, bearing.ideal(sensor, truth));
+  }
   auto log_likelihood = [&](const tracking::TargetState& s) {
-    double ll = 0.0;
-    for (const geom::Vec2 sensor : sensors) {
-      ll += bearing.log_likelihood(bearing.ideal(sensor, truth), sensor, s.position);
-    }
-    return ll;
+    return evidence.log_likelihood(s.position);
   };
 
   filters::AuxiliaryFilterConfig config;

@@ -2,8 +2,12 @@
 // ground-truth trajectories, measurement models and detection models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "core/batch_kernels.hpp"
 #include "geom/angles.hpp"
@@ -185,24 +189,93 @@ TEST(BearingModel, IdealBearingGeometry) {
   EXPECT_NEAR(m.ideal({2.0, 0.0}, {1.0, 0.0}), geom::kPi, 1e-12);
 }
 
+// The per-pair libm evaluation of the bearing likelihood, one atan2 and one
+// log per pair: the oracle core::BearingEvidence is held to. The kernel
+// evaluates the same model with a rational arctangent and one log of a
+// product of precisions, so the two agree up to rounding.
+double oracle_pair(double z, double dx, double dy, double d2,
+                   const core::BearingBatchParams& params) {
+  const double residual = geom::angle_difference(z, std::atan2(dy, dx));
+  const double sigma_sq = params.sigma0_sq + params.delta_sq / std::max(d2, params.floor_sq);
+  return -0.5 * std::log(sigma_sq) - core::kLogSqrt2Pi - 0.5 * residual * residual / sigma_sq;
+}
+
+// Bearings added to a BearingEvidence and kept, as measured, beside it: the
+// oracle scores the bearings themselves, not the kernel's stored form of
+// them.
+struct ScoredBearings {
+  core::BearingEvidence evidence;
+  std::vector<BearingObservation> observations;
+
+  explicit ScoredBearings(double sigma0, double delta,
+                          double comm_radius = std::numeric_limits<double>::infinity())
+      : evidence(sigma0, delta, comm_radius) {}
+  void add(geom::Vec2 sensor, double z) {
+    evidence.add(sensor, z);
+    observations.push_back({sensor, z});
+  }
+  void clear() {
+    evidence.clear();
+    observations.clear();
+  }
+};
+
+// The oracle's sum over the bearings within `gate_sq` of p, and the sum of
+// the magnitudes of its terms, which scales the rounding the kernel may
+// differ by: 64 eps per unit of sum_k |l_k|.
+struct OracleSum {
+  double value = 0.0;
+  double magnitude = 0.0;
+  double tolerance() const { return 64.0 * std::numeric_limits<double>::epsilon() * magnitude; }
+};
+
+OracleSum oracle_sum(const ScoredBearings& bearings, geom::Vec2 p,
+                     const core::BearingBatchParams& params,
+                     double gate_sq = std::numeric_limits<double>::infinity()) {
+  OracleSum sum;
+  for (const BearingObservation& o : bearings.observations) {
+    const double dx = p.x - o.sensor.x;
+    const double dy = p.y - o.sensor.y;
+    const double d2 = dx * dx + dy * dy;
+    if (d2 <= gate_sq) {
+      const double l = oracle_pair(o.bearing_rad, dx, dy, d2, params);
+      sum.value += l;
+      sum.magnitude += std::abs(l);
+    }
+  }
+  return sum;
+}
+
+// log_likelihood(p) of a single record, against the oracle.
+double single_record(double sigma0, double delta, geom::Vec2 sensor, double z, geom::Vec2 p) {
+  ScoredBearings bearings(sigma0, delta);
+  bearings.add(sensor, z);
+  const OracleSum oracle = oracle_sum(bearings, p, core::BearingBatchParams(sigma0, delta));
+  const double value = bearings.evidence.log_likelihood(p);
+  EXPECT_NEAR(value, oracle.value, oracle.tolerance())
+      << "sensor (" << sensor.x << ", " << sensor.y << "), z " << z << ", p (" << p.x << ", "
+      << p.y << ")";
+  return value;
+}
+
 TEST(BearingModel, LikelihoodPeaksAtTruth) {
   const BearingMeasurementModel m(0.05);
   const geom::Vec2 sensor{0.0, 0.0};
   const geom::Vec2 truth{10.0, 0.0};
   const double z = m.ideal(sensor, truth);
-  EXPECT_GT(m.likelihood(z, sensor, truth), m.likelihood(z, sensor, {10.0, 1.0}));
-  EXPECT_GT(m.log_likelihood(z, sensor, truth),
-            m.log_likelihood(z, sensor, {10.0, 0.5}));
+  EXPECT_GT(single_record(0.05, 0.0, sensor, z, truth),
+            single_record(0.05, 0.0, sensor, z, {10.0, 1.0}));
+  EXPECT_GT(single_record(0.05, 0.0, sensor, z, truth),
+            single_record(0.05, 0.0, sensor, z, {10.0, 0.5}));
 }
 
 TEST(BearingModel, ResidualWrapsAcrossSeam) {
-  const BearingMeasurementModel m(0.1);
   const geom::Vec2 sensor{0.0, 0.0};
   // Target just below the -x axis: bearing ~ -pi; measurement ~ +pi.
   const double z = geom::kPi - 0.01;
   const geom::Vec2 target{-10.0, -0.05};
   // Without wrapping the residual would be ~2*pi and the density ~0.
-  EXPECT_GT(m.log_likelihood(z, sensor, target), -10.0);
+  EXPECT_GT(single_record(0.1, 0.0, sensor, z, target), -10.0);
 }
 
 TEST(BearingModel, MeasurementNoiseStatistics) {
@@ -229,77 +302,171 @@ TEST(BearingModel, InflatedSigmaFlattensRelativePenalty) {
   const BearingMeasurementModel m(0.05);
   const geom::Vec2 sensor{0.0, 0.0}, truth{10.0, 0.0}, off{10.0, 1.0};
   const double z = m.ideal(sensor, truth);
-  const auto kernel = [&](geom::Vec2 p, const core::BearingBatchParams& params) {
-    const double dx = p.x - sensor.x;
-    const double dy = p.y - sensor.y;
-    return core::bearing_pair_log_likelihood(z, dx, dy, dx * dx + dy * dy, params);
+  const auto kernel = [&](geom::Vec2 p, double delta) {
+    return single_record(0.05, delta, sensor, z, p);
   };
-  // Without inflation the kernel is the measurement model's density.
-  const core::BearingBatchParams sharp(0.05, 0.0);
-  EXPECT_NEAR(kernel(off, sharp), m.log_likelihood(z, sensor, off), 1e-12);
-  const double sharp_gap = kernel(truth, sharp) - kernel(off, sharp);
-  const core::BearingBatchParams inflated(0.05, 5.0);  // delta / d = 0.5 rad at 10 m
-  const double flat_gap = kernel(truth, inflated) - kernel(off, inflated);
+  // Without inflation the kernel is the plain normal density of the
+  // wrapped residual.
+  const double residual = geom::angle_difference(z, m.ideal(sensor, off));
+  EXPECT_NEAR(kernel(off, 0.0),
+              -std::log(0.05) - core::kLogSqrt2Pi - 0.5 * residual * residual / 0.0025, 1e-12);
+  const double sharp_gap = kernel(truth, 0.0) - kernel(off, 0.0);
+  const double flat_gap = kernel(truth, 5.0) - kernel(off, 5.0);  // delta / d = 0.5 rad at 10 m
   EXPECT_GT(sharp_gap, flat_gap);
   EXPECT_GT(flat_gap, 0.0);  // still prefers the truth
   EXPECT_THROW(core::BearingBatchParams(0.0, 5.0), Error);
+  // Every precision must stay inside the range the precision product relies on.
+  EXPECT_THROW(core::BearingBatchParams(1e-61, 5.0), Error);
+  EXPECT_THROW(core::BearingBatchParams(1.01e3, 5.0), Error);
+  EXPECT_NO_THROW(core::BearingBatchParams(1e-60, 1e60));
+  EXPECT_NO_THROW(core::BearingBatchParams(1e3, 1e60));
+  // A nonzero delta whose square underflows would make the precision at
+  // d = 0 a 0 / 0; the smallest accepted one keeps it at 1 / (sigma0^2 + 1).
+  EXPECT_THROW(core::BearingBatchParams(0.05, 1e-200), Error);
+  EXPECT_THROW(core::BearingBatchParams(0.05, 1e-101), Error);
+  for (const double sigma0 : {1e-60, 0.05, 1e3}) {
+    const double on_sensor = single_record(sigma0, 1e-100, sensor, 0.4, sensor);
+    const double sigma_sq = sigma0 * sigma0 + 1.0;
+    EXPECT_NEAR(on_sensor, -0.5 * std::log(sigma_sq) - core::kLogSqrt2Pi - 0.08 / sigma_sq,
+                1e-12 * (1.0 + std::abs(std::log(sigma_sq))))
+        << "sigma0 " << sigma0;
+  }
+  EXPECT_THROW(core::BearingBatchParams(0.05, std::numeric_limits<double>::infinity()), Error);
+  EXPECT_THROW(core::BearingBatchParams(0.05, std::nan("")), Error);
 }
 
-// BearingEvidence scores the records through the same pair kernel the
-// tests above pin; these cases pin the two sums and the host factor's clamp
-// and earshot floor.
-double pair_log_likelihood(const core::BearingEvidence& evidence, geom::Vec2 p,
-                           const core::BearingBatchParams& params, double gate_sq) {
-  double sum = 0.0;
-  for (const BearingObservation& r : evidence.records()) {
-    const double dx = p.x - r.sensor.x;
-    const double dy = p.y - r.sensor.y;
-    const double d2 = dx * dx + dy * dy;
-    if (d2 <= gate_sq) {
-      sum += core::bearing_pair_log_likelihood(r.bearing_rad, dx, dy, d2, params);
+// Ordered distance in units in the last place: adjacent doubles are 1
+// apart, +0 and -0 are 0 apart.
+std::int64_t ulp_distance(double a, double b) {
+  const auto ordered = [](double v) {
+    const auto bits = std::bit_cast<std::int64_t>(v);
+    return bits < 0 ? std::numeric_limits<std::int64_t>::min() - bits : bits;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? -d : d;
+}
+
+TEST(PolynomialAtan2, WithinTwoUlpOfLibm) {
+  std::int64_t worst = 0;
+  const auto check = [&](double y, double x) {
+    const std::int64_t d = ulp_distance(core::polynomial_atan2(y, x), std::atan2(y, x));
+    worst = std::max(worst, d);
+    EXPECT_LE(d, 2) << "atan2(" << y << ", " << x << ")";
+  };
+  rng::Rng rng(149);
+  for (int i = 0; i < 1000000; ++i) {
+    // Directions uniform on the circle at lengths across twelve decades.
+    const double theta = rng.uniform(-geom::kPi, geom::kPi);
+    const double length = std::pow(10.0, rng.uniform(-6.0, 6.0));
+    check(length * std::sin(theta), length * std::cos(theta));
+  }
+  for (int i = 0; i < 200000; ++i) {
+    // Independent magnitudes, so ratios reach the underflowing and the
+    // near-axis ends of each octant.
+    const double y = std::ldexp(rng.uniform(-1.0, 1.0), static_cast<int>(rng.uniform(-80, 80)));
+    const double x = std::ldexp(rng.uniform(-1.0, 1.0), static_cast<int>(rng.uniform(-80, 80)));
+    check(y, x);
+  }
+  // The octant switches (|y| = 0.66|x| and |x| = 0.66|y|), the diagonals
+  // and the axes, each with its neighbouring doubles, in all four quadrants.
+  for (const double sx : {1.0, -1.0}) {
+    for (const double sy : {1.0, -1.0}) {
+      for (const double ratio : {0.0, 0.66, 1.0, 1.0 / 0.66, 0.41421356237309503,
+                                 2.414213562373095}) {
+        for (const int step : {-2, -1, 0, 1, 2}) {
+          double y = ratio * 0.75;
+          for (int k = 0; k < std::abs(step); ++k) {
+            y = std::nextafter(y, step < 0 ? -1.0 : 10.0);
+          }
+          check(sy * y, sx * 0.75);
+          check(sx * 0.75, sy * y);
+        }
+      }
     }
   }
-  return sum;
+  // The worst case seen is reported so a drift toward the bound shows.
+  RecordProperty("worst_ulp", static_cast<int>(worst));
 }
 
+TEST(PolynomialAtan2, ZerosAxesAndNan) {
+  // libm's signed-zero conventions: the result takes y's sign, and x = -0
+  // points left.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(core::polynomial_atan2(0.0, 0.0)),
+            std::bit_cast<std::uint64_t>(0.0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(core::polynomial_atan2(-0.0, 0.0)),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(core::polynomial_atan2(0.0, -0.0), std::atan2(0.0, -0.0));
+  EXPECT_EQ(core::polynomial_atan2(-0.0, -0.0), std::atan2(-0.0, -0.0));
+  EXPECT_EQ(core::polynomial_atan2(0.0, -1.0), std::atan2(0.0, -1.0));
+  EXPECT_EQ(core::polynomial_atan2(-0.0, -1.0), std::atan2(-0.0, -1.0));
+  EXPECT_EQ(core::polynomial_atan2(1.0, 0.0), std::atan2(1.0, 0.0));
+  EXPECT_EQ(core::polynomial_atan2(-1.0, 0.0), std::atan2(-1.0, 0.0));
+  EXPECT_EQ(core::polynomial_atan2(1.0, -0.0), std::atan2(1.0, -0.0));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double other : {0.0, -0.0, 1.0, -1.0, 1e300}) {
+    EXPECT_TRUE(std::isnan(core::polynomial_atan2(nan, other))) << other;
+    EXPECT_TRUE(std::isnan(core::polynomial_atan2(other, nan))) << other;
+  }
+  EXPECT_TRUE(std::isnan(core::polynomial_atan2(nan, nan)));
+  // One infinite argument gives libm's angle; two give NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double a : {inf, -inf}) {
+    for (const double b : {0.0, -0.0, 1.0, -1.0}) {
+      EXPECT_EQ(core::polynomial_atan2(a, b), std::atan2(a, b)) << a << ", " << b;
+      EXPECT_EQ(core::polynomial_atan2(b, a), std::atan2(b, a)) << b << ", " << a;
+    }
+    EXPECT_TRUE(std::isnan(core::polynomial_atan2(a, inf)));
+    EXPECT_TRUE(std::isnan(core::polynomial_atan2(a, -inf)));
+  }
+}
+
+// BearingEvidence scores records with a polynomial arctangent and one log
+// of the precision product per evaluation point; the oracle above scores
+// them pairwise through libm. These cases hold the two within 64 eps of the
+// terms' magnitude, and pin the host factor's clamp and earshot floor.
 TEST(BearingEvidence, LogLikelihoodSumsEveryRecordWithoutGate) {
   const BearingMeasurementModel m(0.05);
   const geom::Vec2 target{5.0, 5.0};
-  core::BearingEvidence evidence(0.05, 0.5, /*comm_radius=*/10.0);
+  ScoredBearings bearings(0.05, 0.5, /*comm_radius=*/10.0);
   for (const geom::Vec2 sensor : {geom::Vec2{0.0, 0.0}, geom::Vec2{10.0, 0.0},
                                   geom::Vec2{40.0, 0.0}}) {
-    evidence.add(sensor, m.ideal(sensor, target) + 0.01);
+    bearings.add(sensor, m.ideal(sensor, target) + 0.01);
   }
+  const core::BearingEvidence& evidence = bearings.evidence;
   const core::BearingBatchParams params(0.05, 0.5);
   const geom::Vec2 p{4.0, 6.0};
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_DOUBLE_EQ(evidence.log_likelihood(p), pair_log_likelihood(evidence, p, params, inf));
+  const OracleSum all = oracle_sum(bearings, p, params);
+  EXPECT_NEAR(evidence.log_likelihood(p), all.value, all.tolerance());
   // The sensor at (40, 0) is beyond the 10 m gate and still counts.
-  EXPECT_NE(evidence.log_likelihood(p), pair_log_likelihood(evidence, p, params, 100.0));
+  const OracleSum gated = oracle_sum(bearings, p, params, 100.0);
+  EXPECT_GT(std::abs(evidence.log_likelihood(p) - gated.value), 1.0);
   EXPECT_EQ(evidence.centroid(), geom::Vec2(50.0 / 3.0, 0.0));
 }
 
 TEST(BearingEvidence, HostFactorIsHeardSumRelativeToCentroid) {
   const BearingMeasurementModel m(0.05);
   const geom::Vec2 target{5.0, 5.0};
-  core::BearingEvidence evidence(0.05, 0.5, /*comm_radius=*/20.0);
+  ScoredBearings bearings(0.05, 0.5, /*comm_radius=*/20.0);
   for (const geom::Vec2 sensor : {geom::Vec2{0.0, 0.0}, geom::Vec2{10.0, 0.0},
                                   geom::Vec2{0.0, 10.0}, geom::Vec2{40.0, 0.0}}) {
-    evidence.add(sensor, m.ideal(sensor, target));
+    bearings.add(sensor, m.ideal(sensor, target));
   }
+  const core::BearingEvidence& evidence = bearings.evidence;
   const core::BearingBatchParams params(0.05, 0.5);
-  const double inf = std::numeric_limits<double>::infinity();
   const geom::Vec2 host{4.0, 6.0};  // hears all but the sensor at (40, 0)
-  const double relative = pair_log_likelihood(evidence, host, params, 400.0) -
-                          pair_log_likelihood(evidence, evidence.centroid(), params, inf);
+  const OracleSum heard = oracle_sum(bearings, host, params, 400.0);
+  const OracleSum reference = oracle_sum(bearings, evidence.centroid(), params);
+  const double relative = heard.value - reference.value;
   ASSERT_LT(std::abs(relative), core::kMaxLogWeightFactor);  // unsaturated
-  EXPECT_DOUBLE_EQ(evidence.host_factor(host), std::exp(relative));
+  EXPECT_NEAR(std::log(evidence.host_factor(host)), relative,
+              heard.tolerance() + reference.tolerance());
   // Refilling the evidence refreshes the cached centroid reference.
-  evidence.clear();
-  evidence.add({0.0, 0.0}, m.ideal({0.0, 0.0}, target));
-  EXPECT_DOUBLE_EQ(evidence.host_factor(host),
-                   std::exp(pair_log_likelihood(evidence, host, params, inf) -
-                            pair_log_likelihood(evidence, {0.0, 0.0}, params, inf)));
+  bearings.clear();
+  bearings.add({0.0, 0.0}, m.ideal({0.0, 0.0}, target));
+  const OracleSum one = oracle_sum(bearings, host, params);
+  const OracleSum one_reference = oracle_sum(bearings, {0.0, 0.0}, params);
+  EXPECT_NEAR(std::log(evidence.host_factor(host)), one.value - one_reference.value,
+              one.tolerance() + one_reference.tolerance());
 }
 
 TEST(BearingEvidence, HostOutOfEarshotGetsTheFloor) {
@@ -311,33 +478,134 @@ TEST(BearingEvidence, HostOutOfEarshotGetsTheFloor) {
 
 TEST(BearingEvidence, HostFactorClampSaturatesAtBothEnds) {
   const BearingMeasurementModel m(0.001);
-  const double inf = std::numeric_limits<double>::infinity();
   const core::BearingBatchParams params(0.001, 0.0);
   // Upper end: every sensor sits on one side of the target, so the sender
   // centroid lies behind them and contradicts every bearing, while a host
   // on the target matches them all.
   const geom::Vec2 target{0.0, 0.0};
-  core::BearingEvidence one_sided(0.001, 0.0, /*comm_radius=*/50.0);
+  ScoredBearings one_sided(0.001, 0.0, /*comm_radius=*/50.0);
   for (const geom::Vec2 sensor : {geom::Vec2{10.0, 0.0}, geom::Vec2{10.0, 5.0},
                                   geom::Vec2{10.0, -5.0}, geom::Vec2{15.0, 0.0}}) {
     one_sided.add(sensor, m.ideal(sensor, target));
   }
-  ASSERT_GT(pair_log_likelihood(one_sided, target, params, inf) -
-                pair_log_likelihood(one_sided, one_sided.centroid(), params, inf),
+  ASSERT_GT(oracle_sum(one_sided, target, params).value -
+                oracle_sum(one_sided, one_sided.evidence.centroid(), params).value,
             core::kMaxLogWeightFactor);
-  EXPECT_EQ(one_sided.host_factor(target), std::exp(core::kMaxLogWeightFactor));
+  EXPECT_EQ(one_sided.evidence.host_factor(target), std::exp(core::kMaxLogWeightFactor));
   // Lower end: sensors surround the target, so the centroid matches every
   // bearing, while a heard host off the target contradicts them.
-  core::BearingEvidence surrounding(0.001, 0.0, /*comm_radius=*/50.0);
+  ScoredBearings surrounding(0.001, 0.0, /*comm_radius=*/50.0);
   for (const geom::Vec2 sensor : {geom::Vec2{10.0, 0.0}, geom::Vec2{-10.0, 0.0},
                                   geom::Vec2{0.0, 10.0}, geom::Vec2{0.0, -10.0}}) {
     surrounding.add(sensor, m.ideal(sensor, target));
   }
   const geom::Vec2 off{5.0, 5.0};
-  ASSERT_LT(pair_log_likelihood(surrounding, off, params, inf) -
-                pair_log_likelihood(surrounding, surrounding.centroid(), params, inf),
+  ASSERT_LT(oracle_sum(surrounding, off, params).value -
+                oracle_sum(surrounding, surrounding.evidence.centroid(), params).value,
             -core::kMaxLogWeightFactor);
-  EXPECT_EQ(surrounding.host_factor(off), std::exp(-core::kMaxLogWeightFactor));
+  EXPECT_EQ(surrounding.evidence.host_factor(off), std::exp(-core::kMaxLogWeightFactor));
+}
+
+TEST(BearingEvidence, PointOnASensorTakesTheZeroBearing) {
+  // A host that is itself a detecting sensor (SDPF and CDPF score node
+  // positions) sits at d = (0, 0). libm's atan2(0, 0) = 0 makes the
+  // residual z itself there, and the variance takes the distance floor.
+  for (const double z : {0.0, 0.3, -1.2, 2.9, geom::kPi, -geom::kPi + 1e-9}) {
+    for (const double delta : {0.0, 0.5}) {
+      const double value = single_record(0.05, delta, {3.0, 4.0}, z, {3.0, 4.0});
+      const core::BearingBatchParams params(0.05, delta);
+      const double sigma_sq = params.sigma0_sq + params.delta_sq / params.floor_sq;
+      EXPECT_NEAR(value, -0.5 * std::log(sigma_sq) - core::kLogSqrt2Pi - 0.5 * z * z / sigma_sq,
+                  1e-9 * (1.0 + z * z / sigma_sq))
+          << "z " << z << ", delta " << delta;
+    }
+  }
+}
+
+TEST(BearingEvidence, MatchesOracleOnAxesAndOctantBoundaries) {
+  // Displacements along both axes, the diagonals and the arctangent's
+  // octant switches, against bearings at, beside and opposite to each.
+  const geom::Vec2 sensor{50.0, 50.0};
+  for (const double length : {0.3, 4.0, 25.0}) {
+    for (const double ratio : {0.0, 0.66, 1.0, 1.0 / 0.66}) {
+      for (const double sx : {1.0, -1.0}) {
+        for (const double sy : {1.0, -1.0}) {
+          const geom::Vec2 along{sx * length, sy * length * ratio};
+          for (const geom::Vec2 d : {along, geom::Vec2{along.y, along.x}}) {
+            const double bearing = std::atan2(d.y, d.x);
+            for (const double offset : {0.0, 0.02, -0.07, 1.5, geom::kPi - 0.01}) {
+              single_record(0.05, 0.5, sensor, geom::wrap_angle(bearing + offset), sensor + d);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BearingEvidence, ResidualsAtThePiSeam) {
+  // A point straight behind the measured bearing: the residual is +-pi,
+  // whichever side of the seam the two angles fall.
+  const geom::Vec2 sensor{0.0, 0.0};
+  for (const double z : {geom::kPi, -geom::kPi + 1e-12, 0.0, 1.0, -2.0}) {
+    for (const double tilt : {0.0, 1e-9, -1e-9}) {
+      const double behind = z + geom::kPi + tilt;
+      const geom::Vec2 p{10.0 * std::cos(behind), 10.0 * std::sin(behind)};
+      const double value = single_record(0.05, 0.0, sensor, z, p);
+      // r^2 / (2 sigma^2) at r = pi dominates: about -1974.
+      EXPECT_NEAR(value, -std::log(0.05) - core::kLogSqrt2Pi - 0.5 * geom::kPi * geom::kPi / 0.0025,
+                  1e-4)
+          << "z " << z << ", tilt " << tilt;
+    }
+  }
+}
+
+TEST(BearingEvidence, FarPointsKeepTheBaseNoise) {
+  // Beyond 1e150 m d^2 overflows, and the inflation term vanishes: the
+  // capped distance keeps the precision at 1 / sigma0^2 rather than inf/inf.
+  for (const geom::Vec2 p : {geom::Vec2{1e200, 3e199}, geom::Vec2{-1e160, 1e160},
+                             geom::Vec2{1e300, -1e300}}) {
+    for (const double sigma0 : {0.05, 1e3}) {
+      const double value = single_record(sigma0, 0.5, {0.0, 0.0}, 0.7, p);
+      EXPECT_TRUE(std::isfinite(value)) << p.x << ", " << p.y;
+    }
+  }
+}
+
+TEST(BearingEvidence, NanPropagates) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  core::BearingEvidence evidence(0.05, 0.5);
+  evidence.add({0.0, 0.0}, 0.3);
+  evidence.add({10.0, 0.0}, 2.0);
+  EXPECT_TRUE(std::isnan(evidence.log_likelihood({nan, 1.0})));
+  EXPECT_TRUE(std::isnan(evidence.log_likelihood({1.0, nan})));
+  // A NaN host fails every earshot gate, so it hears no sender.
+  EXPECT_EQ(evidence.host_factor({nan, 1.0}), std::exp(-core::kMaxLogWeightFactor));
+  core::BearingEvidence bad_bearing(0.05, 0.5);
+  bad_bearing.add({0.0, 0.0}, nan);
+  EXPECT_TRUE(std::isnan(bad_bearing.log_likelihood({3.0, 4.0})));
+  EXPECT_TRUE(std::isnan(bad_bearing.host_factor({3.0, 4.0})));
+}
+
+TEST(BearingEvidence, PrecisionProductFoldsOutOfRange) {
+  // sigma0 = 1e-3 and no inflation: every precision is 1e6 (about 2^20),
+  // so 700 records drive the product through 2^500 about 28 times. The
+  // folded sum must still match the pairwise logs.
+  rng::Rng rng(151);
+  const BearingMeasurementModel m(0.001);
+  const geom::Vec2 target{0.0, 0.0};
+  ScoredBearings bearings(0.001, 0.0);
+  for (int k = 0; k < 700; ++k) {
+    const geom::Vec2 sensor{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)};
+    bearings.add(sensor, m.measure(sensor, target, rng));
+  }
+  const core::BearingBatchParams params(0.001, 0.0);
+  for (const geom::Vec2 p : {target, geom::Vec2{0.01, -0.02}, geom::Vec2{3.0, 1.0}}) {
+    const OracleSum oracle = oracle_sum(bearings, p, params);
+    const double value = bearings.evidence.log_likelihood(p);
+    ASSERT_TRUE(std::isfinite(value));
+    EXPECT_NEAR(value, oracle.value, oracle.tolerance()) << p.x << ", " << p.y;
+  }
 }
 
 TEST(RangeModel, LikelihoodAndMoments) {
