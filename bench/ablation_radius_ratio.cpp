@@ -25,9 +25,6 @@ double incomplete_overhearing_fraction(const sim::Scenario& scenario,
   core::CdpfConfig config;
   config.propagation.record_radius = scenario.network.sensing_radius;
   config.neighborhood.sensing_radius = scenario.network.sensing_radius;
-  // This probe reads the per-node overheard totals; the filter itself only
-  // needs the global aggregate, so the table is opt-in.
-  config.propagation.per_node_overhearing = true;
   core::Cdpf filter(network, radio, config);
   const tracking::Trajectory trajectory =
       tracking::generate_random_turn_trajectory(scenario.trajectory, rng);
@@ -37,12 +34,13 @@ double incomplete_overhearing_fraction(const sim::Scenario& scenario,
     filter.iterate(trajectory.at_time(t), t, rng);
     if (const auto* prop = filter.last_propagation()) {
       // Only recorders matter: they are the nodes whose correction step
-      // consumes the overheard total.
+      // consumes the overheard total. After the correction step prop->next
+      // holds the round's broadcasters; this network never changes node
+      // activity, so the round's receiver sets still hold.
       for (const wsn::NodeId node : filter.last_recorder_hosts()) {
         ++recorders;
-        const auto* heard = prop->overheard.find(node);
-        if (heard == nullptr ||
-            heard->total_weight < prop->global.total_weight - 1e-9) {
+        const core::OverheardAggregate heard = core::overheard_by(node, prop->next, network);
+        if (heard.total_weight < prop->global.total_weight - 1e-9) {
           ++incomplete;
         }
       }

@@ -273,10 +273,19 @@ BENCHMARK(BM_NetworkConstruction)
     ->ArgName("density")
     ->Unit(benchmark::kMicrosecond);
 
-/// Console reporter that additionally captures every per-iteration run so
-/// main() can serialize them into the cdpf-bench/1 JSON artifact.
-class CapturingReporter : public benchmark::ConsoleReporter {
+/// Display reporter that forwards every report to google-benchmark's default
+/// one — so --benchmark_format and --benchmark_color behave as in any
+/// google-benchmark binary — and additionally captures every per-iteration
+/// run so main() can serialize them into the cdpf-bench/1 JSON artifact.
+class CapturingReporter : public benchmark::BenchmarkReporter {
  public:
+  /// `display` must outlive the reporter (the library owns the default one).
+  explicit CapturingReporter(benchmark::BenchmarkReporter* display) : display_(display) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) {
@@ -292,12 +301,15 @@ class CapturingReporter : public benchmark::ConsoleReporter {
               : 0.0;
       entries_.push_back(entry);
     }
-    ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+
+  void Finalize() override { display_->Finalize(); }
 
   const std::vector<cdpf::bench::BenchEntry>& entries() const { return entries_; }
 
  private:
+  benchmark::BenchmarkReporter* display_;
   std::vector<cdpf::bench::BenchEntry> entries_;
 };
 
@@ -320,7 +332,9 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(passthrough_argc, passthrough.data())) {
     return 1;
   }
-  CapturingReporter reporter;
+  // After Initialize(): the default reporter reads the parsed format and
+  // colour flags.
+  CapturingReporter reporter(benchmark::CreateDefaultDisplayReporter());
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   if (!json_path.empty()) {
@@ -329,7 +343,8 @@ int main(int argc, char** argv) {
       std::cerr << "error: could not write JSON report to " << json_path << "\n";
       return 1;
     }
-    std::cout << "JSON report written to " << json_path << "\n";
+    // stderr, so a --benchmark_format=json stdout stays one JSON document.
+    std::cerr << "JSON report written to " << json_path << "\n";
   }
   return 0;
 }

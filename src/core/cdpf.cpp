@@ -33,7 +33,6 @@ Cdpf::Cdpf(wsn::Network& network, wsn::Radio& radio, CdpfConfig config)
   const std::size_t nodes = network_.size();
   store_.reserve(nodes);
   propagation_.next.reserve(nodes);
-  propagation_.overheard.reset(nodes);
   propagation_scratch_.reserve(nodes);
   last_recorders_.reserve(nodes);
   detecting_scratch_.reserve(nodes);
@@ -154,7 +153,7 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
     // -- Step 1: Prediction — propagate particles along the trajectory.
     //    The outcome and its scratch are reused members: reset() rewinds
     //    them without releasing capacity, so the round allocates nothing.
-    propagation_.reset(network_.size());
+    propagation_.reset();
     {
       CDPF_TRACE_SPAN("cdpf-propagate");
       propagate_particles_into(store_, network_, radio_, *motion_,
@@ -356,15 +355,6 @@ void Cdpf::neighborhood_assign(const std::vector<wsn::NodeId>& detecting) {
     }
     store_.scale_weight(host, c);
   }
-}
-
-std::vector<TimedEstimate> Cdpf::take_estimates() {
-  // Copy-out rather than move-out: moving would strip pending_estimates_ of
-  // its capacity and force a reallocation on the next iteration, breaking
-  // the zero-allocation steady state between periodic collections.
-  std::vector<TimedEstimate> out(pending_estimates_.begin(), pending_estimates_.end());
-  pending_estimates_.clear();
-  return out;
 }
 
 void Cdpf::finalize() {

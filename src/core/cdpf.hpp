@@ -152,7 +152,6 @@ class Cdpf final : public TrackerAlgorithm {
   /// (multi-target data association, replayed logs, ...). iterate() is a
   /// thin wrapper that builds the snapshot from ground truth.
   void iterate_snapshot(const SensingSnapshot& snapshot, double time, rng::Rng& rng);
-  std::vector<TimedEstimate> take_estimates() override;
   void finalize() override;
   const wsn::CommStats& comm_stats() const override { return radio_.stats(); }
 
@@ -160,12 +159,13 @@ class Cdpf final : public TrackerAlgorithm {
   /// Live view of the node-hosted particle set (weights unnormalized
   /// between the propagation and correction steps).
   const ParticleStore& particles() const { return store_; }
-  /// The last propagation round's outcome (nullptr before the first round).
-  /// NOTE: `->next` is a recycled buffer — the correction step swaps it with
-  /// the working store instead of copying — so it holds the PREVIOUS
-  /// iteration's particle set, not the recorded one. Use
-  /// last_recorder_hosts() for the recorder set; `overheard` and `global`
-  /// describe the last round as before.
+  /// The last propagation round's outcome (nullptr before the first round
+  /// and after a round that lost the track). `->next` is a recycled buffer:
+  /// the correction step swaps it with the working store instead of
+  /// copying, so it holds the round's BROADCASTERS (the previous iteration's
+  /// particle set, as it was broadcast), not the recorded set. Hand it to
+  /// overheard_by() to see what one node overheard; use
+  /// last_recorder_hosts() for the recorders. `global` describes the round.
   const PropagationOutcome* last_propagation() const {
     return has_propagation_ ? &propagation_ : nullptr;
   }
@@ -215,7 +215,6 @@ class Cdpf final : public TrackerAlgorithm {
   std::optional<geom::Vec2> predicted_position_;
   double last_iteration_time_ = 0.0;
   bool has_iterated_ = false;
-  std::vector<TimedEstimate> pending_estimates_;
 
   // Iteration-local workspaces, members so they stay warm across rounds.
   std::vector<wsn::NodeId> detecting_scratch_;

@@ -181,11 +181,4 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
   pending_estimates_.push_back({filter_.estimate(), time});
 }
 
-std::vector<TimedEstimate> CentralizedPf::take_estimates() {
-  // Copy-out keeps pending_estimates_' capacity (see Cdpf::take_estimates).
-  std::vector<TimedEstimate> out(pending_estimates_.begin(), pending_estimates_.end());
-  pending_estimates_.clear();
-  return out;
-}
-
 }  // namespace cdpf::core

@@ -76,7 +76,6 @@ class CentralizedPf final : public TrackerAlgorithm {
   std::string_view name() const override;
   double time_step() const override { return config_.dt; }
   void iterate(const tracking::TargetState& truth, double time, rng::Rng& rng) override;
-  std::vector<TimedEstimate> take_estimates() override;
   const wsn::CommStats& comm_stats() const override { return radio_.stats(); }
 
   const filters::SirFilter& filter() const { return filter_; }
@@ -95,7 +94,6 @@ class CentralizedPf final : public TrackerAlgorithm {
   tracking::BearingMeasurementModel bearing_;
   wsn::GreedyGeographicRouter router_;
   filters::SirFilter filter_;
-  std::vector<TimedEstimate> pending_estimates_;
   // Per-iteration buffers, members so steady-state iterations do not
   // allocate: detecting nodes, the measurements delivered to the sink
   // (scored with the quantization noise folded into sigma when the DPF

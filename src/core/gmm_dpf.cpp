@@ -125,10 +125,4 @@ void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& 
   }
 }
 
-std::vector<TimedEstimate> GmmDpf::take_estimates() {
-  std::vector<TimedEstimate> out = std::move(pending_estimates_);
-  pending_estimates_.clear();
-  return out;
-}
-
 }  // namespace cdpf::core

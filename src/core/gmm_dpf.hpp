@@ -62,7 +62,6 @@ class GmmDpf final : public TrackerAlgorithm {
   std::string_view name() const override { return "GMM-DPF"; }
   double time_step() const override { return config_.dt; }
   void iterate(const tracking::TargetState& truth, double time, rng::Rng& rng) override;
-  std::vector<TimedEstimate> take_estimates() override;
   const wsn::CommStats& comm_stats() const override { return radio_.stats(); }
 
   /// Current cluster head (invalid before the first detection).
@@ -82,7 +81,6 @@ class GmmDpf final : public TrackerAlgorithm {
   filters::SirFilter filter_;  // the particle cloud maintained at the head
   BearingEvidence received_;   // measurements the head received this step
   std::size_t handoffs_ = 0;
-  std::vector<TimedEstimate> pending_estimates_;
 };
 
 }  // namespace cdpf::core

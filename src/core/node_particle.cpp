@@ -10,75 +10,59 @@
 
 namespace cdpf::core {
 
-namespace {
-constexpr std::size_t kMinSlots = 16;
-}  // namespace
-
-void ParticleStore::place(wsn::NodeId host, std::uint32_t index) {
-  const std::size_t slot = probe(host);
-  slot_host_[slot] = host;
-  slot_index_[slot] = index;
-  slot_stamp_[slot] = table_epoch_;
-}
-
-void ParticleStore::grow_table(std::size_t min_slots) {
-  std::size_t slots = std::max(kMinSlots, slot_host_.size());
-  while (slots < min_slots) {
-    slots *= 2;
-  }
-  slot_host_.assign(slots, wsn::kInvalidNodeId);
-  slot_index_.assign(slots, 0);
-  slot_stamp_.assign(slots, 0);
-  hash_shift_ = 64;
-  for (std::size_t s = slots; s > 1; s /= 2) {
-    --hash_shift_;
-  }
+template <typename Keep>
+std::size_t ParticleStore::retain(Keep&& keep) {
+  std::size_t out = 0;
   for (std::size_t i = 0; i < particles_.size(); ++i) {
-    place(particles_[i].host, static_cast<std::uint32_t>(i));
+    NodeParticle particle = particles_[i];
+    if (!keep(particle)) {
+      index_[particle.host] = kNoParticle;
+      continue;
+    }
+    index_[particle.host] = static_cast<std::uint32_t>(out);
+    particles_[out] = particle;
+    ++out;
   }
-}
-
-void ParticleStore::rebuild_table() {
-  ++table_epoch_;
-  for (std::size_t i = 0; i < particles_.size(); ++i) {
-    place(particles_[i].host, static_cast<std::uint32_t>(i));
+  const std::size_t dropped = particles_.size() - out;
+  if (dropped > 0) {
+    particles_.resize(out);
+    ++host_version_;
   }
+  return dropped;
 }
 
 void ParticleStore::add_new_host(wsn::NodeId host, geom::Vec2 velocity,
                                  double weight) {
   // add() validated the weight before dispatching here.
   CDPF_ASSERT(std::isfinite(weight) && weight >= 0.0);
-  // Keep the load factor at or below 1/2 so probe chains stay short.
-  if ((particles_.size() + 1) * 2 > slot_host_.size()) {
-    grow_table((particles_.size() + 1) * 2);
+  CDPF_CHECK_MSG(host != wsn::kInvalidNodeId, "particle host must be a valid node id");
+  if (host >= index_.size()) {
+    index_.resize(static_cast<std::size_t>(host) + 1, kNoParticle);
   }
+  index_[host] = static_cast<std::uint32_t>(particles_.size());
   particles_.push_back(NodeParticle{host, velocity, weight});
-  place(host, static_cast<std::uint32_t>(particles_.size() - 1));
   ++host_version_;
 }
 
 void ParticleStore::clear() {
+  for (const NodeParticle& p : particles_) {
+    index_[p.host] = kNoParticle;
+  }
   particles_.clear();
-  ++table_epoch_;
   ++host_version_;
 }
 
 void ParticleStore::reserve(std::size_t hosts) {
   particles_.reserve(hosts);
   sorted_cache_.reserve(hosts);
-  if (hosts * 2 > slot_host_.size()) {
-    grow_table(hosts * 2);
+  if (index_.size() < hosts) {
+    index_.resize(hosts, kNoParticle);
   }
 }
 
 void ParticleStore::swap(ParticleStore& other) noexcept {
   particles_.swap(other.particles_);
-  slot_host_.swap(other.slot_host_);
-  slot_index_.swap(other.slot_index_);
-  slot_stamp_.swap(other.slot_stamp_);
-  std::swap(table_epoch_, other.table_epoch_);
-  std::swap(hash_shift_, other.hash_shift_);
+  index_.swap(other.index_);
   std::swap(host_version_, other.host_version_);
   sorted_cache_.swap(other.sorted_cache_);
   std::swap(sorted_version_, other.sorted_version_);
@@ -110,16 +94,7 @@ void ParticleStore::raise_weight_to(wsn::NodeId host, double weight) {
 std::size_t ParticleStore::prune_below(double threshold) {
   CDPF_CHECK_MSG(std::isfinite(threshold) && threshold >= 0.0,
                  "prune threshold must be finite and non-negative");
-  const auto survivors_end =
-      std::remove_if(particles_.begin(), particles_.end(),
-                     [threshold](const NodeParticle& p) { return p.weight < threshold; });
-  const auto dropped = static_cast<std::size_t>(particles_.end() - survivors_end);
-  if (dropped > 0) {
-    particles_.erase(survivors_end, particles_.end());
-    rebuild_table();
-    ++host_version_;
-  }
-  return dropped;
+  return retain([threshold](const NodeParticle& p) { return !(p.weight < threshold); });
 }
 
 std::size_t ParticleStore::normalize_and_prune(double total, double threshold) {
@@ -127,23 +102,10 @@ std::size_t ParticleStore::normalize_and_prune(double total, double threshold) {
   CDPF_CHECK_MSG(total > 0.0, "cannot normalize with a non-positive total weight");
   CDPF_CHECK_MSG(std::isfinite(threshold) && threshold >= 0.0,
                  "prune threshold must be finite and non-negative");
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < particles_.size(); ++i) {
-    const double weight = particles_[i].weight / total;
-    if (weight < threshold) {
-      continue;
-    }
-    particles_[out] = particles_[i];
-    particles_[out].weight = weight;
-    ++out;
-  }
-  const std::size_t dropped = particles_.size() - out;
-  if (dropped > 0) {
-    particles_.resize(out);
-    rebuild_table();
-    ++host_version_;
-  }
-  return dropped;
+  return retain([total, threshold](NodeParticle& p) {
+    p.weight /= total;
+    return !(p.weight < threshold);
+  });
 }
 
 tracking::TargetState ParticleStore::estimate(const wsn::Network& network) const {

@@ -10,16 +10,19 @@
 // list of uncombined particles per node, lives in Sdpf as one host-sorted
 // particle array.)
 //
-// ParticleStore sits on the per-iteration hot path (one lookup per broadcast
-// receiver), so it stores particles in a dense vector indexed by an
-// open-addressing host table whose slots are invalidated by bumping an epoch
-// counter — clear() is O(1) and a steady-state iteration performs no heap
-// allocation once the buffers are warm.
+// ParticleStore sits on the per-iteration hot path (one lookup per recorded
+// copy), so it stores particles in a dense vector and resolves a host through
+// a plain NodeId-indexed array of positions into it: host ids are dense node
+// ids below the network size, so no hashing is needed. Once reserve() has
+// sized both for the network, a steady-state iteration performs no heap
+// allocation.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "geom/vec2.hpp"
@@ -67,12 +70,13 @@ class ParticleStore {
   /// Number of hosting nodes (== number of particles, N_s for CDPF).
   std::size_t size() const { return particles_.size(); }
   bool empty() const { return particles_.empty(); }
-  /// O(1): drops the particles and invalidates every host slot by epoch;
-  /// all capacity is retained for reuse.
+  /// Drops the particles and resets their index entries, O(size()); all
+  /// capacity is retained for reuse.
   void clear();
 
-  /// Pre-size the dense storage and the host table for up to `hosts`
-  /// particles so later add() calls never reallocate.
+  /// Pre-size the dense storage for up to `hosts` particles and the host
+  /// index for node ids below `hosts`, so later add() calls on such ids
+  /// never reallocate.
   void reserve(std::size_t hosts);
 
   /// Exchange contents (and warmed capacity) with `other` in O(1) — the
@@ -84,11 +88,9 @@ class ParticleStore {
 
   bool contains(wsn::NodeId host) const { return find(host) != nullptr; }
   const NodeParticle* find(wsn::NodeId host) const {
-    if (particles_.empty()) {
-      return nullptr;
-    }
-    const std::size_t slot = probe(host);
-    return slot_stamp_[slot] == table_epoch_ ? &particles_[slot_index_[slot]] : nullptr;
+    return host < index_.size() && index_[host] != kNoParticle
+               ? &particles_[index_[host]]
+               : nullptr;
   }
 
   /// Multiply the weight of `host`'s particle by `factor`.
@@ -129,49 +131,24 @@ class ParticleStore {
   const std::vector<wsn::NodeId>& sorted_hosts() const;
 
  private:
-  // Fibonacci hashing: multiply by 2^64 / phi and keep the high bits. Host
-  // ids are small sequential integers, and this spreads them uniformly over
-  // any power-of-two table.
-  static constexpr std::uint64_t kFibonacciMultiplier = 0x9E3779B97F4A7C15ull;
+  /// index_ entry of a host that holds no particle.
+  static constexpr std::uint32_t kNoParticle = std::numeric_limits<std::uint32_t>::max();
 
   NodeParticle* find_mutable(wsn::NodeId host) {
-    if (particles_.empty()) {
-      return nullptr;
-    }
-    const std::size_t slot = probe(host);
-    return slot_stamp_[slot] == table_epoch_ ? &particles_[slot_index_[slot]] : nullptr;
-  }
-  /// Probe for `host`; returns the slot holding it, or the empty slot where
-  /// it would be inserted. Requires a non-empty table.
-  std::size_t probe(wsn::NodeId host) const {
-    CDPF_ASSERT(!slot_host_.empty());
-    const std::size_t mask = slot_host_.size() - 1;
-    std::size_t slot =
-        static_cast<std::size_t>((host * kFibonacciMultiplier) >> hash_shift_);
-    while (slot_stamp_[slot] == table_epoch_ && slot_host_[slot] != host) {
-      slot = (slot + 1) & mask;
-    }
-    return slot;
+    return const_cast<NodeParticle*>(std::as_const(*this).find(host));
   }
   /// Cold half of add(): first particle on this host this round.
   void add_new_host(wsn::NodeId host, geom::Vec2 velocity, double weight);
-  /// Grow the host table to at least `min_slots` slots and re-insert every
-  /// live particle.
-  void grow_table(std::size_t min_slots);
-  /// Invalidate all slots (epoch bump) and re-insert every live particle.
-  void rebuild_table();
-  void place(wsn::NodeId host, std::uint32_t index);
+  /// Keep the particles for which `keep` (which may rewrite the particle it
+  /// is handed) returns true, in their order, and reset the index entries of
+  /// the dropped ones. Returns the number of dropped particles.
+  template <typename Keep>
+  std::size_t retain(Keep&& keep);
 
   std::vector<NodeParticle> particles_;
-
-  // Open-addressing host -> particle index table: power-of-two capacity,
-  // Fibonacci hashing, linear probing. A slot is live iff its stamp equals
-  // the current epoch, so invalidating the whole table is one increment.
-  std::vector<wsn::NodeId> slot_host_;
-  std::vector<std::uint32_t> slot_index_;
-  std::vector<std::uint64_t> slot_stamp_;
-  std::uint64_t table_epoch_ = 1;
-  unsigned hash_shift_ = 0;  // 64 - log2(slot count)
+  /// host -> position of its particle in particles_, kNoParticle when the
+  /// host holds none. Grows to cover the largest host id ever added.
+  std::vector<std::uint32_t> index_;
 
   // sorted_hosts() cache, invalidated by host-set version mismatch.
   std::uint64_t host_version_ = 1;

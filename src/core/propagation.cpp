@@ -10,18 +10,12 @@
 namespace cdpf::core {
 
 void OverheardAggregate::add(double weight, geom::Vec2 position, geom::Vec2 velocity) {
-  CDPF_ASSERT(std::isfinite(weight));
-  add(weight, position, velocity, velocity.norm());
-}
-
-void OverheardAggregate::add(double weight, geom::Vec2 position, geom::Vec2 velocity,
-                             double speed) {
-  CDPF_ASSERT(std::isfinite(weight) && weight >= 0.0 && speed >= 0.0);
+  CDPF_ASSERT(std::isfinite(weight) && weight >= 0.0);
   weight_sum_.add(weight);
   total_weight = weight_sum_.value();
   weighted_position += position * weight;
   weighted_velocity += velocity * weight;
-  weighted_speed += speed * weight;
+  weighted_speed += velocity.norm() * weight;
   ++particles_heard;
 }
 
@@ -36,35 +30,8 @@ tracking::TargetState OverheardAggregate::estimate() const {
   return {weighted_position / total_weight, velocity};
 }
 
-void OverheardTable::reset(std::size_t node_count) {
-  if (slots_.size() < node_count) {
-    slots_.resize(node_count);
-    stamps_.resize(node_count, 0);
-  }
-  touched_.clear();
-  ++epoch_;
-}
-
-OverheardAggregate& OverheardTable::at(wsn::NodeId id) {
-  CDPF_ASSERT(id < slots_.size());
-  if (stamps_[id] != epoch_) {
-    slots_[id] = OverheardAggregate{};
-    stamps_[id] = epoch_;
-    touched_.push_back(id);
-  }
-  return slots_[id];
-}
-
-const OverheardAggregate* OverheardTable::find(wsn::NodeId id) const {
-  if (id >= slots_.size() || stamps_[id] != epoch_) {
-    return nullptr;
-  }
-  return &slots_[id];
-}
-
-void PropagationOutcome::reset(std::size_t node_count) {
+void PropagationOutcome::reset() {
   next.clear();
-  overheard.reset(node_count);
   global = OverheardAggregate{};
   num_broadcasts = 0;
   lost_particles = 0;
@@ -95,17 +62,16 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
   std::vector<double>& rec_dy = scratch.rec_dy;
   std::vector<double>& rec_d2 = scratch.rec_d2;
 
-  // Receivers only matter individually when the per-node overheard tables
-  // are maintained (each receiver's aggregate is touched) or when believed
-  // positions diverge from the physical ones (the record test runs on
-  // believed coordinates, so record-disk membership cannot be resolved by
-  // the physical-position grid). Otherwise the round runs receiver-free:
-  // the broadcast is charged by count alone and recorders come from a
-  // direct scan of the record disk — O(r_s^2) points touched per host
-  // instead of O(r_c^2), the difference between ~100 and ~1000 nodes at
-  // paper densities.
-  const bool use_receiver_list =
-      config.per_node_overhearing || network.has_believed_positions();
+  // Receivers only matter individually when believed positions diverge
+  // from the physical ones (the record test runs on believed coordinates,
+  // so record-disk membership cannot be resolved by the physical-position
+  // grid). Otherwise the round runs receiver-free: the broadcast is charged
+  // by count alone and recorders come from a direct scan of the record disk
+  // — O(r_s^2) points touched per host instead of O(r_c^2), the difference
+  // between ~100 and ~1000 nodes at paper densities. Both routes give the
+  // same recorders, weights, draws and statistics when believed == true
+  // positions.
+  const bool use_receiver_list = network.has_believed_positions();
   const double comm_radius = network.config().comm_radius;
   const double comm_radius_sq = comm_radius * comm_radius;
   // The squared-distance pre-gate is deliberately loose (record_radius
@@ -135,7 +101,6 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
     }
     const geom::Vec2 host_position = network.position(host);
     const geom::Vec2 predicted = host_position + particle.velocity * motion.dt();
-    const double speed = particle.velocity.norm();
 
     if (use_receiver_list) {
       radio.broadcast(host, wsn::MessageKind::kParticle, propagation_payload,
@@ -146,16 +111,9 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
     ++outcome.num_broadcasts;
 
     // Overhearing: every receiver (plus the broadcaster, trivially) learns
-    // this particle's weight and state.
-    if (config.per_node_overhearing) {
-      outcome.overheard.at(host).add(particle.weight, host_position,
-                                     particle.velocity, speed);
-      for (const wsn::NodeId r : receivers) {
-        outcome.overheard.at(r).add(particle.weight, host_position,
-                                    particle.velocity, speed);
-      }
-    }
-    outcome.global.add(particle.weight, host_position, particle.velocity, speed);
+    // this particle's weight and state; overheard_by() replays what one
+    // node heard.
+    outcome.global.add(particle.weight, host_position, particle.velocity);
 
     // Recorders: receivers inside the predicted area by the linear model.
     // Both routes below fill the same parallel arrays (recorder id, record
@@ -233,13 +191,16 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
     }
 
     if (recorders.empty()) {
-      if (config.fallback_to_nearest && !use_receiver_list) {
-        // Rare path (sparse deployments): materialize the receiver set the
-        // already-charged broadcast reached, mirroring Radio::broadcast.
+      // No receiver inside the predicted area: hand the whole particle to
+      // the receiver nearest the predicted position instead of losing it
+      // (keeps the filter alive in sparse deployments). Rare path: the
+      // direct route materializes the receiver set the already-charged
+      // broadcast reached, mirroring Radio::broadcast.
+      if (!use_receiver_list) {
         network.active_nodes_within(host_position, comm_radius, receivers);
         std::erase(receivers, host);
       }
-      if (!config.fallback_to_nearest || receivers.empty()) {
+      if (receivers.empty()) {
         ++outcome.lost_particles;
         lost_weight.add(particle.weight);
         continue;
@@ -272,7 +233,12 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
       const tracking::SampledKinematics sampled =
           motion.sample_velocity({host_position, particle.velocity}, rng);
       geom::Vec2 velocity = sampled.velocity;
-      if (config.velocity_from_displacement && rec_d2[i] > 1e-12) {
+      // The recorded heading is the hop's actual displacement (recorder
+      // minus broadcaster position), at the sampled speed. With particles
+      // snapped to node positions this keeps position and velocity
+      // consistent within a particle, so the weight update exerts selection
+      // pressure on velocity, not just position.
+      if (rec_d2[i] > 1e-12) {
         const double scale = sampled.speed / std::sqrt(rec_d2[i]);
         velocity = {rec_dx[i] * scale, rec_dy[i] * scale};
       }
@@ -308,11 +274,31 @@ PropagationOutcome propagate_particles(const ParticleStore& store,
                                        const PropagationConfig& config, rng::Rng& rng) {
   CDPF_CHECK_MSG(config.record_radius > 0.0, "record radius must be positive");
   PropagationOutcome outcome;
-  outcome.reset(network.size());
   PropagationScratch scratch;
   propagate_particles_into(store, network, radio, motion, config, rng, outcome,
                            scratch);
   return outcome;
+}
+
+OverheardAggregate overheard_by(wsn::NodeId node, const ParticleStore& broadcasters,
+                                const wsn::Network& network) {
+  CDPF_CHECK_MSG(node < network.size(), "node id out of range");
+  const geom::Vec2 node_position = network.true_position(node);
+  const bool node_active = network.is_active(node);
+  OverheardAggregate heard;
+  for (const wsn::NodeId host : broadcasters.sorted_hosts()) {
+    if (!network.is_active(host)) {
+      continue;  // did not broadcast
+    }
+    const geom::Vec2 host_position = network.position(host);
+    if (host != node &&
+        !(node_active && network.in_comm_range(node_position, host_position))) {
+      continue;
+    }
+    const NodeParticle& particle = *broadcasters.find(host);
+    heard.add(particle.weight, host_position, particle.velocity);
+  }
+  return heard;
 }
 
 }  // namespace cdpf::core

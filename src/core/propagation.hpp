@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "core/node_particle.hpp"
@@ -36,29 +35,6 @@ struct PropagationConfig {
   /// Radius of the predicted area (paper: the sensing radius); every
   /// receiver strictly inside it records.
   double record_radius = 10.0;
-  /// When no receiver lies inside the predicted area, hand the whole
-  /// particle to the receiver nearest to the predicted position instead of
-  /// losing it (keeps the filter alive in sparse deployments; disabled in
-  /// the fidelity tests that exercise the paper's plain rule).
-  bool fallback_to_nearest = true;
-  /// Derive each recorded particle's heading from its actual hop
-  /// displacement (recorder position - broadcaster position) instead of
-  /// keeping the independently sampled heading. With particles snapped to
-  /// node positions this is what keeps position and velocity consistent
-  /// within a particle: recorders on the true trajectory carry headings
-  /// that point along it, so the weight update exerts selection pressure
-  /// on velocity, not just position. Speed still comes from the motion
-  /// model's noisy sample.
-  bool velocity_from_displacement = true;
-  /// Maintain the per-node aggregates in `PropagationOutcome::overheard`.
-  /// In the modeled network overhearing is free (nodes hear broadcasts
-  /// anyway), but simulating the per-node tables costs O(broadcasts x
-  /// receivers) bookkeeping — the hottest loop of a dense round — while the
-  /// filter's correction step only consumes the global aggregate (equal to
-  /// every recorder's local total under the r_s <= r_c/2 assumption the
-  /// tests verify). Off by default; the overhearing-completeness
-  /// diagnostics switch it on.
-  bool per_node_overhearing = false;
 };
 
 /// What one node learns by overhearing a propagation round.
@@ -75,11 +51,6 @@ struct OverheardAggregate {
   /// error must not grow with the number of broadcasts heard.
   void add(double weight, geom::Vec2 position, geom::Vec2 velocity);
 
-  /// Same, with |velocity| precomputed by the caller — the propagation loop
-  /// folds one broadcast into hundreds of receivers' aggregates, and the
-  /// hypot behind norm() is the single hottest instruction of the round.
-  void add(double weight, geom::Vec2 position, geom::Vec2 velocity, double speed);
-
   /// Estimate of the previous-iteration target state from the overheard
   /// particles (the correction step's estimate). The velocity estimate is
   /// the mean DIRECTION rescaled to the mean SPEED: averaging velocity
@@ -92,54 +63,27 @@ struct OverheardAggregate {
   support::NeumaierSum weight_sum_;
 };
 
-/// NodeId -> OverheardAggregate for one propagation round. A dense slot per
-/// node plus an epoch stamp per slot: reset() is O(1) (one epoch bump) and a
-/// round performs no allocation once the slots exist, which a hash map
-/// cannot offer at ~10^5 aggregate updates per dense-network round.
-class OverheardTable {
- public:
-  /// Prepare for a new round over a network of `node_count` nodes. O(1)
-  /// except when the slot arrays must grow (first use / larger network).
-  void reset(std::size_t node_count);
-
-  /// Aggregate for `id`, default-initialized on first touch this round.
-  OverheardAggregate& at(wsn::NodeId id);
-
-  /// Aggregate for `id`, or nullptr when it heard nothing this round.
-  const OverheardAggregate* find(wsn::NodeId id) const;
-
-  /// Ids that heard at least one broadcast this round, in first-heard order.
-  const std::vector<wsn::NodeId>& heard() const { return touched_; }
-  std::size_t size() const { return touched_.size(); }
-
- private:
-  std::vector<OverheardAggregate> slots_;
-  std::vector<std::uint64_t> stamps_;
-  std::vector<wsn::NodeId> touched_;
-  std::uint64_t epoch_ = 0;
-};
-
 struct PropagationOutcome {
   /// Particles recorded at their new hosts (divided + combined).
   ParticleStore next;
-  /// What each node that heard at least one broadcast overheard. Includes
-  /// recorders and mere bystanders; broadcasters hear their own particle.
-  OverheardTable overheard;
-  /// Ground-truth aggregate over all broadcasts (what a node that heard
-  /// everything would hold); used for evaluation and for verifying the
-  /// overhearing-completeness claim.
+  /// Aggregate over all broadcasts (what a node that heard everything
+  /// holds); the correction step's divisor and estimate. overheard_by()
+  /// gives what one particular node heard.
   OverheardAggregate global;
   std::size_t num_broadcasts = 0;
-  /// Particles that found no recorder (only possible with the fallback off).
+  /// Particles that did not reach a new host: their host was inactive and
+  /// could not broadcast, or no other active node lay within the
+  /// communication radius to record (or, as the nearest receiver, take)
+  /// the particle.
   std::size_t lost_particles = 0;
   /// Weight mass carried by the lost particles. Conservation invariant:
   /// next.total_weight() + lost_weight == input store total (the division
   /// rule preserves mass, so only lost particles may remove any).
   double lost_weight = 0.0;
 
-  /// Make the outcome reusable for another round over a network of
-  /// `node_count` nodes; all buffer capacity is retained.
-  void reset(std::size_t node_count);
+  /// Make the outcome reusable for another round; all buffer capacity is
+  /// retained.
+  void reset();
 };
 
 /// Reusable buffers for propagate_particles_into(); hand the same instance
@@ -156,7 +100,7 @@ struct PropagationScratch {
   std::vector<double> gate_d2h;  // |candidate - host|^2 (comm gate)
   std::vector<double> gate_d2p;  // |candidate - predicted|^2 (record gate)
   // Accepted-recorder displacements from the host, shared by both recorder
-  // routes and consumed by the division loop (velocity_from_displacement).
+  // routes and consumed by the division loop (recorded headings).
   std::vector<double> rec_dx;
   std::vector<double> rec_dy;
   std::vector<double> rec_d2;
@@ -195,5 +139,18 @@ PropagationOutcome propagate_particles(const ParticleStore& store,
                                        const wsn::Network& network, wsn::Radio& radio,
                                        const tracking::MotionModel& motion,
                                        const PropagationConfig& config, rng::Rng& rng);
+
+/// What `node` holds after overhearing one propagation round whose
+/// broadcasting particles are `broadcasters` (the round's input store): the
+/// particle of every active host, folded in sorted-host order, that `node`
+/// either hosts or receives by Radio::broadcast's rule — `node` is active
+/// and its true position lies within the communication radius of the
+/// host's position(). A diagnostic of the overhearing-completeness claim
+/// (paper §IV: under r_s <= r_c/2 every recorder's total equals
+/// PropagationOutcome::global); the filter itself reads only `global`.
+/// Evaluate it under the node activity the round ran with. After a Cdpf
+/// iteration the round's broadcasters are Cdpf::last_propagation()->next.
+OverheardAggregate overheard_by(wsn::NodeId node, const ParticleStore& broadcasters,
+                                const wsn::Network& network);
 
 }  // namespace cdpf::core

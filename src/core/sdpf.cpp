@@ -253,11 +253,4 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   });
 }
 
-std::vector<TimedEstimate> Sdpf::take_estimates() {
-  // Copy-out keeps pending_estimates_' capacity (see Cdpf::take_estimates).
-  std::vector<TimedEstimate> out(pending_estimates_.begin(), pending_estimates_.end());
-  pending_estimates_.clear();
-  return out;
-}
-
 }  // namespace cdpf::core

@@ -66,7 +66,6 @@ class Sdpf final : public TrackerAlgorithm {
   std::string_view name() const override { return "SDPF"; }
   double time_step() const override { return config_.dt; }
   void iterate(const tracking::TargetState& truth, double time, rng::Rng& rng) override;
-  std::vector<TimedEstimate> take_estimates() override;
   const wsn::CommStats& comm_stats() const override { return radio_.stats(); }
 
   /// The particle set (N_s particles), grouped by host in ascending host
@@ -92,7 +91,6 @@ class Sdpf final : public TrackerAlgorithm {
   // The particle set as two parallel arrays (see particles() and hosts()).
   std::vector<filters::Particle> particles_;
   std::vector<wsn::NodeId> hosts_;
-  std::vector<TimedEstimate> pending_estimates_;
 
   // Iteration-local workspaces, members so they stay warm across rounds.
   std::vector<wsn::NodeId> detecting_;  // this iteration's detecting nodes

@@ -49,8 +49,15 @@ class TrackerAlgorithm {
                        rng::Rng& rng) = 0;
 
   /// Estimates produced since the last call (possibly empty, possibly
-  /// referring to an earlier time than the last iterate()).
-  virtual std::vector<TimedEstimate> take_estimates() = 0;
+  /// referring to an earlier time than the last iterate()). Copy-out rather
+  /// than move-out: moving would strip pending_estimates_ of its capacity
+  /// and force a reallocation on the next iteration, breaking the
+  /// zero-allocation steady state between periodic collections.
+  std::vector<TimedEstimate> take_estimates() {
+    std::vector<TimedEstimate> out(pending_estimates_.begin(), pending_estimates_.end());
+    pending_estimates_.clear();
+    return out;
+  }
 
   /// Flush any estimate that only becomes available after the last
   /// iteration (CDPF's lagged correction); called once at the end of a run.
@@ -58,6 +65,10 @@ class TrackerAlgorithm {
 
   /// Communication accounting accumulated so far.
   virtual const wsn::CommStats& comm_stats() const = 0;
+
+ protected:
+  /// Estimates produced but not yet collected by take_estimates().
+  std::vector<TimedEstimate> pending_estimates_;
 };
 
 }  // namespace cdpf::core

@@ -73,6 +73,30 @@ TEST(Cdpf, CorrectionProducesLaggedEstimates) {
   EXPECT_TRUE(filter.predicted_position().has_value());
 }
 
+TEST(Cdpf, LastPropagationNextHoldsTheBroadcasters) {
+  // After the correction step's buffer swap, last_propagation()->next is the
+  // set that broadcast in the round: overheard_by() replays from it.
+  Fixture f(706);
+  Cdpf filter(f.network, f.radio, CdpfConfig{});
+  EXPECT_EQ(filter.last_propagation(), nullptr);
+  filter.iterate(truth_at(0.0), 0.0, f.rng);
+  filter.iterate(truth_at(5.0), 5.0, f.rng);
+  const ParticleStore broadcast = filter.particles();
+  ASSERT_FALSE(broadcast.empty());
+  filter.iterate(truth_at(10.0), 10.0, f.rng);
+  const PropagationOutcome* round = filter.last_propagation();
+  ASSERT_NE(round, nullptr);
+  ASSERT_EQ(round->next.size(), broadcast.size());
+  for (std::size_t i = 0; i < broadcast.size(); ++i) {
+    EXPECT_EQ(round->next.particles()[i].host, broadcast.particles()[i].host);
+    EXPECT_EQ(round->next.particles()[i].weight, broadcast.particles()[i].weight);
+  }
+  EXPECT_EQ(round->global.particles_heard, broadcast.size());  // every host active
+  // A broadcaster hears at least its own particle.
+  const wsn::NodeId host = broadcast.sorted_hosts().front();
+  EXPECT_GE(overheard_by(host, round->next, f.network).particles_heard, 1u);
+}
+
 TEST(Cdpf, FinalizeFlushesLastIterationEstimate) {
   Fixture f(707);
   Cdpf filter(f.network, f.radio, CdpfConfig{});

@@ -26,8 +26,6 @@ tracking::ConstantVelocityModel quiet_motion(double dt = 5.0) {
 PropagationConfig prop_config() {
   PropagationConfig config;
   config.record_radius = 10.0;
-  config.fallback_to_nearest = false;
-  config.velocity_from_displacement = false;
   return config;
 }
 
@@ -123,20 +121,18 @@ TEST(Propagation, OverhearingIsCompleteUnderPaperAssumption) {
   }
   ASSERT_GT(store.size(), 5u);
 
-  PropagationConfig config = prop_config();
-  config.per_node_overhearing = true;  // this test inspects the per-node table
   const auto outcome =
-      propagate_particles(store, net, radio, quiet_motion(1.0), config, rng);
+      propagate_particles(store, net, radio, quiet_motion(1.0), prop_config(), rng);
   ASSERT_GT(outcome.next.size(), 0u);
   for (const NodeParticle& particle : outcome.next.particles()) {
-    const auto* heard = outcome.overheard.find(particle.host);
-    ASSERT_NE(heard, nullptr);
-    EXPECT_NEAR(heard->total_weight, outcome.global.total_weight, 1e-9)
+    const OverheardAggregate heard = overheard_by(particle.host, store, net);
+    ASSERT_GT(heard.particles_heard, 0u);
+    EXPECT_NEAR(heard.total_weight, outcome.global.total_weight, 1e-9)
         << "recorder " << particle.host;
-    EXPECT_EQ(heard->particles_heard, outcome.global.particles_heard);
+    EXPECT_EQ(heard.particles_heard, outcome.global.particles_heard);
     // The locally overheard estimate matches the global one (Theorem-2-like
     // consistency of the correction step).
-    const auto local = heard->estimate();
+    const auto local = heard.estimate();
     const auto global = outcome.global.estimate();
     EXPECT_NEAR(geom::distance(local.position, global.position), 0.0, 1e-9);
   }
@@ -161,41 +157,79 @@ TEST(Propagation, OverhearingCanBeIncompleteWhenAssumptionViolated) {
 
   PropagationConfig config = prop_config();
   config.record_radius = 18.0;
-  config.per_node_overhearing = true;  // this test inspects the per-node table
   const auto outcome =
       propagate_particles(store, net, radio, quiet_motion(), config, rng);
   std::size_t incomplete = 0;
   for (const NodeParticle& particle : outcome.next.particles()) {
-    const auto* heard = outcome.overheard.find(particle.host);
-    if (heard == nullptr ||
-        heard->total_weight < outcome.global.total_weight - 1e-9) {
+    const OverheardAggregate heard = overheard_by(particle.host, store, net);
+    if (heard.particles_heard == 0 ||
+        heard.total_weight < outcome.global.total_weight - 1e-9) {
       ++incomplete;
     }
   }
   EXPECT_GT(incomplete, 0u);
 }
 
+TEST(Propagation, OverheardByFollowsTheReceiverRule) {
+  std::vector<geom::Vec2> positions{
+      {50.0, 50.0},   // broadcaster A
+      {110.0, 50.0},  // broadcaster B, 60 m from A
+      {80.0, 50.0},   // 30 m from both: on both comm disks (closed)
+      {50.0, 75.0},   // hears A only
+      {50.0, 81.0},   // 31 m from A: hears nobody
+      {52.0, 50.0}};  // hears A only, but asleep
+  wsn::Network net(positions, paper_config());
+  ParticleStore broadcasters;
+  broadcasters.add(1, {0.0, 2.0}, 3.0);
+  broadcasters.add(0, {2.0, 0.0}, 1.0);
+  net.set_power(5, wsn::PowerState::kAsleep);
+
+  const OverheardAggregate own = overheard_by(0, broadcasters, net);
+  EXPECT_EQ(own.particles_heard, 1u);  // its own broadcast; B is 60 m away
+  EXPECT_DOUBLE_EQ(own.total_weight, 1.0);
+  const OverheardAggregate both = overheard_by(2, broadcasters, net);
+  EXPECT_EQ(both.particles_heard, 2u);
+  EXPECT_DOUBLE_EQ(both.total_weight, 4.0);
+  EXPECT_DOUBLE_EQ(both.weighted_position.x, 50.0 * 1.0 + 110.0 * 3.0);
+  EXPECT_DOUBLE_EQ(both.weighted_speed, 2.0 * 1.0 + 2.0 * 3.0);
+  EXPECT_EQ(overheard_by(3, broadcasters, net).particles_heard, 1u);
+  EXPECT_EQ(overheard_by(4, broadcasters, net).particles_heard, 0u);
+  EXPECT_EQ(overheard_by(5, broadcasters, net).particles_heard, 0u);
+
+  // An inactive host did not broadcast, so nobody hears its particle.
+  net.set_power(0, wsn::PowerState::kAsleep);
+  EXPECT_EQ(overheard_by(2, broadcasters, net).particles_heard, 1u);
+  EXPECT_DOUBLE_EQ(overheard_by(2, broadcasters, net).total_weight, 3.0);
+  EXPECT_THROW(overheard_by(6, broadcasters, net), Error);
+}
+
 TEST(Propagation, LostParticleWithoutFallback) {
-  // Host alone in a sparse corner: no receiver inside the predicted area.
-  std::vector<geom::Vec2> positions{{10.0, 10.0}, {10.0, 35.0}};
+  // A host with no other active node within r_c: the broadcast reaches
+  // nobody, so there is neither a recorder nor a nearest receiver to fall
+  // back to, and the particle is lost with its mass.
+  std::vector<geom::Vec2> positions{{10.0, 10.0}, {10.0, 45.0}, {60.0, 10.0}};
   wsn::Network net(positions, paper_config());
   wsn::Radio radio(net, wsn::PayloadSizes{});
   ParticleStore store;
-  store.add(0, {3.0, 0.0}, 1.0);  // predicted (25, 10); node 1 is 29 m away
+  store.add(0, {3.0, 0.0}, 1.5);  // predicted (25, 10); nodes 1, 2 are 35, 50 m away
 
   rng::Rng rng(511);
-  PropagationConfig no_fallback = prop_config();
-  auto outcome =
-      propagate_particles(store, net, radio, quiet_motion(), no_fallback, rng);
+  auto outcome = propagate_particles(store, net, radio, quiet_motion(), prop_config(), rng);
+  EXPECT_EQ(outcome.num_broadcasts, 1u);
   EXPECT_EQ(outcome.lost_particles, 1u);
+  EXPECT_DOUBLE_EQ(outcome.lost_weight, 1.5);
   EXPECT_TRUE(outcome.next.empty());
 
-  PropagationConfig with_fallback = prop_config();
-  with_fallback.fallback_to_nearest = true;
-  outcome = propagate_particles(store, net, radio, quiet_motion(), with_fallback, rng);
+  // A receiver in range but outside the predicted area takes the whole
+  // particle as the nearest receiver instead.
+  positions[1] = {10.0, 35.0};  // 29 m from the predicted position
+  wsn::Network near(positions, paper_config());
+  wsn::Radio near_radio(near, wsn::PayloadSizes{});
+  outcome = propagate_particles(store, near, near_radio, quiet_motion(), prop_config(), rng);
   EXPECT_EQ(outcome.lost_particles, 0u);
+  EXPECT_DOUBLE_EQ(outcome.lost_weight, 0.0);
   ASSERT_TRUE(outcome.next.contains(1));
-  EXPECT_NEAR(outcome.next.find(1)->weight, 1.0, 1e-12);
+  EXPECT_NEAR(outcome.next.find(1)->weight, 1.5, 1e-12);
 }
 
 TEST(Propagation, InactiveHostLosesItsParticle) {
@@ -241,15 +275,89 @@ TEST(Propagation, DisplacementVelocityPointsAlongHop) {
   ParticleStore store;
   store.add(0, {2.0, 0.0}, 1.0);
   rng::Rng rng(517);
-  PropagationConfig config = prop_config();
-  config.velocity_from_displacement = true;
   const auto outcome =
-      propagate_particles(store, net, radio, quiet_motion(), config, rng);
+      propagate_particles(store, net, radio, quiet_motion(), prop_config(), rng);
   ASSERT_TRUE(outcome.next.contains(1));
   const geom::Vec2 v = outcome.next.find(1)->velocity;
   // Hop displacement is +x: the recorded heading must be +x, speed ~2.
   EXPECT_NEAR(v.angle(), 0.0, 1e-6);
   EXPECT_NEAR(v.norm(), 2.0, 1e-3);
+}
+
+TEST(Propagation, ReceiverListRouteMatchesDirectScan) {
+  // Believed positions route a round through the broadcast receiver list;
+  // without them it scans the record disk directly. With believed == true
+  // positions both routes must give bit-identical rounds: the same
+  // recorders in the same order, weights, velocities, aggregate, statistics
+  // and RNG consumption. The sparse density exercises the nearest-receiver
+  // fallback, and one host in nine plus a few bystanders sleep.
+  const geom::Aabb field = geom::Aabb::square(200.0);
+  for (const double density : {0.5, 5.0, 20.0, 40.0}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(::testing::Message() << "density " << density << " seed " << seed);
+      rng::Rng setup(seed);
+      const auto positions = wsn::deploy_uniform_random(
+          wsn::node_count_for_density(density, field), field, setup);
+      wsn::Network net(positions, paper_config());
+      ParticleStore store;
+      const geom::Vec2 target{setup.uniform(40.0, 160.0), setup.uniform(40.0, 160.0)};
+      for (const wsn::NodeId id : net.nodes_within(target, density < 1.0 ? 40.0 : 12.0)) {
+        store.add(id, {setup.uniform(-3.0, 3.0), setup.uniform(-3.0, 3.0)},
+                  setup.uniform(0.1, 2.0));
+        if (id % 9 == 4) {
+          net.set_power(id, wsn::PowerState::kAsleep);
+        }
+      }
+      for (const wsn::NodeId id : net.nodes_within(target, 25.0)) {
+        if (id % 13 == 5) {
+          net.set_power(id, wsn::PowerState::kAsleep);
+        }
+      }
+      ASSERT_FALSE(store.empty());
+      const tracking::ConstantVelocityModel motion(5.0, 0.05, 0.05);
+
+      wsn::Radio direct_radio(net, wsn::PayloadSizes{});
+      rng::Rng direct_rng(seed + 100);
+      const auto direct =
+          propagate_particles(store, net, direct_radio, motion, prop_config(), direct_rng);
+
+      net.set_believed_positions(positions);
+      wsn::Radio listed_radio(net, wsn::PayloadSizes{});
+      rng::Rng listed_rng(seed + 100);
+      const auto listed =
+          propagate_particles(store, net, listed_radio, motion, prop_config(), listed_rng);
+      net.clear_believed_positions();
+
+      ASSERT_EQ(direct.next.size(), listed.next.size());
+      EXPECT_GT(direct.next.size(), 0u);
+      for (std::size_t i = 0; i < direct.next.size(); ++i) {
+        const NodeParticle& a = direct.next.particles()[i];
+        const NodeParticle& b = listed.next.particles()[i];
+        EXPECT_EQ(a.host, b.host) << "particle " << i;
+        EXPECT_EQ(a.weight, b.weight) << "particle " << i;
+        EXPECT_EQ(a.velocity.x, b.velocity.x) << "particle " << i;
+        EXPECT_EQ(a.velocity.y, b.velocity.y) << "particle " << i;
+      }
+      EXPECT_EQ(direct.global.total_weight, listed.global.total_weight);
+      EXPECT_EQ(direct.global.weighted_position.x, listed.global.weighted_position.x);
+      EXPECT_EQ(direct.global.weighted_position.y, listed.global.weighted_position.y);
+      EXPECT_EQ(direct.global.weighted_velocity.x, listed.global.weighted_velocity.x);
+      EXPECT_EQ(direct.global.weighted_velocity.y, listed.global.weighted_velocity.y);
+      EXPECT_EQ(direct.global.weighted_speed, listed.global.weighted_speed);
+      EXPECT_EQ(direct.global.particles_heard, listed.global.particles_heard);
+      EXPECT_EQ(direct.num_broadcasts, listed.num_broadcasts);
+      EXPECT_EQ(direct.lost_particles, listed.lost_particles);
+      EXPECT_EQ(direct.lost_weight, listed.lost_weight);
+      for (std::size_t k = 0; k < wsn::kNumMessageKinds; ++k) {
+        const auto kind = static_cast<wsn::MessageKind>(k);
+        EXPECT_EQ(direct_radio.stats().messages(kind), listed_radio.stats().messages(kind));
+        EXPECT_EQ(direct_radio.stats().bytes(kind), listed_radio.stats().bytes(kind));
+        EXPECT_EQ(direct_radio.stats().receptions(kind),
+                  listed_radio.stats().receptions(kind));
+      }
+      EXPECT_EQ(direct_rng.uniform(), listed_rng.uniform());
+    }
+  }
 }
 
 }  // namespace

@@ -47,12 +47,11 @@ TEST_P(OverhearingSweep, RecordersAlwaysHearTheFullTotal) {
   const tracking::ConstantVelocityModel motion(1.0, 0.05, 0.05);
   core::PropagationConfig config;
   config.record_radius = 10.0;
-  config.per_node_overhearing = true;  // this test inspects the per-node table
   const auto outcome = core::propagate_particles(store, net, radio, motion, config, rng);
   for (const core::NodeParticle& particle : outcome.next.particles()) {
-    const auto* heard = outcome.overheard.find(particle.host);
-    ASSERT_NE(heard, nullptr);
-    ASSERT_NEAR(heard->total_weight, outcome.global.total_weight, 1e-9)
+    const core::OverheardAggregate heard = core::overheard_by(particle.host, store, net);
+    ASSERT_GT(heard.particles_heard, 0u);
+    ASSERT_NEAR(heard.total_weight, outcome.global.total_weight, 1e-9)
         << "density " << density << " seed " << seed;
   }
 }

@@ -117,17 +117,12 @@ TEST(Engine, ScoresEstimatesAgainstInterpolatedTruth) {
     std::string_view name() const override { return "stub"; }
     double time_step() const override { return 2.0; }
     void iterate(const tracking::TargetState& truth, double time, rng::Rng&) override {
-      pending_.push_back({{truth.position + geom::Vec2{1.0, 0.0}, truth.velocity}, time});
-    }
-    std::vector<core::TimedEstimate> take_estimates() override {
-      auto out = std::move(pending_);
-      pending_.clear();
-      return out;
+      pending_estimates_.push_back(
+          {{truth.position + geom::Vec2{1.0, 0.0}, truth.velocity}, time});
     }
     const wsn::CommStats& comm_stats() const override { return stats_; }
 
    private:
-    std::vector<core::TimedEstimate> pending_;
     wsn::CommStats stats_;
   };
 
