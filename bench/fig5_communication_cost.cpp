@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
       table.commit_row(row);
     }
     bench::emit(table, options, "Figure 5");
-    std::cout << "(swept in " << support::format_double(stopwatch.elapsed_seconds(), 1)
+    // Wall time goes to stderr so stdout depends only on the flags.
+    std::cerr << "(swept in " << support::format_double(stopwatch.elapsed_seconds(), 1)
               << " s)\n";
     return 0;
   } catch (const std::exception& e) {

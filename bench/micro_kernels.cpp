@@ -70,14 +70,23 @@ void BM_PropagationRound(benchmark::State& state) {
   wsn::Network network = sim::build_network(scenario, rng);
   wsn::Radio radio(network, scenario.payloads);
   core::ParticleStore store;
-  for (const wsn::NodeId id : network.nodes_within({100.0, 100.0}, 10.0)) {
+  std::vector<wsn::NodeId> hosts;
+  network.nodes_within({100.0, 100.0}, 10.0, hosts);
+  for (const wsn::NodeId id : hosts) {
     store.add(id, {3.0, 0.0}, 1.0);
   }
   const tracking::RandomTurnMotionModel motion(5.0, 1.0, 0.26, 0.02);
   const core::PropagationConfig config;
+  // Reused buffers, as Cdpf reuses them: the round itself, not its first-use
+  // allocations, is what this measures.
+  core::PropagationOutcome outcome;
+  core::PropagationScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::propagate_particles(store, network, radio, motion, config, rng));
+    outcome.reset();
+    core::propagate_particles_into(store, network, radio, motion, config, rng, outcome,
+                                   scratch);
+    benchmark::DoNotOptimize(outcome.global.total_weight);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_PropagationRound)->Arg(5)->Arg(20)->Arg(40)->ArgName("density");
@@ -131,12 +140,14 @@ void BM_BearingHostFactor(benchmark::State& state) {
       network.config().comm_radius);
   const tracking::BearingMeasurementModel bearing(config.sigma_bearing);
   const geom::Vec2 target{100.0, 100.0};
-  for (const wsn::NodeId id : network.detecting_nodes(target)) {
+  std::vector<wsn::NodeId> ids;
+  network.detecting_nodes(target, ids);
+  for (const wsn::NodeId id : ids) {
     evidence.add(network.position(id), bearing.measure(network.position(id), target, rng));
   }
   std::vector<geom::Vec2> hosts;
-  for (const wsn::NodeId id :
-       network.nodes_within({101.5, 99.0}, network.config().sensing_radius)) {
+  network.nodes_within({101.5, 99.0}, network.config().sensing_radius, ids);
+  for (const wsn::NodeId id : ids) {
     hosts.push_back(network.position(id));
   }
   for (auto _ : state) {
@@ -177,8 +188,8 @@ struct WarmCdpf {
       filter.take_estimates();
       target.x += 3.0 * dt;
     }
-    for (const wsn::NodeId id : network.detecting_nodes(target)) {
-      detecting.push_back(id);
+    network.detecting_nodes(target, detecting);
+    for (const wsn::NodeId id : detecting) {
       snapshot.detections.push_back({id, std::numeric_limits<double>::quiet_NaN()});
       snapshot.measurements.push_back(
           {id, bearing.measure(network.position(id), target, rng)});

@@ -52,12 +52,14 @@ double run_estimator_trial(const sim::Scenario& scenario, std::uint64_t seed,
   Estimator estimator = make(rng);
 
   support::RunningStats sq_errors;
+  std::vector<wsn::NodeId> detecting;
   for (double time = 1.0; time <= trajectory.duration() + 1e-9; time += 1.0) {
     const tracking::TargetState truth = trajectory.at_time(time);
     estimator.predict();
     observations.raw.clear();
     observations.evidence.clear();
-    for (const wsn::NodeId id : network.detecting_nodes(truth.position)) {
+    network.detecting_nodes(truth.position, detecting);
+    for (const wsn::NodeId id : detecting) {
       const geom::Vec2 sensor = network.position(id);
       const double z = bearing.measure(sensor, truth.position, rng);
       observations.raw.push_back({sensor, z});

@@ -9,6 +9,7 @@
 //
 //   ./table1_comm_model [--density=20] [--seed=...] [--csv=out.csv]
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/cdpf.hpp"
@@ -48,7 +49,8 @@ sim::SlotRecord measure(sim::AlgorithmKind kind, const sim::Scenario& scenario,
   } else if (kind == sim::AlgorithmKind::kCdpf || kind == sim::AlgorithmKind::kCdpfNe) {
     particles = dynamic_cast<core::Cdpf*>(tracker.get())->particles().size();
   } else {
-    particles = network.detecting_nodes(t0.position).size();  // N measuring
+    std::vector<wsn::NodeId> detecting;
+    particles = network.detecting_nodes(t0.position, detecting);  // N measuring
   }
 
   const tracking::TargetState t1{{50.0 + 3.0 * dt, 60.0}, {3.0, 0.0}};
@@ -118,10 +120,11 @@ int main(int argc, char** argv) {
       wsn::Network network = sim::build_network(scenario, rng);
       const wsn::GreedyGeographicRouter router(network);
       std::size_t total = 0, count = 0;
-      for (const wsn::NodeId id :
-           network.detecting_nodes({50.0, 60.0})) {
-        if (const auto hops = router.hop_count(id, network.sink())) {
-          total += *hops;
+      std::vector<wsn::NodeId> detecting, path, neighbors;
+      network.detecting_nodes({50.0, 60.0}, detecting);
+      for (const wsn::NodeId id : detecting) {
+        if (router.route_into(id, network.sink(), path, neighbors)) {
+          total += path.size() - 1;
           ++count;
         }
       }

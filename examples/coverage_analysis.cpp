@@ -8,6 +8,7 @@
 //                       [--trace=out.json] [--metrics=out.json]
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "core/cdpf.hpp"
 #include "sim/cli_options.hpp"
@@ -36,9 +37,10 @@ Row analyze(std::vector<geom::Vec2> positions, std::uint64_t seed) {
   Row row;
   support::RunningStats detecting;
   std::size_t covered = 0, samples = 0;
+  std::vector<wsn::NodeId> detecting_nodes;
   for (double x = 0.0; x <= 200.0; x += 2.0) {
     for (double y = 85.0; y <= 115.0; y += 5.0) {
-      const std::size_t n = network.detecting_nodes({x, y}).size();
+      const std::size_t n = network.detecting_nodes({x, y}, detecting_nodes);
       detecting.add(static_cast<double>(n));
       covered += (n > 0);
       ++samples;

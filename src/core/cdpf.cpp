@@ -37,8 +37,6 @@ Cdpf::Cdpf(wsn::Network& network, wsn::Radio& radio, CdpfConfig config)
   last_recorders_.reserve(nodes);
   detecting_scratch_.reserve(nodes);
   evidence_.reserve(nodes);
-  route_path_.reserve(nodes);
-  route_neighbors_.reserve(nodes);
   pending_estimates_.reserve(64);
   if (config_.use_neighborhood_estimation) {
     area_nodes_.reserve(nodes);
@@ -116,20 +114,23 @@ void Cdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
                  "target position must be finite");
   // Assemble the snapshot the sensor field would report: the detecting
   // nodes, their bearing measurements, and (when RSS weighting is on) the
-  // received signal strengths.
-  SensingSnapshot snapshot;
+  // received signal strengths. iterate_snapshot() refills
+  // detecting_scratch_ from the snapshot, so it doubles as the query buffer.
+  sensed_.detections.clear();
+  sensed_.measurements.clear();
   const tracking::RssMeasurementModel rss(config_.rss);
-  for (const wsn::NodeId id : network_.detecting_nodes(truth.position)) {
+  network_.detecting_nodes(truth.position, detecting_scratch_);
+  for (const wsn::NodeId id : detecting_scratch_) {
     SensingSnapshot::Detection d;
     d.node = id;
     if (config_.rss_adaptive_weights) {
       d.rss_dbm = rss.measure(network_.true_position(id), truth.position, rng);
     }
-    snapshot.detections.push_back(d);
-    snapshot.measurements.push_back(
+    sensed_.detections.push_back(d);
+    sensed_.measurements.push_back(
         {id, bearing_.measure(network_.true_position(id), truth.position, rng)});
   }
-  iterate_snapshot(snapshot, time, rng);
+  iterate_snapshot(sensed_, time, rng);
 }
 
 void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
@@ -209,7 +210,7 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
         }
         if (reporter != wsn::kInvalidNodeId) {
           router_.send(radio_, reporter, network_.sink(), wsn::MessageKind::kEstimate,
-                       radio_.payloads().estimate, route_path_, route_neighbors_);
+                       radio_.payloads().estimate);
         }
       }
 

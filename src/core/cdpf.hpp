@@ -150,7 +150,7 @@ class Cdpf final : public TrackerAlgorithm {
 
   /// Run one iteration against an externally assembled sensing snapshot
   /// (multi-target data association, replayed logs, ...). iterate() is a
-  /// thin wrapper that builds the snapshot from ground truth.
+  /// thin wrapper that fills a member snapshot from ground truth.
   void iterate_snapshot(const SensingSnapshot& snapshot, double time, rng::Rng& rng);
   void finalize() override;
   const wsn::CommStats& comm_stats() const override { return radio_.stats(); }
@@ -218,13 +218,15 @@ class Cdpf final : public TrackerAlgorithm {
 
   // Iteration-local workspaces, members so they stay warm across rounds.
   std::vector<wsn::NodeId> detecting_scratch_;
+  /// What iterate() senses from ground truth; it grows to the largest
+  /// detecting set seen and is then reused.
+  SensingSnapshot sensed_;
   /// The likelihood step's shared measurements, sender positions resolved
   /// once per iteration.
   BearingEvidence evidence_;
-  /// Sink reports; a member so its next-hop memo stays warm across rounds.
+  /// Sink reports; a member so its next-hop memo and routing scratch stay
+  /// warm across rounds.
   wsn::GreedyGeographicRouter router_;
-  std::vector<wsn::NodeId> route_path_;
-  std::vector<wsn::NodeId> route_neighbors_;
   std::vector<wsn::NodeId> area_nodes_;
   std::vector<geom::Vec2> area_positions_;
   std::vector<double> area_contributions_;

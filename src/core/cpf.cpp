@@ -39,14 +39,12 @@ CentralizedPf::CentralizedPf(wsn::Network& network, wsn::Radio& radio, CpfConfig
     CDPF_CHECK_MSG(*config_.quantization_levels >= 2,
                    "quantization needs at least two levels");
   }
-  // Size the per-iteration buffers for the worst case (every node detects,
-  // a route visits every node) so steady-state iterations never allocate.
-  // Reserving does not touch the pages, so it costs no resident memory.
+  // Size the per-iteration buffers for the worst case (every node detects)
+  // so steady-state iterations never allocate. Reserving does not touch the
+  // pages, so it costs no resident memory.
   const std::size_t nodes = network_.size();
   detecting_.reserve(nodes);
   received_.reserve(nodes);
-  route_path_.reserve(nodes + 1);
-  route_neighbors_.reserve(nodes);
   if (config_.adaptive_encoding) {
     CDPF_CHECK_MSG(config_.quantization_levels.has_value(),
                    "adaptive encoding requires quantization");
@@ -95,8 +93,7 @@ double CentralizedPf::quantize(double bearing_rad) const {
 void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
                             rng::Rng& rng) {
   CDPF_CHECK_MSG(std::isfinite(time), "iteration time must be finite");
-  network_.active_nodes_within(truth.position, network_.config().sensing_radius,
-                               detecting_);
+  network_.detecting_nodes(truth.position, detecting_);
 
   // Convergecast: one measurement per detecting node, hop by hop to the
   // sink. Payload is D_m, or the compressed size P for the DPF variant.
@@ -150,9 +147,8 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
               delta);
       z_for_filter = decoded;
     }
-    const auto hops =
-        router_.send(radio_, id, network_.sink(), wsn::MessageKind::kMeasurement,
-                     payload, route_path_, route_neighbors_);
+    const auto hops = router_.send(radio_, id, network_.sink(),
+                                   wsn::MessageKind::kMeasurement, payload);
     if (!hops) {
       continue;  // greedy void: this measurement never reaches the sink
     }

@@ -95,13 +95,11 @@ class CentralizedPf final : public TrackerAlgorithm {
   wsn::GreedyGeographicRouter router_;
   filters::SirFilter filter_;
   // Per-iteration buffers, members so steady-state iterations do not
-  // allocate: detecting nodes, the measurements delivered to the sink
+  // allocate: detecting nodes and the measurements delivered to the sink
   // (scored with the quantization noise folded into sigma when the DPF
-  // variant is active), and the routing scratch.
+  // variant is active). The router keeps its own routing scratch.
   std::vector<wsn::NodeId> detecting_;
   BearingEvidence received_;
-  std::vector<wsn::NodeId> route_path_;
-  std::vector<wsn::NodeId> route_neighbors_;
   /// Huffman code over the quantized-innovation alphabet (adaptive mode).
   std::optional<filters::HuffmanCode> innovation_code_;
   std::size_t encoded_bits_ = 0;

@@ -30,9 +30,9 @@ void GmmDpf::reinitialize_cloud(geom::Vec2 center, rng::Rng& rng) {
 
 void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rng) {
   CDPF_CHECK_MSG(std::isfinite(time), "iteration time must be finite");
-  const std::vector<wsn::NodeId> detecting = network_.detecting_nodes(truth.position);
+  network_.detecting_nodes(truth.position, detecting_);
 
-  if (detecting.empty()) {
+  if (detecting_.empty()) {
     if (!filter_.initialized()) {
       return;  // nothing to do before first contact
     }
@@ -44,13 +44,13 @@ void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& 
 
   // 1. Head election: detecting node nearest the detecting centroid.
   geom::Vec2 centroid{};
-  for (const wsn::NodeId id : detecting) {
+  for (const wsn::NodeId id : detecting_) {
     centroid += network_.position(id);
   }
-  centroid = centroid / static_cast<double>(detecting.size());
-  wsn::NodeId new_head = detecting.front();
+  centroid = centroid / static_cast<double>(detecting_.size());
+  wsn::NodeId new_head = detecting_.front();
   double best = std::numeric_limits<double>::infinity();
-  for (const wsn::NodeId id : detecting) {
+  for (const wsn::NodeId id : detecting_) {
     const double d = geom::distance_squared(network_.position(id), centroid);
     if (d < best) {
       best = d;
@@ -92,7 +92,7 @@ void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& 
 
   // 2. Members unicast their measurements to the head.
   received_.clear();
-  for (const wsn::NodeId id : detecting) {
+  for (const wsn::NodeId id : detecting_) {
     const double z = bearing_.measure(network_.true_position(id), truth.position, rng);
     if (id != head_) {
       if (!radio_.unicast(id, head_, wsn::MessageKind::kMeasurement,

@@ -79,7 +79,10 @@ class GmmDpf final : public TrackerAlgorithm {
 
   wsn::NodeId head_ = wsn::kInvalidNodeId;
   filters::SirFilter filter_;  // the particle cloud maintained at the head
-  BearingEvidence received_;   // measurements the head received this step
+  // Per-iteration buffers, members so an iteration without a head handoff
+  // allocates nothing once they have grown to the largest detecting set.
+  std::vector<wsn::NodeId> detecting_;
+  BearingEvidence received_;  // measurements the head received this step
   std::size_t handoffs_ = 0;
 };
 

@@ -37,8 +37,7 @@ void MultiTargetTracker::iterate(std::span<const tracking::TargetState> truths,
     std::map<wsn::NodeId, Nearest> nearest;
     std::vector<wsn::NodeId> scratch;
     for (const tracking::TargetState& truth : truths) {
-      network_.active_nodes_within(truth.position,
-                                   network_.config().sensing_radius, scratch);
+      network_.detecting_nodes(truth.position, scratch);
       for (const wsn::NodeId id : scratch) {
         const double d2 =
             geom::distance_squared(network_.true_position(id), truth.position);

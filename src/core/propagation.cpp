@@ -268,22 +268,9 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
   }());
 }
 
-PropagationOutcome propagate_particles(const ParticleStore& store,
-                                       const wsn::Network& network, wsn::Radio& radio,
-                                       const tracking::MotionModel& motion,
-                                       const PropagationConfig& config, rng::Rng& rng) {
-  CDPF_CHECK_MSG(config.record_radius > 0.0, "record radius must be positive");
-  PropagationOutcome outcome;
-  PropagationScratch scratch;
-  propagate_particles_into(store, network, radio, motion, config, rng, outcome,
-                           scratch);
-  return outcome;
-}
-
 OverheardAggregate overheard_by(wsn::NodeId node, const ParticleStore& broadcasters,
                                 const wsn::Network& network) {
   CDPF_CHECK_MSG(node < network.size(), "node id out of range");
-  const geom::Vec2 node_position = network.true_position(node);
   const bool node_active = network.is_active(node);
   OverheardAggregate heard;
   for (const wsn::NodeId host : broadcasters.sorted_hosts()) {
@@ -291,8 +278,7 @@ OverheardAggregate overheard_by(wsn::NodeId node, const ParticleStore& broadcast
       continue;  // did not broadcast
     }
     const geom::Vec2 host_position = network.position(host);
-    if (host != node &&
-        !(node_active && network.in_comm_range(node_position, host_position))) {
+    if (host != node && !(node_active && network.in_comm_range(node, host))) {
       continue;
     }
     const NodeParticle& particle = *broadcasters.find(host);

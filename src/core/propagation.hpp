@@ -133,21 +133,15 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
                               const PropagationConfig& config, rng::Rng& rng,
                               PropagationOutcome& outcome, PropagationScratch& scratch);
 
-/// Convenience wrapper allocating a fresh outcome per round (tests, callers
-/// off the hot path).
-PropagationOutcome propagate_particles(const ParticleStore& store,
-                                       const wsn::Network& network, wsn::Radio& radio,
-                                       const tracking::MotionModel& motion,
-                                       const PropagationConfig& config, rng::Rng& rng);
-
 /// What `node` holds after overhearing one propagation round whose
 /// broadcasting particles are `broadcasters` (the round's input store): the
 /// particle of every active host, folded in sorted-host order, that `node`
 /// either hosts or receives by Radio::broadcast's rule — `node` is active
 /// and its true position lies within the communication radius of the
-/// host's position(). A diagnostic of the overhearing-completeness claim
-/// (paper §IV: under r_s <= r_c/2 every recorder's total equals
-/// PropagationOutcome::global); the filter itself reads only `global`.
+/// host's true position (Network::in_comm_range). A diagnostic of the
+/// overhearing-completeness claim (paper §IV: under r_s <= r_c/2 every
+/// recorder's total equals PropagationOutcome::global); the filter itself
+/// reads only `global`.
 /// Evaluate it under the node activity the round ran with. After a Cdpf
 /// iteration the round's broadcasters are Cdpf::last_propagation()->next.
 OverheardAggregate overheard_by(wsn::NodeId node, const ParticleStore& broadcasters,

@@ -102,8 +102,7 @@ void Sdpf::regroup_by_host() {
 
 void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rng) {
   CDPF_CHECK_MSG(std::isfinite(time), "iteration time must be finite");
-  network_.active_nodes_within(truth.position, network_.config().sensing_radius,
-                               detecting_);
+  network_.detecting_nodes(truth.position, detecting_);
   if (!particles_.empty()) {
     // -- 1. Propagation: each host broadcasts its particles (one message
     //    per particle: D_p + D_w) and every particle re-hosts on the

@@ -1,7 +1,7 @@
-// Typed metrics registry: counters, gauges and histograms behind one
+// Metrics registry: named, unit-annotated monotonic counters behind one
 // snapshot API, unifying the repo's ad-hoc accounting (wsn::CommStats byte /
-// message / reception totals, wsn::EnergyModel joules, iteration and
-// estimate counts) into a single named, unit-annotated value space.
+// message / reception totals, iteration and estimate counts) into a single
+// value space.
 //
 // Design constraints, in order:
 //   * Exactness. Counters are unsigned 64-bit integers with atomic
@@ -10,9 +10,9 @@
 //     the same determinism contract sim::run_slots_ordered makes
 //     (DESIGN.md §6), and what lets a metrics snapshot reproduce
 //     wsn::CommStats totals exactly.
-//   * Thread safety without locks on the update path. add()/set()/observe()
-//     are lock-free atomics; only registration and snapshot take the
-//     registry mutex (both off the per-iteration path).
+//   * Thread safety without locks on the update path. add() is a lock-free
+//     atomic; only registration and snapshot take the registry mutex (both
+//     off the per-iteration path).
 //   * Stable handles. Registration returns a dense Id; cells live in
 //     fixed-size chunks under a fixed top-level table, so handles and
 //     concurrent updates survive later registrations, and an update never
@@ -23,7 +23,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -33,33 +32,22 @@
 
 namespace cdpf::support {
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
-
-/// Point-in-time copy of every registered metric. Snapshots are plain data:
-/// diffable (delta()), serializable (to_json()/write_json()) and safe to
-/// keep after the registry moves on.
+/// Point-in-time copy of every registered counter. Snapshots are plain
+/// data: diffable (delta()), serializable (to_json()/write_json()) and safe
+/// to keep after the registry moves on.
 struct MetricsSnapshot {
   struct Entry {
     std::string name;
     std::string unit;
-    MetricKind kind = MetricKind::kCounter;
-    /// Counter value, or histogram sample count.
     std::uint64_t count = 0;
-    /// Gauge value, or histogram sample sum.
-    double value = 0.0;
-    /// Histogram upper bucket bounds (inclusive); buckets has one extra
-    /// terminal bucket for samples above the last bound.
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> buckets;
   };
   std::vector<Entry> entries;
 
   /// Entry by name, or nullptr.
   const Entry* find(std::string_view name) const;
 
-  /// Per-interval difference: counters and histogram counts subtract
-  /// (entries of `after` missing from `before` pass through); gauges keep
-  /// the `after` value (a gauge is a level, not a flow).
+  /// Per-interval difference: counts subtract (entries of `after` missing
+  /// from `before` pass through).
   static MetricsSnapshot delta(const MetricsSnapshot& before,
                                const MetricsSnapshot& after);
 
@@ -75,37 +63,21 @@ class MetricsRegistry {
 
   /// Register (or look up — name is the identity) a monotonic counter.
   Id counter(std::string_view name, std::string_view unit = "");
-  /// Register (or look up) a last-value-wins gauge.
-  Id gauge(std::string_view name, std::string_view unit = "");
-  /// Register (or look up) a histogram with inclusive upper `bounds`
-  /// (must be sorted ascending; a terminal overflow bucket is implicit).
-  Id histogram(std::string_view name, std::vector<double> bounds,
-               std::string_view unit = "");
 
   /// Counter += delta. Lock-free; exact for any thread interleaving.
   void add(Id id, std::uint64_t delta = 1);
-  /// Gauge = value. Lock-free.
-  void set(Id id, double value);
-  /// Record one histogram sample. Lock-free.
-  void observe(Id id, double value);
 
   MetricsSnapshot snapshot() const;
-  /// Zero every value; registrations (names, ids, bounds) survive.
+  /// Zero every count; registrations (names, ids) survive.
   void reset();
 
  private:
   struct Cell {
     std::string name;
     std::string unit;
-    MetricKind kind = MetricKind::kCounter;
     std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> value_bits{0};  // double payload via bit_cast
-    std::vector<double> bounds;
-    std::deque<std::atomic<std::uint64_t>> buckets;
   };
 
-  Id get_or_create(std::string_view name, std::string_view unit, MetricKind kind,
-                   std::vector<double> bounds);
   Cell& cell(Id id) const { return chunks_[id / kChunkCells][id % kChunkCells]; }
 
   static constexpr std::size_t kChunkCells = 64;

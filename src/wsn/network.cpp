@@ -98,12 +98,6 @@ std::size_t Network::nodes_within(geom::Vec2 center, double radius,
   return out.size();
 }
 
-std::vector<NodeId> Network::nodes_within(geom::Vec2 center, double radius) const {
-  std::vector<NodeId> out;
-  nodes_within(center, radius, out);
-  return out;
-}
-
 std::size_t Network::active_nodes_within(geom::Vec2 center, double radius,
                                          std::vector<NodeId>& out) const {
   out.clear();
@@ -168,10 +162,8 @@ std::size_t Network::active_comm_disk_count(NodeId id) const {
   return count;
 }
 
-std::vector<NodeId> Network::detecting_nodes(geom::Vec2 target) const {
-  std::vector<NodeId> out;
-  active_nodes_within(target, config_.sensing_radius, out);
-  return out;
+std::size_t Network::detecting_nodes(geom::Vec2 target, std::vector<NodeId>& out) const {
+  return active_nodes_within(target, config_.sensing_radius, out);
 }
 
 std::vector<NodeId> Network::comm_neighbors(NodeId id) const {

@@ -129,7 +129,6 @@ class Network {
   /// Ids of all nodes within `radius` of `center`.
   std::size_t nodes_within(geom::Vec2 center, double radius,
                            std::vector<NodeId>& out) const;
-  std::vector<NodeId> nodes_within(geom::Vec2 center, double radius) const;
 
   /// Ids of *active* nodes within `radius` of `center`.
   std::size_t active_nodes_within(geom::Vec2 center, double radius,
@@ -149,23 +148,25 @@ class Network {
   std::size_t count_active_within(geom::Vec2 center, double radius) const;
 
   /// Number of active nodes (including `id` itself when active) within the
-  /// communication radius of `id`'s *true* position. Memoized per node and
-  /// invalidated whenever any node's activity changes, so per-message radio
-  /// accounting does not pay a grid walk per broadcast. Callers that operate
-  /// on believed positions must not use this (believed displacement moves
-  /// the query center); Radio gates on has_believed_positions() first.
+  /// communication radius of `id`'s true position — the size of its radio
+  /// neighbourhood plus one. Memoized per node and invalidated whenever any
+  /// node's activity changes, so per-message radio accounting does not pay a
+  /// grid walk per broadcast.
   std::size_t active_comm_disk_count(NodeId id) const;
 
   /// Active nodes whose sensing disk contains `target` — the detecting set
-  /// under the instant-detection model.
-  std::vector<NodeId> detecting_nodes(geom::Vec2 target) const;
+  /// under the instant-detection model — written into `out` (cleared
+  /// first) in query order. Every tracker asks for its detecting set here.
+  std::size_t detecting_nodes(geom::Vec2 target, std::vector<NodeId>& out) const;
 
-  /// The link predicate of the radio, applied to two nodes' position()s:
-  /// are they within the communication radius of each other?
-  /// Radio::in_range and greedy routing share it.
-  bool in_comm_range(geom::Vec2 a, geom::Vec2 b) const {
+  /// The link predicate of the radio: are nodes `a` and `b` within the
+  /// communication radius of each other? Radio propagation is physical, so
+  /// it compares true positions — the same arithmetic as the grid's disk
+  /// test, so a disk query at r_c around a node's true position returns
+  /// exactly the nodes this predicate links it to.
+  bool in_comm_range(NodeId a, NodeId b) const {
     const double rc = config_.comm_radius;
-    return geom::distance_squared(a, b) <= rc * rc;
+    return geom::distance_squared(true_position(a), true_position(b)) <= rc * rc;
   }
 
   /// Active one-hop communication neighbors of `id` (excluding `id`).

@@ -9,13 +9,15 @@ Radio::Radio(Network& network, PayloadSizes payloads, EnergyModel* energy)
     : network_(network), payloads_(payloads), energy_(energy) {}
 
 bool Radio::in_range(NodeId u, NodeId v) const {
-  return network_.in_comm_range(network_.position(u), network_.position(v));
+  return network_.in_comm_range(u, v);
 }
 
 bool Radio::interferes(NodeId tx, NodeId src, NodeId rx, double guard) const {
   CDPF_CHECK_MSG(guard >= 0.0, "interference guard must be non-negative");
-  const double d_tx = geom::distance(network_.position(tx), network_.position(rx));
-  const double d_src = geom::distance(network_.position(src), network_.position(rx));
+  const double d_tx =
+      geom::distance(network_.true_position(tx), network_.true_position(rx));
+  const double d_src =
+      geom::distance(network_.true_position(src), network_.true_position(rx));
   return d_tx <= (1.0 + guard) * d_src;
 }
 
@@ -23,8 +25,8 @@ void Radio::broadcast(NodeId from, MessageKind kind, std::size_t payload_bytes,
                       std::vector<NodeId>& out) {
   CDPF_TRACE_INSTANT("radio-broadcast");
   CDPF_CHECK_MSG(network_.is_active(from), "only active nodes can transmit");
-  network_.active_nodes_within(network_.position(from), network_.config().comm_radius,
-                               out);
+  network_.active_nodes_within(network_.true_position(from),
+                               network_.config().comm_radius, out);
   std::erase(out, from);
   stats_.record(kind, payload_bytes, out.size());
   if (energy_ != nullptr) {
@@ -35,25 +37,16 @@ void Radio::broadcast(NodeId from, MessageKind kind, std::size_t payload_bytes,
   }
 }
 
-std::vector<NodeId> Radio::broadcast(NodeId from, MessageKind kind,
-                                     std::size_t payload_bytes) {
-  std::vector<NodeId> out;
-  broadcast(from, kind, payload_bytes, out);
-  return out;
-}
-
 std::size_t Radio::broadcast_count(NodeId from, MessageKind kind,
                                    std::size_t payload_bytes) {
-  if (energy_ != nullptr || network_.has_believed_positions()) {
+  if (energy_ != nullptr) {
     broadcast(from, kind, payload_bytes, scratch_);
     return scratch_.size();
   }
   CDPF_TRACE_INSTANT("radio-broadcast-count");
   CDPF_CHECK_MSG(network_.is_active(from), "only active nodes can transmit");
-  // The sender is active and at distance zero from its own (true) position,
-  // so the disk count always includes it; receivers exclude it. The memoized
-  // count is keyed on the true position, which the believed-positions guard
-  // above makes equal to position(from).
+  // The sender is active and at distance zero from its own position, so the
+  // disk count always includes it; receivers exclude it.
   const std::size_t receivers = network_.active_comm_disk_count(from) - 1;
   stats_.record(kind, payload_bytes, receivers);
   return receivers;
@@ -68,7 +61,8 @@ bool Radio::unicast(NodeId from, NodeId to, MessageKind kind, std::size_t payloa
   stats_.record(kind, payload_bytes, 1);
   if (energy_ != nullptr) {
     energy_->charge_tx(from, payload_bytes,
-                       geom::distance(network_.position(from), network_.position(to)));
+                       geom::distance(network_.true_position(from),
+                                      network_.true_position(to)));
     energy_->charge_rx(to, payload_bytes);
   }
   return true;

@@ -28,7 +28,8 @@ class Radio {
   CommStats& stats() { return stats_; }
   const CommStats& stats() const { return stats_; }
 
-  /// Can u and v communicate directly under the protocol model?
+  /// Can u and v communicate directly under the protocol model? Like every
+  /// radio rule here, it reads true positions (Network::in_comm_range).
   bool in_range(NodeId u, NodeId v) const;
 
   /// Would a transmission from `tx` interfere at receiver `rx` listening to
@@ -36,20 +37,16 @@ class Radio {
   bool interferes(NodeId tx, NodeId src, NodeId rx, double guard = 0.1) const;
 
   /// Broadcast `payload_bytes` from `from`; every active node within r_c
-  /// (excluding the sender) receives it. Returns the receiver set and
-  /// records one message + payload bytes + reception count.
-  std::vector<NodeId> broadcast(NodeId from, MessageKind kind, std::size_t payload_bytes);
-
-  /// Reuse-friendly variant writing receivers into `out`.
+  /// (excluding the sender) receives it. Writes the receiver set into `out`
+  /// (cleared first) and records one message + payload bytes + reception
+  /// count.
   void broadcast(NodeId from, MessageKind kind, std::size_t payload_bytes,
                  std::vector<NodeId>& out);
 
   /// Broadcast without materializing the receiver set: records exactly the
   /// statistics broadcast() would and returns the receiver count. Falls back
-  /// to the materializing path (into an internal scratch buffer) when the
-  /// receivers are individually needed — energy accounting charges each one,
-  /// and believed positions can displace the sender out of its own reception
-  /// disk, breaking the count arithmetic.
+  /// to the materializing path (into an internal scratch buffer) when energy
+  /// accounting has to charge each receiver.
   std::size_t broadcast_count(NodeId from, MessageKind kind,
                               std::size_t payload_bytes);
 

@@ -11,23 +11,18 @@ GreedyGeographicRouter::GreedyGeographicRouter(const Network& network)
 
 NodeId GreedyGeographicRouter::scan_next_hop(NodeId current, geom::Vec2 destination,
                                              std::vector<NodeId>& neighbors) const {
-  const geom::Vec2 here = network_.position(current);
-  const double current_dist = geom::distance(here, destination);
-  network_.active_nodes_within(here, network_.config().comm_radius, neighbors);
+  // The neighbours are the radio's: the disk at r_c around current's true
+  // position. Greedy ranks them by the positions the nodes believe they hold.
+  const double current_dist = geom::distance(network_.position(current), destination);
+  network_.active_nodes_within(network_.true_position(current),
+                               network_.config().comm_radius, neighbors);
   NodeId best = kInvalidNodeId;
   double best_dist = current_dist;
   for (const NodeId n : neighbors) {
     if (n == current) {
       continue;
     }
-    // The disk query runs on true positions around current's believed one;
-    // under believed positions it can return nodes the radio's link
-    // predicate rejects, and a hop the radio cannot deliver is no hop.
-    const geom::Vec2 there = network_.position(n);
-    if (!network_.in_comm_range(here, there)) {
-      continue;
-    }
-    const double d = geom::distance(there, destination);
+    const double d = geom::distance(network_.position(n), destination);
     if (d < best_dist) {
       best_dist = d;
       best = n;
@@ -45,6 +40,9 @@ bool GreedyGeographicRouter::route_into(NodeId from, NodeId to,
   if (next_hop_.size() != network_.size()) {
     next_hop_.assign(network_.size(), kInvalidNodeId);
     next_hop_stamp_.assign(network_.size(), 0);
+    // A route visits each node at most once; any node may neighbour it.
+    path_.reserve(network_.size() + 1);
+    neighbors_.reserve(network_.size());
   }
   if (to != memo_destination_ || network_.activity_epoch() != memo_epoch_) {
     ++memo_stamp_;
@@ -75,45 +73,18 @@ bool GreedyGeographicRouter::route_into(NodeId from, NodeId to,
   return current == to;
 }
 
-std::optional<std::vector<NodeId>> GreedyGeographicRouter::route(NodeId from,
-                                                                 NodeId to) const {
-  std::vector<NodeId> path;
-  std::vector<NodeId> neighbors;
-  if (!route_into(from, to, path, neighbors)) {
-    return std::nullopt;
-  }
-  return path;
-}
-
-std::optional<std::size_t> GreedyGeographicRouter::hop_count(NodeId from,
-                                                             NodeId to) const {
-  const auto path = route(from, to);
-  if (!path) {
-    return std::nullopt;
-  }
-  return path->size() - 1;
-}
-
 std::optional<std::size_t> GreedyGeographicRouter::send(Radio& radio, NodeId from,
                                                         NodeId to, MessageKind kind,
                                                         std::size_t payload_bytes) const {
-  std::vector<NodeId> path;
-  std::vector<NodeId> neighbors;
-  return send(radio, from, to, kind, payload_bytes, path, neighbors);
-}
-
-std::optional<std::size_t> GreedyGeographicRouter::send(
-    Radio& radio, NodeId from, NodeId to, MessageKind kind, std::size_t payload_bytes,
-    std::vector<NodeId>& path, std::vector<NodeId>& neighbors) const {
-  if (!route_into(from, to, path, neighbors)) {
+  if (!route_into(from, to, path_, neighbors_)) {
     return std::nullopt;
   }
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const bool delivered = radio.unicast(path[i], path[i + 1], kind, payload_bytes);
+  for (std::size_t i = 0; i + 1 < path_.size(); ++i) {
+    const bool delivered = radio.unicast(path_[i], path_[i + 1], kind, payload_bytes);
     CDPF_ASSERT(delivered);
     (void)delivered;
   }
-  return path.size() - 1;
+  return path_.size() - 1;
 }
 
 }  // namespace cdpf::wsn

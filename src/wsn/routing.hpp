@@ -14,6 +14,8 @@
 // node, filled on first use and valid for one (destination,
 // Network::activity_epoch()) key. A miss runs the plain neighbor scan, so
 // memoized routes are the scanned routes, tie-breaks and voids included.
+// The path and neighbour buffers send() routes through live beside the memo
+// and are sized with it, so a warm router sends without allocating.
 #pragma once
 
 #include <cstddef>
@@ -32,20 +34,13 @@ class GreedyGeographicRouter {
  public:
   explicit GreedyGeographicRouter(const Network& network);
 
-  /// Node sequence from `from` to `to` (inclusive on both ends), or
-  /// std::nullopt when greedy forwarding hits a void (no neighbor closer to
-  /// the destination than the current node).
-  std::optional<std::vector<NodeId>> route(NodeId from, NodeId to) const;
-
-  /// Allocation-free core of route(): writes the node sequence into `path`
-  /// (cleared first) using `neighbors` as scratch, so callers on the
-  /// per-iteration hot path can reuse warm buffers. Returns false on a
-  /// greedy void (path contents are then unspecified).
+  /// Writes the node sequence from `from` to `to` (inclusive on both ends)
+  /// into `path` (cleared first), using `neighbors` as scratch. Returns false
+  /// when greedy forwarding hits a void — no neighbor closer to the
+  /// destination than the current node (path contents are then
+  /// unspecified). The route length minus one is its hop count.
   bool route_into(NodeId from, NodeId to, std::vector<NodeId>& path,
                   std::vector<NodeId>& neighbors) const;
-
-  /// Number of transmissions on the route (route length - 1), or nullopt.
-  std::optional<std::size_t> hop_count(NodeId from, NodeId to) const;
 
   /// Send `payload_bytes` from `from` to `to` hop by hop, recording one
   /// unicast per hop in `radio`. Returns the hop count, or nullopt when no
@@ -53,17 +48,11 @@ class GreedyGeographicRouter {
   std::optional<std::size_t> send(Radio& radio, NodeId from, NodeId to,
                                   MessageKind kind, std::size_t payload_bytes) const;
 
-  /// send() with caller-provided scratch (see route_into).
-  std::optional<std::size_t> send(Radio& radio, NodeId from, NodeId to,
-                                  MessageKind kind, std::size_t payload_bytes,
-                                  std::vector<NodeId>& path,
-                                  std::vector<NodeId>& neighbors) const;
-
  private:
   /// The active neighbor of `current` that the radio can reach
   /// (Network::in_comm_range), strictly closer to `destination` than
-  /// `current` itself and closest among those (the first in query order on
-  /// ties), or kInvalidNodeId on a greedy void.
+  /// `current` itself by believed position and closest among those (the
+  /// first in query order on ties), or kInvalidNodeId on a greedy void.
   NodeId scan_next_hop(NodeId current, geom::Vec2 destination,
                        std::vector<NodeId>& neighbors) const;
 
@@ -71,12 +60,15 @@ class GreedyGeographicRouter {
   // Lazy next-hop memo: next_hop_[n] is valid while next_hop_stamp_[n] ==
   // memo_stamp_. Changing the (destination, activity epoch) key bumps
   // memo_stamp_, which invalidates every entry in O(1). Sized on the first
-  // route, so constructing a router stays free.
+  // route, together with send()'s path and neighbour scratch, so
+  // constructing a router stays free.
   mutable std::vector<NodeId> next_hop_;
   mutable std::vector<std::uint64_t> next_hop_stamp_;
   mutable std::uint64_t memo_stamp_ = 0;
   mutable NodeId memo_destination_ = kInvalidNodeId;
   mutable std::uint64_t memo_epoch_ = 0;
+  mutable std::vector<NodeId> path_;
+  mutable std::vector<NodeId> neighbors_;
 };
 
 }  // namespace cdpf::wsn

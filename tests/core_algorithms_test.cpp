@@ -174,7 +174,8 @@ TEST(Sdpf, SeedsEightParticlesPerDetectingNode) {
   Sdpf filter(f.network, f.radio, SdpfConfig{});
   const auto truth = truth_at(0.0);
   filter.iterate(truth, 0.0, f.rng);
-  const std::size_t detecting = f.network.detecting_nodes(truth.position).size();
+  std::vector<wsn::NodeId> ids;
+  const std::size_t detecting = f.network.detecting_nodes(truth.position, ids);
   EXPECT_EQ(filter.particles().size(), 8 * detecting);
   ASSERT_EQ(filter.hosts().size(), filter.particles().size());
   // All particle positions coincide with their host node ("motes as
@@ -203,7 +204,8 @@ TEST(Sdpf, PruneDropsWholeLightHosts) {
       const auto truth = truth_at(5.0 * k);
       filter.iterate(truth, 5.0 * k, f.rng);
       EXPECT_NEAR(filters::total_weight(filter.particles()), 1.0, 1e-12);
-      std::vector<wsn::NodeId> detecting = f.network.detecting_nodes(truth.position);
+      std::vector<wsn::NodeId> detecting;
+      f.network.detecting_nodes(truth.position, detecting);
       std::sort(detecting.begin(), detecting.end());
       std::vector<wsn::NodeId> expected_hosts;
       for (const wsn::NodeId id : detecting) {

@@ -1,13 +1,19 @@
 // Steady-state allocation freedom (the hot-path contract): once a Cdpf
-// filter's buffers are warm, iterate_snapshot() must not touch the global
-// heap at all — for CDPF and CDPF-NE alike, including the propagation
-// round, the weight-assignment step, and the sink report. The same holds
-// for CentralizedPf::iterate(): detection, the convergecast, the SIR update
-// and resampling; and for Sdpf::iterate(): propagation and re-hosting, the
-// regroup by host, pruning, seeding, the transceiver round and local
-// resampling. The test swaps in counting replacements for the global
-// allocation functions and asserts the counter stays at zero across
-// measured iterations.
+// filter's buffers are warm, an iteration must not touch the global heap at
+// all — for CDPF and CDPF-NE alike, including the propagation round, the
+// weight-assignment step, and the sink report — both through iterate(),
+// which senses the detecting set and its bearings from ground truth as
+// sim::run_trial and perfbench drive it, and through iterate_snapshot() on
+// pre-staged snapshots. The same holds for CentralizedPf::iterate():
+// detection, the convergecast, the SIR update and resampling; for
+// Sdpf::iterate(): propagation and re-hosting, the regroup by host, pruning,
+// seeding, the transceiver round and local resampling; and for
+// GmmDpf::iterate() in every iteration without a head handoff: detection,
+// head election, the members' unicasts, the SIR step and the routed sink
+// report. A handoff still allocates — the EM mixture fit and the cloud
+// redrawn from it — so those iterations are not measured. The test swaps in
+// counting replacements for the global allocation functions and asserts the
+// counter stays at zero across measured iterations.
 //
 // take_estimates() intentionally stays OUTSIDE the measured window: handing
 // the pending estimates to the caller materializes a fresh vector by
@@ -23,6 +29,7 @@
 
 #include "core/cdpf.hpp"
 #include "core/cpf.hpp"
+#include "core/gmm_dpf.hpp"
 #include "core/sdpf.hpp"
 #include "tracking/measurement.hpp"
 #include "wsn/deployment.hpp"
@@ -79,7 +86,8 @@ constexpr double kDt = 1.0;
 constexpr int kWarmupSteps = 12;
 constexpr int kMeasuredSteps = 8;
 
-/// Allocations performed inside iterate_snapshot() after a warm-up phase.
+/// Allocations performed inside iterate_snapshot() after a warm-up phase,
+/// on snapshots staged before anything is measured.
 std::size_t steady_state_allocations(bool neighborhood_estimation) {
   rng::Rng rng(424242);
   const geom::Aabb field = geom::Aabb::square(200.0);
@@ -98,10 +106,12 @@ std::size_t steady_state_allocations(bool neighborhood_estimation) {
   // sensing input is the simulator's job, not part of the filter iteration.
   const tracking::BearingMeasurementModel bearing(config.sigma_bearing);
   std::vector<core::SensingSnapshot> snapshots;
+  std::vector<wsn::NodeId> detecting;
   for (int step = 0; step < kWarmupSteps + kMeasuredSteps; ++step) {
     const geom::Vec2 target{60.0 + 3.0 * kDt * static_cast<double>(step), 100.0};
     core::SensingSnapshot snapshot;
-    for (const wsn::NodeId id : network.detecting_nodes(target)) {
+    network.detecting_nodes(target, detecting);
+    for (const wsn::NodeId id : detecting) {
       snapshot.detections.push_back({id, std::numeric_limits<double>::quiet_NaN()});
       snapshot.measurements.push_back(
           {id, bearing.measure(network.true_position(id), target, rng)});
@@ -121,6 +131,43 @@ std::size_t steady_state_allocations(bool neighborhood_estimation) {
     g_counting.store(true);
     filter.iterate_snapshot(snapshots[static_cast<std::size_t>(step)],
                             kDt * static_cast<double>(step), rng);
+    g_counting.store(false);
+    (void)filter.take_estimates();
+  }
+  EXPECT_FALSE(filter.particles().empty()) << "measured phase lost the track";
+  return g_allocations.load();
+}
+
+/// Allocations performed inside Cdpf::iterate() after a warm-up phase: the
+/// path sim::run_trial drives, sensing included.
+std::size_t cdpf_iterate_allocations(bool neighborhood_estimation) {
+  rng::Rng rng(424242);
+  const geom::Aabb field = geom::Aabb::square(200.0);
+  const auto positions = wsn::deploy_uniform_random(
+      wsn::node_count_for_density(20.0, field), field, rng);
+  wsn::Network network(positions, wsn::NetworkConfig{field, 10.0, 30.0});
+  wsn::Radio radio(network, wsn::PayloadSizes{});
+
+  core::CdpfConfig config;
+  config.dt = kDt;
+  config.use_neighborhood_estimation = neighborhood_estimation;
+  config.report_estimates_to_sink = true;  // include the routing hot path
+  core::Cdpf filter(network, radio, config);
+  auto truth = [](int step) {
+    const double t = kDt * static_cast<double>(step);
+    return tracking::TargetState{{60.0 + 3.0 * t, 100.0}, {3.0, 0.0}};
+  };
+
+  for (int step = 0; step < kWarmupSteps; ++step) {
+    filter.iterate(truth(step), kDt * static_cast<double>(step), rng);
+    (void)filter.take_estimates();
+  }
+  EXPECT_FALSE(filter.particles().empty()) << "warm-up lost the track";
+
+  g_allocations.store(0);
+  for (int step = kWarmupSteps; step < kWarmupSteps + kMeasuredSteps; ++step) {
+    g_counting.store(true);
+    filter.iterate(truth(step), kDt * static_cast<double>(step), rng);
     g_counting.store(false);
     (void)filter.take_estimates();
   }
@@ -197,6 +244,51 @@ std::size_t sdpf_steady_state_allocations() {
   return g_allocations.load();
 }
 
+/// Allocations performed inside the GmmDpf::iterate() calls after a warm-up
+/// phase that hand no cluster head over (handoffs() unchanged). Counts the
+/// measured iterations without a handoff into `quiet_iterations`.
+std::size_t gmm_dpf_steady_state_allocations(int& quiet_iterations) {
+  rng::Rng rng(424242);
+  const geom::Aabb field = geom::Aabb::square(200.0);
+  const auto positions = wsn::deploy_uniform_random(
+      wsn::node_count_for_density(20.0, field), field, rng);
+  wsn::Network network(positions, wsn::NetworkConfig{field, 10.0, 30.0});
+  wsn::Radio radio(network, wsn::PayloadSizes{});
+
+  core::GmmDpfConfig config;
+  config.dt = kDt;
+  core::GmmDpf filter(network, radio, config);
+  // A slow target keeps the head (the detecting node nearest the detecting
+  // centroid) in place for several steps at a time.
+  auto truth = [](int step) {
+    const double t = kDt * static_cast<double>(step);
+    return tracking::TargetState{{60.0 + 0.3 * t, 100.0}, {0.3, 0.0}};
+  };
+
+  constexpr int kGmmMeasuredSteps = 40;
+  for (int step = 0; step < kWarmupSteps; ++step) {
+    filter.iterate(truth(step), kDt * static_cast<double>(step), rng);
+    (void)filter.take_estimates();
+  }
+  EXPECT_NE(filter.head(), wsn::kInvalidNodeId) << "warm-up never elected a head";
+
+  std::size_t allocations = 0;
+  quiet_iterations = 0;
+  for (int step = kWarmupSteps; step < kWarmupSteps + kGmmMeasuredSteps; ++step) {
+    const std::size_t handoffs = filter.handoffs();
+    g_allocations.store(0);
+    g_counting.store(true);
+    filter.iterate(truth(step), kDt * static_cast<double>(step), rng);
+    g_counting.store(false);
+    if (filter.handoffs() == handoffs) {
+      allocations += g_allocations.load();
+      ++quiet_iterations;
+    }
+    (void)filter.take_estimates();
+  }
+  return allocations;
+}
+
 TEST(SteadyStateAllocation, CpfIterationIsAllocationFree) {
   EXPECT_EQ(cpf_steady_state_allocations(std::nullopt), 0u);
 }
@@ -215,6 +307,20 @@ TEST(SteadyStateAllocation, CdpfIterationIsAllocationFree) {
 
 TEST(SteadyStateAllocation, CdpfNeIterationIsAllocationFree) {
   EXPECT_EQ(steady_state_allocations(true), 0u);
+}
+
+TEST(SteadyStateAllocation, CdpfIterateFromTruthIsAllocationFree) {
+  EXPECT_EQ(cdpf_iterate_allocations(false), 0u);
+}
+
+TEST(SteadyStateAllocation, CdpfNeIterateFromTruthIsAllocationFree) {
+  EXPECT_EQ(cdpf_iterate_allocations(true), 0u);
+}
+
+TEST(SteadyStateAllocation, GmmDpfIterationWithoutHandoffIsAllocationFree) {
+  int quiet_iterations = 0;
+  EXPECT_EQ(gmm_dpf_steady_state_allocations(quiet_iterations), 0u);
+  EXPECT_GE(quiet_iterations, 10) << "too few iterations without a head handoff";
 }
 
 }  // namespace

@@ -79,7 +79,8 @@ TEST(CostModel, MeasuredCdpfIterationMatchesFormula) {
   EXPECT_EQ(radio.stats().messages(wsn::MessageKind::kParticle), 0u);
 
   filter.iterate(t1, 5.0, rng);
-  const std::size_t num_detecting_t1 = net.detecting_nodes(t1.position).size();
+  std::vector<wsn::NodeId> detecting;
+  const std::size_t num_detecting_t1 = net.detecting_nodes(t1.position, detecting);
   EXPECT_EQ(radio.stats().total_bytes(),
             cdpf_cost_bytes(ns, measurements_at_init + num_detecting_t1,
                             paper_payloads()));
@@ -100,7 +101,8 @@ TEST(CostModel, MeasuredSdpfIterationMatchesFormula) {
   EXPECT_EQ(radio.stats().messages(wsn::MessageKind::kParticle), 0u);
   const std::size_t iter0_bytes = radio.stats().total_bytes();
   const std::size_t ns0 = filter.particles().size();
-  const std::size_t nd0 = net.detecting_nodes(t0.position).size();
+  std::vector<wsn::NodeId> detecting;
+  const std::size_t nd0 = net.detecting_nodes(t0.position, detecting);
   // iter0 = Nd*Dm + Ns*Dw + query + total == sdpf_cost - Ns(Dp+Dw).
   EXPECT_EQ(iter0_bytes, sdpf_cost_bytes(ns0, nd0, paper_payloads()) -
                              ns0 * (paper_payloads().particle + paper_payloads().weight));
@@ -109,7 +111,7 @@ TEST(CostModel, MeasuredSdpfIterationMatchesFormula) {
   // Second iteration propagates the ns0 particles from iteration 0 and does
   // a full share/aggregate round for the (possibly reseeded) population.
   const std::size_t ns1 = filter.particles().size();
-  const std::size_t nd1 = net.detecting_nodes(t1.position).size();
+  const std::size_t nd1 = net.detecting_nodes(t1.position, detecting);
   const std::size_t expected =
       iter0_bytes + ns0 * (paper_payloads().particle + paper_payloads().weight) +
       nd1 * paper_payloads().measurement + ns1 * paper_payloads().weight +
@@ -130,8 +132,11 @@ TEST(CostModel, MeasuredCpfIterationMatchesHopSum) {
   // Independently recompute sum of hops from each detecting node to sink.
   const wsn::GreedyGeographicRouter router(net);
   std::size_t total_hops = 0;
-  for (const wsn::NodeId id : net.detecting_nodes(truth.position)) {
-    total_hops += router.hop_count(id, net.sink()).value();
+  std::vector<wsn::NodeId> detecting, path, neighbors;
+  net.detecting_nodes(truth.position, detecting);
+  for (const wsn::NodeId id : detecting) {
+    ASSERT_TRUE(router.route_into(id, net.sink(), path, neighbors));
+    total_hops += path.size() - 1;
   }
   EXPECT_EQ(radio.stats().total_bytes(),
             centralized_cost_bytes(total_hops, paper_payloads().measurement));

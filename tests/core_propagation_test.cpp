@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/propagation.hpp"
 #include "random/rng.hpp"
@@ -29,6 +30,20 @@ PropagationConfig prop_config() {
   return config;
 }
 
+/// A round's reusable buffers, kept across rounds the way Cdpf keeps them.
+struct Round {
+  PropagationOutcome outcome;
+  PropagationScratch scratch;
+
+  const PropagationOutcome& run(const ParticleStore& store, const wsn::Network& net,
+                                wsn::Radio& radio, const tracking::MotionModel& motion,
+                                const PropagationConfig& config, rng::Rng& rng) {
+    outcome.reset();
+    propagate_particles_into(store, net, radio, motion, config, rng, outcome, scratch);
+    return outcome;
+  }
+};
+
 TEST(Propagation, WeightIsConservedThroughDivision) {
   // Dense deployment so the predicted area certainly contains recorders.
   rng::Rng rng(501);
@@ -37,7 +52,8 @@ TEST(Propagation, WeightIsConservedThroughDivision) {
   wsn::Radio radio(net, wsn::PayloadSizes{});
 
   ParticleStore store;
-  const auto hosts = net.nodes_within({100.0, 100.0}, 10.0);
+  std::vector<wsn::NodeId> hosts;
+  net.nodes_within({100.0, 100.0}, 10.0, hosts);
   ASSERT_GE(hosts.size(), 3u);
   double total_in = 0.0;
   for (std::size_t i = 0; i < 3; ++i) {
@@ -45,8 +61,9 @@ TEST(Propagation, WeightIsConservedThroughDivision) {
     total_in += 1.0 + static_cast<double>(i);
   }
 
-  const auto outcome =
-      propagate_particles(store, net, radio, quiet_motion(), prop_config(), rng);
+  Round round;
+  const PropagationOutcome& outcome =
+      round.run(store, net, radio, quiet_motion(), prop_config(), rng);
   EXPECT_EQ(outcome.lost_particles, 0u);
   EXPECT_NEAR(outcome.next.total_weight(), total_in, 1e-9);
   EXPECT_NEAR(outcome.global.total_weight, total_in, 1e-12);
@@ -67,8 +84,9 @@ TEST(Propagation, DivisionFollowsLinearProbabilityRatios) {
   store.add(0, {2.0, 0.0}, 1.7);
 
   rng::Rng rng(503);
-  const auto outcome =
-      propagate_particles(store, net, radio, quiet_motion(), prop_config(), rng);
+  Round round;
+  const PropagationOutcome& outcome =
+      round.run(store, net, radio, quiet_motion(), prop_config(), rng);
   EXPECT_FALSE(outcome.next.contains(4));
   const double p_sum = 1.0 + 0.5 + 0.2;
   ASSERT_TRUE(outcome.next.contains(1));
@@ -94,8 +112,9 @@ TEST(Propagation, OverlappingPredictedAreasCombineOnSharedRecorder) {
 
   rng::Rng rng(505);
   PropagationConfig config = prop_config();
-  const auto outcome =
-      propagate_particles(store, net, radio, quiet_motion(), config, rng);
+  Round round;
+  const PropagationOutcome& outcome =
+      round.run(store, net, radio, quiet_motion(), config, rng);
   // Both particles land on node 2... but also on each other's host? Host A
   // at (100,100) is 10 m from predicted (110,100): p = 0 (boundary). So the
   // sole recorder is node 2, holding the combined weight.
@@ -116,13 +135,16 @@ TEST(Propagation, OverhearingIsCompleteUnderPaperAssumption) {
   wsn::Radio radio(net, wsn::PayloadSizes{});
 
   ParticleStore store;
-  for (const wsn::NodeId id : net.nodes_within({100.0, 100.0}, 5.0)) {
+  std::vector<wsn::NodeId> hosts;
+  net.nodes_within({100.0, 100.0}, 5.0, hosts);
+  for (const wsn::NodeId id : hosts) {
     store.add(id, {3.0, 0.0}, 1.0);
   }
   ASSERT_GT(store.size(), 5u);
 
-  const auto outcome =
-      propagate_particles(store, net, radio, quiet_motion(1.0), prop_config(), rng);
+  Round round;
+  const PropagationOutcome& outcome =
+      round.run(store, net, radio, quiet_motion(1.0), prop_config(), rng);
   ASSERT_GT(outcome.next.size(), 0u);
   for (const NodeParticle& particle : outcome.next.particles()) {
     const OverheardAggregate heard = overheard_by(particle.host, store, net);
@@ -148,8 +170,10 @@ TEST(Propagation, OverhearingCanBeIncompleteWhenAssumptionViolated) {
 
   ParticleStore store;
   // Two hosts 30 m apart moving in opposite directions.
-  const auto near_a = net.nodes_within({70.0, 100.0}, 3.0);
-  const auto near_b = net.nodes_within({130.0, 100.0}, 3.0);
+  std::vector<wsn::NodeId> near_a;
+  std::vector<wsn::NodeId> near_b;
+  net.nodes_within({70.0, 100.0}, 3.0, near_a);
+  net.nodes_within({130.0, 100.0}, 3.0, near_b);
   ASSERT_FALSE(near_a.empty());
   ASSERT_FALSE(near_b.empty());
   store.add(near_a.front(), {-3.0, 0.0}, 1.0);
@@ -157,8 +181,9 @@ TEST(Propagation, OverhearingCanBeIncompleteWhenAssumptionViolated) {
 
   PropagationConfig config = prop_config();
   config.record_radius = 18.0;
-  const auto outcome =
-      propagate_particles(store, net, radio, quiet_motion(), config, rng);
+  Round round;
+  const PropagationOutcome& outcome =
+      round.run(store, net, radio, quiet_motion(), config, rng);
   std::size_t incomplete = 0;
   for (const NodeParticle& particle : outcome.next.particles()) {
     const OverheardAggregate heard = overheard_by(particle.host, store, net);
@@ -214,7 +239,9 @@ TEST(Propagation, LostParticleWithoutFallback) {
   store.add(0, {3.0, 0.0}, 1.5);  // predicted (25, 10); nodes 1, 2 are 35, 50 m away
 
   rng::Rng rng(511);
-  auto outcome = propagate_particles(store, net, radio, quiet_motion(), prop_config(), rng);
+  Round round;
+  const PropagationOutcome& outcome =
+      round.run(store, net, radio, quiet_motion(), prop_config(), rng);
   EXPECT_EQ(outcome.num_broadcasts, 1u);
   EXPECT_EQ(outcome.lost_particles, 1u);
   EXPECT_DOUBLE_EQ(outcome.lost_weight, 1.5);
@@ -225,7 +252,7 @@ TEST(Propagation, LostParticleWithoutFallback) {
   positions[1] = {10.0, 35.0};  // 29 m from the predicted position
   wsn::Network near(positions, paper_config());
   wsn::Radio near_radio(near, wsn::PayloadSizes{});
-  outcome = propagate_particles(store, near, near_radio, quiet_motion(), prop_config(), rng);
+  round.run(store, near, near_radio, quiet_motion(), prop_config(), rng);
   EXPECT_EQ(outcome.lost_particles, 0u);
   EXPECT_DOUBLE_EQ(outcome.lost_weight, 0.0);
   ASSERT_TRUE(outcome.next.contains(1));
@@ -238,14 +265,16 @@ TEST(Propagation, InactiveHostLosesItsParticle) {
   wsn::Network net(positions, paper_config());
   wsn::Radio radio(net, wsn::PayloadSizes{});
   ParticleStore store;
-  const auto hosts = net.nodes_within({100.0, 100.0}, 10.0);
+  std::vector<wsn::NodeId> hosts;
+  net.nodes_within({100.0, 100.0}, 10.0, hosts);
   ASSERT_GE(hosts.size(), 2u);
   store.add(hosts[0], {3.0, 0.0}, 1.0);
   store.add(hosts[1], {3.0, 0.0}, 1.0);
   net.set_alive(hosts[0], false);
 
-  const auto outcome =
-      propagate_particles(store, net, radio, quiet_motion(), prop_config(), rng);
+  Round round;
+  const PropagationOutcome& outcome =
+      round.run(store, net, radio, quiet_motion(), prop_config(), rng);
   EXPECT_EQ(outcome.lost_particles, 1u);
   EXPECT_NEAR(outcome.global.total_weight, 1.0, 1e-12);
 }
@@ -256,12 +285,13 @@ TEST(Propagation, ChargesOneBroadcastPerHost) {
   wsn::Network net(positions, paper_config());
   wsn::Radio radio(net, wsn::PayloadSizes{});
   ParticleStore store;
-  const auto hosts = net.nodes_within({100.0, 100.0}, 10.0);
+  std::vector<wsn::NodeId> hosts;
+  net.nodes_within({100.0, 100.0}, 10.0, hosts);
   const std::size_t n = std::min<std::size_t>(hosts.size(), 5);
   for (std::size_t i = 0; i < n; ++i) {
     store.add(hosts[i], {3.0, 0.0}, 1.0);
   }
-  propagate_particles(store, net, radio, quiet_motion(), prop_config(), rng);
+  Round().run(store, net, radio, quiet_motion(), prop_config(), rng);
   const auto& payloads = radio.payloads();
   EXPECT_EQ(radio.stats().messages(wsn::MessageKind::kParticle), n);
   EXPECT_EQ(radio.stats().bytes(wsn::MessageKind::kParticle),
@@ -275,8 +305,9 @@ TEST(Propagation, DisplacementVelocityPointsAlongHop) {
   ParticleStore store;
   store.add(0, {2.0, 0.0}, 1.0);
   rng::Rng rng(517);
-  const auto outcome =
-      propagate_particles(store, net, radio, quiet_motion(), prop_config(), rng);
+  Round round;
+  const PropagationOutcome& outcome =
+      round.run(store, net, radio, quiet_motion(), prop_config(), rng);
   ASSERT_TRUE(outcome.next.contains(1));
   const geom::Vec2 v = outcome.next.find(1)->velocity;
   // Hop displacement is +x: the recorded heading must be +x, speed ~2.
@@ -301,14 +332,17 @@ TEST(Propagation, ReceiverListRouteMatchesDirectScan) {
       wsn::Network net(positions, paper_config());
       ParticleStore store;
       const geom::Vec2 target{setup.uniform(40.0, 160.0), setup.uniform(40.0, 160.0)};
-      for (const wsn::NodeId id : net.nodes_within(target, density < 1.0 ? 40.0 : 12.0)) {
+      std::vector<wsn::NodeId> ids;
+      net.nodes_within(target, density < 1.0 ? 40.0 : 12.0, ids);
+      for (const wsn::NodeId id : ids) {
         store.add(id, {setup.uniform(-3.0, 3.0), setup.uniform(-3.0, 3.0)},
                   setup.uniform(0.1, 2.0));
         if (id % 9 == 4) {
           net.set_power(id, wsn::PowerState::kAsleep);
         }
       }
-      for (const wsn::NodeId id : net.nodes_within(target, 25.0)) {
+      net.nodes_within(target, 25.0, ids);
+      for (const wsn::NodeId id : ids) {
         if (id % 13 == 5) {
           net.set_power(id, wsn::PowerState::kAsleep);
         }
@@ -318,14 +352,16 @@ TEST(Propagation, ReceiverListRouteMatchesDirectScan) {
 
       wsn::Radio direct_radio(net, wsn::PayloadSizes{});
       rng::Rng direct_rng(seed + 100);
-      const auto direct =
-          propagate_particles(store, net, direct_radio, motion, prop_config(), direct_rng);
+      Round direct_round;
+      const PropagationOutcome& direct =
+          direct_round.run(store, net, direct_radio, motion, prop_config(), direct_rng);
 
       net.set_believed_positions(positions);
       wsn::Radio listed_radio(net, wsn::PayloadSizes{});
       rng::Rng listed_rng(seed + 100);
-      const auto listed =
-          propagate_particles(store, net, listed_radio, motion, prop_config(), listed_rng);
+      Round listed_round;
+      const PropagationOutcome& listed =
+          listed_round.run(store, net, listed_radio, motion, prop_config(), listed_rng);
       net.clear_believed_positions();
 
       ASSERT_EQ(direct.next.size(), listed.next.size());

@@ -30,6 +30,13 @@
 // printed table unchanged.
 // CDPF-NE weighs particles by neighbourhood estimation, not by bearings, so
 // its cells did not move.
+// The eight believed-position cells were re-pinned once more when the radio
+// started centring broadcasts and its link predicate on true positions, as
+// network.hpp documents for radio propagation; broadcasts had been centred
+// on the sender's believed position. Under believed positions that changes
+// CPF's greedy routes, SDPF's and CDPF's receiver lists and so CDPF-NE's
+// propagation; with believed == true positions the rule is the old one, so
+// no other cell moved.
 //
 // The grid covers all six trackers at two seeds and three densities, CPF and
 // SDPF under a randomized 50% duty cycle with TDSS wake-ups (sink kept
@@ -207,18 +214,18 @@ constexpr GoldenCell kCells[] = {
     {"CPF_duty_d20_b", kCpf, 20.0, kSeedB, kDutyCycle, 0x7f71f7ce7ed778ebull},
     {"SDPF_duty_d20_a", kSdpf, 20.0, kSeedA, kDutyCycle, 0x8e555de0529ee415ull},
     {"SDPF_duty_d20_b", kSdpf, 20.0, kSeedB, kDutyCycle, 0x9c8f81dfa04b9656ull},
-    {"CPF_localized_d20_a", kCpf, 20.0, kSeedA, kBelievedPositions, 0xdbea47e02ca3092cull},
-    {"CPF_localized_d20_b", kCpf, 20.0, kSeedB, kBelievedPositions, 0x7757cf1c38c4ea0full},
+    {"CPF_localized_d20_a", kCpf, 20.0, kSeedA, kBelievedPositions, 0x464f907b155b00fcull},
+    {"CPF_localized_d20_b", kCpf, 20.0, kSeedB, kBelievedPositions, 0xffe00fcc961b9850ull},
     {"CDPF_duty_d20_a", kCdpf, 20.0, kSeedA, kDutyCycle, 0xc2ce4ee41070886aull},
     {"CDPF_duty_d20_b", kCdpf, 20.0, kSeedB, kDutyCycle, 0xba55889aa450da05ull},
-    {"CDPF_localized_d20_a", kCdpf, 20.0, kSeedA, kBelievedPositions, 0xa64394e85cd4baf2ull},
-    {"CDPF_localized_d20_b", kCdpf, 20.0, kSeedB, kBelievedPositions, 0xd6072998d3fa9c48ull},
+    {"CDPF_localized_d20_a", kCdpf, 20.0, kSeedA, kBelievedPositions, 0xc90faa252f7e20bcull},
+    {"CDPF_localized_d20_b", kCdpf, 20.0, kSeedB, kBelievedPositions, 0x949b78fd5055189cull},
     {"CDPFNE_duty_d20_a", kCdpfNe, 20.0, kSeedA, kDutyCycle, 0xd820d70115fafeb5ull},
     {"CDPFNE_duty_d20_b", kCdpfNe, 20.0, kSeedB, kDutyCycle, 0x92771e27b6a4742bull},
-    {"CDPFNE_localized_d20_a", kCdpfNe, 20.0, kSeedA, kBelievedPositions, 0xe76261777eedcc81ull},
-    {"CDPFNE_localized_d20_b", kCdpfNe, 20.0, kSeedB, kBelievedPositions, 0x7b17b5d0a9499736ull},
-    {"SDPF_localized_d20_a", kSdpf, 20.0, kSeedA, kBelievedPositions, 0x4502af8ec3410e85ull},
-    {"SDPF_localized_d20_b", kSdpf, 20.0, kSeedB, kBelievedPositions, 0x3696b5afb154d907ull},
+    {"CDPFNE_localized_d20_a", kCdpfNe, 20.0, kSeedA, kBelievedPositions, 0x1db9bff9c85d7b6cull},
+    {"CDPFNE_localized_d20_b", kCdpfNe, 20.0, kSeedB, kBelievedPositions, 0xd3a3eb267ef73b24ull},
+    {"SDPF_localized_d20_a", kSdpf, 20.0, kSeedA, kBelievedPositions, 0x856d94eb5279b54eull},
+    {"SDPF_localized_d20_b", kSdpf, 20.0, kSeedB, kBelievedPositions, 0xedd3ae502212ee86ull},
 };
 // clang-format on
 

@@ -37,7 +37,9 @@ TEST_P(OverhearingSweep, RecordersAlwaysHearTheFullTotal) {
 
   core::ParticleStore store;
   const geom::Vec2 target{rng.uniform(40.0, 160.0), rng.uniform(40.0, 160.0)};
-  for (const wsn::NodeId id : net.nodes_within(target, 5.0)) {
+  std::vector<wsn::NodeId> hosts;
+  net.nodes_within(target, 5.0, hosts);
+  for (const wsn::NodeId id : hosts) {
     store.add(id, {rng.uniform(2.0, 3.0), rng.uniform(-1.0, 1.0)}, rng.uniform(0.5, 2.0));
   }
   if (store.empty()) {
@@ -47,7 +49,10 @@ TEST_P(OverhearingSweep, RecordersAlwaysHearTheFullTotal) {
   const tracking::ConstantVelocityModel motion(1.0, 0.05, 0.05);
   core::PropagationConfig config;
   config.record_radius = 10.0;
-  const auto outcome = core::propagate_particles(store, net, radio, motion, config, rng);
+  core::PropagationOutcome outcome;
+  core::PropagationScratch scratch;
+  core::propagate_particles_into(store, net, radio, motion, config, rng, outcome,
+                                 scratch);
   for (const core::NodeParticle& particle : outcome.next.particles()) {
     const core::OverheardAggregate heard = core::overheard_by(particle.host, store, net);
     ASSERT_GT(heard.particles_heard, 0u);
@@ -76,7 +81,9 @@ TEST_P(ConservationSweep, DivisionPreservesTotalWeight) {
   wsn::Radio radio(net, wsn::PayloadSizes{});
 
   core::ParticleStore store;
-  for (const wsn::NodeId id : net.nodes_within({100.0, 100.0}, 10.0)) {
+  std::vector<wsn::NodeId> hosts;
+  net.nodes_within({100.0, 100.0}, 10.0, hosts);
+  for (const wsn::NodeId id : hosts) {
     store.add(id, {3.0, 0.0}, rng.uniform(0.1, 1.0));
   }
   if (store.empty()) {
@@ -85,7 +92,10 @@ TEST_P(ConservationSweep, DivisionPreservesTotalWeight) {
   const double total_in = store.total_weight();
   const tracking::ConstantVelocityModel motion(5.0, 0.05, 0.05);
   core::PropagationConfig config;  // fallback on: nothing may be lost
-  const auto outcome = core::propagate_particles(store, net, radio, motion, config, rng);
+  core::PropagationOutcome outcome;
+  core::PropagationScratch scratch;
+  core::propagate_particles_into(store, net, radio, motion, config, rng, outcome,
+                                 scratch);
   ASSERT_EQ(outcome.lost_particles, 0u);
   ASSERT_NEAR(outcome.next.total_weight(), total_in, 1e-9 * total_in);
 }

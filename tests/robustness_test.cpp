@@ -108,11 +108,14 @@ TEST(Robustness, SnapshotApiAcceptsForeignMeasurements) {
   const geom::Vec2 target{100.0, 100.0};
   core::SensingSnapshot snapshot;
   const tracking::BearingMeasurementModel bearing(0.05);
-  for (const wsn::NodeId id : network.detecting_nodes(target)) {
+  std::vector<wsn::NodeId> ids;
+  network.detecting_nodes(target, ids);
+  for (const wsn::NodeId id : ids) {
     snapshot.detections.push_back({id, std::numeric_limits<double>::quiet_NaN()});
   }
   // Measurements from a wider ring than the detections.
-  for (const wsn::NodeId id : network.nodes_within(target, 15.0)) {
+  network.nodes_within(target, 15.0, ids);
+  for (const wsn::NodeId id : ids) {
     snapshot.measurements.push_back(
         {id, bearing.measure(network.position(id), target, rng)});
   }

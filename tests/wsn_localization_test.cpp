@@ -97,7 +97,8 @@ TEST(BelievedPositions, InstallAndClear) {
   EXPECT_TRUE(net.has_believed_positions());
   EXPECT_EQ(net.position(7), net.true_position(7) + geom::Vec2(1.0, -1.0));
   // Physical queries (detection) still run on true positions.
-  const auto at_true = net.detecting_nodes(net.true_position(7));
+  std::vector<NodeId> at_true;
+  net.detecting_nodes(net.true_position(7), at_true);
   EXPECT_NE(std::find(at_true.begin(), at_true.end(), NodeId{7}), at_true.end());
   net.clear_believed_positions();
   EXPECT_EQ(net.position(7), net.true_position(7));

@@ -101,7 +101,8 @@ TEST(Network, NodesWithinMatchesBruteForce) {
   for (int q = 0; q < 20; ++q) {
     const geom::Vec2 c{rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)};
     const double r = rng.uniform(1.0, 40.0);
-    auto got = net.nodes_within(c, r);
+    std::vector<NodeId> got;
+    net.nodes_within(c, r, got);
     std::sort(got.begin(), got.end());
     std::vector<NodeId> expected;
     for (const Node& n : net.nodes()) {
@@ -117,17 +118,18 @@ TEST(Network, DetectingNodesUseSensingRadiusAndActivity) {
   const std::vector<geom::Vec2> positions{
       {100.0, 100.0}, {105.0, 100.0}, {111.0, 100.0}, {100.0, 109.0}};
   Network net(positions, paper_config());
-  auto detecting = net.detecting_nodes({100.0, 100.0});
+  std::vector<NodeId> detecting;
+  EXPECT_EQ(net.detecting_nodes({100.0, 100.0}, detecting), 3u);
   std::sort(detecting.begin(), detecting.end());
   EXPECT_EQ(detecting, (std::vector<NodeId>{0, 1, 3}));  // node 2 is 11 m away
 
   net.set_alive(1, false);
-  detecting = net.detecting_nodes({100.0, 100.0});
+  net.detecting_nodes({100.0, 100.0}, detecting);
   std::sort(detecting.begin(), detecting.end());
   EXPECT_EQ(detecting, (std::vector<NodeId>{0, 3}));
 
   net.set_power(3, PowerState::kAsleep);
-  detecting = net.detecting_nodes({100.0, 100.0});
+  net.detecting_nodes({100.0, 100.0}, detecting);
   EXPECT_EQ(detecting, (std::vector<NodeId>{0}));
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "random/rng.hpp"
 #include "support/check.hpp"
@@ -23,7 +24,8 @@ TEST(Radio, BroadcastReachesExactlyActiveNodesInRange) {
       {50.0, 50.0}, {70.0, 50.0}, {81.0, 50.0}, {50.0, 75.0}, {50.0, 81.0}};
   Network net(positions, small_config());
   Radio radio(net, PayloadSizes{});
-  auto receivers = radio.broadcast(0, MessageKind::kParticle, 20);
+  std::vector<NodeId> receivers;
+  radio.broadcast(0, MessageKind::kParticle, 20, receivers);
   std::sort(receivers.begin(), receivers.end());
   EXPECT_EQ(receivers, (std::vector<NodeId>{1, 3}));  // 2 and 4 are > 30 m away
 }
@@ -33,7 +35,8 @@ TEST(Radio, SleepingNodesMissBroadcasts) {
   Network net(positions, small_config());
   Radio radio(net, PayloadSizes{});
   net.set_power(1, PowerState::kAsleep);
-  const auto receivers = radio.broadcast(0, MessageKind::kMeasurement, 4);
+  std::vector<NodeId> receivers;
+  radio.broadcast(0, MessageKind::kMeasurement, 4, receivers);
   EXPECT_EQ(receivers, (std::vector<NodeId>{2}));
 }
 
@@ -42,16 +45,18 @@ TEST(Radio, DeadNodesCannotTransmit) {
   Network net(positions, small_config());
   Radio radio(net, PayloadSizes{});
   net.set_alive(0, false);
-  EXPECT_THROW(radio.broadcast(0, MessageKind::kParticle, 20), Error);
+  std::vector<NodeId> receivers;
+  EXPECT_THROW(radio.broadcast(0, MessageKind::kParticle, 20, receivers), Error);
 }
 
 TEST(Radio, StatsAccumulatePerKind) {
   const std::vector<geom::Vec2> positions{{50.0, 50.0}, {60.0, 50.0}, {70.0, 50.0}};
   Network net(positions, small_config());
   Radio radio(net, PayloadSizes{});
-  radio.broadcast(0, MessageKind::kParticle, 20);
-  radio.broadcast(1, MessageKind::kParticle, 20);
-  radio.broadcast(0, MessageKind::kMeasurement, 4);
+  std::vector<NodeId> receivers;
+  radio.broadcast(0, MessageKind::kParticle, 20, receivers);
+  radio.broadcast(1, MessageKind::kParticle, 20, receivers);
+  radio.broadcast(0, MessageKind::kMeasurement, 4, receivers);
   EXPECT_EQ(radio.stats().messages(MessageKind::kParticle), 2u);
   EXPECT_EQ(radio.stats().bytes(MessageKind::kParticle), 40u);
   EXPECT_EQ(radio.stats().messages(MessageKind::kMeasurement), 1u);
@@ -70,6 +75,24 @@ TEST(Radio, UnicastRequiresRangeAndActivity) {
   net.set_power(1, PowerState::kAsleep);
   EXPECT_FALSE(radio.unicast(0, 1, MessageKind::kWeight, 4));
   EXPECT_EQ(radio.stats().total_messages(), 1u);  // failures record nothing
+}
+
+TEST(Radio, LinksFollowTruePositions) {
+  // Node 0 sits at x = 50 but believes it sits at x = 80. Propagation is
+  // physical: node 1 (20 m away) hears it, node 2 (45 m away, 15 m from the
+  // believed position) does not, whichever broadcast form charges it.
+  const std::vector<geom::Vec2> positions{{50.0, 50.0}, {70.0, 50.0}, {95.0, 50.0}};
+  Network net(positions, small_config());
+  net.set_believed_positions({{80.0, 50.0}, {70.0, 50.0}, {95.0, 50.0}});
+  Radio radio(net, PayloadSizes{});
+  EXPECT_TRUE(radio.in_range(0, 1));
+  EXPECT_FALSE(radio.in_range(0, 2));
+  std::vector<NodeId> receivers;
+  radio.broadcast(0, MessageKind::kParticle, 20, receivers);
+  EXPECT_EQ(receivers, (std::vector<NodeId>{1}));
+  EXPECT_EQ(radio.broadcast_count(0, MessageKind::kParticle, 20), 1u);
+  EXPECT_EQ(radio.stats().receptions(MessageKind::kParticle), 2u);
+  EXPECT_FALSE(radio.unicast(0, 2, MessageKind::kWeight, 4));
 }
 
 TEST(Radio, TransceiverPrimitives) {
@@ -166,7 +189,8 @@ TEST(Energy, RadioChargesTransmitterAndReceivers) {
   Network net(positions, small_config());
   EnergyModel energy(net.size(), EnergyParams{});
   Radio radio(net, PayloadSizes{}, &energy);
-  radio.broadcast(0, MessageKind::kParticle, 20);
+  std::vector<NodeId> receivers;
+  radio.broadcast(0, MessageKind::kParticle, 20, receivers);
   EXPECT_GT(energy.consumed_uj(0), 0.0);
   EXPECT_GT(energy.consumed_uj(1), 0.0);
   EXPECT_GT(energy.consumed_uj(2), 0.0);

@@ -14,6 +14,17 @@
 namespace cdpf::wsn {
 namespace {
 
+/// The greedy route from `from` to `to` as a value, or nullopt on a void.
+std::optional<std::vector<NodeId>> path_of(const GreedyGeographicRouter& router,
+                                           NodeId from, NodeId to) {
+  std::vector<NodeId> path;
+  std::vector<NodeId> neighbors;
+  if (!router.route_into(from, to, path, neighbors)) {
+    return std::nullopt;
+  }
+  return path;
+}
+
 TEST(Routing, StraightLineTopologyHopCount) {
   // Nodes every 20 m on a line; r_c = 30 m => greedy takes 20 m hops.
   std::vector<geom::Vec2> positions;
@@ -22,20 +33,20 @@ TEST(Routing, StraightLineTopologyHopCount) {
   }
   const Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
   const GreedyGeographicRouter router(net);
-  const auto path = router.route(0, 5);
+  const auto path = path_of(router, 0, 5);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->front(), 0u);
   EXPECT_EQ(path->back(), 5u);
   // Only adjacent nodes (20 m) are within r_c = 30 m, so greedy advances
   // one node per hop: five hops for 0 -> 5.
-  EXPECT_EQ(router.hop_count(0, 5).value(), 5u);
+  EXPECT_EQ(path->size() - 1, 5u);
 }
 
 TEST(Routing, SelfRouteIsZeroHops) {
   const std::vector<geom::Vec2> positions{{10.0, 10.0}, {20.0, 10.0}};
   const Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
   const GreedyGeographicRouter router(net);
-  EXPECT_EQ(router.hop_count(0, 0).value(), 0u);
+  EXPECT_EQ(path_of(router, 0, 0), (std::vector<NodeId>{0}));
 }
 
 TEST(Routing, GreedyVoidReturnsNullopt) {
@@ -43,7 +54,7 @@ TEST(Routing, GreedyVoidReturnsNullopt) {
   const std::vector<geom::Vec2> positions{{0.0, 50.0}, {20.0, 50.0}, {60.0, 50.0}};
   const Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
   const GreedyGeographicRouter router(net);
-  EXPECT_FALSE(router.route(0, 2).has_value());
+  EXPECT_FALSE(path_of(router, 0, 2).has_value());
 }
 
 TEST(Routing, SendChargesOneUnicastPerHop) {
@@ -75,9 +86,9 @@ TEST(Routing, RoutesAvoidDeadRelays) {
       {0.0, 50.0}, {28.0, 50.0}, {25.0, 65.0}, {50.0, 50.0}};
   Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
   const GreedyGeographicRouter router(net);
-  ASSERT_TRUE(router.route(0, 3).has_value());
+  ASSERT_TRUE(path_of(router, 0, 3).has_value());
   net.set_alive(1, false);
-  const auto path = router.route(0, 3);
+  const auto path = path_of(router, 0, 3);
   ASSERT_TRUE(path.has_value());
   for (const NodeId id : *path) {
     EXPECT_NE(id, 1u);
@@ -95,13 +106,14 @@ TEST(Routing, PaperGeometryFourHopsToSink) {
   const NodeId sink = net.sink();
   std::size_t max_hops = 0;
   std::size_t voids = 0;
+  std::vector<NodeId> path;
+  std::vector<NodeId> neighbors;
   for (NodeId id = 0; id < net.size(); id += 37) {  // sampled sources
-    const auto hops = router.hop_count(id, sink);
-    if (!hops) {
+    if (!router.route_into(id, sink, path, neighbors)) {
       ++voids;
       continue;
     }
-    max_hops = std::max(max_hops, *hops);
+    max_hops = std::max(max_hops, path.size() - 1);
   }
   EXPECT_EQ(voids, 0u);
   // Greedy hops cover >= ~2/3 of r_c at this density: diameter/2 ~ 141 m,
@@ -111,20 +123,23 @@ TEST(Routing, PaperGeometryFourHopsToSink) {
 }
 
 TEST(Routing, BelievedPositionsOnlyRouteOverRadioLinks) {
-  // Node 1 physically sits 25 m from node 0 but believes it sits 45 m away,
-  // beyond r_c: the radio refuses that link, so greedy must not pick it
-  // even though its believed position is the closest to the destination.
+  // Links follow true positions; greedy ranks hops by believed ones. Node 1
+  // physically sits 35 m from node 0, beyond r_c, but believes it sits 22 m
+  // from node 0's believed position and is then the neighbour closest to the
+  // destination: the radio refuses that link, so greedy must not pick it.
   const std::vector<geom::Vec2> positions{
-      {0.0, 50.0}, {25.0, 50.0}, {70.0, 50.0}, {20.0, 60.0}, {45.0, 55.0}};
+      {0.0, 50.0}, {35.0, 50.0}, {70.0, 50.0}, {20.0, 60.0}, {45.0, 55.0}};
   Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
   std::vector<geom::Vec2> believed = positions;
-  believed[1] = {45.0, 50.0};
+  believed[0] = {6.0, 50.0};
+  believed[1] = {28.0, 50.0};
   net.set_believed_positions(believed);
   Radio radio(net, PayloadSizes{});
+  EXPECT_FALSE(radio.in_range(0, 1));
   const GreedyGeographicRouter router(net);
-  const auto path = router.route(0, 2);
+  const auto path = path_of(router, 0, 2);
   ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(*path, (std::vector<NodeId>{0, 3, 1, 2}));
+  EXPECT_EQ(*path, (std::vector<NodeId>{0, 3, 4, 2}));
   for (std::size_t i = 0; i + 1 < path->size(); ++i) {
     EXPECT_TRUE(radio.in_range((*path)[i], (*path)[i + 1]));
   }
@@ -144,7 +159,7 @@ std::vector<std::optional<std::vector<NodeId>>> routes_to(
   std::vector<std::optional<std::vector<NodeId>>> out;
   for (NodeId id = 0; id < net.size(); id += stride) {
     if (net.is_active(id)) {
-      out.push_back(router.route(id, to));
+      out.push_back(path_of(router, id, to));
     }
   }
   return out;
@@ -163,7 +178,7 @@ class RoutingMemo : public ::testing::Test {
         router_(net_) {
     // Warm the memo toward the sink and pick a route with a relay to break.
     for (NodeId id = 0; id < net_.size(); ++id) {
-      const auto path = router_.route(id, net_.sink());
+      const auto path = path_of(router_, id, net_.sink());
       if (path && path->size() >= 4 && !relay_source_) {
         relay_source_ = id;
         relay_ = (*path)[1];
@@ -178,7 +193,7 @@ class RoutingMemo : public ::testing::Test {
 
   /// Route of the chosen source, which the mutations below must reroute.
   std::optional<std::vector<NodeId>> relay_route() const {
-    return router_.route(*relay_source_, net_.sink());
+    return path_of(router_, *relay_source_, net_.sink());
   }
 
   Network net_;
@@ -246,7 +261,7 @@ TEST(Routing, MemoizedVoidStillFailsAndChargesNothing) {
   Radio radio(net, PayloadSizes{});
   const GreedyGeographicRouter router(net);
   for (int round = 0; round < 2; ++round) {
-    EXPECT_FALSE(router.route(1, 2).has_value());
+    EXPECT_FALSE(path_of(router, 1, 2).has_value());
     EXPECT_FALSE(router.send(radio, 1, 2, MessageKind::kMeasurement, 4).has_value());
     EXPECT_FALSE(router.send(radio, 0, 2, MessageKind::kMeasurement, 4).has_value());
   }

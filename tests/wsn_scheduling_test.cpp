@@ -94,7 +94,9 @@ TEST(Tdss, WakesSleepingNodesInPredictedArea) {
   const geom::Vec2 predicted{50.0, 50.0};
   const std::size_t woken = tdss.wake_predicted_area(predicted);
   EXPECT_GT(woken, 0u);
-  for (const NodeId id : net.nodes_within(predicted, 15.0)) {
+  std::vector<NodeId> area;
+  net.nodes_within(predicted, 15.0, area);
+  for (const NodeId id : area) {
     EXPECT_TRUE(net.is_active(id));
   }
   // Nodes far away stay asleep.
