@@ -22,9 +22,7 @@ double incomplete_overhearing_fraction(const sim::Scenario& scenario,
   rng::Rng rng(rng::derive_stream_seed(seed, 99));
   wsn::Network network = sim::build_network(scenario, rng);
   wsn::Radio radio(network, scenario.payloads);
-  core::CdpfConfig config;
-  config.propagation.record_radius = scenario.network.sensing_radius;
-  config.neighborhood.sensing_radius = scenario.network.sensing_radius;
+  const core::CdpfConfig config;
   core::Cdpf filter(network, radio, config);
   const tracking::Trajectory trajectory =
       tracking::generate_random_turn_trajectory(scenario.trajectory, rng);
@@ -99,11 +97,8 @@ int main(int argc, char** argv) {
           }
           const std::size_t cell = slot / options.trials;
           const std::size_t ri = cell / kKinds;
-          sim::AlgorithmParams params;
-          params.cdpf.propagation.record_radius = radii[ri];
-          params.cdpf.neighborhood.sensing_radius = radii[ri];
           return sim::to_record(sim::run_trial(scenario_for(ri), kinds[cell % kKinds],
-                                               params, options.seed,
+                                               sim::AlgorithmParams{}, options.seed,
                                                slot % options.trials));
         });
     if (!records) {

@@ -76,15 +76,13 @@ void BM_PropagationRound(benchmark::State& state) {
     store.add(id, {3.0, 0.0}, 1.0);
   }
   const tracking::RandomTurnMotionModel motion(5.0, 1.0, 0.26, 0.02);
-  const core::PropagationConfig config;
   // Reused buffers, as Cdpf reuses them: the round itself, not its first-use
   // allocations, is what this measures.
   core::PropagationOutcome outcome;
   core::PropagationScratch scratch;
   for (auto _ : state) {
     outcome.reset();
-    core::propagate_particles_into(store, network, radio, motion, config, rng, outcome,
-                                   scratch);
+    core::propagate_particles_into(store, network, radio, motion, rng, outcome, scratch);
     benchmark::DoNotOptimize(outcome.global.total_weight);
     benchmark::ClobberMemory();
   }
@@ -105,7 +103,7 @@ void BM_SirFilterIteration(benchmark::State& state) {
   const geom::Vec2 target{100.0, 100.0};
   filter.initialize({target, {3.0, 0.0}}, {5.0, 5.0}, {1.0, 1.0}, rng);
   const tracking::BearingMeasurementModel bearing(0.05);
-  core::BearingEvidence sensors(0.05, 0.5);  // CpfConfig defaults
+  core::BearingEvidence sensors(0.05, core::kCloudResolutionM);  // CPF's
   while (sensors.records().size() < 124) {
     const geom::Vec2 offset{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)};
     if (offset.norm_squared() <= 100.0) {
@@ -136,7 +134,7 @@ void BM_BearingHostFactor(benchmark::State& state) {
   const wsn::Network network = sim::build_network(scenario, rng);
   const core::CdpfConfig config;
   core::BearingEvidence evidence(
-      config.sigma_bearing, core::quantization_length(config.position_quantization_m, network),
+      config.sigma_bearing, core::quantization_length(network),
       network.config().comm_radius);
   const tracking::BearingMeasurementModel bearing(config.sigma_bearing);
   const geom::Vec2 target{100.0, 100.0};

@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
          [&](rng::Rng& rng) {
            filters::SirFilterConfig config;
            auto pf = std::make_shared<filters::SirFilter>(
-               tracking::make_motion_model({}, 1.0), config);
+               tracking::make_motion_model(1.0), config);
            pf->initialize(prior, {5.0, 5.0}, {1.0, 1.0}, rng);
            return Estimator{
                [pf]() {},
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
         {"Auxiliary PF (1000 particles)",
          [&](rng::Rng& rng) {
            auto apf = std::make_shared<filters::AuxiliaryParticleFilter>(
-               tracking::make_motion_model({}, 1.0), filters::AuxiliaryFilterConfig{});
+               tracking::make_motion_model(1.0), filters::AuxiliaryFilterConfig{});
            apf->initialize(prior, {5.0, 5.0}, {1.0, 1.0}, rng);
            return Estimator{
                [apf]() {},

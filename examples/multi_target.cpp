@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     const tracking::Trajectory traj1 = generate_random_turn_trajectory(t1, rng);
     const tracking::Trajectory traj2 = generate_random_turn_trajectory(t2, rng);
 
-    core::MultiTargetTracker tracker(network, radio, core::MultiTargetConfig{});
+    core::MultiTargetTracker tracker(network, radio);
     support::RunningStats ospa;
     support::Table table({"t (s)", "live tracks", "OSPA (m)"});
     support::AsciiPlot plot(0.0, 200.0, 30.0, 170.0, 100, 28);

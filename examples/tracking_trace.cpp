@@ -3,8 +3,7 @@
 // variants) the particle-store internals. Useful for understanding how the
 // algorithms behave step by step and for debugging configurations.
 //
-//   ./tracking_trace [--algo=CDPF] [--density=20] [--seed=42] [--trial=0]
-//                    [--anchor=f] [--boost=f] [--neprune=f]
+//   ./tracking_trace [--algo=CDPF-NE] [--density=20] [--seed=42] [--trial=0]
 //                    [--store=true] [--verbose=true]
 //                    [--trace=out.json] [--metrics=out.json]
 #include <cstdlib>
@@ -25,9 +24,6 @@ int main(int argc, char** argv) {
                   {"--density=20", "node density per 100 m^2"},
                   {"--seed=42", "root seed"},
                   {"--trial=0", "trial index within the seed stream"},
-                  {"--anchor=f", "CDPF new-particle weight factor"},
-                  {"--boost=f", "CDPF detection weight boost"},
-                  {"--neprune=f", "CDPF-NE prune mean fraction"},
                   {"--store=true", "print particle-store internals"},
                   {"--verbose=true", "debug-level library logging"}};
     spec.sweep = false;
@@ -40,16 +36,6 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
     const auto trial = static_cast<std::uint64_t>(args.get_int("trial").value_or(0));
 
-    sim::AlgorithmParams params;
-    if (const auto f = args.get_double("anchor")) {
-      params.cdpf.new_particle_weight_factor = *f;
-    }
-    if (const auto b = args.get_double("boost")) {
-      params.cdpf.detection_weight_boost = *b;
-    }
-    if (const auto p = args.get_double("neprune")) {
-      params.cdpf.ne_prune_mean_fraction = *p;
-    }
     const bool store = args.get_bool("store").value_or(false);
     const bool verbose = args.get_bool("verbose").value_or(false);
     args.check_unknown();
@@ -73,7 +59,7 @@ int main(int argc, char** argv) {
     }
     // The by-name factory: TrackerAlgorithm::name() strings are the
     // registry keys, and unknown names fail with the known list.
-    auto tracker = sim::make_tracker(algo, network, radio, params);
+    auto tracker = sim::make_tracker(algo, network, radio, sim::AlgorithmParams{});
     const auto* cdpf_ptr = dynamic_cast<const core::Cdpf*>(tracker.get());
 
     const double dt = tracker->time_step();

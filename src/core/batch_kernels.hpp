@@ -58,17 +58,20 @@ inline constexpr double kLogSqrt2Pi = 0.9189385332046727;
 inline constexpr double kMaxLogWeightFactor = 600.0;
 
 /// Position-quantization length used for likelihood inflation by the
-/// node-hosted filters: the configured value when non-negative, else half
-/// the mean node spacing of the deployment.
-inline double quantization_length(double configured, const wsn::Network& network) {
-  CDPF_CHECK_MSG(std::isfinite(configured), "quantization length must be finite");
-  if (configured >= 0.0) {
-    return configured;
-  }
+/// node-hosted filters: half the mean node spacing of the deployment
+/// (0.5 / sqrt(node density per m^2)).
+inline double quantization_length(const wsn::Network& network) {
   const double density_per_m2 =
       static_cast<double>(network.size()) / network.config().field.area();
   return density_per_m2 > 0.0 ? 0.5 / std::sqrt(density_per_m2) : 0.0;
 }
+
+/// Spatial resolution (m) of the sink-side particle clouds (CPF, GMM-DPF)
+/// folded into the likelihood as extra angular noise delta/d per sensor.
+/// This keeps sensors that sit almost on top of the target (d -> 0, where
+/// any finite particle cloud is too coarse for the bearing geometry) from
+/// annihilating every particle's weight.
+inline constexpr double kCloudResolutionM = 0.5;
 
 /// Precomputed squared parameters of the quantization-inflated bearing
 /// likelihood. The base noise sigma0 (rad) is inflated by the angle a

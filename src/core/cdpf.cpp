@@ -11,21 +11,36 @@
 
 namespace cdpf::core {
 
+namespace {
+
+/// Weight of a particle created at cold start, when there is no overheard
+/// population to take a mean weight from.
+constexpr double kInitialWeight = 1.0;
+
+/// Relative weight threshold (fraction of the total) below which a host
+/// drops its particle and stops broadcasting (the distributed "resampling":
+/// eliminate negligible particles).
+constexpr double kPruneThreshold = 1e-4;
+
+/// CDPF-NE only: weight multiplier applied to a host whose own sensor
+/// currently detects the target. The local detection outcome is free
+/// information (it needs no broadcast), and folding it in as a coarse
+/// binary likelihood keeps the otherwise purely geometric neighborhood
+/// estimate anchored to reality. The paper-literal variant has no boost
+/// (a multiplier of 1).
+constexpr double kDetectionWeightBoost = 16.0;
+
+}  // namespace
+
 Cdpf::Cdpf(wsn::Network& network, wsn::Radio& radio, CdpfConfig config)
     : network_(network),
       radio_(radio),
       config_(config),
-      motion_(tracking::make_motion_model(config.motion, config.dt)),
+      motion_(tracking::make_motion_model(config.dt)),
       bearing_(config.sigma_bearing),
-      evidence_(config.sigma_bearing,
-              quantization_length(config.position_quantization_m, network),
-              network.config().comm_radius),
+      evidence_(config.sigma_bearing, quantization_length(network),
+                network.config().comm_radius),
       router_(network) {
-  CDPF_CHECK_MSG(config_.initial_weight > 0.0, "initial weight must be positive");
-  CDPF_CHECK_MSG(config_.prune_threshold >= 0.0, "prune threshold must be >= 0");
-  // Keep the two radii configurations coherent by default.
-  CDPF_CHECK_MSG(config_.propagation.record_radius > 0.0,
-                 "record radius must be positive");
   // Pre-size every per-iteration buffer to its worst case (the node count
   // bounds hosts, receivers and area membership alike) so steady-state
   // iterations never touch the allocator. A few MB at the densest paper
@@ -71,14 +86,13 @@ double Cdpf::new_particle_weight() const {
   // A node creating a particle mid-track assigns it the mean weight of the
   // particle set it overheard during the last propagation round — a value
   // it can compute locally. At cold start there is nothing to overhear and
-  // the configured constant is used (paper §III-B: "configured as a
-  // constant, or adaptively determined").
+  // a constant is used (paper §III-B: "configured as a constant, or
+  // adaptively determined").
   const double total = store_.total_weight();
   if (!store_.empty() && total > 0.0) {
-    return config_.new_particle_weight_factor * total /
-           static_cast<double>(store_.size());
+    return total / static_cast<double>(store_.size());
   }
-  return config_.initial_weight;
+  return kInitialWeight;
 }
 
 double Cdpf::rss_weight_factor(double rss_dbm) const {
@@ -88,12 +102,11 @@ double Cdpf::rss_weight_factor(double rss_dbm) const {
   }
   const tracking::RssMeasurementModel rss(config_.rss);
   const double estimated_distance = rss.invert_to_distance(rss_dbm);
-  const tracking::LinearProbabilityModel lin_prob(
-      config_.neighborhood.sensing_radius);
+  const double sensing_radius = network_.config().sensing_radius;
+  const tracking::LinearProbabilityModel lin_prob(sensing_radius);
   // Floor at 0.1 so a deep fade cannot zero out a genuine detection.
-  const double factor =
-      std::max(0.1, lin_prob.probability(std::min(
-                        estimated_distance, config_.neighborhood.sensing_radius)));
+  const double factor = std::max(
+      0.1, lin_prob.probability(std::min(estimated_distance, sensing_radius)));
   CDPF_ASSERT(factor > 0.0 && factor <= 1.0);
   return factor;
 }
@@ -101,7 +114,7 @@ double Cdpf::rss_weight_factor(double rss_dbm) const {
 void Cdpf::initialize_from_detections(const SensingSnapshot& snapshot, rng::Rng& rng) {
   for (const SensingSnapshot::Detection& d : snapshot.detections) {
     store_.add(d.node, sample_initial_velocity(rng),
-               config_.initial_weight * rss_weight_factor(d.rss_dbm));
+               kInitialWeight * rss_weight_factor(d.rss_dbm));
   }
   if (!snapshot.detections.empty()) {
     CDPF_LOG_DEBUG(name() << ": initialized " << snapshot.detections.size()
@@ -157,8 +170,7 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
     propagation_.reset();
     {
       CDPF_TRACE_SPAN("cdpf-propagate");
-      propagate_particles_into(store_, network_, radio_, *motion_,
-                               config_.propagation, rng, propagation_,
+      propagate_particles_into(store_, network_, radio_, *motion_, rng, propagation_,
                                propagation_scratch_);
     }
     has_propagation_ = true;
@@ -214,8 +226,7 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
         }
       }
 
-      store_.normalize_and_prune(propagation_.global.total_weight,
-                                 config_.prune_threshold);
+      store_.normalize_and_prune(propagation_.global.total_weight, kPruneThreshold);
     }
   }
 
@@ -264,12 +275,15 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
     store_.clear();
     return;
   }
-  double threshold = config_.prune_threshold * total;
+  double threshold = kPruneThreshold * total;
   if (config_.use_neighborhood_estimation) {
-    // NE has no sharp likelihood to concentrate mass; the below-mean rule
-    // bounds the broadcasting population instead.
+    // NE has no sharp likelihood to concentrate mass: a host whose weight
+    // falls below the mean (locally computable from the overheard
+    // aggregate) stops broadcasting. This rule is what keeps the NE particle
+    // population — and therefore its propagation traffic, the only traffic
+    // it has — at or below CDPF's.
     const double mean = total / static_cast<double>(store_.size());
-    threshold = std::max(threshold, config_.ne_prune_mean_fraction * mean);
+    threshold = std::max(threshold, mean);
   }
   store_.prune_below(threshold);
 }
@@ -318,14 +332,13 @@ void Cdpf::neighborhood_assign(const std::vector<wsn::NodeId>& detecting) {
   // grid selects them by physical position; their contributions use the
   // positions the nodes believe they hold (position()), which is what a
   // node shares with its neighbors under a localization experiment.
-  network_.active_nodes_within(predicted, config_.neighborhood.sensing_radius,
+  network_.active_nodes_within(predicted, network_.config().sensing_radius,
                                area_nodes_);
   area_positions_.clear();
   for (const wsn::NodeId id : area_nodes_) {
     area_positions_.push_back(network_.position(id));
   }
-  estimated_contributions(area_positions_, predicted, config_.neighborhood,
-                          area_contributions_);
+  estimated_contributions(area_positions_, predicted, area_contributions_);
 
   // Index contributions and the detecting set by NodeId so the host loop
   // below is O(hosts) instead of O(hosts * (area + detections)). The tables
@@ -352,7 +365,7 @@ void Cdpf::neighborhood_assign(const std::vector<wsn::NodeId>& detecting) {
       // its contribution at the area's mean — its own detection says the
       // prediction, not the particle, is wrong.
       c = std::max(c, 1.0 / static_cast<double>(area_nodes_.size() + 1)) *
-          config_.detection_weight_boost;
+          kDetectionWeightBoost;
     }
     store_.scale_weight(host, c);
   }

@@ -41,46 +41,20 @@
 
 namespace cdpf::core {
 
-/// Every tunable of the CDPF / CDPF-NE filter, defaulting to the paper's
-/// §VI-A values. Units: seconds for times, meters for lengths, radians for
-/// angles, fractions in [0, 1] for thresholds.
+/// What a caller varies of the CDPF / CDPF-NE filter, defaulting to the
+/// paper's §VI-A values. Units: seconds for times, radians for angles. The
+/// predicted area (§III-B) and the estimation area (§V) are the network's
+/// sensing radius r_s; the importance density is make_motion_model(dt).
 struct CdpfConfig {
   /// Filter iteration period (paper: 5 s).
   double dt = 5.0;
-  /// Importance density: defaults to the random-turn model matching the
-  /// paper's maneuvering ground truth (see MotionModelConfig).
-  tracking::MotionModelConfig motion;
   /// Bearing measurement noise (paper: sigma_n = 0.05 rad).
   double sigma_bearing = 0.05;
-  /// Spatial quantization of node-hosted particles (m) folded into the
-  /// likelihood as extra angular noise atan ~ delta/d per sensor. Negative
-  /// = derive automatically as half the mean node spacing of the deployed
-  /// network (0.5 / sqrt(node density per m^2)).
-  double position_quantization_m = -1.0;
 
   /// false: CDPF (measurement sharing + likelihood). true: CDPF-NE
   /// (neighborhood estimation replaces the likelihood step).
   bool use_neighborhood_estimation = false;
 
-  PropagationConfig propagation;
-  NeighborhoodEstimationConfig neighborhood;
-
-  /// CDPF-NE only: weight multiplier applied to a host whose own sensor
-  /// currently detects the target. The local detection outcome is free
-  /// information (it needs no broadcast), and folding it in as a coarse
-  /// binary likelihood keeps the otherwise purely geometric neighborhood
-  /// estimate anchored to reality. Set to 1 for the paper-literal variant.
-  double detection_weight_boost = 16.0;
-  /// CDPF-NE only: after the neighborhood weight update, a host whose
-  /// weight falls below this fraction of the mean stops broadcasting
-  /// (drops its particle). The mean is locally computable from the
-  /// overheard aggregate. Without a likelihood to concentrate mass, this
-  /// rule is what keeps the NE particle population — and therefore its
-  /// propagation traffic, the only traffic it has — at or below CDPF's.
-  double ne_prune_mean_fraction = 1.0;
-
-  /// Weight given to a particle created at initialization / new detection.
-  double initial_weight = 1.0;
   /// Paper §III-B: the initial particle weight "may be configured as a
   /// constant, or adaptively determined according to the received signal
   /// strength". When enabled, a creating node measures the target's RSS,
@@ -89,19 +63,9 @@ struct CdpfConfig {
   /// seed heavier particles.
   bool rss_adaptive_weights = false;
   tracking::RssMeasurementModel::Params rss;
-  /// Weight of a particle created by a detecting node mid-track, as a
-  /// multiple of the current mean particle weight (locally computable from
-  /// the overheard aggregate). Values > 1 strengthen the anchoring of the
-  /// filter to fresh detections.
-  double new_particle_weight_factor = 1.0;
   /// Velocity prior for newly created particles: N(mean, sigma^2) per axis.
-  geom::Vec2 initial_velocity_mean{3.0, 0.0};
-  double initial_velocity_sigma = 1.0;
-
-  /// Relative weight threshold (fraction of the total) below which a host
-  /// drops its particle and stops broadcasting (the distributed
-  /// "resampling": eliminate negligible particles).
-  double prune_threshold = 1e-4;
+  geom::Vec2 initial_velocity_mean = kInitialVelocityMean;
+  double initial_velocity_sigma = kInitialVelocitySigma;
 
   /// Report each correction-step estimate to the sink (one broadcast-hop
   /// message charged per iteration); off by default like the paper's

@@ -10,6 +10,12 @@ namespace cdpf::core {
 
 namespace {
 
+constexpr std::size_t kNumParticles = 1000;  // paper: N_s = 1000 for CPF
+
+/// Assumed innovation spread (rad) the adaptive-encoding Huffman code is
+/// built for.
+constexpr double kInnovationSigmaRad = 0.2;
+
 /// Std-dev of the effective measurement noise when uniform quantization of
 /// bin width `delta` is stacked on Gaussian noise `sigma` (variances add;
 /// the quantization error is ~uniform with variance delta^2 / 12).
@@ -29,12 +35,12 @@ CentralizedPf::CentralizedPf(wsn::Network& network, wsn::Radio& radio, CpfConfig
       config_(config),
       bearing_(config.sigma_bearing),
       router_(network),
-      filter_(tracking::make_motion_model(config.motion, config.dt),
-              filters::SirFilterConfig{config.num_particles, config.resampling,
+      filter_(tracking::make_motion_model(config.dt),
+              filters::SirFilterConfig{kNumParticles, config.resampling,
                                        /*resample_every_step=*/true,
                                        /*ess_threshold_fraction=*/0.5}),
       received_(effective_sigma(config.sigma_bearing, config.quantization_levels),
-                config.position_resolution_m) {
+                kCloudResolutionM) {
   if (config_.quantization_levels) {
     CDPF_CHECK_MSG(*config_.quantization_levels >= 2,
                    "quantization needs at least two levels");
@@ -48,8 +54,6 @@ CentralizedPf::CentralizedPf(wsn::Network& network, wsn::Radio& radio, CpfConfig
   if (config_.adaptive_encoding) {
     CDPF_CHECK_MSG(config_.quantization_levels.has_value(),
                    "adaptive encoding requires quantization");
-    CDPF_CHECK_MSG(config_.innovation_sigma_rad > 0.0,
-                   "innovation sigma must be positive");
     // Huffman code over the signed quantized-innovation alphabet, built for
     // a Laplacian-like innovation distribution centered at zero.
     const std::size_t levels = *config_.quantization_levels;
@@ -58,7 +62,7 @@ CentralizedPf::CentralizedPf(wsn::Network& network, wsn::Radio& radio, CpfConfig
     for (std::size_t s = 0; s < levels; ++s) {
       // Symbol s encodes the signed bin k in [-levels/2, levels/2).
       const auto k = static_cast<double>(s) - static_cast<double>(levels) / 2.0;
-      frequencies[s] = std::exp(-std::abs(k * delta) / config_.innovation_sigma_rad);
+      frequencies[s] = std::exp(-std::abs(k * delta) / kInnovationSigmaRad);
     }
     innovation_code_ = filters::HuffmanCode::from_frequencies(frequencies);
   }
@@ -159,10 +163,9 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
     if (received_.empty()) {
       return;  // nothing to initialize from yet
     }
-    filter_.initialize(
-        {received_.centroid(), config_.initial_velocity_mean},
-        {config_.init_position_sigma, config_.init_position_sigma},
-        {config_.initial_velocity_sigma, config_.initial_velocity_sigma}, rng);
+    filter_.initialize({received_.centroid(), kInitialVelocityMean},
+                       {kInitialPositionSigma, kInitialPositionSigma},
+                       {kInitialVelocitySigma, kInitialVelocitySigma}, rng);
     pending_estimates_.push_back({filter_.estimate(), time});
     return;
   }

@@ -30,31 +30,19 @@
 
 namespace cdpf::core {
 
+/// What a caller varies of CPF / DPF. The importance density is
+/// make_motion_model(dt); the cloud holds 1000 particles (the paper's N_s)
+/// and its resolution kCloudResolutionM inflates the likelihood.
 struct CpfConfig {
   double dt = 1.0;  // centralized filters iterate at the measurement rate
-  /// Importance density (defaults to the maneuvering random-turn model).
-  tracking::MotionModelConfig motion;
   double sigma_bearing = 0.05;
 
-  std::size_t num_particles = 1000;  // paper: N_s = 1000 for CPF
   filters::ResamplingScheme resampling = filters::ResamplingScheme::kSystematic;
-
-  /// Initialization prior around the centroid of the first detecting nodes.
-  double init_position_sigma = 10.0;  // ~ the sensing radius
-  geom::Vec2 initial_velocity_mean{3.0, 0.0};
-  double initial_velocity_sigma = 1.0;
 
   /// When set, run as the quantized-measurement DPF baseline: bearings are
   /// quantized to this many levels over (-pi, pi] and each hop carries the
   /// compressed payload instead of D_m.
   std::optional<std::size_t> quantization_levels;
-
-  /// Spatial resolution of the particle cloud (m) folded into the
-  /// likelihood as extra angular noise delta/d per sensor. This keeps
-  /// sensors that sit almost on top of the target (d -> 0, where any
-  /// finite particle cloud is too coarse for the bearing geometry) from
-  /// annihilating every particle's weight.
-  double position_resolution_m = 0.5;
 
   /// Adaptive entropy coding of the quantized measurements (Ing & Coates,
   /// the paper's reference [12]): sensors encode the quantized INNOVATION
@@ -65,8 +53,6 @@ struct CpfConfig {
   /// quantization_levels. The paper's caveat applies: the backward estimate
   /// feedback adds one broadcast message per iteration.
   bool adaptive_encoding = false;
-  /// Assumed innovation spread (rad) the Huffman code is built for.
-  double innovation_sigma_rad = 0.2;
 };
 
 class CentralizedPf final : public TrackerAlgorithm {

@@ -7,25 +7,31 @@
 
 namespace cdpf::core {
 
+namespace {
+
+constexpr std::size_t kNumParticles = 500;  // cloud size at the cluster head
+constexpr std::size_t kMixtureComponents = 3;
+constexpr std::size_t kEmIterations = 10;
+
+}  // namespace
+
 GmmDpf::GmmDpf(wsn::Network& network, wsn::Radio& radio, GmmDpfConfig config)
     : network_(network),
       radio_(radio),
       config_(config),
       bearing_(config.sigma_bearing),
       router_(network),
-      filter_(tracking::make_motion_model(config.motion, config.dt),
-              filters::SirFilterConfig{config.num_particles, config.resampling,
+      filter_(tracking::make_motion_model(config.dt),
+              filters::SirFilterConfig{kNumParticles,
+                                       filters::ResamplingScheme::kSystematic,
                                        /*resample_every_step=*/true,
                                        /*ess_threshold_fraction=*/0.5}),
-      received_(config.sigma_bearing, config.position_resolution_m) {
-  CDPF_CHECK_MSG(config_.mixture_components >= 1, "GMM-DPF needs >= 1 component");
-}
+      received_(config.sigma_bearing, kCloudResolutionM) {}
 
 void GmmDpf::reinitialize_cloud(geom::Vec2 center, rng::Rng& rng) {
-  filter_.initialize({center, config_.initial_velocity_mean},
-                     {config_.init_position_sigma, config_.init_position_sigma},
-                     {config_.initial_velocity_sigma, config_.initial_velocity_sigma},
-                     rng);
+  filter_.initialize({center, kInitialVelocityMean},
+                     {kInitialPositionSigma, kInitialPositionSigma},
+                     {kInitialVelocitySigma, kInitialVelocitySigma}, rng);
 }
 
 void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rng) {
@@ -65,25 +71,25 @@ void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& 
     // 4. Lossy handoff: fit the posterior to a mixture, transmit the
     // parameters, and reconstruct the cloud at the new head by sampling.
     const filters::GaussianMixture mixture = filters::GaussianMixture::fit(
-        filter_.particles(), config_.mixture_components, rng, config_.em_iterations);
+        filter_.particles(), kMixtureComponents, rng, kEmIterations);
     if (head_ != wsn::kInvalidNodeId && network_.is_active(head_) &&
         network_.is_active(new_head)) {
       router_.send(radio_, head_, new_head, wsn::MessageKind::kParticle,
                    mixture.packed_size_bytes());
     }
     ++handoffs_;
-    const double w = 1.0 / static_cast<double>(config_.num_particles);
+    const double w = 1.0 / static_cast<double>(kNumParticles);
     // Positions come from the mixture; velocities survive only through the
     // mixture mean drift, so re-draw them around the previous mean velocity
     // (the handoff is genuinely lossy — that is the point of the baseline).
     const tracking::TargetState prev_mean = filter_.estimate();
     std::vector<filters::Particle> cloud;
-    cloud.reserve(config_.num_particles);
-    for (std::size_t i = 0; i < config_.num_particles; ++i) {
+    cloud.reserve(kNumParticles);
+    for (std::size_t i = 0; i < kNumParticles; ++i) {
       tracking::TargetState s;
       s.position = mixture.sample(rng);
-      s.velocity = {rng.gaussian(prev_mean.velocity.x, config_.initial_velocity_sigma),
-                    rng.gaussian(prev_mean.velocity.y, config_.initial_velocity_sigma)};
+      s.velocity = {rng.gaussian(prev_mean.velocity.x, kInitialVelocitySigma),
+                    rng.gaussian(prev_mean.velocity.y, kInitialVelocitySigma)};
       cloud.push_back({s, w});
     }
     filter_.initialize(std::move(cloud));

@@ -27,7 +27,6 @@
 #include "core/batch_kernels.hpp"
 #include "core/tracker.hpp"
 #include "filters/gmm.hpp"
-#include "filters/resampling.hpp"
 #include "filters/sir_filter.hpp"
 #include "tracking/measurement.hpp"
 #include "wsn/network.hpp"
@@ -36,23 +35,12 @@
 
 namespace cdpf::core {
 
+/// What a caller varies of GMM-DPF. The head's cloud (500 particles,
+/// systematic resampling, likelihood inflated by kCloudResolutionM) is
+/// compressed into a 3-component mixture refit by 10 EM iterations.
 struct GmmDpfConfig {
   double dt = 1.0;
-  tracking::MotionModelConfig motion;
   double sigma_bearing = 0.05;
-
-  std::size_t num_particles = 500;   // cloud size at the cluster head
-  std::size_t mixture_components = 3;
-  std::size_t em_iterations = 10;
-  filters::ResamplingScheme resampling = filters::ResamplingScheme::kSystematic;
-
-  /// Particle-cloud spatial resolution folded into the likelihood
-  /// (see CpfConfig::position_resolution_m).
-  double position_resolution_m = 0.5;
-
-  double init_position_sigma = 10.0;
-  geom::Vec2 initial_velocity_mean{3.0, 0.0};
-  double initial_velocity_sigma = 1.0;
 };
 
 class GmmDpf final : public TrackerAlgorithm {

@@ -9,16 +9,36 @@
 
 namespace cdpf::core {
 
-MultiTargetTracker::MultiTargetTracker(wsn::Network& network, wsn::Radio& radio,
-                                       MultiTargetConfig config)
+namespace {
+
+/// A detection within this distance (m) of a track's gate center (predicted
+/// or last estimated position) is claimed by that track.
+constexpr double kGatingRadius = 30.0;
+/// Minimum unassociated detections (mutually within 2 r_s) to spawn a new
+/// track. High enough that edge leakage from an existing track's imperfect
+/// gate does not breed phantom tracks; a real target at the paper's
+/// densities produces tens of detections.
+constexpr std::size_t kSpawnMinDetections = 6;
+/// Consecutive iterations a track may go without claiming any detection
+/// before it is dropped.
+constexpr std::size_t kMissLimit = 2;
+/// Safety cap on simultaneous tracks.
+constexpr std::size_t kMaxTracks = 16;
+
+CdpfConfig track_filter_config() {
+  CdpfConfig config;
+  config.initial_velocity_mean = {0.0, 0.0};
+  config.initial_velocity_sigma = 2.5;
+  return config;
+}
+
+}  // namespace
+
+MultiTargetTracker::MultiTargetTracker(wsn::Network& network, wsn::Radio& radio)
     : network_(network),
       radio_(radio),
-      config_(config),
-      bearing_(config.filter.sigma_bearing) {
-  CDPF_CHECK_MSG(config_.gating_radius > 0.0, "gating radius must be positive");
-  CDPF_CHECK_MSG(config_.spawn_min_detections >= 1, "spawn threshold must be >= 1");
-  CDPF_CHECK_MSG(config_.max_tracks >= 1, "need room for at least one track");
-}
+      filter_config_(track_filter_config()),
+      bearing_(filter_config_.sigma_bearing) {}
 
 void MultiTargetTracker::iterate(std::span<const tracking::TargetState> truths,
                                  double time, rng::Rng& rng) {
@@ -61,7 +81,7 @@ void MultiTargetTracker::iterate(std::span<const tracking::TargetState> truths,
   for (std::size_t d = 0; d < detections.size(); ++d) {
     const geom::Vec2 pos = network_.position(detections[d].node);
     std::size_t best_track = tracks_.size();
-    double best = config_.gating_radius;
+    double best = kGatingRadius;
     for (std::size_t k = 0; k < tracks_.size(); ++k) {
       if (!tracks_[k].gate_center) {
         continue;
@@ -102,17 +122,16 @@ void MultiTargetTracker::iterate(std::span<const tracking::TargetState> truths,
 
   // --- Track death. -------------------------------------------------------
   std::erase_if(tracks_, [this](const Track& t) {
-    if (t.misses > config_.miss_limit || t.filter->particles().empty()) {
+    if (t.misses > kMissLimit || t.filter->particles().empty()) {
       CDPF_LOG_DEBUG("multi-target: dropping track " << t.id);
       return true;
     }
     return false;
   });
 
-  // --- Track merging: two gates on the same target become one track. ------
-  const double merge_radius = config_.merge_radius > 0.0
-                                  ? config_.merge_radius
-                                  : network_.config().sensing_radius;
+  // --- Track merging: two gates closer than the sensing radius are
+  // duplicates of the same target; the one with fewer particles is dropped.
+  const double merge_radius = network_.config().sensing_radius;
   for (std::size_t a = 0; a < tracks_.size(); ++a) {
     for (std::size_t b = a + 1; b < tracks_.size();) {
       if (tracks_[a].gate_center && tracks_[b].gate_center &&
@@ -144,8 +163,7 @@ void MultiTargetTracker::spawn_tracks(
     const std::vector<SensingSnapshot::Measurement>& measurements, double time,
     rng::Rng& rng) {
   CDPF_ASSERT(std::isfinite(time));
-  if (unassigned.size() < config_.spawn_min_detections ||
-      tracks_.size() >= config_.max_tracks) {
+  if (unassigned.size() < kSpawnMinDetections || tracks_.size() >= kMaxTracks) {
     return;
   }
   // Greedy clustering: grow a cluster around each unused detection with the
@@ -153,7 +171,7 @@ void MultiTargetTracker::spawn_tracks(
   const double link = 2.0 * network_.config().sensing_radius;
   std::vector<bool> used(unassigned.size(), false);
   for (std::size_t seed = 0; seed < unassigned.size(); ++seed) {
-    if (used[seed] || tracks_.size() >= config_.max_tracks) {
+    if (used[seed] || tracks_.size() >= kMaxTracks) {
       continue;
     }
     std::vector<std::size_t> cluster{seed};
@@ -168,7 +186,7 @@ void MultiTargetTracker::spawn_tracks(
         }
       }
     }
-    if (cluster.size() < config_.spawn_min_detections) {
+    if (cluster.size() < kSpawnMinDetections) {
       continue;
     }
     SensingSnapshot snapshot;
@@ -182,7 +200,7 @@ void MultiTargetTracker::spawn_tracks(
 
     Track track;
     track.id = next_track_id_++;
-    track.filter = std::make_unique<Cdpf>(network_, radio_, config_.filter);
+    track.filter = std::make_unique<Cdpf>(network_, radio_, filter_config_);
     track.filter->iterate_snapshot(snapshot, time, rng);
     track.gate_center = centroid;
     CDPF_LOG_DEBUG("multi-target: spawned track " << track.id << " from "

@@ -28,43 +28,16 @@
 
 namespace cdpf::core {
 
-struct MultiTargetConfig {
-  MultiTargetConfig() {
-    // A spawned track knows nothing about its target's direction (unlike
-    // the single-target scenario, where the entry gate is known):
-    // direction-neutral velocity prior, wide enough to cover the paper's
-    // 3 m/s targets in any heading.
-    filter.initial_velocity_mean = {0.0, 0.0};
-    filter.initial_velocity_sigma = 2.5;
-  }
-
-  /// Per-track CDPF configuration (dt is shared by all tracks).
-  CdpfConfig filter;
-  /// A detection within this distance of a track's gate center (predicted
-  /// or last estimated position) is claimed by that track.
-  double gating_radius = 30.0;
-  /// Minimum unassociated detections (mutually within 2 r_s) to spawn a
-  /// new track. High enough that edge leakage from an existing track's
-  /// imperfect gate does not breed phantom tracks; a real target at the
-  /// paper's densities produces tens of detections.
-  std::size_t spawn_min_detections = 6;
-  /// Consecutive iterations a track may go without claiming any detection
-  /// before it is dropped.
-  std::size_t miss_limit = 2;
-  /// Two tracks whose gates come closer than this are duplicates of the
-  /// same target; the one with fewer particles is dropped. Defaults to the
-  /// sensing radius when 0.
-  double merge_radius = 0.0;
-  /// Safety cap on simultaneous tracks.
-  std::size_t max_tracks = 16;
-};
-
 class MultiTargetTracker {
  public:
-  MultiTargetTracker(wsn::Network& network, wsn::Radio& radio,
-                     MultiTargetConfig config);
+  /// Every track runs CDPF with the paper's defaults, except that a spawned
+  /// track knows nothing about its target's direction (unlike the
+  /// single-target scenario, where the entry gate is known): its velocity
+  /// prior is direction-neutral and wide enough to cover the paper's 3 m/s
+  /// targets in any heading.
+  MultiTargetTracker(wsn::Network& network, wsn::Radio& radio);
 
-  double time_step() const { return config_.filter.dt; }
+  double time_step() const { return filter_config_.dt; }
 
   /// One filter iteration against the true target states (used only to
   /// synthesize detections/measurements; every detection is anonymous).
@@ -100,7 +73,7 @@ class MultiTargetTracker {
 
   wsn::Network& network_;
   wsn::Radio& radio_;
-  MultiTargetConfig config_;
+  CdpfConfig filter_config_;  // shared by every track
   tracking::BearingMeasurementModel bearing_;
   std::vector<Track> tracks_;
   int next_track_id_ = 0;

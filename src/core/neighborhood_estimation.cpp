@@ -17,8 +17,8 @@ namespace {
 // distance comes from sqrt(dx^2 + dy^2) rather than hypot: an ulp-level
 // accuracy trade the clamp and the normalization are indifferent to, and
 // the form auto-vectorizes.
-double inverse_clamped_distance(double dx, double dy, double min_distance) {
-  return 1.0 / std::max(std::sqrt(dx * dx + dy * dy), min_distance);
+double inverse_clamped_distance(double dx, double dy) {
+  return 1.0 / std::max(std::sqrt(dx * dx + dy * dy), kMinContributionDistanceM);
 }
 
 // CDPF-NE invariant: the estimated contributions form a probability
@@ -39,26 +39,11 @@ void assert_distribution([[maybe_unused]] const std::vector<double>& out) {
 
 }  // namespace
 
-geom::Disk estimation_area(geom::Vec2 predicted_position,
-                           const NeighborhoodEstimationConfig& config) {
-  CDPF_CHECK_MSG(config.sensing_radius > 0.0, "sensing radius must be positive");
-  return {predicted_position, config.sensing_radius};
-}
-
-std::vector<double> estimated_contributions(std::span<const geom::Vec2> positions,
-                                            geom::Vec2 predicted_position,
-                                            const NeighborhoodEstimationConfig& config) {
-  CDPF_CHECK_MSG(config.min_distance_m > 0.0, "min distance clamp must be positive");
-  std::vector<double> contributions;
-  estimated_contributions(positions, predicted_position, config, contributions);
-  return contributions;
-}
-
 void estimated_contributions(std::span<const geom::Vec2> positions,
-                             geom::Vec2 predicted_position,
-                             const NeighborhoodEstimationConfig& config,
-                             std::vector<double>& out) {
-  CDPF_CHECK_MSG(config.min_distance_m > 0.0, "min distance clamp must be positive");
+                             geom::Vec2 predicted_position, std::vector<double>& out) {
+  CDPF_CHECK_MSG(
+      std::isfinite(predicted_position.x) && std::isfinite(predicted_position.y),
+      "predicted position must be finite");
   out.resize(positions.size());
   if (positions.empty()) {
     return;
@@ -66,8 +51,7 @@ void estimated_contributions(std::span<const geom::Vec2> positions,
   support::NeumaierSum inv_sum;  // D = sum_j 1/d_j
   for (std::size_t i = 0; i < positions.size(); ++i) {
     out[i] = inverse_clamped_distance(positions[i].x - predicted_position.x,
-                                      positions[i].y - predicted_position.y,
-                                      config.min_distance_m);
+                                      positions[i].y - predicted_position.y);
     inv_sum.add(out[i]);
   }
   for (double& c : out) {
@@ -77,18 +61,14 @@ void estimated_contributions(std::span<const geom::Vec2> positions,
 }
 
 double own_contribution(geom::Vec2 self, std::span<const geom::Vec2> others,
-                        geom::Vec2 predicted_position,
-                        const NeighborhoodEstimationConfig& config) {
-  CDPF_CHECK_MSG(config.min_distance_m > 0.0, "min distance clamp must be positive");
-  const double own_inv =
-      inverse_clamped_distance(self.x - predicted_position.x,
-                               self.y - predicted_position.y, config.min_distance_m);
+                        geom::Vec2 predicted_position) {
+  const double own_inv = inverse_clamped_distance(self.x - predicted_position.x,
+                                                  self.y - predicted_position.y);
   support::NeumaierSum inv_sum;
   inv_sum.add(own_inv);
   for (const geom::Vec2 other : others) {
     inv_sum.add(inverse_clamped_distance(other.x - predicted_position.x,
-                                         other.y - predicted_position.y,
-                                         config.min_distance_m));
+                                         other.y - predicted_position.y));
   }
   const double contribution = own_inv / inv_sum.value();
   CDPF_ASSERT(std::isfinite(contribution) && contribution >= 0.0 &&

@@ -16,46 +16,28 @@
 #include <span>
 #include <vector>
 
-#include "geom/shapes.hpp"
 #include "geom/vec2.hpp"
 
 namespace cdpf::core {
 
-/// Parameters of the neighborhood-estimation geometry. All lengths in
-/// meters, matching the deployment's units.
-struct NeighborhoodEstimationConfig {
-  /// Radius of the estimation area (paper: the sensing radius r_s = 10 m).
-  double sensing_radius = 10.0;
-  /// Distances are clamped from below to avoid a node sitting exactly on
-  /// the predicted position absorbing all contribution (1/d blows up).
-  double min_distance_m = 0.1;
-};
-
-/// Definition 1: the estimation area around a predicted target position.
-geom::Disk estimation_area(geom::Vec2 predicted_position,
-                           const NeighborhoodEstimationConfig& config);
+/// Distances to the predicted position are clamped from below (m) so a node
+/// sitting exactly on it cannot absorb all contribution (1/d blows up).
+inline constexpr double kMinContributionDistanceM = 0.1;
 
 /// Definition 2 over an explicit set of node positions assumed to lie inside
-/// the estimation area. Returns normalized contributions (same order as
-/// `positions`); empty input yields an empty result.
-std::vector<double> estimated_contributions(std::span<const geom::Vec2> positions,
-                                            geom::Vec2 predicted_position,
-                                            const NeighborhoodEstimationConfig& config);
-
-/// Reuse-friendly variant writing into `out` (resized to positions.size());
-/// allocation-free once `out` has the capacity — the per-iteration path of
-/// CDPF-NE's weight assignment.
+/// the estimation area (Definition 1: the disk of sensing radius r_s around
+/// the predicted target position). Writes the normalized contributions into
+/// `out` (resized to positions.size(), same order as `positions`; empty
+/// input yields an empty result); allocation-free once `out` has the
+/// capacity — the per-iteration path of CDPF-NE's weight assignment.
 void estimated_contributions(std::span<const geom::Vec2> positions,
-                             geom::Vec2 predicted_position,
-                             const NeighborhoodEstimationConfig& config,
-                             std::vector<double>& out);
+                             geom::Vec2 predicted_position, std::vector<double>& out);
 
 /// The contribution c_0 of the node at `self`, with `others` being the other
 /// node positions inside the estimation area (the normalization set is
 /// {self} ∪ others). This is the per-node update path: each node only needs
 /// its own contribution to update its particle weight (w <- w * c_0).
 double own_contribution(geom::Vec2 self, std::span<const geom::Vec2> others,
-                        geom::Vec2 predicted_position,
-                        const NeighborhoodEstimationConfig& config);
+                        geom::Vec2 predicted_position);
 
 }  // namespace cdpf::core

@@ -40,12 +40,13 @@ void PropagationOutcome::reset() {
 
 void propagate_particles_into(const ParticleStore& store, const wsn::Network& network,
                               wsn::Radio& radio, const tracking::MotionModel& motion,
-                              const PropagationConfig& config, rng::Rng& rng,
-                              PropagationOutcome& outcome, PropagationScratch& scratch) {
+                              rng::Rng& rng, PropagationOutcome& outcome,
+                              PropagationScratch& scratch) {
   CDPF_TRACE_SPAN("propagation-round");
-  CDPF_CHECK_MSG(config.record_radius > 0.0, "record radius must be positive");
   CDPF_CHECK_MSG(&store != &outcome.next, "input store must not alias outcome.next");
-  const tracking::LinearProbabilityModel lin_prob(config.record_radius);
+  // The predicted area's radius (paper: the sensing radius).
+  const double record_radius = network.config().sensing_radius;
+  const tracking::LinearProbabilityModel lin_prob(record_radius);
   const std::size_t propagation_payload =
       radio.payloads().particle + radio.payloads().weight;
 
@@ -78,12 +79,11 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
   // inflated by a few ulp): it only ever skips nodes the exact linear-model
   // test would reject with certainty, so which nodes record — and with what
   // probability — is decided by the same arithmetic on both recorder routes.
-  const double record_gate_sq =
-      config.record_radius * config.record_radius * (1.0 + 1e-12);
+  const double record_gate_sq = record_radius * record_radius * (1.0 + 1e-12);
   // Grid query radius for the direct record-disk scan: anything covering the
   // pre-gate works (acceptance is decided downstream); 1e-9 relative slack
   // comfortably dominates the gate's margin.
-  const double record_query_radius = config.record_radius * (1.0 + 1e-9);
+  const double record_query_radius = record_radius * (1.0 + 1e-9);
 
   // Deterministic host order so rng consumption is reproducible.
   for (const wsn::NodeId host : store.sorted_hosts()) {

@@ -31,12 +31,6 @@
 
 namespace cdpf::core {
 
-struct PropagationConfig {
-  /// Radius of the predicted area (paper: the sensing radius); every
-  /// receiver strictly inside it records.
-  double record_radius = 10.0;
-};
-
 /// What one node learns by overhearing a propagation round.
 struct OverheardAggregate {
   double total_weight = 0.0;       // sum of broadcast particle weights heard
@@ -123,15 +117,18 @@ struct PropagationScratch {
 };
 
 /// Run one propagation round for `store` over `network`, charging the
-/// broadcasts to `radio`. `motion` supplies dt (the filter iteration step)
-/// and the process noise applied to recorded velocities; `rng` drives the
-/// noise. The input store is left untouched (and must not alias
-/// `outcome.next`). The caller must have reset `outcome` for this round;
-/// with warm `outcome`/`scratch` buffers the round is allocation-free.
+/// broadcasts to `radio`. The predicted area is the disk of the network's
+/// sensing radius r_s around each broadcaster's predicted target position;
+/// every receiver strictly inside it records. `motion` supplies dt (the
+/// filter iteration step) and the process noise applied to recorded
+/// velocities; `rng` drives the noise. The input store is left untouched
+/// (and must not alias `outcome.next`). The caller must have reset
+/// `outcome` for this round; with warm `outcome`/`scratch` buffers the round
+/// is allocation-free.
 void propagate_particles_into(const ParticleStore& store, const wsn::Network& network,
                               wsn::Radio& radio, const tracking::MotionModel& motion,
-                              const PropagationConfig& config, rng::Rng& rng,
-                              PropagationOutcome& outcome, PropagationScratch& scratch);
+                              rng::Rng& rng, PropagationOutcome& outcome,
+                              PropagationScratch& scratch);
 
 /// What `node` holds after overhearing one propagation round whose
 /// broadcasting particles are `broadcasters` (the round's input store): the

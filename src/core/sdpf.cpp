@@ -13,6 +13,10 @@ namespace cdpf::core {
 
 namespace {
 
+/// Weight of the particles seeded at cold start, when there is no
+/// population to take a mean weight from.
+constexpr double kInitialWeight = 1.0;
+
 /// Call fn(host, group) for every host's contiguous particle range, in
 /// ascending host order; `hosts` must be grouped as Sdpf::hosts() is.
 template <typename Fn>
@@ -34,14 +38,12 @@ Sdpf::Sdpf(wsn::Network& network, wsn::Radio& radio, SdpfConfig config)
     : network_(network),
       radio_(radio),
       config_(config),
-      motion_(tracking::make_motion_model(config.motion, config.dt)),
+      motion_(tracking::make_motion_model(config.dt)),
       bearing_(config.sigma_bearing),
-      shared_(config.sigma_bearing,
-              quantization_length(config.position_quantization_m, network),
+      shared_(config.sigma_bearing, quantization_length(network),
               network.config().comm_radius) {
   CDPF_CHECK_MSG(config_.particles_per_detection > 0,
                  "SDPF needs at least one particle per detection");
-  CDPF_CHECK_MSG(config_.initial_weight > 0.0, "initial weight must be positive");
   CDPF_CHECK_MSG(std::isfinite(config_.prune_threshold) && config_.prune_threshold >= 0.0,
                  "prune threshold must be finite and non-negative");
 }
@@ -54,7 +56,7 @@ void Sdpf::seed_detecting_nodes(rng::Rng& rng) {
   const std::size_t grouped = particles_.size();
   const double fresh_weight =
       grouped > 0 ? filters::total_weight(particles_) / static_cast<double>(grouped)
-                  : config_.initial_weight;
+                  : kInitialWeight;
   for (const wsn::NodeId id : detecting_) {
     const auto [first, last] =
         std::equal_range(hosts_.begin(),
@@ -69,9 +71,8 @@ void Sdpf::seed_detecting_nodes(rng::Rng& rng) {
     for (std::size_t i = have; i < config_.particles_per_detection; ++i) {
       filters::Particle p;
       p.state.position = node_pos;
-      p.state.velocity = {
-          rng.gaussian(config_.initial_velocity_mean.x, config_.initial_velocity_sigma),
-          rng.gaussian(config_.initial_velocity_mean.y, config_.initial_velocity_sigma)};
+      p.state.velocity = {rng.gaussian(kInitialVelocityMean.x, kInitialVelocitySigma),
+                          rng.gaussian(kInitialVelocityMean.y, kInitialVelocitySigma)};
       p.weight = fresh_weight;
       particles_.push_back(p);
       hosts_.push_back(id);
@@ -128,7 +129,7 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
         // the host keeps it if it is still the nearest candidate. The
         // particle position snaps to its new host ("motes as particles"),
         // and its heading follows the actual hop displacement so position
-        // and velocity stay consistent (see PropagationConfig).
+        // and velocity stay consistent (see propagate_particles_into).
         wsn::NodeId best = host;
         geom::Vec2 new_pos = host_pos;
         double best_d = geom::distance_squared(host_pos, moved.state.position);

@@ -37,21 +37,15 @@
 
 namespace cdpf::core {
 
+/// What a caller varies of SDPF. The importance density is
+/// make_motion_model(dt); the likelihood is inflated by the deployment's
+/// quantization_length() like CDPF's.
 struct SdpfConfig {
   double dt = 5.0;  // same iteration period as CDPF
-  /// Importance density (defaults to the maneuvering random-turn model).
-  tracking::MotionModelConfig motion;
   double sigma_bearing = 0.05;
-  /// Spatial quantization folded into the likelihood (see CdpfConfig);
-  /// negative = half the mean node spacing.
-  double position_quantization_m = -1.0;
 
   /// Particles seeded on each newly detecting node (paper: eight).
   std::size_t particles_per_detection = 8;
-
-  geom::Vec2 initial_velocity_mean{3.0, 0.0};
-  double initial_velocity_sigma = 1.0;
-  double initial_weight = 1.0;
 
   filters::ResamplingScheme resampling = filters::ResamplingScheme::kSystematic;
 

@@ -6,11 +6,22 @@
 #include <string_view>
 #include <vector>
 
+#include "geom/vec2.hpp"
 #include "random/rng.hpp"
 #include "tracking/state.hpp"
 #include "wsn/comm_stats.hpp"
 
 namespace cdpf::core {
+
+/// Velocity prior of newly created particles, N(mean, sigma^2) per axis,
+/// shared by every tracker: the paper's target enters heading east at
+/// 3 m/s (the entry gate is known).
+inline constexpr geom::Vec2 kInitialVelocityMean{3.0, 0.0};
+inline constexpr double kInitialVelocitySigma = 1.0;
+
+/// Position prior (m) of the sink-side particle clouds (CPF, GMM-DPF)
+/// around the centroid of the first detecting nodes: ~ the sensing radius.
+inline constexpr double kInitialPositionSigma = 10.0;
 
 /// An estimate together with the absolute time it refers to. CDPF's
 /// correction step produces the estimate for the *previous* iteration, so

@@ -10,6 +10,13 @@
 
 namespace cdpf::sim {
 
+namespace {
+
+/// Bearing quantization levels of the DPF baseline: P = 1 byte.
+constexpr std::size_t kDpfQuantizationLevels = 256;
+
+}  // namespace
+
 std::size_t Scenario::node_count() const {
   return wsn::node_count_for_density(density_per_100m2, network.field);
 }
@@ -50,7 +57,7 @@ std::unique_ptr<core::TrackerAlgorithm> make_tracker(AlgorithmKind kind,
     }
     case AlgorithmKind::kDpf: {
       core::CpfConfig config = params.cpf;
-      config.quantization_levels = params.dpf_quantization_levels;
+      config.quantization_levels = kDpfQuantizationLevels;
       return std::make_unique<core::CentralizedPf>(network, radio, config);
     }
     case AlgorithmKind::kSdpf:

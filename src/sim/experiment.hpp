@@ -63,7 +63,6 @@ struct AlgorithmParams {
   core::SdpfConfig sdpf;
   core::CdpfConfig cdpf;   // also used by CDPF-NE
   core::GmmDpfConfig gmm_dpf;
-  std::size_t dpf_quantization_levels = 256;  // P = 1 byte
 };
 
 /// Instantiate a tracker of the given kind over (network, radio).

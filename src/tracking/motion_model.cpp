@@ -92,17 +92,12 @@ SampledKinematics RandomTurnMotionModel::sample_velocity(const TargetState& stat
   return {geom::Vec2::from_angle(heading) * speed, speed};
 }
 
-std::unique_ptr<MotionModel> make_motion_model(const MotionModelConfig& config,
-                                               double dt) {
-  switch (config.kind) {
-    case MotionModelConfig::Kind::kConstantVelocity:
-      return std::make_unique<ConstantVelocityModel>(dt, config.sigma_x,
-                                                     config.sigma_y);
-    case MotionModelConfig::Kind::kRandomTurn:
-      return std::make_unique<RandomTurnMotionModel>(
-          dt, config.substep_dt, config.max_turn_rad, config.speed_sigma_fraction);
-  }
-  throw Error("unknown motion model kind");
+std::unique_ptr<MotionModel> make_motion_model(double dt) {
+  constexpr double kSubstepDt = 1.0;
+  constexpr double kMaxTurnRad = 0.2617993877991494;  // 15 degrees
+  constexpr double kSpeedSigmaFraction = 0.02;
+  return std::make_unique<RandomTurnMotionModel>(dt, kSubstepDt, kMaxTurnRad,
+                                                 kSpeedSigmaFraction);
 }
 
 double ConstantVelocityModel::transition_density(const TargetState& state,

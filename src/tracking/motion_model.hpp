@@ -3,12 +3,13 @@
 //   x_k = Phi x_{k-1} + Gamma v_{k-1}
 //
 // with Phi the CV transition matrix, Gamma the acceleration-noise input
-// matrix and v ~ N(0, diag(sigma_x^2, sigma_y^2)). This model doubles as
-// the importance density of all SIR-based filters in the library (the prior
-// is chosen as the proposal, per the paper).
+// matrix and v ~ N(0, diag(sigma_x^2, sigma_y^2)), and the random-turn
+// model that mirrors the paper's maneuvering ground truth. The SIR-based
+// filters use the prior as the proposal, per the paper: the random-turn one
+// make_motion_model() builds.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 
 #include "geom/vec2.hpp"
@@ -131,23 +132,12 @@ class RandomTurnMotionModel final : public MotionModel {
   std::size_t substeps_;
 };
 
-/// Declarative motion-model selection used by the algorithm configs.
-struct MotionModelConfig {
-  enum class Kind : std::uint8_t { kConstantVelocity, kRandomTurn };
-  Kind kind = Kind::kRandomTurn;
-
-  // Constant-velocity parameters (paper Eq. 5).
-  double sigma_x = 0.05;
-  double sigma_y = 0.05;
-
-  // Random-turn parameters (paper Section VI-A ground truth).
-  double substep_dt = 1.0;
-  double max_turn_rad = 0.2617993877991494;  // 15 degrees
-  double speed_sigma_fraction = 0.02;
-};
-
-/// Factory: build the configured model for a filter iterating every `dt` s.
-std::unique_ptr<MotionModel> make_motion_model(const MotionModelConfig& config,
-                                               double dt);
+/// The importance density of every particle filter in the library: the
+/// random-turn model with the paper's Section VI-A ground-truth parameters
+/// (1 s substeps, turns uniform within +-15 degrees, speed sigma 2% per
+/// substep), for a filter iterating every `dt` s. The constant-velocity
+/// model of Eq. 5 is built directly by the filters that use it (KF, EKF,
+/// UKF).
+std::unique_ptr<MotionModel> make_motion_model(double dt);
 
 }  // namespace cdpf::tracking

@@ -166,14 +166,6 @@ std::size_t Network::detecting_nodes(geom::Vec2 target, std::vector<NodeId>& out
   return active_nodes_within(target, config_.sensing_radius, out);
 }
 
-std::vector<NodeId> Network::comm_neighbors(NodeId id) const {
-  const Node& self = node(id);
-  std::vector<NodeId> out;
-  active_nodes_within(self.position, config_.comm_radius, out);
-  std::erase(out, id);
-  return out;
-}
-
 double Network::average_comm_degree() const {
   // Degree is a property of the live communication graph: an inactive node
   // neither has neighbors nor counts as one, so it contributes to neither

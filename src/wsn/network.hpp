@@ -169,9 +169,6 @@ class Network {
     return geom::distance_squared(true_position(a), true_position(b)) <= rc * rc;
   }
 
-  /// Active one-hop communication neighbors of `id` (excluding `id`).
-  std::vector<NodeId> comm_neighbors(NodeId id) const;
-
   /// Average number of active comm neighbors (connectivity diagnostic).
   double average_comm_degree() const;
 

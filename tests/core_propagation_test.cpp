@@ -24,12 +24,6 @@ tracking::ConstantVelocityModel quiet_motion(double dt = 5.0) {
   return tracking::ConstantVelocityModel(dt, 1e-9, 1e-9);
 }
 
-PropagationConfig prop_config() {
-  PropagationConfig config;
-  config.record_radius = 10.0;
-  return config;
-}
-
 /// A round's reusable buffers, kept across rounds the way Cdpf keeps them.
 struct Round {
   PropagationOutcome outcome;
@@ -37,9 +31,9 @@ struct Round {
 
   const PropagationOutcome& run(const ParticleStore& store, const wsn::Network& net,
                                 wsn::Radio& radio, const tracking::MotionModel& motion,
-                                const PropagationConfig& config, rng::Rng& rng) {
+                                rng::Rng& rng) {
     outcome.reset();
-    propagate_particles_into(store, net, radio, motion, config, rng, outcome, scratch);
+    propagate_particles_into(store, net, radio, motion, rng, outcome, scratch);
     return outcome;
   }
 };
@@ -63,7 +57,7 @@ TEST(Propagation, WeightIsConservedThroughDivision) {
 
   Round round;
   const PropagationOutcome& outcome =
-      round.run(store, net, radio, quiet_motion(), prop_config(), rng);
+      round.run(store, net, radio, quiet_motion(), rng);
   EXPECT_EQ(outcome.lost_particles, 0u);
   EXPECT_NEAR(outcome.next.total_weight(), total_in, 1e-9);
   EXPECT_NEAR(outcome.global.total_weight, total_in, 1e-12);
@@ -86,7 +80,7 @@ TEST(Propagation, DivisionFollowsLinearProbabilityRatios) {
   rng::Rng rng(503);
   Round round;
   const PropagationOutcome& outcome =
-      round.run(store, net, radio, quiet_motion(), prop_config(), rng);
+      round.run(store, net, radio, quiet_motion(), rng);
   EXPECT_FALSE(outcome.next.contains(4));
   const double p_sum = 1.0 + 0.5 + 0.2;
   ASSERT_TRUE(outcome.next.contains(1));
@@ -111,10 +105,8 @@ TEST(Propagation, OverlappingPredictedAreasCombineOnSharedRecorder) {
   store.add(1, {-2.0, 0.0}, 2.0);
 
   rng::Rng rng(505);
-  PropagationConfig config = prop_config();
   Round round;
-  const PropagationOutcome& outcome =
-      round.run(store, net, radio, quiet_motion(), config, rng);
+  const PropagationOutcome& outcome = round.run(store, net, radio, quiet_motion(), rng);
   // Both particles land on node 2... but also on each other's host? Host A
   // at (100,100) is 10 m from predicted (110,100): p = 0 (boundary). So the
   // sole recorder is node 2, holding the combined weight.
@@ -144,7 +136,7 @@ TEST(Propagation, OverhearingIsCompleteUnderPaperAssumption) {
 
   Round round;
   const PropagationOutcome& outcome =
-      round.run(store, net, radio, quiet_motion(1.0), prop_config(), rng);
+      round.run(store, net, radio, quiet_motion(1.0), rng);
   ASSERT_GT(outcome.next.size(), 0u);
   for (const NodeParticle& particle : outcome.next.particles()) {
     const OverheardAggregate heard = overheard_by(particle.host, store, net);
@@ -179,11 +171,8 @@ TEST(Propagation, OverhearingCanBeIncompleteWhenAssumptionViolated) {
   store.add(near_a.front(), {-3.0, 0.0}, 1.0);
   store.add(near_b.front(), {3.0, 0.0}, 1.0);
 
-  PropagationConfig config = prop_config();
-  config.record_radius = 18.0;
-  Round round;
-  const PropagationOutcome& outcome =
-      round.run(store, net, radio, quiet_motion(), config, rng);
+  Round round;  // the predicted area is the network's r_s = 18 m
+  const PropagationOutcome& outcome = round.run(store, net, radio, quiet_motion(), rng);
   std::size_t incomplete = 0;
   for (const NodeParticle& particle : outcome.next.particles()) {
     const OverheardAggregate heard = overheard_by(particle.host, store, net);
@@ -241,7 +230,7 @@ TEST(Propagation, LostParticleWithoutFallback) {
   rng::Rng rng(511);
   Round round;
   const PropagationOutcome& outcome =
-      round.run(store, net, radio, quiet_motion(), prop_config(), rng);
+      round.run(store, net, radio, quiet_motion(), rng);
   EXPECT_EQ(outcome.num_broadcasts, 1u);
   EXPECT_EQ(outcome.lost_particles, 1u);
   EXPECT_DOUBLE_EQ(outcome.lost_weight, 1.5);
@@ -252,7 +241,7 @@ TEST(Propagation, LostParticleWithoutFallback) {
   positions[1] = {10.0, 35.0};  // 29 m from the predicted position
   wsn::Network near(positions, paper_config());
   wsn::Radio near_radio(near, wsn::PayloadSizes{});
-  round.run(store, near, near_radio, quiet_motion(), prop_config(), rng);
+  round.run(store, near, near_radio, quiet_motion(), rng);
   EXPECT_EQ(outcome.lost_particles, 0u);
   EXPECT_DOUBLE_EQ(outcome.lost_weight, 0.0);
   ASSERT_TRUE(outcome.next.contains(1));
@@ -274,7 +263,7 @@ TEST(Propagation, InactiveHostLosesItsParticle) {
 
   Round round;
   const PropagationOutcome& outcome =
-      round.run(store, net, radio, quiet_motion(), prop_config(), rng);
+      round.run(store, net, radio, quiet_motion(), rng);
   EXPECT_EQ(outcome.lost_particles, 1u);
   EXPECT_NEAR(outcome.global.total_weight, 1.0, 1e-12);
 }
@@ -291,7 +280,7 @@ TEST(Propagation, ChargesOneBroadcastPerHost) {
   for (std::size_t i = 0; i < n; ++i) {
     store.add(hosts[i], {3.0, 0.0}, 1.0);
   }
-  Round().run(store, net, radio, quiet_motion(), prop_config(), rng);
+  Round().run(store, net, radio, quiet_motion(), rng);
   const auto& payloads = radio.payloads();
   EXPECT_EQ(radio.stats().messages(wsn::MessageKind::kParticle), n);
   EXPECT_EQ(radio.stats().bytes(wsn::MessageKind::kParticle),
@@ -307,7 +296,7 @@ TEST(Propagation, DisplacementVelocityPointsAlongHop) {
   rng::Rng rng(517);
   Round round;
   const PropagationOutcome& outcome =
-      round.run(store, net, radio, quiet_motion(), prop_config(), rng);
+      round.run(store, net, radio, quiet_motion(), rng);
   ASSERT_TRUE(outcome.next.contains(1));
   const geom::Vec2 v = outcome.next.find(1)->velocity;
   // Hop displacement is +x: the recorded heading must be +x, speed ~2.
@@ -354,14 +343,14 @@ TEST(Propagation, ReceiverListRouteMatchesDirectScan) {
       rng::Rng direct_rng(seed + 100);
       Round direct_round;
       const PropagationOutcome& direct =
-          direct_round.run(store, net, direct_radio, motion, prop_config(), direct_rng);
+          direct_round.run(store, net, direct_radio, motion, direct_rng);
 
       net.set_believed_positions(positions);
       wsn::Radio listed_radio(net, wsn::PayloadSizes{});
       rng::Rng listed_rng(seed + 100);
       Round listed_round;
       const PropagationOutcome& listed =
-          listed_round.run(store, net, listed_radio, motion, prop_config(), listed_rng);
+          listed_round.run(store, net, listed_radio, motion, listed_rng);
       net.clear_believed_positions();
 
       ASSERT_EQ(direct.next.size(), listed.next.size());

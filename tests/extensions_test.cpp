@@ -167,7 +167,7 @@ TEST(GmmDpf, CostSitsBetweenCdpfAndSdpf) {
 TEST(MultiTarget, TracksTwoSeparatedTargets) {
   wsn::Network network = make_network(28);
   wsn::Radio radio(network, wsn::PayloadSizes{});
-  core::MultiTargetTracker tracker(network, radio, core::MultiTargetConfig{});
+  core::MultiTargetTracker tracker(network, radio);
   rng::Rng rng(29);
 
   auto truth_at = [](double t) {
@@ -194,13 +194,13 @@ TEST(MultiTarget, TracksTwoSeparatedTargets) {
 TEST(MultiTarget, TracksDieWhenTargetsLeave) {
   wsn::Network network = make_network(30);
   wsn::Radio radio(network, wsn::PayloadSizes{});
-  core::MultiTargetTracker tracker(network, radio, core::MultiTargetConfig{});
+  core::MultiTargetTracker tracker(network, radio);
   rng::Rng rng(31);
   const std::vector<tracking::TargetState> inside{{{100.0, 100.0}, {3.0, 0.0}}};
   tracker.iterate(inside, 0.0, rng);
   tracker.iterate(inside, 5.0, rng);
   EXPECT_GE(tracker.live_tracks(), 1u);
-  // The target vanishes; after miss_limit iterations the track dies.
+  // The target vanishes; after the miss limit (two iterations) the track dies.
   const std::vector<tracking::TargetState> gone;
   for (int k = 2; k < 9; ++k) {
     tracker.iterate(gone, 5.0 * k, rng);
@@ -211,7 +211,7 @@ TEST(MultiTarget, TracksDieWhenTargetsLeave) {
 TEST(MultiTarget, SingleTargetDoesNotSplit) {
   wsn::Network network = make_network(32);
   wsn::Radio radio(network, wsn::PayloadSizes{});
-  core::MultiTargetTracker tracker(network, radio, core::MultiTargetConfig{});
+  core::MultiTargetTracker tracker(network, radio);
   rng::Rng rng(33);
   for (int k = 0; k <= 8; ++k) {
     const double t = 5.0 * k;

@@ -18,9 +18,9 @@ namespace {
 // ---------------------------------------------------------------------------
 // Overhearing completeness across densities and seeds (paper §IV-A). The
 // guarantee requires the propagation "not to reach too far" (paper's own
-// caveat): record_radius + host spread + per-step travel <= r_c. Hosts are
-// spread over a 5 m disk (10 m diameter), travel <= ~4 m per 1 s step,
-// and the record radius is 10 m: 10 + 10 + 4 = 24 <= 30. Under these
+// caveat): r_s + host spread + per-step travel <= r_c. Hosts are spread
+// over a 5 m disk (10 m diameter), travel <= ~4 m per 1 s step, and the
+// record radius is r_s = 10 m: 10 + 10 + 4 = 24 <= 30. Under these
 // conditions EVERY recorder must overhear the full weight total.
 // ---------------------------------------------------------------------------
 class OverhearingSweep
@@ -47,12 +47,9 @@ TEST_P(OverhearingSweep, RecordersAlwaysHearTheFullTotal) {
   }
 
   const tracking::ConstantVelocityModel motion(1.0, 0.05, 0.05);
-  core::PropagationConfig config;
-  config.record_radius = 10.0;
   core::PropagationOutcome outcome;
   core::PropagationScratch scratch;
-  core::propagate_particles_into(store, net, radio, motion, config, rng, outcome,
-                                 scratch);
+  core::propagate_particles_into(store, net, radio, motion, rng, outcome, scratch);
   for (const core::NodeParticle& particle : outcome.next.particles()) {
     const core::OverheardAggregate heard = core::overheard_by(particle.host, store, net);
     ASSERT_GT(heard.particles_heard, 0u);
@@ -91,11 +88,9 @@ TEST_P(ConservationSweep, DivisionPreservesTotalWeight) {
   }
   const double total_in = store.total_weight();
   const tracking::ConstantVelocityModel motion(5.0, 0.05, 0.05);
-  core::PropagationConfig config;  // fallback on: nothing may be lost
   core::PropagationOutcome outcome;
   core::PropagationScratch scratch;
-  core::propagate_particles_into(store, net, radio, motion, config, rng, outcome,
-                                 scratch);
+  core::propagate_particles_into(store, net, radio, motion, rng, outcome, scratch);
   ASSERT_EQ(outcome.lost_particles, 0u);
   ASSERT_NEAR(outcome.next.total_weight(), total_in, 1e-9 * total_in);
 }

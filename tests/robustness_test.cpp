@@ -72,7 +72,7 @@ TEST(Robustness, MultiTargetSurvivesCrossingPaths) {
   rng::Rng deploy_rng(77);
   wsn::Network network = sim::build_network(scenario_at(20.0), deploy_rng);
   wsn::Radio radio(network, wsn::PayloadSizes{});
-  core::MultiTargetTracker tracker(network, radio, core::MultiTargetConfig{});
+  core::MultiTargetTracker tracker(network, radio);
   rng::Rng rng(78);
 
   filters::OspaConfig ospa;

@@ -117,14 +117,21 @@ TEST(RandomTurnModel, InvalidConfigThrows) {
 }
 
 TEST(MotionModelFactory, BuildsConfiguredKind) {
-  MotionModelConfig config;
-  config.kind = MotionModelConfig::Kind::kConstantVelocity;
-  const auto cv = make_motion_model(config, 2.0);
-  EXPECT_NE(dynamic_cast<const ConstantVelocityModel*>(cv.get()), nullptr);
-  config.kind = MotionModelConfig::Kind::kRandomTurn;
-  const auto rt = make_motion_model(config, 5.0);
-  EXPECT_NE(dynamic_cast<const RandomTurnMotionModel*>(rt.get()), nullptr);
-  EXPECT_DOUBLE_EQ(rt->dt(), 5.0);
+  // The filters' proposal is the paper's ground-truth process: 1 s
+  // substeps, turns within +-15 degrees, 2% speed sigma.
+  const auto model = make_motion_model(5.0);
+  const RandomTurnMotionModel reference(5.0, 1.0, geom::deg_to_rad(15.0), 0.02);
+  EXPECT_DOUBLE_EQ(model->dt(), 5.0);
+  rng::Rng model_rng(131);
+  rng::Rng reference_rng(131);
+  TargetState state{{10.0, 20.0}, {3.0, 0.0}};
+  for (int i = 0; i < 20; ++i) {
+    const TargetState next = model->sample(state, model_rng);
+    const TargetState expected = reference.sample(state, reference_rng);
+    ASSERT_EQ(next.position, expected.position) << "draw " << i;
+    ASSERT_EQ(next.velocity, expected.velocity) << "draw " << i;
+    state = next;
+  }
 }
 
 TEST(Trajectory, GeneratorReproducesPaperConfiguration) {

@@ -10,6 +10,7 @@
 #include "geom/angles.hpp"
 #include "wsn/deployment.hpp"
 #include "wsn/network.hpp"
+#include "wsn/radio.hpp"
 
 namespace cdpf::wsn {
 namespace {
@@ -134,13 +135,17 @@ TEST(Network, DetectingNodesUseSensingRadiusAndActivity) {
 }
 
 TEST(Network, CommNeighborsExcludeSelfAndOutOfRange) {
+  // A node's one-hop neighbors are the receivers of its broadcast.
   const std::vector<geom::Vec2> positions{
       {100.0, 100.0}, {120.0, 100.0}, {131.0, 100.0}};
-  const Network net(positions, paper_config());
-  EXPECT_EQ(net.comm_neighbors(0), (std::vector<NodeId>{1}));
-  auto n1 = net.comm_neighbors(1);
-  std::sort(n1.begin(), n1.end());
-  EXPECT_EQ(n1, (std::vector<NodeId>{0, 2}));
+  Network net(positions, paper_config());
+  Radio radio(net, PayloadSizes{});
+  std::vector<NodeId> receivers;
+  radio.broadcast(0, MessageKind::kControl, 1, receivers);
+  EXPECT_EQ(receivers, (std::vector<NodeId>{1}));
+  radio.broadcast(1, MessageKind::kControl, 1, receivers);
+  std::sort(receivers.begin(), receivers.end());
+  EXPECT_EQ(receivers, (std::vector<NodeId>{0, 2}));
 }
 
 TEST(Network, ResetRuntimeStateRevivesEverything) {
