@@ -14,6 +14,7 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "support/stopwatch.hpp"
 
 int main(int argc, char** argv) {
   using namespace cdpf;

@@ -3,18 +3,17 @@
 // (a SIR update and CDPF's host factor), the two CDPF weight-assignment
 // kernels, and one full filter iteration per algorithm.
 //
-// Beyond the stock google-benchmark flags, `--json=PATH` writes a
-// cdpf-bench/1 report (see bench_report.hpp) for tools/bench_compare.py.
+// A stock google-benchmark binary: `--benchmark_out=F
+// --benchmark_out_format=json` writes the machine-readable record (host
+// `context` block included), `--benchmark_repetitions=N` adds
+// mean/median/stddev/cv aggregates and `--benchmark_context=k=v` tags it.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_report.hpp"
 #include "core/batch_kernels.hpp"
 #include "core/cdpf.hpp"
 #include "core/propagation.hpp"
@@ -282,78 +281,6 @@ BENCHMARK(BM_NetworkConstruction)
     ->ArgName("density")
     ->Unit(benchmark::kMicrosecond);
 
-/// Display reporter that forwards every report to google-benchmark's default
-/// one — so --benchmark_format and --benchmark_color behave as in any
-/// google-benchmark binary — and additionally captures every per-iteration
-/// run so main() can serialize them into the cdpf-bench/1 JSON artifact.
-class CapturingReporter : public benchmark::BenchmarkReporter {
- public:
-  /// `display` must outlive the reporter (the library owns the default one).
-  explicit CapturingReporter(benchmark::BenchmarkReporter* display) : display_(display) {}
-
-  bool ReportContext(const Context& context) override {
-    return display_->ReportContext(context);
-  }
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) {
-        continue;
-      }
-      cdpf::bench::BenchEntry entry;
-      entry.name = run.benchmark_name();
-      entry.wall_seconds = run.real_accumulated_time;
-      entry.iterations = static_cast<std::size_t>(run.iterations);
-      entry.iterations_per_second =
-          run.real_accumulated_time > 0.0
-              ? static_cast<double>(run.iterations) / run.real_accumulated_time
-              : 0.0;
-      entries_.push_back(entry);
-    }
-    display_->ReportRuns(runs);
-  }
-
-  void Finalize() override { display_->Finalize(); }
-
-  const std::vector<cdpf::bench::BenchEntry>& entries() const { return entries_; }
-
- private:
-  benchmark::BenchmarkReporter* display_;
-  std::vector<cdpf::bench::BenchEntry> entries_;
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Peel off our own --json flag before google-benchmark sees the args.
-  std::string json_path;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  int passthrough_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&passthrough_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(passthrough_argc, passthrough.data())) {
-    return 1;
-  }
-  // After Initialize(): the default reporter reads the parsed format and
-  // colour flags.
-  CapturingReporter reporter(benchmark::CreateDefaultDisplayReporter());
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  if (!json_path.empty()) {
-    if (!cdpf::bench::write_report(json_path, reporter.entries(),
-                                   {{"binary", "micro_kernels"}})) {
-      std::cerr << "error: could not write JSON report to " << json_path << "\n";
-      return 1;
-    }
-    // stderr, so a --benchmark_format=json stdout stays one JSON document.
-    std::cerr << "JSON report written to " << json_path << "\n";
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

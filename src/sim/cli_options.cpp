@@ -43,9 +43,8 @@ void print_usage(const std::string& program, const CliSpec& spec) {
   }
   if (spec.reports) {
     row("--csv=FILE", "write the result table as CSV");
-    row("--json=FILE", "append a cdpf-bench/1 JSON report");
   }
-  row("--trace=FILE", "record a Chrome trace (or JSONL when FILE ends in .jsonl)");
+  row("--trace=FILE", "record a Chrome trace (JSON, loads in Perfetto)");
   row("--metrics=FILE", "write a cdpf-metrics/1 counter snapshot");
   row("--help", "print this message and exit");
   if (!spec.extra.empty()) {
@@ -122,7 +121,6 @@ CliOptions parse_cli_options(support::CliArgs& args, const CliSpec& spec) {
   }
   if (spec.reports) {
     options.csv_path = args.get_string("csv");
-    options.json_path = args.get_string("json");
   }
   const std::string trace_path = args.get_string("trace").value_or("");
   const std::string metrics_path = args.get_string("metrics").value_or("");
@@ -130,7 +128,6 @@ CliOptions parse_cli_options(support::CliArgs& args, const CliSpec& spec) {
     options.observability =
         std::make_shared<ObservabilityScope>(trace_path, metrics_path);
   }
-  options.wall.reset();
   return options;
 }
 

@@ -1,8 +1,8 @@
 // The one place the standard experiment flags are parsed.
 //
 // Every bench and example accepts the same core vocabulary —
-// --trials/--seed/--workers, --densities for sweeps, --csv/--json for
-// reports, --trace/--metrics for observability, --shard/--shard-out/--merge
+// --trials/--seed/--workers, --densities for sweeps, --csv for the result
+// table, --trace/--metrics for observability, --shard/--shard-out/--merge
 // for the sharded execution plane — and parse_cli_options() is the single
 // implementation, replacing the copy-pasted per-binary parsing. A CliSpec
 // masks off the groups a binary does not support (an example with no
@@ -21,7 +21,6 @@
 #include "sim/runspec.hpp"
 #include "sim/snapshot.hpp"
 #include "support/cli.hpp"
-#include "support/stopwatch.hpp"
 
 namespace cdpf::sim {
 
@@ -43,7 +42,7 @@ struct CliSpec {
   bool sweep = true;        // --densities
   bool monte_carlo = true;  // --trials, --seed, --workers
   bool sharding = true;     // --shard, --shard-out, --merge
-  bool reports = true;      // --csv, --json
+  bool reports = true;      // --csv
 };
 
 /// The parsed standard options. Binary-specific flags are queried on the
@@ -61,12 +60,10 @@ struct CliOptions {
   std::optional<std::string> shard_out;
   std::vector<std::string> merge_paths;
   std::optional<std::string> csv_path;
-  std::optional<std::string> json_path;
   /// Observability session honouring --trace / --metrics: constructed at
   /// parse time, writes the requested files when the options go out of
   /// scope at the end of the run. Null when neither flag was given.
   std::shared_ptr<ObservabilityScope> observability;
-  support::Stopwatch wall;  // started at parse time = whole-run wall clock
   /// --help was given: usage has been printed, the binary should exit 0
   /// without running.
   bool help = false;

@@ -8,15 +8,6 @@
 
 namespace cdpf::sim {
 
-namespace {
-
-bool ends_with(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-}  // namespace
-
 void observe_comm(const wsn::CommStats& stats, support::MetricsRegistry& registry) {
   for (std::size_t i = 0; i < wsn::kNumMessageKinds; ++i) {
     const auto kind = static_cast<wsn::MessageKind>(i);
@@ -54,10 +45,7 @@ ObservabilityScope::ObservabilityScope(std::string trace_path,
 ObservabilityScope::~ObservabilityScope() {
   if (!trace_path_.empty()) {
     support::Trace::stop();
-    const bool ok = ends_with(trace_path_, ".jsonl")
-                        ? support::Trace::write_jsonl(trace_path_)
-                        : support::Trace::write_chrome_json(trace_path_);
-    if (!ok) {
+    if (!support::Trace::write_chrome_json(trace_path_)) {
       std::fprintf(stderr, "warning: failed to write trace to %s\n",
                    trace_path_.c_str());
     }

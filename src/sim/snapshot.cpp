@@ -8,251 +8,12 @@
 #include <sstream>
 
 #include "support/check.hpp"
-#include "support/json_escape.hpp"
+#include "support/json.hpp"
 
 namespace cdpf::sim {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader for the fixed cdpf-shard/1 schema. Recursive descent
-// over the full JSON grammar (objects, arrays, strings with escapes,
-// numbers, true/false/null) so malformed input fails with a position
-// instead of undefined behavior; no dependency beyond the standard library,
-// matching the bench_report writer's discipline.
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_whitespace();
-    if (pos_ != text_.size()) {
-      fail("trailing content after JSON document");
-    }
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw Error("cdpf-shard JSON: " + what + " at offset " + std::to_string(pos_));
-  }
-
-  void skip_whitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_whitespace();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-    }
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume_literal(const std::string& literal) {
-    if (text_.compare(pos_, literal.size(), literal) == 0) {
-      pos_ += literal.size();
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue parse_value() {
-    const char c = peek();
-    JsonValue value;
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"':
-        value.kind = JsonValue::Kind::kString;
-        value.string = parse_string();
-        return value;
-      case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        value.kind = JsonValue::Kind::kBool;
-        value.boolean = true;
-        return value;
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        value.kind = JsonValue::Kind::kBool;
-        value.boolean = false;
-        return value;
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal");
-        return value;
-      default: return parse_number();
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) {
-        fail("unterminated string");
-      }
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        fail("unterminated escape");
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            fail("truncated \\u escape");
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4U;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          // The writer only escapes control characters; decode the BMP
-          // code point as UTF-8.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0U | (code >> 6U));
-            out += static_cast<char>(0x80U | (code & 0x3FU));
-          } else {
-            out += static_cast<char>(0xE0U | (code >> 12U));
-            out += static_cast<char>(0x80U | ((code >> 6U) & 0x3FU));
-            out += static_cast<char>(0x80U | (code & 0x3FU));
-          }
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("expected a value");
-    }
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNumber;
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    value.number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      fail("malformed number '" + token + "'");
-    }
-    return value;
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue value;
-    value.kind = JsonValue::Kind::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      value.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') {
-        return value;
-      }
-      if (c != ',') {
-        fail("expected ',' or ']'");
-      }
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue value;
-    value.kind = JsonValue::Kind::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      std::string key = parse_string();
-      expect(':');
-      value.object.emplace_back(std::move(key), parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') {
-        return value;
-      }
-      if (c != ',') {
-        fail("expected ',' or '}'");
-      }
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+using support::JsonValue;
 
 /// Doubles travel as the hex of their IEEE-754 bit pattern so the
 /// round trip is bitwise exact for every value, including -0.0, denormals
@@ -349,7 +110,12 @@ std::string ShardSnapshot::to_json() const {
 }
 
 ShardSnapshot ShardSnapshot::parse(const std::string& json) {
-  const JsonValue doc = JsonParser(json).parse();
+  JsonValue doc;
+  try {
+    doc = support::parse_json(json);
+  } catch (const Error& e) {
+    throw Error(std::string("cdpf-shard ") + e.what());
+  }
   if (doc.kind != JsonValue::Kind::kObject) {
     throw Error("cdpf-shard: document must be a JSON object");
   }

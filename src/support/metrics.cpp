@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "support/check.hpp"
-#include "support/json_escape.hpp"
+#include "support/json.hpp"
 
 namespace cdpf::support {
 

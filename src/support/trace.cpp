@@ -6,7 +6,7 @@
 #include <memory>
 #include <mutex>
 
-#include "support/json_escape.hpp"
+#include "support/json.hpp"
 
 namespace cdpf::support {
 
@@ -177,28 +177,6 @@ bool Trace::write_chrome_json(const std::string& path) {
   }
   out << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\""
       << dropped_total << "\"}}\n";
-  return static_cast<bool>(out);
-}
-
-bool Trace::write_jsonl(const std::string& path) {
-  Registry& r = registry();
-  std::lock_guard lock(r.mutex);
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  for (const auto& buffer : r.buffers) {
-    for (const TraceEvent& e : buffer->events) {
-      out << "{\"name\":\"" << json_escape(e.name) << "\",\"ph\":\"" << e.phase
-          << "\",\"tid\":" << e.tid << ",\"ts_ns\":" << e.ts_ns;
-      if (e.phase == 'X') {
-        out << ",\"dur_ns\":" << e.dur_ns;
-      } else if (e.phase == 'C') {
-        out << ",\"value\":" << e.value;
-      }
-      out << "}\n";
-    }
-  }
   return static_cast<bool>(out);
 }
 

@@ -80,8 +80,6 @@ class Trace {
   /// a `traceEvents` array, loadable by chrome://tracing and Perfetto.
   /// Returns false when the file cannot be written.
   static bool write_chrome_json(const std::string& path);
-  /// Write one compact JSON object per event, one per line.
-  static bool write_jsonl(const std::string& path);
 
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 18;
 };

@@ -121,6 +121,13 @@ TEST(ShardSnapshot, ParseRejectsGarbage) {
   EXPECT_THROW(sim::ShardSnapshot::parse(""), cdpf::Error);
   EXPECT_THROW(sim::ShardSnapshot::parse("{"), cdpf::Error);
   EXPECT_THROW(sim::ShardSnapshot::parse("[1,2]"), cdpf::Error);
+  // Syntax errors from the shared JSON reader keep the snapshot context.
+  try {
+    (void)sim::ShardSnapshot::parse(R"({"schema" "cdpf-shard/1"})");
+    ADD_FAILURE() << "missing ':' was accepted";
+  } catch (const cdpf::Error& e) {
+    EXPECT_EQ(std::string(e.what()), "cdpf-shard JSON: expected ':' at offset 10");
+  }
   EXPECT_THROW(sim::ShardSnapshot::parse(R"({"schema":"other/9"})"),
                cdpf::Error);
   // Right shape, wrong value encoding (decimal instead of bit pattern).
@@ -419,6 +426,8 @@ TEST(CliOptionsTest, MaskedGroupsRejectTheirFlags) {
   spec.sharding = true;
   spec.monte_carlo = false;
   EXPECT_THROW(parse({"--trials=5"}, spec), cdpf::Error);
+  // CSV is the one report format; there is no --json report.
+  EXPECT_THROW(parse({"--json=report.json"}, sim::CliSpec{}), cdpf::Error);
 }
 
 TEST(CliOptionsTest, ShardAndMergeAreMutuallyExclusive) {

@@ -10,7 +10,7 @@
 
 #include "support/check.hpp"
 #include "support/cli.hpp"
-#include "support/json_escape.hpp"
+#include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/statistics.hpp"
 #include "support/stopwatch.hpp"

@@ -7,21 +7,19 @@
 // CDPF_TRACE_* instrumentation macros are compiled in (CDPF_TRACING).
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "sim/observability.hpp"
 #include "sim/runspec.hpp"
+#include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 #include "wsn/comm_stats.hpp"
@@ -30,165 +28,19 @@
 namespace cdpf {
 namespace {
 
-// ---------------------------------------------------------------------------
-// A minimal recursive-descent JSON parser, just strict enough to
-// schema-check the writers' output (objects, arrays, strings, numbers,
-// booleans, null; doubles for all numbers).
+using support::JsonValue;
 
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string,
-               std::shared_ptr<JsonArray>, std::shared_ptr<JsonObject>>
-      value;
-
-  bool is_object() const {
-    return std::holds_alternative<std::shared_ptr<JsonObject>>(value);
+/// The member `key` of a parsed object; a missing member fails the test and
+/// reads as null.
+const JsonValue& member(const JsonValue& object, const std::string& key) {
+  static const JsonValue kMissing;
+  const JsonValue* value = object.find(key);
+  if (value == nullptr) {
+    ADD_FAILURE() << "JSON object lacks member '" << key << "'";
+    return kMissing;
   }
-  bool is_array() const {
-    return std::holds_alternative<std::shared_ptr<JsonArray>>(value);
-  }
-  const JsonObject& object() const {
-    return *std::get<std::shared_ptr<JsonObject>>(value);
-  }
-  const JsonArray& array() const {
-    return *std::get<std::shared_ptr<JsonArray>>(value);
-  }
-  const std::string& str() const { return std::get<std::string>(value); }
-  double num() const { return std::get<double>(value); }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = parse_value();
-    skip_ws();
-    EXPECT_EQ(pos_, text_.size()) << "trailing bytes after JSON document";
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      ADD_FAILURE() << "unexpected end of JSON input";
-      return '\0';
-    }
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    const char got = peek();
-    EXPECT_EQ(got, c) << "at byte " << pos_;
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    switch (peek()) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
-      case '"':
-        return {parse_string()};
-      case 't':
-        pos_ += 4;
-        return {true};
-      case 'f':
-        pos_ += 5;
-        return {false};
-      case 'n':
-        pos_ += 4;
-        return {nullptr};
-      default:
-        return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    auto obj = std::make_shared<JsonObject>();
-    if (peek() == '}') {
-      ++pos_;
-      return {obj};
-    }
-    for (;;) {
-      const std::string key = parse_string();
-      expect(':');
-      obj->emplace(key, parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return {obj};
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    auto arr = std::make_shared<JsonArray>();
-    if (peek() == ']') {
-      ++pos_;
-      return {arr};
-    }
-    for (;;) {
-      arr->push_back(parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return {arr};
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        c = text_[pos_++];
-        if (c == 'u') {
-          // Only \u00XX control escapes are emitted by the writers.
-          EXPECT_LE(pos_ + 4, text_.size());
-          const std::string hex = text_.substr(pos_, 4);
-          pos_ += 4;
-          c = static_cast<char>(std::stoi(hex, nullptr, 16));
-        }
-      }
-      out.push_back(c);
-    }
-    expect('"');
-    return out;
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    return {std::stod(text_.substr(start, pos_ - start))};
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  return *value;
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
@@ -240,27 +92,22 @@ TEST(Trace, SpansNestAndExportValidChromeJson) {
 
   const std::string path = temp_path("trace_nesting.json");
   ASSERT_TRUE(support::Trace::write_chrome_json(path));
-  const JsonValue doc = JsonParser(read_file(path)).parse();
-  ASSERT_TRUE(doc.is_object());
-  const auto& root = doc.object();
-  ASSERT_TRUE(root.contains("traceEvents"));
-  const JsonArray& trace_events = root.at("traceEvents").array();
+  const JsonValue doc = support::parse_json(read_file(path));
+  ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
+  const std::vector<JsonValue>& trace_events = member(doc, "traceEvents").array;
   ASSERT_EQ(trace_events.size(), 4u);
   for (const JsonValue& ev : trace_events) {
-    ASSERT_TRUE(ev.is_object());
-    const auto& obj = ev.object();
-    ASSERT_TRUE(obj.contains("name"));
-    ASSERT_TRUE(obj.contains("ph"));
-    ASSERT_TRUE(obj.contains("ts"));
-    ASSERT_TRUE(obj.contains("pid"));
-    ASSERT_TRUE(obj.contains("tid"));
-    const std::string& ph = obj.at("ph").str();
+    ASSERT_EQ(ev.kind, JsonValue::Kind::kObject);
+    for (const char* key : {"name", "ph", "ts", "pid", "tid"}) {
+      EXPECT_NE(ev.find(key), nullptr) << key;
+    }
+    const std::string& ph = member(ev, "ph").string;
     if (ph == "X") {
-      EXPECT_TRUE(obj.contains("dur"));
+      EXPECT_NE(ev.find("dur"), nullptr);
     } else if (ph == "i") {
-      EXPECT_EQ(obj.at("s").str(), "t");
+      EXPECT_EQ(member(ev, "s").string, "t");
     } else if (ph == "C") {
-      EXPECT_EQ(obj.at("args").object().at("value").num(), 42.5);
+      EXPECT_EQ(member(member(ev, "args"), "value").number, 42.5);
     } else {
       ADD_FAILURE() << "unexpected phase " << ph;
     }
@@ -308,9 +155,8 @@ TEST(Trace, ThreadInterleavingKeepsPerThreadBuffersValid) {
 
   const std::string path = temp_path("trace_threads.json");
   ASSERT_TRUE(support::Trace::write_chrome_json(path));
-  const JsonValue doc = JsonParser(read_file(path)).parse();
-  EXPECT_EQ(doc.object().at("traceEvents").array().size(),
-            kThreads * kSpansPerThread);
+  const JsonValue doc = support::parse_json(read_file(path));
+  EXPECT_EQ(member(doc, "traceEvents").array.size(), kThreads * kSpansPerThread);
   std::remove(path.c_str());
 }
 
@@ -332,30 +178,6 @@ TEST(Trace, InactiveSessionRecordsNothing) {
     support::Trace::record_instant("ignored-mark");
   }
   EXPECT_TRUE(support::Trace::events().empty());
-}
-
-TEST(Trace, JsonlWriterEmitsOneObjectPerLine) {
-  support::Trace::start(64);
-  {
-    support::TraceSpan span("jsonl-span");
-  }
-  support::Trace::record_counter("jsonl-counter", 7.0);
-  support::Trace::stop();
-
-  const std::string path = temp_path("trace_stream.jsonl");
-  ASSERT_TRUE(support::Trace::write_jsonl(path));
-  std::ifstream in(path);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    const JsonValue doc = JsonParser(line).parse();
-    ASSERT_TRUE(doc.is_object());
-    EXPECT_TRUE(doc.object().contains("name"));
-    EXPECT_TRUE(doc.object().contains("ts_ns"));
-  }
-  EXPECT_EQ(lines, 2u);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -401,14 +223,14 @@ TEST(Metrics, SnapshotJsonIsValid) {
 
   const std::string path = temp_path("metrics_snapshot.json");
   ASSERT_TRUE(registry.snapshot().write_json(path));
-  const JsonValue doc = JsonParser(read_file(path)).parse();
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.object().at("schema").str(), "cdpf-metrics/1");
-  const JsonArray& metrics = doc.object().at("metrics").array();
+  const JsonValue doc = support::parse_json(read_file(path));
+  ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
+  EXPECT_EQ(member(doc, "schema").string, "cdpf-metrics/1");
+  const std::vector<JsonValue>& metrics = member(doc, "metrics").array;
   ASSERT_EQ(metrics.size(), 1u);
   for (const JsonValue& m : metrics) {
-    EXPECT_TRUE(m.object().contains("name"));
-    EXPECT_TRUE(m.object().contains("kind"));
+    EXPECT_NE(m.find("name"), nullptr);
+    EXPECT_NE(m.find("kind"), nullptr);
   }
   std::remove(path.c_str());
 }
@@ -494,11 +316,11 @@ TEST(ObservabilityScope, WritesTraceAndMetricsFilesOnDestruction) {
   }
   // Both files must exist and parse, with or without CDPF_TRACING: a
   // default build writes an empty-but-valid trace.
-  const JsonValue trace_doc = JsonParser(read_file(trace_path)).parse();
-  EXPECT_TRUE(trace_doc.object().contains("traceEvents"));
-  const JsonValue metrics_doc = JsonParser(read_file(metrics_path)).parse();
-  EXPECT_EQ(metrics_doc.object().at("schema").str(), "cdpf-metrics/1");
-  EXPECT_GT(metrics_doc.object().at("metrics").array().size(), 0u);
+  const JsonValue trace_doc = support::parse_json(read_file(trace_path));
+  EXPECT_NE(trace_doc.find("traceEvents"), nullptr);
+  const JsonValue metrics_doc = support::parse_json(read_file(metrics_path));
+  EXPECT_EQ(member(metrics_doc, "schema").string, "cdpf-metrics/1");
+  EXPECT_GT(member(metrics_doc, "metrics").array.size(), 0u);
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
 }

@@ -29,10 +29,10 @@ import sys
 import tempfile
 
 # Lines whose content legitimately differs between a compute run and a
-# merge run: the CSV/JSON confirmation lines name per-mode paths (the files
+# merge run: the CSV confirmation line names per-mode paths (the files
 # themselves are compared byte-for-byte). The wall-clock sweep footer goes
 # to stderr, so stdout carries nothing else that varies between runs.
-_VOLATILE = re.compile(r"^\((CSV written to|JSON report written to) ")
+_VOLATILE = re.compile(r"^\(CSV written to ")
 
 
 def run(cmd: list[str], cwd: pathlib.Path) -> str:

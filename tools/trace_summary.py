@@ -2,8 +2,7 @@
 """Summarize a cdpf trace into per-stage / per-iteration markdown tables.
 
 Input: a trace recorded with `--trace <file>` from any bench or example —
-either Chrome trace format JSON (an object with a `traceEvents` array) or
-the JSONL event stream (one event object per line, `.jsonl`).
+Chrome trace format JSON (an object with a `traceEvents` array).
 
 Output (markdown, to stdout or --out):
 
@@ -39,26 +38,14 @@ ITERATION_SPAN = "cdpf-iteration"
 
 
 def load_events(path: pathlib.Path) -> list[dict]:
-    """Load events from Chrome trace JSON or JSONL, normalized to
-    dicts with name/ph/tid/ts_ns/dur_ns keys (timestamps in ns)."""
-    text = path.read_text()
-    raw: list[dict] = []
-    if path.suffix == ".jsonl":
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                raw.append(json.loads(line))
-        for e in raw:
-            e.setdefault("ph", "X")
-            e.setdefault("dur_ns", 0)
-    else:
-        doc = json.loads(text)
-        for e in doc.get("traceEvents", []):
-            # Chrome format carries microseconds; normalize back to ns.
-            e["ts_ns"] = e.get("ts", 0.0) * 1e3
-            e["dur_ns"] = e.get("dur", 0.0) * 1e3
-            raw.append(e)
-    return raw
+    """Load the Chrome trace's events with timestamps and durations
+    normalized to ns (`ts_ns` / `dur_ns` keys)."""
+    events = json.loads(path.read_text()).get("traceEvents", [])
+    for e in events:
+        # Chrome format carries microseconds; normalize back to ns.
+        e["ts_ns"] = e.get("ts", 0.0) * 1e3
+        e["dur_ns"] = e.get("dur", 0.0) * 1e3
+    return events
 
 
 def fmt_ms(ns: float) -> str:
@@ -133,7 +120,7 @@ def instant_table(events: list[dict]) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", type=pathlib.Path,
-                        help="trace file (.json Chrome format or .jsonl)")
+                        help="Chrome trace JSON file")
     parser.add_argument("--out", type=pathlib.Path,
                         help="write markdown here instead of stdout")
     args = parser.parse_args()
