@@ -90,8 +90,9 @@ BENCHMARK(BM_PropagationRound)->Arg(5)->Arg(20)->Arg(40)->ArgName("density");
 
 /// One CPF update at its density-40 load: every particle scores ~124
 /// detecting sensors (the expected count within r_s = 10 m at 40 nodes per
-/// 100 m^2) through the trackers' shared inflated bearing kernel. Items are
-/// (particle, sensor) pairs, so 1 / items_per_second is the cost per pair.
+/// 100 m^2) in one BearingEvidence::log_likelihoods batch, as CPF does.
+/// Items are (particle, sensor) pairs, so 1 / items_per_second is the cost
+/// per pair.
 void BM_SirFilterIteration(benchmark::State& state) {
   const auto particles = static_cast<std::size_t>(state.range(0));
   rng::Rng rng(4);
@@ -110,10 +111,12 @@ void BM_SirFilterIteration(benchmark::State& state) {
       sensors.add(position, bearing.measure(position, target, rng));
     }
   }
+  core::PointBatch positions;
   for (auto _ : state) {
     filter.predict(rng);
-    filter.update(
-        [&](const tracking::TargetState& s) { return sensors.log_likelihood(s.position); });
+    positions.assign_positions(filter.particles());
+    sensors.log_likelihoods(positions.x, positions.y, positions.scores);
+    filter.update(positions.scores);
     filter.maybe_resample(rng);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -121,11 +124,41 @@ void BM_SirFilterIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_SirFilterIteration)->Arg(100)->Arg(1000)->Arg(10000)->ArgName("particles");
 
-/// CDPF's weight factor at its density-40 load: each node within r_s of a
+/// The batch bearing kernel alone at CPF's density-40 load: 1000 points
+/// around the target, each scored against the ~124 detecting sensors by
+/// BearingEvidence::log_likelihoods (ungated). Items are (point, sensor)
+/// pairs, so 1 / items_per_second is the cost per pair.
+void BM_BearingLogLikelihoods(benchmark::State& state) {
+  rng::Rng rng(5);
+  const geom::Vec2 target{100.0, 100.0};
+  const tracking::BearingMeasurementModel bearing(0.05);
+  core::BearingEvidence sensors(0.05, core::kCloudResolutionM);  // CPF's
+  while (sensors.records().size() < 124) {
+    const geom::Vec2 offset{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)};
+    if (offset.norm_squared() <= 100.0) {
+      const geom::Vec2 position = target + offset;
+      sensors.add(position, bearing.measure(position, target, rng));
+    }
+  }
+  core::PointBatch points;
+  for (int i = 0; i < 1000; ++i) {
+    points.add({rng.gaussian(target.x, 5.0), rng.gaussian(target.y, 5.0)});
+  }
+  for (auto _ : state) {
+    sensors.log_likelihoods(points.x, points.y, points.scores);
+    benchmark::DoNotOptimize(points.scores.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(points.x.size() * sensors.records().size()));
+}
+BENCHMARK(BM_BearingLogLikelihoods);
+
+/// CDPF's weight factors at its density-40 load: each node within r_s of a
 /// prediction 2 m off the target hosts particles and scores the bearings of
-/// the ~124 detecting sensors through BearingEvidence::host_factor, gated
-/// at r_c = 30 m (every sender is heard). Items are (host, sensor) pairs,
-/// so 1 / items_per_second is the cost per pair.
+/// the ~124 detecting sensors in one BearingEvidence::host_factors batch,
+/// gated at r_c = 30 m (every sender is heard). Items are (host, sensor)
+/// pairs, so 1 / items_per_second is the cost per pair.
 void BM_BearingHostFactor(benchmark::State& state) {
   rng::Rng rng(6);
   sim::Scenario scenario;
@@ -142,20 +175,18 @@ void BM_BearingHostFactor(benchmark::State& state) {
   for (const wsn::NodeId id : ids) {
     evidence.add(network.position(id), bearing.measure(network.position(id), target, rng));
   }
-  std::vector<geom::Vec2> hosts;
+  core::PointBatch hosts;
   network.nodes_within({101.5, 99.0}, network.config().sensing_radius, ids);
   for (const wsn::NodeId id : ids) {
-    hosts.push_back(network.position(id));
+    hosts.add(network.position(id));
   }
   for (auto _ : state) {
-    double sum = 0.0;
-    for (const geom::Vec2 host : hosts) {
-      sum += evidence.host_factor(host);
-    }
-    benchmark::DoNotOptimize(sum);
+    evidence.host_factors(hosts.x, hosts.y, hosts.scores);
+    benchmark::DoNotOptimize(hosts.scores.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(hosts.size() * evidence.records().size()));
+                          static_cast<std::int64_t>(hosts.x.size() * evidence.records().size()));
 }
 BENCHMARK(BM_BearingHostFactor);
 

@@ -126,9 +126,10 @@ int main(int argc, char** argv) {
                [pf](const auto& obs, rng::Rng& rng2) {
                  pf->predict(rng2);
                  if (!obs.evidence.empty()) {
-                   pf->update([&](const tracking::TargetState& s) {
-                     return obs.evidence.log_likelihood(s.position);
-                   });
+                   core::PointBatch positions;
+                   positions.assign_positions(pf->particles());
+                   obs.evidence.log_likelihoods(positions.x, positions.y, positions.scores);
+                   pf->update(positions.scores);
                    pf->maybe_resample(rng2);
                  }
                },

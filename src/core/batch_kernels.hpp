@@ -3,14 +3,18 @@
 // All six trackers use the same measurement model for a bearing (paper
 // Eq. 5); they differ only in WHO evaluates it. BearingEvidence holds one
 // iteration's shared bearings (the (sensor position, bearing) records a
-// sink, a cluster head or a host hears) and scores a point in the two ways
-// the trackers need:
+// sink, a cluster head or a host hears) and scores a batch of points in the
+// two ways the trackers need:
 //
-//  * log_likelihood(p) — the ungated sum over every record: the sink or
-//    head filters (CPF/DPF, GMM-DPF) and the centralized benches.
-//  * host_factor(host) — the node-hosted filters (CDPF, SDPF): the sum over
-//    the records a host can hear (d^2 <= r_c^2), taken relative to the
-//    log-likelihood at the sender centroid and exponentiated under a clamp.
+//  * log_likelihoods(xs, ys, out) — the ungated sum over every record: the
+//    sink or head filters (CPF/DPF, GMM-DPF) score their whole cloud in one
+//    call, as do the centralized benches.
+//  * host_factors(xs, ys, out) — the node-hosted filters (CDPF, SDPF) score
+//    all their hosts in one call: the sum over the records a host can hear
+//    (d^2 <= r_c^2), taken relative to the log-likelihood at the sender
+//    centroid and exponentiated under a clamp.
+//
+// A single point (the centroid reference, a test) is a batch of one.
 //
 // A (point, record) pair costs a few multiplies, three divisions (two of
 // them inside a rational arctangent) and no libm call. The log-likelihood
@@ -24,11 +28,27 @@
 // the displacement d = p - sensor in the frame of the measured bearing:
 // add() stores u = (cos z, sin z) once per record, and
 // r = atan2(u x d, u . d) already lies in (-pi, pi], so no wrap is needed.
-// polynomial_atan2() is a rational within 2 ulp of std::atan2. The gated
-// loop computes dx, dy and d^2 once and shares them between the comm-range
-// gate and the kernel. The result differs from a per-pair libm evaluation
-// only by rounding (tests/tracking_test.cpp keeps that evaluation as the
-// oracle).
+// polynomial_atan2() is a rational within 2 ulp of std::atan2. The gate
+// shares dx, dy and d^2 with the kernel. The result differs from a
+// per-pair libm evaluation only by rounding (tests/tracking_test.cpp keeps
+// that evaluation as the oracle).
+//
+// Layout (batch_kernels.cpp): the points arrive as separate x and y arrays
+// (PointBatch), and the kernel runs each record over all of them, so the
+// inner loop is a straight-line pass over contiguous doubles that GCC
+// vectorizes with no intrinsics: the arctangent's octant choice is a chain
+// of selects over operands that are always computed, and a point that does
+// not hear a record adds +0.0 and multiplies by 1.0. Each point still meets
+// its records in their stored order with the same operations, so every
+// result is bit-identical to a per-point loop. The kernel is cloned for
+// AVX2 and for the baseline ISA and the loader picks one (target_clones);
+// no clone may enable FMA, since C++ defaults to -ffp-contract=fast and a
+// contracted multiply-add rounds once instead of twice. The file's two
+// flags change no value: -fno-trapping-math only lets both arms of a
+// select be computed (no trap handler exists to observe that), and
+// -fvect-cost-model=dynamic only lets -O2 vectorize a loop with a run-time
+// trip count. The `batch_kernels_vectorized` lint gate checks that both
+// clones vectorize the record loop.
 //
 // Callers evaluate the evidence only as often as its inputs differ: SDPF's
 // particles sit exactly on their host's position ("motes as particles"), so
@@ -36,13 +56,13 @@
 // factor.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 #include <span>
 #include <vector>
 
+#include "filters/particle.hpp"
 #include "geom/vec2.hpp"
 #include "support/check.hpp"
 #include "wsn/network.hpp"
@@ -122,36 +142,33 @@ struct BearingBatchParams {
 /// where |y| - |x| is exact (Sterbenz: the two are within a factor 2). The
 /// left half-plane (x < 0, including x = -0) reflects the angle to
 /// pi - angle, and y's sign is copied last. Each base angle is held as a
-/// hi + lo pair so that the final sum rounds once. The selections compile
-/// to jumps: end to end this measured 6-12% faster than a branch-free
-/// min/max reduction with the same rational (perfbench paper-dense and
-/// churn-dense, interleaved pairs).
+/// hi + lo pair so that the final sum rounds once.
+///
+/// Every operand of every reduction is computed, and each choice is a
+/// select between computed values, so the function has no branch and
+/// BearingEvidence's batch kernel vectorizes it (see batch_kernels.cpp).
 // Total function: every pair of doubles has a defined result, so there is
 // no precondition to check.
 // cdpf-lint: allow(entry-check)
 inline double polynomial_atan2(double y, double x) {
-  // Base angles of the three reductions, then of their reflections into
-  // the left half-plane.
-  static constexpr double kBaseHi[6] = {0.0,
-                                        0.78539816339744828,
-                                        1.5707963267948966,
-                                        3.1415926535897931,
-                                        2.3561944901923448,
-                                        1.5707963267948966};
-  static constexpr double kBaseLo[6] = {0.0,
-                                        3.061616997868383e-17,
-                                        6.123233995736766e-17,
-                                        1.2246467991473532e-16,
-                                        9.184850993605148e-17,
-                                        6.123233995736766e-17};
+  constexpr double kQuarterPiHi = 0.78539816339744828;
+  constexpr double kQuarterPiLo = 3.061616997868383e-17;
+  constexpr double kHalfPiHi = 1.5707963267948966;
+  constexpr double kHalfPiLo = 6.123233995736766e-17;
+  constexpr double kThreeQuarterPiHi = 2.3561944901923448;
+  constexpr double kThreeQuarterPiLo = 9.184850993605148e-17;
+  constexpr double kPiHi = 3.1415926535897931;
+  constexpr double kPiLo = 1.2246467991473532e-16;
   const double ax = std::abs(x);
   const double ay = std::abs(y);
+  const double difference = ay - ax;
+  const double sum = ay + ax;
   const bool low = ay <= 0.66 * ax;
   const bool high = ax < 0.66 * ay;
-  const double num = high ? -ax : (low ? ay : ay - ax);
-  const double den = high ? ay : (low ? ax : ay + ax);
+  const double num = high ? -ax : (low ? ay : difference);
+  const double den = high ? ay : (low ? ax : sum);
   // (0, 0) is the one zero denominator; its angle is 0, as libm's is.
-  const double w = num == 0.0 ? num : num / den;
+  const double w = num / (num == 0.0 ? 1.0 : den);
   const double z = w * w;
   const double p =
       ((((-8.750608600031904122785e-1 * z - 1.615753718733365076637e1) * z -
@@ -162,11 +179,44 @@ inline double polynomial_atan2(double y, double x) {
          4.328810604912902668951e2) * z + 4.853903996359136964868e2) * z +
        1.945506571482613964425e2);
   const double atan_w = w + w * z * p / q;
-  const bool left = std::signbit(x);
-  const int base = (high ? 2 : (low ? 0 : 1)) + (left ? 3 : 0);
-  const double angle = kBaseHi[base] + ((left ? -atan_w : atan_w) + kBaseLo[base]);
+  // std::signbit(x), in a form GCC vectorizes.
+  const bool left = std::copysign(1.0, x) < 0.0;
+  const double base_hi = high ? kHalfPiHi
+                              : (low ? (left ? kPiHi : 0.0)
+                                     : (left ? kThreeQuarterPiHi : kQuarterPiHi));
+  const double base_lo = high ? kHalfPiLo
+                              : (low ? (left ? kPiLo : 0.0)
+                                     : (left ? kThreeQuarterPiLo : kQuarterPiLo));
+  const double angle = base_hi + ((left ? -atan_w : atan_w) + base_lo);
   return std::copysign(angle, y);
 }
+
+/// Points to score, as the separate x and y arrays BearingEvidence reads,
+/// and one score slot per point. Trackers keep one as a member, so
+/// steady-state iterations reuse its capacity.
+struct PointBatch {
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<double> scores;
+
+  void clear() {
+    x.clear();
+    y.clear();
+    scores.clear();
+  }
+  void add(geom::Vec2 p) {
+    x.push_back(p.x);
+    y.push_back(p.y);
+    scores.push_back(0.0);
+  }
+  /// Replace the points with the positions of `particles`, in their order.
+  void assign_positions(std::span<const filters::Particle> particles) {
+    clear();
+    for (const filters::Particle& p : particles) {
+      add(p.state.position);
+    }
+  }
+};
 
 /// One iteration's shared bearings and the two ways to score them. Refill
 /// it each iteration with clear() and add(); reserve() once up front keeps
@@ -183,19 +233,15 @@ class BearingEvidence {
 
   /// `sigma0` and `delta` parameterize the inflated kernel (see
   /// BearingBatchParams); `comm_radius` is the earshot gate of
-  /// host_factor() (log_likelihood() ignores it).
+  /// host_factors() (log_likelihoods() ignores it).
   BearingEvidence(double sigma0, double delta,
                   double comm_radius = std::numeric_limits<double>::infinity())
       : params_(sigma0, delta), comm_radius_sq_(comm_radius * comm_radius) {}
 
   void reserve(std::size_t records) { records_.reserve(records); }
-  void clear() {
-    records_.clear();
-    reference_valid_ = false;
-  }
+  void clear() { records_.clear(); }
   void add(geom::Vec2 sensor, double bearing_rad) {
     records_.push_back({sensor, {std::cos(bearing_rad), std::sin(bearing_rad)}});
-    reference_valid_ = false;
   }
 
   bool empty() const { return records_.empty(); }
@@ -211,14 +257,14 @@ class BearingEvidence {
     return sum / static_cast<double>(records_.size());
   }
 
-  /// Sum of every record's log-likelihood at `p`, with no earshot gate.
-  double log_likelihood(geom::Vec2 p) const {
-    return sum_over_records</*kGated=*/false>(p).log_density();
-  }
+  /// out[i] = the sum of every record's log-likelihood at the point
+  /// (xs[i], ys[i]), with no earshot gate. The three spans have one length.
+  void log_likelihoods(std::span<const double> xs, std::span<const double> ys,
+                       std::span<double> out) const;
 
-  /// Weight factor of a particle hosted at `host`:
+  /// out[i] = the weight factor of a particle hosted at (xs[i], ys[i]):
   ///   exp(clamp(sum_heard - log_likelihood(centroid()), +-kMaxLogWeightFactor)),
-  /// where sum_heard covers the records within the comm radius of `host`.
+  /// where sum_heard covers the records within the comm radius of the host.
   /// The centroid reference is common to every host, so it cancels at the
   /// next normalization; it only keeps the product over dozens of sensors
   /// inside double range for plausible hosts, and, being close to the
@@ -227,85 +273,31 @@ class BearingEvidence {
   /// r_c - r_s from the target, where the bearing likelihood is negligible
   /// anyway: it gets exp(-kMaxLogWeightFactor) rather than a "no
   /// information" sanctuary that would keep its weight while plausible
-  /// hosts are renormalized (the paper's rule: drop on ~zero density).
-  /// The reference is computed on the first call after the records change
-  /// and cached (not safe for concurrent first calls).
+  /// hosts are renormalized (the paper's rule: drop on ~zero density). The
+  /// reference is computed once per call. The three spans have one length.
+  void host_factors(std::span<const double> xs, std::span<const double> ys,
+                    std::span<double> out) const;
+
+  /// log_likelihoods() of the single point `p`.
+  double log_likelihood(geom::Vec2 p) const {
+    double out = 0.0;
+    log_likelihoods({&p.x, 1}, {&p.y, 1}, {&out, 1});
+    return out;
+  }
+
+  /// host_factors() of the single host position `host`.
   double host_factor(geom::Vec2 host) const {
-    const GaussianSum sum = sum_over_records</*kGated=*/true>(host);
-    if (sum.pairs == 0) {
-      return std::exp(-kMaxLogWeightFactor);
-    }
-    if (!reference_valid_) {
-      reference_log_likelihood_ = log_likelihood(centroid());
-      reference_valid_ = true;
-    }
-    return std::exp(std::clamp(sum.log_density() - reference_log_likelihood_,
-                               -kMaxLogWeightFactor, kMaxLogWeightFactor));
+    double out = 0.0;
+    host_factors({&host.x, 1}, {&host.y, 1}, {&out, 1});
+    return out;
   }
 
  private:
-  /// Running sum of Gaussian log-densities log N(r_k; 0, s_k), kept through
-  /// the precisions t_k = 1 / s_k: the squared residuals times their
-  /// precisions add up as they come, and the precisions multiply into one
-  /// product whose log is taken once, in log_density(). A product that
-  /// leaves [2^-500, 2^500] is folded into `folded_log` and restarted at 1;
-  /// BearingBatchParams bounds every factor so that one multiplication
-  /// cannot overflow or underflow before the fold.
-  struct GaussianSum {
-    double quadratic = 0.0;  // sum of r_k^2 t_k
-    double precision_product = 1.0;
-    double folded_log = 0.0;  // logs of the products already folded
-    std::size_t pairs = 0;
-
-    double log_density() const {
-      return 0.5 * (folded_log + std::log(precision_product)) -
-             static_cast<double>(pairs) * kLogSqrt2Pi - 0.5 * quadratic;
-    }
-  };
-
-  /// The log-densities of the records at `p`: every record, or with
-  /// kGated only those whose sensor lies within the comm radius. The
-  /// residual is the angle of the displacement d = p - sensor in the frame
-  /// of the measured bearing u = (cos z, sin z): atan2(u x d, u . d),
-  /// already in (-pi, pi]. Its sign is the opposite of
-  /// wrap(z - atan2(dy, dx)), which the square does not see. At d = (0, 0)
-  /// the bearing of the point is libm's atan2(0, 0) = 0, so d is taken as
-  /// (1, 0) there: the residual is then z itself, as the model has it.
-  template <bool kGated>
-  GaussianSum sum_over_records(geom::Vec2 p) const {
-    GaussianSum sum;
-    for (const Record& r : records_) {
-      const double dx = p.x - r.sensor.x;
-      const double dy = p.y - r.sensor.y;
-      const double d2 = dx * dx + dy * dy;
-      if constexpr (kGated) {
-        if (!(d2 <= comm_radius_sq_)) {
-          continue;
-        }
-      }
-      const geom::Vec2 u = r.unit;
-      const double ex = dx + static_cast<double>((dx == 0.0) & (dy == 0.0));
-      const double residual = polynomial_atan2(u.x * dy - u.y * ex, u.x * ex + u.y * dy);
-      const double m = std::min(std::max(d2, params_.floor_sq), 1e300);
-      const double precision = m / (params_.sigma0_sq * m + params_.delta_sq);
-      sum.quadratic += residual * residual * precision;
-      sum.precision_product *= precision;
-      if (sum.precision_product < 0x1p-500 || sum.precision_product > 0x1p500) {
-        sum.folded_log += std::log(sum.precision_product);
-        sum.precision_product = 1.0;
-      }
-      ++sum.pairs;
-    }
-    return sum;
-  }
-
   BearingBatchParams params_;
   // Squared so the gate shares d^2 with the kernel: `d <= r_c` and
   // `d^2 <= r_c^2` agree for every representable distance.
   double comm_radius_sq_;
   std::vector<Record> records_;
-  mutable double reference_log_likelihood_ = 0.0;
-  mutable bool reference_valid_ = false;
 };
 
 }  // namespace cdpf::core

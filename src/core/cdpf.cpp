@@ -293,7 +293,7 @@ void Cdpf::likelihood_and_assign(const SensingSnapshot& snapshot) {
   // Step 3: every measuring node broadcasts its measurement (D_m). Hosts
   // evaluate the joint likelihood of the measurements they can hear.
   // Whether a host heard measurement m is decided by the distance gate of
-  // BearingEvidence::host_factor, so the broadcasts only need their
+  // BearingEvidence::host_factors, so the broadcasts only need their
   // statistics charged — no receiver list.
   const auto& shared = snapshot.measurements;
   for (const SensingSnapshot::Measurement& m : shared) {
@@ -305,16 +305,22 @@ void Cdpf::likelihood_and_assign(const SensingSnapshot& snapshot) {
   }
   // Step 4: w <- w * prod_m p(z_m | particle position), evaluated in the
   // log domain relative to the sender centroid, a reference every host
-  // knows (BearingEvidence::host_factor). Any constant shared by all hosts
+  // knows (BearingEvidence::host_factors). Any constant shared by all hosts
   // cancels at the next normalization. Genuine underflow to zero remains
   // the paper's "drop the particle when the likelihood shows (almost) zero
-  // density". Hosts are scored in sorted-host order.
+  // density". Hosts are scored in one batch, in sorted-host order.
   evidence_.clear();
   for (const SensingSnapshot::Measurement& m : shared) {
     evidence_.add(network_.position(m.sender), m.bearing_rad);
   }
-  for (const wsn::NodeId host : store_.sorted_hosts()) {
-    store_.scale_weight(host, evidence_.host_factor(network_.position(host)));
+  const std::vector<wsn::NodeId>& hosts = store_.sorted_hosts();
+  host_positions_.clear();
+  for (const wsn::NodeId host : hosts) {
+    host_positions_.add(network_.position(host));
+  }
+  evidence_.host_factors(host_positions_.x, host_positions_.y, host_positions_.scores);
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    store_.scale_weight(hosts[i], host_positions_.scores[i]);
   }
 }
 

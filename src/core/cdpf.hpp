@@ -188,6 +188,8 @@ class Cdpf final : public TrackerAlgorithm {
   /// The likelihood step's shared measurements, sender positions resolved
   /// once per iteration.
   BearingEvidence evidence_;
+  /// The hosts' positions in sorted-host order, and their weight factors.
+  PointBatch host_positions_;
   /// Sink reports; a member so its next-hop memo and routing scratch stay
   /// warm across rounds.
   wsn::GreedyGeographicRouter router_;

@@ -172,9 +172,10 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
 
   filter_.predict(rng);
   if (!received_.empty()) {
-    filter_.update([&](const tracking::TargetState& state) {
-      return received_.log_likelihood(state.position);
-    });
+    particle_positions_.assign_positions(filter_.particles());
+    received_.log_likelihoods(particle_positions_.x, particle_positions_.y,
+                              particle_positions_.scores);
+    filter_.update(particle_positions_.scores);
     filter_.maybe_resample(rng);
   }
   pending_estimates_.push_back({filter_.estimate(), time});

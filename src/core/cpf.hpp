@@ -86,6 +86,7 @@ class CentralizedPf final : public TrackerAlgorithm {
   // variant is active). The router keeps its own routing scratch.
   std::vector<wsn::NodeId> detecting_;
   BearingEvidence received_;
+  PointBatch particle_positions_;  // the cloud's positions and their scores
   /// Huffman code over the quantized-innovation alphabet (adaptive mode).
   std::optional<filters::HuffmanCode> innovation_code_;
   std::size_t encoded_bits_ = 0;

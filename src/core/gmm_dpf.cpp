@@ -112,9 +112,10 @@ void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& 
   // 3. Local SIR step at the head.
   filter_.predict(rng);
   if (!received_.empty()) {
-    const double max_log_likelihood = filter_.update([&](const tracking::TargetState& s) {
-      return received_.log_likelihood(s.position);
-    });
+    particle_positions_.assign_positions(filter_.particles());
+    received_.log_likelihoods(particle_positions_.x, particle_positions_.y,
+                              particle_positions_.scores);
+    const double max_log_likelihood = filter_.update(particle_positions_.scores);
     if (max_log_likelihood == -std::numeric_limits<double>::infinity()) {
       reinitialize_cloud(centroid, rng);  // track lost: restart on detections
     } else {

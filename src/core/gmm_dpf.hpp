@@ -70,7 +70,8 @@ class GmmDpf final : public TrackerAlgorithm {
   // Per-iteration buffers, members so an iteration without a head handoff
   // allocates nothing once they have grown to the largest detecting set.
   std::vector<wsn::NodeId> detecting_;
-  BearingEvidence received_;  // measurements the head received this step
+  BearingEvidence received_;       // measurements the head received this step
+  PointBatch particle_positions_;  // the cloud's positions and their scores
   std::size_t handoffs_ = 0;
 };
 

@@ -196,16 +196,22 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
 
   // -- 3. Weight update: each host weights its particles by the likelihood
   //    of the measurements it hears, relative to the sender centroid (see
-  //    BearingEvidence::host_factor; the same computation as CDPF's
+  //    BearingEvidence::host_factors; the same computation as CDPF's
   //    likelihood step). Every particle sits exactly on its host ("motes as
-  //    particles"), so one factor serves the host's whole group. ---------
+  //    particles"), so one factor serves the host's whole group; the hosts
+  //    are scored in one batch, in their sorted order. -------------------
   if (!shared_.empty()) {
-    for_each_host(hosts_, particles_, [&](wsn::NodeId host,
+    host_positions_.clear();
+    for_each_host(hosts_, particles_, [&](wsn::NodeId host, std::span<filters::Particle>) {
+      host_positions_.add(network_.position(host));
+    });
+    shared_.host_factors(host_positions_.x, host_positions_.y, host_positions_.scores);
+    std::size_t group_index = 0;
+    for_each_host(hosts_, particles_, [&]([[maybe_unused]] wsn::NodeId host,
                                           std::span<filters::Particle> group) {
-      const geom::Vec2 host_pos = network_.position(host);
-      const double factor = shared_.host_factor(host_pos);
+      const double factor = host_positions_.scores[group_index++];
       for (filters::Particle& p : group) {
-        CDPF_ASSERT(p.state.position == host_pos);
+        CDPF_ASSERT(p.state.position == network_.position(host));
         p.weight *= factor;
       }
     });

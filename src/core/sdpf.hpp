@@ -89,6 +89,7 @@ class Sdpf final : public TrackerAlgorithm {
   // Iteration-local workspaces, members so they stay warm across rounds.
   std::vector<wsn::NodeId> detecting_;  // this iteration's detecting nodes
   BearingEvidence shared_;              // bearings broadcast this iteration
+  PointBatch host_positions_;           // one per host group, and its factor
   std::vector<wsn::NodeId> receivers_;
   std::vector<geom::Vec2> receiver_positions_;
   std::vector<filters::Particle> next_particles_;  // propagation / regroup

@@ -47,8 +47,16 @@ void SirFilter::predict(rng::Rng& rng) {
   }
 }
 
-double SirFilter::reweight(double max_ll) {
-  const std::vector<double>& ll = log_likelihoods_;
+double SirFilter::update(std::span<const double> log_likelihoods) {
+  CDPF_CHECK_MSG(initialized(), "update() before initialize()");
+  CDPF_CHECK_MSG(log_likelihoods.size() == particles_.size(),
+                 "update() needs one log-likelihood per particle");
+  double max_ll = -std::numeric_limits<double>::infinity();
+  for (const double ll : log_likelihoods) {
+    if (ll > max_ll) {
+      max_ll = ll;
+    }
+  }
   if (!std::isfinite(max_ll)) {
     // Track lost: no particle explains the measurement. Reset to uniform so
     // the filter can re-acquire instead of dividing by zero.
@@ -60,7 +68,7 @@ double SirFilter::reweight(double max_ll) {
   }
   support::NeumaierSum sum;
   for (std::size_t i = 0; i < particles_.size(); ++i) {
-    particles_[i].weight *= std::exp(ll[i] - max_ll);
+    particles_[i].weight *= std::exp(log_likelihoods[i] - max_ll);
     sum.add(particles_[i].weight);
   }
   const double total = sum.value();

@@ -6,22 +6,22 @@
 // iteration (optionally only when the effective sample size drops below a
 // threshold, giving the plain SIS behavior).
 //
-// The measurement update takes an arbitrary log-likelihood functional of the
-// state, so one filter implementation serves single-sensor bearings-only
-// tracking, multi-sensor fusion (CPF: sum of per-node log-likelihoods) and
-// the tests' synthetic models. Updates are performed in the log domain with
-// max-subtraction so products over many sensors cannot underflow.
+// The measurement update takes one log-likelihood per particle, scored by
+// the caller in whatever batch suits it (CPF and GMM-DPF score every
+// particle's position through core::BearingEvidence in one call), so one
+// filter implementation serves bearings-only tracking, multi-sensor fusion
+// and the tests' synthetic models. Updates are performed in the log domain
+// with max-subtraction so products over many sensors cannot underflow.
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "filters/particle.hpp"
 #include "filters/resampling.hpp"
 #include "random/rng.hpp"
-#include "support/check.hpp"
 #include "tracking/motion_model.hpp"
 
 namespace cdpf::filters {
@@ -62,26 +62,12 @@ class SirFilter {
   /// Prediction step: propagate every particle through the motion model.
   void predict(rng::Rng& rng);
 
-  /// Update step: multiply weights by exp(log_likelihood(state)) and
-  /// normalize. Returns the pre-normalization max log-likelihood (a
-  /// diagnostic for track loss). If all likelihoods vanish, the weights are
-  /// reset to uniform (standard track-recovery fallback) and -inf returned.
-  /// `log_likelihood` is any callable TargetState -> double; it is inlined
-  /// into the per-particle loop rather than dispatched through a wrapper.
-  template <typename LogLikelihood>
-  double update(LogLikelihood&& log_likelihood) {
-    CDPF_CHECK_MSG(initialized(), "update() before initialize()");
-    log_likelihoods_.resize(particles_.size());
-    double max_ll = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < particles_.size(); ++i) {
-      const double ll = log_likelihood(particles_[i].state);
-      log_likelihoods_[i] = ll;
-      if (ll > max_ll) {
-        max_ll = ll;
-      }
-    }
-    return reweight(max_ll);
-  }
+  /// Update step: multiply the weight of particles()[i] by
+  /// exp(log_likelihoods[i]) and normalize. Returns the pre-normalization
+  /// max log-likelihood (a diagnostic for track loss). If all likelihoods
+  /// vanish, the weights are reset to uniform (standard track-recovery
+  /// fallback) and -inf returned.
+  double update(std::span<const double> log_likelihoods);
 
   /// Resampling step per config (plus regularization jitter when enabled);
   /// returns true when resampling ran.
@@ -93,14 +79,10 @@ class SirFilter {
   double ess() const { return effective_sample_size(particles_); }
 
  private:
-  /// Second half of update(): weights *= exp(ll - max_ll), normalized.
-  double reweight(double max_ll);
-
   std::unique_ptr<const tracking::MotionModel> model_;
   SirFilterConfig config_;
   std::vector<Particle> particles_;
-  // Per-step buffers, members so steady-state iterations do not allocate.
-  std::vector<double> log_likelihoods_;
+  // Per-step buffer, a member so steady-state iterations do not allocate.
   ResampleScratch resample_scratch_;
 };
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/gmm_dpf.hpp"
 #include "core/multi_target.hpp"
@@ -117,9 +118,11 @@ TEST(RegularizedPf, JitterRestoresParticleDiversity) {
     rng::Rng rng(24);
     filter.initialize({{0.0, 0.0}, {0.0, 0.0}}, {5.0, 5.0}, {0.1, 0.1}, rng);
     // Savage likelihood: everything collapses onto a handful of ancestors.
-    filter.update([](const tracking::TargetState& s) {
-      return -200.0 * s.position.norm_squared();
-    });
+    std::vector<double> log_likelihoods;
+    for (const filters::Particle& p : filter.particles()) {
+      log_likelihoods.push_back(-200.0 * p.state.position.norm_squared());
+    }
+    filter.update(log_likelihoods);
     filter.maybe_resample(rng);
     if (regularize) {
       EXPECT_EQ(distinct_positions(filter), 400u);  // jitter separates clones

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "core/batch_kernels.hpp"
 #include "filters/sir_filter.hpp"
@@ -14,6 +15,17 @@ namespace {
 
 std::unique_ptr<const tracking::MotionModel> cv_model(double dt, double sigma) {
   return std::make_unique<tracking::ConstantVelocityModel>(dt, sigma, sigma);
+}
+
+// One log-likelihood per particle of `filter`, in particle order: the input
+// SirFilter::update() takes.
+template <typename LogLikelihood>
+std::vector<double> score(const SirFilter& filter, LogLikelihood log_likelihood) {
+  std::vector<double> out;
+  for (const Particle& p : filter.particles()) {
+    out.push_back(log_likelihood(p.state));
+  }
+  return out;
 }
 
 SirFilter make_filter(std::size_t particles = 500, bool resample_every = true) {
@@ -56,9 +68,9 @@ TEST(SirFilter, UpdateReweightsTowardLikelihood) {
   rng::Rng rng(307);
   filter.initialize({{0.0, 0.0}, {0.0, 0.0}}, {5.0, 5.0}, {0.1, 0.1}, rng);
   // Likelihood strongly prefers x > 0.
-  filter.update([](const tracking::TargetState& s) {
+  filter.update(score(filter, [](const tracking::TargetState& s) {
     return -0.5 * (s.position.x - 4.0) * (s.position.x - 4.0);
-  });
+  }));
   EXPECT_GT(filter.estimate().position.x, 2.0);
   EXPECT_LT(filter.ess(), 2000.0);  // weights became uneven
 }
@@ -67,9 +79,9 @@ TEST(SirFilter, AllZeroLikelihoodFallsBackToUniform) {
   SirFilter filter = make_filter(100);
   rng::Rng rng(309);
   filter.initialize({{0.0, 0.0}, {0.0, 0.0}}, {1.0, 1.0}, {0.1, 0.1}, rng);
-  const double max_ll = filter.update([](const tracking::TargetState&) {
+  const double max_ll = filter.update(score(filter, [](const tracking::TargetState&) {
     return -std::numeric_limits<double>::infinity();
-  });
+  }));
   EXPECT_TRUE(std::isinf(max_ll));
   EXPECT_NEAR(filter.ess(), 100.0, 1e-9);  // reset to uniform
 }
@@ -78,9 +90,9 @@ TEST(SirFilter, ResampleEveryStepEqualizesWeights) {
   SirFilter filter = make_filter(1000, /*resample_every=*/true);
   rng::Rng rng(311);
   filter.initialize({{0.0, 0.0}, {0.0, 0.0}}, {3.0, 3.0}, {0.1, 0.1}, rng);
-  filter.update([](const tracking::TargetState& s) {
+  filter.update(score(filter, [](const tracking::TargetState& s) {
     return -s.position.norm_squared();
-  });
+  }));
   EXPECT_TRUE(filter.maybe_resample(rng));
   EXPECT_NEAR(filter.ess(), 1000.0, 1e-6);
 }
@@ -96,9 +108,9 @@ TEST(SirFilter, SisModeOnlyResamplesBelowThreshold) {
   // Uniform weights: ESS = N, no resampling.
   EXPECT_FALSE(filter.maybe_resample(rng));
   // Severely peaked likelihood: ESS collapses below N/2.
-  filter.update([](const tracking::TargetState& s) {
+  filter.update(score(filter, [](const tracking::TargetState& s) {
     return -50.0 * s.position.norm_squared();
-  });
+  }));
   EXPECT_TRUE(filter.maybe_resample(rng));
 }
 
@@ -120,8 +132,10 @@ TEST(SirFilter, TracksStaticTargetWithBearings) {
   filter.initialize({{45.0, 55.0}, {0.0, 0.0}}, {10.0, 10.0}, {0.1, 0.1}, rng);
   for (int k = 0; k < 10; ++k) {
     filter.predict(rng);
-    filter.update(
-        [&](const tracking::TargetState& s) { return evidence.log_likelihood(s.position); });
+    core::PointBatch positions;
+    positions.assign_positions(filter.particles());
+    evidence.log_likelihoods(positions.x, positions.y, positions.scores);
+    filter.update(positions.scores);
     filter.maybe_resample(rng);
   }
   EXPECT_NEAR(geom::distance(filter.estimate().position, truth), 0.0, 1.0);

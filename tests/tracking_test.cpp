@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
@@ -613,6 +614,175 @@ TEST(BearingEvidence, PrecisionProductFoldsOutOfRange) {
     ASSERT_TRUE(std::isfinite(value));
     EXPECT_NEAR(value, oracle.value, oracle.tolerance()) << p.x << ", " << p.y;
   }
+}
+
+// The per-point loop the batch kernel replaced: one point's records in
+// their stored order, with the kernel's operations, every record or only
+// those within `gate_sq`. It is compiled here for the baseline ISA without
+// a multiply-add, so it pins the bits every clone of the kernel must give.
+struct ScalarSum {
+  double log_density = 0.0;
+  std::size_t pairs = 0;
+};
+
+ScalarSum scalar_sum(const core::BearingEvidence& evidence,
+                     const core::BearingBatchParams& params, geom::Vec2 p, bool gated,
+                     double gate_sq) {
+  double quadratic = 0.0;
+  double product = 1.0;
+  double folded = 0.0;
+  std::size_t pairs = 0;
+  for (const core::BearingEvidence::Record& r : evidence.records()) {
+    const double dx = p.x - r.sensor.x;
+    const double dy = p.y - r.sensor.y;
+    const double d2 = dx * dx + dy * dy;
+    if (gated && !(d2 <= gate_sq)) {
+      continue;
+    }
+    const double ex = dx + static_cast<double>((dx == 0.0) & (dy == 0.0));
+    const double residual =
+        core::polynomial_atan2(r.unit.x * dy - r.unit.y * ex, r.unit.x * ex + r.unit.y * dy);
+    const double m = std::min(std::max(d2, params.floor_sq), 1e300);
+    const double precision = m / (params.sigma0_sq * m + params.delta_sq);
+    quadratic += residual * residual * precision;
+    product *= precision;
+    if (product < 0x1p-500 || product > 0x1p500) {
+      folded += std::log(product);
+      product = 1.0;
+    }
+    ++pairs;
+  }
+  return {0.5 * (folded + std::log(product)) - static_cast<double>(pairs) * core::kLogSqrt2Pi -
+              0.5 * quadratic,
+          pairs};
+}
+
+// Every point scored by log_likelihoods() and host_factors() alone, in
+// batches of 2 to 9 (the vectorized loop's scalar epilogue, and its body
+// once a batch fills a vector) and of 1000 (the body, across kernel
+// blocks): all must give the bits of scalar_sum(). `points` is padded with
+// points around (5, 5) up to 1000.
+void expect_batches_match_scalar_loop(const core::BearingEvidence& evidence, double sigma0,
+                                      double delta, double comm_radius,
+                                      std::vector<geom::Vec2> points) {
+  const core::BearingBatchParams params(sigma0, delta);
+  const double gate_sq = comm_radius * comm_radius;
+  const double reference =
+      scalar_sum(evidence, params, evidence.centroid(), /*gated=*/false, gate_sq).log_density;
+  rng::Rng rng(157);
+  while (points.size() < 1000) {
+    points.push_back({rng.gaussian(5.0, 8.0), rng.gaussian(5.0, 8.0)});
+  }
+  std::vector<std::uint64_t> expected_ll;
+  std::vector<std::uint64_t> expected_factor;
+  for (const geom::Vec2 p : points) {
+    expected_ll.push_back(std::bit_cast<std::uint64_t>(
+        scalar_sum(evidence, params, p, /*gated=*/false, gate_sq).log_density));
+    const ScalarSum heard = scalar_sum(evidence, params, p, /*gated=*/true, gate_sq);
+    expected_factor.push_back(std::bit_cast<std::uint64_t>(
+        heard.pairs == 0 ? std::exp(-core::kMaxLogWeightFactor)
+                         : std::exp(std::clamp(heard.log_density - reference,
+                                               -core::kMaxLogWeightFactor,
+                                               core::kMaxLogWeightFactor))));
+  }
+  core::PointBatch batch;
+  for (const std::size_t size :
+       std::initializer_list<std::size_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 1000}) {
+    for (std::size_t start = 0; start < points.size(); start += size) {
+      batch.clear();
+      for (std::size_t i = start; i < std::min(start + size, points.size()); ++i) {
+        batch.add(points[i]);
+      }
+      evidence.log_likelihoods(batch.x, batch.y, batch.scores);
+      for (std::size_t i = 0; i < batch.x.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(batch.scores[i]), expected_ll[start + i])
+            << "log-likelihood of point " << start + i << " (" << batch.x[i] << ", "
+            << batch.y[i] << ") in a batch of " << size;
+      }
+      evidence.host_factors(batch.x, batch.y, batch.scores);
+      for (std::size_t i = 0; i < batch.x.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(batch.scores[i]), expected_factor[start + i])
+            << "host factor of point " << start + i << " (" << batch.x[i] << ", "
+            << batch.y[i] << ") in a batch of " << size;
+      }
+    }
+  }
+}
+
+TEST(BearingEvidence, BatchesMatchTheScalarLoopBitForBit) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const BearingMeasurementModel m(0.05);
+  const geom::Vec2 target{5.0, 5.0};
+  // A sensor at the origin measuring bearing 0, so the kernel's arctangent
+  // sees d itself, plus ~124 sensors that detect the target.
+  core::BearingEvidence evidence(0.05, 0.5, /*comm_radius=*/30.0);
+  evidence.add({0.0, 0.0}, 0.0);
+  rng::Rng rng(153);
+  while (evidence.records().size() < 125) {
+    const geom::Vec2 sensor{rng.uniform(-5.0, 15.0), rng.uniform(-5.0, 15.0)};
+    evidence.add(sensor, m.measure(sensor, target, rng));
+  }
+  std::vector<geom::Vec2> points = {
+      // d = (0, 0) with every sign of zero, and points on the axes.
+      {0.0, 0.0}, {-0.0, 0.0}, {0.0, -0.0}, {-0.0, -0.0}, {0.0, 3.0}, {-0.0, 3.0},
+      {3.0, -0.0}, {-3.0, 0.0}, {0.0, -3.0},
+      // Out of earshot of every sensor, and beyond the distance cap.
+      {200.0, 200.0}, {1e200, 3e199}, {-1e160, 1e160},
+      // NaN coordinates.
+      {nan, 1.0}, {1.0, nan}, {nan, nan}};
+  // The arctangent's octant boundaries |y| = 0.66 |x|, |y| = |x| and
+  // |x| = 0.66 |y| in every quadrant, and the pi seam behind the bearing.
+  for (const double ratio : {0.66, 1.0, 1.0 / 0.66}) {
+    for (const double sx : {1.0, -1.0}) {
+      for (const double sy : {1.0, -1.0}) {
+        points.push_back({sx * 4.0, sy * 4.0 * ratio});
+        points.push_back({sx * 4.0 * ratio, sy * 4.0});
+      }
+    }
+  }
+  for (const double tilt : {0.0, 1e-9, -1e-9}) {
+    points.push_back({-10.0 * std::cos(tilt), 10.0 * std::sin(tilt)});
+  }
+  expect_batches_match_scalar_loop(evidence, 0.05, 0.5, 30.0, points);
+
+  // Both clamp ends of the host factor: sensors on one side of the target
+  // (the centroid contradicts every bearing) and sensors around it (a host
+  // off the target contradicts them).
+  const BearingMeasurementModel sharp(0.001);
+  core::BearingEvidence one_sided(0.001, 0.0, /*comm_radius=*/50.0);
+  core::BearingEvidence surrounding(0.001, 0.0, /*comm_radius=*/50.0);
+  for (const geom::Vec2 sensor : {geom::Vec2{10.0, 0.0}, geom::Vec2{10.0, 5.0},
+                                  geom::Vec2{10.0, -5.0}, geom::Vec2{15.0, 0.0}}) {
+    one_sided.add(sensor, sharp.ideal(sensor, {0.0, 0.0}));
+  }
+  for (const geom::Vec2 sensor : {geom::Vec2{10.0, 0.0}, geom::Vec2{-10.0, 0.0},
+                                  geom::Vec2{0.0, 10.0}, geom::Vec2{0.0, -10.0}}) {
+    surrounding.add(sensor, sharp.ideal(sensor, {0.0, 0.0}));
+  }
+  ASSERT_EQ(one_sided.host_factor({0.0, 0.0}), std::exp(core::kMaxLogWeightFactor));
+  ASSERT_EQ(surrounding.host_factor({5.0, 5.0}), std::exp(-core::kMaxLogWeightFactor));
+  expect_batches_match_scalar_loop(one_sided, 0.001, 0.0, 50.0, {{0.0, 0.0}, {5.0, 5.0}});
+  expect_batches_match_scalar_loop(surrounding, 0.001, 0.0, 50.0, {{0.0, 0.0}, {5.0, 5.0}});
+
+  // Precision products folded upward (sigma0 = 1e-3: each precision is
+  // about 2^20) and downward (sigma0 = 1e3: about 2^-20), four times or more
+  // over 100 records.
+  for (const double sigma0 : {1e-3, 1e3}) {
+    core::BearingEvidence folding(sigma0, 0.0, /*comm_radius=*/12.0);
+    for (int k = 0; k < 100; ++k) {
+      const geom::Vec2 sensor{rng.uniform(-5.0, 15.0), rng.uniform(-5.0, 15.0)};
+      folding.add(sensor, m.measure(sensor, target, rng));
+    }
+    expect_batches_match_scalar_loop(folding, sigma0, 0.0, 12.0, {target, {0.01, -0.02}});
+  }
+
+  // A NaN bearing: (3, 4) hears both sensors, (35, 0) only the one at
+  // (10, 0), and (100, 0) neither.
+  core::BearingEvidence bad_bearing(0.05, 0.5, /*comm_radius=*/30.0);
+  bad_bearing.add({0.0, 0.0}, nan);
+  bad_bearing.add({10.0, 0.0}, 2.0);
+  expect_batches_match_scalar_loop(bad_bearing, 0.05, 0.5, 30.0,
+                                   {{3.0, 4.0}, {35.0, 0.0}, {100.0, 0.0}});
 }
 
 TEST(RangeModel, LikelihoodAndMoments) {

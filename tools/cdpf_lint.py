@@ -41,6 +41,16 @@ compiler warnings) cannot express:
                        trace viewers search by them, so a duplicated or
                        ad-hoc-cased name silently merges unrelated stages.
 
+  no-explicit-simd     No SIMD intrinsics headers (<immintrin.h> and its
+                       x86 siblings, <arm_neon.h>) and no `target` /
+                       `target_clones` attribute naming an FMA-capable target
+                       (`fma`, any `arch=`, `avx512*`). Vector code comes from
+                       compiler auto-vectorization of the scalar source, and
+                       every clone must round as that source does: C++
+                       defaults to -ffp-contract=fast, so a clone that may
+                       use FMA contracts a*b+c into one rounding and changes
+                       results bit for bit.
+
 A finding can be waived on a specific line with a trailing or preceding
 comment `// cdpf-lint: allow(<rule>)` — use sparingly and say why.
 
@@ -69,6 +79,11 @@ WEIGHT_ACCUM_RE = re.compile(
 )
 
 RAND_RE = re.compile(r"(?<![\w:])(?:std::)?(?:s?rand)\s*\(")
+
+SIMD_HEADER_RE = re.compile(
+    r"#\s*include\s*<(?:[a-z0-9]*intrin\.h|arm_neon\.h)>")
+TARGET_ATTR_RE = re.compile(r"\btarget(?:_clones)?\s*\((?P<targets>[^()]*)\)")
+FMA_TARGET_RE = re.compile(r"fma|arch=|avx512")
 
 UNORDERED_RE = re.compile(r"\bstd::unordered_(?:multi)?(?:map|set)\b")
 
@@ -118,6 +133,28 @@ def lint_no_std_rand(path: pathlib.Path, lines: list[str]) -> list[Finding]:
             findings.append(
                 Finding(path, i + 1, "no-std-rand",
                         "rand()/srand() is banned; use cdpf::rng streams"))
+    return findings
+
+
+def lint_no_explicit_simd(path: pathlib.Path, lines: list[str]) -> list[Finding]:
+    findings = []
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]
+        if allowed(lines, i, "no-explicit-simd"):
+            continue
+        if SIMD_HEADER_RE.search(code):
+            findings.append(
+                Finding(path, i + 1, "no-explicit-simd",
+                        "SIMD intrinsics are banned; write scalar loops the "
+                        "compiler vectorizes"))
+        for m in TARGET_ATTR_RE.finditer(code):
+            targets = m.group("targets")
+            if '"' in targets and FMA_TARGET_RE.search(targets):
+                findings.append(
+                    Finding(path, i + 1, "no-explicit-simd",
+                            f"target {targets.strip()} may contract "
+                            "multiply-adds into FMA and change results; "
+                            "clone for \"avx2\" and \"default\" only"))
     return findings
 
 
@@ -290,6 +327,7 @@ def main() -> int:
     for path in rand_scope:
         lines = path.read_text().splitlines()
         findings += lint_no_std_rand(path.relative_to(root), lines)
+        findings += lint_no_explicit_simd(path.relative_to(root), lines)
 
     for path in sorted((root / "src").rglob("*.cpp")) + sorted(
             (root / "src").rglob("*.hpp")):

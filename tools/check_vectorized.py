@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Vectorization gate: the marked loops of a source file must vectorize.
+
+Compiles SOURCE with the given compiler flags plus -fopt-info-vec-optimized
+and reads GCC's report. Every line of SOURCE that carries the marker comment
+`cdpf-check: vectorized` must be reported as a vectorized loop twice: once
+with 32-byte vectors (the AVX2 clone of a target_clones function) and once
+with 16-byte vectors (its baseline x86-64 clone, SSE2).
+
+    tools/check_vectorized.py --compiler g++ --source src/core/batch_kernels.cpp \\
+        -- -std=c++20 -Isrc -O2 -g -DNDEBUG -fno-trapping-math \\
+           -fvect-cost-model=dynamic
+
+The report format is GCC's, so with any other compiler the gate prints
+why it skipped and exits 0, as the other lint gates do when their tool is
+missing. Exit status: 0 when every marked loop vectorized in both clones (or
+skipped), 1 when one did not, 2 on bad arguments or a failed compile.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import pathlib
+import re
+import subprocess
+import sys
+import tempfile
+
+MARKER = "cdpf-check: vectorized"
+REPORT_RE = re.compile(r":(\d+):\d+: optimized: loop vectorized using (\d+) byte vectors")
+REQUIRED_WIDTHS = (32, 16)
+
+
+def is_gcc(compiler: str) -> bool:
+    try:
+        out = subprocess.run([compiler, "--version"], capture_output=True, text=True,
+                             check=False).stdout
+    except OSError:
+        return False
+    return "Free Software Foundation" in out and "clang" not in out.lower()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compiler", required=True)
+    parser.add_argument("--source", required=True, type=pathlib.Path)
+    parser.add_argument("flags", nargs="*", help="compiler flags (after --)")
+    args = parser.parse_args()
+
+    if not args.source.is_file():
+        print(f"check_vectorized: no such source: {args.source}", file=sys.stderr)
+        return 2
+    marked = [i + 1 for i, line in enumerate(args.source.read_text().splitlines())
+              if MARKER in line]
+    if not marked:
+        print(f"check_vectorized: {args.source} marks no loop ({MARKER!r})", file=sys.stderr)
+        return 2
+    if not is_gcc(args.compiler):
+        print(f"check_vectorized: skipped, {args.compiler} is not GCC")
+        return 0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cmd = [args.compiler, *args.flags, "-fopt-info-vec-optimized", "-c",
+               str(args.source), "-o", os.path.join(tmp, "kernel.o")]
+        run = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    if run.returncode != 0:
+        print(" ".join(cmd), file=sys.stderr)
+        print(run.stderr, file=sys.stderr)
+        return 2
+
+    widths: dict[int, set[int]] = {}
+    name = args.source.name
+    for line in run.stderr.splitlines():
+        if name not in line:
+            continue
+        m = REPORT_RE.search(line)
+        if m:
+            widths.setdefault(int(m.group(1)), set()).add(int(m.group(2)))
+
+    failed = False
+    for line_no in marked:
+        missing = [w for w in REQUIRED_WIDTHS if w not in widths.get(line_no, set())]
+        if missing:
+            failed = True
+            print(f"{args.source}:{line_no}: loop not vectorized with "
+                  f"{', '.join(f'{w}-byte' for w in missing)} vectors")
+    if failed:
+        print(run.stderr, file=sys.stderr)
+        return 1
+    print(f"check_vectorized: {len(marked)} marked loop(s) of {name} vectorized "
+          f"with {' and '.join(f'{w}-byte' for w in REQUIRED_WIDTHS)} vectors")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
