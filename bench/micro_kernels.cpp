@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) of the simulator's hot kernels:
-// resampling, spatial queries, particle propagation, the bearing likelihood
+// resampling, spatial queries, greedy routing's next hop, particle
+// propagation, the bearing likelihood
 // (a SIR update and CDPF's host factor), the two CDPF weight-assignment
 // kernels, and one full filter iteration per algorithm.
 //
@@ -23,6 +24,7 @@
 #include "sim/experiment.hpp"
 #include "tracking/measurement.hpp"
 #include "wsn/deployment.hpp"
+#include "wsn/routing.hpp"
 
 namespace {
 
@@ -60,6 +62,29 @@ void BM_GridIndexQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridIndexQuery)->Arg(5)->Arg(20)->Arg(40)->ArgName("density");
+
+/// Greedy routing's memo miss: a route from a random node to the sink, each
+/// hop one Network::nearest_comm_neighbour query. The activity epoch bumps
+/// before every route (clear_believed_positions moves no position), so no
+/// hop is served from the router's memo. Items are hops.
+void BM_GreedyNextHop(benchmark::State& state) {
+  rng::Rng rng(7);
+  sim::Scenario scenario;
+  scenario.density_per_100m2 = static_cast<double>(state.range(0));
+  wsn::Network network = sim::build_network(scenario, rng);
+  const wsn::GreedyGeographicRouter router(network);
+  std::vector<wsn::NodeId> path;
+  std::int64_t hops = 0;
+  for (auto _ : state) {
+    network.clear_believed_positions();
+    const auto from = static_cast<wsn::NodeId>(rng.uniform_index(network.size()));
+    if (router.route_into(from, network.sink(), path)) {
+      hops += static_cast<std::int64_t>(path.size() - 1);
+    }
+  }
+  state.SetItemsProcessed(hops);
+}
+BENCHMARK(BM_GreedyNextHop)->Arg(5)->Arg(20)->Arg(40)->ArgName("density");
 
 void BM_PropagationRound(benchmark::State& state) {
   const double density = static_cast<double>(state.range(0));

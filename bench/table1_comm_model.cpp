@@ -120,10 +120,10 @@ int main(int argc, char** argv) {
       wsn::Network network = sim::build_network(scenario, rng);
       const wsn::GreedyGeographicRouter router(network);
       std::size_t total = 0, count = 0;
-      std::vector<wsn::NodeId> detecting, path, neighbors;
+      std::vector<wsn::NodeId> detecting, path;
       network.detecting_nodes({50.0, 60.0}, detecting);
       for (const wsn::NodeId id : detecting) {
-        if (router.route_into(id, network.sink(), path, neighbors)) {
+        if (router.route_into(id, network.sink(), path)) {
           total += path.size() - 1;
           ++count;
         }

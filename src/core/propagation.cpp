@@ -193,26 +193,14 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
     if (recorders.empty()) {
       // No receiver inside the predicted area: hand the whole particle to
       // the receiver nearest the predicted position instead of losing it
-      // (keeps the filter alive in sparse deployments). Rare path: the
-      // direct route materializes the receiver set the already-charged
-      // broadcast reached, mirroring Radio::broadcast.
-      if (!use_receiver_list) {
-        network.active_nodes_within(host_position, comm_radius, receivers);
-        std::erase(receivers, host);
-      }
-      if (receivers.empty()) {
+      // (keeps the filter alive in sparse deployments). The receivers are
+      // the already-charged broadcast's: the host's radio neighbours.
+      const wsn::NodeId nearest = network.nearest_comm_neighbour<geom::distance_squared>(
+          host, predicted, std::numeric_limits<double>::infinity());
+      if (nearest == wsn::kInvalidNodeId) {
         ++outcome.lost_particles;
         lost_weight.add(particle.weight);
         continue;
-      }
-      wsn::NodeId nearest = receivers.front();
-      double best = std::numeric_limits<double>::infinity();
-      for (const wsn::NodeId r : receivers) {
-        const double d = geom::distance_squared(network.position(r), predicted);
-        if (d < best) {
-          best = d;
-          nearest = r;
-        }
       }
       const geom::Vec2 hop = network.position(nearest) - host_position;
       accept(nearest, 1.0, hop.x, hop.y);

@@ -116,32 +116,20 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
       if (!network_.is_active(host)) {
         return;  // dead/sleeping host: its particles are lost
       }
-      radio_.broadcast(host, wsn::MessageKind::kParticle, payload * group.size(),
-                       receivers_);
+      radio_.broadcast_count(host, wsn::MessageKind::kParticle, payload * group.size());
       const geom::Vec2 host_pos = network_.position(host);
-      receiver_positions_.clear();
-      for (const wsn::NodeId r : receivers_) {
-        receiver_positions_.push_back(network_.position(r));
-      }
       for (const filters::Particle& particle : group) {
         filters::Particle moved{motion_->sample(particle.state, rng), particle.weight};
         // Re-host on the receiver nearest the particle's propagated state;
-        // the host keeps it if it is still the nearest candidate. The
+        // the host keeps it unless a receiver is strictly nearer. The
         // particle position snaps to its new host ("motes as particles"),
         // and its heading follows the actual hop displacement so position
         // and velocity stay consistent (see propagate_particles_into).
-        wsn::NodeId best = host;
-        geom::Vec2 new_pos = host_pos;
-        double best_d = geom::distance_squared(host_pos, moved.state.position);
-        for (std::size_t k = 0; k < receivers_.size(); ++k) {
-          const double d =
-              geom::distance_squared(receiver_positions_[k], moved.state.position);
-          if (d < best_d) {
-            best_d = d;
-            best = receivers_[k];
-            new_pos = receiver_positions_[k];
-          }
-        }
+        const wsn::NodeId nearest = network_.nearest_comm_neighbour<geom::distance_squared>(
+            host, moved.state.position,
+            geom::distance_squared(host_pos, moved.state.position));
+        const wsn::NodeId best = nearest == wsn::kInvalidNodeId ? host : nearest;
+        const geom::Vec2 new_pos = network_.position(best);
         const geom::Vec2 displacement = new_pos - host_pos;
         if (displacement.norm_squared() > 1e-12) {
           moved.state.velocity =

@@ -90,8 +90,6 @@ class Sdpf final : public TrackerAlgorithm {
   std::vector<wsn::NodeId> detecting_;  // this iteration's detecting nodes
   BearingEvidence shared_;              // bearings broadcast this iteration
   PointBatch host_positions_;           // one per host group, and its factor
-  std::vector<wsn::NodeId> receivers_;
-  std::vector<geom::Vec2> receiver_positions_;
   std::vector<filters::Particle> next_particles_;  // propagation / regroup
   std::vector<wsn::NodeId> next_hosts_;
   std::vector<std::uint32_t> order_;  // regroup permutation

@@ -8,8 +8,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -111,10 +113,93 @@ class GridIndex {
     return count;
   }
 
+  /// The point of visit_disk's disk (same cells, same per-point test) with
+  /// the smallest `key(id)` strictly below `bound`; ties go to the lowest
+  /// CSR slot, i.e. to the first such point visit_disk would visit. Returns
+  /// size() when no point beats `bound`.
+  ///
+  /// Cells are scanned nearest to `target` first and skipped once they
+  /// cannot win: `floor(d)` must bound from below the key of every point of
+  /// a cell whose box lies at Euclidean distance d from `target`, with
+  /// enough margin to absorb rounding — a cell is skipped only when its
+  /// floor exceeds the best key so far, so no candidate that could win or
+  /// tie is ever passed over. A NaN floor never skips. Pending cells live
+  /// in a fixed-capacity stack buffer, scanned whenever it fills, so the
+  /// query never allocates.
+  template <typename Key, typename Floor>
+  std::size_t nearest_in_disk(Vec2 center, double radius, Vec2 target, double bound,
+                              Key&& key, Floor&& floor) const {
+    struct PendingCell {
+      double floor;
+      std::size_t cell;
+      bool fully_inside;
+    };
+    std::array<PendingCell, kNearestCellBatch> pending;
+    std::size_t num_pending = 0;
+    const double r2 = radius * radius;
+    bool found = false;
+    double best = bound;
+    std::size_t best_slot = 0;
+    auto scan = [&](const PendingCell& cell) {
+      const std::size_t k_end = cell_start_[cell.cell + 1];
+      for (std::size_t k = cell_start_[cell.cell]; k < k_end; ++k) {
+        if (!cell.fully_inside) {
+          const double dx = xs_[k] - center.x;
+          const double dy = ys_[k] - center.y;
+          if (!(dx * dx + dy * dy <= r2)) {
+            continue;
+          }
+        }
+        const double d = key(ids_[k]);
+        if (d < best || (found && d == best && k < best_slot)) {
+          best = d;
+          best_slot = k;
+          found = true;
+        }
+      }
+    };
+    // Nearest pending cell first, until the nearest left cannot win.
+    auto drain = [&] {
+      while (num_pending > 0) {
+        std::size_t next = 0;
+        for (std::size_t i = 1; i < num_pending; ++i) {
+          if (pending[i].floor < pending[next].floor) {
+            next = i;
+          }
+        }
+        if (pending[next].floor > best) {
+          break;
+        }
+        scan(pending[next]);
+        pending[next] = pending[--num_pending];
+      }
+      num_pending = 0;
+    };
+    for_each_cell(center, radius, [&](std::size_t c, bool fully_inside) {
+      const double x_lo = bounds_.lo.x + static_cast<double>(c % nx_) * cell_size_;
+      const double y_lo = bounds_.lo.y + static_cast<double>(c / nx_) * cell_size_;
+      const double dx = std::max({x_lo - target.x, target.x - (x_lo + cell_size_), 0.0});
+      const double dy = std::max({y_lo - target.y, target.y - (y_lo + cell_size_), 0.0});
+      const double f = floor(std::sqrt(dx * dx + dy * dy));
+      pending[num_pending++] = {std::isnan(f) ? -std::numeric_limits<double>::infinity() : f,
+                                c, fully_inside};
+      if (num_pending == pending.size()) {
+        drain();
+      }
+    });
+    drain();
+    return found ? ids_[best_slot] : size();
+  }
+
   const Aabb& bounds() const { return bounds_; }
   double cell_size() const { return cell_size_; }
 
  private:
+  /// Pending-cell capacity of nearest_in_disk: a disk of three cell radii
+  /// (the simulator's r_c = 3 r_s) touches at most 49 cells, so one batch
+  /// covers it; wider disks scan in several batches.
+  static constexpr std::size_t kNearestCellBatch = 64;
+
   /// Shared traversal of visit_disk/count_disk: calls `visit_cell(c,
   /// fully_inside)` for every grid cell that may intersect the disk, in
   /// row-major order. `fully_inside` is true when the cell's farthest corner

@@ -147,6 +147,21 @@ class Network {
   /// grid-occupancy count (no per-node memory traffic at all).
   std::size_t count_active_within(geom::Vec2 center, double radius) const;
 
+  /// The radio neighbour of `u` nearest `target`, or kInvalidNodeId when
+  /// none is strictly nearer than `bound`. Candidates are the active nodes
+  /// v != u within the communication radius of u's true position — by the
+  /// grid's own disk arithmetic, exactly the nodes active_nodes_within
+  /// returns. They are ranked by Distance(position(v), target), believed
+  /// positions included, and `bound` is in Distance's units; ties go to the
+  /// candidate active_nodes_within lists first. Distance is geom::distance
+  /// or geom::distance_squared (the two instantiations network.cpp
+  /// provides). Allocation-free, and with no cache: the grid scans the
+  /// disk's cells nearest to `target` first and skips a cell once even its
+  /// nearest point, moved by the largest believed-vs-true displacement,
+  /// cannot tie the best candidate so far (GridIndex::nearest_in_disk).
+  template <double (*Distance)(geom::Vec2, geom::Vec2)>
+  NodeId nearest_comm_neighbour(NodeId u, geom::Vec2 target, double bound) const;
+
   /// Number of active nodes (including `id` itself when active) within the
   /// communication radius of `id`'s true position — the size of its radio
   /// neighbourhood plus one. Memoized per node and invalidated whenever any
@@ -179,6 +194,10 @@ class Network {
   NetworkConfig config_;
   std::vector<Node> nodes_;
   std::vector<geom::Vec2> believed_positions_;  // empty => believed == true
+  // Largest |believed - true| over all nodes (0 when believed == true, +inf
+  // when a believed position is NaN): how far a believed distance may fall
+  // below a true one, the pruning margin of nearest_comm_neighbour.
+  double max_displacement_ = 0.0;
   std::unique_ptr<geom::GridIndex> index_;
   NodeId sink_ = kInvalidNodeId;
   // Activity mirror of nodes_: the spatial-query filter only needs one byte

@@ -9,40 +9,16 @@ namespace cdpf::wsn {
 GreedyGeographicRouter::GreedyGeographicRouter(const Network& network)
     : network_(network) {}
 
-NodeId GreedyGeographicRouter::scan_next_hop(NodeId current, geom::Vec2 destination,
-                                             std::vector<NodeId>& neighbors) const {
-  // The neighbours are the radio's: the disk at r_c around current's true
-  // position. Greedy ranks them by the positions the nodes believe they hold.
-  const double current_dist = geom::distance(network_.position(current), destination);
-  network_.active_nodes_within(network_.true_position(current),
-                               network_.config().comm_radius, neighbors);
-  NodeId best = kInvalidNodeId;
-  double best_dist = current_dist;
-  for (const NodeId n : neighbors) {
-    if (n == current) {
-      continue;
-    }
-    const double d = geom::distance(network_.position(n), destination);
-    if (d < best_dist) {
-      best_dist = d;
-      best = n;
-    }
-  }
-  return best;
-}
-
 bool GreedyGeographicRouter::route_into(NodeId from, NodeId to,
-                                        std::vector<NodeId>& path,
-                                        std::vector<NodeId>& neighbors) const {
+                                        std::vector<NodeId>& path) const {
   CDPF_CHECK_MSG(network_.is_active(from), "route source must be active");
   CDPF_CHECK_MSG(network_.is_active(to), "route destination must be active");
 
   if (next_hop_.size() != network_.size()) {
     next_hop_.assign(network_.size(), kInvalidNodeId);
     next_hop_stamp_.assign(network_.size(), 0);
-    // A route visits each node at most once; any node may neighbour it.
+    // A route visits each node at most once.
     path_.reserve(network_.size() + 1);
-    neighbors_.reserve(network_.size());
   }
   if (to != memo_destination_ || network_.activity_epoch() != memo_epoch_) {
     ++memo_stamp_;
@@ -60,7 +36,11 @@ bool GreedyGeographicRouter::route_into(NodeId from, NodeId to,
   const std::size_t max_hops = network_.size() + 1;
   while (current != to && path.size() <= max_hops) {
     if (next_hop_stamp_[current] != memo_stamp_) {
-      next_hop_[current] = scan_next_hop(current, destination, neighbors);
+      // The neighbours are the radio's: the disk at r_c around current's
+      // true position. Greedy ranks them by the positions the nodes believe
+      // they hold, and only a neighbour strictly closer than current wins.
+      next_hop_[current] = network_.nearest_comm_neighbour<geom::distance>(
+          current, destination, geom::distance(network_.position(current), destination));
       next_hop_stamp_[current] = memo_stamp_;
     }
     const NodeId best = next_hop_[current];
@@ -76,7 +56,7 @@ bool GreedyGeographicRouter::route_into(NodeId from, NodeId to,
 std::optional<std::size_t> GreedyGeographicRouter::send(Radio& radio, NodeId from,
                                                         NodeId to, MessageKind kind,
                                                         std::size_t payload_bytes) const {
-  if (!route_into(from, to, path_, neighbors_)) {
+  if (!route_into(from, to, path_)) {
     return std::nullopt;
   }
   for (std::size_t i = 0; i + 1 < path_.size(); ++i) {

@@ -4,11 +4,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
+#include <vector>
 
 #include "random/rng.hpp"
 #include "support/check.hpp"
 #include "geom/angles.hpp"
 #include "wsn/deployment.hpp"
+#include "wsn/localization.hpp"
 #include "wsn/network.hpp"
 #include "wsn/radio.hpp"
 
@@ -233,6 +236,182 @@ TEST(Network, OverhearingAssumptionFlag) {
   EXPECT_TRUE(c.overhearing_assumption_holds());  // 10 <= 30/2
   c.sensing_radius = 16.0;
   EXPECT_FALSE(c.overhearing_assumption_holds());
+}
+
+// -- Nearest radio neighbour -------------------------------------------------
+// nearest_comm_neighbour must return what the loop it replaced returned: the
+// oracle below is that loop, the full scan of the radio disk that greedy
+// routing, SDPF re-hosting and CDPF's empty-recorder fallback each ran.
+
+template <double (*Distance)(geom::Vec2, geom::Vec2)>
+NodeId scan_nearest(const Network& net, const std::vector<NodeId>& disk, NodeId u,
+                    geom::Vec2 target, double bound) {
+  NodeId best = kInvalidNodeId;
+  double best_d = bound;
+  for (const NodeId n : disk) {
+    if (n == u) {
+      continue;
+    }
+    const double d = Distance(net.position(n), target);
+    if (d < best_d) {
+      best_d = d;
+      best = n;
+    }
+  }
+  return best;
+}
+
+struct QueryTally {
+  std::size_t queries = 0;
+  std::size_t winners = 0;
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+};
+
+template <double (*Distance)(geom::Vec2, geom::Vec2)>
+void check_query(const Network& net, const std::vector<NodeId>& disk, NodeId u,
+                 geom::Vec2 target, double bound, QueryTally& tally) {
+  const NodeId expected = scan_nearest<Distance>(net, disk, u, target, bound);
+  const NodeId got = net.nearest_comm_neighbour<Distance>(u, target, bound);
+  ++tally.queries;
+  tally.winners += expected != kInvalidNodeId ? 1 : 0;
+  if (got != expected && tally.mismatches++ == 0) {
+    std::ostringstream os;
+    os.precision(17);
+    os << "u " << u << " target (" << target.x << ", " << target.y << ") bound " << bound
+       << ": query " << got << ", scan " << expected;
+    tally.first_mismatch = os.str();
+  }
+}
+
+/// `pairs` random (u, target) pairs, each queried under both rankings with
+/// the caller's own bound (u's distance) and with none (+inf). Targets mix
+/// a re-hosted particle near u, a route destination and points anywhere,
+/// mostly outside the field.
+QueryTally query_random_pairs(const Network& net, std::uint64_t seed, std::size_t pairs) {
+  rng::Rng rng(seed);
+  std::vector<NodeId> disk;
+  QueryTally tally;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const auto u = static_cast<NodeId>(rng.uniform_index(net.size()));
+    geom::Vec2 target;
+    if (i % 3 == 0) {
+      target = net.true_position(u) + geom::Vec2{rng.gaussian(0.0, 15.0),
+                                                 rng.gaussian(0.0, 15.0)};
+    } else if (i % 3 == 1) {
+      target = net.position(static_cast<NodeId>(rng.uniform_index(net.size())));
+    } else {
+      target = {rng.uniform(-300.0, 500.0), rng.uniform(-300.0, 500.0)};
+    }
+    net.active_nodes_within(net.true_position(u), net.config().comm_radius, disk);
+    const geom::Vec2 own = net.position(u);
+    check_query<geom::distance>(net, disk, u, target, geom::distance(own, target), tally);
+    check_query<geom::distance>(net, disk, u, target, kInf, tally);
+    check_query<geom::distance_squared>(net, disk, u, target,
+                                        geom::distance_squared(own, target), tally);
+    check_query<geom::distance_squared>(net, disk, u, target, kInf, tally);
+  }
+  return tally;
+}
+
+Network density_40_field(std::uint64_t seed) {
+  rng::Rng rng(seed);
+  const geom::Aabb field = geom::Aabb::square(200.0);
+  return Network(deploy_uniform_random(node_count_for_density(40.0, field), field, rng),
+                 paper_config());
+}
+
+void expect_query_matches_scan(const Network& net, std::uint64_t seed) {
+  const QueryTally tally = query_random_pairs(net, seed, 10000);
+  EXPECT_EQ(tally.mismatches, 0u) << tally.first_mismatch;
+  // Both outcomes occur: winners and voids.
+  EXPECT_GT(tally.winners, tally.queries / 4);
+  EXPECT_LT(tally.winners, tally.queries);
+}
+
+TEST(NearestCommNeighbour, MatchesScanOnAllActiveDensity40Field) {
+  const Network net = density_40_field(31);
+  expect_query_matches_scan(net, 1);
+}
+
+TEST(NearestCommNeighbour, MatchesScanUnderHalfDutyCycle) {
+  Network net = density_40_field(32);
+  rng::Rng rng(5);
+  for (NodeId id = 0; id < net.size(); ++id) {
+    if (rng.bernoulli(0.5)) {
+      net.set_power(id, PowerState::kAsleep);
+    }
+  }
+  ASSERT_FALSE(net.all_active());
+  expect_query_matches_scan(net, 2);
+}
+
+TEST(NearestCommNeighbour, MatchesScanUnderLocalizedPositions) {
+  Network net = density_40_field(33);
+  rng::Rng rng(6);
+  net.set_believed_positions(localize(net, LocalizationConfig{}, rng).positions);
+  expect_query_matches_scan(net, 3);
+}
+
+TEST(NearestCommNeighbour, MatchesScanWithUnlocalizedNodes) {
+  // Few anchors and one round: many nodes fall back to a neighbour centroid
+  // or the field center, tens of meters from where they are.
+  Network net = density_40_field(34);
+  rng::Rng rng(7);
+  LocalizationConfig config;
+  config.anchor_fraction = 0.003;
+  config.rounds = 1;
+  const LocalizationResult localized = localize(net, config, rng);
+  ASSERT_GT(localized.unlocalized, net.size() / 10);
+  net.set_believed_positions(localized.positions);
+  expect_query_matches_scan(net, 4);
+  // Back to believed == true: the pruning margin shrinks back to zero.
+  net.clear_believed_positions();
+  expect_query_matches_scan(net, 5);
+}
+
+TEST(NearestCommNeighbour, ExactTieGoesToTheFirstNodeInDiskOrder) {
+  // b and a lie exactly 7 m from the target. b's cell holds the target, so
+  // the search scans it first; a is in an earlier grid cell, so the disk
+  // query lists it first and it must win — even though it has the higher id.
+  const geom::Vec2 target{51.0, 55.0};
+  const std::vector<geom::Vec2> positions{{40.0, 40.0}, {58.0, 55.0}, {51.0, 48.0}};
+  const NodeId u = 0;
+  const NodeId b = 1;
+  const NodeId a = 2;
+  const Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
+  std::vector<NodeId> disk;
+  net.active_nodes_within(net.true_position(u), 30.0, disk);
+  ASSERT_EQ(disk, (std::vector<NodeId>{u, a, b}));
+  EXPECT_EQ(geom::distance(positions[a], target), geom::distance(positions[b], target));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance>(u, target, kInf), a);
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance_squared>(u, target, kInf), a);
+  EXPECT_EQ(scan_nearest<geom::distance>(net, disk, u, target, kInf), a);
+}
+
+TEST(NearestCommNeighbour, CandidateExactlyAtTheBoundDoesNotWin) {
+  const geom::Vec2 target{60.0, 50.0};
+  const std::vector<geom::Vec2> positions{{40.0, 50.0}, {50.0, 50.0}};
+  const Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance>(0, target, 10.0), kInvalidNodeId);
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance_squared>(0, target, 100.0),
+            kInvalidNodeId);
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance>(0, target, std::nextafter(10.0, 11.0)),
+            1u);
+}
+
+TEST(NearestCommNeighbour, IsolatedNodeAndInactiveNeighbourHaveNoWinner) {
+  // Node 2 is 40 m from node 1, beyond r_c.
+  const std::vector<geom::Vec2> positions{{10.0, 50.0}, {30.0, 50.0}, {70.0, 50.0}};
+  Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance>(2, {0.0, 0.0}, kInf), kInvalidNodeId);
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance>(0, {500.0, -80.0}, kInf), 1u);
+  net.set_alive(1, false);
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance>(0, {500.0, -80.0}, kInf),
+            kInvalidNodeId);
 }
 
 }  // namespace

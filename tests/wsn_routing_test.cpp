@@ -7,6 +7,7 @@
 
 #include "random/rng.hpp"
 #include "wsn/deployment.hpp"
+#include "wsn/localization.hpp"
 #include "wsn/network.hpp"
 #include "wsn/radio.hpp"
 #include "wsn/routing.hpp"
@@ -18,8 +19,7 @@ namespace {
 std::optional<std::vector<NodeId>> path_of(const GreedyGeographicRouter& router,
                                            NodeId from, NodeId to) {
   std::vector<NodeId> path;
-  std::vector<NodeId> neighbors;
-  if (!router.route_into(from, to, path, neighbors)) {
+  if (!router.route_into(from, to, path)) {
     return std::nullopt;
   }
   return path;
@@ -107,9 +107,8 @@ TEST(Routing, PaperGeometryFourHopsToSink) {
   std::size_t max_hops = 0;
   std::size_t voids = 0;
   std::vector<NodeId> path;
-  std::vector<NodeId> neighbors;
   for (NodeId id = 0; id < net.size(); id += 37) {  // sampled sources
-    if (!router.route_into(id, sink, path, neighbors)) {
+    if (!router.route_into(id, sink, path)) {
       ++voids;
       continue;
     }
@@ -145,6 +144,113 @@ TEST(Routing, BelievedPositionsOnlyRouteOverRadioLinks) {
   }
   EXPECT_EQ(router.send(radio, 0, 2, MessageKind::kMeasurement, 4), 3u);
   EXPECT_EQ(radio.stats().messages(MessageKind::kMeasurement), 3u);
+}
+
+// -- Oracle router ---------------------------------------------------------
+// The router as it was before Network::nearest_comm_neighbour: a full scan
+// of the radio disk at every hop, ranked by believed distance, no memo.
+
+std::optional<std::vector<NodeId>> scanned_route(const Network& net, NodeId from,
+                                                 NodeId to) {
+  const geom::Vec2 destination = net.position(to);
+  std::vector<NodeId> path{from};
+  std::vector<NodeId> neighbors;
+  NodeId current = from;
+  while (current != to && path.size() <= net.size() + 1) {
+    net.active_nodes_within(net.true_position(current), net.config().comm_radius,
+                            neighbors);
+    NodeId best = kInvalidNodeId;
+    double best_dist = geom::distance(net.position(current), destination);
+    for (const NodeId n : neighbors) {
+      if (n == current) {
+        continue;
+      }
+      const double d = geom::distance(net.position(n), destination);
+      if (d < best_dist) {
+        best_dist = d;
+        best = n;
+      }
+    }
+    if (best == kInvalidNodeId) {
+      return std::nullopt;
+    }
+    path.push_back(best);
+    current = best;
+  }
+  if (current != to) {
+    return std::nullopt;
+  }
+  return path;
+}
+
+/// Routes every active node of `net` to the sink with a fresh router and
+/// with the oracle; returns the number of voids.
+std::size_t expect_every_route_matches_scan(const Network& net) {
+  const GreedyGeographicRouter router(net);
+  std::size_t routes = 0;
+  std::size_t voids = 0;
+  std::size_t mismatches = 0;
+  for (NodeId id = 0; id < net.size(); ++id) {
+    if (!net.is_active(id)) {
+      continue;
+    }
+    const auto expected = scanned_route(net, id, net.sink());
+    ++routes;
+    voids += expected.has_value() ? 0u : 1u;
+    if (path_of(router, id, net.sink()) != expected) {
+      ADD_FAILURE_AT(__FILE__, __LINE__) << "route from node " << id << " differs";
+      if (++mismatches == 5) {
+        break;
+      }
+    }
+  }
+  EXPECT_GT(routes, 0u);
+  return voids;
+}
+
+class RoutingOracle : public ::testing::Test {
+ protected:
+  static Network density_20_field() {
+    rng::Rng rng(23);
+    const geom::Aabb field = geom::Aabb::square(200.0);
+    return Network(deploy_uniform_random(node_count_for_density(20.0, field), field, rng),
+                   NetworkConfig{field, 10.0, 30.0});
+  }
+
+  Network net_ = density_20_field();
+};
+
+TEST_F(RoutingOracle, EveryRouteMatchesScanAllActive) {
+  EXPECT_EQ(expect_every_route_matches_scan(net_), 0u);
+}
+
+TEST_F(RoutingOracle, EveryRouteMatchesScanUnderDutyCycle) {
+  // A random half of the nodes asleep, the sink awake.
+  rng::Rng rng(24);
+  for (NodeId id = 0; id < net_.size(); ++id) {
+    if (id != net_.sink() && rng.bernoulli(0.5)) {
+      net_.set_power(id, PowerState::kAsleep);
+    }
+  }
+  expect_every_route_matches_scan(net_);
+}
+
+TEST_F(RoutingOracle, EveryRouteMatchesScanThroughVoids) {
+  // Only ~1% of the nodes awake (about five radio neighbours each): greedy
+  // forwarding now hits voids, which must be the oracle's voids.
+  rng::Rng rng(26);
+  for (NodeId id = 0; id < net_.size(); ++id) {
+    if (id != net_.sink() && rng.bernoulli(0.99)) {
+      net_.set_power(id, PowerState::kAsleep);
+    }
+  }
+  EXPECT_GT(expect_every_route_matches_scan(net_), 0u);
+}
+
+TEST_F(RoutingOracle, EveryRouteMatchesScanUnderLocalizedPositions) {
+  rng::Rng rng(25);
+  net_.set_believed_positions(localize(net_, LocalizationConfig{}, rng).positions);
+  expect_every_route_matches_scan(net_);
 }
 
 // -- Next-hop memo ---------------------------------------------------------

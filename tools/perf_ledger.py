@@ -9,6 +9,8 @@ the changed tree, plus a per-workload, per-metric summary.
       [--pairs 10] [--seed 7] [--workdir DIR]
   tools/perf_ledger.py summary
   tools/perf_ledger.py [--ledger FILE] check [--expect FILE]
+  tools/perf_ledger.py figure --parent-build DIR --change-build DIR \
+      --bench <name> [--pairs 3] [-- <bench args>]
 
 ``record`` extracts the parent with ``git archive <rev>`` into the work
 directory, then runs each gated workload of BENCHMARK.json ``--pairs`` times
@@ -33,8 +35,16 @@ medians, and a verdict against BENCHMARK.json's bound for that metric:
 stored summary differs; with ``--expect`` it also compares the printed table
 of the last entry with a file. It makes no benchmark run.
 
-Exit codes: 0 success, 1 a check failed, 2 bad usage, 3 a benchmark run
-failed or its correctness gate failed.
+``figure`` times one paper artifact, the number a user waits for: the bench
+binary ``<build>/bench/<name>`` of a parent build and of a change build, at
+``--workers=1`` and at ``--workers=<nproc>``, in ``--pairs`` interleaved
+pairs per worker count (same order rule as ``record``). It prints every
+run's wall time and, per worker count, both medians and their ratio. It
+fails unless every run's stdout is byte-identical: the figure must not move.
+It writes nothing to the ledger.
+
+Exit codes: 0 success, 1 a check failed (for ``figure``: stdout differed),
+2 bad usage, 3 a benchmark run failed or its correctness gate failed.
 """
 
 from __future__ import annotations
@@ -42,11 +52,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import pathlib
 import statistics
 import subprocess
 import sys
 import tarfile
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = "cdpf-perfbench-ledger/1"
@@ -271,6 +283,54 @@ def record(args, benchmark: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Figure wall time
+
+
+def time_bench(binary: pathlib.Path, bench_args: list[str]) -> tuple[float, str]:
+    start = time.perf_counter()
+    done = subprocess.run([str(binary), *bench_args], stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True, check=False)
+    elapsed = time.perf_counter() - start
+    if done.returncode != 0:
+        fail(f"{binary} {' '.join(bench_args)} exited {done.returncode}", 3)
+    return elapsed, done.stdout
+
+
+def figure(args) -> int:
+    binaries = {side: pathlib.Path(build) / "bench" / args.bench
+                for side, build in (("parent", args.parent_build),
+                                    ("change", args.change_build))}
+    for side, binary in binaries.items():
+        if not os.access(binary, os.X_OK):
+            fail(f"{side} bench {binary} is not an executable", 2)
+    reference = None
+    identical = True
+    rows = []
+    for workers in sorted({1, os.cpu_count() or 1}):
+        seconds = {"parent": [], "change": []}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                elapsed, stdout = time_bench(binaries[side],
+                                             [f"--workers={workers}", *args.bench_args])
+                seconds[side].append(elapsed)
+                same_stdout = reference is None or stdout == reference
+                reference = stdout if reference is None else reference
+                identical = identical and same_stdout
+                print(f"{args.bench} --workers={workers} pair {pair} {side}: {elapsed:.2f} s"
+                      + ("" if same_stdout else "  STDOUT DIFFERS"), flush=True)
+        parent = statistics.median(seconds["parent"])
+        change = statistics.median(seconds["change"])
+        rows.append(f"{workers:>7}  {parent:>12.2f}  {change:>12.2f}  {change / parent:>6.3f}")
+    print(f"{'workers':>7}  {'parent med s':>12}  {'change med s':>12}  {'ratio':>6}")
+    print("\n".join(rows))
+    if not identical:
+        print("perf_ledger: figure stdout differs between runs", file=sys.stderr)
+        return 1
+    return 0
+
+
+# ---------------------------------------------------------------------------
 
 
 def main() -> int:
@@ -289,7 +349,19 @@ def main() -> int:
     sub.add_parser("summary", help="print the last entry's summary table")
     chk = sub.add_parser("check", help="recompute stored summaries; no benchmark runs")
     chk.add_argument("--expect", help="file holding the last entry's expected table")
+    fig = sub.add_parser("figure", help="time one bench binary of two builds; no ledger")
+    fig.add_argument("--parent-build", required=True, help="parent build directory")
+    fig.add_argument("--change-build", required=True, help="change build directory")
+    fig.add_argument("--bench", required=True, help="bench binary name, e.g. "
+                     "fig6_estimation_error")
+    fig.add_argument("--pairs", type=int, default=3)
+    fig.add_argument("bench_args", nargs="*", help="passed to the bench after --workers "
+                     "(put them after --)")
     args = parser.parse_args()
+    if args.command == "figure":
+        if args.pairs < 1:
+            fail("--pairs must be at least 1", 2)
+        return figure(args)
 
     benchmark = load_json(pathlib.Path(args.benchmark))
     if args.command == "record":
