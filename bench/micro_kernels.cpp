@@ -11,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -123,8 +122,8 @@ void BM_SirFilterIteration(benchmark::State& state) {
   rng::Rng rng(4);
   filters::SirFilterConfig config;
   config.num_particles = particles;
-  filters::SirFilter filter(
-      std::make_unique<tracking::RandomTurnMotionModel>(1.0, 1.0, 0.26, 0.02), config);
+  filters::SirFilter filter(tracking::RandomTurnMotionModel(1.0, 1.0, 0.26, 0.02),
+                            config);
   const geom::Vec2 target{100.0, 100.0};
   filter.initialize({target, {3.0, 0.0}}, {5.0, 5.0}, {1.0, 1.0}, rng);
   const tracking::BearingMeasurementModel bearing(0.05);
@@ -142,7 +141,7 @@ void BM_SirFilterIteration(benchmark::State& state) {
     positions.assign_positions(filter.particles());
     sensors.log_likelihoods(positions.x, positions.y, positions.scores);
     filter.update(positions.scores);
-    filter.maybe_resample(rng);
+    filter.resample(rng);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(particles * sensors.records().size()));

@@ -170,7 +170,7 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
     propagation_.reset();
     {
       CDPF_TRACE_SPAN("cdpf-propagate");
-      propagate_particles_into(store_, network_, radio_, *motion_, rng, propagation_,
+      propagate_particles_into(store_, network_, radio_, motion_, rng, propagation_,
                                propagation_scratch_);
     }
     has_propagation_ = true;

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -166,7 +165,7 @@ class Cdpf final : public TrackerAlgorithm {
   wsn::Network& network_;
   wsn::Radio& radio_;
   CdpfConfig config_;
-  std::unique_ptr<const tracking::MotionModel> motion_;
+  tracking::RandomTurnMotionModel motion_;
   tracking::BearingMeasurementModel bearing_;
 
   ParticleStore store_;

@@ -36,9 +36,7 @@ CentralizedPf::CentralizedPf(wsn::Network& network, wsn::Radio& radio, CpfConfig
       bearing_(config.sigma_bearing),
       router_(network),
       filter_(tracking::make_motion_model(config.dt),
-              filters::SirFilterConfig{kNumParticles, config.resampling,
-                                       /*resample_every_step=*/true,
-                                       /*ess_threshold_fraction=*/0.5}),
+              filters::SirFilterConfig{kNumParticles, config.resampling}),
       received_(effective_sigma(config.sigma_bearing, config.quantization_levels),
                 kCloudResolutionM) {
   if (config_.quantization_levels) {
@@ -176,7 +174,7 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
     received_.log_likelihoods(particle_positions_.x, particle_positions_.y,
                               particle_positions_.scores);
     filter_.update(particle_positions_.scores);
-    filter_.maybe_resample(rng);
+    filter_.resample(rng);
   }
   pending_estimates_.push_back({filter_.estimate(), time});
 }

@@ -22,10 +22,7 @@ GmmDpf::GmmDpf(wsn::Network& network, wsn::Radio& radio, GmmDpfConfig config)
       bearing_(config.sigma_bearing),
       router_(network),
       filter_(tracking::make_motion_model(config.dt),
-              filters::SirFilterConfig{kNumParticles,
-                                       filters::ResamplingScheme::kSystematic,
-                                       /*resample_every_step=*/true,
-                                       /*ess_threshold_fraction=*/0.5}),
+              filters::SirFilterConfig{kNumParticles}),
       received_(config.sigma_bearing, kCloudResolutionM) {}
 
 void GmmDpf::reinitialize_cloud(geom::Vec2 center, rng::Rng& rng) {
@@ -119,7 +116,7 @@ void GmmDpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& 
     if (max_log_likelihood == -std::numeric_limits<double>::infinity()) {
       reinitialize_cloud(centroid, rng);  // track lost: restart on detections
     } else {
-      filter_.maybe_resample(rng);
+      filter_.resample(rng);
     }
   }
 

@@ -39,7 +39,8 @@ void PropagationOutcome::reset() {
 }
 
 void propagate_particles_into(const ParticleStore& store, const wsn::Network& network,
-                              wsn::Radio& radio, const tracking::MotionModel& motion,
+                              wsn::Radio& radio,
+                              const tracking::RandomTurnMotionModel& motion,
                               rng::Rng& rng, PropagationOutcome& outcome,
                               PropagationScratch& scratch) {
   CDPF_TRACE_SPAN("propagation-round");

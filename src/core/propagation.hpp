@@ -126,7 +126,8 @@ struct PropagationScratch {
 /// `outcome` for this round; with warm `outcome`/`scratch` buffers the round
 /// is allocation-free.
 void propagate_particles_into(const ParticleStore& store, const wsn::Network& network,
-                              wsn::Radio& radio, const tracking::MotionModel& motion,
+                              wsn::Radio& radio,
+                              const tracking::RandomTurnMotionModel& motion,
                               rng::Rng& rng, PropagationOutcome& outcome,
                               PropagationScratch& scratch);
 

@@ -119,7 +119,7 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
       radio_.broadcast_count(host, wsn::MessageKind::kParticle, payload * group.size());
       const geom::Vec2 host_pos = network_.position(host);
       for (const filters::Particle& particle : group) {
-        filters::Particle moved{motion_->sample(particle.state, rng), particle.weight};
+        filters::Particle moved{motion_.sample(particle.state, rng), particle.weight};
         // Re-host on the receiver nearest the particle's propagated state;
         // the host keeps it unless a receiver is strictly nearer. The
         // particle position snaps to its new host ("motes as particles"),

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/batch_kernels.hpp"
@@ -79,7 +78,7 @@ class Sdpf final : public TrackerAlgorithm {
   wsn::Network& network_;
   wsn::Radio& radio_;
   SdpfConfig config_;
-  std::unique_ptr<const tracking::MotionModel> motion_;
+  tracking::RandomTurnMotionModel motion_;
   tracking::BearingMeasurementModel bearing_;
 
   // The particle set as two parallel arrays (see particles() and hosts()).

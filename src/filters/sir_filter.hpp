@@ -1,10 +1,9 @@
-// Generic sequential-importance-sampling particle filter.
+// Generic sampling-importance-resampling (SIR) particle filter.
 //
 // This is the "generic PF" of the paper's Section II-A with the SIR
 // specialization the paper adopts for all evaluated algorithms: the prior
 // p(x_k | x_{k-1}) is the importance density and resampling runs every
-// iteration (optionally only when the effective sample size drops below a
-// threshold, giving the plain SIS behavior).
+// iteration.
 //
 // The measurement update takes one log-likelihood per particle, scored by
 // the caller in whatever batch suits it (CPF and GMM-DPF score every
@@ -15,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -29,25 +27,14 @@ namespace cdpf::filters {
 struct SirFilterConfig {
   std::size_t num_particles = 1000;  // paper: N_s = 1000 for CPF
   ResamplingScheme scheme = ResamplingScheme::kSystematic;
-  /// True: resample every iteration (SIR). False: resample only when
-  /// ESS < ess_threshold_fraction * N (generic SIS practice).
-  bool resample_every_step = true;
-  double ess_threshold_fraction = 0.5;
-  /// Regularized particle filter (Musso & Oudjane): after resampling, add
-  /// kernel jitter with a Silverman-rule bandwidth to the duplicated
-  /// particles. Fights sample impoverishment when the likelihood is much
-  /// sharper than the proposal — one of the "derivative efforts" the
-  /// paper's future work points at (§VIII).
-  bool regularize = false;
 };
 
 class SirFilter {
  public:
-  /// Takes ownership of the motion model (the proposal distribution).
-  SirFilter(std::unique_ptr<const tracking::MotionModel> model, SirFilterConfig config);
+  /// `model` is the proposal distribution (the prior).
+  SirFilter(tracking::RandomTurnMotionModel model, SirFilterConfig config);
 
-  const SirFilterConfig& config() const { return config_; }
-  const tracking::MotionModel& motion_model() const { return *model_; }
+  const tracking::RandomTurnMotionModel& motion_model() const { return model_; }
   const std::vector<Particle>& particles() const { return particles_; }
 
   /// Draw the initial particle cloud from a Gaussian prior around `mean`.
@@ -69,9 +56,9 @@ class SirFilter {
   /// fallback) and -inf returned.
   double update(std::span<const double> log_likelihoods);
 
-  /// Resampling step per config (plus regularization jitter when enabled);
-  /// returns true when resampling ran.
-  bool maybe_resample(rng::Rng& rng);
+  /// Resampling step, run every iteration: draws the configured number of
+  /// particles by the configured scheme.
+  void resample(rng::Rng& rng);
 
   /// Weighted-mean state estimate.
   tracking::TargetState estimate() const;
@@ -79,7 +66,7 @@ class SirFilter {
   double ess() const { return effective_sample_size(particles_); }
 
  private:
-  std::unique_ptr<const tracking::MotionModel> model_;
+  tracking::RandomTurnMotionModel model_;
   SirFilterConfig config_;
   std::vector<Particle> particles_;
   // Per-step buffer, a member so steady-state iterations do not allocate.

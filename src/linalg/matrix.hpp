@@ -1,9 +1,9 @@
 // Small fixed-size dense linear algebra.
 //
-// The filters in this library work on tiny state spaces (4-D constant-
-// velocity state, scalar bearings), so a stack-allocated Mat<R,C> with
-// unrolled loops is simpler and faster than a general matrix library — the
-// role Eigen plays in typical reference implementations.
+// Its callers work on 2x2 systems: the covariances of GMM-DPF's Gaussian
+// mixture and the normal equations of range-based localization. A
+// stack-allocated Mat<R,C> with unrolled loops is simpler and faster there
+// than a general matrix library.
 #pragma once
 
 #include <array>
@@ -57,8 +57,6 @@ class Mat {
     return data_[i];
   }
 
-  static constexpr Mat zero() { return Mat{}; }
-
   static constexpr Mat identity()
     requires(R == C)
   {
@@ -107,7 +105,7 @@ class Mat {
       for (std::size_t c = 0; c < C; ++c) {
         const double a = (*this)(r, c);
         if (a == 0.0) {
-          continue;  // CV-model matrices are sparse; skipping zeros is cheap.
+          continue;  // skipping structural zeros is cheap
         }
         for (std::size_t k = 0; k < K; ++k) {
           out(r, k) += a * rhs(c, k);
@@ -127,36 +125,6 @@ class Mat {
     return out;
   }
 
-  constexpr double trace() const
-    requires(R == C)
-  {
-    double t = 0.0;
-    for (std::size_t i = 0; i < R; ++i) {
-      t += (*this)(i, i);
-    }
-    return t;
-  }
-
-  /// Frobenius norm.
-  double norm() const {
-    double s = 0.0;
-    for (const double v : data_) {
-      s += v * v;
-    }
-    return std::sqrt(s);
-  }
-
-  constexpr double max_abs() const {
-    double m = 0.0;
-    for (const double v : data_) {
-      const double a = v < 0.0 ? -v : v;
-      if (a > m) {
-        m = a;
-      }
-    }
-    return m;
-  }
-
  private:
   std::array<double, R * C> data_{};
 };
@@ -168,15 +136,6 @@ constexpr Mat<R, C> operator*(double s, const Mat<R, C>& m) {
 
 template <std::size_t N>
 using Vec = Mat<N, 1>;
-
-template <std::size_t N>
-constexpr double dot(const Vec<N>& a, const Vec<N>& b) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < N; ++i) {
-    s += a[i] * b[i];
-  }
-  return s;
-}
 
 /// Symmetric part of a square matrix; keeps covariance updates symmetric in
 /// the presence of floating-point drift.

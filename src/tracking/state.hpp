@@ -1,9 +1,8 @@
-// Target state for the paper's dynamic system (Eq. 5): a 4-D constant-
-// velocity state x = (x, y, x', y')^T over a 2-D plane.
+// Target state for the paper's dynamic system (Eq. 5): position and
+// velocity x = (x, y, x', y')^T over a 2-D plane.
 #pragma once
 
 #include "geom/vec2.hpp"
-#include "linalg/matrix.hpp"
 
 namespace cdpf::tracking {
 
@@ -15,20 +14,6 @@ struct TargetState {
 
   double speed() const { return velocity.norm(); }
   double heading() const { return velocity.angle(); }
-
-  /// Pack as the column vector (x, y, x', y')^T used by the KF/EKF.
-  linalg::Vec<4> to_vector() const {
-    linalg::Vec<4> v;
-    v[0] = position.x;
-    v[1] = position.y;
-    v[2] = velocity.x;
-    v[3] = velocity.y;
-    return v;
-  }
-
-  static TargetState from_vector(const linalg::Vec<4>& v) {
-    return {{v[0], v[1]}, {v[2], v[3]}};
-  }
 };
 
 }  // namespace cdpf::tracking

@@ -20,8 +20,10 @@ wsn::NetworkConfig paper_config(double sensing = 10.0, double comm = 30.0) {
   return wsn::NetworkConfig{geom::Aabb::square(200.0), sensing, comm};
 }
 
-tracking::ConstantVelocityModel quiet_motion(double dt = 5.0) {
-  return tracking::ConstantVelocityModel(dt, 1e-9, 1e-9);
+// No turns and no speed noise over one substep: particles move in a straight
+// line, so where a round lands is predictable.
+tracking::RandomTurnMotionModel quiet_motion(double dt = 5.0) {
+  return tracking::RandomTurnMotionModel(dt, dt, 0.0, 0.0);
 }
 
 /// A round's reusable buffers, kept across rounds the way Cdpf keeps them.
@@ -30,7 +32,8 @@ struct Round {
   PropagationScratch scratch;
 
   const PropagationOutcome& run(const ParticleStore& store, const wsn::Network& net,
-                                wsn::Radio& radio, const tracking::MotionModel& motion,
+                                wsn::Radio& radio,
+                                const tracking::RandomTurnMotionModel& motion,
                                 rng::Rng& rng) {
     outcome.reset();
     propagate_particles_into(store, net, radio, motion, rng, outcome, scratch);
@@ -337,7 +340,7 @@ TEST(Propagation, ReceiverListRouteMatchesDirectScan) {
         }
       }
       ASSERT_FALSE(store.empty());
-      const tracking::ConstantVelocityModel motion(5.0, 0.05, 0.05);
+      const tracking::RandomTurnMotionModel motion = tracking::make_motion_model(5.0);
 
       wsn::Radio direct_radio(net, wsn::PayloadSizes{});
       rng::Rng direct_rng(seed + 100);

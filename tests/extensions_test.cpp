@@ -1,15 +1,12 @@
 // Tests for the extension features: RSS model + RSS-adaptive weights,
-// regularized PF, GMM-DPF tracker, multi-target tracking, and the ASCII
-// plotter.
+// GMM-DPF tracker, multi-target tracking, and the ASCII plotter.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "core/gmm_dpf.hpp"
 #include "core/multi_target.hpp"
 #include "filters/ospa.hpp"
-#include "filters/sir_filter.hpp"
 #include "geom/angles.hpp"
 #include "sim/experiment.hpp"
 #include "support/ascii_plot.hpp"
@@ -87,49 +84,6 @@ TEST(RssAdaptiveWeights, CdpfStillTracksWithRssWeighting) {
   EXPECT_LT(geom::distance(last.state.position,
                            {60.0 + 3.0 * last.time, 100.0}),
             5.0);
-}
-
-// ------------------------------------------------------------ regularized PF
-TEST(RegularizedPf, JitterRestoresParticleDiversity) {
-  auto make = [](bool regularize) {
-    filters::SirFilterConfig config;
-    config.num_particles = 400;
-    config.regularize = regularize;
-    return filters::SirFilter(
-        std::make_unique<tracking::ConstantVelocityModel>(1.0, 0.01, 0.01), config);
-  };
-  auto distinct_positions = [](const filters::SirFilter& f) {
-    std::size_t distinct = 0;
-    for (std::size_t i = 0; i < f.particles().size(); ++i) {
-      bool duplicate = false;
-      for (std::size_t j = 0; j < i; ++j) {
-        if (f.particles()[i].state.position == f.particles()[j].state.position) {
-          duplicate = true;
-          break;
-        }
-      }
-      distinct += !duplicate;
-    }
-    return distinct;
-  };
-
-  for (const bool regularize : {false, true}) {
-    filters::SirFilter filter = make(regularize);
-    rng::Rng rng(24);
-    filter.initialize({{0.0, 0.0}, {0.0, 0.0}}, {5.0, 5.0}, {0.1, 0.1}, rng);
-    // Savage likelihood: everything collapses onto a handful of ancestors.
-    std::vector<double> log_likelihoods;
-    for (const filters::Particle& p : filter.particles()) {
-      log_likelihoods.push_back(-200.0 * p.state.position.norm_squared());
-    }
-    filter.update(log_likelihoods);
-    filter.maybe_resample(rng);
-    if (regularize) {
-      EXPECT_EQ(distinct_positions(filter), 400u);  // jitter separates clones
-    } else {
-      EXPECT_LT(distinct_positions(filter), 50u);  // plain SIR leaves clones
-    }
-  }
 }
 
 // ----------------------------------------------------------------- GMM-DPF

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "core/batch_kernels.hpp"
@@ -13,8 +12,9 @@
 namespace cdpf::filters {
 namespace {
 
-std::unique_ptr<const tracking::MotionModel> cv_model(double dt, double sigma) {
-  return std::make_unique<tracking::ConstantVelocityModel>(dt, sigma, sigma);
+// No turns and no speed noise: every particle moves in a straight line.
+tracking::RandomTurnMotionModel straight_motion(double dt) {
+  return tracking::RandomTurnMotionModel(dt, dt, 0.0, 0.0);
 }
 
 // One log-likelihood per particle of `filter`, in particle order: the input
@@ -28,11 +28,10 @@ std::vector<double> score(const SirFilter& filter, LogLikelihood log_likelihood)
   return out;
 }
 
-SirFilter make_filter(std::size_t particles = 500, bool resample_every = true) {
+SirFilter make_filter(std::size_t particles = 500) {
   SirFilterConfig config;
   config.num_particles = particles;
-  config.resample_every_step = resample_every;
-  return SirFilter(cv_model(1.0, 0.1), config);
+  return SirFilter(straight_motion(1.0), config);
 }
 
 TEST(SirFilter, RequiresInitialization) {
@@ -87,31 +86,14 @@ TEST(SirFilter, AllZeroLikelihoodFallsBackToUniform) {
 }
 
 TEST(SirFilter, ResampleEveryStepEqualizesWeights) {
-  SirFilter filter = make_filter(1000, /*resample_every=*/true);
+  SirFilter filter = make_filter(1000);
   rng::Rng rng(311);
   filter.initialize({{0.0, 0.0}, {0.0, 0.0}}, {3.0, 3.0}, {0.1, 0.1}, rng);
   filter.update(score(filter, [](const tracking::TargetState& s) {
     return -s.position.norm_squared();
   }));
-  EXPECT_TRUE(filter.maybe_resample(rng));
+  filter.resample(rng);
   EXPECT_NEAR(filter.ess(), 1000.0, 1e-6);
-}
-
-TEST(SirFilter, SisModeOnlyResamplesBelowThreshold) {
-  SirFilterConfig config;
-  config.num_particles = 1000;
-  config.resample_every_step = false;
-  config.ess_threshold_fraction = 0.5;
-  SirFilter filter(cv_model(1.0, 0.1), config);
-  rng::Rng rng(313);
-  filter.initialize({{0.0, 0.0}, {0.0, 0.0}}, {1.0, 1.0}, {0.1, 0.1}, rng);
-  // Uniform weights: ESS = N, no resampling.
-  EXPECT_FALSE(filter.maybe_resample(rng));
-  // Severely peaked likelihood: ESS collapses below N/2.
-  filter.update(score(filter, [](const tracking::TargetState& s) {
-    return -50.0 * s.position.norm_squared();
-  }));
-  EXPECT_TRUE(filter.maybe_resample(rng));
 }
 
 TEST(SirFilter, TracksStaticTargetWithBearings) {
@@ -127,7 +109,7 @@ TEST(SirFilter, TracksStaticTargetWithBearings) {
 
   SirFilterConfig config;
   config.num_particles = 2000;
-  SirFilter filter(cv_model(1.0, 0.05), config);
+  SirFilter filter(straight_motion(1.0), config);
   rng::Rng rng(317);
   filter.initialize({{45.0, 55.0}, {0.0, 0.0}}, {10.0, 10.0}, {0.1, 0.1}, rng);
   for (int k = 0; k < 10; ++k) {
@@ -136,7 +118,7 @@ TEST(SirFilter, TracksStaticTargetWithBearings) {
     positions.assign_positions(filter.particles());
     evidence.log_likelihoods(positions.x, positions.y, positions.scores);
     filter.update(positions.scores);
-    filter.maybe_resample(rng);
+    filter.resample(rng);
   }
   EXPECT_NEAR(geom::distance(filter.estimate().position, truth), 0.0, 1.0);
 }
@@ -153,11 +135,7 @@ TEST(SirFilter, ExternalParticleInitializationNormalizes) {
 TEST(SirFilter, ConfigValidation) {
   SirFilterConfig bad;
   bad.num_particles = 0;
-  EXPECT_THROW(SirFilter(cv_model(1.0, 0.1), bad), Error);
-  SirFilterConfig bad2;
-  bad2.ess_threshold_fraction = 0.0;
-  EXPECT_THROW(SirFilter(cv_model(1.0, 0.1), bad2), Error);
-  EXPECT_THROW(SirFilter(nullptr, SirFilterConfig{}), Error);
+  EXPECT_THROW(SirFilter(straight_motion(1.0), bad), Error);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ TEST_P(OverhearingSweep, RecordersAlwaysHearTheFullTotal) {
     GTEST_SKIP() << "no nodes near the sampled target";
   }
 
-  const tracking::ConstantVelocityModel motion(1.0, 0.05, 0.05);
+  const tracking::RandomTurnMotionModel motion(1.0, 1.0, 0.0, 0.0);  // straight line
   core::PropagationOutcome outcome;
   core::PropagationScratch scratch;
   core::propagate_particles_into(store, net, radio, motion, rng, outcome, scratch);
@@ -87,7 +87,7 @@ TEST_P(ConservationSweep, DivisionPreservesTotalWeight) {
     GTEST_SKIP();
   }
   const double total_in = store.total_weight();
-  const tracking::ConstantVelocityModel motion(5.0, 0.05, 0.05);
+  const tracking::RandomTurnMotionModel motion(5.0, 5.0, 0.0, 0.0);  // straight line
   core::PropagationOutcome outcome;
   core::PropagationScratch scratch;
   core::propagate_particles_into(store, net, radio, motion, rng, outcome, scratch);

@@ -1,4 +1,4 @@
-// Unit + statistical tests for the tracking substrate: motion models,
+// Unit + statistical tests for the tracking substrate: the motion model,
 // ground-truth trajectories, measurement models and detection models.
 #include <gtest/gtest.h>
 
@@ -21,67 +21,6 @@
 
 namespace cdpf::tracking {
 namespace {
-
-TEST(ConstantVelocityModel, MatricesMatchPaperEquation5) {
-  const ConstantVelocityModel m(5.0, 0.05, 0.05);
-  const auto& phi = m.phi();
-  EXPECT_DOUBLE_EQ(phi(0, 2), 5.0);
-  EXPECT_DOUBLE_EQ(phi(1, 3), 5.0);
-  EXPECT_DOUBLE_EQ(phi(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(phi(0, 1), 0.0);
-  const auto& gamma = m.gamma();
-  EXPECT_DOUBLE_EQ(gamma(0, 0), 12.5);  // dt^2 / 2
-  EXPECT_DOUBLE_EQ(gamma(2, 0), 1.0);
-  EXPECT_DOUBLE_EQ(gamma(0, 1), 0.0);
-}
-
-TEST(ConstantVelocityModel, ProcessNoiseCovarianceIsConsistent) {
-  const ConstantVelocityModel m(2.0, 0.1, 0.2);
-  const auto& q = m.process_noise_covariance();
-  // Q = Gamma diag(sx^2, sy^2) Gamma^T; spot-check entries.
-  EXPECT_NEAR(q(2, 2), 0.01, 1e-15);                    // sx^2
-  EXPECT_NEAR(q(3, 3), 0.04, 1e-15);                    // sy^2
-  EXPECT_NEAR(q(0, 0), 2.0 * 2.0 / 4.0 * 0.01 * 4.0, 1e-12);  // (dt^2/2)^2 sx^2
-  EXPECT_NEAR(q(0, 2), 2.0 * 0.01, 1e-15);              // (dt^2/2) sx^2
-  EXPECT_NEAR(q(0, 1), 0.0, 1e-15);
-}
-
-TEST(ConstantVelocityModel, PropagateIsStraightLine) {
-  const ConstantVelocityModel m(2.0, 0.05, 0.05);
-  const TargetState s{{1.0, 2.0}, {3.0, -1.0}};
-  const TargetState next = m.propagate(s);
-  EXPECT_EQ(next.position, geom::Vec2(7.0, 0.0));
-  EXPECT_EQ(next.velocity, s.velocity);
-}
-
-TEST(ConstantVelocityModel, SampleMomentsMatchModel) {
-  const ConstantVelocityModel m(1.0, 0.3, 0.3);
-  rng::Rng rng(101);
-  const TargetState s{{0.0, 0.0}, {1.0, 0.0}};
-  double vx_sum = 0.0, vx_sq = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    const TargetState next = m.sample(s, rng);
-    vx_sum += next.velocity.x;
-    vx_sq += (next.velocity.x - 1.0) * (next.velocity.x - 1.0);
-  }
-  EXPECT_NEAR(vx_sum / n, 1.0, 0.01);
-  EXPECT_NEAR(std::sqrt(vx_sq / n), 0.3, 0.01);
-}
-
-TEST(ConstantVelocityModel, TransitionDensityPositiveForSamples) {
-  const ConstantVelocityModel m(1.0, 0.1, 0.1);
-  rng::Rng rng(103);
-  const TargetState s{{5.0, 5.0}, {1.0, 2.0}};
-  for (int i = 0; i < 100; ++i) {
-    const TargetState next = m.sample(s, rng);
-    EXPECT_GT(m.transition_density(s, next), 0.0);
-  }
-  // An unreachable next state (wrong position for its velocity) has zero density.
-  TargetState bogus = m.propagate(s);
-  bogus.position.x += 1.0;
-  EXPECT_DOUBLE_EQ(m.transition_density(s, bogus), 0.0);
-}
 
 TEST(RandomTurnModel, PreservesSpeedWithoutNoise) {
   const RandomTurnMotionModel m(5.0, 1.0, geom::deg_to_rad(15.0), 0.0);
@@ -117,17 +56,50 @@ TEST(RandomTurnModel, InvalidConfigThrows) {
   EXPECT_THROW(RandomTurnMotionModel(0.4, 1.0, 0.1, 0.0), Error);  // < 1 substep
 }
 
+TEST(RandomTurnModel, SampleVelocityMatchesSample) {
+  // sample_velocity() must consume exactly sample()'s RNG draws and return
+  // its velocity bit for bit: CDPF's division loop calls it in place of
+  // sample(), so any drift here moves every CDPF output.
+  rng::Rng states(137);
+  for (const RandomTurnMotionModel& m :
+       {make_motion_model(5.0), RandomTurnMotionModel(5.0, 5.0, 0.0, 0.0)}) {
+    rng::Rng sample_rng(139);
+    rng::Rng velocity_rng(139);
+    for (int i = 0; i < 2000; ++i) {
+      TargetState state{{states.uniform(0.0, 200.0), states.uniform(0.0, 200.0)},
+                        {states.uniform(-4.0, 4.0), states.uniform(-4.0, 4.0)}};
+      if (i % 100 == 0) {
+        state.velocity = {};  // standing still: heading atan2(0, 0)
+      }
+      const geom::Vec2 expected = m.sample(state, sample_rng).velocity;
+      const SampledKinematics got = m.sample_velocity(state, velocity_rng);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.velocity.x),
+                std::bit_cast<std::uint64_t>(expected.x))
+          << "draw " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.velocity.y),
+                std::bit_cast<std::uint64_t>(expected.y))
+          << "draw " << i;
+      ASSERT_NEAR(got.speed, expected.norm(), 1e-12 * (1.0 + got.speed)) << "draw " << i;
+      // The streams stay in lockstep, cached Gaussian included.
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(velocity_rng.gaussian()),
+                std::bit_cast<std::uint64_t>(sample_rng.gaussian()))
+          << "draw " << i;
+      ASSERT_EQ(velocity_rng.engine()(), sample_rng.engine()()) << "draw " << i;
+    }
+  }
+}
+
 TEST(MotionModelFactory, BuildsConfiguredKind) {
   // The filters' proposal is the paper's ground-truth process: 1 s
   // substeps, turns within +-15 degrees, 2% speed sigma.
-  const auto model = make_motion_model(5.0);
+  const RandomTurnMotionModel model = make_motion_model(5.0);
   const RandomTurnMotionModel reference(5.0, 1.0, geom::deg_to_rad(15.0), 0.02);
-  EXPECT_DOUBLE_EQ(model->dt(), 5.0);
+  EXPECT_DOUBLE_EQ(model.dt(), 5.0);
   rng::Rng model_rng(131);
   rng::Rng reference_rng(131);
   TargetState state{{10.0, 20.0}, {3.0, 0.0}};
   for (int i = 0; i < 20; ++i) {
-    const TargetState next = model->sample(state, model_rng);
+    const TargetState next = model.sample(state, model_rng);
     const TargetState expected = reference.sample(state, reference_rng);
     ASSERT_EQ(next.position, expected.position) << "draw " << i;
     ASSERT_EQ(next.velocity, expected.velocity) << "draw " << i;
