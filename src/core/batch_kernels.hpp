@@ -41,14 +41,17 @@
 // not hear a record adds +0.0 and multiplies by 1.0. Each point still meets
 // its records in their stored order with the same operations, so every
 // result is bit-identical to a per-point loop. The kernel is cloned for
-// AVX2 and for the baseline ISA and the loader picks one (target_clones);
-// no clone may enable FMA, since C++ defaults to -ffp-contract=fast and a
-// contracted multiply-add rounds once instead of twice. The file's two
+// AVX-512F, AVX2 and the baseline ISA and the loader picks one
+// (target_clones). The file is compiled with -ffp-contract=off: C++
+// defaults to -ffp-contract=fast, and a contracted multiply-add rounds once
+// instead of twice, so with contraction off every clone rounds as the
+// scalar code does, whatever FMA its target offers. The file's other two
 // flags change no value: -fno-trapping-math only lets both arms of a
 // select be computed (no trap handler exists to observe that), and
 // -fvect-cost-model=dynamic only lets -O2 vectorize a loop with a run-time
-// trip count. The `batch_kernels_vectorized` lint gate checks that both
-// clones vectorize the record loop.
+// trip count. The `batch_kernels_vectorized` lint gate checks that all
+// three clones vectorize the record loop and that the object holds no
+// fused multiply-add.
 //
 // Callers evaluate the evidence only as often as its inputs differ: SDPF's
 // particles sit exactly on their host's position ("motes as particles"), so

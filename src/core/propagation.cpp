@@ -210,26 +210,31 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
 
     // Division rule (paper §III-B): total weight preserved; weight ratios
     // equal the linear-model probability ratios. Each recorded copy draws
-    // its own process-noise realization (prior as importance density); only
-    // the sampled VELOCITY is consumed (the recorder's position is the
-    // particle's new position), so the velocity-only sampling entry point
-    // applies — same RNG draws, no position integration.
+    // its own process-noise realization (prior as importance density) as a
+    // polar walk from the host particle's heading and speed, taken once
+    // here for all of its copies. The recorder's position is the copy's
+    // new position, so no position is integrated, and the sampled heading
+    // is used only when the recorder sits on the host.
+    const double host_heading = particle.velocity.angle();
+    const double host_speed = particle.velocity.norm();
 #ifndef NDEBUG
     support::NeumaierSum divided;
 #endif
     for (std::size_t i = 0; i < recorders.size(); ++i) {
       const double weight = particle.weight * probabilities[i] / probability_sum;
-      const tracking::SampledKinematics sampled =
-          motion.sample_velocity({host_position, particle.velocity}, rng);
-      geom::Vec2 velocity = sampled.velocity;
+      const tracking::PolarVelocity sampled = motion.sample_polar(host_heading, host_speed, rng);
       // The recorded heading is the hop's actual displacement (recorder
       // minus broadcaster position), at the sampled speed. With particles
       // snapped to node positions this keeps position and velocity
       // consistent within a particle, so the weight update exerts selection
-      // pressure on velocity, not just position.
+      // pressure on velocity, not just position. A recorder on the host
+      // has no hop direction and keeps the sampled heading.
+      geom::Vec2 velocity;
       if (rec_d2[i] > 1e-12) {
         const double scale = sampled.speed / std::sqrt(rec_d2[i]);
         velocity = {rec_dx[i] * scale, rec_dy[i] * scale};
+      } else {
+        velocity = geom::Vec2::from_angle(sampled.heading) * sampled.speed;
       }
 #ifndef NDEBUG
       divided.add(weight);

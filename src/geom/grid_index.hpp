@@ -119,13 +119,13 @@ class GridIndex {
   /// size() when no point beats `bound`.
   ///
   /// Cells are scanned nearest to `target` first and skipped once they
-  /// cannot win: `floor(d)` must bound from below the key of every point of
-  /// a cell whose box lies at Euclidean distance d from `target`, with
-  /// enough margin to absorb rounding — a cell is skipped only when its
-  /// floor exceeds the best key so far, so no candidate that could win or
-  /// tie is ever passed over. A NaN floor never skips. Pending cells live
-  /// in a fixed-capacity stack buffer, scanned whenever it fills, so the
-  /// query never allocates.
+  /// cannot win: `floor(d, c)` must bound from below the key of every point
+  /// of cell `c` (a cell_of() value), whose box lies at Euclidean distance d
+  /// from `target`, with enough margin to absorb rounding — a cell is
+  /// skipped only when its floor exceeds the best key so far, so no
+  /// candidate that could win or tie is ever passed over. A NaN floor never
+  /// skips. Pending cells live in a fixed-capacity stack buffer, scanned
+  /// whenever it fills, so the query never allocates.
   template <typename Key, typename Floor>
   std::size_t nearest_in_disk(Vec2 center, double radius, Vec2 target, double bound,
                               Key&& key, Floor&& floor) const {
@@ -180,7 +180,7 @@ class GridIndex {
       const double y_lo = bounds_.lo.y + static_cast<double>(c / nx_) * cell_size_;
       const double dx = std::max({x_lo - target.x, target.x - (x_lo + cell_size_), 0.0});
       const double dy = std::max({y_lo - target.y, target.y - (y_lo + cell_size_), 0.0});
-      const double f = floor(std::sqrt(dx * dx + dy * dy));
+      const double f = floor(std::sqrt(dx * dx + dy * dy), c);
       pending[num_pending++] = {std::isnan(f) ? -std::numeric_limits<double>::infinity() : f,
                                 c, fully_inside};
       if (num_pending == pending.size()) {
@@ -193,6 +193,10 @@ class GridIndex {
 
   const Aabb& bounds() const { return bounds_; }
   double cell_size() const { return cell_size_; }
+  std::size_t num_cells() const { return nx_ * ny_; }
+  /// The cell, in [0, num_cells()), that holds a point at `p` (an indexed
+  /// point's own cell, for its coordinates).
+  std::size_t cell_of(Vec2 p) const;
 
  private:
   /// Pending-cell capacity of nearest_in_disk: a disk of three cell radii
@@ -244,7 +248,6 @@ class GridIndex {
     }
   }
 
-  std::size_t cell_of(Vec2 p) const;
   std::size_t clamped_cell_coord(double v, double lo, std::size_t n) const {
     const auto c = static_cast<std::ptrdiff_t>(std::floor((v - lo) / cell_size_));
     return static_cast<std::size_t>(

@@ -41,20 +41,17 @@ TargetState RandomTurnMotionModel::sample(const TargetState& state,
   return next;
 }
 
-SampledKinematics RandomTurnMotionModel::sample_velocity(const TargetState& state,
-                                                         rng::Rng& rng) const {
-  // Identical draws in identical order to sample(); heading/speed evolve the
-  // same way, so from_angle(heading) * speed reproduces sample()'s final
-  // velocity bit for bit.
-  double heading = state.velocity.angle();
-  double speed = state.velocity.norm();
+PolarVelocity RandomTurnMotionModel::sample_polar(double heading, double speed,
+                                                  rng::Rng& rng) const {
+  // Identical draws in identical order to sample(), and heading and speed
+  // evolve the same way.
   for (std::size_t i = 0; i < substeps_; ++i) {
     heading += rng.uniform(-max_turn_rad_, max_turn_rad_);
     if (speed_sigma_fraction_ > 0.0) {
       speed = std::max(0.0, speed * (1.0 + rng.gaussian(0.0, speed_sigma_fraction_)));
     }
   }
-  return {geom::Vec2::from_angle(heading) * speed, speed};
+  return {heading, speed};
 }
 
 RandomTurnMotionModel make_motion_model(double dt) {

@@ -12,11 +12,10 @@
 
 namespace cdpf::tracking {
 
-/// What CDPF's division loop actually needs from a proposal draw: the new
-/// velocity and its magnitude, which the random-turn walk has in hand anyway
-/// (so the caller need not re-derive it with a hypot).
-struct SampledKinematics {
-  geom::Vec2 velocity;
+/// A velocity in polar form: heading (rad from +x) and speed (m/s), as the
+/// random-turn walk carries it between substeps.
+struct PolarVelocity {
+  double heading = 0.0;
   double speed = 0.0;
 };
 
@@ -42,15 +41,19 @@ class RandomTurnMotionModel {
   /// Stochastic propagation: one draw from p(x_k | x_{k-1}).
   TargetState sample(const TargetState& state, rng::Rng& rng) const;
 
-  /// Velocity-only stochastic propagation: consumes EXACTLY the same RNG
-  /// draws as sample() and returns the same next.velocity (bitwise), plus
-  /// its norm, but materializes only the final substep's velocity (one
-  /// sincos instead of one per substep, and no position integration).
-  /// CDPF's particle division discards sample()'s position (recorder
-  /// geometry decides where the particle lands), and this is the hottest
-  /// call in that filter; breaking the RNG-stream or bitwise-velocity
-  /// contract moves the golden outputs.
-  SampledKinematics sample_velocity(const TargetState& state, rng::Rng& rng) const;
+  /// The velocity walk of sample() in polar form: starting from
+  /// (heading, speed) — sample() starts from (velocity.angle(),
+  /// velocity.norm()) — it consumes EXACTLY sample()'s RNG draws, in the
+  /// same order, and returns the final substep's heading and speed, so
+  /// from_angle(heading) * speed is sample()'s next.velocity bit for bit.
+  /// It computes no trigonometry and integrates no position. CDPF's
+  /// particle division draws one per recorded copy: the recorder's position
+  /// becomes the copy's and the hop's direction its heading, so the caller
+  /// takes the host's angle() and norm() once for all of its copies and
+  /// builds a velocity from the heading only when the recorder sits on the
+  /// host. Breaking the RNG-stream or bitwise contract moves the golden
+  /// outputs.
+  PolarVelocity sample_polar(double heading, double speed, rng::Rng& rng) const;
 
  private:
   double dt_;

@@ -48,18 +48,18 @@ void Network::set_believed_positions(std::vector<geom::Vec2> believed) {
   CDPF_CHECK_MSG(believed.size() == nodes_.size(),
                  "need one believed position per node");
   believed_positions_ = std::move(believed);
-  max_displacement_ = 0.0;
+  cell_displacement_.assign(index_->num_cells(), 0.0);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const double d = geom::distance(believed_positions_[i], nodes_[i].position);
-    max_displacement_ =
-        std::max(max_displacement_, std::isnan(d) ? std::numeric_limits<double>::infinity() : d);
+    double& cell = cell_displacement_[index_->cell_of(nodes_[i].position)];
+    cell = std::max(cell, std::isnan(d) ? std::numeric_limits<double>::infinity() : d);
   }
   ++activity_epoch_;
 }
 
 void Network::clear_believed_positions() {
   believed_positions_.clear();
-  max_displacement_ = 0.0;
+  cell_displacement_.clear();
   ++activity_epoch_;
 }
 
@@ -162,25 +162,25 @@ template <double (*Distance)(geom::Vec2, geom::Vec2)>
 NodeId Network::nearest_comm_neighbour(NodeId u, geom::Vec2 target, double bound) const {
   CDPF_CHECK_MSG(u < nodes_.size(), "node id out of range");
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Every point of a cell at true distance d from target believes itself at
-  // least d - max_displacement_ away (triangle inequality). The rounding in
-  // the cell bounds, the grid's cell assignment, the displacement and the
+  // Every node of cell c at true distance d from target believes itself at
+  // least d - cell_displacement_[c] away (triangle inequality). The rounding
+  // in the cell bounds, the grid's cell assignment, the displacement and the
   // ranked distances is a few ulp of the coordinates involved; the slack,
   // 1e-9 of their scale, dwarfs it, so no candidate that could tie is
   // skipped.
   const geom::Aabb& field = config_.field;
-  const double slack =
-      1e-9 * (std::abs(target.x) + std::abs(target.y) + std::abs(field.lo.x) +
-              std::abs(field.lo.y) + std::abs(field.hi.x) + std::abs(field.hi.y) +
-              config_.comm_radius + index_->cell_size() + max_displacement_);
+  const double scale = std::abs(target.x) + std::abs(target.y) + std::abs(field.lo.x) +
+                       std::abs(field.lo.y) + std::abs(field.hi.x) + std::abs(field.hi.y) +
+                       config_.comm_radius + index_->cell_size();
   const std::size_t id = index_->nearest_in_disk(
       nodes_[u].position, config_.comm_radius, target, bound,
       [&](std::size_t v) {
         return v == u || active_[v] == 0 ? kInf
                                          : Distance(position(static_cast<NodeId>(v)), target);
       },
-      [&](double cell_distance) {
-        const double reach = cell_distance - max_displacement_ - slack;
+      [&](double cell_distance, std::size_t cell) {
+        const double displacement = cell_displacement_.empty() ? 0.0 : cell_displacement_[cell];
+        const double reach = cell_distance - displacement - 1e-9 * (scale + displacement);
         return reach > 0.0 ? Distance(geom::Vec2{}, geom::Vec2{reach, 0.0}) : -kInf;
       });
   return id == index_->size() ? kInvalidNodeId : static_cast<NodeId>(id);

@@ -157,8 +157,9 @@ class Network {
   /// or geom::distance_squared (the two instantiations network.cpp
   /// provides). Allocation-free, and with no cache: the grid scans the
   /// disk's cells nearest to `target` first and skips a cell once even its
-  /// nearest point, moved by the largest believed-vs-true displacement,
-  /// cannot tie the best candidate so far (GridIndex::nearest_in_disk).
+  /// nearest point, moved by the largest believed-vs-true displacement of
+  /// the nodes in that cell, cannot tie the best candidate so far
+  /// (GridIndex::nearest_in_disk).
   template <double (*Distance)(geom::Vec2, geom::Vec2)>
   NodeId nearest_comm_neighbour(NodeId u, geom::Vec2 target, double bound) const;
 
@@ -194,10 +195,12 @@ class Network {
   NetworkConfig config_;
   std::vector<Node> nodes_;
   std::vector<geom::Vec2> believed_positions_;  // empty => believed == true
-  // Largest |believed - true| over all nodes (0 when believed == true, +inf
-  // when a believed position is NaN): how far a believed distance may fall
-  // below a true one, the pruning margin of nearest_comm_neighbour.
-  double max_displacement_ = 0.0;
+  // Per grid cell, the largest |believed - true| of the nodes whose true
+  // position the cell holds (+inf when a believed position is NaN; empty,
+  // i.e. 0 everywhere, when believed == true): how far a believed distance
+  // from a node of the cell may fall below a true one, the pruning margin of
+  // nearest_comm_neighbour for that cell.
+  std::vector<double> cell_displacement_;
   std::unique_ptr<geom::GridIndex> index_;
   NodeId sink_ = kInvalidNodeId;
   // Activity mirror of nodes_: the spatial-query filter only needs one byte

@@ -3,6 +3,8 @@
 // step possible (§IV-A).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -305,6 +307,37 @@ TEST(Propagation, DisplacementVelocityPointsAlongHop) {
   // Hop displacement is +x: the recorded heading must be +x, speed ~2.
   EXPECT_NEAR(v.angle(), 0.0, 1e-6);
   EXPECT_NEAR(v.norm(), 2.0, 1e-3);
+}
+
+TEST(Propagation, CoLocatedRecorderKeepsTheSampledHeading) {
+  // Node 1 sits on the host, so its hop has no direction: the recorded copy
+  // keeps the heading the proposal sampled, and its velocity is sample()'s
+  // bit for bit, on both recorder routes, with the same RNG consumption.
+  const std::vector<geom::Vec2> positions{{100.0, 100.0}, {100.0, 100.0}};
+  wsn::Network net(positions, paper_config());
+  const tracking::RandomTurnMotionModel motion = tracking::make_motion_model(5.0);
+  const geom::Vec2 host_velocity{0.6, -0.8};  // predicted (103, 96): 5 m off node 1
+  ParticleStore store;
+  store.add(0, host_velocity, 1.3);
+  for (const bool believed : {false, true}) {
+    SCOPED_TRACE(believed ? "receiver list" : "direct scan");
+    if (believed) {
+      net.set_believed_positions(positions);
+    }
+    wsn::Radio radio(net, wsn::PayloadSizes{});
+    rng::Rng rng(523);
+    rng::Rng twin(523);
+    Round round;
+    const PropagationOutcome& outcome = round.run(store, net, radio, motion, rng);
+    ASSERT_EQ(outcome.next.size(), 1u);
+    ASSERT_TRUE(outcome.next.contains(1));
+    const geom::Vec2 expected = motion.sample({positions[0], host_velocity}, twin).velocity;
+    const geom::Vec2 v = outcome.next.find(1)->velocity;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.x), std::bit_cast<std::uint64_t>(expected.x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.y), std::bit_cast<std::uint64_t>(expected.y));
+    EXPECT_NEAR(outcome.next.find(1)->weight, 1.3, 1e-12);
+    EXPECT_EQ(rng.engine()(), twin.engine()());
+  }
 }
 
 TEST(Propagation, ReceiverListRouteMatchesDirectScan) {

@@ -56,15 +56,16 @@ TEST(RandomTurnModel, InvalidConfigThrows) {
   EXPECT_THROW(RandomTurnMotionModel(0.4, 1.0, 0.1, 0.0), Error);  // < 1 substep
 }
 
-TEST(RandomTurnModel, SampleVelocityMatchesSample) {
-  // sample_velocity() must consume exactly sample()'s RNG draws and return
-  // its velocity bit for bit: CDPF's division loop calls it in place of
-  // sample(), so any drift here moves every CDPF output.
+TEST(RandomTurnModel, SamplePolarMatchesSample) {
+  // sample_polar() from the state's (angle(), norm()) must consume exactly
+  // sample()'s RNG draws and land on its velocity bit for bit: CDPF's
+  // division loop calls it in place of sample(), so any drift here moves
+  // every CDPF output.
   rng::Rng states(137);
   for (const RandomTurnMotionModel& m :
        {make_motion_model(5.0), RandomTurnMotionModel(5.0, 5.0, 0.0, 0.0)}) {
     rng::Rng sample_rng(139);
-    rng::Rng velocity_rng(139);
+    rng::Rng polar_rng(139);
     for (int i = 0; i < 2000; ++i) {
       TargetState state{{states.uniform(0.0, 200.0), states.uniform(0.0, 200.0)},
                         {states.uniform(-4.0, 4.0), states.uniform(-4.0, 4.0)}};
@@ -72,19 +73,21 @@ TEST(RandomTurnModel, SampleVelocityMatchesSample) {
         state.velocity = {};  // standing still: heading atan2(0, 0)
       }
       const geom::Vec2 expected = m.sample(state, sample_rng).velocity;
-      const SampledKinematics got = m.sample_velocity(state, velocity_rng);
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.velocity.x),
+      const PolarVelocity got =
+          m.sample_polar(state.velocity.angle(), state.velocity.norm(), polar_rng);
+      const geom::Vec2 velocity = geom::Vec2::from_angle(got.heading) * got.speed;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(velocity.x),
                 std::bit_cast<std::uint64_t>(expected.x))
           << "draw " << i;
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.velocity.y),
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(velocity.y),
                 std::bit_cast<std::uint64_t>(expected.y))
           << "draw " << i;
       ASSERT_NEAR(got.speed, expected.norm(), 1e-12 * (1.0 + got.speed)) << "draw " << i;
       // The streams stay in lockstep, cached Gaussian included.
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(velocity_rng.gaussian()),
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(polar_rng.gaussian()),
                 std::bit_cast<std::uint64_t>(sample_rng.gaussian()))
           << "draw " << i;
-      ASSERT_EQ(velocity_rng.engine()(), sample_rng.engine()()) << "draw " << i;
+      ASSERT_EQ(polar_rng.engine()(), sample_rng.engine()()) << "draw " << i;
     }
   }
 }

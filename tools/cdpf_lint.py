@@ -49,7 +49,12 @@ compiler warnings) cannot express:
                        every clone must round as that source does: C++
                        defaults to -ffp-contract=fast, so a clone that may
                        use FMA contracts a*b+c into one rounding and changes
-                       results bit for bit.
+                       results bit for bit. One exception: `avx512f` is
+                       allowed in a source file that the root CMakeLists.txt
+                       hands to tools/check_vectorized.py (`--source`), since
+                       that gate compiles the file with its own flags
+                       (-ffp-contract=off among them) and fails if the object
+                       holds any fused multiply-add.
 
 A finding can be waived on a specific line with a trailing or preceding
 comment `// cdpf-lint: allow(<rule>)` — use sparingly and say why.
@@ -83,7 +88,11 @@ RAND_RE = re.compile(r"(?<![\w:])(?:std::)?(?:s?rand)\s*\(")
 SIMD_HEADER_RE = re.compile(
     r"#\s*include\s*<(?:[a-z0-9]*intrin\.h|arm_neon\.h)>")
 TARGET_ATTR_RE = re.compile(r"\btarget(?:_clones)?\s*\((?P<targets>[^()]*)\)")
-FMA_TARGET_RE = re.compile(r"fma|arch=|avx512")
+TARGET_NAME_RE = re.compile(r'"([^"]*)"')
+# The source files the object gate (tools/check_vectorized.py) compiles and
+# disassembles, as the root CMakeLists.txt registers them.
+GATED_SOURCE_RE = re.compile(
+    r"check_vectorized\.py[^)]*?--source\s+\$\{CMAKE_CURRENT_SOURCE_DIR\}/(\S+)")
 
 UNORDERED_RE = re.compile(r"\bstd::unordered_(?:multi)?(?:map|set)\b")
 
@@ -136,7 +145,19 @@ def lint_no_std_rand(path: pathlib.Path, lines: list[str]) -> list[Finding]:
     return findings
 
 
-def lint_no_explicit_simd(path: pathlib.Path, lines: list[str]) -> list[Finding]:
+def fma_capable_targets(targets: str, object_gated: bool) -> list[str]:
+    """The target names of one attribute's string arguments that may use FMA.
+
+    `avx512f` passes only in a file the object gate checks for FMA."""
+    names = [name.strip() for arg in TARGET_NAME_RE.findall(targets)
+             for name in arg.split(",")]
+    return [name for name in names
+            if "fma" in name or name.startswith("arch=")
+            or (name.startswith("avx512") and not (name == "avx512f" and object_gated))]
+
+
+def lint_no_explicit_simd(path: pathlib.Path, lines: list[str],
+                          object_gated: bool) -> list[Finding]:
     findings = []
     for i, line in enumerate(lines):
         code = line.split("//", 1)[0]
@@ -148,13 +169,15 @@ def lint_no_explicit_simd(path: pathlib.Path, lines: list[str]) -> list[Finding]
                         "SIMD intrinsics are banned; write scalar loops the "
                         "compiler vectorizes"))
         for m in TARGET_ATTR_RE.finditer(code):
-            targets = m.group("targets")
-            if '"' in targets and FMA_TARGET_RE.search(targets):
+            banned = fma_capable_targets(m.group("targets"), object_gated)
+            if banned:
                 findings.append(
                     Finding(path, i + 1, "no-explicit-simd",
-                            f"target {targets.strip()} may contract "
+                            f"target {', '.join(banned)} may contract "
                             "multiply-adds into FMA and change results; "
-                            "clone for \"avx2\" and \"default\" only"))
+                            "clone for \"avx2\" and \"default\" only, or for "
+                            "\"avx512f\" in a file tools/check_vectorized.py "
+                            "checks"))
     return findings
 
 
@@ -320,14 +343,20 @@ def main() -> int:
 
     findings: list[Finding] = []
 
+    cmake_lists = root / "CMakeLists.txt"
+    object_gated = set(GATED_SOURCE_RE.findall(cmake_lists.read_text())
+                       if cmake_lists.is_file() else [])
+
     rand_scope = []
     for sub in ("src", "examples", "bench", "tests"):
         rand_scope += sorted((root / sub).rglob("*.cpp"))
         rand_scope += sorted((root / sub).rglob("*.hpp"))
     for path in rand_scope:
         lines = path.read_text().splitlines()
-        findings += lint_no_std_rand(path.relative_to(root), lines)
-        findings += lint_no_explicit_simd(path.relative_to(root), lines)
+        relative = path.relative_to(root)
+        findings += lint_no_std_rand(relative, lines)
+        findings += lint_no_explicit_simd(relative, lines,
+                                          relative.as_posix() in object_gated)
 
     for path in sorted((root / "src").rglob("*.cpp")) + sorted(
             (root / "src").rglob("*.hpp")):

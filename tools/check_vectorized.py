@@ -1,20 +1,29 @@
 #!/usr/bin/env python3
-"""Vectorization gate: the marked loops of a source file must vectorize.
+"""Vectorization gate: the marked loops of a source file must vectorize, and
+the compiled object must hold no fused multiply-add.
 
 Compiles SOURCE with the given compiler flags plus -fopt-info-vec-optimized
 and reads GCC's report. Every line of SOURCE that carries the marker comment
-`cdpf-check: vectorized` must be reported as a vectorized loop twice: once
-with 32-byte vectors (the AVX2 clone of a target_clones function) and once
-with 16-byte vectors (its baseline x86-64 clone, SSE2).
+`cdpf-check: vectorized` must be reported as a vectorized loop three times:
+with 64-byte vectors (the AVX-512F clone of a target_clones function), with
+32-byte vectors (its AVX2 clone) and with 16-byte vectors (its baseline
+x86-64 clone, SSE2).
+
+The object is then disassembled with objdump, and any vfmadd*, vfmsub*,
+vfnmadd* or vfnmsub* instruction fails the gate. A fused multiply-add rounds
+once where the scalar source rounds twice, so a clone that contracts one
+changes results bit for bit; the source file is compiled with
+-ffp-contract=off so that no clone does, even where its target has FMA.
 
     tools/check_vectorized.py --compiler g++ --source src/core/batch_kernels.cpp \\
-        -- -std=c++20 -Isrc -O2 -g -DNDEBUG -fno-trapping-math \\
-           -fvect-cost-model=dynamic
+        -- -std=c++20 -Isrc -O2 -g -DNDEBUG -ffp-contract=off \\
+           -fno-trapping-math -fvect-cost-model=dynamic
 
 The report format is GCC's, so with any other compiler the gate prints
 why it skipped and exits 0, as the other lint gates do when their tool is
-missing. Exit status: 0 when every marked loop vectorized in both clones (or
-skipped), 1 when one did not, 2 on bad arguments or a failed compile.
+missing. Exit status: 0 when every marked loop vectorized in every clone and
+the object holds no FMA (or skipped), 1 when either fails, 2 on bad
+arguments, a failed compile or no objdump.
 """
 
 from __future__ import annotations
@@ -23,13 +32,17 @@ import argparse
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
 
 MARKER = "cdpf-check: vectorized"
 REPORT_RE = re.compile(r":(\d+):\d+: optimized: loop vectorized using (\d+) byte vectors")
-REQUIRED_WIDTHS = (32, 16)
+REQUIRED_WIDTHS = (64, 32, 16)
+# Fused multiply-add mnemonics of every x86 FMA extension (FMA3, FMA4,
+# AVX-512), packed and scalar, including the add/sub-alternating forms.
+FMA_RE = re.compile(r"\bvfn?m(?:add|sub)\w*")
 
 
 def is_gcc(compiler: str) -> bool:
@@ -60,13 +73,25 @@ def main() -> int:
         print(f"check_vectorized: skipped, {args.compiler} is not GCC")
         return 0
 
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        print("check_vectorized: no objdump on PATH to disassemble the object",
+              file=sys.stderr)
+        return 2
+
     with tempfile.TemporaryDirectory() as tmp:
+        obj = os.path.join(tmp, "kernel.o")
         cmd = [args.compiler, *args.flags, "-fopt-info-vec-optimized", "-c",
-               str(args.source), "-o", os.path.join(tmp, "kernel.o")]
+               str(args.source), "-o", obj]
         run = subprocess.run(cmd, capture_output=True, text=True, check=False)
-    if run.returncode != 0:
-        print(" ".join(cmd), file=sys.stderr)
-        print(run.stderr, file=sys.stderr)
+        if run.returncode != 0:
+            print(" ".join(cmd), file=sys.stderr)
+            print(run.stderr, file=sys.stderr)
+            return 2
+        disassembly = subprocess.run([objdump, "-d", "--no-show-raw-insn", obj],
+                                     capture_output=True, text=True, check=False)
+    if disassembly.returncode != 0:
+        print(disassembly.stderr, file=sys.stderr)
         return 2
 
     widths: dict[int, set[int]] = {}
@@ -87,9 +112,17 @@ def main() -> int:
                   f"{', '.join(f'{w}-byte' for w in missing)} vectors")
     if failed:
         print(run.stderr, file=sys.stderr)
+    fused = [line.strip() for line in disassembly.stdout.splitlines()
+             if FMA_RE.search(line)]
+    if fused:
+        failed = True
+        print(f"{args.source}: object holds {len(fused)} fused multiply-add "
+              f"instruction(s), e.g. {fused[0]!r}; compile it with -ffp-contract=off")
+    if failed:
         return 1
     print(f"check_vectorized: {len(marked)} marked loop(s) of {name} vectorized "
-          f"with {' and '.join(f'{w}-byte' for w in REQUIRED_WIDTHS)} vectors")
+          f"with {', '.join(f'{w}-byte' for w in REQUIRED_WIDTHS)} vectors; "
+          "no fused multiply-add in the object")
     return 0
 
 
