@@ -10,7 +10,6 @@
 // mean/median/stddev/cv aggregates and `--benchmark_context=k=v` tags it.
 #include <benchmark/benchmark.h>
 
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -224,7 +223,6 @@ struct WarmCdpf {
   wsn::Radio radio;
   core::Cdpf filter;
   core::SensingSnapshot snapshot;
-  std::vector<wsn::NodeId> detecting;
 
   WarmCdpf(double density, bool neighborhood_estimation, sim::Scenario scenario,
            core::CdpfConfig config)
@@ -240,9 +238,8 @@ struct WarmCdpf {
       filter.take_estimates();
       target.x += 3.0 * dt;
     }
-    network.detecting_nodes(target, detecting);
-    for (const wsn::NodeId id : detecting) {
-      snapshot.detections.push_back({id, std::numeric_limits<double>::quiet_NaN()});
+    network.detecting_nodes(target, snapshot.detections);
+    for (const wsn::NodeId id : snapshot.detections) {
       snapshot.measurements.push_back(
           {id, bearing.measure(network.position(id), target, rng)});
     }
@@ -278,7 +275,7 @@ void BM_NeighborhoodAssign(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    warm.filter.bench_neighborhood_assign(warm.detecting);
+    warm.filter.bench_neighborhood_assign(warm.snapshot.detections);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(warm.filter.particles().size()));

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "support/check.hpp"
 #include "support/log.hpp"
 #include "support/trace.hpp"
-#include "wsn/routing.hpp"
 
 namespace cdpf::core {
 
@@ -39,8 +37,7 @@ Cdpf::Cdpf(wsn::Network& network, wsn::Radio& radio, CdpfConfig config)
       motion_(tracking::make_motion_model(config.dt)),
       bearing_(config.sigma_bearing),
       evidence_(config.sigma_bearing, quantization_length(network),
-                network.config().comm_radius),
-      router_(network) {
+                network.config().comm_radius) {
   // Pre-size every per-iteration buffer to its worst case (the node count
   // bounds hosts, receivers and area membership alike) so steady-state
   // iterations never touch the allocator. A few MB at the densest paper
@@ -50,7 +47,7 @@ Cdpf::Cdpf(wsn::Network& network, wsn::Radio& radio, CdpfConfig config)
   propagation_.next.reserve(nodes);
   propagation_scratch_.reserve(nodes);
   last_recorders_.reserve(nodes);
-  detecting_scratch_.reserve(nodes);
+  sensed_.detections.reserve(nodes);
   evidence_.reserve(nodes);
   pending_estimates_.reserve(64);
   if (config_.use_neighborhood_estimation) {
@@ -78,8 +75,8 @@ std::string_view Cdpf::name() const {
 }
 
 geom::Vec2 Cdpf::sample_initial_velocity(rng::Rng& rng) {
-  return {rng.gaussian(config_.initial_velocity_mean.x, config_.initial_velocity_sigma),
-          rng.gaussian(config_.initial_velocity_mean.y, config_.initial_velocity_sigma)};
+  return {rng.gaussian(kInitialVelocityMean.x, kInitialVelocitySigma),
+          rng.gaussian(kInitialVelocityMean.y, kInitialVelocitySigma)};
 }
 
 double Cdpf::new_particle_weight() const {
@@ -95,29 +92,12 @@ double Cdpf::new_particle_weight() const {
   return kInitialWeight;
 }
 
-double Cdpf::rss_weight_factor(double rss_dbm) const {
-  // NaN is the sentinel for "no RSS measured", not invalid input.
-  if (!config_.rss_adaptive_weights || std::isnan(rss_dbm)) {
-    return 1.0;
+void Cdpf::initialize_from_detections(rng::Rng& rng) {
+  for (const wsn::NodeId node : sensed_.detections) {
+    store_.add(node, sample_initial_velocity(rng), kInitialWeight);
   }
-  const tracking::RssMeasurementModel rss(config_.rss);
-  const double estimated_distance = rss.invert_to_distance(rss_dbm);
-  const double sensing_radius = network_.config().sensing_radius;
-  const tracking::LinearProbabilityModel lin_prob(sensing_radius);
-  // Floor at 0.1 so a deep fade cannot zero out a genuine detection.
-  const double factor = std::max(
-      0.1, lin_prob.probability(std::min(estimated_distance, sensing_radius)));
-  CDPF_ASSERT(factor > 0.0 && factor <= 1.0);
-  return factor;
-}
-
-void Cdpf::initialize_from_detections(const SensingSnapshot& snapshot, rng::Rng& rng) {
-  for (const SensingSnapshot::Detection& d : snapshot.detections) {
-    store_.add(d.node, sample_initial_velocity(rng),
-               kInitialWeight * rss_weight_factor(d.rss_dbm));
-  }
-  if (!snapshot.detections.empty()) {
-    CDPF_LOG_DEBUG(name() << ": initialized " << snapshot.detections.size()
+  if (!sensed_.detections.empty()) {
+    CDPF_LOG_DEBUG(name() << ": initialized " << sensed_.detections.size()
                           << " particles from first detection");
   }
 }
@@ -125,29 +105,15 @@ void Cdpf::initialize_from_detections(const SensingSnapshot& snapshot, rng::Rng&
 void Cdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rng) {
   CDPF_CHECK_MSG(std::isfinite(truth.position.x) && std::isfinite(truth.position.y),
                  "target position must be finite");
-  // Assemble the snapshot the sensor field would report: the detecting
-  // nodes, their bearing measurements, and (when RSS weighting is on) the
-  // received signal strengths. iterate_snapshot() refills
-  // detecting_scratch_ from the snapshot, so it doubles as the query buffer.
-  sensed_.detections.clear();
+  // Sense what the field would report: the detecting nodes and their
+  // bearing measurements.
   sensed_.measurements.clear();
-  const tracking::RssMeasurementModel rss(config_.rss);
-  network_.detecting_nodes(truth.position, detecting_scratch_);
-  for (const wsn::NodeId id : detecting_scratch_) {
-    SensingSnapshot::Detection d;
-    d.node = id;
-    if (config_.rss_adaptive_weights) {
-      d.rss_dbm = rss.measure(network_.true_position(id), truth.position, rng);
-    }
-    sensed_.detections.push_back(d);
+  network_.detecting_nodes(truth.position, sensed_.detections);
+  for (const wsn::NodeId id : sensed_.detections) {
     sensed_.measurements.push_back(
         {id, bearing_.measure(network_.true_position(id), truth.position, rng)});
   }
-  iterate_snapshot(sensed_, time, rng);
-}
 
-void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
-                            rng::Rng& rng) {
   CDPF_TRACE_SPAN("cdpf-iteration");
   CDPF_CHECK_MSG(std::isfinite(time), "iteration time must be finite");
   last_iteration_time_ = time;
@@ -156,7 +122,7 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
   if (store_.empty()) {
     // Initialization step: the nodes that first detect the intruding target
     // each create a particle (sensing only — no communication).
-    initialize_from_detections(snapshot, rng);
+    initialize_from_detections(rng);
     if (store_.empty()) {
       return;  // target not detected yet
     }
@@ -186,7 +152,7 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
       has_propagation_ = false;
       last_recorders_.clear();
       predicted_position_.reset();
-      initialize_from_detections(snapshot, rng);
+      initialize_from_detections(rng);
       if (store_.empty()) {
         return;
       }
@@ -202,44 +168,16 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
       last_recorders_.assign(store_.sorted_hosts().begin(),
                              store_.sorted_hosts().end());
 
-      if (config_.report_estimates_to_sink) {
-        // One of the recorders (the one nearest the estimate) reports to the
-        // sink hop by hop. Ties in distance break toward the lowest NodeId
-        // so the selection — and therefore the charged route — does not
-        // depend on store iteration order.
-        wsn::NodeId reporter = wsn::kInvalidNodeId;
-        double best = std::numeric_limits<double>::infinity();
-        for (const NodeParticle& p : store_.particles()) {
-          if (!network_.is_active(p.host)) {
-            continue;
-          }
-          const double d =
-              geom::distance_squared(network_.position(p.host), previous.position);
-          if (d < best || (d == best && p.host < reporter)) {
-            best = d;
-            reporter = p.host;
-          }
-        }
-        if (reporter != wsn::kInvalidNodeId) {
-          router_.send(radio_, reporter, network_.sink(), wsn::MessageKind::kEstimate,
-                       radio_.payloads().estimate);
-        }
-      }
-
       store_.normalize_and_prune(propagation_.global.total_weight, kPruneThreshold);
     }
   }
 
   // -- Steps 3 + 4: Likelihood & Assign weight (or neighborhood estimate).
-  detecting_scratch_.clear();
-  for (const SensingSnapshot::Detection& d : snapshot.detections) {
-    detecting_scratch_.push_back(d.node);
-  }
   if (!store_.empty()) {
     if (config_.use_neighborhood_estimation) {
-      neighborhood_assign(detecting_scratch_);
+      neighborhood_assign(sensed_.detections);
     } else {
-      likelihood_and_assign(snapshot);
+      likelihood_and_assign(sensed_);
     }
   }
 
@@ -253,12 +191,11 @@ void Cdpf::iterate_snapshot(const SensingSnapshot& snapshot, double time,
   // nodes "are always around the target trajectory" and bounded by the
   // deployment density).
   const double anchor_weight = new_particle_weight();
-  for (const SensingSnapshot::Detection& d : snapshot.detections) {
-    const double weight = anchor_weight * rss_weight_factor(d.rss_dbm);
-    if (!store_.contains(d.node)) {
-      store_.add(d.node, sample_initial_velocity(rng), weight);
+  for (const wsn::NodeId node : sensed_.detections) {
+    if (!store_.contains(node)) {
+      store_.add(node, sample_initial_velocity(rng), anchor_weight);
     } else {
-      store_.raise_weight_to(d.node, weight);
+      store_.raise_weight_to(node, anchor_weight);
     }
   }
 

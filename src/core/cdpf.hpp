@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -31,12 +30,10 @@
 #include "core/node_particle.hpp"
 #include "core/propagation.hpp"
 #include "core/tracker.hpp"
-#include "tracking/detection.hpp"
 #include "tracking/measurement.hpp"
 #include "tracking/motion_model.hpp"
 #include "wsn/network.hpp"
 #include "wsn/radio.hpp"
-#include "wsn/routing.hpp"
 
 namespace cdpf::core {
 
@@ -53,38 +50,13 @@ struct CdpfConfig {
   /// false: CDPF (measurement sharing + likelihood). true: CDPF-NE
   /// (neighborhood estimation replaces the likelihood step).
   bool use_neighborhood_estimation = false;
-
-  /// Paper §III-B: the initial particle weight "may be configured as a
-  /// constant, or adaptively determined according to the received signal
-  /// strength". When enabled, a creating node measures the target's RSS,
-  /// inverts it to a distance estimate and scales its particle weight by
-  /// the linear probability of that distance — closer (stronger) detections
-  /// seed heavier particles.
-  bool rss_adaptive_weights = false;
-  tracking::RssMeasurementModel::Params rss;
-  /// Velocity prior for newly created particles: N(mean, sigma^2) per axis.
-  geom::Vec2 initial_velocity_mean = kInitialVelocityMean;
-  double initial_velocity_sigma = kInitialVelocitySigma;
-
-  /// Report each correction-step estimate to the sink (one broadcast-hop
-  /// message charged per iteration); off by default like the paper's
-  /// "possibly report it to sink nodes".
-  bool report_estimates_to_sink = false;
 };
 
 /// What the sensor field reports for one filter iteration: the detecting
-/// nodes and their bearing measurements. The single-target iterate()
-/// synthesizes this from ground truth; the multi-target tracker builds one
-/// snapshot per track after data association.
+/// nodes and their bearing measurements, which iterate() synthesizes from
+/// ground truth.
 struct SensingSnapshot {
-  struct Detection {
-    wsn::NodeId node;
-    /// Received signal strength of the detection (dBm); NaN when the
-    /// deployment has no RSS hardware. Only used by the RSS-adaptive
-    /// weighting option.
-    double rss_dbm = std::numeric_limits<double>::quiet_NaN();
-  };
-  std::vector<Detection> detections;
+  std::vector<wsn::NodeId> detections;
 
   struct Measurement {
     wsn::NodeId sender;
@@ -110,11 +82,6 @@ class Cdpf final : public TrackerAlgorithm {
   std::string_view name() const override;
   double time_step() const override { return config_.dt; }
   void iterate(const tracking::TargetState& truth, double time, rng::Rng& rng) override;
-
-  /// Run one iteration against an externally assembled sensing snapshot
-  /// (multi-target data association, replayed logs, ...). iterate() is a
-  /// thin wrapper that fills a member snapshot from ground truth.
-  void iterate_snapshot(const SensingSnapshot& snapshot, double time, rng::Rng& rng);
   void finalize() override;
   const wsn::CommStats& comm_stats() const override { return radio_.stats(); }
 
@@ -151,16 +118,14 @@ class Cdpf final : public TrackerAlgorithm {
   }
 
  private:
-  void initialize_from_detections(const SensingSnapshot& snapshot, rng::Rng& rng);
+  /// Creates one particle per detecting node of the sensed snapshot.
+  void initialize_from_detections(rng::Rng& rng);
   /// Steps 3+4 of the reordered pipeline for plain CDPF.
   void likelihood_and_assign(const SensingSnapshot& snapshot);
   /// Steps 3+4 replacement for CDPF-NE.
   void neighborhood_assign(const std::vector<wsn::NodeId>& detecting);
   geom::Vec2 sample_initial_velocity(rng::Rng& rng);
   double new_particle_weight() const;
-  /// RSS-derived multiplier in (0, 1] for a particle created by `node`
-  /// while the target is at `truth` (1.0 when RSS weighting is off).
-  double rss_weight_factor(double rss_dbm) const;
 
   wsn::Network& network_;
   wsn::Radio& radio_;
@@ -180,18 +145,15 @@ class Cdpf final : public TrackerAlgorithm {
   bool has_iterated_ = false;
 
   // Iteration-local workspaces, members so they stay warm across rounds.
-  std::vector<wsn::NodeId> detecting_scratch_;
-  /// What iterate() senses from ground truth; it grows to the largest
-  /// detecting set seen and is then reused.
+  /// What iterate() senses from ground truth. The detecting set is
+  /// pre-sized to the node count; the measurements grow to the largest
+  /// detecting set seen and are then reused.
   SensingSnapshot sensed_;
   /// The likelihood step's shared measurements, sender positions resolved
   /// once per iteration.
   BearingEvidence evidence_;
   /// The hosts' positions in sorted-host order, and their weight factors.
   PointBatch host_positions_;
-  /// Sink reports; a member so its next-hop memo and routing scratch stay
-  /// warm across rounds.
-  wsn::GreedyGeographicRouter router_;
   std::vector<wsn::NodeId> area_nodes_;
   std::vector<geom::Vec2> area_positions_;
   std::vector<double> area_contributions_;

@@ -47,17 +47,4 @@ struct Disk {
   }
 };
 
-/// Minimum distance from point p to the segment [a, b]; used to decide
-/// whether a target's motion during one time step crossed a sensing disk
-/// (instant-detection model on a continuous trajectory).
-inline double distance_point_segment(Vec2 p, Vec2 a, Vec2 b) {
-  const Vec2 ab = b - a;
-  const double len2 = ab.norm_squared();
-  if (len2 == 0.0) {
-    return distance(p, a);
-  }
-  const double t = std::clamp((p - a).dot(ab) / len2, 0.0, 1.0);
-  return distance(p, a + ab * t);
-}
-
 }  // namespace cdpf::geom

@@ -1,25 +1,10 @@
 #include "tracking/detection.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/check.hpp"
 
 namespace cdpf::tracking {
-
-InstantDetectionModel::InstantDetectionModel(double sensing_radius)
-    : radius_(sensing_radius) {
-  CDPF_CHECK_MSG(sensing_radius > 0.0, "sensing radius must be positive");
-}
-
-bool InstantDetectionModel::detects(geom::Vec2 sensor, geom::Vec2 target) const {
-  return geom::distance_squared(sensor, target) <= radius_ * radius_;
-}
-
-bool InstantDetectionModel::detects_segment(geom::Vec2 sensor, geom::Vec2 from,
-                                            geom::Vec2 to) const {
-  return geom::distance_point_segment(sensor, from, to) <= radius_;
-}
 
 LinearProbabilityModel::LinearProbabilityModel(double radius) : radius_(radius) {
   CDPF_CHECK_MSG(radius > 0.0, "linear probability radius must be positive");
@@ -32,27 +17,6 @@ double LinearProbabilityModel::probability(double distance) const {
 
 double LinearProbabilityModel::probability(geom::Vec2 node, geom::Vec2 event) const {
   return probability(geom::distance(node, event));
-}
-
-ProbabilisticDetectionModel::ProbabilisticDetectionModel(double sensing_radius,
-                                                         double lambda)
-    : radius_(sensing_radius), lambda_(lambda) {
-  CDPF_CHECK_MSG(sensing_radius > 0.0, "sensing radius must be positive");
-  CDPF_CHECK_MSG(lambda >= 0.0, "lambda must be non-negative");
-}
-
-double ProbabilisticDetectionModel::detection_probability(geom::Vec2 sensor,
-                                                          geom::Vec2 target) const {
-  const double d = geom::distance(sensor, target);
-  if (d > radius_) {
-    return 0.0;
-  }
-  return std::exp(-lambda_ * d);
-}
-
-bool ProbabilisticDetectionModel::detects(geom::Vec2 sensor, geom::Vec2 target,
-                                          rng::Rng& rng) const {
-  return rng.bernoulli(detection_probability(sensor, target));
 }
 
 }  // namespace cdpf::tracking

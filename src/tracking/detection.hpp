@@ -1,36 +1,16 @@
-// Detection models.
+// Detection model.
 //
 // The paper adopts the *instant detection* model: "a sensor node detects a
-// target when the target's trajectory intersects the node's sensing area."
-// We implement both the point form (target inside the sensing disk at the
-// sampling instant) and the segment form (the motion between two instants
-// crossed the disk), plus the *linear probability model* of Jiang et al.
-// (TDSS, IPDPS'08) that CDPF uses to decide which neighbors record a
-// propagated particle, and a probabilistic detection model as an extension.
+// target when the target's trajectory intersects the node's sensing area"
+// (wsn::Network::detecting_nodes answers it for a target position). This
+// header holds the *linear probability model* of Jiang et al. (TDSS,
+// IPDPS'08) that CDPF uses to decide which neighbors record a propagated
+// particle.
 #pragma once
 
-#include "geom/shapes.hpp"
 #include "geom/vec2.hpp"
-#include "random/rng.hpp"
 
 namespace cdpf::tracking {
-
-/// Instant detection within a sensing disk of radius r_s.
-class InstantDetectionModel {
- public:
-  explicit InstantDetectionModel(double sensing_radius);
-
-  double sensing_radius() const { return radius_; }
-
-  /// Target at `target` detected by a sensor at `sensor`?
-  bool detects(geom::Vec2 sensor, geom::Vec2 target) const;
-
-  /// Did the motion from `from` to `to` intersect the sensing disk?
-  bool detects_segment(geom::Vec2 sensor, geom::Vec2 from, geom::Vec2 to) const;
-
- private:
-  double radius_;
-};
 
 /// Linear probability model: the probability that a node participates in
 /// (detects / records particles for) an event at distance d from it is
@@ -49,23 +29,6 @@ class LinearProbabilityModel {
 
  private:
   double radius_;
-};
-
-/// Probabilistic detection (extension; cf. Lazos et al.): detection succeeds
-/// with probability p(d) = exp(-lambda d) inside the sensing disk, 0 outside.
-class ProbabilisticDetectionModel {
- public:
-  ProbabilisticDetectionModel(double sensing_radius, double lambda);
-
-  double sensing_radius() const { return radius_; }
-  double lambda() const { return lambda_; }
-
-  double detection_probability(geom::Vec2 sensor, geom::Vec2 target) const;
-  bool detects(geom::Vec2 sensor, geom::Vec2 target, rng::Rng& rng) const;
-
- private:
-  double radius_;
-  double lambda_;
 };
 
 }  // namespace cdpf::tracking

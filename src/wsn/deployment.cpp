@@ -1,8 +1,6 @@
 #include "wsn/deployment.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "support/check.hpp"
 
@@ -16,63 +14,6 @@ std::vector<geom::Vec2> deploy_uniform_random(std::size_t count, const geom::Aab
   for (std::size_t i = 0; i < count; ++i) {
     positions.push_back(
         {rng.uniform(field.lo.x, field.hi.x), rng.uniform(field.lo.y, field.hi.y)});
-  }
-  return positions;
-}
-
-std::vector<geom::Vec2> deploy_grid(std::size_t count, const geom::Aabb& field,
-                                    double jitter_fraction, rng::Rng& rng) {
-  CDPF_CHECK_MSG(count > 0, "deployment needs at least one node");
-  CDPF_CHECK_MSG(jitter_fraction >= 0.0 && jitter_fraction <= 1.0,
-                 "jitter fraction must be within [0, 1]");
-  // Choose columns x rows to approximate the field aspect ratio.
-  const double aspect = field.width() / field.height();
-  auto cols = static_cast<std::size_t>(
-      std::max(1.0, std::round(std::sqrt(static_cast<double>(count) * aspect))));
-  const std::size_t rows = (count + cols - 1) / cols;
-  const double dx = field.width() / static_cast<double>(cols);
-  const double dy = field.height() / static_cast<double>(rows);
-
-  std::vector<geom::Vec2> positions;
-  positions.reserve(count);
-  for (std::size_t r = 0; r < rows && positions.size() < count; ++r) {
-    for (std::size_t c = 0; c < cols && positions.size() < count; ++c) {
-      geom::Vec2 p{field.lo.x + (static_cast<double>(c) + 0.5) * dx,
-                   field.lo.y + (static_cast<double>(r) + 0.5) * dy};
-      if (jitter_fraction > 0.0) {
-        p.x += rng.uniform(-0.5, 0.5) * dx * jitter_fraction;
-        p.y += rng.uniform(-0.5, 0.5) * dy * jitter_fraction;
-      }
-      positions.push_back(field.clamp(p));
-    }
-  }
-  return positions;
-}
-
-std::vector<geom::Vec2> deploy_poisson_disk(std::size_t count, const geom::Aabb& field,
-                                            std::size_t candidates, rng::Rng& rng) {
-  CDPF_CHECK_MSG(count > 0, "deployment needs at least one node");
-  CDPF_CHECK_MSG(candidates > 0, "best-candidate sampling needs >= 1 candidate");
-  std::vector<geom::Vec2> positions;
-  positions.reserve(count);
-  positions.push_back(
-      {rng.uniform(field.lo.x, field.hi.x), rng.uniform(field.lo.y, field.hi.y)});
-  while (positions.size() < count) {
-    geom::Vec2 best{};
-    double best_dist2 = -1.0;
-    for (std::size_t c = 0; c < candidates; ++c) {
-      const geom::Vec2 cand{rng.uniform(field.lo.x, field.hi.x),
-                            rng.uniform(field.lo.y, field.hi.y)};
-      double nearest2 = std::numeric_limits<double>::infinity();
-      for (const geom::Vec2 p : positions) {
-        nearest2 = std::min(nearest2, geom::distance_squared(cand, p));
-      }
-      if (nearest2 > best_dist2) {
-        best_dist2 = nearest2;
-        best = cand;
-      }
-    }
-    positions.push_back(best);
   }
   return positions;
 }

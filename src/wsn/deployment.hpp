@@ -1,9 +1,8 @@
-// Node deployment strategies.
+// Node deployment.
 //
 // The paper deploys 2,000-16,000 nodes uniformly at random over a
-// 200 m x 200 m field (5-40 nodes / 100 m^2). Uniform-random is the model
-// used in all reproduced experiments; the grid and Poisson-disk variants are
-// provided for the example applications and robustness tests.
+// 200 m x 200 m field (5-40 nodes / 100 m^2), the one model every
+// reproduced experiment uses.
 #pragma once
 
 #include <cstddef>
@@ -18,17 +17,6 @@ namespace cdpf::wsn {
 /// `count` i.i.d. uniform positions inside `field`.
 std::vector<geom::Vec2> deploy_uniform_random(std::size_t count, const geom::Aabb& field,
                                               rng::Rng& rng);
-
-/// Near-square grid with `count` nodes covering `field`; the grid is jittered
-/// by `jitter_fraction` of the cell pitch (0 = perfect grid).
-std::vector<geom::Vec2> deploy_grid(std::size_t count, const geom::Aabb& field,
-                                    double jitter_fraction, rng::Rng& rng);
-
-/// Best-candidate (Mitchell) approximation of Poisson-disk sampling: each new
-/// node is the farthest of `candidates` random candidates from existing
-/// nodes. Produces blue-noise deployments for the coverage examples.
-std::vector<geom::Vec2> deploy_poisson_disk(std::size_t count, const geom::Aabb& field,
-                                            std::size_t candidates, rng::Rng& rng);
 
 /// Convert the paper's density unit (nodes per 100 m^2) to a node count for
 /// the given field.

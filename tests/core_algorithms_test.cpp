@@ -137,19 +137,6 @@ TEST(Cdpf, NeVariantUsesNoMeasurementMessages) {
   EXPECT_GT(f.radio.stats().messages(wsn::MessageKind::kParticle), 0u);
 }
 
-TEST(Cdpf, ReportToSinkChargesEstimateMessages) {
-  Fixture f(713);
-  CdpfConfig config;
-  config.report_estimates_to_sink = true;
-  Cdpf filter(f.network, f.radio, config);
-  // Track far from the sink (field center) so reporting needs >= 1 hop.
-  const tracking::TargetState t0{{30.0, 40.0}, {3.0, 0.0}};
-  const tracking::TargetState t1{{45.0, 40.0}, {3.0, 0.0}};
-  filter.iterate(t0, 0.0, f.rng);
-  filter.iterate(t1, 5.0, f.rng);
-  EXPECT_GT(f.radio.stats().messages(wsn::MessageKind::kEstimate), 0u);
-}
-
 TEST(Cdpf, RecoversAfterTotalNodeFailureAroundTarget) {
   Fixture f(715);
   Cdpf filter(f.network, f.radio, CdpfConfig{});

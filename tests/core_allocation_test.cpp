@@ -1,19 +1,18 @@
-// Steady-state allocation freedom (the hot-path contract): once a Cdpf
-// filter's buffers are warm, an iteration must not touch the global heap at
-// all — for CDPF and CDPF-NE alike, including the propagation round, the
-// weight-assignment step, and the sink report — both through iterate(),
-// which senses the detecting set and its bearings from ground truth as
-// sim::run_trial and perfbench drive it, and through iterate_snapshot() on
-// pre-staged snapshots. The same holds for CentralizedPf::iterate():
-// detection, the convergecast, the SIR update and resampling; for
-// Sdpf::iterate(): propagation and re-hosting, the regroup by host, pruning,
-// seeding, the transceiver round and local resampling; and for
-// GmmDpf::iterate() in every iteration without a head handoff: detection,
-// head election, the members' unicasts, the SIR step and the routed sink
-// report. A handoff still allocates — the EM mixture fit and the cloud
-// redrawn from it — so those iterations are not measured. The test swaps in
-// counting replacements for the global allocation functions and asserts the
-// counter stays at zero across measured iterations.
+// Steady-state allocation freedom (the hot-path contract): once a tracker's
+// buffers are warm, an iteration must not touch the global heap at all. For
+// Cdpf::iterate() — CDPF and CDPF-NE alike, as sim::run_trial and perfbench
+// drive it — that covers sensing the detecting set and its bearings from
+// ground truth, the propagation round and the weight-assignment step. The
+// same holds for CentralizedPf::iterate(): detection, the convergecast, the
+// SIR update and resampling; for Sdpf::iterate(): propagation and
+// re-hosting, the regroup by host, pruning, seeding, the transceiver round
+// and local resampling; and for GmmDpf::iterate() in every iteration
+// without a head handoff: detection, head election, the members' unicasts,
+// the SIR step and the routed sink report. A handoff still allocates — the
+// EM mixture fit and the cloud redrawn from it — so those iterations are
+// not measured. The test swaps in counting replacements for the global
+// allocation functions and asserts the counter stays at zero across
+// measured iterations.
 //
 // take_estimates() intentionally stays OUTSIDE the measured window: handing
 // the pending estimates to the caller materializes a fresh vector by
@@ -31,7 +30,6 @@
 #include "core/cpf.hpp"
 #include "core/gmm_dpf.hpp"
 #include "core/sdpf.hpp"
-#include "tracking/measurement.hpp"
 #include "wsn/deployment.hpp"
 
 namespace {
@@ -86,58 +84,6 @@ constexpr double kDt = 1.0;
 constexpr int kWarmupSteps = 12;
 constexpr int kMeasuredSteps = 8;
 
-/// Allocations performed inside iterate_snapshot() after a warm-up phase,
-/// on snapshots staged before anything is measured.
-std::size_t steady_state_allocations(bool neighborhood_estimation) {
-  rng::Rng rng(424242);
-  const geom::Aabb field = geom::Aabb::square(200.0);
-  const auto positions = wsn::deploy_uniform_random(
-      wsn::node_count_for_density(20.0, field), field, rng);
-  wsn::Network network(positions, wsn::NetworkConfig{field, 10.0, 30.0});
-  wsn::Radio radio(network, wsn::PayloadSizes{});
-
-  core::CdpfConfig config;
-  config.dt = kDt;
-  config.use_neighborhood_estimation = neighborhood_estimation;
-  config.report_estimates_to_sink = true;  // include the routing hot path
-  core::Cdpf filter(network, radio, config);
-
-  // Stage every snapshot before anything is measured: assembling the
-  // sensing input is the simulator's job, not part of the filter iteration.
-  const tracking::BearingMeasurementModel bearing(config.sigma_bearing);
-  std::vector<core::SensingSnapshot> snapshots;
-  std::vector<wsn::NodeId> detecting;
-  for (int step = 0; step < kWarmupSteps + kMeasuredSteps; ++step) {
-    const geom::Vec2 target{60.0 + 3.0 * kDt * static_cast<double>(step), 100.0};
-    core::SensingSnapshot snapshot;
-    network.detecting_nodes(target, detecting);
-    for (const wsn::NodeId id : detecting) {
-      snapshot.detections.push_back({id, std::numeric_limits<double>::quiet_NaN()});
-      snapshot.measurements.push_back(
-          {id, bearing.measure(network.true_position(id), target, rng)});
-    }
-    snapshots.push_back(std::move(snapshot));
-  }
-
-  for (int step = 0; step < kWarmupSteps; ++step) {
-    filter.iterate_snapshot(snapshots[static_cast<std::size_t>(step)],
-                            kDt * static_cast<double>(step), rng);
-    (void)filter.take_estimates();
-  }
-  EXPECT_FALSE(filter.particles().empty()) << "warm-up lost the track";
-
-  g_allocations.store(0);
-  for (int step = kWarmupSteps; step < kWarmupSteps + kMeasuredSteps; ++step) {
-    g_counting.store(true);
-    filter.iterate_snapshot(snapshots[static_cast<std::size_t>(step)],
-                            kDt * static_cast<double>(step), rng);
-    g_counting.store(false);
-    (void)filter.take_estimates();
-  }
-  EXPECT_FALSE(filter.particles().empty()) << "measured phase lost the track";
-  return g_allocations.load();
-}
-
 /// Allocations performed inside Cdpf::iterate() after a warm-up phase: the
 /// path sim::run_trial drives, sensing included.
 std::size_t cdpf_iterate_allocations(bool neighborhood_estimation) {
@@ -151,7 +97,6 @@ std::size_t cdpf_iterate_allocations(bool neighborhood_estimation) {
   core::CdpfConfig config;
   config.dt = kDt;
   config.use_neighborhood_estimation = neighborhood_estimation;
-  config.report_estimates_to_sink = true;  // include the routing hot path
   core::Cdpf filter(network, radio, config);
   auto truth = [](int step) {
     const double t = kDt * static_cast<double>(step);
@@ -299,14 +244,6 @@ TEST(SteadyStateAllocation, DpfIterationIsAllocationFree) {
 
 TEST(SteadyStateAllocation, SdpfIterationIsAllocationFree) {
   EXPECT_EQ(sdpf_steady_state_allocations(), 0u);
-}
-
-TEST(SteadyStateAllocation, CdpfIterationIsAllocationFree) {
-  EXPECT_EQ(steady_state_allocations(false), 0u);
-}
-
-TEST(SteadyStateAllocation, CdpfNeIterationIsAllocationFree) {
-  EXPECT_EQ(steady_state_allocations(true), 0u);
 }
 
 TEST(SteadyStateAllocation, CdpfIterateFromTruthIsAllocationFree) {

@@ -1,11 +1,9 @@
-// Unit tests for Gaussian mixtures (EM fitting, sampling) and the OSPA
-// multi-target metric.
+// Unit tests for Gaussian mixtures (EM fitting, sampling).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "filters/gmm.hpp"
-#include "filters/ospa.hpp"
 #include "random/rng.hpp"
 #include "support/check.hpp"
 
@@ -124,51 +122,6 @@ TEST(GaussianMixture, KClampedToParticleCount) {
   const GaussianMixture mixture = GaussianMixture::fit(two, 5, rng);
   EXPECT_LE(mixture.size(), 2u);
   EXPECT_THROW(GaussianMixture::fit({}, 2, rng), Error);
-}
-
-TEST(Ospa, EmptySetConventions) {
-  EXPECT_DOUBLE_EQ(ospa_distance({}, {}), 0.0);
-  const std::vector<geom::Vec2> one{{1.0, 1.0}};
-  EXPECT_DOUBLE_EQ(ospa_distance(one, {}), OspaConfig{}.cutoff);
-  EXPECT_DOUBLE_EQ(ospa_distance({}, one), OspaConfig{}.cutoff);
-}
-
-TEST(Ospa, PerfectMatchIsZero) {
-  const std::vector<geom::Vec2> pts{{1.0, 2.0}, {30.0, 40.0}};
-  EXPECT_NEAR(ospa_distance(pts, pts), 0.0, 1e-12);
-}
-
-TEST(Ospa, SymmetricInArguments) {
-  const std::vector<geom::Vec2> a{{0.0, 0.0}, {10.0, 0.0}};
-  const std::vector<geom::Vec2> b{{1.0, 0.0}, {10.0, 2.0}, {50.0, 50.0}};
-  EXPECT_DOUBLE_EQ(ospa_distance(a, b), ospa_distance(b, a));
-}
-
-TEST(Ospa, UsesOptimalAssignment) {
-  // Greedy nearest-first would pair (0,0)->(1,0) and strand (2,0) with
-  // (-1,0); the optimal assignment crosses over.
-  const std::vector<geom::Vec2> est{{0.0, 0.0}, {2.0, 0.0}};
-  const std::vector<geom::Vec2> truth{{1.0, 0.0}, {-1.0, 0.0}};
-  // Optimal: |0-(-1)| + |2-1| = 2 => OSPA_1 = 1.0.
-  EXPECT_NEAR(ospa_distance(est, truth), 1.0, 1e-12);
-}
-
-TEST(Ospa, CardinalityPenaltyForPhantomTracks) {
-  const std::vector<geom::Vec2> truth{{0.0, 0.0}};
-  const std::vector<geom::Vec2> est{{0.0, 0.0}, {100.0, 100.0}};  // one phantom
-  // ( (0 + c) / 2 ) with c = 20 => 10.
-  EXPECT_NEAR(ospa_distance(est, truth), 10.0, 1e-12);
-}
-
-TEST(Ospa, CutoffBoundsPerTargetError) {
-  const std::vector<geom::Vec2> truth{{0.0, 0.0}};
-  const std::vector<geom::Vec2> est{{500.0, 0.0}};
-  EXPECT_NEAR(ospa_distance(est, truth), OspaConfig{}.cutoff, 1e-12);
-}
-
-TEST(Ospa, RejectsOversizedSets) {
-  std::vector<geom::Vec2> big(9, geom::Vec2{0.0, 0.0});
-  EXPECT_THROW(ospa_distance(big, big), Error);
 }
 
 }  // namespace

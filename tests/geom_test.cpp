@@ -135,15 +135,6 @@ TEST(Disk, ContainsBoundaryInclusive) {
   EXPECT_FALSE(d.intersects(Disk{{5.1, 1.0}, 1.0}));
 }
 
-TEST(Segment, PointSegmentDistance) {
-  // Perpendicular foot inside the segment.
-  EXPECT_NEAR(distance_point_segment({0.0, 1.0}, {-1.0, 0.0}, {1.0, 0.0}), 1.0, 1e-12);
-  // Foot beyond the end: distance to the endpoint.
-  EXPECT_NEAR(distance_point_segment({3.0, 4.0}, {-1.0, 0.0}, {0.0, 0.0}), 5.0, 1e-12);
-  // Degenerate segment.
-  EXPECT_NEAR(distance_point_segment({3.0, 4.0}, {0.0, 0.0}, {0.0, 0.0}), 5.0, 1e-12);
-}
-
 class GridIndexRandomized : public ::testing::TestWithParam<std::tuple<int, double>> {};
 
 TEST_P(GridIndexRandomized, MatchesBruteForce) {

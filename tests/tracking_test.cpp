@@ -1,5 +1,6 @@
 // Unit + statistical tests for the tracking substrate: the motion model,
-// ground-truth trajectories, measurement models and detection models.
+// ground-truth trajectories, the bearing measurement model and the linear
+// probability model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -760,34 +761,6 @@ TEST(BearingEvidence, BatchesMatchTheScalarLoopBitForBit) {
                                    {{3.0, 4.0}, {35.0, 0.0}, {100.0, 0.0}});
 }
 
-TEST(RangeModel, LikelihoodAndMoments) {
-  const RangeMeasurementModel m(0.5);
-  const geom::Vec2 sensor{0.0, 0.0}, target{3.0, 4.0};
-  EXPECT_DOUBLE_EQ(m.ideal(sensor, target), 5.0);
-  EXPECT_GT(m.likelihood(5.0, sensor, target), m.likelihood(6.0, sensor, target));
-  rng::Rng rng(137);
-  double sum = 0.0;
-  for (int i = 0; i < 20000; ++i) {
-    sum += m.measure(sensor, target, rng);
-  }
-  EXPECT_NEAR(sum / 20000.0, 5.0, 0.02);
-}
-
-TEST(InstantDetection, DiskMembership) {
-  const InstantDetectionModel m(10.0);
-  EXPECT_TRUE(m.detects({0.0, 0.0}, {6.0, 8.0}));
-  EXPECT_FALSE(m.detects({0.0, 0.0}, {6.0, 8.1}));
-}
-
-TEST(InstantDetection, SegmentCrossingDetected) {
-  const InstantDetectionModel m(1.0);
-  // The target passes through the sensing disk between samples.
-  EXPECT_TRUE(m.detects_segment({0.0, 0.0}, {-5.0, 0.5}, {5.0, 0.5}));
-  EXPECT_FALSE(m.detects_segment({0.0, 0.0}, {-5.0, 2.0}, {5.0, 2.0}));
-  // Neither endpoint is inside, yet the path crosses.
-  EXPECT_FALSE(m.detects({0.0, 0.0}, {-5.0, 0.5}));
-}
-
 TEST(LinearProbability, MatchesDefinition) {
   const LinearProbabilityModel m(10.0);
   EXPECT_DOUBLE_EQ(m.probability(0.0), 1.0);
@@ -796,19 +769,6 @@ TEST(LinearProbability, MatchesDefinition) {
   EXPECT_DOUBLE_EQ(m.probability(15.0), 0.0);
   EXPECT_DOUBLE_EQ(m.probability({0.0, 0.0}, {0.0, 2.5}), 0.75);
   EXPECT_THROW(m.probability(-1.0), Error);
-}
-
-TEST(ProbabilisticDetection, ExponentialDecayInsideDisk) {
-  const ProbabilisticDetectionModel m(10.0, 0.2);
-  EXPECT_NEAR(m.detection_probability({0.0, 0.0}, {0.0, 0.0}), 1.0, 1e-12);
-  EXPECT_NEAR(m.detection_probability({0.0, 0.0}, {5.0, 0.0}), std::exp(-1.0), 1e-12);
-  EXPECT_DOUBLE_EQ(m.detection_probability({0.0, 0.0}, {11.0, 0.0}), 0.0);
-  rng::Rng rng(139);
-  int hits = 0;
-  for (int i = 0; i < 20000; ++i) {
-    hits += m.detects({0.0, 0.0}, {5.0, 0.0}, rng);
-  }
-  EXPECT_NEAR(hits / 20000.0, std::exp(-1.0), 0.01);
 }
 
 }  // namespace

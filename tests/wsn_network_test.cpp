@@ -45,38 +45,6 @@ TEST(Deployment, UniformRandomCoversQuadrants) {
   }
 }
 
-TEST(Deployment, GridIsRegularWithoutJitter) {
-  rng::Rng rng(3);
-  const geom::Aabb field = geom::Aabb::square(100.0);
-  const auto positions = deploy_grid(100, field, 0.0, rng);
-  ASSERT_EQ(positions.size(), 100u);
-  // Perfect 10x10 grid: nearest-neighbor distance is exactly the pitch.
-  double min_nn = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    for (std::size_t j = i + 1; j < positions.size(); ++j) {
-      min_nn = std::min(min_nn, geom::distance(positions[i], positions[j]));
-    }
-  }
-  EXPECT_NEAR(min_nn, 10.0, 1e-9);
-}
-
-TEST(Deployment, PoissonDiskSpreadsBetterThanRandom) {
-  rng::Rng rng(4);
-  const geom::Aabb field = geom::Aabb::square(100.0);
-  const auto poisson = deploy_poisson_disk(100, field, 16, rng);
-  const auto random = deploy_uniform_random(100, field, rng);
-  auto min_nn = [](const std::vector<geom::Vec2>& pts) {
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      for (std::size_t j = i + 1; j < pts.size(); ++j) {
-        best = std::min(best, geom::distance(pts[i], pts[j]));
-      }
-    }
-    return best;
-  };
-  EXPECT_GT(min_nn(poisson), min_nn(random));
-}
-
 TEST(Deployment, DensityConversionRoundTrip) {
   const geom::Aabb field = geom::Aabb::square(200.0);
   // Paper: 20 nodes/100 m^2 over 200x200 m => 8000 nodes.
