@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) of the simulator's hot kernels:
-// resampling, spatial queries, greedy routing's next hop, particle
-// propagation, the bearing likelihood
+// resampling, spatial queries, greedy routing's next hop, one duty-cycle
+// step, the receiver count under partial activity, particle propagation, the bearing likelihood
 // (a SIR update and CDPF's host factor), the two CDPF weight-assignment
 // kernels, and one full filter iteration per algorithm.
 //
@@ -22,6 +22,7 @@
 #include "sim/experiment.hpp"
 #include "tracking/measurement.hpp"
 #include "wsn/deployment.hpp"
+#include "wsn/duty_cycle.hpp"
 #include "wsn/routing.hpp"
 
 namespace {
@@ -83,6 +84,46 @@ void BM_GreedyNextHop(benchmark::State& state) {
   state.SetItemsProcessed(hops);
 }
 BENCHMARK(BM_GreedyNextHop)->Arg(5)->Arg(20)->Arg(40)->ArgName("density");
+
+/// One step of activity churn: the duty-cycle schedule (10 s period, 50%
+/// awake, randomized phases) applied to every node at 1 s steps, as the
+/// churn workloads apply it before each iteration. Items are nodes.
+void BM_DutyCycleApply(benchmark::State& state) {
+  rng::Rng rng(8);
+  sim::Scenario scenario;
+  scenario.density_per_100m2 = static_cast<double>(state.range(0));
+  wsn::Network network = sim::build_network(scenario, rng);
+  const wsn::DutyCycleSchedule schedule(10.0, 0.5, 0xd0c1u);
+  double t = 0.0;
+  for (auto _ : state) {
+    schedule.apply(network, t);
+    benchmark::DoNotOptimize(network.active_count());
+    t += 1.0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(network.size()));
+}
+BENCHMARK(BM_DutyCycleApply)->Arg(40)->ArgName("density");
+
+/// A radio receiver count (Network::count_active_within over the r_c disk
+/// of a random node) at density 40 with half the nodes asleep.
+void BM_CountActiveWithin(benchmark::State& state) {
+  rng::Rng rng(9);
+  sim::Scenario scenario;
+  scenario.density_per_100m2 = 40.0;
+  wsn::Network network = sim::build_network(scenario, rng);
+  for (wsn::NodeId id = 0; id < network.size(); ++id) {
+    if (rng.uniform(0.0, 1.0) < 0.5) {
+      network.set_power(id, wsn::PowerState::kAsleep);
+    }
+  }
+  const double rc = network.config().comm_radius;
+  for (auto _ : state) {
+    const auto id = static_cast<wsn::NodeId>(rng.uniform_index(network.size()));
+    benchmark::DoNotOptimize(network.count_active_within(network.true_position(id), rc));
+  }
+}
+BENCHMARK(BM_CountActiveWithin);
 
 void BM_PropagationRound(benchmark::State& state) {
   const double density = static_cast<double>(state.range(0));

@@ -25,16 +25,32 @@ linalg::Mat<2, 2> floored(linalg::Mat<2, 2> cov) {
   return cov;
 }
 
-}  // namespace
+// The terms of a component's log-density that do not depend on the point:
+// EM's E step derives them once per component and iteration, not per point.
+struct LogDensityTerms {
+  linalg::Mat<2, 2> inverse;
+  double log_normalizer = 0.0;  // -log 2π - ½·log det
+};
 
-double Gaussian2D::log_density(geom::Vec2 x) const {
-  const double det = linalg::determinant(covariance);
+LogDensityTerms log_density_terms(const Gaussian2D& g) {
+  const double det = linalg::determinant(g.covariance);
   CDPF_ASSERT(det > 0.0);
-  const linalg::Mat<2, 2> inv = linalg::inverse(covariance);
+  return {linalg::inverse(g.covariance),
+          -std::log(2.0 * std::numbers::pi) - 0.5 * std::log(det)};
+}
+
+double log_density_at(const LogDensityTerms& terms, geom::Vec2 mean, geom::Vec2 x) {
+  const linalg::Mat<2, 2>& inv = terms.inverse;
   const geom::Vec2 d = x - mean;
   const double quad = d.x * (inv(0, 0) * d.x + inv(0, 1) * d.y) +
                       d.y * (inv(1, 0) * d.x + inv(1, 1) * d.y);
-  return -std::log(2.0 * std::numbers::pi) - 0.5 * std::log(det) - 0.5 * quad;
+  return terms.log_normalizer - 0.5 * quad;
+}
+
+}  // namespace
+
+double Gaussian2D::log_density(geom::Vec2 x) const {
+  return log_density_at(log_density_terms(*this), mean, x);
 }
 
 geom::Vec2 Gaussian2D::sample(rng::Rng& rng) const {
@@ -143,13 +159,19 @@ GaussianMixture GaussianMixture::fit(std::span<const Particle> particles,
 
   // Weighted EM on positions.
   std::vector<double> resp(n * k);
+  std::vector<LogDensityTerms> terms(k);
+  std::vector<double> log_weights(k);
   for (std::size_t iter = 0; iter < em_iterations; ++iter) {
     // E step.
+    for (std::size_t j = 0; j < k; ++j) {
+      terms[j] = log_density_terms(comps[j]);
+      log_weights[j] = std::log(comps[j].weight + 1e-300);
+    }
     for (std::size_t i = 0; i < n; ++i) {
       double max_log = -std::numeric_limits<double>::infinity();
       for (std::size_t j = 0; j < k; ++j) {
-        const double l = std::log(comps[j].weight + 1e-300) +
-                         comps[j].log_density(particles[i].state.position);
+        const double l = log_weights[j] +
+                         log_density_at(terms[j], comps[j].mean, particles[i].state.position);
         resp[i * k + j] = l;
         max_log = std::max(max_log, l);
       }

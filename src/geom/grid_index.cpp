@@ -53,7 +53,7 @@ std::size_t GridIndex::cell_of(Vec2 p) const {
 std::size_t GridIndex::query_disk(Vec2 center, double radius,
                                   std::vector<std::size_t>& out) const {
   out.clear();
-  visit_disk(center, radius, [&out](std::size_t id) { out.push_back(id); });
+  visit_disk(center, radius, [&out](std::size_t id, std::size_t) { out.push_back(id); });
   return out.size();
 }
 

@@ -11,6 +11,7 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -30,6 +31,16 @@ class GridIndex {
 
   std::size_t size() const { return points_.size(); }
 
+  /// The id of the point at CSR slot `slot` in [0, size()). Slots group the
+  /// points by cell, in the order visit_disk visits them; every visitor
+  /// below is handed a point's slot beside its id, so callers can keep
+  /// per-point state in slot order and read it contiguously.
+  std::size_t id_at(std::size_t slot) const { return ids_[slot]; }
+  /// Number of points cell `c` (a cell_of() value) holds.
+  std::size_t cell_population(std::size_t c) const {
+    return cell_start_[c + 1] - cell_start_[c];
+  }
+
   /// Ids of all points within `radius` of `center` (closed ball). Appends to
   /// `out` after clearing it; returns out.size().
   std::size_t query_disk(Vec2 center, double radius, std::vector<std::size_t>& out) const;
@@ -37,38 +48,23 @@ class GridIndex {
   /// Convenience allocation variant of query_disk.
   std::vector<std::size_t> query_disk(Vec2 center, double radius) const;
 
-  /// Visit ids within the disk without materializing a vector. Statically
-  /// dispatched: this is the innermost loop of every neighbor/detection
-  /// query, so the visitor must not hide behind a std::function indirection
-  /// (or allocate one) per call. Boundary-cell membership tests read the
-  /// CSR-ordered coordinate copies (xs_/ys_) instead of gathering through
-  /// ids_ into the AoS point table — same arithmetic on the same values,
-  /// contiguous access.
+  /// Visit (id, slot) pairs within the disk without materializing a
+  /// vector. Statically dispatched: this is the innermost loop of every
+  /// neighbor/detection query, so the visitor must not hide behind a
+  /// std::function indirection (or allocate one) per call. Boundary-cell
+  /// membership tests read the CSR-ordered coordinate copies (xs_/ys_)
+  /// instead of gathering through ids_ into the AoS point table — same
+  /// arithmetic on the same values, contiguous access.
   template <typename Visitor>
   void visit_disk(Vec2 center, double radius, Visitor&& visit) const {
-    const double r2 = radius * radius;
-    for_each_cell(center, radius, [&](std::size_t c, bool fully_inside) {
-      const std::size_t k_end = cell_start_[c + 1];
-      if (fully_inside) {
-        for (std::size_t k = cell_start_[c]; k < k_end; ++k) {
-          visit(ids_[k]);
-        }
-        return;
-      }
-      for (std::size_t k = cell_start_[c]; k < k_end; ++k) {
-        const double dx = xs_[k] - center.x;
-        const double dy = ys_[k] - center.y;
-        if (dx * dx + dy * dy <= r2) {
-          visit(ids_[k]);
-        }
-      }
-    });
+    visit_disk_soa(center, radius,
+                   [&](std::size_t id, std::size_t slot, double, double) { visit(id, slot); });
   }
 
-  /// Visit (id, x, y) triples within the disk — the SoA feed of CDPF's
-  /// propagation scan: callers append into structure-of-arrays scratch without
-  /// ever touching the AoS point table. Visitation order, membership and
-  /// arithmetic are identical to visit_disk.
+  /// Visit (id, slot, x, y) tuples within the disk — the SoA feed of CDPF's
+  /// propagation scan: callers append into structure-of-arrays scratch
+  /// without ever touching the AoS point table. Visitation order, membership
+  /// and arithmetic are identical to visit_disk.
   template <typename Visitor>
   void visit_disk_soa(Vec2 center, double radius, Visitor&& visit) const {
     const double r2 = radius * radius;
@@ -76,7 +72,7 @@ class GridIndex {
       const std::size_t k_end = cell_start_[c + 1];
       if (fully_inside) {
         for (std::size_t k = cell_start_[c]; k < k_end; ++k) {
-          visit(ids_[k], xs_[k], ys_[k]);
+          visit(ids_[k], k, xs_[k], ys_[k]);
         }
         return;
       }
@@ -84,7 +80,7 @@ class GridIndex {
         const double dx = xs_[k] - center.x;
         const double dy = ys_[k] - center.y;
         if (dx * dx + dy * dy <= r2) {
-          visit(ids_[k], xs_[k], ys_[k]);
+          visit(ids_[k], k, xs_[k], ys_[k]);
         }
       }
     });
@@ -96,27 +92,29 @@ class GridIndex {
   /// over the contiguous coordinate arrays, which compilers vectorize. Counts
   /// exactly the ids visit_disk would visit.
   std::size_t count_disk(Vec2 center, double radius) const {
-    const double r2 = radius * radius;
-    std::size_t count = 0;
-    for_each_cell(center, radius, [&](std::size_t c, bool fully_inside) {
-      const std::size_t k_end = cell_start_[c + 1];
-      if (fully_inside) {
-        count += k_end - cell_start_[c];
-        return;
-      }
-      for (std::size_t k = cell_start_[c]; k < k_end; ++k) {
-        const double dx = xs_[k] - center.x;
-        const double dy = ys_[k] - center.y;
-        count += dx * dx + dy * dy <= r2 ? 1u : 0u;
-      }
-    });
-    return count;
+    return count_disk_by(
+        center, radius, [this](std::size_t c) { return cell_population(c); },
+        [](std::size_t) { return std::size_t{1}; });
+  }
+
+  /// count_disk over the marked points only: `slot_marks[k]` (0 or 1) marks
+  /// the point at slot k, and `cell_marks[c]` must equal the sum of the
+  /// marks of cell c's slots. Fully-inside cells add their tally; boundary
+  /// cells select each point's mark by its disk test, branch-free over
+  /// contiguous bytes. Counts exactly the marked ids visit_disk would visit.
+  std::size_t count_disk_marked(Vec2 center, double radius,
+                                std::span<const std::uint8_t> slot_marks,
+                                std::span<const std::uint32_t> cell_marks) const {
+    CDPF_ASSERT(slot_marks.size() == size() && cell_marks.size() == num_cells());
+    return count_disk_by(
+        center, radius, [cell_marks](std::size_t c) { return std::size_t{cell_marks[c]}; },
+        [slot_marks](std::size_t k) { return std::size_t{slot_marks[k]}; });
   }
 
   /// The point of visit_disk's disk (same cells, same per-point test) with
-  /// the smallest `key(id)` strictly below `bound`; ties go to the lowest
-  /// CSR slot, i.e. to the first such point visit_disk would visit. Returns
-  /// size() when no point beats `bound`.
+  /// the smallest `key(id, slot)` strictly below `bound`; ties go to the
+  /// lowest CSR slot, i.e. to the first such point visit_disk would visit.
+  /// Returns size() when no point beats `bound`.
   ///
   /// Cells are scanned nearest to `target` first and skipped once they
   /// cannot win: `floor(d, c)` must bound from below the key of every point
@@ -150,7 +148,7 @@ class GridIndex {
             continue;
           }
         }
-        const double d = key(ids_[k]);
+        const double d = key(ids_[k], k);
         if (d < best || (found && d == best && k < best_slot)) {
           best = d;
           best_slot = k;
@@ -203,6 +201,31 @@ class GridIndex {
   /// (the simulator's r_c = 3 r_s) touches at most 49 cells, so one batch
   /// covers it; wider disks scan in several batches.
   static constexpr std::size_t kNearestCellBatch = 64;
+
+  /// The body of count_disk and count_disk_marked: a fully-inside cell c
+  /// adds `cell_count(c)`, a boundary cell adds `slot_count(k)` for each of
+  /// its slots k whose point passes the disk test.
+  template <typename CellCount, typename SlotCount>
+  std::size_t count_disk_by(Vec2 center, double radius, CellCount&& cell_count,
+                            SlotCount&& slot_count) const {
+    const double r2 = radius * radius;
+    std::size_t count = 0;
+    for_each_cell(center, radius, [&](std::size_t c, bool fully_inside) {
+      if (fully_inside) {
+        count += cell_count(c);
+        return;
+      }
+      const std::size_t k_end = cell_start_[c + 1];
+      for (std::size_t k = cell_start_[c]; k < k_end; ++k) {
+        const double dx = xs_[k] - center.x;
+        const double dy = ys_[k] - center.y;
+        // A product, not a select: the mark is read whether or not the
+        // point is inside, so the loop has no data-dependent branch.
+        count += slot_count(k) * static_cast<std::size_t>(dx * dx + dy * dy <= r2);
+      }
+    });
+    return count;
+  }
 
   /// Shared traversal of visit_disk/count_disk: calls `visit_cell(c,
   /// fully_inside)` for every grid cell that may intersect the disk, in

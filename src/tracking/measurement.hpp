@@ -12,13 +12,6 @@
 
 namespace cdpf::tracking {
 
-/// One sensor's bearing measurement: where the sensor is (as it reports
-/// its own position) and the bearing it measured.
-struct BearingObservation {
-  geom::Vec2 sensor;
-  double bearing_rad = 0.0;
-};
-
 /// z = atan2(ty - sy, tx - sx) + n,  n ~ N(0, sigma^2), wrapped to (-pi, pi].
 /// Its likelihood, normal in the wrapped residual and optionally inflated
 /// by a spatial resolution, is scored by core::BearingEvidence.

@@ -24,9 +24,4 @@ std::size_t node_count_for_density(double nodes_per_100m2, const geom::Aabb& fie
   return static_cast<std::size_t>(std::llround(count));
 }
 
-double density_of(std::size_t count, const geom::Aabb& field) {
-  CDPF_CHECK_MSG(field.area() > 0.0, "field must have positive area");
-  return static_cast<double>(count) * 100.0 / field.area();
-}
-
 }  // namespace cdpf::wsn

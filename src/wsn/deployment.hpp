@@ -22,7 +22,4 @@ std::vector<geom::Vec2> deploy_uniform_random(std::size_t count, const geom::Aab
 /// the given field.
 std::size_t node_count_for_density(double nodes_per_100m2, const geom::Aabb& field);
 
-/// Inverse of node_count_for_density.
-double density_of(std::size_t count, const geom::Aabb& field);
-
 }  // namespace cdpf::wsn

@@ -1,8 +1,10 @@
 #include "wsn/duty_cycle.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
-#include "random/engine.hpp"
 #include "support/check.hpp"
 
 namespace cdpf::wsn {
@@ -10,36 +12,34 @@ namespace cdpf::wsn {
 DutyCycleSchedule::DutyCycleSchedule(double period, double awake_fraction,
                                      std::uint64_t random_phase_seed)
     : period_(period), awake_fraction_(awake_fraction), seed_(random_phase_seed) {
-  CDPF_CHECK_MSG(period > 0.0, "duty-cycle period must be positive");
+  CDPF_CHECK_MSG(period >= 1.0 && period <= kMaxPeriod && period == std::floor(period),
+                 "duty-cycle period must be a whole number of seconds in [1, 2^26]");
   CDPF_CHECK_MSG(awake_fraction >= 0.0 && awake_fraction <= 1.0,
                  "awake fraction must be within [0, 1]");
 }
 
-double DutyCycleSchedule::phase(NodeId node) const {
-  // splitmix64 as a deterministic hash; when seed_ == 0 the phase still
-  // depends only on the id, i.e. the pattern is fixed and anticipatable.
-  rng::SplitMix64 hash(seed_ ^ (node + 1));
-  const double u = static_cast<double>(hash() >> 11) * 0x1.0p-53;
-  return u * period_;
-}
-
-bool DutyCycleSchedule::is_awake(NodeId node, double t) const {
-  if (awake_fraction_ >= 1.0) {
-    return true;
-  }
-  if (awake_fraction_ <= 0.0) {
-    return false;
-  }
-  const double local = std::fmod(t + phase(node), period_);
-  return local < awake_fraction_ * period_;
-}
-
 void DutyCycleSchedule::apply(Network& network, double t) const {
-  for (const Node& n : network.nodes()) {
-    if (!n.alive) {
-      continue;
+  // Blocks of 64 nodes: first the schedule decides every node of the block
+  // into a bit mask of flips, then only the flipped nodes are written. The
+  // flips (a fifth of the nodes per 1 s step at a 10 s period) fall at
+  // random, so a branch on each decision would mispredict and discard the
+  // decisions of the nodes after it already in flight.
+  const std::vector<Node>& nodes = network.nodes();
+  constexpr std::size_t kBlock = 64;
+  for (std::size_t begin = 0; begin < nodes.size(); begin += kBlock) {
+    const std::size_t end = std::min(nodes.size(), begin + kBlock);
+    std::uint64_t flips = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const Node& n = nodes[i];
+      const bool awake = is_awake(n.id, t);
+      const bool flip = n.alive & (awake != (n.power == PowerState::kAwake));
+      flips |= std::uint64_t{flip} << (i - begin);
     }
-    network.set_power(n.id, is_awake(n.id, t) ? PowerState::kAwake : PowerState::kAsleep);
+    for (; flips != 0; flips &= flips - 1) {
+      const Node& n = nodes[begin + static_cast<std::size_t>(std::countr_zero(flips))];
+      network.set_power(n.id, n.power == PowerState::kAwake ? PowerState::kAsleep
+                                                            : PowerState::kAwake);
+    }
   }
 }
 

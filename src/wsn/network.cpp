@@ -18,9 +18,9 @@ Network::Network(std::vector<geom::Vec2> positions, NetworkConfig config)
   for (std::size_t i = 0; i < positions.size(); ++i) {
     CDPF_CHECK_MSG(config_.field.contains(positions[i]),
                    "node position outside the deployment field");
-    nodes_.push_back(Node{static_cast<NodeId>(i), positions[i]});
+    nodes_.push_back(Node{.id = static_cast<NodeId>(i), .position = positions[i]});
   }
-  active_.assign(nodes_.size(), 1);
+  slot_active_.assign(nodes_.size(), 1);
   comm_count_.assign(nodes_.size(), 0);
   comm_count_epoch_.assign(nodes_.size(), 0);
 
@@ -63,17 +63,44 @@ void Network::clear_believed_positions() {
   ++activity_epoch_;
 }
 
-void Network::refresh_active(NodeId id) {
-  const std::uint8_t now = nodes_[id].active() ? 1 : 0;
-  if (active_[id] != now) {
-    active_[id] = now;
-    if (now != 0) {
-      --inactive_count_;
-    } else {
-      ++inactive_count_;
+void Network::fill_cell_tallies() {
+  if (cell_active_.empty()) {
+    // The first deactivation: every node learns its slot and cell, where
+    // its byte and its cell's tally sit. A network that never deactivates
+    // a node never pays this walk.
+    std::size_t slot = 0;
+    for (std::size_t c = 0; c < index_->num_cells(); ++c) {
+      for (const std::size_t end = slot + index_->cell_population(c); slot < end; ++slot) {
+        Node& n = nodes_[index_->id_at(slot)];
+        n.grid_slot = static_cast<std::uint32_t>(slot);
+        n.grid_cell = static_cast<std::uint32_t>(c);
+      }
     }
-    ++activity_epoch_;
+    cell_active_.resize(index_->num_cells());
   }
+  for (std::size_t c = 0; c < cell_active_.size(); ++c) {
+    cell_active_[c] = static_cast<std::uint32_t>(index_->cell_population(c));
+  }
+}
+
+void Network::refresh_active(NodeId id) {
+  const Node& n = nodes_[id];
+  const std::uint8_t now = n.active() ? 1 : 0;
+  if (cell_active_.empty()) {
+    if (now != 0) {
+      return;  // all active, and staying so
+    }
+    fill_cell_tallies();  // the first deactivation
+  }
+  std::uint8_t& active = slot_active_[n.grid_slot];
+  if (active == now) {
+    return;
+  }
+  active = now;
+  // +1 or -1 (modulo 2^32 and 2^64), without a branch on the direction.
+  cell_active_[n.grid_cell] += now != 0 ? 1u : ~0u;
+  inactive_count_ -= now != 0 ? std::size_t{1} : ~std::size_t{0};
+  ++activity_epoch_;
 }
 
 void Network::set_alive(NodeId id, bool alive) {
@@ -93,7 +120,10 @@ void Network::reset_runtime_state() {
     n.alive = true;
     n.power = PowerState::kAwake;
   }
-  std::fill(active_.begin(), active_.end(), std::uint8_t{1});
+  std::fill(slot_active_.begin(), slot_active_.end(), std::uint8_t{1});
+  if (!cell_active_.empty()) {
+    fill_cell_tallies();
+  }
   inactive_count_ = 0;
   ++activity_epoch_;
 }
@@ -101,8 +131,9 @@ void Network::reset_runtime_state() {
 std::size_t Network::nodes_within(geom::Vec2 center, double radius,
                                   std::vector<NodeId>& out) const {
   out.clear();
-  index_->visit_disk(center, radius,
-                     [&out](std::size_t id) { out.push_back(static_cast<NodeId>(id)); });
+  index_->visit_disk(center, radius, [&out](std::size_t id, std::size_t) {
+    out.push_back(static_cast<NodeId>(id));
+  });
   return out.size();
 }
 
@@ -110,12 +141,12 @@ std::size_t Network::active_nodes_within(geom::Vec2 center, double radius,
                                          std::vector<NodeId>& out) const {
   out.clear();
   if (inactive_count_ == 0) {
-    index_->visit_disk(center, radius, [&out](std::size_t id) {
+    index_->visit_disk(center, radius, [&out](std::size_t id, std::size_t) {
       out.push_back(static_cast<NodeId>(id));
     });
   } else {
-    index_->visit_disk(center, radius, [this, &out](std::size_t id) {
-      if (active_[id] != 0) {
+    index_->visit_disk(center, radius, [this, &out](std::size_t id, std::size_t slot) {
+      if (slot_active_[slot] != 0) {
         out.push_back(static_cast<NodeId>(id));
       }
     });
@@ -130,20 +161,21 @@ std::size_t Network::collect_active_within(geom::Vec2 center, double radius,
                  "use active_nodes_within + position() under believed positions");
   out.clear();
   if (inactive_count_ == 0) {
-    index_->visit_disk_soa(center, radius, [&out](std::size_t id, double x, double y) {
-      out.ids.push_back(static_cast<NodeId>(id));
-      out.xs.push_back(x);
-      out.ys.push_back(y);
-    });
-  } else {
     index_->visit_disk_soa(center, radius,
-                           [this, &out](std::size_t id, double x, double y) {
-                             if (active_[id] != 0) {
-                               out.ids.push_back(static_cast<NodeId>(id));
-                               out.xs.push_back(x);
-                               out.ys.push_back(y);
-                             }
+                           [&out](std::size_t id, std::size_t, double x, double y) {
+                             out.ids.push_back(static_cast<NodeId>(id));
+                             out.xs.push_back(x);
+                             out.ys.push_back(y);
                            });
+  } else {
+    index_->visit_disk_soa(
+        center, radius, [this, &out](std::size_t id, std::size_t slot, double x, double y) {
+          if (slot_active_[slot] != 0) {
+            out.ids.push_back(static_cast<NodeId>(id));
+            out.xs.push_back(x);
+            out.ys.push_back(y);
+          }
+        });
   }
   return out.size();
 }
@@ -152,10 +184,7 @@ std::size_t Network::count_active_within(geom::Vec2 center, double radius) const
   if (inactive_count_ == 0) {
     return index_->count_disk(center, radius);
   }
-  std::size_t count = 0;
-  index_->visit_disk(center, radius,
-                     [this, &count](std::size_t id) { count += active_[id]; });
-  return count;
+  return index_->count_disk_marked(center, radius, slot_active_, cell_active_);
 }
 
 template <double (*Distance)(geom::Vec2, geom::Vec2)>
@@ -174,9 +203,10 @@ NodeId Network::nearest_comm_neighbour(NodeId u, geom::Vec2 target, double bound
                        config_.comm_radius + index_->cell_size();
   const std::size_t id = index_->nearest_in_disk(
       nodes_[u].position, config_.comm_radius, target, bound,
-      [&](std::size_t v) {
-        return v == u || active_[v] == 0 ? kInf
-                                         : Distance(position(static_cast<NodeId>(v)), target);
+      [&](std::size_t v, std::size_t slot) {
+        return v == u || slot_active_[slot] == 0
+                   ? kInf
+                   : Distance(position(static_cast<NodeId>(v)), target);
       },
       [&](double cell_distance, std::size_t cell) {
         const double displacement = cell_displacement_.empty() ? 0.0 : cell_displacement_[cell];

@@ -144,7 +144,9 @@ class Network {
 
   /// Number of active nodes within `radius` of `center`, without
   /// materializing the id list. With all nodes active this is a pure
-  /// grid-occupancy count (no per-node memory traffic at all).
+  /// grid-occupancy count (no per-node memory traffic at all); otherwise
+  /// fully-inside cells add their active tally and only boundary cells read
+  /// activity bytes, contiguous in slot order.
   std::size_t count_active_within(geom::Vec2 center, double radius) const;
 
   /// The radio neighbour of `u` nearest `target`, or kInvalidNodeId when
@@ -189,8 +191,12 @@ class Network {
   double average_comm_degree() const;
 
  private:
-  /// Re-derive active_[id]/inactive_count_ after a runtime-state change.
+  /// Re-derive the activity mirror and inactive_count_ after a
+  /// runtime-state change of `id`, in O(1).
   void refresh_active(NodeId id);
+  /// Set every cell's active tally to its population, allocating the
+  /// tallies (and setting every node's grid slot and cell) on first use.
+  void fill_cell_tallies();
 
   NetworkConfig config_;
   std::vector<Node> nodes_;
@@ -203,11 +209,15 @@ class Network {
   std::vector<double> cell_displacement_;
   std::unique_ptr<geom::GridIndex> index_;
   NodeId sink_ = kInvalidNodeId;
-  // Activity mirror of nodes_: the spatial-query filter only needs one byte
-  // per node, and the compact array stays cache-resident where the Node
-  // array (visited by grid id order) does not. inactive_count_ == 0 lets
-  // queries skip the filter altogether.
-  std::vector<std::uint8_t> active_;
+  // Activity mirror of nodes_, one byte per node in grid-slot order
+  // (Node::grid_slot), so a disk query reads the bytes of a cell
+  // contiguously; beside it the number of active nodes of each grid cell,
+  // so a count skips the bytes of cells the disk covers whole. The tallies
+  // and the nodes' grid slots and cells wait for the first deactivation,
+  // so an all-active network allocates and walks nothing beyond the bytes;
+  // inactive_count_ == 0 lets queries skip the filter.
+  std::vector<std::uint8_t> slot_active_;
+  std::vector<std::uint32_t> cell_active_;
   std::size_t inactive_count_ = 0;
   // Per-node comm-disk receiver-count memo, keyed by the activity epoch. The
   // epoch bumps on every activity transition (set_alive / set_power /

@@ -25,12 +25,21 @@ enum class PowerState : std::uint8_t {
 
 struct Node {
   NodeId id = kInvalidNodeId;
+  /// The node's slot in the network's spatial grid (geom::GridIndex's CSR
+  /// order), where the network keeps its activity byte, and the grid cell
+  /// that holds it. Set by Network when it first deactivates a node (0
+  /// until then).
+  std::uint32_t grid_slot = 0;
   geom::Vec2 position;
   bool alive = true;
   PowerState power = PowerState::kAwake;
+  std::uint32_t grid_cell = 0;
 
   /// A node participates in sensing/communication only when alive and awake.
   bool active() const { return alive && power == PowerState::kAwake; }
 };
+// The grid slot and cell live in what would be padding: the node table
+// stays 32 B a node.
+static_assert(sizeof(Node) == 32, "Node must stay 32 bytes");
 
 }  // namespace cdpf::wsn

@@ -190,7 +190,7 @@ TEST(GridIndex, VisitorSeesEveryMatch) {
   const std::vector<Vec2> pts{{1.0, 1.0}, {2.0, 2.0}, {9.0, 9.0}};
   const GridIndex index(pts, Aabb::square(10.0), 2.5);
   int visits = 0;
-  index.visit_disk({1.5, 1.5}, 1.0, [&](std::size_t) { ++visits; });
+  index.visit_disk({1.5, 1.5}, 1.0, [&](std::size_t, std::size_t) { ++visits; });
   EXPECT_EQ(visits, 2);
 }
 

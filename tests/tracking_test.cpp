@@ -184,6 +184,13 @@ double oracle_pair(double z, double dx, double dy, double d2,
   return -0.5 * std::log(sigma_sq) - core::kLogSqrt2Pi - 0.5 * residual * residual / sigma_sq;
 }
 
+// One sensor's bearing measurement: where the sensor is and the bearing it
+// measured.
+struct BearingObservation {
+  geom::Vec2 sensor;
+  double bearing_rad = 0.0;
+};
+
 // Bearings added to a BearingEvidence and kept, as measured, beside it: the
 // oracle scores the bearings themselves, not the kernel's stored form of
 // them.

