@@ -44,11 +44,11 @@ struct Row {
   double bits_per_measurement = 0.0;
 };
 
-Row fold_rows(const std::vector<sim::SlotRecord>& records, std::size_t offset,
-              std::size_t trials) {
+Row fold_rows(const std::vector<sim::SlotRecord>& records, const sim::SweepGrid& grid,
+              std::size_t variant) {
   support::RunningStats rmse, bytes, messages, bits;
-  for (std::size_t t = 0; t < trials; ++t) {
-    const std::vector<double>& v = records[offset + t].values;
+  for (std::size_t t = 0; t < grid.trials(); ++t) {
+    const std::vector<double>& v = records[grid.slot(variant, 0, t)].values;
     rmse.add(v[0]);
     bytes.add(v[1]);
     messages.add(v[2]);
@@ -94,14 +94,15 @@ int main(int argc, char** argv) {
                     {"DPF-A (Huffman innovations)", &dpfa, 0.0}};
     constexpr std::size_t kVariants = 3;
 
+    const sim::SweepGrid grid(kVariants, 1, options.trials);
+
     sim::ExperimentRunner runner(options.run_spec(
         "ablation_adaptive_encoding",
         {{"density", support::format_double(density, 6)}}));
-    const auto records =
-        runner.run(kVariants * options.trials, [&](std::size_t slot) {
-          return encoding_trial(*variants[slot / options.trials].config, scenario,
-                                options.seed, slot % options.trials);
-        });
+    const auto records = runner.run(grid.slots(), [&](std::size_t slot) {
+      const sim::SweepGrid::Slot s = grid.at(slot);
+      return encoding_trial(*variants[s.point].config, scenario, options.seed, s.trial);
+    });
     if (!records) {
       bench::announce_snapshot(runner);
       return 0;
@@ -112,7 +113,7 @@ int main(int argc, char** argv) {
     support::Table table(
         {"variant", "RMSE (m)", "bytes", "messages", "bits/measurement"});
     for (std::size_t vi = 0; vi < kVariants; ++vi) {
-      const Row r = fold_rows(*records, vi * options.trials, options.trials);
+      const Row r = fold_rows(*records, grid, vi);
       auto row = table.row();
       row.cell(variants[vi].name)
           .cell(r.rmse, 2)
@@ -123,7 +124,7 @@ int main(int argc, char** argv) {
                 1);
       table.commit_row(row);
     }
-    bench::emit(table, options, "Ablation A9: adaptive encoding");
+    bench::emit(table, options.csv_path, "Ablation A9: adaptive encoding");
     std::cout << "\nHuffman-coded innovations need only a few bits each (the"
                  " innovation entropy), but the radio still sends one frame"
                  " per measurement per hop — bytes shrink toward the 1-byte"

@@ -66,17 +66,17 @@ int main(int argc, char** argv) {
     constexpr std::size_t kCases = 6;
     constexpr std::size_t kKinds = 2;
 
+    const sim::SweepGrid grid(kCases, kKinds, options.trials);
+
     sim::ExperimentRunner runner(options.run_spec(
         "ablation_duty_cycle", {{"density", support::format_double(density, 6)}}));
-    const auto records =
-        runner.run(kCases * kKinds * options.trials, [&](std::size_t slot) {
-          const std::size_t cell = slot / options.trials;
-          const Case& c = cases[cell / kKinds];
-          return sim::to_record(
-              sim::run_trial(scenario, kinds[cell % kKinds], params, options.seed,
-                             slot % options.trials,
-                             duty_hook(c.fraction, c.tdss, c.random_seed)));
-        });
+    const auto records = runner.run(grid.slots(), [&](std::size_t slot) {
+      const sim::SweepGrid::Slot s = grid.at(slot);
+      const Case& c = cases[s.point];
+      return sim::to_record(sim::run_trial(scenario, kinds[s.kind], params,
+                                           options.seed, s.trial,
+                                           duty_hook(c.fraction, c.tdss, c.random_seed)));
+    });
     if (!records) {
       bench::announce_snapshot(runner);
       return 0;
@@ -88,21 +88,18 @@ int main(int argc, char** argv) {
                           "CDPF est/run", "CDPF-NE RMSE (m)", "CDPF bytes"});
     for (std::size_t ci = 0; ci < kCases; ++ci) {
       const Case& c = cases[ci];
-      const sim::MonteCarloResult cdpf = sim::fold_monte_carlo(
-          *records, (ci * kKinds + 0) * options.trials, options.trials);
-      const sim::MonteCarloResult ne = sim::fold_monte_carlo(
-          *records, (ci * kKinds + 1) * options.trials, options.trials);
+      const sim::MonteCarloResult cdpf = grid.fold(*records, ci, 0);
       auto row = table.row();
       row.cell(c.fraction, 1)
           .cell(c.tdss ? "on" : "off")
           .cell(c.random_seed == 0 ? "deterministic" : "randomized")
           .cell(cdpf.rmse.mean(), 2)
           .cell(cdpf.estimates.mean(), 1)
-          .cell(ne.rmse.mean(), 2)
+          .cell(grid.fold(*records, ci, 1).rmse.mean(), 2)
           .cell(cdpf.total_bytes.mean(), 0);
       table.commit_row(row);
     }
-    bench::emit(table, options, "Ablation A4: duty cycling");
+    bench::emit(table, options.csv_path, "Ablation A4: duty cycling");
     std::cout << "\nWithout TDSS a heavily duty-cycled network produces very"
                  " few estimates (the target crosses undetected stretches);"
                  " the RMSE of those few estimates can look deceptively good."

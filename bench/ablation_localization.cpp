@@ -40,35 +40,33 @@ int main(int argc, char** argv) {
     constexpr std::size_t kSigmas = 5;
     constexpr std::size_t kKinds = 2;
 
+    const sim::SweepGrid grid(kSigmas, kKinds, options.trials);
+
     sim::ExperimentRunner runner(options.run_spec(
         "ablation_localization", {{"density", support::format_double(density, 6)}}));
-    const auto records =
-        runner.run(kSigmas * kKinds * options.trials, [&](std::size_t slot) {
-          const std::size_t cell = slot / options.trials;
-          const double sigma = sigmas[cell / kKinds];
-          // Each trial records its own localization outcome (appended after
-          // the standard trial layout), folded deterministically below.
-          auto loc_error = std::make_shared<double>(0.0);
-          auto unlocalized = std::make_shared<double>(0.0);
-          const auto hook_factory = [=](wsn::Network& net,
-                                        rng::Rng& rng) -> sim::StepHook {
-            wsn::LocalizationConfig config;
-            config.anchor_fraction = 0.1;
-            config.range_sigma_m = sigma;
-            const wsn::LocalizationResult result = wsn::localize(net, config, rng);
-            *loc_error = result.mean_error(net);
-            *unlocalized = static_cast<double>(result.unlocalized);
-            net.set_believed_positions(result.positions);
-            return {};
-          };
-          sim::SlotRecord record =
-              sim::to_record(sim::run_trial(scenario, kinds[cell % kKinds], params,
-                                            options.seed, slot % options.trials,
-                                            hook_factory));
-          record.values.push_back(*loc_error);
-          record.values.push_back(*unlocalized);
-          return record;
-        });
+    const auto records = runner.run(grid.slots(), [&](std::size_t slot) {
+      const sim::SweepGrid::Slot s = grid.at(slot);
+      const double sigma = sigmas[s.point];
+      // Each trial records its own localization outcome (appended after the
+      // standard trial layout), folded deterministically below.
+      auto loc_error = std::make_shared<double>(0.0);
+      auto unlocalized = std::make_shared<double>(0.0);
+      const auto hook_factory = [=](wsn::Network& net, rng::Rng& rng) -> sim::StepHook {
+        wsn::LocalizationConfig config;
+        config.anchor_fraction = 0.1;
+        config.range_sigma_m = sigma;
+        const wsn::LocalizationResult result = wsn::localize(net, config, rng);
+        *loc_error = result.mean_error(net);
+        *unlocalized = static_cast<double>(result.unlocalized);
+        net.set_believed_positions(result.positions);
+        return {};
+      };
+      sim::SlotRecord record = sim::to_record(sim::run_trial(
+          scenario, kinds[s.kind], params, options.seed, s.trial, hook_factory));
+      record.values.push_back(*loc_error);
+      record.values.push_back(*unlocalized);
+      return record;
+    });
     if (!records) {
       bench::announce_snapshot(runner);
       return 0;
@@ -84,26 +82,21 @@ int main(int argc, char** argv) {
       // their own trials.
       support::RunningStats loc_error, unlocalized;
       for (std::size_t ki = 0; ki < kKinds; ++ki) {
-        const std::size_t offset = (si * kKinds + ki) * options.trials;
-        for (std::size_t t = 0; t < options.trials; ++t) {
-          const std::vector<double>& v = (*records)[offset + t].values;
+        for (std::size_t t = 0; t < grid.trials(); ++t) {
+          const std::vector<double>& v = (*records)[grid.slot(si, ki, t)].values;
           loc_error.add(v[sim::kTrialRecordSize]);
           unlocalized.add(v[sim::kTrialRecordSize + 1]);
         }
       }
-      const sim::MonteCarloResult cdpf = sim::fold_monte_carlo(
-          *records, (si * kKinds + 0) * options.trials, options.trials);
-      const sim::MonteCarloResult ne = sim::fold_monte_carlo(
-          *records, (si * kKinds + 1) * options.trials, options.trials);
       auto row = table.row();
       row.cell(sigmas[si], 1)
           .cell(loc_error.mean(), 2)
           .cell(unlocalized.mean(), 1)
-          .cell(cdpf.rmse.mean(), 2)
-          .cell(ne.rmse.mean(), 2);
+          .cell(grid.fold(*records, si, 0).rmse.mean(), 2)
+          .cell(grid.fold(*records, si, 1).rmse.mean(), 2);
       table.commit_row(row);
     }
-    bench::emit(table, options, "Ablation A8: localization");
+    bench::emit(table, options.csv_path, "Ablation A8: localization");
     std::cout << "\nFinding: CDPF is remarkably robust to UNBIASED"
                  " localization error — its estimate averages ~dozens of host"
                  " positions, so independent per-node errors shrink by"

@@ -36,21 +36,21 @@ int main(int argc, char** argv) {
     constexpr std::size_t kFractions = 5;
     constexpr std::size_t kKinds = 3;
 
+    const sim::SweepGrid grid(kFractions, kKinds, options.trials);
+
     sim::ExperimentRunner runner(options.run_spec(
         "ablation_node_failure", {{"density", support::format_double(density, 6)}}));
-    const auto records =
-        runner.run(kFractions * kKinds * options.trials, [&](std::size_t slot) {
-          const std::size_t cell = slot / options.trials;
-          const double fraction = fractions[cell / kKinds];
-          const auto hook_factory = [fraction](wsn::Network& net,
-                                               rng::Rng& rng) -> sim::StepHook {
-            wsn::FailureInjector(net).fail_fraction(fraction, rng);
-            return {};
-          };
-          return sim::to_record(sim::run_trial(scenario, kinds[cell % kKinds],
-                                               params, options.seed,
-                                               slot % options.trials, hook_factory));
-        });
+    const auto records = runner.run(grid.slots(), [&](std::size_t slot) {
+      const sim::SweepGrid::Slot s = grid.at(slot);
+      const double fraction = fractions[s.point];
+      const auto hook_factory = [fraction](wsn::Network& net,
+                                           rng::Rng& rng) -> sim::StepHook {
+        wsn::FailureInjector(net).fail_fraction(fraction, rng);
+        return {};
+      };
+      return sim::to_record(sim::run_trial(scenario, kinds[s.kind], params,
+                                           options.seed, s.trial, hook_factory));
+    });
     if (!records) {
       bench::announce_snapshot(runner);
       return 0;
@@ -61,21 +61,16 @@ int main(int argc, char** argv) {
     support::Table table({"failed fraction", "CDPF RMSE (m)", "CDPF-NE RMSE (m)",
                           "SDPF RMSE (m)", "CDPF lost runs"});
     for (std::size_t fi = 0; fi < kFractions; ++fi) {
-      const sim::MonteCarloResult cdpf = sim::fold_monte_carlo(
-          *records, (fi * kKinds + 0) * options.trials, options.trials);
-      const sim::MonteCarloResult ne = sim::fold_monte_carlo(
-          *records, (fi * kKinds + 1) * options.trials, options.trials);
-      const sim::MonteCarloResult sdpf = sim::fold_monte_carlo(
-          *records, (fi * kKinds + 2) * options.trials, options.trials);
+      const sim::MonteCarloResult cdpf = grid.fold(*records, fi, 0);
       auto row = table.row();
       row.cell(fractions[fi], 1)
           .cell(cdpf.rmse.mean(), 2)
-          .cell(ne.rmse.mean(), 2)
-          .cell(sdpf.rmse.mean(), 2)
+          .cell(grid.fold(*records, fi, 1).rmse.mean(), 2)
+          .cell(grid.fold(*records, fi, 2).rmse.mean(), 2)
           .cell(cdpf.trials_without_estimates);
       table.commit_row(row);
     }
-    bench::emit(table, options, "Ablation A3: node failure");
+    bench::emit(table, options.csv_path, "Ablation A3: node failure");
     std::cout << "\nKilling nodes thins the effective density; the error rises"
                  " accordingly but tracking survives (the filter re-anchors on"
                  " whatever still detects the target).\n";

@@ -35,20 +35,20 @@ int main(int argc, char** argv) {
     constexpr std::size_t kSigmas = 5;
     constexpr std::size_t kKinds = 4;
 
+    const sim::SweepGrid grid(kSigmas, kKinds, options.trials);
+
     sim::ExperimentRunner runner(options.run_spec(
         "ablation_noise", {{"density", support::format_double(density, 6)}}));
-    const auto records =
-        runner.run(kSigmas * kKinds * options.trials, [&](std::size_t slot) {
-          const std::size_t cell = slot / options.trials;
-          sim::AlgorithmParams params;
-          const double sigma = sigmas[cell / kKinds];
-          params.cpf.sigma_bearing = sigma;
-          params.sdpf.sigma_bearing = sigma;
-          params.cdpf.sigma_bearing = sigma;
-          return sim::to_record(sim::run_trial(scenario, kinds[cell % kKinds],
-                                               params, options.seed,
-                                               slot % options.trials));
-        });
+    const auto records = runner.run(grid.slots(), [&](std::size_t slot) {
+      const sim::SweepGrid::Slot s = grid.at(slot);
+      sim::AlgorithmParams params;
+      const double sigma = sigmas[s.point];
+      params.cpf.sigma_bearing = sigma;
+      params.sdpf.sigma_bearing = sigma;
+      params.cdpf.sigma_bearing = sigma;
+      return sim::to_record(
+          sim::run_trial(scenario, kinds[s.kind], params, options.seed, s.trial));
+    });
     if (!records) {
       bench::announce_snapshot(runner);
       return 0;
@@ -62,13 +62,11 @@ int main(int argc, char** argv) {
       auto row = table.row();
       row.cell(sigmas[si], 2);
       for (std::size_t ki = 0; ki < kKinds; ++ki) {
-        const sim::MonteCarloResult r = sim::fold_monte_carlo(
-            *records, (si * kKinds + ki) * options.trials, options.trials);
-        row.cell(r.rmse.mean(), 2);
+        row.cell(grid.fold(*records, si, ki).rmse.mean(), 2);
       }
       table.commit_row(row);
     }
-    bench::emit(table, options, "Ablation A7: measurement noise");
+    bench::emit(table, options.csv_path, "Ablation A7: measurement noise");
     std::cout << "\nThe node-hosted filters are nearly flat in sigma_n: their"
                  " effective measurement noise is dominated by the angular"
                  " uncertainty of the ~2 m node-position quantization"

@@ -33,30 +33,28 @@ int main(int argc, char** argv) {
     const std::size_t counts[] = {1, 2, 4, 8, 16};
     constexpr std::size_t kCells = 6;
 
+    const sim::SweepGrid grid(kCells, 1, options.trials);
+
     sim::ExperimentRunner runner(options.run_spec(
         "ablation_particles_per_node",
         {{"density", support::format_double(density, 6)}}));
-    const auto records =
-        runner.run(kCells * options.trials, [&](std::size_t slot) {
-          const std::size_t cell = slot / options.trials;
-          sim::AlgorithmParams params;
-          if (cell == 0) {
-            return sim::to_record(sim::run_trial(scenario, sim::AlgorithmKind::kCdpf,
-                                                 params, options.seed,
-                                                 slot % options.trials));
-          }
-          params.sdpf.particles_per_detection = counts[cell - 1];
-          return sim::to_record(sim::run_trial(scenario, sim::AlgorithmKind::kSdpf,
-                                               params, options.seed,
-                                               slot % options.trials));
-        });
+    const auto records = runner.run(grid.slots(), [&](std::size_t slot) {
+      const sim::SweepGrid::Slot s = grid.at(slot);
+      sim::AlgorithmParams params;
+      if (s.point > 0) {
+        params.sdpf.particles_per_detection = counts[s.point - 1];
+      }
+      const sim::AlgorithmKind kind =
+          s.point == 0 ? sim::AlgorithmKind::kCdpf : sim::AlgorithmKind::kSdpf;
+      return sim::to_record(
+          sim::run_trial(scenario, kind, params, options.seed, s.trial));
+    });
     if (!records) {
       bench::announce_snapshot(runner);
       return 0;
     }
 
-    const sim::MonteCarloResult cdpf =
-        sim::fold_monte_carlo(*records, 0, options.trials);
+    const sim::MonteCarloResult cdpf = grid.fold(*records, 0, 0);
     std::cout << "Ablation A2 — SDPF particles per detecting node (density "
               << density << ", " << options.trials << " trials; CDPF reference: "
               << support::format_double(cdpf.total_bytes.mean(), 0) << " B, RMSE "
@@ -65,8 +63,7 @@ int main(int argc, char** argv) {
     support::Table table({"particles/node", "SDPF bytes", "SDPF RMSE (m)",
                           "CDPF saving vs SDPF"});
     for (std::size_t ci = 1; ci < kCells; ++ci) {
-      const sim::MonteCarloResult sdpf =
-          sim::fold_monte_carlo(*records, ci * options.trials, options.trials);
+      const sim::MonteCarloResult sdpf = grid.fold(*records, ci, 0);
       auto row = table.row();
       row.cell(counts[ci - 1])
           .cell(sdpf.total_bytes.mean(), 0)
@@ -78,7 +75,7 @@ int main(int argc, char** argv) {
                 "%");
       table.commit_row(row);
     }
-    bench::emit(table, options, "Ablation A2: SDPF particle count");
+    bench::emit(table, options.csv_path, "Ablation A2: SDPF particle count");
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';

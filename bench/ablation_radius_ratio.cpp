@@ -81,26 +81,25 @@ int main(int argc, char** argv) {
       return scenario;
     };
 
-    // Slot space: the Monte-Carlo region (radii x {CDPF, CDPF-NE} x trials)
+    // Slot space: the Monte-Carlo grid (radii x {CDPF, CDPF-NE} x trials)
     // followed by one overhearing-probe slot per radius.
-    const std::size_t mc_slots = kRadii * kKinds * options.trials;
+    const sim::SweepGrid grid(kRadii, kKinds, options.trials);
+    const std::size_t mc_slots = grid.slots();
 
     sim::ExperimentRunner runner(options.run_spec(
         "ablation_radius_ratio", {{"density", support::format_double(density, 6)}}));
-    const auto records =
-        runner.run(mc_slots + kRadii, [&](std::size_t slot) {
-          if (slot >= mc_slots) {
-            sim::SlotRecord record;
-            record.values = {incomplete_overhearing_fraction(
-                scenario_for(slot - mc_slots), options.seed)};
-            return record;
-          }
-          const std::size_t cell = slot / options.trials;
-          const std::size_t ri = cell / kKinds;
-          return sim::to_record(sim::run_trial(scenario_for(ri), kinds[cell % kKinds],
-                                               sim::AlgorithmParams{}, options.seed,
-                                               slot % options.trials));
-        });
+    const auto records = runner.run(mc_slots + kRadii, [&](std::size_t slot) {
+      if (slot >= mc_slots) {
+        sim::SlotRecord record;
+        record.values = {incomplete_overhearing_fraction(scenario_for(slot - mc_slots),
+                                                         options.seed)};
+        return record;
+      }
+      const sim::SweepGrid::Slot s = grid.at(slot);
+      return sim::to_record(sim::run_trial(scenario_for(s.point), kinds[s.kind],
+                                           sim::AlgorithmParams{}, options.seed,
+                                           s.trial));
+    });
     if (!records) {
       bench::announce_snapshot(runner);
       return 0;
@@ -111,10 +110,6 @@ int main(int argc, char** argv) {
     support::Table table({"r_s (m)", "r_s <= r_c/2", "incomplete overhearing",
                           "CDPF RMSE (m)", "CDPF-NE RMSE (m)"});
     for (std::size_t ri = 0; ri < kRadii; ++ri) {
-      const sim::MonteCarloResult cdpf = sim::fold_monte_carlo(
-          *records, (ri * kKinds + 0) * options.trials, options.trials);
-      const sim::MonteCarloResult ne = sim::fold_monte_carlo(
-          *records, (ri * kKinds + 1) * options.trials, options.trials);
       auto row = table.row();
       row.cell(radii[ri], 0)
           .cell(scenario_for(ri).network.overhearing_assumption_holds() ? "yes"
@@ -122,11 +117,11 @@ int main(int argc, char** argv) {
           .cell(support::format_double(
                     100.0 * (*records)[mc_slots + ri].values[0], 1) +
                 "%")
-          .cell(cdpf.rmse.mean(), 2)
-          .cell(ne.rmse.mean(), 2);
+          .cell(grid.fold(*records, ri, 0).rmse.mean(), 2)
+          .cell(grid.fold(*records, ri, 1).rmse.mean(), 2);
       table.commit_row(row);
     }
-    bench::emit(table, options, "Ablation A6: radius ratio");
+    bench::emit(table, options.csv_path, "Ablation A6: radius ratio");
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';

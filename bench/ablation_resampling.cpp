@@ -38,18 +38,18 @@ int main(int argc, char** argv) {
     constexpr std::size_t kSchemes = 4;
     constexpr std::size_t kKinds = 2;
 
+    const sim::SweepGrid grid(kSchemes, kKinds, options.trials);
+
     sim::ExperimentRunner runner(options.run_spec(
         "ablation_resampling", {{"density", support::format_double(density, 6)}}));
-    const auto records =
-        runner.run(kSchemes * kKinds * options.trials, [&](std::size_t slot) {
-          const std::size_t cell = slot / options.trials;
-          sim::AlgorithmParams params;
-          params.cpf.resampling = schemes[cell / kKinds];
-          params.sdpf.resampling = schemes[cell / kKinds];
-          return sim::to_record(sim::run_trial(scenario, kinds[cell % kKinds],
-                                               params, options.seed,
-                                               slot % options.trials));
-        });
+    const auto records = runner.run(grid.slots(), [&](std::size_t slot) {
+      const sim::SweepGrid::Slot s = grid.at(slot);
+      sim::AlgorithmParams params;
+      params.cpf.resampling = schemes[s.point];
+      params.sdpf.resampling = schemes[s.point];
+      return sim::to_record(
+          sim::run_trial(scenario, kinds[s.kind], params, options.seed, s.trial));
+    });
     if (!records) {
       bench::announce_snapshot(runner);
       return 0;
@@ -59,17 +59,13 @@ int main(int argc, char** argv) {
               << options.trials << " trials)\n";
     support::Table table({"scheme", "CPF RMSE (m)", "SDPF RMSE (m)"});
     for (std::size_t si = 0; si < kSchemes; ++si) {
-      const sim::MonteCarloResult cpf = sim::fold_monte_carlo(
-          *records, (si * kKinds + 0) * options.trials, options.trials);
-      const sim::MonteCarloResult sdpf = sim::fold_monte_carlo(
-          *records, (si * kKinds + 1) * options.trials, options.trials);
       auto row = table.row();
       row.cell(std::string(filters::resampling_scheme_name(schemes[si])))
-          .cell(cpf.rmse.mean(), 2)
-          .cell(sdpf.rmse.mean(), 2);
+          .cell(grid.fold(*records, si, 0).rmse.mean(), 2)
+          .cell(grid.fold(*records, si, 1).rmse.mean(), 2);
       table.commit_row(row);
     }
-    bench::emit(table, options, "Ablation A5: resampling scheme");
+    bench::emit(table, options.csv_path, "Ablation A5: resampling scheme");
     std::cout << "\nAll schemes are unbiased; differences reflect resampling"
                  " variance only, so the curves should be close — systematic"
                  " (the default) has the lowest variance.\n";

@@ -34,17 +34,17 @@ int main(int argc, char** argv) {
     constexpr std::size_t kSteps = 4;
     constexpr std::size_t kKinds = 2;
 
+    const sim::SweepGrid grid(kSteps, kKinds, options.trials);
+
     sim::ExperimentRunner runner(options.run_spec(
         "ablation_timestep", {{"density", support::format_double(density, 6)}}));
-    const auto records =
-        runner.run(kSteps * kKinds * options.trials, [&](std::size_t slot) {
-          const std::size_t cell = slot / options.trials;
-          sim::AlgorithmParams params;
-          params.cdpf.dt = steps[cell / kKinds];
-          return sim::to_record(sim::run_trial(scenario, kinds[cell % kKinds],
-                                               params, options.seed,
-                                               slot % options.trials));
-        });
+    const auto records = runner.run(grid.slots(), [&](std::size_t slot) {
+      const sim::SweepGrid::Slot s = grid.at(slot);
+      sim::AlgorithmParams params;
+      params.cdpf.dt = steps[s.point];
+      return sim::to_record(
+          sim::run_trial(scenario, kinds[s.kind], params, options.seed, s.trial));
+    });
     if (!records) {
       bench::announce_snapshot(runner);
       return 0;
@@ -55,10 +55,8 @@ int main(int argc, char** argv) {
     support::Table table({"dt (s)", "CDPF RMSE (m)", "CDPF bytes", "CDPF-NE RMSE (m)",
                           "CDPF-NE bytes"});
     for (std::size_t di = 0; di < kSteps; ++di) {
-      const sim::MonteCarloResult cdpf = sim::fold_monte_carlo(
-          *records, (di * kKinds + 0) * options.trials, options.trials);
-      const sim::MonteCarloResult ne = sim::fold_monte_carlo(
-          *records, (di * kKinds + 1) * options.trials, options.trials);
+      const sim::MonteCarloResult cdpf = grid.fold(*records, di, 0);
+      const sim::MonteCarloResult ne = grid.fold(*records, di, 1);
       auto row = table.row();
       row.cell(steps[di], 0)
           .cell(cdpf.rmse.mean(), 2)
@@ -67,7 +65,7 @@ int main(int argc, char** argv) {
           .cell(ne.total_bytes.mean(), 0);
       table.commit_row(row);
     }
-    bench::emit(table, options, "Ablation A1: iteration period");
+    bench::emit(table, options.csv_path, "Ablation A1: iteration period");
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "sim/cli_options.hpp"
@@ -17,12 +18,12 @@
 namespace cdpf::bench {
 
 /// Emit the finished table to stdout (ASCII) and optionally to CSV.
-inline void emit(const support::Table& table, const sim::CliOptions& options,
+inline void emit(const support::Table& table, const std::optional<std::string>& csv_path,
                  const std::string& title) {
   std::cout << "\n== " << title << " ==\n" << table.to_ascii();
-  if (options.csv_path) {
-    table.write_csv(*options.csv_path);
-    std::cout << "(CSV written to " << *options.csv_path << ")\n";
+  if (csv_path) {
+    table.write_csv(*csv_path);
+    std::cout << "(CSV written to " << *csv_path << ")\n";
   }
 }
 

@@ -47,15 +47,15 @@ int main(int argc, char** argv) {
     };
     constexpr std::size_t kEntries = 6;
 
+    const sim::SweepGrid grid(1, kEntries, options.trials);
+
     sim::ExperimentRunner runner(options.run_spec(
         "dpf_family", {{"density", support::format_double(density, 6)}}));
-    const auto records =
-        runner.run(kEntries * options.trials, [&](std::size_t slot) {
-          return sim::to_record(sim::run_trial(scenario,
-                                               entries[slot / options.trials].kind,
-                                               params, options.seed,
-                                               slot % options.trials));
-        });
+    const auto records = runner.run(grid.slots(), [&](std::size_t slot) {
+      const sim::SweepGrid::Slot s = grid.at(slot);
+      return sim::to_record(
+          sim::run_trial(scenario, entries[s.kind].kind, params, options.seed, s.trial));
+    });
     if (!records) {
       bench::announce_snapshot(runner);
       return 0;
@@ -65,8 +65,7 @@ int main(int argc, char** argv) {
               << options.trials << " trials)\n";
     support::Table table({"algorithm", "family", "RMSE (m)", "bytes", "messages"});
     for (std::size_t i = 0; i < kEntries; ++i) {
-      const sim::MonteCarloResult r =
-          sim::fold_monte_carlo(*records, i * options.trials, options.trials);
+      const sim::MonteCarloResult r = grid.fold(*records, 0, i);
       auto row = table.row();
       row.cell(std::string(sim::algorithm_name(entries[i].kind)))
           .cell(entries[i].family)
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
           .cell(r.total_messages.mean(), 0);
       table.commit_row(row);
     }
-    bench::emit(table, options, "DPF family");
+    bench::emit(table, options.csv_path, "DPF family");
     std::cout << "\nThe compression family (DPF, GMM-DPF) shrinks bytes but"
                  " keeps per-measurement messages; the completely distributed"
                  " family shrinks both — the paper's core argument for CDPF"

@@ -41,15 +41,15 @@ struct EnergyOutcome {
 /// Fold one algorithm's trials in slot order — identical for any worker
 /// count or shard split.
 EnergyOutcome fold_energy(const std::vector<sim::SlotRecord>& records,
-                          std::size_t offset, std::size_t trials) {
+                          const sim::SweepGrid& grid, std::size_t kind) {
   EnergyOutcome out;
-  for (std::size_t t = 0; t < trials; ++t) {
-    const std::vector<double>& v = records[offset + t].values;
+  for (std::size_t t = 0; t < grid.trials(); ++t) {
+    const std::vector<double>& v = records[grid.slot(0, kind, t)].values;
     out.total_mj += v[0];
     out.hotspot_uj += v[1];
     out.rmse += v[2];
   }
-  const double n = static_cast<double>(trials);
+  const double n = static_cast<double>(grid.trials());
   out.total_mj /= n;
   out.hotspot_uj /= n;
   out.rmse /= n;
@@ -78,13 +78,14 @@ int main(int argc, char** argv) {
     scenario.density_per_100m2 = density;
     constexpr std::size_t kAlgorithms = std::size(sim::kAllAlgorithms);
 
+    const sim::SweepGrid grid(1, kAlgorithms, options.trials);
+
     sim::ExperimentRunner runner(options.run_spec(
         "energy_lifetime", {{"density", support::format_double(density, 6)}}));
-    const auto records =
-        runner.run(kAlgorithms * options.trials, [&](std::size_t slot) {
-          return energy_trial(sim::kAllAlgorithms[slot / options.trials], scenario,
-                              options.seed, slot % options.trials);
-        });
+    const auto records = runner.run(grid.slots(), [&](std::size_t slot) {
+      const sim::SweepGrid::Slot s = grid.at(slot);
+      return energy_trial(sim::kAllAlgorithms[s.kind], scenario, options.seed, s.trial);
+    });
     if (!records) {
       bench::announce_snapshot(runner);
       return 0;
@@ -95,7 +96,7 @@ int main(int argc, char** argv) {
     support::Table table({"algorithm", "total (mJ)", "hotspot node (uJ)",
                           "runs per 1 J hotspot budget", "RMSE (m)"});
     for (std::size_t i = 0; i < kAlgorithms; ++i) {
-      const EnergyOutcome e = fold_energy(*records, i * options.trials, options.trials);
+      const EnergyOutcome e = fold_energy(*records, grid, i);
       auto row = table.row();
       row.cell(std::string(sim::algorithm_name(sim::kAllAlgorithms[i])))
           .cell(e.total_mj, 2)
@@ -104,7 +105,7 @@ int main(int argc, char** argv) {
           .cell(e.rmse, 2);
       table.commit_row(row);
     }
-    bench::emit(table, options, "Energy per tracking run");
+    bench::emit(table, options.csv_path, "Energy per tracking run");
     std::cout << "\nThe hotspot column is what kills a deployment: SDPF's"
                  " transceiver uploads and CPF's relays concentrate energy on"
                  " a few nodes, while CDPF/CDPF-NE spread single-hop"

@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
           .cell(e2, 2);
       table.commit_row(row);
     }
-    bench::emit(table, options, "Figure 4");
+    bench::emit(table, options.csv_path, "Figure 4");
 
     // Terminal rendering of the figure itself: '.' real trajectory,
     // 'o' CDPF estimates, 'x' CDPF-NE estimates.

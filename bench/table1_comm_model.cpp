@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
     add("CDPF-NE", "N_s (D_p + D_w)", core::table1_cdpf_ne(particles_of(4), p),
         (*records)[4]);
 
-    bench::emit(table, options, "Table I");
+    bench::emit(table, options.csv_path, "Table I");
     std::cout << "\nNotes: analyzed columns use each algorithm's own measured"
                  " N / N_s and the mean measured hop count H=" << mean_hops
               << ". The paper's SDPF/CDPF expressions assume all detecting"

@@ -6,9 +6,12 @@
 //   ./algorithm_comparison [--densities=5,20,40] [--trials=5] [--csv=out.csv]
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
+#include <vector>
 
 #include "sim/cli_options.hpp"
 #include "sim/experiment.hpp"
+#include "sim/runspec.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
@@ -31,18 +34,26 @@ int main(int argc, char** argv) {
       return EXIT_SUCCESS;
     }
 
+    const sim::AlgorithmParams params;
+    const sim::SweepGrid grid(options.densities.size(), std::size(sim::kAllAlgorithms),
+                              options.trials);
+    const std::vector<sim::SlotRecord> records = sim::run_slots_ordered<sim::SlotRecord>(
+        grid.slots(), options.workers, [&](std::size_t slot) {
+          const sim::SweepGrid::Slot s = grid.at(slot);
+          sim::Scenario scenario;
+          scenario.density_per_100m2 = options.densities[s.point];
+          return sim::to_record(sim::run_trial(scenario, sim::kAllAlgorithms[s.kind],
+                                               params, options.seed, s.trial));
+        });
+
     support::Table table({"density", "algorithm", "RMSE (m)", "mean err (m)",
                           "bytes", "messages"});
-    const sim::AlgorithmParams params;
-    for (const double density : options.densities) {
-      sim::Scenario scenario;
-      scenario.density_per_100m2 = density;
-      for (const sim::AlgorithmKind kind : sim::kAllAlgorithms) {
-        const sim::MonteCarloResult r = sim::run_monte_carlo(
-            scenario, kind, params, options.trials, options.seed, options.workers);
+    for (std::size_t di = 0; di < options.densities.size(); ++di) {
+      for (std::size_t ki = 0; ki < std::size(sim::kAllAlgorithms); ++ki) {
+        const sim::MonteCarloResult r = grid.fold(records, di, ki);
         auto row = table.row();
-        row.cell(density, 0)
-            .cell(std::string(sim::algorithm_name(kind)))
+        row.cell(options.densities[di], 0)
+            .cell(std::string(sim::algorithm_name(sim::kAllAlgorithms[ki])))
             .cell(r.rmse.mean(), 2)
             .cell(r.mean_error.mean(), 2)
             .cell(r.total_bytes.mean(), 0)

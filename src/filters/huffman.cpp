@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <queue>
 
 #include "support/check.hpp"
@@ -68,39 +67,6 @@ HuffmanCode HuffmanCode::from_frequencies(std::span<const double> frequencies) {
   }
   HuffmanCode code;
   code.lengths_ = huffman_lengths(frequencies);
-  code.max_length_ =
-      *std::max_element(code.lengths_.begin(), code.lengths_.end());
-
-  // Canonicalize: sort symbols by (length, symbol) and assign increasing
-  // codewords.
-  const std::size_t n = code.lengths_.size();
-  code.symbols_by_code_.resize(n);
-  std::iota(code.symbols_by_code_.begin(), code.symbols_by_code_.end(), 0u);
-  std::sort(code.symbols_by_code_.begin(), code.symbols_by_code_.end(),
-            [&](std::size_t a, std::size_t b) {
-              return std::pair(code.lengths_[a], a) < std::pair(code.lengths_[b], b);
-            });
-
-  code.codes_.resize(n);
-  code.first_code_per_length_.assign(code.max_length_ + 1, 0);
-  code.first_index_per_length_.assign(code.max_length_ + 1, 0);
-  code.count_per_length_.assign(code.max_length_ + 1, 0);
-  for (const std::uint8_t l : code.lengths_) {
-    ++code.count_per_length_[l];
-  }
-  std::uint64_t next = 0;
-  std::size_t previous_length = 0;
-  for (std::size_t rank = 0; rank < n; ++rank) {
-    const std::size_t symbol = code.symbols_by_code_[rank];
-    const std::size_t length = code.lengths_[symbol];
-    next <<= (length - previous_length);
-    if (length != previous_length) {
-      code.first_code_per_length_[length] = next;
-      code.first_index_per_length_[length] = rank;
-      previous_length = length;
-    }
-    code.codes_[symbol] = next++;
-  }
   return code;
 }
 
@@ -117,30 +83,6 @@ double HuffmanCode::expected_length(std::span<const double> probabilities) const
     bits += probabilities[s] * static_cast<double>(lengths_[s]);
   }
   return bits;
-}
-
-void HuffmanCode::encode(std::size_t symbol, support::BitWriter& out) const {
-  CDPF_CHECK_MSG(symbol < lengths_.size(), "symbol out of range");
-  out.write(codes_[symbol], lengths_[symbol]);
-}
-
-std::size_t HuffmanCode::decode(support::BitReader& in) const {
-  // Canonical decoding: extend the code bit by bit; at each length the
-  // valid codewords occupy the contiguous range [first_code, first_code +
-  // count), so membership is two comparisons.
-  std::uint64_t code = 0;
-  for (std::size_t length = 1; length <= max_length_; ++length) {
-    code = (code << 1) | (in.read_bit() ? 1ULL : 0ULL);
-    if (count_per_length_[length] == 0) {
-      continue;
-    }
-    const std::uint64_t first = first_code_per_length_[length];
-    if (code >= first && code < first + count_per_length_[length]) {
-      return symbols_by_code_[first_index_per_length_[length] +
-                              static_cast<std::size_t>(code - first)];
-    }
-  }
-  throw Error("corrupt Huffman stream: no codeword matched");
 }
 
 double entropy_bits(std::span<const double> probabilities) {

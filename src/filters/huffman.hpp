@@ -13,11 +13,11 @@
 #include <span>
 #include <vector>
 
-#include "support/bitstream.hpp"
-
 namespace cdpf::filters {
 
-/// Canonical Huffman code over symbols 0..n-1.
+/// Huffman code over symbols 0..n-1, kept as its codeword lengths: the
+/// adaptive-encoding DPF charges each measurement its codeword's length in
+/// bits and never materializes the bits themselves.
 class HuffmanCode {
  public:
   /// Build from (unnormalized) symbol frequencies; zero-frequency symbols
@@ -33,21 +33,10 @@ class HuffmanCode {
   /// Average codeword length under the given distribution (bits/symbol).
   double expected_length(std::span<const double> probabilities) const;
 
-  void encode(std::size_t symbol, support::BitWriter& out) const;
-  std::size_t decode(support::BitReader& in) const;
-
  private:
   HuffmanCode() = default;
 
-  // Canonical form: lengths per symbol + first-code table per length.
-  std::vector<std::uint8_t> lengths_;
-  std::vector<std::uint64_t> codes_;  // canonical codeword per symbol
-  // Decoding tables indexed by code length.
-  std::vector<std::uint64_t> first_code_per_length_;
-  std::vector<std::size_t> first_index_per_length_;
-  std::vector<std::size_t> count_per_length_;
-  std::vector<std::size_t> symbols_by_code_;  // symbols sorted by (len, code)
-  std::size_t max_length_ = 0;
+  std::vector<std::uint8_t> lengths_;  // codeword length per symbol
 };
 
 /// Entropy of a distribution in bits (for tests: Huffman's expected length

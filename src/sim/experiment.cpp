@@ -162,6 +162,30 @@ MonteCarloResult fold_monte_carlo(const std::vector<SlotRecord>& records,
   return aggregate;
 }
 
+SweepGrid::SweepGrid(std::size_t points, std::size_t kinds, std::size_t trials)
+    : points_(points), kinds_(kinds), trials_(trials) {
+  CDPF_CHECK_MSG(points > 0 && kinds > 0 && trials > 0,
+                 "a sweep grid needs at least one point, kind and trial");
+}
+
+SweepGrid::Slot SweepGrid::at(std::size_t slot) const {
+  CDPF_CHECK_MSG(slot < slots(), "slot is outside the sweep grid");
+  const std::size_t cell = slot / trials_;
+  return {cell / kinds_, cell % kinds_, slot % trials_};
+}
+
+std::size_t SweepGrid::slot(std::size_t point, std::size_t kind,
+                            std::size_t trial) const {
+  CDPF_CHECK_MSG(point < points_ && kind < kinds_ && trial < trials_,
+                 "cell is outside the sweep grid");
+  return (point * kinds_ + kind) * trials_ + trial;
+}
+
+MonteCarloResult SweepGrid::fold(const std::vector<SlotRecord>& records,
+                                 std::size_t point, std::size_t kind) const {
+  return fold_monte_carlo(records, slot(point, kind), trials_);
+}
+
 MonteCarloResult run_monte_carlo(const Scenario& scenario, AlgorithmKind kind,
                                  const AlgorithmParams& params, std::size_t trials,
                                  std::uint64_t root_seed, std::size_t workers,

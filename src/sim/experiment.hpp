@@ -130,6 +130,39 @@ struct MonteCarloResult {
 MonteCarloResult fold_monte_carlo(const std::vector<SlotRecord>& records,
                                   std::size_t offset, std::size_t count);
 
+/// The slot layout of a sweep: `points` sweep values x `kinds` trackers or
+/// variants x `trials` Monte-Carlo repetitions, point-major, then kind, then
+/// trial. Trial t of every cell runs under trial index t, so each cell sees
+/// the seed stream a standalone run_monte_carlo() would. Extra slots (probes
+/// outside the Monte-Carlo region) go after slots().
+class SweepGrid {
+ public:
+  struct Slot {
+    std::size_t point;
+    std::size_t kind;
+    std::size_t trial;
+  };
+
+  SweepGrid(std::size_t points, std::size_t kinds, std::size_t trials);
+
+  std::size_t slots() const { return points_ * kinds_ * trials_; }
+  std::size_t trials() const { return trials_; }
+
+  /// The (point, kind, trial) of `slot`; the inverse of slot().
+  Slot at(std::size_t slot) const;
+  /// The slot of trial `trial` of cell (point, kind).
+  std::size_t slot(std::size_t point, std::size_t kind, std::size_t trial = 0) const;
+
+  /// fold_monte_carlo() over the trials of cell (point, kind).
+  MonteCarloResult fold(const std::vector<SlotRecord>& records, std::size_t point,
+                        std::size_t kind) const;
+
+ private:
+  std::size_t points_;
+  std::size_t kinds_;
+  std::size_t trials_;
+};
+
 /// Repeat run_trial() `trials` times (trial seeds derived from root_seed)
 /// and aggregate. `workers` > 1 distributes trials over worker threads;
 /// aggregation order is fixed by trial index either way, so the result is

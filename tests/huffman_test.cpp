@@ -1,5 +1,5 @@
-// Unit tests for bit streams, Huffman coding and the adaptive-encoding DPF
-// variant (Ing & Coates, paper reference [12]).
+// Unit tests for Huffman code lengths and the adaptive-encoding DPF variant
+// (Ing & Coates, paper reference [12]).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,34 +9,21 @@
 #include "filters/huffman.hpp"
 #include "random/rng.hpp"
 #include "sim/experiment.hpp"
-#include "support/bitstream.hpp"
 #include "support/check.hpp"
 #include "wsn/deployment.hpp"
 
 namespace cdpf {
 namespace {
 
-TEST(BitStream, RoundTripArbitraryWidths) {
-  support::BitWriter writer;
-  writer.write(0b101, 3);
-  writer.write(0xDEADBEEF, 32);
-  writer.write(1, 1);
-  writer.write(0, 7);
-  EXPECT_EQ(writer.bit_count(), 43u);
-  EXPECT_EQ(writer.byte_count(), 6u);
-
-  support::BitReader reader(writer.bytes(), writer.bit_count());
-  EXPECT_EQ(reader.read(3), 0b101u);
-  EXPECT_EQ(reader.read(32), 0xDEADBEEFu);
-  EXPECT_TRUE(reader.read_bit());
-  EXPECT_EQ(reader.read(7), 0u);
-  EXPECT_EQ(reader.remaining_bits(), 0u);
-  EXPECT_THROW(reader.read(1), Error);
-}
-
-TEST(BitStream, RejectsOversizedAccess) {
-  support::BitWriter writer;
-  EXPECT_THROW(writer.write(0, 65), Error);
+/// Kraft sum of a code's lengths: sum over symbols of 2^-length. A Huffman
+/// tree is full, so the sum is exactly 1 for any alphabet of two or more
+/// symbols (each term is a power of two, so the sum is exact in double).
+double kraft_sum(const filters::HuffmanCode& code) {
+  double sum = 0.0;
+  for (std::size_t s = 0; s < code.alphabet_size(); ++s) {
+    sum += std::ldexp(1.0, -static_cast<int>(code.code_length(s)));
+  }
+  return sum;
 }
 
 TEST(Huffman, SkewedDistributionGetsShortFrequentCodes) {
@@ -48,22 +35,19 @@ TEST(Huffman, SkewedDistributionGetsShortFrequentCodes) {
   EXPECT_EQ(code.code_length(0), 1u);  // the dominant symbol gets one bit
 }
 
-TEST(Huffman, EncodeDecodeRoundTrip) {
+TEST(Huffman, CodeLengthsSatisfyKraftEquality) {
   rng::Rng rng(41);
-  const std::vector<double> freq{50.0, 25.0, 12.0, 6.0, 4.0, 2.0, 1.0};
-  const auto code = filters::HuffmanCode::from_frequencies(freq);
-  std::vector<std::size_t> symbols;
-  support::BitWriter writer;
-  for (int i = 0; i < 2000; ++i) {
-    const std::size_t s = rng.categorical(freq);
-    symbols.push_back(s);
-    code.encode(s, writer);
+  for (std::size_t n = 2; n <= 40; ++n) {
+    std::vector<double> freq(n);
+    for (double& f : freq) {
+      f = rng.uniform(0.0, 100.0);
+    }
+    const auto code = filters::HuffmanCode::from_frequencies(freq);
+    EXPECT_EQ(kraft_sum(code), 1.0) << n << " symbols";
   }
-  support::BitReader reader(writer.bytes(), writer.bit_count());
-  for (const std::size_t expected : symbols) {
-    ASSERT_EQ(code.decode(reader), expected);
-  }
-  EXPECT_EQ(reader.remaining_bits(), 0u);
+  const auto geometric = filters::HuffmanCode::from_frequencies(
+      std::vector<double>{50.0, 25.0, 12.0, 6.0, 4.0, 2.0, 1.0});
+  EXPECT_EQ(kraft_sum(geometric), 1.0);
 }
 
 TEST(Huffman, ExpectedLengthWithinOneBitOfEntropy) {
@@ -93,23 +77,23 @@ TEST(Huffman, UniformDistributionCostsLog2N) {
 }
 
 TEST(Huffman, SingleSymbolAlphabet) {
+  // A single symbol still needs one bit on the wire.
   const auto code = filters::HuffmanCode::from_frequencies(std::vector<double>{5.0});
   EXPECT_EQ(code.code_length(0), 1u);
-  support::BitWriter writer;
-  code.encode(0, writer);
-  support::BitReader reader(writer.bytes(), writer.bit_count());
-  EXPECT_EQ(code.decode(reader), 0u);
 }
 
 TEST(Huffman, ZeroFrequencySymbolsRemainEncodable) {
+  // Zero-frequency symbols keep a codeword: every symbol has a finite length
+  // and the code stays complete.
   const std::vector<double> freq{100.0, 0.0, 0.0};
   const auto code = filters::HuffmanCode::from_frequencies(freq);
-  support::BitWriter writer;
-  code.encode(1, writer);
-  code.encode(2, writer);
-  support::BitReader reader(writer.bytes(), writer.bit_count());
-  EXPECT_EQ(code.decode(reader), 1u);
-  EXPECT_EQ(code.decode(reader), 2u);
+  EXPECT_EQ(code.code_length(0), 1u);
+  EXPECT_EQ(code.code_length(1), 2u);
+  EXPECT_EQ(code.code_length(2), 2u);
+  EXPECT_EQ(kraft_sum(code), 1.0);
+  const auto all_zero =
+      filters::HuffmanCode::from_frequencies(std::vector<double>(5, 0.0));
+  EXPECT_EQ(kraft_sum(all_zero), 1.0);
 }
 
 TEST(Huffman, InvalidInputsRejected) {

@@ -326,38 +326,72 @@ TEST(ExperimentRunner, DefaultSnapshotPathNamesTheShard) {
 // ------------------------------------------------- fold / Monte-Carlo parity
 
 TEST(FoldMonteCarlo, MatchesRunMonteCarloBitwise) {
-  sim::Scenario scenario;
-  scenario.density_per_100m2 = 10.0;
+  const double densities[] = {5.0, 10.0};
+  const sim::AlgorithmKind kinds[] = {sim::AlgorithmKind::kSdpf,
+                                      sim::AlgorithmKind::kCdpf};
   const sim::AlgorithmParams params;
   constexpr std::size_t kTrials = 3;
   constexpr std::uint64_t kSeed = 17;
-
-  const sim::MonteCarloResult direct = sim::run_monte_carlo(
-      scenario, sim::AlgorithmKind::kCdpf, params, kTrials, kSeed);
+  const sim::SweepGrid grid(2, 2, kTrials);
 
   std::vector<sim::SlotRecord> records;
-  for (std::size_t t = 0; t < kTrials; ++t) {
+  for (std::size_t slot = 0; slot < grid.slots(); ++slot) {
+    const sim::SweepGrid::Slot s = grid.at(slot);
+    sim::Scenario scenario;
+    scenario.density_per_100m2 = densities[s.point];
     records.push_back(sim::to_record(
-        sim::run_trial(scenario, sim::AlgorithmKind::kCdpf, params, kSeed, t)));
+        sim::run_trial(scenario, kinds[s.kind], params, kSeed, s.trial)));
   }
-  const sim::MonteCarloResult folded = sim::fold_monte_carlo(records, 0, kTrials);
 
-  EXPECT_EQ(folded.trials, direct.trials);
-  EXPECT_EQ(folded.trials_without_estimates, direct.trials_without_estimates);
-  // Bitwise, not approximate: the sharded plane promises byte-identical
-  // tables, which requires the fold to replay the exact double sequence.
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.rmse.mean()),
-            std::bit_cast<std::uint64_t>(direct.rmse.mean()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.rmse.stddev()),
-            std::bit_cast<std::uint64_t>(direct.rmse.stddev()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.mean_error.mean()),
-            std::bit_cast<std::uint64_t>(direct.mean_error.mean()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.total_bytes.mean()),
-            std::bit_cast<std::uint64_t>(direct.total_bytes.mean()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.total_messages.mean()),
-            std::bit_cast<std::uint64_t>(direct.total_messages.mean()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.estimates.mean()),
-            std::bit_cast<std::uint64_t>(direct.estimates.mean()));
+  for (std::size_t point = 0; point < 2; ++point) {
+    for (std::size_t kind = 0; kind < 2; ++kind) {
+      SCOPED_TRACE(testing::Message() << "point " << point << ", kind " << kind);
+      sim::Scenario scenario;
+      scenario.density_per_100m2 = densities[point];
+      const sim::MonteCarloResult direct =
+          sim::run_monte_carlo(scenario, kinds[kind], params, kTrials, kSeed);
+      const sim::MonteCarloResult folded = grid.fold(records, point, kind);
+
+      EXPECT_EQ(folded.trials, direct.trials);
+      EXPECT_EQ(folded.trials_without_estimates, direct.trials_without_estimates);
+      // Bitwise, not approximate: the sharded plane promises byte-identical
+      // tables, which requires the fold to replay the exact double sequence.
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.rmse.mean()),
+                std::bit_cast<std::uint64_t>(direct.rmse.mean()));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.rmse.stddev()),
+                std::bit_cast<std::uint64_t>(direct.rmse.stddev()));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.mean_error.mean()),
+                std::bit_cast<std::uint64_t>(direct.mean_error.mean()));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.total_bytes.mean()),
+                std::bit_cast<std::uint64_t>(direct.total_bytes.mean()));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.total_messages.mean()),
+                std::bit_cast<std::uint64_t>(direct.total_messages.mean()));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.estimates.mean()),
+                std::bit_cast<std::uint64_t>(direct.estimates.mean()));
+    }
+  }
+}
+
+TEST(SweepGrid, SlotsMapOneToOneOntoPointKindTrial) {
+  // Point-major, then kind, then trial: the order every bench's snapshot
+  // records its slots in.
+  const sim::SweepGrid grid(3, 4, 5);
+  ASSERT_EQ(grid.slots(), 60u);
+  std::size_t slot = 0;
+  for (std::size_t point = 0; point < 3; ++point) {
+    for (std::size_t kind = 0; kind < 4; ++kind) {
+      for (std::size_t trial = 0; trial < 5; ++trial, ++slot) {
+        const sim::SweepGrid::Slot s = grid.at(slot);
+        EXPECT_EQ(s.point, point);
+        EXPECT_EQ(s.kind, kind);
+        EXPECT_EQ(s.trial, trial);
+        EXPECT_EQ(grid.slot(point, kind, trial), slot);
+      }
+    }
+  }
+  EXPECT_THROW(grid.at(60), Error);
+  EXPECT_THROW(grid.slot(0, 4, 0), Error);
+  EXPECT_THROW(sim::SweepGrid(2, 0, 3), Error);
 }
 
 // ------------------------------------------------------- name-keyed factory

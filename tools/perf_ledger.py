@@ -353,7 +353,7 @@ def main() -> int:
     fig.add_argument("--parent-build", required=True, help="parent build directory")
     fig.add_argument("--change-build", required=True, help="change build directory")
     fig.add_argument("--bench", required=True, help="bench binary name, e.g. "
-                     "fig6_estimation_error")
+                     "paper_figures")
     fig.add_argument("--pairs", type=int, default=3)
     fig.add_argument("bench_args", nargs="*", help="passed to the bench after --workers "
                      "(put them after --)")

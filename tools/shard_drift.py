@@ -5,8 +5,8 @@ A change that is meant to move results only by rounding (a cheaper kernel,
 a reordered sum) is checked by running the same sharded experiment on the
 parent and on the change and comparing the two snapshots:
 
-  fig6_estimation_error --shard=0/1 --shard-out=parent.json   # parent tree
-  fig6_estimation_error --shard=0/1 --shard-out=change.json   # changed tree
+  paper_figures --shard=0/1 --shard-out=parent.json   # parent tree
+  paper_figures --shard=0/1 --shard-out=change.json   # changed tree
   tools/shard_drift.py parent.json change.json --rtol 1e-9
 
 Both snapshots must describe the same run: schema, experiment, config

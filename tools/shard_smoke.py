@@ -9,14 +9,14 @@ Runs one figure/table bench three ways —
   3. the bench's own in-process ``--merge=shard0,shard1,...``,
 
 — and asserts that the merge reproduces the unsharded run *exactly*:
-the CSV artifact must match byte for byte, and stdout must match after
-dropping only the wall-clock line (the single line whose content is
-legitimately timing-dependent). Any other difference is a determinism bug
-in the shard/merge plane and fails the check.
+every CSV file the reference run wrote (``paper_figures`` writes one per
+figure) must match byte for byte, and stdout must match after dropping only
+the CSV confirmation lines, which name per-mode paths. Any other difference
+is a determinism bug in the shard/merge plane and fails the check.
 
 Used by the ``shard-smoke`` CI job and the ``shard_smoke`` ctest:
 
-  tools/shard_smoke.py --bench build/bench/fig6_estimation_error
+  tools/shard_smoke.py --bench build/bench/paper_figures
 """
 
 from __future__ import annotations
@@ -81,15 +81,21 @@ def main(argv: list[str]) -> int:
 
     with tempfile.TemporaryDirectory(prefix="cdpf-shard-smoke-") as tmp:
         tmpdir = pathlib.Path(tmp)
+        ref_dir = tmpdir / "reference"
+        merged_dir = tmpdir / "merged"
+        ref_dir.mkdir()
+        merged_dir.mkdir()
 
         print(f"reference: unsharded run of {bench.name}")
         # Different worker counts on purpose: sharding must be bitwise
         # reproducible regardless of intra-process parallelism, so this also
         # checks run_slots_ordered's threaded dispatch against its serial one.
         ref_out = run(
-            [str(bench), *flags, "--workers=2", "--csv=ref.csv"], tmpdir
+            [str(bench), *flags, "--workers=2", "--csv=out.csv"], ref_dir
         )
-        ref_csv = (tmpdir / "ref.csv").read_bytes()
+        ref_csvs = sorted(path.name for path in ref_dir.glob("*.csv"))
+        if not ref_csvs:
+            raise SystemExit(f"shard_smoke: {bench.name} wrote no CSV file")
 
         print(f"sharded: {args.shards} processes")
         snapshots = []
@@ -104,10 +110,14 @@ def main(argv: list[str]) -> int:
 
         merged_out = run(
             [str(bench), *flags, f"--merge={','.join(snapshots)}",
-             "--csv=merged.csv"],
-            tmpdir,
+             "--csv=out.csv"],
+            merged_dir,
         )
-        check_equal("--merge CSV", ref_csv, (tmpdir / "merged.csv").read_bytes())
+        check_equal("--merge CSV file names", ref_csvs,
+                    sorted(path.name for path in merged_dir.glob("*.csv")))
+        for name in ref_csvs:
+            check_equal(f"--merge CSV {name}", (ref_dir / name).read_bytes(),
+                        (merged_dir / name).read_bytes())
         check_equal("--merge stdout", significant(ref_out),
                     significant(merged_out))
 
