@@ -37,8 +37,11 @@ void BM_ResampleIndices(benchmark::State& state) {
   for (double& w : weights) {
     w = rng.uniform(0.0, 1.0);
   }
+  std::vector<std::size_t> indices;
+  std::vector<double> scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(filters::resample_indices(weights, n, scheme, rng));
+    filters::resample_indices_into(weights, n, scheme, rng, indices, scratch);
+    benchmark::DoNotOptimize(indices.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
@@ -57,7 +60,9 @@ void BM_GridIndexQuery(benchmark::State& state) {
   std::vector<std::size_t> out;
   for (auto _ : state) {
     const geom::Vec2 c{rng.uniform(20.0, 180.0), rng.uniform(20.0, 180.0)};
-    benchmark::DoNotOptimize(index.query_disk(c, 30.0, out));
+    out.clear();
+    index.visit_disk(c, 30.0, [&out](std::size_t id, std::size_t) { out.push_back(id); });
+    benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_GridIndexQuery)->Arg(5)->Arg(20)->Arg(40)->ArgName("density");

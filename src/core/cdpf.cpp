@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "support/check.hpp"
 #include "support/log.hpp"
@@ -60,13 +61,17 @@ Cdpf::Cdpf(wsn::Network& network, wsn::Radio& radio, CdpfConfig config)
   }
   // The paper's correctness argument for the overheard total (every recorder
   // hears every broadcast of the previous round) needs r_s <= r_c / 2.
-  // Experiments may explore violations deliberately, so warn, don't reject.
+  // Experiments may explore violations deliberately, so warn, don't reject,
+  // and warn once per process: a sweep builds one tracker per trial.
   if (!network_.config().overhearing_assumption_holds()) {
-    CDPF_LOG_WARN("CDPF: sensing radius "
-                  << network_.config().sensing_radius
-                  << " m violates r_s <= r_c/2 (comm radius "
-                  << network_.config().comm_radius
-                  << " m); the overheard total may be incomplete");
+    static std::once_flag warned;
+    std::call_once(warned, [this] {
+      CDPF_LOG_WARN("CDPF: sensing radius "
+                    << network_.config().sensing_radius
+                    << " m violates r_s <= r_c/2 (comm radius "
+                    << network_.config().comm_radius
+                    << " m); the overheard total may be incomplete");
+    });
   }
 }
 

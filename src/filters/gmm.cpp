@@ -14,7 +14,7 @@ namespace {
 
 constexpr double kCovarianceFloor = 1e-4;  // m^2; keeps components proper
 
-linalg::Mat<2, 2> floored(linalg::Mat<2, 2> cov) {
+linalg::Mat2 floored(linalg::Mat2 cov) {
   cov = linalg::symmetrized(cov);
   cov(0, 0) = std::max(cov(0, 0), kCovarianceFloor);
   cov(1, 1) = std::max(cov(1, 1), kCovarianceFloor);
@@ -28,7 +28,7 @@ linalg::Mat<2, 2> floored(linalg::Mat<2, 2> cov) {
 // The terms of a component's log-density that do not depend on the point:
 // EM's E step derives them once per component and iteration, not per point.
 struct LogDensityTerms {
-  linalg::Mat<2, 2> inverse;
+  linalg::Mat2 inverse;
   double log_normalizer = 0.0;  // -log 2π - ½·log det
 };
 
@@ -40,7 +40,7 @@ LogDensityTerms log_density_terms(const Gaussian2D& g) {
 }
 
 double log_density_at(const LogDensityTerms& terms, geom::Vec2 mean, geom::Vec2 x) {
-  const linalg::Mat<2, 2>& inv = terms.inverse;
+  const linalg::Mat2& inv = terms.inverse;
   const geom::Vec2 d = x - mean;
   const double quad = d.x * (inv(0, 0) * d.x + inv(0, 1) * d.y) +
                       d.y * (inv(1, 0) * d.x + inv(1, 1) * d.y);
@@ -54,7 +54,7 @@ double Gaussian2D::log_density(geom::Vec2 x) const {
 }
 
 geom::Vec2 Gaussian2D::sample(rng::Rng& rng) const {
-  const linalg::Mat<2, 2> l = linalg::cholesky(covariance);
+  const linalg::Mat2 l = linalg::cholesky(covariance);
   const double z0 = rng.gaussian();
   const double z1 = rng.gaussian();
   return {mean.x + l(0, 0) * z0,
@@ -76,19 +76,6 @@ GaussianMixture::GaussianMixture(std::vector<Gaussian2D> components)
   }
 }
 
-double GaussianMixture::density(geom::Vec2 x) const {
-  double sum = 0.0;
-  for (const Gaussian2D& c : components_) {
-    sum += c.weight * std::exp(c.log_density(x));
-  }
-  return sum;
-}
-
-double GaussianMixture::log_density(geom::Vec2 x) const {
-  const double d = density(x);
-  return d > 0.0 ? std::log(d) : -std::numeric_limits<double>::infinity();
-}
-
 geom::Vec2 GaussianMixture::sample(rng::Rng& rng) const {
   CDPF_CHECK_MSG(!components_.empty(), "cannot sample an empty mixture");
   std::vector<double> weights;
@@ -97,14 +84,6 @@ geom::Vec2 GaussianMixture::sample(rng::Rng& rng) const {
     weights.push_back(c.weight);
   }
   return components_[rng.categorical(weights)].sample(rng);
-}
-
-geom::Vec2 GaussianMixture::mean() const {
-  geom::Vec2 m{};
-  for (const Gaussian2D& c : components_) {
-    m += c.mean * c.weight;
-  }
-  return m;
 }
 
 GaussianMixture GaussianMixture::fit(std::span<const Particle> particles,
@@ -149,7 +128,7 @@ GaussianMixture GaussianMixture::fit(std::span<const Particle> particles,
   // Initialize equal weights and isotropic covariances from the global
   // spread.
   const PositionCovariance global = weighted_position_covariance(particles);
-  linalg::Mat<2, 2> init_cov;
+  linalg::Mat2 init_cov;
   init_cov(0, 0) = std::max(global.xx, kCovarianceFloor);
   init_cov(1, 1) = std::max(global.yy, kCovarianceFloor);
   std::vector<Gaussian2D> comps(k);
@@ -202,7 +181,7 @@ GaussianMixture GaussianMixture::fit(std::span<const Particle> particles,
         continue;
       }
       mu = mu / mass;
-      linalg::Mat<2, 2> cov;
+      linalg::Mat2 cov;
       for (std::size_t i = 0; i < n; ++i) {
         const double w = particles[i].weight * resp[i * k + j];
         const geom::Vec2 d = particles[i].state.position - mu;

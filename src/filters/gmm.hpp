@@ -23,8 +23,8 @@ namespace cdpf::filters {
 /// One mixture component over 2-D position.
 struct Gaussian2D {
   geom::Vec2 mean;
-  linalg::Mat<2, 2> covariance;  // symmetric positive definite
-  double weight = 0.0;           // mixture weight
+  linalg::Mat2 covariance;  // symmetric positive definite
+  double weight = 0.0;      // mixture weight
 
   double log_density(geom::Vec2 x) const;
   geom::Vec2 sample(rng::Rng& rng) const;
@@ -35,18 +35,10 @@ class GaussianMixture {
   GaussianMixture() = default;
   explicit GaussianMixture(std::vector<Gaussian2D> components);
 
-  std::size_t size() const { return components_.size(); }
   const std::vector<Gaussian2D>& components() const { return components_; }
-
-  /// Mixture density / log-density at x (0 / -inf for an empty mixture).
-  double density(geom::Vec2 x) const;
-  double log_density(geom::Vec2 x) const;
 
   /// Draw one position from the mixture.
   geom::Vec2 sample(rng::Rng& rng) const;
-
-  /// Mixture mean.
-  geom::Vec2 mean() const;
 
   /// Bytes needed to transmit the mixture: per component the mean (2
   /// floats), the unique covariance entries (3 floats) and the weight

@@ -1,7 +1,6 @@
 #include "filters/huffman.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 
 #include "support/check.hpp"
@@ -73,26 +72,6 @@ HuffmanCode HuffmanCode::from_frequencies(std::span<const double> frequencies) {
 std::size_t HuffmanCode::code_length(std::size_t symbol) const {
   CDPF_CHECK_MSG(symbol < lengths_.size(), "symbol out of range");
   return lengths_[symbol];
-}
-
-double HuffmanCode::expected_length(std::span<const double> probabilities) const {
-  CDPF_CHECK_MSG(probabilities.size() == lengths_.size(),
-                 "distribution size must match the alphabet");
-  double bits = 0.0;
-  for (std::size_t s = 0; s < lengths_.size(); ++s) {
-    bits += probabilities[s] * static_cast<double>(lengths_[s]);
-  }
-  return bits;
-}
-
-double entropy_bits(std::span<const double> probabilities) {
-  double h = 0.0;
-  for (const double p : probabilities) {
-    if (p > 0.0) {
-      h -= p * std::log2(p);
-    }
-  }
-  return h;
 }
 
 }  // namespace cdpf::filters

@@ -25,22 +25,13 @@ class HuffmanCode {
   /// Requires at least one symbol.
   static HuffmanCode from_frequencies(std::span<const double> frequencies);
 
-  std::size_t alphabet_size() const { return lengths_.size(); }
-
   /// Codeword length in bits for `symbol`.
   std::size_t code_length(std::size_t symbol) const;
-
-  /// Average codeword length under the given distribution (bits/symbol).
-  double expected_length(std::span<const double> probabilities) const;
 
  private:
   HuffmanCode() = default;
 
   std::vector<std::uint8_t> lengths_;  // codeword length per symbol
 };
-
-/// Entropy of a distribution in bits (for tests: Huffman's expected length
-/// is within 1 bit of it).
-double entropy_bits(std::span<const double> probabilities);
 
 }  // namespace cdpf::filters

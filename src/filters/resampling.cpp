@@ -76,15 +76,6 @@ double cumulative_weights(std::span<const double> weights, std::vector<double>& 
 
 // Thin wrapper: resample_indices_into validates every precondition.
 // cdpf-lint: allow(entry-check)
-std::vector<std::size_t> resample_indices(std::span<const double> weights,
-                                          std::size_t count, ResamplingScheme scheme,
-                                          rng::Rng& rng) {
-  std::vector<std::size_t> indices;
-  std::vector<double> scratch;
-  resample_indices_into(weights, count, scheme, rng, indices, scratch);
-  return indices;
-}
-
 void resample_indices_into(std::span<const double> weights, std::size_t count,
                            ResamplingScheme scheme, rng::Rng& rng,
                            std::vector<std::size_t>& indices,
@@ -160,12 +151,6 @@ void resample_indices_into(std::span<const double> weights, std::size_t count,
 
 // Thin wrapper: the scratch overload validates every precondition.
 // cdpf-lint: allow(entry-check)
-void resample_particles(std::vector<Particle>& particles, std::size_t count,
-                        ResamplingScheme scheme, rng::Rng& rng) {
-  ResampleScratch scratch;
-  resample_particles(particles, count, scheme, rng, scratch);
-}
-
 namespace {
 
 /// Draw `count` equally weighted offspring of `particles` into

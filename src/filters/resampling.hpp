@@ -38,15 +38,10 @@ std::string_view resampling_scheme_name(ResamplingScheme scheme);
 /// residual schemes.
 double cumulative_weights(std::span<const double> weights, std::vector<double>& out);
 
-/// Draw `count` ancestor indices according to `scheme`.
-std::vector<std::size_t> resample_indices(std::span<const double> weights,
-                                          std::size_t count, ResamplingScheme scheme,
-                                          rng::Rng& rng);
-
-/// Reuse-friendly variant writing into `indices` (cleared first), with
-/// `scratch` holding the cumulative/residual staging; allocation-free once
-/// both have capacity for weights.size() (indices: count) — the form filter
-/// hot loops call every iteration.
+/// Draw `count` ancestor indices according to `scheme` into `indices`
+/// (cleared first), with `scratch` holding the cumulative/residual staging;
+/// allocation-free once both have capacity for weights.size() (indices:
+/// count).
 void resample_indices_into(std::span<const double> weights, std::size_t count,
                            ResamplingScheme scheme, rng::Rng& rng,
                            std::vector<std::size_t>& indices,
@@ -64,11 +59,7 @@ struct ResampleScratch {
 /// In-place resampling of a particle set to `count` particles with equal
 /// weights summing to the original total (so un-normalized sets keep their
 /// mass — important for CDPF where the total is the overheard aggregate).
-void resample_particles(std::vector<Particle>& particles, std::size_t count,
-                        ResamplingScheme scheme, rng::Rng& rng);
-
-/// The same resampling (same draws, same arithmetic) through caller-owned
-/// buffers; `particles` swaps storage with `scratch.next`.
+/// `particles` swaps storage with `scratch.next`.
 void resample_particles(std::vector<Particle>& particles, std::size_t count,
                         ResamplingScheme scheme, rng::Rng& rng,
                         ResampleScratch& scratch);

@@ -1,21 +1,17 @@
 // Angle arithmetic for bearings-only measurements.
 //
-// Bearings live on the circle, so residuals must be wrapped and averages
-// computed on the unit circle; doing this naively (linear subtraction) is a
-// classic bearings-only-tracking bug this header exists to prevent.
+// Bearings live on the circle, so residuals must be wrapped; doing this
+// naively (linear subtraction) is a classic bearings-only-tracking bug this
+// header exists to prevent.
 #pragma once
 
 #include <cmath>
 #include <numbers>
-#include <span>
 
 namespace cdpf::geom {
 
 inline constexpr double kPi = std::numbers::pi;
 inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
-
-constexpr double deg_to_rad(double degrees) { return degrees * kPi / 180.0; }
-constexpr double rad_to_deg(double radians) { return radians * 180.0 / kPi; }
 
 /// Wrap an angle to (-pi, pi].
 ///
@@ -43,28 +39,6 @@ inline double wrap_angle(double radians) {
     a += kTwoPi;
   }
   return a;
-}
-
-/// Smallest signed difference a - b on the circle, in (-pi, pi].
-inline double angle_difference(double a, double b) { return wrap_angle(a - b); }
-
-/// Absolute circular distance between two angles, in [0, pi].
-inline double angle_distance(double a, double b) {
-  return std::abs(angle_difference(a, b));
-}
-
-/// Circular mean of a set of angles; returns 0 for an empty set.
-inline double circular_mean(std::span<const double> angles) {
-  double sx = 0.0;
-  double sy = 0.0;
-  for (const double a : angles) {
-    sx += std::cos(a);
-    sy += std::sin(a);
-  }
-  if (sx == 0.0 && sy == 0.0) {
-    return 0.0;
-  }
-  return std::atan2(sy, sx);
 }
 
 }  // namespace cdpf::geom

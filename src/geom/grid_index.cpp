@@ -50,17 +50,4 @@ std::size_t GridIndex::cell_of(Vec2 p) const {
   return cell_at(coord(p.x, bounds_.lo.x, nx_), coord(p.y, bounds_.lo.y, ny_));
 }
 
-std::size_t GridIndex::query_disk(Vec2 center, double radius,
-                                  std::vector<std::size_t>& out) const {
-  out.clear();
-  visit_disk(center, radius, [&out](std::size_t id, std::size_t) { out.push_back(id); });
-  return out.size();
-}
-
-std::vector<std::size_t> GridIndex::query_disk(Vec2 center, double radius) const {
-  std::vector<std::size_t> out;
-  query_disk(center, radius, out);
-  return out;
-}
-
 }  // namespace cdpf::geom

@@ -41,15 +41,8 @@ class GridIndex {
     return cell_start_[c + 1] - cell_start_[c];
   }
 
-  /// Ids of all points within `radius` of `center` (closed ball). Appends to
-  /// `out` after clearing it; returns out.size().
-  std::size_t query_disk(Vec2 center, double radius, std::vector<std::size_t>& out) const;
-
-  /// Convenience allocation variant of query_disk.
-  std::vector<std::size_t> query_disk(Vec2 center, double radius) const;
-
-  /// Visit (id, slot) pairs within the disk without materializing a
-  /// vector. Statically dispatched: this is the innermost loop of every
+  /// Visit the (id, slot) pair of every point within `radius` of `center`
+  /// (closed ball). Statically dispatched: this is the innermost loop of every
   /// neighbor/detection query, so the visitor must not hide behind a
   /// std::function indirection (or allocate one) per call. Boundary-cell
   /// membership tests read the CSR-ordered coordinate copies (xs_/ys_)

@@ -1,5 +1,4 @@
-// Axis-aligned rectangles and disks: the deployment field, sensing areas,
-// communication areas, and the paper's "predicted areas" (Definition 1).
+// Axis-aligned rectangles: the deployment field.
 #pragma once
 
 #include <algorithm>
@@ -30,21 +29,6 @@ struct Aabb {
 
   /// Field of the paper's evaluation: [0, side] x [0, side].
   static constexpr Aabb square(double side) { return {{0.0, 0.0}, {side, side}}; }
-};
-
-/// Closed disk; used for sensing ranges, radio ranges and predicted areas.
-struct Disk {
-  Vec2 center;
-  double radius = 0.0;
-
-  constexpr bool contains(Vec2 p) const {
-    return distance_squared(center, p) <= radius * radius;
-  }
-
-  constexpr bool intersects(const Disk& other) const {
-    const double r = radius + other.radius;
-    return distance_squared(center, other.center) <= r * r;
-  }
 };
 
 }  // namespace cdpf::geom

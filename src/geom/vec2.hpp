@@ -17,7 +17,6 @@ struct Vec2 {
   constexpr Vec2 operator-(Vec2 rhs) const { return {x - rhs.x, y - rhs.y}; }
   constexpr Vec2 operator*(double s) const { return {x * s, y * s}; }
   constexpr Vec2 operator/(double s) const { return {x / s, y / s}; }
-  constexpr Vec2 operator-() const { return {-x, -y}; }
 
   constexpr Vec2& operator+=(Vec2 rhs) {
     x += rhs.x;
@@ -37,10 +36,6 @@ struct Vec2 {
 
   constexpr bool operator==(const Vec2&) const = default;
 
-  constexpr double dot(Vec2 rhs) const { return x * rhs.x + y * rhs.y; }
-  /// 2-D cross product (z-component of the 3-D cross product).
-  constexpr double cross(Vec2 rhs) const { return x * rhs.y - y * rhs.x; }
-
   constexpr double norm_squared() const { return x * x + y * y; }
   double norm() const { return std::hypot(x, y); }
 
@@ -58,8 +53,6 @@ struct Vec2 {
     return {std::cos(radians), std::sin(radians)};
   }
 };
-
-constexpr Vec2 operator*(double s, Vec2 v) { return v * s; }
 
 inline double distance(Vec2 a, Vec2 b) { return (a - b).norm(); }
 constexpr double distance_squared(Vec2 a, Vec2 b) { return (a - b).norm_squared(); }

@@ -1,244 +1,144 @@
-// Small fixed-size dense linear algebra.
+// 2x2 dense linear algebra.
 //
-// Its callers work on 2x2 systems: the covariances of GMM-DPF's Gaussian
-// mixture and the normal equations of range-based localization. A
-// stack-allocated Mat<R,C> with unrolled loops is simpler and faster there
-// than a general matrix library.
+// Every tracker works in the plane, so the only systems any figure solves
+// are 2x2: the covariances of GMM-DPF's Gaussian mixture and the normal
+// equations of range-based localization.
 #pragma once
 
 #include <array>
 #include <cmath>
 #include <cstddef>
-#include <initializer_list>
+#include <utility>
 
+#include "geom/vec2.hpp"
 #include "support/check.hpp"
 
 namespace cdpf::linalg {
 
-template <std::size_t R, std::size_t C>
-class Mat {
-  static_assert(R > 0 && C > 0, "matrix dimensions must be positive");
-
+/// Row-major 2x2 matrix; default-constructed to zero.
+class Mat2 {
  public:
-  constexpr Mat() = default;
-
-  /// Row-major brace construction: Mat<2,2>{{1,2},{3,4}} style via flat list.
-  constexpr Mat(std::initializer_list<double> flat) {
-    CDPF_CHECK_MSG(flat.size() == R * C, "initializer size must equal R*C");
-    std::size_t i = 0;
-    for (const double v : flat) {
-      data_[i++] = v;
-    }
-  }
-
-  static constexpr std::size_t rows() { return R; }
-  static constexpr std::size_t cols() { return C; }
+  constexpr Mat2() = default;
+  constexpr Mat2(double a00, double a01, double a10, double a11)
+      : data_{a00, a01, a10, a11} {}
 
   constexpr double& operator()(std::size_t r, std::size_t c) {
-    CDPF_ASSERT(r < R && c < C);
-    return data_[r * C + c];
+    CDPF_ASSERT(r < 2 && c < 2);
+    return data_[r * 2 + c];
   }
   constexpr double operator()(std::size_t r, std::size_t c) const {
-    CDPF_ASSERT(r < R && c < C);
-    return data_[r * C + c];
+    CDPF_ASSERT(r < 2 && c < 2);
+    return data_[r * 2 + c];
   }
 
-  /// Vector-style element access; only enabled for column vectors.
-  constexpr double& operator[](std::size_t i)
-    requires(C == 1)
-  {
-    CDPF_ASSERT(i < R);
-    return data_[i];
-  }
-  constexpr double operator[](std::size_t i) const
-    requires(C == 1)
-  {
-    CDPF_ASSERT(i < R);
-    return data_[i];
-  }
-
-  static constexpr Mat identity()
-    requires(R == C)
-  {
-    Mat m;
-    for (std::size_t i = 0; i < R; ++i) {
-      m(i, i) = 1.0;
-    }
-    return m;
-  }
-
-  constexpr Mat operator+(const Mat& rhs) const {
-    Mat out;
-    for (std::size_t i = 0; i < R * C; ++i) {
-      out.data_[i] = data_[i] + rhs.data_[i];
-    }
-    return out;
-  }
-
-  constexpr Mat operator-(const Mat& rhs) const {
-    Mat out;
-    for (std::size_t i = 0; i < R * C; ++i) {
-      out.data_[i] = data_[i] - rhs.data_[i];
-    }
-    return out;
-  }
-
-  constexpr Mat operator*(double s) const {
-    Mat out;
-    for (std::size_t i = 0; i < R * C; ++i) {
+  constexpr Mat2 operator*(double s) const {
+    Mat2 out;
+    for (std::size_t i = 0; i < 4; ++i) {
       out.data_[i] = data_[i] * s;
     }
     return out;
   }
 
-  constexpr Mat operator-() const { return *this * -1.0; }
-
-  constexpr Mat& operator+=(const Mat& rhs) { return *this = *this + rhs; }
-  constexpr Mat& operator-=(const Mat& rhs) { return *this = *this - rhs; }
-
-  constexpr bool operator==(const Mat&) const = default;
-
-  template <std::size_t K>
-  constexpr Mat<R, K> operator*(const Mat<C, K>& rhs) const {
-    Mat<R, K> out;
-    for (std::size_t r = 0; r < R; ++r) {
-      for (std::size_t c = 0; c < C; ++c) {
-        const double a = (*this)(r, c);
-        if (a == 0.0) {
-          continue;  // skipping structural zeros is cheap
-        }
-        for (std::size_t k = 0; k < K; ++k) {
-          out(r, k) += a * rhs(c, k);
-        }
-      }
-    }
-    return out;
-  }
-
-  constexpr Mat<C, R> transposed() const {
-    Mat<C, R> out;
-    for (std::size_t r = 0; r < R; ++r) {
-      for (std::size_t c = 0; c < C; ++c) {
-        out(c, r) = (*this)(r, c);
-      }
-    }
-    return out;
-  }
-
  private:
-  std::array<double, R * C> data_{};
+  std::array<double, 4> data_{};
 };
 
-template <std::size_t R, std::size_t C>
-constexpr Mat<R, C> operator*(double s, const Mat<R, C>& m) {
-  return m * s;
+/// m * v; zero entries of m are skipped (a zero times an infinite or NaN
+/// entry of v adds nothing).
+inline geom::Vec2 operator*(const Mat2& m, geom::Vec2 v) {
+  const std::array<double, 2> in{v.x, v.y};
+  std::array<double, 2> out{};
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      const double a = m(r, c);
+      if (a == 0.0) {
+        continue;
+      }
+      out[r] += a * in[c];
+    }
+  }
+  return {out[0], out[1]};
 }
 
-template <std::size_t N>
-using Vec = Mat<N, 1>;
-
-/// Symmetric part of a square matrix; keeps covariance updates symmetric in
-/// the presence of floating-point drift.
-template <std::size_t N>
-constexpr Mat<N, N> symmetrized(const Mat<N, N>& m) {
-  return (m + m.transposed()) * 0.5;
+/// Symmetric part; keeps covariance updates symmetric in the presence of
+/// floating-point drift.
+inline Mat2 symmetrized(const Mat2& m) {
+  Mat2 out;
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      out(r, c) = (m(r, c) + m(c, r)) * 0.5;
+    }
+  }
+  return out;
 }
 
 /// Gauss-Jordan inverse with partial pivoting. Throws cdpf::Error when the
 /// matrix is (numerically) singular.
-template <std::size_t N>
-Mat<N, N> inverse(const Mat<N, N>& m) {
-  Mat<N, N> a = m;
-  Mat<N, N> inv = Mat<N, N>::identity();
-  for (std::size_t col = 0; col < N; ++col) {
-    // Partial pivot: pick the largest |entry| in this column.
-    std::size_t pivot = col;
-    for (std::size_t r = col + 1; r < N; ++r) {
-      if (std::abs(a(r, col)) > std::abs(a(pivot, col))) {
-        pivot = r;
-      }
-    }
+inline Mat2 inverse(const Mat2& m) {
+  Mat2 a = m;
+  Mat2 inv{1.0, 0.0, 0.0, 1.0};
+  for (std::size_t col = 0; col < 2; ++col) {
+    // Partial pivot: the larger |entry| of this column at or below the
+    // diagonal.
+    const std::size_t pivot =
+        col == 0 && std::abs(a(1, 0)) > std::abs(a(0, 0)) ? 1 : col;
     CDPF_CHECK_MSG(std::abs(a(pivot, col)) > 1e-300, "matrix is singular");
     if (pivot != col) {
-      for (std::size_t c = 0; c < N; ++c) {
+      for (std::size_t c = 0; c < 2; ++c) {
         std::swap(a(col, c), a(pivot, c));
         std::swap(inv(col, c), inv(pivot, c));
       }
     }
     const double scale = 1.0 / a(col, col);
-    for (std::size_t c = 0; c < N; ++c) {
+    for (std::size_t c = 0; c < 2; ++c) {
       a(col, c) *= scale;
       inv(col, c) *= scale;
     }
-    for (std::size_t r = 0; r < N; ++r) {
-      if (r == col) {
-        continue;
-      }
-      const double f = a(r, col);
-      if (f == 0.0) {
-        continue;
-      }
-      for (std::size_t c = 0; c < N; ++c) {
-        a(r, c) -= f * a(col, c);
-        inv(r, c) -= f * inv(col, c);
-      }
+    const std::size_t r = 1 - col;
+    const double f = a(r, col);
+    if (f == 0.0) {
+      continue;
+    }
+    for (std::size_t c = 0; c < 2; ++c) {
+      a(r, c) -= f * a(col, c);
+      inv(r, c) -= f * inv(col, c);
     }
   }
   return inv;
 }
 
-/// Lower-triangular Cholesky factor L with m = L * L^T. Throws cdpf::Error
-/// when m is not (numerically) positive definite.
-template <std::size_t N>
-Mat<N, N> cholesky(const Mat<N, N>& m) {
-  Mat<N, N> l;
-  for (std::size_t r = 0; r < N; ++r) {
-    for (std::size_t c = 0; c <= r; ++c) {
-      double s = m(r, c);
-      for (std::size_t k = 0; k < c; ++k) {
-        s -= l(r, k) * l(c, k);
-      }
-      if (r == c) {
-        CDPF_CHECK_MSG(s > 0.0, "matrix is not positive definite");
-        l(r, r) = std::sqrt(s);
-      } else {
-        l(r, c) = s / l(c, c);
-      }
-    }
-  }
-  return l;
+/// Lower-triangular Cholesky factor L with m = L * L^T, read from m's lower
+/// triangle. Throws cdpf::Error when m is not (numerically) positive
+/// definite.
+inline Mat2 cholesky(const Mat2& m) {
+  CDPF_CHECK_MSG(m(0, 0) > 0.0, "matrix is not positive definite");
+  const double l00 = std::sqrt(m(0, 0));
+  const double l10 = m(1, 0) / l00;
+  const double s = m(1, 1) - l10 * l10;
+  CDPF_CHECK_MSG(s > 0.0, "matrix is not positive definite");
+  return {l00, 0.0, l10, std::sqrt(s)};
 }
 
-/// Determinant via an LU-style elimination (adequate for N <= 4 here).
-template <std::size_t N>
-double determinant(const Mat<N, N>& m) {
-  Mat<N, N> a = m;
+/// Determinant by elimination with partial pivoting; 0 when a pivot
+/// column is all zero.
+inline double determinant(const Mat2& m) {
+  Mat2 a = m;
   double det = 1.0;
-  for (std::size_t col = 0; col < N; ++col) {
-    std::size_t pivot = col;
-    for (std::size_t r = col + 1; r < N; ++r) {
-      if (std::abs(a(r, col)) > std::abs(a(pivot, col))) {
-        pivot = r;
-      }
-    }
-    if (std::abs(a(pivot, col)) == 0.0) {
-      return 0.0;
-    }
-    if (pivot != col) {
-      for (std::size_t c = 0; c < N; ++c) {
-        std::swap(a(col, c), a(pivot, c));
-      }
-      det = -det;
-    }
-    det *= a(col, col);
-    for (std::size_t r = col + 1; r < N; ++r) {
-      const double f = a(r, col) / a(col, col);
-      for (std::size_t c = col; c < N; ++c) {
-        a(r, c) -= f * a(col, c);
-      }
-    }
+  if (std::abs(a(1, 0)) > std::abs(a(0, 0))) {
+    std::swap(a(0, 0), a(1, 0));
+    std::swap(a(0, 1), a(1, 1));
+    det = -det;
   }
-  return det;
+  if (std::abs(a(0, 0)) == 0.0) {
+    return 0.0;
+  }
+  det *= a(0, 0);
+  const double f = a(1, 0) / a(0, 0);
+  const double a11 = a(1, 1) - f * a(0, 1);
+  if (std::abs(a11) == 0.0) {
+    return 0.0;
+  }
+  return det * a11;
 }
 
 }  // namespace cdpf::linalg

@@ -65,26 +65,6 @@ class Xoshiro256StarStar {
     return result;
   }
 
-  /// Advance 2^128 steps; gives non-overlapping subsequences when many
-  /// generators are forked from one seed.
-  constexpr void jump() {
-    constexpr std::array<std::uint64_t, 4> kJump = {
-        0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-        0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
-    std::array<std::uint64_t, 4> acc{};
-    for (const std::uint64_t word : kJump) {
-      for (int b = 0; b < 64; ++b) {
-        if (word & (1ULL << b)) {
-          for (std::size_t i = 0; i < acc.size(); ++i) {
-            acc[i] ^= state_[i];
-          }
-        }
-        (*this)();
-      }
-    }
-    state_ = acc;
-  }
-
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return std::numeric_limits<result_type>::max(); }
 

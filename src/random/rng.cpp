@@ -17,12 +17,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   return draw % n;
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  CDPF_CHECK_MSG(lo <= hi, "uniform_int(lo, hi) requires lo <= hi");
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_index(span));
-}
-
 std::size_t Rng::categorical(const std::vector<double>& weights) {
   CDPF_CHECK_MSG(!weights.empty(), "categorical needs at least one weight");
   double total = 0.0;
@@ -46,17 +40,6 @@ std::size_t Rng::categorical(const std::vector<double>& weights) {
     }
   }
   return weights.size() - 1;
-}
-
-Rng Rng::fork() {
-  Rng child(0);
-  child.engine_ = engine_;
-  child.engine_.jump();
-  // Move the parent past the child's subsequence so later draws and later
-  // forks cannot overlap it (each party owns a disjoint 2^128 block).
-  engine_.jump();
-  engine_.jump();
-  return child;
 }
 
 }  // namespace cdpf::rng

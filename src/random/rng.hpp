@@ -39,9 +39,6 @@ class Rng {
   /// modulo bias.
   std::uint64_t uniform_index(std::uint64_t n);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Standard normal via the Marsaglia polar method (deterministic, no
   /// libm-dependent tail behavior differences).
   double gaussian() {
@@ -77,12 +74,6 @@ class Rng {
   /// Sample an index from unnormalized non-negative weights. Requires at
   /// least one strictly positive weight.
   std::size_t categorical(const std::vector<double>& weights);
-
-  /// Fork a statistically independent child generator (jump-based).
-  Rng fork();
-
-  /// Access the raw engine (for std:: algorithms such as std::shuffle).
-  Xoshiro256StarStar& engine() { return engine_; }
 
  private:
   Xoshiro256StarStar engine_;

@@ -1,6 +1,5 @@
 #include "support/metrics.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -8,29 +7,6 @@
 #include "support/json.hpp"
 
 namespace cdpf::support {
-
-const MetricsSnapshot::Entry* MetricsSnapshot::find(std::string_view name) const {
-  for (const Entry& entry : entries) {
-    if (entry.name == name) {
-      return &entry;
-    }
-  }
-  return nullptr;
-}
-
-MetricsSnapshot MetricsSnapshot::delta(const MetricsSnapshot& before,
-                                       const MetricsSnapshot& after) {
-  MetricsSnapshot out;
-  out.entries.reserve(after.entries.size());
-  for (const Entry& entry : after.entries) {
-    Entry d = entry;
-    if (const Entry* base = before.find(entry.name); base != nullptr) {
-      d.count = entry.count - std::min(base->count, entry.count);
-    }
-    out.entries.push_back(std::move(d));
-  }
-  return out;
-}
 
 std::string MetricsSnapshot::to_json() const {
   std::ostringstream out;

@@ -33,8 +33,8 @@
 namespace cdpf::support {
 
 /// Point-in-time copy of every registered counter. Snapshots are plain
-/// data: diffable (delta()), serializable (to_json()/write_json()) and safe
-/// to keep after the registry moves on.
+/// data: serializable (to_json()/write_json()) and safe to keep after the
+/// registry moves on.
 struct MetricsSnapshot {
   struct Entry {
     std::string name;
@@ -42,14 +42,6 @@ struct MetricsSnapshot {
     std::uint64_t count = 0;
   };
   std::vector<Entry> entries;
-
-  /// Entry by name, or nullptr.
-  const Entry* find(std::string_view name) const;
-
-  /// Per-interval difference: counts subtract (entries of `after` missing
-  /// from `before` pass through).
-  static MetricsSnapshot delta(const MetricsSnapshot& before,
-                               const MetricsSnapshot& after);
 
   /// Compact JSON object, schema `cdpf-metrics/1`.
   std::string to_json() const;

@@ -1,12 +1,11 @@
-// Streaming summary statistics (Welford) used for Monte-Carlo aggregation
-// and for distribution sanity checks in tests, plus the compensated
-// accumulators every particle-weight reduction in the library must go
-// through (enforced by tools/cdpf_lint.py rule `weight-accumulation`).
+// A streaming mean (Welford) for Monte-Carlo aggregation, plus the
+// compensated accumulators every particle-weight reduction in the library
+// must go through (enforced by tools/cdpf_lint.py rule
+// `weight-accumulation`).
 #pragma once
 
 #include <cmath>
 #include <cstddef>
-#include <limits>
 
 namespace cdpf::support {
 
@@ -48,63 +47,19 @@ double weight_total(const Range& range, Proj proj) {
   return sum.value();
 }
 
-/// Numerically stable running mean/variance/min/max accumulator.
+/// Numerically stable running mean (Welford's update).
 class RunningStats {
  public:
   void add(double x) {
     ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
+    mean_ += (x - mean_) / static_cast<double>(count_);
   }
 
-  /// Merge another accumulator (parallel Welford merge), enabling
-  /// per-worker accumulation followed by a single combine.
-  void merge(const RunningStats& other) {
-    if (other.count_ == 0) {
-      return;
-    }
-    if (count_ == 0) {
-      *this = other;
-      return;
-    }
-    const double n1 = static_cast<double>(count_);
-    const double n2 = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    mean_ += delta * n2 / (n1 + n2);
-    m2_ += other.m2_ + delta * delta * n1 * n2 / (n1 + n2);
-    count_ += other.count_;
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-
-  std::size_t count() const { return count_; }
   double mean() const { return mean_; }
-
-  /// Population variance; 0 when fewer than two samples were seen.
-  double variance() const {
-    return count_ > 1 ? m2_ / static_cast<double>(count_) : 0.0;
-  }
-
-  /// Unbiased sample variance; 0 when fewer than two samples were seen.
-  double sample_variance() const {
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-  }
-
-  double stddev() const { return std::sqrt(variance()); }
-  double sample_stddev() const { return std::sqrt(sample_variance()); }
-
-  double min() const { return min_; }
-  double max() const { return max_; }
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace cdpf::support

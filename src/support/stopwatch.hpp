@@ -10,13 +10,9 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  void reset() { start_ = Clock::now(); }
-
   double elapsed_seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  double elapsed_ms() const { return elapsed_seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -100,27 +100,6 @@ std::string Table::to_ascii() const {
   return os.str();
 }
 
-std::string Table::to_markdown() const {
-  std::ostringstream os;
-  auto emit_row = [&](const std::vector<std::string>& row) {
-    os << "|";
-    for (const auto& cell : row) {
-      os << ' ' << cell << " |";
-    }
-    os << '\n';
-  };
-  emit_row(headers_);
-  os << "|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    os << "---|";
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    emit_row(row);
-  }
-  return os.str();
-}
-
 std::string Table::to_csv() const {
   std::ostringstream os;
   auto emit_row = [&](const std::vector<std::string>& row) {

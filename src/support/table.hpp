@@ -48,8 +48,6 @@ class Table {
 
   /// Render as an aligned ASCII table.
   std::string to_ascii() const;
-  /// Render as GitHub-flavored markdown.
-  std::string to_markdown() const;
   /// Render as RFC-4180-ish CSV (cells containing commas/quotes are quoted).
   std::string to_csv() const;
 
@@ -58,7 +56,6 @@ class Table {
   void write_csv(const std::string& path) const;
 
   const std::vector<std::string>& headers() const { return headers_; }
-  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
  private:
   std::vector<std::string> headers_;

@@ -15,8 +15,4 @@ double LinearProbabilityModel::probability(double distance) const {
   return std::clamp(1.0 - distance / radius_, 0.0, 1.0);
 }
 
-double LinearProbabilityModel::probability(geom::Vec2 node, geom::Vec2 event) const {
-  return probability(geom::distance(node, event));
-}
-
 }  // namespace cdpf::tracking

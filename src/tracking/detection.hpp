@@ -8,8 +8,6 @@
 // particle.
 #pragma once
 
-#include "geom/vec2.hpp"
-
 namespace cdpf::tracking {
 
 /// Linear probability model: the probability that a node participates in
@@ -25,7 +23,6 @@ class LinearProbabilityModel {
 
   /// p(d) as defined above; clamped to [0, 1].
   double probability(double distance) const;
-  double probability(geom::Vec2 node, geom::Vec2 event) const;
 
  private:
   double radius_;

@@ -11,9 +11,6 @@ struct TargetState {
   geom::Vec2 velocity;
 
   constexpr bool operator==(const TargetState&) const = default;
-
-  double speed() const { return velocity.norm(); }
-  double heading() const { return velocity.angle(); }
 };
 
 }  // namespace cdpf::tracking

@@ -2,8 +2,7 @@
 //
 // Figure 5 of the paper plots total communication cost in *bytes*; the
 // introduction argues the *number of messages* matters even more in
-// duty-cycled networks. CommStats therefore tracks both, per MessageKind,
-// and exposes merge() so per-trial accounting can be aggregated.
+// duty-cycled networks. CommStats therefore tracks both, per MessageKind.
 #pragma once
 
 #include <array>
@@ -22,16 +21,6 @@ class CommStats {
     bucket.bytes += payload_bytes;
     bucket.receptions += receivers;
   }
-
-  void merge(const CommStats& other) {
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      buckets_[i].messages += other.buckets_[i].messages;
-      buckets_[i].bytes += other.buckets_[i].bytes;
-      buckets_[i].receptions += other.buckets_[i].receptions;
-    }
-  }
-
-  void reset() { buckets_ = {}; }
 
   std::size_t messages(MessageKind kind) const {
     return buckets_[static_cast<std::size_t>(kind)].messages;

@@ -24,21 +24,6 @@ void EnergyModel::charge_rx(NodeId node, std::size_t bytes) {
   consumed_uj_[node] += static_cast<double>(bytes) * params_.e_elec_uj_per_byte;
 }
 
-void EnergyModel::charge_idle(NodeId node, double seconds) {
-  CDPF_CHECK_MSG(node < consumed_uj_.size(), "node id out of range");
-  consumed_uj_[node] += seconds * params_.idle_uj_per_s;
-}
-
-void EnergyModel::charge_sleep(NodeId node, double seconds) {
-  CDPF_CHECK_MSG(node < consumed_uj_.size(), "node id out of range");
-  consumed_uj_[node] += seconds * params_.sleep_uj_per_s;
-}
-
-double EnergyModel::consumed_uj(NodeId node) const {
-  CDPF_CHECK_MSG(node < consumed_uj_.size(), "node id out of range");
-  return consumed_uj_[node];
-}
-
 double EnergyModel::total_consumed_uj() const {
   return std::accumulate(consumed_uj_.begin(), consumed_uj_.end(), 0.0);
 }
@@ -47,7 +32,5 @@ double EnergyModel::max_consumed_uj() const {
   return consumed_uj_.empty() ? 0.0
                               : *std::max_element(consumed_uj_.begin(), consumed_uj_.end());
 }
-
-void EnergyModel::reset() { std::fill(consumed_uj_.begin(), consumed_uj_.end(), 0.0); }
 
 }  // namespace cdpf::wsn

@@ -1,8 +1,8 @@
 // First-order radio energy model (Heinzelman et al.), used by the energy
 // ablation bench: transmitting b bytes over distance d costs
 //   E_tx = b * (e_elec + e_amp * d^2),
-// receiving b bytes costs E_rx = b * e_elec, and idle listening / sleeping
-// accrue per-second costs. All energies in microjoules.
+// and receiving b bytes costs E_rx = b * e_elec. All energies in
+// microjoules.
 #pragma once
 
 #include <cstddef>
@@ -15,8 +15,6 @@ namespace cdpf::wsn {
 struct EnergyParams {
   double e_elec_uj_per_byte = 0.4;       // 50 nJ/bit
   double e_amp_uj_per_byte_m2 = 8e-4;    // 100 pJ/bit/m^2
-  double idle_uj_per_s = 1000.0;         // ~1 mW idle listening
-  double sleep_uj_per_s = 1.0;           // ~1 uW asleep
 };
 
 class EnergyModel {
@@ -25,16 +23,9 @@ class EnergyModel {
 
   void charge_tx(NodeId node, std::size_t bytes, double range_m);
   void charge_rx(NodeId node, std::size_t bytes);
-  void charge_idle(NodeId node, double seconds);
-  void charge_sleep(NodeId node, double seconds);
 
-  double consumed_uj(NodeId node) const;
   double total_consumed_uj() const;
   double max_consumed_uj() const;
-
-  void reset();
-
-  const EnergyParams& params() const { return params_; }
 
  private:
   EnergyParams params_;

@@ -24,8 +24,8 @@ bool multilaterate(const std::vector<Reference>& refs, geom::Vec2& out) {
     return false;
   }
   const Reference& base = refs.front();
-  linalg::Mat<2, 2> ata;
-  linalg::Vec<2> atb;
+  linalg::Mat2 ata;
+  geom::Vec2 atb;
   for (std::size_t i = 1; i < refs.size(); ++i) {
     const double ax = 2.0 * (refs[i].position.x - base.position.x);
     const double ay = 2.0 * (refs[i].position.y - base.position.y);
@@ -35,14 +35,13 @@ bool multilaterate(const std::vector<Reference>& refs, geom::Vec2& out) {
     ata(0, 1) += ax * ay;
     ata(1, 0) += ax * ay;
     ata(1, 1) += ay * ay;
-    atb[0] += ax * b;
-    atb[1] += ay * b;
+    atb.x += ax * b;
+    atb.y += ay * b;
   }
   if (std::abs(linalg::determinant(ata)) < 1e-6) {
     return false;  // collinear references: rank-deficient normal equations
   }
-  const linalg::Vec<2> x = linalg::inverse(ata) * atb;
-  out = {x[0], x[1]};
+  out = linalg::inverse(ata) * atb;
   return true;
 }
 
@@ -59,17 +58,6 @@ double LocalizationResult::mean_error(const Network& network) const {
     ++count;
   }
   return count > 0 ? sum / static_cast<double>(count) : 0.0;
-}
-
-double LocalizationResult::max_error(const Network& network) const {
-  double worst = 0.0;
-  for (NodeId id = 0; id < network.size(); ++id) {
-    if (!is_anchor[id]) {
-      worst = std::max(worst,
-                       geom::distance(positions[id], network.true_position(id)));
-    }
-  }
-  return worst;
 }
 
 LocalizationResult localize(const Network& network, const LocalizationConfig& config,

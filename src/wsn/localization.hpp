@@ -43,9 +43,8 @@ struct LocalizationResult {
   std::vector<bool> localized;        // solved (anchors count as localized)
   std::size_t unlocalized = 0;        // nodes that fell back to a guess
 
-  /// Mean / max believed-vs-true position error over non-anchor nodes.
+  /// Mean believed-vs-true position error over non-anchor nodes.
   double mean_error(const Network& network) const;
-  double max_error(const Network& network) const;
 };
 
 /// Run the localization protocol over `network` (using its TRUE positions

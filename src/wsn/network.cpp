@@ -40,10 +40,6 @@ Network::Network(std::vector<geom::Vec2> positions, NetworkConfig config)
   }
 }
 
-double Network::density_per_100m2() const {
-  return static_cast<double>(nodes_.size()) * 100.0 / config_.field.area();
-}
-
 void Network::set_believed_positions(std::vector<geom::Vec2> believed) {
   CDPF_CHECK_MSG(believed.size() == nodes_.size(),
                  "need one believed position per node");
@@ -113,19 +109,6 @@ void Network::set_power(NodeId id, PowerState state) {
   CDPF_CHECK_MSG(id < nodes_.size(), "node id out of range");
   nodes_[id].power = state;
   refresh_active(id);
-}
-
-void Network::reset_runtime_state() {
-  for (Node& n : nodes_) {
-    n.alive = true;
-    n.power = PowerState::kAwake;
-  }
-  std::fill(slot_active_.begin(), slot_active_.end(), std::uint8_t{1});
-  if (!cell_active_.empty()) {
-    fill_cell_tallies();
-  }
-  inactive_count_ = 0;
-  ++activity_epoch_;
 }
 
 std::size_t Network::nodes_within(geom::Vec2 center, double radius,
@@ -235,24 +218,6 @@ std::size_t Network::active_comm_disk_count(NodeId id) const {
 
 std::size_t Network::detecting_nodes(geom::Vec2 target, std::vector<NodeId>& out) const {
   return active_nodes_within(target, config_.sensing_radius, out);
-}
-
-double Network::average_comm_degree() const {
-  // Degree is a property of the live communication graph: an inactive node
-  // neither has neighbors nor counts as one, so it contributes to neither
-  // the numerator nor the denominator.
-  std::size_t total = 0;
-  std::size_t active = 0;
-  std::vector<NodeId> scratch;
-  for (const Node& n : nodes_) {
-    if (!n.active()) {
-      continue;
-    }
-    ++active;
-    active_nodes_within(n.position, config_.comm_radius, scratch);
-    total += scratch.size() - 1;  // the query includes the node itself
-  }
-  return active == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(active);
 }
 
 }  // namespace cdpf::wsn

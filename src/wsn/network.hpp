@@ -74,8 +74,6 @@ class Network {
   const NetworkConfig& config() const { return config_; }
   /// Number of deployed nodes (alive or not).
   std::size_t size() const { return nodes_.size(); }
-  /// Deployment density in nodes per 100 m² — the x-axis of Figs. 5/6.
-  double density_per_100m2() const;
 
   // node() and position() are called tens of millions of times per simulated
   // track (every spatial filter and likelihood gate reads them), so they are
@@ -112,17 +110,11 @@ class Network {
   void set_power(NodeId id, PowerState state);
   /// Alive AND awake — the participation predicate every query filters on.
   bool is_active(NodeId id) const { return node(id).active(); }
-  /// True when every node is alive and awake (the common case outside the
-  /// failure/duty-cycle experiments) — spatial queries then skip per-node
-  /// activity checks entirely.
-  bool all_active() const { return inactive_count_ == 0; }
-  /// Reset every node to alive + awake.
-  void reset_runtime_state();
   /// Number of active nodes, O(1).
   std::size_t active_count() const { return nodes_.size() - inactive_count_; }
   /// Bumps on every change a position-reading query can observe: an
-  /// activity transition (set_alive / set_power / reset_runtime_state) or
-  /// a change of believed positions. Caches keyed on it are never stale.
+  /// activity transition (set_alive / set_power) or a change of believed
+  /// positions. Caches keyed on it are never stale.
   std::uint64_t activity_epoch() const { return activity_epoch_; }
 
   // -- Spatial queries (include inactive nodes; callers filter) -----------
@@ -187,9 +179,6 @@ class Network {
     return geom::distance_squared(true_position(a), true_position(b)) <= rc * rc;
   }
 
-  /// Average number of active comm neighbors (connectivity diagnostic).
-  double average_comm_degree() const;
-
  private:
   /// Re-derive the activity mirror and inactive_count_ after a
   /// runtime-state change of `id`, in O(1).
@@ -220,10 +209,10 @@ class Network {
   std::vector<std::uint32_t> cell_active_;
   std::size_t inactive_count_ = 0;
   // Per-node comm-disk receiver-count memo, keyed by the activity epoch. The
-  // epoch bumps on every activity transition (set_alive / set_power /
-  // reset_runtime_state) and believed-position change, so a stale entry can
-  // never be served. Mutable: logically the cache of a const query. Not
-  // thread-safe — radio accounting runs on the simulation thread only.
+  // epoch bumps on every activity transition (set_alive / set_power) and
+  // believed-position change, so a stale entry can never be served.
+  // Mutable: logically the cache of a const query. Not thread-safe — radio
+  // accounting runs on the simulation thread only.
   std::uint64_t activity_epoch_ = 1;
   mutable std::vector<std::size_t> comm_count_;
   mutable std::vector<std::uint64_t> comm_count_epoch_;

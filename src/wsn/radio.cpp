@@ -12,15 +12,6 @@ bool Radio::in_range(NodeId u, NodeId v) const {
   return network_.in_comm_range(u, v);
 }
 
-bool Radio::interferes(NodeId tx, NodeId src, NodeId rx, double guard) const {
-  CDPF_CHECK_MSG(guard >= 0.0, "interference guard must be non-negative");
-  const double d_tx =
-      geom::distance(network_.true_position(tx), network_.true_position(rx));
-  const double d_src =
-      geom::distance(network_.true_position(src), network_.true_position(rx));
-  return d_tx <= (1.0 + guard) * d_src;
-}
-
 void Radio::broadcast(NodeId from, MessageKind kind, std::size_t payload_bytes,
                       std::vector<NodeId>& out) {
   CDPF_TRACE_INSTANT("radio-broadcast");

@@ -32,10 +32,6 @@ class Radio {
   /// radio rule here, it reads true positions (Network::in_comm_range).
   bool in_range(NodeId u, NodeId v) const;
 
-  /// Would a transmission from `tx` interfere at receiver `rx` listening to
-  /// `src`? Protocol model: yes when |tx - rx| <= (1 + guard) * |src - rx|.
-  bool interferes(NodeId tx, NodeId src, NodeId rx, double guard = 0.1) const;
-
   /// Broadcast `payload_bytes` from `from`; every active node within r_c
   /// (excluding the sender) receives it. Writes the receiver set into `out`
   /// (cleared first) and records one message + payload bytes + reception

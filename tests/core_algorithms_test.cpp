@@ -324,8 +324,8 @@ TEST(Cpf, QuantizationMapsToBinCenters) {
   EXPECT_NEAR(filter.quantize(0.1), geom::kPi / 4.0, 1e-12);
   EXPECT_NEAR(filter.quantize(-0.1), -geom::kPi / 4.0, 1e-12);
   EXPECT_NEAR(filter.quantize(3.0), 3.0 * geom::kPi / 4.0, 1e-12);
-  EXPECT_NEAR(geom::angle_distance(filter.quantize(geom::kPi), 3.0 * geom::kPi / 4.0),
-              0.0, 1e-12);
+  EXPECT_NEAR(geom::wrap_angle(filter.quantize(geom::kPi) - 3.0 * geom::kPi / 4.0), 0.0,
+              1e-12);
 }
 
 TEST(Cpf, NoEstimateBeforeFirstDetection) {

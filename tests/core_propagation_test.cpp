@@ -336,7 +336,7 @@ TEST(Propagation, CoLocatedRecorderKeepsTheSampledHeading) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(v.x), std::bit_cast<std::uint64_t>(expected.x));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(v.y), std::bit_cast<std::uint64_t>(expected.y));
     EXPECT_NEAR(outcome.next.find(1)->weight, 1.3, 1e-12);
-    EXPECT_EQ(rng.engine()(), twin.engine()());
+    EXPECT_EQ(rng.uniform(), twin.uniform());
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "filters/resampling.hpp"
@@ -16,12 +17,29 @@ const ResamplingScheme kSchemes[] = {
     ResamplingScheme::kMultinomial, ResamplingScheme::kStratified,
     ResamplingScheme::kSystematic, ResamplingScheme::kResidual};
 
-class ResamplingSchemes : public ::testing::TestWithParam<ResamplingScheme> {};
+/// resample_indices_into through buffers reused from call to call, as the
+/// filters call it every iteration.
+struct Resampler {
+  std::vector<std::size_t> indices;
+  std::vector<double> scratch;
+
+  const std::vector<std::size_t>& operator()(std::span<const double> weights,
+                                             std::size_t count, ResamplingScheme scheme,
+                                             rng::Rng& rng) {
+    resample_indices_into(weights, count, scheme, rng, indices, scratch);
+    return indices;
+  }
+};
+
+class ResamplingSchemes : public ::testing::TestWithParam<ResamplingScheme> {
+ protected:
+  Resampler draw;
+};
 
 TEST_P(ResamplingSchemes, IndicesAreInRangeAndCounted) {
   rng::Rng rng(201);
   const std::vector<double> weights{0.1, 0.4, 0.2, 0.3};
-  const auto indices = resample_indices(weights, 100, GetParam(), rng);
+  const auto indices = draw(weights, 100, GetParam(), rng);
   EXPECT_EQ(indices.size(), 100u);
   for (const std::size_t i : indices) {
     EXPECT_LT(i, weights.size());
@@ -32,7 +50,7 @@ TEST_P(ResamplingSchemes, ZeroWeightNeverSelected) {
   rng::Rng rng(203);
   const std::vector<double> weights{0.5, 0.0, 0.5};
   for (int round = 0; round < 50; ++round) {
-    for (const std::size_t i : resample_indices(weights, 64, GetParam(), rng)) {
+    for (const std::size_t i : draw(weights, 64, GetParam(), rng)) {
       EXPECT_NE(i, 1u);
     }
   }
@@ -41,7 +59,7 @@ TEST_P(ResamplingSchemes, ZeroWeightNeverSelected) {
 TEST_P(ResamplingSchemes, DegenerateWeightAlwaysSelected) {
   rng::Rng rng(205);
   const std::vector<double> weights{0.0, 0.0, 7.5, 0.0};
-  for (const std::size_t i : resample_indices(weights, 32, GetParam(), rng)) {
+  for (const std::size_t i : draw(weights, 32, GetParam(), rng)) {
     EXPECT_EQ(i, 2u);
   }
 }
@@ -54,7 +72,7 @@ TEST_P(ResamplingSchemes, UnbiasedOffspringCounts) {
   const int rounds = 4000;
   std::vector<double> offspring(weights.size(), 0.0);
   for (int r = 0; r < rounds; ++r) {
-    for (const std::size_t i : resample_indices(weights, count, GetParam(), rng)) {
+    for (const std::size_t i : draw(weights, count, GetParam(), rng)) {
       offspring[i] += 1.0;
     }
   }
@@ -68,7 +86,7 @@ TEST_P(ResamplingSchemes, UnbiasedOffspringCounts) {
 TEST_P(ResamplingSchemes, UnnormalizedWeightsAccepted) {
   rng::Rng rng(209);
   const std::vector<double> weights{10.0, 30.0};
-  const auto indices = resample_indices(weights, 1000, GetParam(), rng);
+  const auto indices = draw(weights, 1000, GetParam(), rng);
   const auto ones = static_cast<double>(
       std::count(indices.begin(), indices.end(), std::size_t{1}));
   EXPECT_NEAR(ones / 1000.0, 0.75, 0.1);
@@ -76,11 +94,11 @@ TEST_P(ResamplingSchemes, UnnormalizedWeightsAccepted) {
 
 TEST_P(ResamplingSchemes, InvalidInputsThrow) {
   rng::Rng rng(211);
-  EXPECT_THROW(resample_indices({}, 10, GetParam(), rng), Error);
-  EXPECT_THROW(resample_indices(std::vector<double>{0.0}, 10, GetParam(), rng), Error);
-  EXPECT_THROW(resample_indices(std::vector<double>{-1.0, 2.0}, 10, GetParam(), rng),
+  EXPECT_THROW(draw({}, 10, GetParam(), rng), Error);
+  EXPECT_THROW(draw(std::vector<double>{0.0}, 10, GetParam(), rng), Error);
+  EXPECT_THROW(draw(std::vector<double>{-1.0, 2.0}, 10, GetParam(), rng),
                Error);
-  EXPECT_THROW(resample_indices(std::vector<double>{1.0}, 0, GetParam(), rng), Error);
+  EXPECT_THROW(draw(std::vector<double>{1.0}, 0, GetParam(), rng), Error);
 }
 
 TEST_P(ResamplingSchemes, ParticleResamplingPreservesMass) {
@@ -88,7 +106,8 @@ TEST_P(ResamplingSchemes, ParticleResamplingPreservesMass) {
   std::vector<Particle> particles{{{{0.0, 0.0}, {}}, 2.0},
                                   {{{1.0, 0.0}, {}}, 6.0},
                                   {{{2.0, 0.0}, {}}, 4.0}};
-  resample_particles(particles, 10, GetParam(), rng);
+  ResampleScratch scratch;
+  resample_particles(particles, 10, GetParam(), rng, scratch);
   EXPECT_EQ(particles.size(), 10u);
   EXPECT_NEAR(total_weight(particles), 12.0, 1e-9);
   for (const Particle& p : particles) {
@@ -105,21 +124,23 @@ TEST(Resampling, ResidualDeterministicPart) {
   // With weights {0.5, 0.5} and count 4, residual resampling copies each
   // ancestor exactly twice — no randomness involved.
   rng::Rng rng(215);
-  const auto indices =
-      resample_indices(std::vector<double>{0.5, 0.5}, 4, ResamplingScheme::kResidual, rng);
+  Resampler draw;
+  const auto& indices =
+      draw(std::vector<double>{0.5, 0.5}, 4, ResamplingScheme::kResidual, rng);
   EXPECT_EQ(std::count(indices.begin(), indices.end(), std::size_t{0}), 2);
   EXPECT_EQ(std::count(indices.begin(), indices.end(), std::size_t{1}), 2);
 }
 
 TEST(Resampling, SystematicHasLowerVarianceThanMultinomial) {
   rng::Rng rng(217);
+  Resampler draw;
   const std::vector<double> weights{0.25, 0.25, 0.25, 0.25};
   auto offspring_variance = [&](ResamplingScheme scheme) {
     double var = 0.0;
     const int rounds = 2000;
     for (int r = 0; r < rounds; ++r) {
       std::vector<int> counts(4, 0);
-      for (const std::size_t i : resample_indices(weights, 16, scheme, rng)) {
+      for (const std::size_t i : draw(weights, 16, scheme, rng)) {
         counts[i]++;
       }
       for (const int c : counts) {

@@ -20,15 +20,22 @@
 namespace cdpf::geom {
 namespace {
 
+/// Ids of the points within `radius` of `center`, sorted, as visit_disk (the
+/// form every network query runs) reports them.
+std::vector<std::size_t> ids_in_disk(const GridIndex& index, Vec2 center, double radius) {
+  std::vector<std::size_t> ids;
+  index.visit_disk(center, radius,
+                   [&ids](std::size_t id, std::size_t) { ids.push_back(id); });
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 TEST(Vec2, Arithmetic) {
   const Vec2 a{1.0, 2.0}, b{3.0, -4.0};
   EXPECT_EQ(a + b, Vec2(4.0, -2.0));
   EXPECT_EQ(a - b, Vec2(-2.0, 6.0));
   EXPECT_EQ(a * 2.0, Vec2(2.0, 4.0));
-  EXPECT_EQ(2.0 * a, Vec2(2.0, 4.0));
-  EXPECT_EQ(-a, Vec2(-1.0, -2.0));
-  EXPECT_DOUBLE_EQ(a.dot(b), 3.0 - 8.0);
-  EXPECT_DOUBLE_EQ(a.cross(b), -4.0 - 6.0);
+  EXPECT_EQ(b / 2.0, Vec2(1.5, -2.0));
 }
 
 TEST(Vec2, NormAndNormalize) {
@@ -43,7 +50,7 @@ TEST(Vec2, NormAndNormalize) {
 TEST(Vec2, AngleRoundTrip) {
   for (const double a : {-3.0, -1.5, 0.0, 0.7, 2.9}) {
     const Vec2 v = Vec2::from_angle(a);
-    EXPECT_NEAR(angle_distance(v.angle(), a), 0.0, 1e-12);
+    EXPECT_NEAR(wrap_angle(v.angle() - a), 0.0, 1e-12);
     EXPECT_NEAR(v.norm(), 1.0, 1e-15);
   }
 }
@@ -97,26 +104,6 @@ TEST(Angles, WrapMatchesRemainderBitForBit) {
   }
 }
 
-TEST(Angles, DifferenceTakesShortestPath) {
-  EXPECT_NEAR(angle_difference(0.1, -0.1), 0.2, 1e-12);
-  // Crossing the +-pi seam: the short way from -3.1 to 3.1 is small.
-  EXPECT_NEAR(std::abs(angle_difference(3.1, -3.1)), kTwoPi - 6.2, 1e-9);
-  EXPECT_NEAR(angle_distance(kPi - 0.05, -kPi + 0.05), 0.1, 1e-9);
-}
-
-TEST(Angles, CircularMeanHandlesSeam) {
-  const std::vector<double> angles{kPi - 0.1, -kPi + 0.1};
-  EXPECT_NEAR(angle_distance(circular_mean(angles), kPi), 0.0, 1e-9);
-  const std::vector<double> zero{0.2, -0.2};
-  EXPECT_NEAR(circular_mean(zero), 0.0, 1e-12);
-  EXPECT_DOUBLE_EQ(circular_mean(std::vector<double>{}), 0.0);
-}
-
-TEST(Angles, DegreesRadians) {
-  EXPECT_NEAR(deg_to_rad(180.0), kPi, 1e-15);
-  EXPECT_NEAR(rad_to_deg(kPi / 2.0), 90.0, 1e-12);
-}
-
 TEST(Aabb, ContainsAndClamp) {
   const Aabb box = Aabb::square(10.0);
   EXPECT_TRUE(box.contains({0.0, 0.0}));
@@ -125,14 +112,6 @@ TEST(Aabb, ContainsAndClamp) {
   EXPECT_EQ(box.clamp({-1.0, 12.0}), Vec2(0.0, 10.0));
   EXPECT_EQ(box.center(), Vec2(5.0, 5.0));
   EXPECT_DOUBLE_EQ(box.area(), 100.0);
-}
-
-TEST(Disk, ContainsBoundaryInclusive) {
-  const Disk d{{1.0, 1.0}, 2.0};
-  EXPECT_TRUE(d.contains({3.0, 1.0}));
-  EXPECT_FALSE(d.contains({3.01, 1.0}));
-  EXPECT_TRUE(d.intersects(Disk{{4.9, 1.0}, 2.0}));
-  EXPECT_FALSE(d.intersects(Disk{{5.1, 1.0}, 1.0}));
 }
 
 class GridIndexRandomized : public ::testing::TestWithParam<std::tuple<int, double>> {};
@@ -158,8 +137,7 @@ TEST_P(GridIndexRandomized, MatchesBruteForce) {
       const double cx = rng.uniform(0.0, 100.0);
       const double cy = corridor ? rng.uniform(40.0, 60.0) : rng.uniform(0.0, 100.0);
       const Vec2 center{cx, cy};
-      auto got = index.query_disk(center, radius);
-      std::sort(got.begin(), got.end());
+      const std::vector<std::size_t> got = ids_in_disk(index, center, radius);
       std::vector<std::size_t> expected;
       for (std::size_t i = 0; i < points.size(); ++i) {
         if (distance(points[i], center) <= radius) {
@@ -197,8 +175,8 @@ TEST(GridIndex, VisitorSeesEveryMatch) {
 TEST(GridIndex, QueryOutsideBoundsStillWorks) {
   const std::vector<Vec2> pts{{0.5, 0.5}};
   const GridIndex index(pts, Aabb::square(10.0), 2.0);
-  EXPECT_EQ(index.query_disk({-5.0, -5.0}, 10.0).size(), 1u);
-  EXPECT_TRUE(index.query_disk({50.0, 50.0}, 5.0).empty());
+  EXPECT_EQ(ids_in_disk(index, {-5.0, -5.0}, 10.0).size(), 1u);
+  EXPECT_TRUE(ids_in_disk(index, {50.0, 50.0}, 5.0).empty());
 }
 
 }  // namespace

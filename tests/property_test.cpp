@@ -115,7 +115,8 @@ TEST_P(ResamplingSweep, MassAndCountInvariants) {
   }
   particles[5].weight = 3.0;  // guarantee positive mass
   const double mass = filters::total_weight(particles);
-  filters::resample_particles(particles, count, scheme, rng);
+  filters::ResampleScratch scratch;
+  filters::resample_particles(particles, count, scheme, rng, scratch);
   ASSERT_EQ(particles.size(), count);
   ASSERT_NEAR(filters::total_weight(particles), mass, 1e-9);
   // ESS is defined on normalized weights; after resampling it equals N.

@@ -41,9 +41,9 @@ TEST(Robustness, ContinuousAttritionDegradesGracefully) {
   // ~0.4%/s hazard kills ~18% of the field during the 50 s run.
   const auto result = sim::run_trial(
       scenario, sim::AlgorithmKind::kCdpf, params, 73, 0,
-      [](wsn::Network& net, rng::Rng& rng) -> sim::StepHook {
+      [](wsn::Network& net, rng::Rng&) -> sim::StepHook {
         auto injector = std::make_shared<wsn::FailureInjector>(net);
-        auto rng_ptr = std::make_shared<rng::Rng>(rng.fork());
+        auto rng_ptr = std::make_shared<rng::Rng>(74);
         return [injector, rng_ptr](double) {
           injector->step_hazard(0.004, 5.0, *rng_ptr);
         };

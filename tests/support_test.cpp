@@ -143,8 +143,7 @@ TEST(Table, RowBuilderFormatsNumbers) {
   auto row = t.row();
   row.cell(3.14159, 2).cell(static_cast<long long>(-7));
   t.commit_row(row);
-  EXPECT_EQ(t.rows()[0][0], "3.14");
-  EXPECT_EQ(t.rows()[0][1], "-7");
+  EXPECT_EQ(t.to_csv(), "d,i\n3.14,-7\n");
 }
 
 TEST(Table, CsvEscapesSpecialCharacters) {
@@ -154,12 +153,6 @@ TEST(Table, CsvEscapesSpecialCharacters) {
   const std::string csv = t.to_csv();
   EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
   EXPECT_NE(csv.find("\"quote\"\"inside\""), std::string::npos);
-}
-
-TEST(Table, MarkdownHasHeaderSeparator) {
-  support::Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_NE(t.to_markdown().find("|---|---|"), std::string::npos);
 }
 
 TEST(Cli, ParsesEqualsAndSpaceSeparatedFlags) {
@@ -197,48 +190,12 @@ TEST(Cli, PositionalArgumentRejected) {
   EXPECT_THROW(support::CliArgs(2, argv), Error);
 }
 
-TEST(RunningStats, MeanVarianceMinMax) {
+TEST(RunningStats, MeanOfTextbookData) {
   support::RunningStats s;
   for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
     s.add(x);
   }
-  EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 4.0, 1e-12);  // classic textbook data set
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, MergeMatchesSinglePass) {
-  support::RunningStats a, b, whole;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(static_cast<double>(i));
-    whole.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-12);
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity) {
-  support::RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(RunningStats, SampleVarianceUsesBesselCorrection) {
-  support::RunningStats s;
-  s.add(1.0);
-  s.add(3.0);
-  EXPECT_NEAR(s.variance(), 1.0, 1e-12);
-  EXPECT_NEAR(s.sample_variance(), 2.0, 1e-12);
 }
 
 TEST(JsonEscape, EscapesQuoteBackslashAndControlCharacters) {
@@ -254,8 +211,7 @@ TEST(Stopwatch, MeasuresForwardTime) {
   support::Stopwatch sw;
   const double t0 = sw.elapsed_seconds();
   EXPECT_GE(t0, 0.0);
-  sw.reset();
-  EXPECT_GE(sw.elapsed_ms(), 0.0);
+  EXPECT_GE(sw.elapsed_seconds(), t0);
 }
 
 TEST(FormatDouble, Precision) {

@@ -118,62 +118,6 @@ TEST(Network, CommNeighborsExcludeSelfAndOutOfRange) {
   EXPECT_EQ(receivers, (std::vector<NodeId>{0, 2}));
 }
 
-TEST(Network, ResetRuntimeStateRevivesEverything) {
-  const std::vector<geom::Vec2> positions{{50.0, 50.0}, {60.0, 50.0}};
-  Network net(positions, paper_config());
-  net.set_alive(0, false);
-  net.set_power(1, PowerState::kAsleep);
-  EXPECT_FALSE(net.is_active(0));
-  EXPECT_FALSE(net.is_active(1));
-  net.reset_runtime_state();
-  EXPECT_TRUE(net.is_active(0));
-  EXPECT_TRUE(net.is_active(1));
-}
-
-TEST(Network, DensityAndDegreeDiagnostics) {
-  rng::Rng rng(6);
-  const auto positions = deploy_uniform_random(2000, geom::Aabb::square(200.0), rng);
-  const Network net(positions, paper_config());
-  EXPECT_NEAR(net.density_per_100m2(), 5.0, 1e-12);
-  // Expected comm degree ~ density * pi * r_c^2 (minus border effects).
-  const double expected = 5.0 / 100.0 * geom::kPi * 30.0 * 30.0;
-  EXPECT_NEAR(net.average_comm_degree(), expected, expected * 0.25);
-}
-
-TEST(Network, AverageCommDegreeCountsOnlyActiveNodes) {
-  rng::Rng rng(7);
-  const auto positions = deploy_uniform_random(500, geom::Aabb::square(200.0), rng);
-  Network net(positions, paper_config());
-  const double all_active = net.average_comm_degree();
-  ASSERT_GT(all_active, 0.0);
-  // Deactivate a third of the nodes (mixing failure and sleep): the live
-  // communication graph shrinks, so the mean degree must drop, and inactive
-  // nodes must not appear in the denominator either.
-  for (NodeId id = 0; id < 500; id += 3) {
-    (id % 2 == 0) ? net.set_alive(id, false) : net.set_power(id, PowerState::kAsleep);
-  }
-  const double degraded = net.average_comm_degree();
-  EXPECT_LT(degraded, all_active);
-  EXPECT_GT(degraded, 0.0);
-  // Reference: count active neighbors of active nodes by brute force.
-  const double rc = net.config().comm_radius;
-  std::size_t total = 0, active = 0;
-  for (const Node& a : net.nodes()) {
-    if (!a.active()) continue;
-    ++active;
-    for (const Node& b : net.nodes()) {
-      if (b.id != a.id && b.active() &&
-          geom::distance(a.position, b.position) <= rc) {
-        ++total;
-      }
-    }
-  }
-  EXPECT_DOUBLE_EQ(degraded,
-                   static_cast<double>(total) / static_cast<double>(active));
-  net.reset_runtime_state();
-  EXPECT_DOUBLE_EQ(net.average_comm_degree(), all_active);
-}
-
 TEST(Network, CountActiveWithinMatchesListQuery) {
   rng::Rng rng(8);
   const auto positions = deploy_uniform_random(800, geom::Aabb::square(200.0), rng);
@@ -194,8 +138,6 @@ TEST(Network, CountActiveWithinMatchesListQuery) {
     net.set_alive(id, false);
   }
   check_everywhere();  // per-node filter path
-  net.reset_runtime_state();
-  check_everywhere();
 }
 
 TEST(Network, OverhearingAssumptionFlag) {
@@ -310,7 +252,7 @@ TEST(NearestCommNeighbour, MatchesScanUnderHalfDutyCycle) {
       net.set_power(id, PowerState::kAsleep);
     }
   }
-  ASSERT_FALSE(net.all_active());
+  ASSERT_LT(net.active_count(), net.size());
   expect_query_matches_scan(net, 2);
 }
 
@@ -383,9 +325,9 @@ TEST(NearestCommNeighbour, IsolatedNodeAndInactiveNeighbourHaveNoWinner) {
 
 // -- Activity mirror ----------------------------------------------------------
 // The network keeps node activity as bytes in grid-slot order plus per-cell
-// active tallies, built at the first deactivation, updated per transition and
-// refilled by reset_runtime_state. Every query that reads them must agree
-// with a brute-force scan of the node table through each of those stages.
+// active tallies, built at the first deactivation and updated per transition.
+// Every query that reads them must agree with a brute-force scan of the node
+// table through each of those stages.
 
 /// Active nodes within `radius` of `center`, by scanning every node (in id
 /// order), with the grid's own disk test.
@@ -406,7 +348,6 @@ void expect_active_queries_match_brute_force(const Network& net, std::uint64_t s
     active += n.active() ? 1u : 0u;
   }
   EXPECT_EQ(net.active_count(), active);
-  EXPECT_EQ(net.all_active(), active == net.size());
   const double rc = net.config().comm_radius;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<NodeId> got;
@@ -457,11 +398,15 @@ TEST(Network, ActiveQueriesMatchBruteForceAcrossTransitionsAndReset) {
         default: net.set_alive(id, true); break;
       }
     }
-    ASSERT_FALSE(net.all_active());
+    ASSERT_LT(net.active_count(), net.size());
     expect_active_queries_match_brute_force(net, 2 + round);
   }
-  net.reset_runtime_state();
-  ASSERT_TRUE(net.all_active());
+  // Every node revived, through the per-node transitions.
+  for (NodeId id = 0; id < net.size(); ++id) {
+    net.set_alive(id, true);
+    net.set_power(id, PowerState::kAwake);
+  }
+  ASSERT_EQ(net.active_count(), net.size());
   expect_active_queries_match_brute_force(net, 6);
   for (NodeId id = 0; id < net.size(); ++id) {
     if (rng.bernoulli(0.3)) {

@@ -328,7 +328,9 @@ TEST_F(RoutingMemo, FollowsSetPowerAndReset) {
   EXPECT_NE(relay_route(), before);
   expect_matches_fresh_router(router_, net_, net_.sink());
 
-  net_.reset_runtime_state();
+  for (NodeId id = 0; id < net_.size(); ++id) {
+    net_.set_power(id, PowerState::kAwake);
+  }
   EXPECT_EQ(relay_route(), before);
   expect_matches_fresh_router(router_, net_, net_.sink());
 }
