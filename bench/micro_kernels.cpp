@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) of the simulator's hot kernels:
-// resampling, spatial queries, greedy routing's next hop, one duty-cycle
-// step, the receiver count under partial activity, particle propagation, the bearing likelihood
-// (a SIR update and CDPF's host factor), the two CDPF weight-assignment
-// kernels, and one full filter iteration per algorithm.
+// resampling, spatial queries, greedy routing's next hop, SDPF's re-host
+// query, one duty-cycle step, the receiver count under partial activity,
+// particle propagation, the bearing likelihood (a SIR update and CDPF's host
+// factor), and one full filter iteration per algorithm.
 //
 // A stock google-benchmark binary: `--benchmark_out=F
 // --benchmark_out_format=json` writes the machine-readable record (host
@@ -18,6 +18,7 @@
 #include "core/propagation.hpp"
 #include "filters/resampling.hpp"
 #include "filters/sir_filter.hpp"
+#include "geom/angles.hpp"
 #include "geom/grid_index.hpp"
 #include "sim/experiment.hpp"
 #include "tracking/measurement.hpp"
@@ -89,6 +90,25 @@ void BM_GreedyNextHop(benchmark::State& state) {
   state.SetItemsProcessed(hops);
 }
 BENCHMARK(BM_GreedyNextHop)->Arg(5)->Arg(20)->Arg(40)->ArgName("density");
+
+/// SDPF's re-host query: the radio neighbour of a random node u nearest a
+/// point 15 m from u in a random direction, bounded by u's own squared
+/// distance to it (Network::nearest_comm_neighbour<distance_squared>).
+void BM_RehostNearest(benchmark::State& state) {
+  rng::Rng rng(10);
+  sim::Scenario scenario;
+  scenario.density_per_100m2 = static_cast<double>(state.range(0));
+  const wsn::Network network = sim::build_network(scenario, rng);
+  for (auto _ : state) {
+    const auto u = static_cast<wsn::NodeId>(rng.uniform_index(network.size()));
+    const geom::Vec2 own = network.position(u);
+    const geom::Vec2 target =
+        own + geom::Vec2::from_angle(rng.uniform(0.0, geom::kTwoPi)) * 15.0;
+    benchmark::DoNotOptimize(network.nearest_comm_neighbour<geom::distance_squared>(
+        u, target, geom::distance_squared(own, target)));
+  }
+}
+BENCHMARK(BM_RehostNearest)->Arg(5)->Arg(20)->Arg(40)->ArgName("density");
 
 /// One step of activity churn: the duty-cycle schedule (10 s period, 50%
 /// awake, randomized phases) applied to every node at 1 s steps, as the
@@ -258,80 +278,6 @@ void BM_BearingHostFactor(benchmark::State& state) {
                           static_cast<std::int64_t>(hosts.x.size() * evidence.records().size()));
 }
 BENCHMARK(BM_BearingHostFactor);
-
-/// Build a CDPF (or CDPF-NE) filter warmed up on a short straight track, so
-/// the store, prediction, and scratch buffers reflect steady-state tracking
-/// at the given density. Returns the filter plus the sensing snapshot at the
-/// final target position — exactly the inputs of the weight-assignment step.
-struct WarmCdpf {
-  rng::Rng rng{7};
-  wsn::Network network;
-  wsn::Radio radio;
-  core::Cdpf filter;
-  core::SensingSnapshot snapshot;
-
-  WarmCdpf(double density, bool neighborhood_estimation, sim::Scenario scenario,
-           core::CdpfConfig config)
-      : network((scenario.density_per_100m2 = density, sim::build_network(scenario, rng))),
-        radio(network, scenario.payloads),
-        filter(network, radio,
-               (config.use_neighborhood_estimation = neighborhood_estimation, config)) {
-    const tracking::BearingMeasurementModel bearing(config.sigma_bearing);
-    geom::Vec2 target{70.0, 100.0};
-    const double dt = filter.time_step();
-    for (int k = 0; k < 4; ++k) {
-      filter.iterate({target, {3.0, 0.0}}, dt * k, rng);
-      filter.take_estimates();
-      target.x += 3.0 * dt;
-    }
-    network.detecting_nodes(target, snapshot.detections);
-    for (const wsn::NodeId id : snapshot.detections) {
-      snapshot.measurements.push_back(
-          {id, bearing.measure(network.position(id), target, rng)});
-    }
-  }
-};
-
-void BM_LikelihoodAndAssign(benchmark::State& state) {
-  WarmCdpf warm(static_cast<double>(state.range(0)), false, {}, {});
-  if (warm.snapshot.measurements.empty() || warm.filter.particles().empty()) {
-    state.SkipWithError("warm-up produced no measurements or particles");
-    return;
-  }
-  for (auto _ : state) {
-    warm.filter.bench_likelihood_and_assign(warm.snapshot);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(warm.filter.particles().size() *
-                                warm.snapshot.measurements.size()));
-}
-BENCHMARK(BM_LikelihoodAndAssign)
-    ->Arg(5)
-    ->Arg(20)
-    ->Arg(40)
-    ->ArgName("density")
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_NeighborhoodAssign(benchmark::State& state) {
-  WarmCdpf warm(static_cast<double>(state.range(0)), true, {}, {});
-  if (warm.filter.particles().empty() ||
-      !warm.filter.predicted_position().has_value()) {
-    state.SkipWithError("warm-up produced no particles or prediction");
-    return;
-  }
-  for (auto _ : state) {
-    warm.filter.bench_neighborhood_assign(warm.snapshot.detections);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(warm.filter.particles().size()));
-}
-BENCHMARK(BM_NeighborhoodAssign)
-    ->Arg(5)
-    ->Arg(20)
-    ->Arg(40)
-    ->ArgName("density")
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_FullTrackerIteration(benchmark::State& state) {
   const auto kind = static_cast<sim::AlgorithmKind>(state.range(0));

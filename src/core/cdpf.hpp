@@ -106,17 +106,6 @@ class Cdpf final : public TrackerAlgorithm {
   /// of Figure 1), available after the correction step.
   std::optional<geom::Vec2> predicted_position() const { return predicted_position_; }
 
-  // -- Perf-bench entry points (bench/micro_kernels.cpp) -------------------
-  // Expose the two weight-assignment kernels so the perf baseline can track
-  // them in isolation. They mutate the store's weights like a real
-  // iteration; drive a few iterate() calls first to populate the state.
-  void bench_likelihood_and_assign(const SensingSnapshot& snapshot) {
-    likelihood_and_assign(snapshot);
-  }
-  void bench_neighborhood_assign(const std::vector<wsn::NodeId>& detecting) {
-    neighborhood_assign(detecting);
-  }
-
  private:
   /// Creates one particle per detecting node of the sensed snapshot.
   void initialize_from_detections(rng::Rng& rng);

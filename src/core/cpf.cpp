@@ -5,6 +5,7 @@
 
 #include "geom/angles.hpp"
 #include "support/check.hpp"
+#include "support/trace.hpp"
 
 namespace cdpf::core {
 
@@ -97,64 +98,67 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
   CDPF_CHECK_MSG(std::isfinite(time), "iteration time must be finite");
   network_.detecting_nodes(truth.position, detecting_);
 
-  // Convergecast: one measurement per detecting node, hop by hop to the
-  // sink. Payload is D_m, or the compressed size P for the DPF variant.
-  received_.clear();
-  // Fixed-width payload: ceil(log2(levels)) bits rounded up to bytes for
-  // quantized bearings (1 byte at the paper's 256 levels — its P), the raw
-  // D_m otherwise.
-  std::size_t fixed_payload = radio_.payloads().measurement;
-  if (config_.quantization_levels) {
-    std::size_t bits = 0;
-    while ((1ULL << bits) < *config_.quantization_levels) {
-      ++bits;
+  {
+    // Convergecast: one measurement per detecting node, hop by hop to the
+    // sink. Payload is D_m, or the compressed size P for the DPF variant.
+    CDPF_TRACE_SPAN("cpf-route");
+    received_.clear();
+    // Fixed-width payload: ceil(log2(levels)) bits rounded up to bytes for
+    // quantized bearings (1 byte at the paper's 256 levels — its P), the raw
+    // D_m otherwise.
+    std::size_t fixed_payload = radio_.payloads().measurement;
+    if (config_.quantization_levels) {
+      std::size_t bits = 0;
+      while ((1ULL << bits) < *config_.quantization_levels) {
+        ++bits;
+      }
+      fixed_payload = std::max<std::size_t>(1, (bits + 7) / 8);
     }
-    fixed_payload = std::max<std::size_t>(1, (bits + 7) / 8);
-  }
-  // Adaptive mode: the sink feeds its predicted estimate back to the field
-  // (one broadcast per iteration — the "backward parameter exchange" the
-  // paper charges this DPF family with), and sensors encode the quantized
-  // innovation against it.
-  std::optional<geom::Vec2> fed_back_prediction;
-  if (innovation_code_ && filter_.initialized()) {
-    fed_back_prediction = filter_.motion_model()
-                              .propagate(filter_.estimate())
-                              .position;
-    radio_.transceiver_broadcast(wsn::MessageKind::kControl,
-                                 radio_.payloads().estimate);
-  }
-  const std::size_t levels = config_.quantization_levels.value_or(0);
-  for (const wsn::NodeId id : detecting_) {
-    const double z = bearing_.measure(network_.true_position(id), truth.position, rng);
-    std::size_t payload = fixed_payload;
-    double z_for_filter = quantize(z);
-    if (fed_back_prediction) {
-      // Quantize the innovation and pay only its Huffman codeword.
-      const double predicted_bearing =
-          bearing_.ideal(network_.position(id), *fed_back_prediction);
-      const double innovation = geom::wrap_angle(z - predicted_bearing);
-      const double delta = geom::kTwoPi / static_cast<double>(levels);
-      const auto raw = static_cast<long long>(
-          std::floor(innovation / delta + static_cast<double>(levels) / 2.0));
-      const std::size_t symbol = static_cast<std::size_t>(std::clamp<long long>(
-          raw, 0, static_cast<long long>(levels) - 1));
-      const std::size_t bits = innovation_code_->code_length(symbol);
-      encoded_bits_ += bits;
-      ++encoded_measurements_;
-      payload = std::max<std::size_t>(1, (bits + 7) / 8);
-      // The sink reconstructs the measurement from the symbol center.
-      const double decoded = geom::wrap_angle(
-          predicted_bearing +
-          (static_cast<double>(symbol) - static_cast<double>(levels) / 2.0 + 0.5) *
-              delta);
-      z_for_filter = decoded;
+    // Adaptive mode: the sink feeds its predicted estimate back to the field
+    // (one broadcast per iteration — the "backward parameter exchange" the
+    // paper charges this DPF family with), and sensors encode the quantized
+    // innovation against it.
+    std::optional<geom::Vec2> fed_back_prediction;
+    if (innovation_code_ && filter_.initialized()) {
+      fed_back_prediction = filter_.motion_model()
+                                .propagate(filter_.estimate())
+                                .position;
+      radio_.transceiver_broadcast(wsn::MessageKind::kControl,
+                                   radio_.payloads().estimate);
     }
-    const auto hops = router_.send(radio_, id, network_.sink(),
-                                   wsn::MessageKind::kMeasurement, payload);
-    if (!hops) {
-      continue;  // greedy void: this measurement never reaches the sink
+    const std::size_t levels = config_.quantization_levels.value_or(0);
+    for (const wsn::NodeId id : detecting_) {
+      const double z = bearing_.measure(network_.true_position(id), truth.position, rng);
+      std::size_t payload = fixed_payload;
+      double z_for_filter = quantize(z);
+      if (fed_back_prediction) {
+        // Quantize the innovation and pay only its Huffman codeword.
+        const double predicted_bearing =
+            bearing_.ideal(network_.position(id), *fed_back_prediction);
+        const double innovation = geom::wrap_angle(z - predicted_bearing);
+        const double delta = geom::kTwoPi / static_cast<double>(levels);
+        const auto raw = static_cast<long long>(
+            std::floor(innovation / delta + static_cast<double>(levels) / 2.0));
+        const std::size_t symbol = static_cast<std::size_t>(std::clamp<long long>(
+            raw, 0, static_cast<long long>(levels) - 1));
+        const std::size_t bits = innovation_code_->code_length(symbol);
+        encoded_bits_ += bits;
+        ++encoded_measurements_;
+        payload = std::max<std::size_t>(1, (bits + 7) / 8);
+        // The sink reconstructs the measurement from the symbol center.
+        const double decoded = geom::wrap_angle(
+            predicted_bearing +
+            (static_cast<double>(symbol) - static_cast<double>(levels) / 2.0 + 0.5) *
+                delta);
+        z_for_filter = decoded;
+      }
+      const auto hops = router_.send(radio_, id, network_.sink(),
+                                     wsn::MessageKind::kMeasurement, payload);
+      if (!hops) {
+        continue;  // greedy void: this measurement never reaches the sink
+      }
+      received_.add(network_.position(id), z_for_filter);
     }
-    received_.add(network_.position(id), z_for_filter);
   }
 
   if (!filter_.initialized()) {
@@ -168,12 +172,19 @@ void CentralizedPf::iterate(const tracking::TargetState& truth, double time,
     return;
   }
 
-  filter_.predict(rng);
+  {
+    CDPF_TRACE_SPAN("cpf-predict");
+    filter_.predict(rng);
+  }
   if (!received_.empty()) {
-    particle_positions_.assign_positions(filter_.particles());
-    received_.log_likelihoods(particle_positions_.x, particle_positions_.y,
-                              particle_positions_.scores);
-    filter_.update(particle_positions_.scores);
+    {
+      CDPF_TRACE_SPAN("cpf-likelihood");
+      particle_positions_.assign_positions(filter_.particles());
+      received_.log_likelihoods(particle_positions_.x, particle_positions_.y,
+                                particle_positions_.scores);
+      filter_.update(particle_positions_.scores);
+    }
+    CDPF_TRACE_SPAN("cpf-resample");
     filter_.resample(rng);
   }
   pending_estimates_.push_back({filter_.estimate(), time});

@@ -151,44 +151,31 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
         }
       }
     } else {
-      // Direct record-disk scan: candidates arrive as SoA coordinate arrays
-      // straight from the grid (true positions — valid here because
-      // use_receiver_list is false exactly when believed == true). Grid
-      // visitation order is global (cell-major, then build order), so
-      // filtering the record-disk query by comm-range membership yields the
-      // SAME recorder sequence — hence the same rng consumption — as
-      // filtering the comm-disk receiver list by the record gate; the comm
-      // test is the identical arithmetic the grid uses for receiver
-      // membership. Pass 1 computes every displacement/distance contiguously
-      // and branch-free; pass 2 applies the gates in candidate order. A
-      // broadcaster never receives its own transmission.
-      wsn::NodeSoa& soa = scratch.candidates_soa;
-      network.collect_active_within(predicted, record_query_radius, soa);
-      const std::size_t n = soa.size();
-      scratch.gate_dxh.resize(n);
-      scratch.gate_dyh.resize(n);
-      scratch.gate_d2h.resize(n);
-      scratch.gate_d2p.resize(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        const double dxh = soa.xs[k] - host_position.x;
-        const double dyh = soa.ys[k] - host_position.y;
-        const double dxp = soa.xs[k] - predicted.x;
-        const double dyp = soa.ys[k] - predicted.y;
-        scratch.gate_dxh[k] = dxh;
-        scratch.gate_dyh[k] = dyh;
-        scratch.gate_d2h[k] = dxh * dxh + dyh * dyh;
-        scratch.gate_d2p[k] = dxp * dxp + dyp * dyp;
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        if (soa.ids[k] == host || scratch.gate_d2h[k] > comm_radius_sq ||
-            scratch.gate_d2p[k] > record_gate_sq) {
-          continue;
-        }
-        const double p = lin_prob.probability(std::sqrt(scratch.gate_d2p[k]));
-        if (p > 0.0) {
-          accept(soa.ids[k], p, scratch.gate_dxh[k], scratch.gate_dyh[k]);
-        }
-      }
+      // Direct record-disk scan: the grid hands each active candidate's id
+      // with its true coordinates (valid here because use_receiver_list is
+      // false exactly when believed == true). Grid visitation order is
+      // global (cell-major, then build order), so filtering the record-disk
+      // query by comm-range membership yields the SAME recorder sequence —
+      // hence the same rng consumption — as filtering the comm-disk
+      // receiver list by the record gate; the comm test is the identical
+      // arithmetic the grid uses for receiver membership. A broadcaster
+      // never receives its own transmission.
+      network.visit_active_within(
+          predicted, record_query_radius, [&](wsn::NodeId r, double x, double y) {
+            const double dxh = x - host_position.x;
+            const double dyh = y - host_position.y;
+            const double dxp = x - predicted.x;
+            const double dyp = y - predicted.y;
+            const double d2p = dxp * dxp + dyp * dyp;
+            if (r == host || dxh * dxh + dyh * dyh > comm_radius_sq ||
+                d2p > record_gate_sq) {
+              return;
+            }
+            const double p = lin_prob.probability(std::sqrt(d2p));
+            if (p > 0.0) {
+              accept(r, p, dxh, dyh);
+            }
+          });
     }
 
     if (recorders.empty()) {

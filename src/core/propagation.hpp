@@ -86,13 +86,6 @@ struct PropagationScratch {
   std::vector<wsn::NodeId> receivers;
   std::vector<wsn::NodeId> recorders;
   std::vector<double> probabilities;
-  // SoA staging of the direct record-disk scan: candidate coordinates
-  // straight from the grid, then per-candidate displacement/distance passes.
-  wsn::NodeSoa candidates_soa;
-  std::vector<double> gate_dxh;  // candidate - host displacement
-  std::vector<double> gate_dyh;
-  std::vector<double> gate_d2h;  // |candidate - host|^2 (comm gate)
-  std::vector<double> gate_d2p;  // |candidate - predicted|^2 (record gate)
   // Accepted-recorder displacements from the host, shared by both recorder
   // routes and consumed by the division loop (recorded headings).
   std::vector<double> rec_dx;
@@ -105,11 +98,6 @@ struct PropagationScratch {
     receivers.reserve(nodes);
     recorders.reserve(nodes);
     probabilities.reserve(nodes);
-    candidates_soa.reserve(nodes);
-    gate_dxh.reserve(nodes);
-    gate_dyh.reserve(nodes);
-    gate_d2h.reserve(nodes);
-    gate_d2p.reserve(nodes);
     rec_dx.reserve(nodes);
     rec_dy.reserve(nodes);
     rec_d2.reserve(nodes);

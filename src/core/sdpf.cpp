@@ -8,6 +8,7 @@
 #include "support/check.hpp"
 #include "support/log.hpp"
 #include "support/statistics.hpp"
+#include "support/trace.hpp"
 
 namespace cdpf::core {
 
@@ -108,6 +109,7 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
     // -- 1. Propagation: each host broadcasts its particles (one message
     //    per particle: D_p + D_w) and every particle re-hosts on the
     //    receiver nearest its propagated state. -----------------------
+    CDPF_TRACE_SPAN("sdpf-propagate");
     next_particles_.clear();
     next_hosts_.clear();
     const std::size_t payload = radio_.payloads().particle + radio_.payloads().weight;
@@ -166,7 +168,10 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
 
   // Detecting nodes without a full list seed fresh particles (every
   // detecting node, when the set is empty).
-  seed_detecting_nodes(rng);
+  {
+    CDPF_TRACE_SPAN("sdpf-seed");
+    seed_detecting_nodes(rng);
+  }
   if (particles_.empty()) {
     return;
   }
@@ -174,12 +179,15 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   // -- 2. Measurement sharing: detecting nodes broadcast bearings. Only the
   //    receiver count is charged; who hears what is decided geometrically
   //    in step 3. -------------------------------------------------------
-  shared_.clear();
-  for (const wsn::NodeId id : detecting_) {
-    const double z = bearing_.measure(network_.true_position(id), truth.position, rng);
-    radio_.broadcast_count(id, wsn::MessageKind::kMeasurement,
-                           radio_.payloads().measurement);
-    shared_.add(network_.position(id), z);
+  {
+    CDPF_TRACE_SPAN("sdpf-share");
+    shared_.clear();
+    for (const wsn::NodeId id : detecting_) {
+      const double z = bearing_.measure(network_.true_position(id), truth.position, rng);
+      radio_.broadcast_count(id, wsn::MessageKind::kMeasurement,
+                             radio_.payloads().measurement);
+      shared_.add(network_.position(id), z);
+    }
   }
 
   // -- 3. Weight update: each host weights its particles by the likelihood
@@ -189,6 +197,7 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   //    particles"), so one factor serves the host's whole group; the hosts
   //    are scored in one batch, in their sorted order. -------------------
   if (!shared_.empty()) {
+    CDPF_TRACE_SPAN("sdpf-weight");
     host_positions_.clear();
     for_each_host(hosts_, particles_, [&](wsn::NodeId host, std::span<filters::Particle>) {
       host_positions_.add(network_.position(host));
@@ -209,15 +218,18 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   // Three-way handshake: the transceiver queries, every hosting node
   // answers with its local weights (one message of N_i * D_w bytes), and
   // the transceiver broadcasts the total ("+2" in the paper's accounting).
-  radio_.transceiver_broadcast(wsn::MessageKind::kControl, radio_.payloads().control);
   support::NeumaierSum total_sum;
-  for_each_host(hosts_, particles_, [&](wsn::NodeId host,
-                                        std::span<filters::Particle> group) {
-    total_sum.add(filters::total_weight(group));
-    radio_.send_to_transceiver(host, wsn::MessageKind::kWeight,
-                               radio_.payloads().weight * group.size());
-  });
-  radio_.transceiver_broadcast(wsn::MessageKind::kAggregate, radio_.payloads().weight);
+  {
+    CDPF_TRACE_SPAN("sdpf-aggregate");
+    radio_.transceiver_broadcast(wsn::MessageKind::kControl, radio_.payloads().control);
+    for_each_host(hosts_, particles_, [&](wsn::NodeId host,
+                                          std::span<filters::Particle> group) {
+      total_sum.add(filters::total_weight(group));
+      radio_.send_to_transceiver(host, wsn::MessageKind::kWeight,
+                                 radio_.payloads().weight * group.size());
+    });
+    radio_.transceiver_broadcast(wsn::MessageKind::kAggregate, radio_.payloads().weight);
+  }
 
   const double total = total_sum.value();
   if (total <= 0.0) {
@@ -228,6 +240,7 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
   }
 
   // -- 5. Correction: normalize, estimate, local resampling. --------------
+  CDPF_TRACE_SPAN("sdpf-resample");
   // A division per weight: filters::normalize_weights multiplies by the
   // reciprocal, which rounds differently.
   for (filters::Particle& p : particles_) {

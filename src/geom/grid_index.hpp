@@ -8,11 +8,10 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -54,10 +53,11 @@ class GridIndex {
                    [&](std::size_t id, std::size_t slot, double, double) { visit(id, slot); });
   }
 
-  /// Visit (id, slot, x, y) tuples within the disk — the SoA feed of CDPF's
-  /// propagation scan: callers append into structure-of-arrays scratch
-  /// without ever touching the AoS point table. Visitation order, membership
-  /// and arithmetic are identical to visit_disk.
+  /// Visit (id, slot, x, y) tuples within the disk — the feed of CDPF's
+  /// record-disk scan (Network::visit_active_within), which reads each
+  /// point's coordinates without ever touching the AoS point table.
+  /// Visitation order, membership and arithmetic are identical to
+  /// visit_disk.
   template <typename Visitor>
   void visit_disk_soa(Vec2 center, double radius, Visitor&& visit) const {
     const double r2 = radius * radius;
@@ -107,43 +107,44 @@ class GridIndex {
   }
 
   /// The point of visit_disk's disk (same cells, same per-point test) with
-  /// the smallest `key(id, slot)` strictly below `bound`; ties go to the
-  /// lowest CSR slot, i.e. to the first such point visit_disk would visit.
-  /// Returns size() when no point beats `bound`.
+  /// the smallest `key(id, slot, x, y)` strictly below `bound`, where x and
+  /// y are the point's coordinates; ties go to the lowest CSR slot, i.e. to
+  /// the first such point visit_disk would visit. Returns size() when no
+  /// point beats `bound`.
   ///
-  /// Cells are scanned nearest to `target` first and skipped once they
-  /// cannot win: `floor(d, c)` must bound from below the key of every point
-  /// of cell `c` (a cell_of() value), whose box lies at Euclidean distance d
-  /// from `target`, with enough margin to absorb rounding — a cell is
-  /// skipped only when its floor exceeds the best key so far, so no
-  /// candidate that could win or tie is ever passed over. A NaN floor never
-  /// skips. Pending cells live in a fixed-capacity stack buffer, scanned
-  /// whenever it fills, so the query never allocates.
+  /// Cells are visited in Chebyshev rings around `target`'s cell, clamped
+  /// into the disk's cell range (a target may lie outside it), and only
+  /// while they can win. `floor(d, c)` must bound from below the key of
+  /// every point of cell `c` (a cell_of() value) whose box lies at
+  /// Euclidean distance d from `target`, and `floor(d, num_cells())` that
+  /// of every point at distance d or more, each with enough margin to
+  /// absorb the rounding of the cell bounds. A cell is skipped when its
+  /// floor exceeds the best key so far, and the search stops before ring
+  /// k >= 2 once the floor of (k - 1) cell sizes does: every cell of ring k
+  /// or beyond lies that far from the target. The ring distance is shrunk
+  /// by a relative slack, since the target's cell index is itself rounded.
+  /// So no candidate that could win or tie is ever passed over, and the
+  /// answer does not depend on the visiting order. A NaN floor never skips.
+  /// The query never allocates.
   template <typename Key, typename Floor>
   std::size_t nearest_in_disk(Vec2 center, double radius, Vec2 target, double bound,
                               Key&& key, Floor&& floor) const {
-    struct PendingCell {
-      double floor;
-      std::size_t cell;
-      bool fully_inside;
-    };
-    std::array<PendingCell, kNearestCellBatch> pending;
-    std::size_t num_pending = 0;
+    const DiskCells disk = disk_cells(center, radius);
     const double r2 = radius * radius;
     bool found = false;
     double best = bound;
     std::size_t best_slot = 0;
-    auto scan = [&](const PendingCell& cell) {
-      const std::size_t k_end = cell_start_[cell.cell + 1];
-      for (std::size_t k = cell_start_[cell.cell]; k < k_end; ++k) {
-        if (!cell.fully_inside) {
+    auto scan = [&](std::size_t c, bool fully_inside) {
+      const std::size_t k_end = cell_start_[c + 1];
+      for (std::size_t k = cell_start_[c]; k < k_end; ++k) {
+        if (!fully_inside) {
           const double dx = xs_[k] - center.x;
           const double dy = ys_[k] - center.y;
           if (!(dx * dx + dy * dy <= r2)) {
             continue;
           }
         }
-        const double d = key(ids_[k], k);
+        const double d = key(ids_[k], k, xs_[k], ys_[k]);
         if (d < best || (found && d == best && k < best_slot)) {
           best = d;
           best_slot = k;
@@ -151,36 +152,38 @@ class GridIndex {
         }
       }
     };
-    // Nearest pending cell first, until the nearest left cannot win.
-    auto drain = [&] {
-      while (num_pending > 0) {
-        std::size_t next = 0;
-        for (std::size_t i = 1; i < num_pending; ++i) {
-          if (pending[i].floor < pending[next].floor) {
-            next = i;
+    const std::ptrdiff_t tx = clamp_cell(target.x, bounds_.lo.x, disk.cx0, disk.cx1);
+    const std::ptrdiff_t ty = clamp_cell(target.y, bounds_.lo.y, disk.cy0, disk.cy1);
+    const std::ptrdiff_t rings =
+        std::max({tx - disk.cx0, disk.cx1 - tx, ty - disk.cy0, disk.cy1 - ty});
+    for (std::ptrdiff_t k = 0; k <= rings; ++k) {
+      if (k >= 2 && floor(static_cast<double>(k - 1) * cell_size_ * (1.0 - 1e-9),
+                          num_cells()) > best) {
+        break;
+      }
+      const std::ptrdiff_t cy_end = std::min(ty + k, disk.cy1);
+      for (std::ptrdiff_t cy = std::max(ty - k, disk.cy0); cy <= cy_end; ++cy) {
+        // Ring k's first and last rows are whole; the rows between hold
+        // its two end cells.
+        const std::ptrdiff_t step = cy == ty - k || cy == ty + k ? 1 : 2 * k;
+        const AxisExtent row = axis_extent(center.y, bounds_.lo.y, cy);
+        const double near_y = axis_extent(target.y, bounds_.lo.y, cy).near;
+        for (std::ptrdiff_t cx = tx - k; cx <= tx + k; cx += step) {
+          if (cx < disk.cx0 || cx > disk.cx1) {
+            continue;
+          }
+          const std::optional<bool> fully_inside =
+              disk.test_cell(row, axis_extent(center.x, bounds_.lo.x, cx));
+          const double near_x = axis_extent(target.x, bounds_.lo.x, cx).near;
+          const std::size_t c =
+              cell_at(static_cast<std::size_t>(cx), static_cast<std::size_t>(cy));
+          if (fully_inside &&
+              !(floor(std::sqrt(near_x * near_x + near_y * near_y), c) > best)) {
+            scan(c, *fully_inside);
           }
         }
-        if (pending[next].floor > best) {
-          break;
-        }
-        scan(pending[next]);
-        pending[next] = pending[--num_pending];
       }
-      num_pending = 0;
-    };
-    for_each_cell(center, radius, [&](std::size_t c, bool fully_inside) {
-      const double x_lo = bounds_.lo.x + static_cast<double>(c % nx_) * cell_size_;
-      const double y_lo = bounds_.lo.y + static_cast<double>(c / nx_) * cell_size_;
-      const double dx = std::max({x_lo - target.x, target.x - (x_lo + cell_size_), 0.0});
-      const double dy = std::max({y_lo - target.y, target.y - (y_lo + cell_size_), 0.0});
-      const double f = floor(std::sqrt(dx * dx + dy * dy), c);
-      pending[num_pending++] = {std::isnan(f) ? -std::numeric_limits<double>::infinity() : f,
-                                c, fully_inside};
-      if (num_pending == pending.size()) {
-        drain();
-      }
-    });
-    drain();
+    }
     return found ? ids_[best_slot] : size();
   }
 
@@ -192,11 +195,6 @@ class GridIndex {
   std::size_t cell_of(Vec2 p) const;
 
  private:
-  /// Pending-cell capacity of nearest_in_disk: a disk of three cell radii
-  /// (the simulator's r_c = 3 r_s) touches at most 49 cells, so one batch
-  /// covers it; wider disks scan in several batches.
-  static constexpr std::size_t kNearestCellBatch = 64;
-
   /// The body of count_disk and count_disk_marked: a fully-inside cell c
   /// adds `cell_count(c)`, a boundary cell adds `slot_count(k)` for each of
   /// its slots k whose point passes the disk test.
@@ -222,54 +220,84 @@ class GridIndex {
     return count;
   }
 
+  /// The farthest and nearest distance, along one axis, from coordinate
+  /// `v` to the cell slab of index `c` on that axis, whose low edge is
+  /// `lo + c * cell_size`.
+  struct AxisExtent {
+    double far;
+    double near;
+  };
+  AxisExtent axis_extent(double v, double lo, std::ptrdiff_t c) const {
+    const double c_lo = lo + static_cast<double>(c) * cell_size_;
+    const double c_hi = c_lo + cell_size_;
+    return {std::max(std::abs(v - c_lo), std::abs(v - c_hi)),
+            std::max({c_lo - v, v - c_hi, 0.0})};
+  }
+
+  /// The cell range of a disk's bounding box and its two squared-radius
+  /// gates. Both gates carry a relative margin dwarfing the rounding
+  /// differences between the corner/edge bounds and the per-point
+  /// arithmetic, so a point within an ulp of the circle always reaches the
+  /// exact per-point check in the caller.
+  struct DiskCells {
+    std::ptrdiff_t cx0, cx1, cy0, cy1;
+    double r2_shrunk;
+    double r2_grown;
+
+    /// The cell whose axis extents from the center are `row` and `col`:
+    /// nullopt when even its NEAREST point lies outside the disk, else
+    /// whether it is fully inside — its farthest corner lies inside the
+    /// disk, so every point it holds matches without a per-point check.
+    std::optional<bool> test_cell(const AxisExtent& row, const AxisExtent& col) const {
+      if (col.near * col.near + row.near * row.near > r2_grown) {
+        return std::nullopt;
+      }
+      return col.far * col.far + row.far * row.far <= r2_shrunk;
+    }
+  };
+  DiskCells disk_cells(Vec2 center, double radius) const {
+    CDPF_CHECK_MSG(radius >= 0.0, "query radius must be non-negative");
+    const auto last_x = static_cast<std::ptrdiff_t>(nx_) - 1;
+    const auto last_y = static_cast<std::ptrdiff_t>(ny_) - 1;
+    return {clamp_cell(center.x - radius, bounds_.lo.x, 0, last_x),
+            clamp_cell(center.x + radius, bounds_.lo.x, 0, last_x),
+            clamp_cell(center.y - radius, bounds_.lo.y, 0, last_y),
+            clamp_cell(center.y + radius, bounds_.lo.y, 0, last_y),
+            radius * radius * (1.0 - 1e-12), radius * radius * (1.0 + 1e-12)};
+  }
+
   /// Shared traversal of visit_disk/count_disk: calls `visit_cell(c,
   /// fully_inside)` for every grid cell that may intersect the disk, in
-  /// row-major order. `fully_inside` is true when the cell's farthest corner
-  /// lies inside the disk, i.e. every point it holds matches without a
-  /// per-point distance check; cells whose NEAREST point already lies
-  /// outside the disk are skipped outright (the bounding box's corner cells
-  /// — a third of it for a square box around a disk). With radius a few
-  /// times the cell size (the simulator's comm-radius queries), most
-  /// populated cells classify one way or the other and only the thin
-  /// boundary ring pays per-point checks. Both gates carry a relative
-  /// margin dwarfing the rounding differences between the corner/edge
-  /// bounds and the per-point arithmetic, so a point within an ulp of the
-  /// circle always reaches the exact per-point check in the caller.
+  /// row-major order, by DiskCells::test_cell. Cells whose nearest point
+  /// already lies outside the disk are skipped outright (the bounding box's
+  /// corner cells — a third of it for a square box around a disk). With
+  /// radius a few times the cell size (the simulator's comm-radius
+  /// queries), most populated cells classify one way or the other and only
+  /// the thin boundary ring pays per-point checks.
   template <typename CellVisitor>
   void for_each_cell(Vec2 center, double radius, CellVisitor&& visit_cell) const {
-    CDPF_CHECK_MSG(radius >= 0.0, "query radius must be non-negative");
-    const double r2_shrunk = radius * radius * (1.0 - 1e-12);
-    const double r2_grown = radius * radius * (1.0 + 1e-12);
-    const std::size_t cx0 = clamped_cell_coord(center.x - radius, bounds_.lo.x, nx_);
-    const std::size_t cx1 = clamped_cell_coord(center.x + radius, bounds_.lo.x, nx_);
-    const std::size_t cy0 = clamped_cell_coord(center.y - radius, bounds_.lo.y, ny_);
-    const std::size_t cy1 = clamped_cell_coord(center.y + radius, bounds_.lo.y, ny_);
-    for (std::size_t cy = cy0; cy <= cy1; ++cy) {
-      // Farthest and nearest y-extent of this cell row from the center,
-      // shared by every cell in the row.
-      const double y_lo = bounds_.lo.y + static_cast<double>(cy) * cell_size_;
-      const double y_hi = y_lo + cell_size_;
-      const double dy_far = std::max(std::abs(center.y - y_lo), std::abs(center.y - y_hi));
-      const double dy_near = std::max({y_lo - center.y, center.y - y_hi, 0.0});
-      for (std::size_t cx = cx0; cx <= cx1; ++cx) {
-        const double x_lo = bounds_.lo.x + static_cast<double>(cx) * cell_size_;
-        const double x_hi = x_lo + cell_size_;
-        const double dx_near = std::max({x_lo - center.x, center.x - x_hi, 0.0});
-        if (dx_near * dx_near + dy_near * dy_near > r2_grown) {
-          continue;  // even the nearest point of this cell is outside
+    const DiskCells disk = disk_cells(center, radius);
+    for (std::ptrdiff_t cy = disk.cy0; cy <= disk.cy1; ++cy) {
+      // The y-extent of this cell row, shared by every cell in the row.
+      const AxisExtent row = axis_extent(center.y, bounds_.lo.y, cy);
+      for (std::ptrdiff_t cx = disk.cx0; cx <= disk.cx1; ++cx) {
+        if (const std::optional<bool> fully_inside =
+                disk.test_cell(row, axis_extent(center.x, bounds_.lo.x, cx))) {
+          visit_cell(cell_at(static_cast<std::size_t>(cx), static_cast<std::size_t>(cy)),
+                     *fully_inside);
         }
-        const double dx_far = std::max(std::abs(center.x - x_lo),
-                                       std::abs(center.x - x_hi));
-        visit_cell(cell_at(cx, cy),
-                   dx_far * dx_far + dy_far * dy_far <= r2_shrunk);
       }
     }
   }
 
-  std::size_t clamped_cell_coord(double v, double lo, std::size_t n) const {
-    const auto c = static_cast<std::ptrdiff_t>(std::floor((v - lo) / cell_size_));
-    return static_cast<std::size_t>(
-        std::clamp<std::ptrdiff_t>(c, 0, static_cast<std::ptrdiff_t>(n) - 1));
+  /// The cell coordinate of `v` clamped into [c0, c1]; a NaN `v` gives c0,
+  /// and no out-of-range value reaches the integer conversion.
+  std::ptrdiff_t clamp_cell(double v, double lo, std::ptrdiff_t c0,
+                            std::ptrdiff_t c1) const {
+    const double c = std::floor((v - lo) / cell_size_);
+    return !(c > static_cast<double>(c0))   ? c0
+           : !(c < static_cast<double>(c1)) ? c1
+                                            : static_cast<std::ptrdiff_t>(c);
   }
   std::size_t cell_at(std::size_t cx, std::size_t cy) const { return cy * nx_ + cx; }
 

@@ -44,11 +44,14 @@ void Network::set_believed_positions(std::vector<geom::Vec2> believed) {
   CDPF_CHECK_MSG(believed.size() == nodes_.size(),
                  "need one believed position per node");
   believed_positions_ = std::move(believed);
-  cell_displacement_.assign(index_->num_cells(), 0.0);
+  cell_displacement_.assign(index_->num_cells() + 1, 0.0);
+  double& largest = cell_displacement_.back();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const double d = geom::distance(believed_positions_[i], nodes_[i].position);
+    const double reach = std::isnan(d) ? std::numeric_limits<double>::infinity() : d;
     double& cell = cell_displacement_[index_->cell_of(nodes_[i].position)];
-    cell = std::max(cell, std::isnan(d) ? std::numeric_limits<double>::infinity() : d);
+    cell = std::max(cell, reach);
+    largest = std::max(largest, reach);
   }
   ++activity_epoch_;
 }
@@ -137,32 +140,6 @@ std::size_t Network::active_nodes_within(geom::Vec2 center, double radius,
   return out.size();
 }
 
-std::size_t Network::collect_active_within(geom::Vec2 center, double radius,
-                                           NodeSoa& out) const {
-  CDPF_CHECK_MSG(believed_positions_.empty(),
-                 "SoA collection reads true positions; "
-                 "use active_nodes_within + position() under believed positions");
-  out.clear();
-  if (inactive_count_ == 0) {
-    index_->visit_disk_soa(center, radius,
-                           [&out](std::size_t id, std::size_t, double x, double y) {
-                             out.ids.push_back(static_cast<NodeId>(id));
-                             out.xs.push_back(x);
-                             out.ys.push_back(y);
-                           });
-  } else {
-    index_->visit_disk_soa(
-        center, radius, [this, &out](std::size_t id, std::size_t slot, double x, double y) {
-          if (slot_active_[slot] != 0) {
-            out.ids.push_back(static_cast<NodeId>(id));
-            out.xs.push_back(x);
-            out.ys.push_back(y);
-          }
-        });
-  }
-  return out.size();
-}
-
 std::size_t Network::count_active_within(geom::Vec2 center, double radius) const {
   if (inactive_count_ == 0) {
     return index_->count_disk(center, radius);
@@ -175,27 +152,40 @@ NodeId Network::nearest_comm_neighbour(NodeId u, geom::Vec2 target, double bound
   CDPF_CHECK_MSG(u < nodes_.size(), "node id out of range");
   constexpr double kInf = std::numeric_limits<double>::infinity();
   // Every node of cell c at true distance d from target believes itself at
-  // least d - cell_displacement_[c] away (triangle inequality). The rounding
-  // in the cell bounds, the grid's cell assignment, the displacement and the
-  // ranked distances is a few ulp of the coordinates involved; the slack,
-  // 1e-9 of their scale, dwarfs it, so no candidate that could tie is
-  // skipped.
+  // least d - cell_displacement_[c] away (triangle inequality), and every
+  // node at all at least d - cell_displacement_.back() (the ring bound). The
+  // rounding in the cell bounds, the grid's cell assignment, the
+  // displacement and the ranked distances is a few ulp of the coordinates
+  // involved; the slack, 1e-9 of their scale, dwarfs it, so no candidate
+  // that could tie is skipped.
   const geom::Aabb& field = config_.field;
   const double scale = std::abs(target.x) + std::abs(target.y) + std::abs(field.lo.x) +
                        std::abs(field.lo.y) + std::abs(field.hi.x) + std::abs(field.hi.y) +
                        config_.comm_radius + index_->cell_size();
-  const std::size_t id = index_->nearest_in_disk(
-      nodes_[u].position, config_.comm_radius, target, bound,
-      [&](std::size_t v, std::size_t slot) {
-        return v == u || slot_active_[slot] == 0
-                   ? kInf
-                   : Distance(position(static_cast<NodeId>(v)), target);
-      },
-      [&](double cell_distance, std::size_t cell) {
-        const double displacement = cell_displacement_.empty() ? 0.0 : cell_displacement_[cell];
-        const double reach = cell_distance - displacement - 1e-9 * (scale + displacement);
-        return reach > 0.0 ? Distance(geom::Vec2{}, geom::Vec2{reach, 0.0}) : -kInf;
-      });
+  auto floor = [&](double cell_distance, std::size_t cell) {
+    const double displacement =
+        cell_displacement_.empty() ? 0.0 : cell_displacement_[cell];
+    const double reach = cell_distance - displacement - 1e-9 * (scale + displacement);
+    return reach > 0.0 ? Distance(geom::Vec2{}, geom::Vec2{reach, 0.0}) : -kInf;
+  };
+  // Ranked by believed positions when installed, else by the grid's own
+  // copy of the true ones (the same doubles as nodes_[v].position).
+  auto nearest = [&](auto&& position_of) {
+    return index_->nearest_in_disk(
+        nodes_[u].position, config_.comm_radius, target, bound,
+        [&](std::size_t v, std::size_t slot, double x, double y) {
+          return v == u || slot_active_[slot] == 0
+                     ? kInf
+                     : Distance(position_of(v, x, y), target);
+        },
+        floor);
+  };
+  const std::size_t id =
+      believed_positions_.empty()
+          ? nearest([](std::size_t, double x, double y) { return geom::Vec2{x, y}; })
+          : nearest([this](std::size_t v, double, double) {
+              return believed_positions_[v];
+            });
   return id == index_->size() ? kInvalidNodeId : static_cast<NodeId>(id);
 }
 

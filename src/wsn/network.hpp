@@ -21,28 +21,6 @@
 
 namespace cdpf::wsn {
 
-/// Structure-of-arrays view of a set of nodes: parallel id/x/y arrays filled
-/// by spatial queries so hot loops can stream coordinates contiguously.
-/// Coordinates are TRUE (physical) positions — callers that must honor
-/// believed positions (Network::position) cannot use the SoA path.
-struct NodeSoa {
-  std::vector<NodeId> ids;
-  std::vector<double> xs;
-  std::vector<double> ys;
-
-  std::size_t size() const { return ids.size(); }
-  void clear() {
-    ids.clear();
-    xs.clear();
-    ys.clear();
-  }
-  void reserve(std::size_t n) {
-    ids.reserve(n);
-    xs.reserve(n);
-    ys.reserve(n);
-  }
-};
-
 /// Field geometry and radii, all in meters; defaults are the paper's §VI-A
 /// scenario.
 struct NetworkConfig {
@@ -126,13 +104,23 @@ class Network {
   std::size_t active_nodes_within(geom::Vec2 center, double radius,
                                   std::vector<NodeId>& out) const;
 
-  /// Ids *and true coordinates* of active nodes within `radius` of `center`,
-  /// appended into SoA scratch (cleared first). Same nodes in the same order
-  /// as active_nodes_within; coordinates come straight from the grid's
-  /// CSR-ordered arrays, so no per-node gather through the Node table.
-  /// Only valid when believed == true positions (checked).
-  std::size_t collect_active_within(geom::Vec2 center, double radius,
-                                    NodeSoa& out) const;
+  /// Visit `visit(id, x, y)` for every *active* node within `radius` of
+  /// `center`: the nodes of active_nodes_within, in its order, with their
+  /// TRUE coordinates read straight from the grid's slot-ordered arrays, so
+  /// no per-node gather through the Node table. Only valid when believed ==
+  /// true positions (checked).
+  template <typename Visitor>
+  void visit_active_within(geom::Vec2 center, double radius, Visitor&& visit) const {
+    CDPF_CHECK_MSG(believed_positions_.empty(),
+                   "the visitor reads true positions; "
+                   "use active_nodes_within + position() under believed positions");
+    index_->visit_disk_soa(center, radius,
+                           [&](std::size_t id, std::size_t slot, double x, double y) {
+                             if (inactive_count_ == 0 || slot_active_[slot] != 0) {
+                               visit(static_cast<NodeId>(id), x, y);
+                             }
+                           });
+  }
 
   /// Number of active nodes within `radius` of `center`, without
   /// materializing the id list. With all nodes active this is a pure
@@ -149,11 +137,13 @@ class Network {
   /// positions included, and `bound` is in Distance's units; ties go to the
   /// candidate active_nodes_within lists first. Distance is geom::distance
   /// or geom::distance_squared (the two instantiations network.cpp
-  /// provides). Allocation-free, and with no cache: the grid scans the
-  /// disk's cells nearest to `target` first and skips a cell once even its
-  /// nearest point, moved by the largest believed-vs-true displacement of
-  /// the nodes in that cell, cannot tie the best candidate so far
-  /// (GridIndex::nearest_in_disk).
+  /// provides). Allocation-free, and with no cache: the grid visits the
+  /// disk's cells in rings around `target`'s cell and skips a cell once even
+  /// its nearest point, moved by the largest believed-vs-true displacement
+  /// of the nodes in that cell, cannot tie the best candidate so far; it
+  /// stops at the first ring that, moved by the largest displacement of any
+  /// node, cannot (GridIndex::nearest_in_disk). Candidates are ranked by
+  /// the grid's slot-ordered coordinates when believed == true positions.
   template <double (*Distance)(geom::Vec2, geom::Vec2)>
   NodeId nearest_comm_neighbour(NodeId u, geom::Vec2 target, double bound) const;
 
@@ -194,7 +184,9 @@ class Network {
   // position the cell holds (+inf when a believed position is NaN; empty,
   // i.e. 0 everywhere, when believed == true): how far a believed distance
   // from a node of the cell may fall below a true one, the pruning margin of
-  // nearest_comm_neighbour for that cell.
+  // nearest_comm_neighbour for that cell. One trailing entry, at index
+  // num_cells(), holds the largest over all cells: the margin of its ring
+  // bound.
   std::vector<double> cell_displacement_;
   std::unique_ptr<geom::GridIndex> index_;
   NodeId sink_ = kInvalidNodeId;

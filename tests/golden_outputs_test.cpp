@@ -45,7 +45,7 @@
 // environments too. Believed positions drive CDPF's receiver-list
 // propagation route and CDPF-NE's believed-position neighbour gather. The
 // duty cycle stays on the direct record-disk scan, whose grid query skips
-// sleeping nodes (Network::collect_active_within); it exercises the
+// sleeping nodes (Network::visit_active_within); it exercises the
 // activity filter, not the receiver list.
 //
 // A change that moves numbers ON PURPOSE must update the table in the same

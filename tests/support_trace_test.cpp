@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/experiment.hpp"
 #include "sim/observability.hpp"
 #include "sim/runspec.hpp"
 #include "support/json.hpp"
@@ -25,6 +26,8 @@
 #include "support/trace.hpp"
 #include "wsn/comm_stats.hpp"
 #include "wsn/message.hpp"
+#include "wsn/network.hpp"
+#include "wsn/radio.hpp"
 
 namespace cdpf {
 namespace {
@@ -344,6 +347,61 @@ TEST(TraceMacros, CompileAndRespectBuildConfiguration) {
 #else
   EXPECT_TRUE(support::Trace::events().empty());
 #endif
+}
+
+/// Span names in `events`, counted.
+std::map<std::string, std::size_t> span_counts(
+    const std::vector<support::TraceEvent>& events) {
+  std::map<std::string, std::size_t> counts;
+  for (const support::TraceEvent& e : events) {
+    ++counts[e.name];
+  }
+  return counts;
+}
+
+// SDPF's and CPF's stage spans: once per steady-state iteration each.
+TEST(TraceMacros, SdpfAndCpfStagesSpanOncePerIteration) {
+  struct Stages {
+    sim::AlgorithmKind kind;
+    std::vector<std::string> spans;
+  };
+  const Stages trackers[] = {
+      {sim::AlgorithmKind::kSdpf,
+       {"sdpf-propagate", "sdpf-seed", "sdpf-share", "sdpf-weight", "sdpf-aggregate",
+        "sdpf-resample"}},
+      {sim::AlgorithmKind::kCpf,
+       {"cpf-route", "cpf-predict", "cpf-likelihood", "cpf-resample"}},
+  };
+  constexpr std::size_t kIterations = 5;
+  for (const Stages& stages : trackers) {
+    rng::Rng rng(3);
+    const sim::Scenario scenario;
+    wsn::Network network = sim::build_network(scenario, rng);
+    wsn::Radio radio(network, scenario.payloads);
+    const auto tracker = sim::make_tracker(stages.kind, network, radio, {});
+    geom::Vec2 target{60.0, 100.0};
+    const double dt = tracker->time_step();
+    auto step = [&](std::size_t k) {
+      tracker->iterate({target, {3.0, 0.0}}, dt * static_cast<double>(k), rng);
+      target.x += 3.0 * dt;
+    };
+    step(0);  // the first iteration only seeds (SDPF) or initializes (CPF)
+    support::Trace::start(std::size_t{1} << 16);
+    for (std::size_t k = 1; k <= kIterations; ++k) {
+      step(k);
+    }
+    support::Trace::stop();
+    ASSERT_EQ(support::Trace::dropped(), 0u);
+    const std::map<std::string, std::size_t> counts =
+        span_counts(support::Trace::events());
+    for (const std::string& name : stages.spans) {
+#ifdef CDPF_TRACING
+      EXPECT_EQ(counts.count(name) ? counts.at(name) : 0u, kIterations) << name;
+#else
+      EXPECT_EQ(counts.count(name), 0u) << name;
+#endif
+    }
+  }
 }
 
 }  // namespace

@@ -323,6 +323,178 @@ TEST(NearestCommNeighbour, IsolatedNodeAndInactiveNeighbourHaveNoWinner) {
             kInvalidNodeId);
 }
 
+// -- Ring search edge cases ---------------------------------------------------
+// The search visits cells in rings around the target's cell and stops at the
+// first ring that cannot hold a winner; these cases aim at its bounds.
+
+/// Every target on a cell edge or corner within r_c / 2 of u's true position
+/// (the re-host regime), for `count` random nodes u, checked against the scan
+/// under both rankings with u's own distance and with no bound.
+QueryTally query_cell_lines(const Network& net, std::uint64_t seed, std::size_t count) {
+  rng::Rng rng(seed);
+  std::vector<NodeId> disk;
+  QueryTally tally;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const geom::Aabb& field = net.config().field;
+  const double cell = net.config().sensing_radius;  // the grid's cell size
+  const double reach = net.config().comm_radius / 2.0;
+  auto query = [&](NodeId u, geom::Vec2 target) {
+    if (geom::distance(net.true_position(u), target) > reach) {
+      return;
+    }
+    const geom::Vec2 own = net.position(u);
+    check_query<geom::distance>(net, disk, u, target, geom::distance(own, target), tally);
+    check_query<geom::distance>(net, disk, u, target, kInf, tally);
+    check_query<geom::distance_squared>(net, disk, u, target,
+                                        geom::distance_squared(own, target), tally);
+    check_query<geom::distance_squared>(net, disk, u, target, kInf, tally);
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto u = static_cast<NodeId>(rng.uniform_index(net.size()));
+    const geom::Vec2 p = net.true_position(u);
+    net.active_nodes_within(p, net.config().comm_radius, disk);
+    const double off = rng.uniform(-reach, reach);
+    const double i0 = std::floor((p.x - reach - field.lo.x) / cell);
+    const double j0 = std::floor((p.y - reach - field.lo.y) / cell);
+    for (double a = i0; a <= i0 + 2.0 * reach / cell + 1.0; a += 1.0) {
+      const double x = field.lo.x + a * cell;
+      for (double b = j0; b <= j0 + 2.0 * reach / cell + 1.0; b += 1.0) {
+        query(u, {x, field.lo.y + b * cell});  // a corner
+      }
+      query(u, {x, p.y + off});  // a vertical edge
+    }
+    for (double b = j0; b <= j0 + 2.0 * reach / cell + 1.0; b += 1.0) {
+      query(u, {p.x + off, field.lo.y + b * cell});  // a horizontal edge
+    }
+  }
+  return tally;
+}
+
+TEST(NearestCommNeighbour, MatchesScanOnAFieldWithPartialLastCells) {
+  // 187.3 m x 153.7 m from an off-origin corner: the last column and row of
+  // 10 m cells reach past the field.
+  const geom::Aabb field{{-3.5, 12.25}, {183.8, 165.95}};
+  rng::Rng rng(35);
+  Network net(deploy_uniform_random(node_count_for_density(40.0, field), field, rng),
+              NetworkConfig{field, 10.0, 30.0});
+  expect_query_matches_scan(net, 6);
+  const QueryTally lines = query_cell_lines(net, 7, 200);
+  EXPECT_EQ(lines.mismatches, 0u) << lines.first_mismatch;
+  EXPECT_GT(lines.winners, lines.queries / 4);
+}
+
+TEST(NearestCommNeighbour, MatchesScanOnCellEdgesAndCornersNearU) {
+  Network net = density_40_field(36);
+  QueryTally tally = query_cell_lines(net, 8, 300);
+  EXPECT_EQ(tally.mismatches, 0u) << tally.first_mismatch;
+  EXPECT_GT(tally.winners, tally.queries / 4);
+  // The same targets under half the nodes asleep, and under localized
+  // positions.
+  rng::Rng rng(9);
+  for (NodeId id = 0; id < net.size(); ++id) {
+    if (rng.bernoulli(0.5)) {
+      net.set_power(id, PowerState::kAsleep);
+    }
+  }
+  net.set_believed_positions(localize(net, LocalizationConfig{}, rng).positions);
+  tally = query_cell_lines(net, 10, 300);
+  EXPECT_EQ(tally.mismatches, 0u) << tally.first_mismatch;
+}
+
+TEST(NearestCommNeighbour, ExactTieAcrossRingsGoesToTheEarlierCell) {
+  // The target sits on the corner of cell (5, 5). q, in that cell (ring 0),
+  // and p, in cell (3, 5) (ring 2), lie at the same squared distance 110.5
+  // from it; p's cell comes first in disk order, so p must win although the
+  // search meets q first.
+  const geom::Vec2 target{50.0, 50.0};
+  const std::vector<geom::Vec2> positions{{45.0, 55.0}, {54.5, 59.5}, {39.5, 50.5}};
+  const NodeId u = 0;
+  const NodeId q = 1;
+  const NodeId p = 2;
+  const Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
+  ASSERT_EQ(geom::distance_squared(positions[p], target),
+            geom::distance_squared(positions[q], target));
+  std::vector<NodeId> disk;
+  net.active_nodes_within(net.true_position(u), 30.0, disk);
+  ASSERT_EQ(disk, (std::vector<NodeId>{p, u, q}));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance>(u, target, kInf), p);
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance_squared>(u, target, kInf), p);
+  EXPECT_EQ(scan_nearest<geom::distance>(net, disk, u, target, kInf), p);
+}
+
+TEST(NearestCommNeighbour, RingTwoNodeNearerThanTheRingOneBestWins) {
+  // The target sits at the far edge of its cell (5, 5). a, in ring 1, is
+  // 14.99 m away; b, in ring 2, only 11.01 m: no ring can be cut off
+  // before its cells are (k - 1) cell sizes away.
+  const geom::Vec2 target{59.99, 55.0};
+  const std::vector<geom::Vec2> positions{{50.0, 40.0}, {45.0, 55.0}, {71.0, 55.0}};
+  const Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance>(0, target, kInf), 2u);
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance_squared>(0, target, kInf), 2u);
+}
+
+TEST(NearestCommNeighbour, OneFarDisplacedNodeWidensEveryRing) {
+  // Node w, in cell (2, 5), three rings from the target's cell (5, 5),
+  // believes itself 1 m from the target; a, in the target's own cell, is
+  // sqrt(5) m away. Only the largest displacement lets the search reach w.
+  const geom::Vec2 target{55.0, 52.0};
+  const std::vector<geom::Vec2> positions{{50.0, 50.0}, {56.0, 50.0}, {25.0, 50.0}};
+  const NodeId u = 0;
+  const NodeId w = 2;
+  Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
+  std::vector<geom::Vec2> believed = positions;
+  believed[w] = {55.0, 51.0};
+  net.set_believed_positions(believed);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance>(u, target, kInf), w);
+  EXPECT_EQ(net.nearest_comm_neighbour<geom::distance_squared>(u, target, 4.0), w);
+
+  // The same on a density-40 field: the nodes of cell (9, 9) believe
+  // themselves 40 m away, all other nodes where they are. Each moved node is
+  // sought from a radio neighbour, with its believed position as target.
+  Network field = density_40_field(37);
+  believed.assign(field.size(), {});
+  std::vector<NodeId> moved;
+  rng::Rng rng(11);
+  for (NodeId id = 0; id < field.size(); ++id) {
+    const geom::Vec2 p = field.true_position(id);
+    believed[id] = p;
+    if (std::floor(p.x / 10.0) == 9.0 && std::floor(p.y / 10.0) == 9.0) {
+      believed[id] += geom::Vec2::from_angle(rng.uniform(0.0, geom::kTwoPi)) * 40.0;
+      moved.push_back(id);
+    }
+  }
+  field.set_believed_positions(believed);
+  ASSERT_FALSE(moved.empty());
+  QueryTally tally;
+  std::vector<NodeId> disk;
+  for (const NodeId m : moved) {
+    field.active_nodes_within(field.true_position(m), 30.0, disk);
+    NodeId from = m;
+    while (from == m) {
+      from = disk[rng.uniform_index(disk.size())];
+    }
+    field.active_nodes_within(field.true_position(from), 30.0, disk);
+    const geom::Vec2 sought =
+        believed[m] + geom::Vec2{rng.gaussian(0.0, 0.5), rng.gaussian(0.0, 0.5)};
+    check_query<geom::distance>(field, disk, from, sought, kInf, tally);
+    check_query<geom::distance_squared>(field, disk, from, sought, kInf, tally);
+  }
+  EXPECT_EQ(tally.mismatches, 0u) << tally.first_mismatch;
+  EXPECT_GT(tally.winners, 0u);
+  expect_query_matches_scan(field, 12);
+}
+
+TEST(Network, VisitActiveWithinRefusesBelievedPositions) {
+  const std::vector<geom::Vec2> positions{{10.0, 10.0}, {20.0, 10.0}};
+  Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
+  net.set_believed_positions(positions);
+  EXPECT_THROW(net.visit_active_within({10.0, 10.0}, 30.0, [](NodeId, double, double) {}),
+               Error);
+}
+
 // -- Activity mirror ----------------------------------------------------------
 // The network keeps node activity as bytes in grid-slot order plus per-cell
 // active tallies, built at the first deactivation and updated per transition.
@@ -351,7 +523,7 @@ void expect_active_queries_match_brute_force(const Network& net, std::uint64_t s
   const double rc = net.config().comm_radius;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<NodeId> got;
-  NodeSoa soa;
+  std::vector<NodeId> visited;
   for (int q = 0; q < 300; ++q) {
     const auto u = static_cast<NodeId>(rng.uniform_index(net.size()));
     const geom::Vec2 center =
@@ -362,12 +534,13 @@ void expect_active_queries_match_brute_force(const Network& net, std::uint64_t s
 
     EXPECT_EQ(net.count_active_within(center, radius), expected.size()) << "query " << q;
     net.active_nodes_within(center, radius, got);
-    net.collect_active_within(center, radius, soa);
-    EXPECT_EQ(soa.ids, got) << "query " << q;
-    for (std::size_t i = 0; i < soa.size(); ++i) {
-      EXPECT_EQ(soa.xs[i], net.true_position(soa.ids[i]).x);
-      EXPECT_EQ(soa.ys[i], net.true_position(soa.ids[i]).y);
-    }
+    visited.clear();
+    net.visit_active_within(center, radius, [&](NodeId id, double x, double y) {
+      visited.push_back(id);
+      EXPECT_EQ(x, net.true_position(id).x);
+      EXPECT_EQ(y, net.true_position(id).y);
+    });
+    EXPECT_EQ(visited, got) << "query " << q;
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, expected) << "query " << q;
 
