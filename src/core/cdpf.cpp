@@ -239,8 +239,8 @@ void Cdpf::likelihood_and_assign(const SensingSnapshot& snapshot) {
   // statistics charged — no receiver list.
   const auto& shared = snapshot.measurements;
   for (const SensingSnapshot::Measurement& m : shared) {
-    radio_.broadcast_count(m.sender, wsn::MessageKind::kMeasurement,
-                           radio_.payloads().measurement);
+    radio_.broadcast(m.sender, wsn::MessageKind::kMeasurement,
+                     radio_.payloads().measurement);
   }
   if (shared.empty()) {
     return;  // no information this iteration; weights carry over
@@ -280,12 +280,13 @@ void Cdpf::neighborhood_assign(const std::vector<wsn::NodeId>& detecting) {
   // grid selects them by physical position; their contributions use the
   // positions the nodes believe they hold (position()), which is what a
   // node shares with its neighbors under a localization experiment.
-  network_.active_nodes_within(predicted, network_.config().sensing_radius,
-                               area_nodes_);
+  area_nodes_.clear();
   area_positions_.clear();
-  for (const wsn::NodeId id : area_nodes_) {
-    area_positions_.push_back(network_.position(id));
-  }
+  network_.visit_active_within(predicted, network_.config().sensing_radius,
+                               [&](wsn::NodeId id, geom::Vec2, geom::Vec2 believed) {
+                                 area_nodes_.push_back(id);
+                                 area_positions_.push_back(believed);
+                               });
   estimated_contributions(area_positions_, predicted, area_contributions_);
 
   // Index contributions and the detecting set by NodeId so the host loop

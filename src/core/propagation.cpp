@@ -57,34 +57,33 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
   // the input total the overheard global aggregate legitimately misses.
   support::NeumaierSum silent_lost_weight;
 #endif
-  std::vector<wsn::NodeId>& receivers = scratch.receivers;
   std::vector<wsn::NodeId>& recorders = scratch.recorders;
   std::vector<double>& probabilities = scratch.probabilities;
   std::vector<double>& rec_dx = scratch.rec_dx;
   std::vector<double>& rec_dy = scratch.rec_dy;
   std::vector<double>& rec_d2 = scratch.rec_d2;
 
-  // Receivers only matter individually when believed positions diverge
-  // from the physical ones (the record test runs on believed coordinates,
-  // so record-disk membership cannot be resolved by the physical-position
-  // grid). Otherwise the round runs receiver-free: the broadcast is charged
-  // by count alone and recorders come from a direct scan of the record disk
-  // — O(r_s^2) points touched per host instead of O(r_c^2), the difference
-  // between ~100 and ~1000 nodes at paper densities. Both routes give the
-  // same recorders, weights, draws and statistics when believed == true
-  // positions.
-  const bool use_receiver_list = network.has_believed_positions();
+  // A recorder is an active radio neighbour of the host (true positions,
+  // by the grid's own d^2 <= r_c^2 arithmetic) that lies in the predicted
+  // area (believed positions). The squared-distance record gate is
+  // deliberately loose (record_radius inflated by a few ulp): it only ever
+  // skips nodes the exact linear-model test would reject with certainty,
+  // and a node with a NaN believed position, which cannot lie in the area.
   const double comm_radius = network.config().comm_radius;
   const double comm_radius_sq = comm_radius * comm_radius;
-  // The squared-distance pre-gate is deliberately loose (record_radius
-  // inflated by a few ulp): it only ever skips nodes the exact linear-model
-  // test would reject with certainty, so which nodes record — and with what
-  // probability — is decided by the same arithmetic on both recorder routes.
   const double record_gate_sq = record_radius * record_radius * (1.0 + 1e-12);
-  // Grid query radius for the direct record-disk scan: anything covering the
-  // pre-gate works (acceptance is decided downstream); 1e-9 relative slack
-  // comfortably dominates the gate's margin.
-  const double record_query_radius = record_radius * (1.0 + 1e-9);
+  // Two disks hold every node that passes both gates: the predicted area
+  // grown by the largest believed-vs-true displacement (the grid indexes
+  // true positions), and the host's radio disk. The round scans the smaller;
+  // both are visited in the grid's global cell-major order, so the choice
+  // changes which nodes are visited, never the recorders, their order or
+  // the RNG draws. The 1e-9 relative slack dominates the record gate's
+  // margin and the rounding of the displacement. With believed == true
+  // positions it is the record disk: O(r_s^2) points touched per host
+  // instead of O(r_c^2), ~100 against ~1000 nodes at paper densities.
+  const double record_query_radius =
+      (record_radius + network.max_believed_displacement()) * (1.0 + 1e-9);
+  const bool scan_record_disk = record_query_radius < comm_radius;
 
   // Deterministic host order so rng consumption is reproducible.
   for (const wsn::NodeId host : store.sorted_hosts()) {
@@ -101,14 +100,10 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
       continue;
     }
     const geom::Vec2 host_position = network.position(host);
+    const geom::Vec2 host_true = network.true_position(host);
     const geom::Vec2 predicted = host_position + particle.velocity * motion.dt();
 
-    if (use_receiver_list) {
-      radio.broadcast(host, wsn::MessageKind::kParticle, propagation_payload,
-                      receivers);
-    } else {
-      radio.broadcast_count(host, wsn::MessageKind::kParticle, propagation_payload);
-    }
+    radio.broadcast(host, wsn::MessageKind::kParticle, propagation_payload);
     ++outcome.num_broadcasts;
 
     // Overhearing: every receiver (plus the broadcaster, trivially) learns
@@ -116,11 +111,9 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
     // node heard.
     outcome.global.add(particle.weight, host_position, particle.velocity);
 
-    // Recorders: receivers inside the predicted area by the linear model.
-    // Both routes below fill the same parallel arrays (recorder id, record
-    // probability, displacement-from-host) that the shared division loop
-    // consumes, with the same acceptance arithmetic — dx/dy/d2 differences,
-    // squared gates, probability(sqrt(d2)).
+    // Recorders, in visiting order, as parallel arrays (recorder id, record
+    // probability, believed displacement from the host) for the division
+    // loop. A broadcaster never receives its own transmission.
     recorders.clear();
     probabilities.clear();
     rec_dx.clear();
@@ -135,48 +128,24 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
       rec_dy.push_back(dyh);
       rec_d2.push_back(dxh * dxh + dyh * dyh);
     };
-    if (use_receiver_list) {
-      for (const wsn::NodeId r : receivers) {
-        const geom::Vec2 receiver_position = network.position(r);
-        const double dxp = receiver_position.x - predicted.x;
-        const double dyp = receiver_position.y - predicted.y;
-        const double d2p = dxp * dxp + dyp * dyp;
-        if (d2p > record_gate_sq) {
-          continue;
-        }
-        const double p = lin_prob.probability(std::sqrt(d2p));
-        if (p > 0.0) {
-          accept(r, p, receiver_position.x - host_position.x,
-                 receiver_position.y - host_position.y);
-        }
-      }
-    } else {
-      // Direct record-disk scan: the grid hands each active candidate's id
-      // with its true coordinates (valid here because use_receiver_list is
-      // false exactly when believed == true). Grid visitation order is
-      // global (cell-major, then build order), so filtering the record-disk
-      // query by comm-range membership yields the SAME recorder sequence —
-      // hence the same rng consumption — as filtering the comm-disk
-      // receiver list by the record gate; the comm test is the identical
-      // arithmetic the grid uses for receiver membership. A broadcaster
-      // never receives its own transmission.
-      network.visit_active_within(
-          predicted, record_query_radius, [&](wsn::NodeId r, double x, double y) {
-            const double dxh = x - host_position.x;
-            const double dyh = y - host_position.y;
-            const double dxp = x - predicted.x;
-            const double dyp = y - predicted.y;
-            const double d2p = dxp * dxp + dyp * dyp;
-            if (r == host || dxh * dxh + dyh * dyh > comm_radius_sq ||
-                d2p > record_gate_sq) {
-              return;
-            }
-            const double p = lin_prob.probability(std::sqrt(d2p));
-            if (p > 0.0) {
-              accept(r, p, dxh, dyh);
-            }
-          });
-    }
+    network.visit_active_within(
+        scan_record_disk ? predicted : host_true,
+        scan_record_disk ? record_query_radius : comm_radius,
+        [&](wsn::NodeId r, geom::Vec2 at, geom::Vec2 believed) {
+          const double dxt = at.x - host_true.x;
+          const double dyt = at.y - host_true.y;
+          const double dxp = believed.x - predicted.x;
+          const double dyp = believed.y - predicted.y;
+          const double d2p = dxp * dxp + dyp * dyp;
+          if (r == host || dxt * dxt + dyt * dyt > comm_radius_sq ||
+              !(d2p <= record_gate_sq)) {
+            return;
+          }
+          const double p = lin_prob.probability(std::sqrt(d2p));
+          if (p > 0.0) {
+            accept(r, p, believed.x - host_position.x, believed.y - host_position.y);
+          }
+        });
 
     if (recorders.empty()) {
       // No receiver inside the predicted area: hand the whole particle to

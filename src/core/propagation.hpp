@@ -81,13 +81,12 @@ struct PropagationOutcome {
 };
 
 /// Reusable buffers for propagate_particles_into(); hand the same instance
-/// to every round so the receiver/recorder staging vectors stay warm.
+/// to every round so the recorder staging vectors stay warm.
 struct PropagationScratch {
-  std::vector<wsn::NodeId> receivers;
   std::vector<wsn::NodeId> recorders;
   std::vector<double> probabilities;
-  // Accepted-recorder displacements from the host, shared by both recorder
-  // routes and consumed by the division loop (recorded headings).
+  // Accepted-recorder displacements from the host, consumed by the division
+  // loop (recorded headings).
   std::vector<double> rec_dx;
   std::vector<double> rec_dy;
   std::vector<double> rec_d2;
@@ -95,7 +94,6 @@ struct PropagationScratch {
   /// Pre-size every buffer for networks of up to `nodes` nodes so steady-
   /// state rounds never touch the allocator.
   void reserve(std::size_t nodes) {
-    receivers.reserve(nodes);
     recorders.reserve(nodes);
     probabilities.reserve(nodes);
     rec_dx.reserve(nodes);

@@ -118,7 +118,7 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
       if (!network_.is_active(host)) {
         return;  // dead/sleeping host: its particles are lost
       }
-      radio_.broadcast_count(host, wsn::MessageKind::kParticle, payload * group.size());
+      radio_.broadcast(host, wsn::MessageKind::kParticle, payload * group.size());
       const geom::Vec2 host_pos = network_.position(host);
       for (const filters::Particle& particle : group) {
         filters::Particle moved{motion_.sample(particle.state, rng), particle.weight};
@@ -184,8 +184,7 @@ void Sdpf::iterate(const tracking::TargetState& truth, double time, rng::Rng& rn
     shared_.clear();
     for (const wsn::NodeId id : detecting_) {
       const double z = bearing_.measure(network_.true_position(id), truth.position, rng);
-      radio_.broadcast_count(id, wsn::MessageKind::kMeasurement,
-                             radio_.payloads().measurement);
+      radio_.broadcast(id, wsn::MessageKind::kMeasurement, radio_.payloads().measurement);
       shared_.add(network_.position(id), z);
     }
   }

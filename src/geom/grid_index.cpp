@@ -8,36 +8,36 @@
 namespace cdpf::geom {
 
 GridIndex::GridIndex(std::span<const Vec2> points, Aabb bounds, double cell_size)
-    : points_(points.begin(), points.end()), bounds_(bounds), cell_size_(cell_size) {
+    : bounds_(bounds), cell_size_(cell_size) {
   CDPF_CHECK_MSG(cell_size_ > 0.0, "grid cell size must be positive");
   CDPF_CHECK_MSG(bounds_.width() >= 0.0 && bounds_.height() >= 0.0,
                  "grid bounds must be non-degenerate");
   nx_ = static_cast<std::size_t>(std::max(1.0, std::ceil(bounds_.width() / cell_size_)));
   ny_ = static_cast<std::size_t>(std::max(1.0, std::ceil(bounds_.height() / cell_size_)));
 
-  for (const Vec2 p : points_) {
+  for (const Vec2 p : points) {
     CDPF_CHECK_MSG(bounds_.contains(p), "all indexed points must lie inside the bounds");
   }
 
   // Counting sort of point ids into cells (CSR layout, two passes).
   const std::size_t num_cells = nx_ * ny_;
   cell_start_.assign(num_cells + 1, 0);
-  for (const Vec2 p : points_) {
+  for (const Vec2 p : points) {
     ++cell_start_[cell_of(p) + 1];
   }
   for (std::size_t c = 0; c < num_cells; ++c) {
     cell_start_[c + 1] += cell_start_[c];
   }
-  ids_.resize(points_.size());
+  ids_.resize(points.size());
   std::vector<std::size_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    ids_[cursor[cell_of(points_[i])]++] = i;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    ids_[cursor[cell_of(points[i])]++] = i;
   }
-  xs_.resize(points_.size());
-  ys_.resize(points_.size());
+  xs_.resize(points.size());
+  ys_.resize(points.size());
   for (std::size_t k = 0; k < ids_.size(); ++k) {
-    xs_[k] = points_[ids_[k]].x;
-    ys_[k] = points_[ids_[k]].y;
+    xs_[k] = points[ids_[k]].x;
+    ys_[k] = points[ids_[k]].y;
   }
 }
 

@@ -28,7 +28,7 @@ class GridIndex {
   /// query radius; bounds must contain all points.
   GridIndex(std::span<const Vec2> points, Aabb bounds, double cell_size);
 
-  std::size_t size() const { return points_.size(); }
+  std::size_t size() const { return ids_.size(); }
 
   /// The id of the point at CSR slot `slot` in [0, size()). Slots group the
   /// points by cell, in the order visit_disk visits them; every visitor
@@ -44,20 +44,18 @@ class GridIndex {
   /// (closed ball). Statically dispatched: this is the innermost loop of every
   /// neighbor/detection query, so the visitor must not hide behind a
   /// std::function indirection (or allocate one) per call. Boundary-cell
-  /// membership tests read the CSR-ordered coordinate copies (xs_/ys_)
-  /// instead of gathering through ids_ into the AoS point table — same
-  /// arithmetic on the same values, contiguous access.
+  /// membership tests read the CSR-ordered coordinates (xs_/ys_), so the
+  /// access is contiguous.
   template <typename Visitor>
   void visit_disk(Vec2 center, double radius, Visitor&& visit) const {
     visit_disk_soa(center, radius,
                    [&](std::size_t id, std::size_t slot, double, double) { visit(id, slot); });
   }
 
-  /// Visit (id, slot, x, y) tuples within the disk — the feed of CDPF's
-  /// record-disk scan (Network::visit_active_within), which reads each
-  /// point's coordinates without ever touching the AoS point table.
-  /// Visitation order, membership and arithmetic are identical to
-  /// visit_disk.
+  /// Visit (id, slot, x, y) tuples within the disk — the feed of
+  /// Network::visit_active_within, which hands each point's coordinates
+  /// straight from xs_/ys_. Visitation order, membership and arithmetic are
+  /// identical to visit_disk.
   template <typename Visitor>
   void visit_disk_soa(Vec2 center, double radius, Visitor&& visit) const {
     const double r2 = radius * radius;
@@ -301,16 +299,15 @@ class GridIndex {
   }
   std::size_t cell_at(std::size_t cx, std::size_t cy) const { return cy * nx_ + cx; }
 
-  std::vector<Vec2> points_;
   Aabb bounds_;
   double cell_size_ = 1.0;
   std::size_t nx_ = 0;
   std::size_t ny_ = 0;
   // CSR-style bucket layout: ids_ holds point ids grouped by cell;
-  // cell_start_[c] .. cell_start_[c+1] delimits cell c. xs_/ys_ mirror ids_
-  // with the point coordinates in the same slot order, so boundary-cell
-  // distance tests stream two contiguous double arrays instead of gathering
-  // Vec2s through the id indirection.
+  // cell_start_[c] .. cell_start_[c+1] delimits cell c. xs_/ys_ hold
+  // the point coordinates in the same slot order (the index keeps no other
+  // copy), so boundary-cell distance tests stream two contiguous double
+  // arrays instead of gathering through the id indirection.
   std::vector<std::size_t> cell_start_;
   std::vector<std::size_t> ids_;
   std::vector<double> xs_;

@@ -15,6 +15,12 @@ namespace {
 /// Bearing quantization levels of the DPF baseline: P = 1 byte.
 constexpr std::size_t kDpfQuantizationLevels = 256;
 
+/// Every tracker kind, in registry order: the names algorithm_from_name
+/// knows and make_tracker lists when it does not know one.
+constexpr AlgorithmKind kAllKinds[] = {AlgorithmKind::kCpf,    AlgorithmKind::kDpf,
+                                       AlgorithmKind::kSdpf,   AlgorithmKind::kCdpf,
+                                       AlgorithmKind::kCdpfNe, AlgorithmKind::kGmmDpf};
+
 }  // namespace
 
 std::size_t Scenario::node_count() const {
@@ -34,9 +40,6 @@ std::string_view algorithm_name(AlgorithmKind kind) {
 }
 
 std::optional<AlgorithmKind> algorithm_from_name(std::string_view name) {
-  constexpr AlgorithmKind kAllKinds[] = {
-      AlgorithmKind::kCpf,  AlgorithmKind::kDpf,    AlgorithmKind::kSdpf,
-      AlgorithmKind::kCdpf, AlgorithmKind::kCdpfNe, AlgorithmKind::kGmmDpf};
   for (const AlgorithmKind kind : kAllKinds) {
     if (algorithm_name(kind) == name) {
       return kind;
@@ -85,9 +88,7 @@ std::unique_ptr<core::TrackerAlgorithm> make_tracker(std::string_view name,
   const std::optional<AlgorithmKind> kind = algorithm_from_name(name);
   if (!kind) {
     std::string known;
-    for (const AlgorithmKind k :
-         {AlgorithmKind::kCpf, AlgorithmKind::kDpf, AlgorithmKind::kSdpf,
-          AlgorithmKind::kCdpf, AlgorithmKind::kCdpfNe, AlgorithmKind::kGmmDpf}) {
+    for (const AlgorithmKind k : kAllKinds) {
       known += known.empty() ? "" : ", ";
       known += algorithm_name(k);
     }

@@ -25,33 +25,32 @@ TargetState RandomTurnMotionModel::propagate(const TargetState& state) const {
   return {state.position + state.velocity * dt_, state.velocity};
 }
 
+template <typename Step>
+PolarVelocity RandomTurnMotionModel::walk(PolarVelocity v, rng::Rng& rng,
+                                          Step&& step) const {
+  for (std::size_t i = 0; i < substeps_; ++i) {
+    v.heading += rng.uniform(-max_turn_rad_, max_turn_rad_);
+    if (speed_sigma_fraction_ > 0.0) {
+      v.speed = std::max(0.0, v.speed * (1.0 + rng.gaussian(0.0, speed_sigma_fraction_)));
+    }
+    step(v);
+  }
+  return v;
+}
+
 TargetState RandomTurnMotionModel::sample(const TargetState& state,
                                           rng::Rng& rng) const {
   TargetState next = state;
-  double heading = state.velocity.angle();
-  double speed = state.velocity.norm();
-  for (std::size_t i = 0; i < substeps_; ++i) {
-    heading += rng.uniform(-max_turn_rad_, max_turn_rad_);
-    if (speed_sigma_fraction_ > 0.0) {
-      speed = std::max(0.0, speed * (1.0 + rng.gaussian(0.0, speed_sigma_fraction_)));
-    }
-    next.velocity = geom::Vec2::from_angle(heading) * speed;
+  walk({state.velocity.angle(), state.velocity.norm()}, rng, [&](PolarVelocity v) {
+    next.velocity = geom::Vec2::from_angle(v.heading) * v.speed;
     next.position += next.velocity * substep_dt_;
-  }
+  });
   return next;
 }
 
 PolarVelocity RandomTurnMotionModel::sample_polar(double heading, double speed,
                                                   rng::Rng& rng) const {
-  // Identical draws in identical order to sample(), and heading and speed
-  // evolve the same way.
-  for (std::size_t i = 0; i < substeps_; ++i) {
-    heading += rng.uniform(-max_turn_rad_, max_turn_rad_);
-    if (speed_sigma_fraction_ > 0.0) {
-      speed = std::max(0.0, speed * (1.0 + rng.gaussian(0.0, speed_sigma_fraction_)));
-    }
-  }
-  return {heading, speed};
+  return walk({heading, speed}, rng, [](PolarVelocity) {});
 }
 
 RandomTurnMotionModel make_motion_model(double dt) {

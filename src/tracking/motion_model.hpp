@@ -43,19 +43,24 @@ class RandomTurnMotionModel {
 
   /// The velocity walk of sample() in polar form: starting from
   /// (heading, speed) — sample() starts from (velocity.angle(),
-  /// velocity.norm()) — it consumes EXACTLY sample()'s RNG draws, in the
-  /// same order, and returns the final substep's heading and speed, so
-  /// from_angle(heading) * speed is sample()'s next.velocity bit for bit.
-  /// It computes no trigonometry and integrates no position. CDPF's
-  /// particle division draws one per recorded copy: the recorder's position
-  /// becomes the copy's and the hop's direction its heading, so the caller
-  /// takes the host's angle() and norm() once for all of its copies and
-  /// builds a velocity from the heading only when the recorder sits on the
-  /// host. Breaking the RNG-stream or bitwise contract moves the golden
-  /// outputs.
+  /// velocity.norm()) — it runs sample()'s own substep walk, so it consumes
+  /// EXACTLY sample()'s RNG draws, in the same order, and returns the final
+  /// substep's heading and speed: from_angle(heading) * speed is sample()'s
+  /// next.velocity bit for bit. It computes no trigonometry and integrates
+  /// no position. CDPF's particle division draws one per recorded copy: the
+  /// recorder's position becomes the copy's and the hop's direction its
+  /// heading, so the caller takes the host's angle() and norm() once for all
+  /// of its copies and builds a velocity from the heading only when the
+  /// recorder sits on the host. Breaking the RNG-stream or bitwise contract
+  /// moves the golden outputs.
   PolarVelocity sample_polar(double heading, double speed, rng::Rng& rng) const;
 
  private:
+  /// The substep walk of sample() and sample_polar(): per substep the turn
+  /// draw, then the speed draw, then `step(v)` with the substep's velocity.
+  template <typename Step>
+  PolarVelocity walk(PolarVelocity v, rng::Rng& rng, Step&& step) const;
+
   double dt_;
   double substep_dt_;
   double max_turn_rad_;

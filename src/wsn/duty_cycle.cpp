@@ -55,7 +55,7 @@ std::size_t TdssScheduler::wake_predicted_area(geom::Vec2 predicted, Radio* radi
   if (radio != nullptr) {
     for (const NodeId id : scratch_) {
       if (network_.is_active(id)) {
-        radio->broadcast_count(id, MessageKind::kControl, radio->payloads().control);
+        radio->broadcast(id, MessageKind::kControl, radio->payloads().control);
         break;
       }
     }

@@ -74,7 +74,12 @@ class Network {
   void set_believed_positions(std::vector<geom::Vec2> believed);
   /// Restore believed == true positions.
   void clear_believed_positions();
-  bool has_believed_positions() const { return !believed_positions_.empty(); }
+  /// The largest |believed - true| over all nodes: 0 when believed == true
+  /// positions, +inf when a believed position is NaN. A node whose believed
+  /// position lies within r of a point lies within r plus this of it.
+  double max_believed_displacement() const {
+    return cell_displacement_.empty() ? 0.0 : cell_displacement_.back();
+  }
   const std::vector<Node>& nodes() const { return nodes_; }
 
   /// Node nearest the field center; CPF's computational center.
@@ -104,22 +109,21 @@ class Network {
   std::size_t active_nodes_within(geom::Vec2 center, double radius,
                                   std::vector<NodeId>& out) const;
 
-  /// Visit `visit(id, x, y)` for every *active* node within `radius` of
-  /// `center`: the nodes of active_nodes_within, in its order, with their
-  /// TRUE coordinates read straight from the grid's slot-ordered arrays, so
-  /// no per-node gather through the Node table. Only valid when believed ==
-  /// true positions (checked).
+  /// Visit `visit(id, true_position, believed_position)` for every *active*
+  /// node within `radius` of `center`: the nodes of active_nodes_within, in
+  /// its order. The disk test runs on true positions; the true coordinates
+  /// come straight from the grid's slot-ordered arrays, and the believed
+  /// ones are position(id) (the same coordinates when none are installed).
   template <typename Visitor>
   void visit_active_within(geom::Vec2 center, double radius, Visitor&& visit) const {
-    CDPF_CHECK_MSG(believed_positions_.empty(),
-                   "the visitor reads true positions; "
-                   "use active_nodes_within + position() under believed positions");
-    index_->visit_disk_soa(center, radius,
-                           [&](std::size_t id, std::size_t slot, double x, double y) {
-                             if (inactive_count_ == 0 || slot_active_[slot] != 0) {
-                               visit(static_cast<NodeId>(id), x, y);
-                             }
-                           });
+    index_->visit_disk_soa(
+        center, radius, [&](std::size_t id, std::size_t slot, double x, double y) {
+          if (inactive_count_ == 0 || slot_active_[slot] != 0) {
+            const geom::Vec2 at{x, y};
+            visit(static_cast<NodeId>(id), at,
+                  believed_positions_.empty() ? at : believed_positions_[id]);
+          }
+        });
   }
 
   /// Number of active nodes within `radius` of `center`, without
@@ -186,7 +190,7 @@ class Network {
   // from a node of the cell may fall below a true one, the pruning margin of
   // nearest_comm_neighbour for that cell. One trailing entry, at index
   // num_cells(), holds the largest over all cells: the margin of its ring
-  // bound.
+  // bound, and max_believed_displacement().
   std::vector<double> cell_displacement_;
   std::unique_ptr<geom::GridIndex> index_;
   NodeId sink_ = kInvalidNodeId;

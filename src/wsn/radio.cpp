@@ -12,34 +12,23 @@ bool Radio::in_range(NodeId u, NodeId v) const {
   return network_.in_comm_range(u, v);
 }
 
-void Radio::broadcast(NodeId from, MessageKind kind, std::size_t payload_bytes,
-                      std::vector<NodeId>& out) {
+std::size_t Radio::broadcast(NodeId from, MessageKind kind, std::size_t payload_bytes) {
   CDPF_TRACE_INSTANT("radio-broadcast");
-  CDPF_CHECK_MSG(network_.is_active(from), "only active nodes can transmit");
-  network_.active_nodes_within(network_.true_position(from),
-                               network_.config().comm_radius, out);
-  std::erase(out, from);
-  stats_.record(kind, payload_bytes, out.size());
-  if (energy_ != nullptr) {
-    energy_->charge_tx(from, payload_bytes, network_.config().comm_radius);
-    for (const NodeId receiver : out) {
-      energy_->charge_rx(receiver, payload_bytes);
-    }
-  }
-}
-
-std::size_t Radio::broadcast_count(NodeId from, MessageKind kind,
-                                   std::size_t payload_bytes) {
-  if (energy_ != nullptr) {
-    broadcast(from, kind, payload_bytes, scratch_);
-    return scratch_.size();
-  }
-  CDPF_TRACE_INSTANT("radio-broadcast-count");
   CDPF_CHECK_MSG(network_.is_active(from), "only active nodes can transmit");
   // The sender is active and at distance zero from its own position, so the
   // disk count always includes it; receivers exclude it.
   const std::size_t receivers = network_.active_comm_disk_count(from) - 1;
   stats_.record(kind, payload_bytes, receivers);
+  if (energy_ != nullptr) {
+    const double rc = network_.config().comm_radius;
+    energy_->charge_tx(from, payload_bytes, rc);
+    network_.visit_active_within(network_.true_position(from), rc,
+                                 [&](NodeId receiver, geom::Vec2, geom::Vec2) {
+                                   if (receiver != from) {
+                                     energy_->charge_rx(receiver, payload_bytes);
+                                   }
+                                 });
+  }
   return receivers;
 }
 

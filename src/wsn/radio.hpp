@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "wsn/comm_stats.hpp"
 #include "wsn/energy.hpp"
@@ -32,19 +31,13 @@ class Radio {
   /// radio rule here, it reads true positions (Network::in_comm_range).
   bool in_range(NodeId u, NodeId v) const;
 
-  /// Broadcast `payload_bytes` from `from`; every active node within r_c
-  /// (excluding the sender) receives it. Writes the receiver set into `out`
-  /// (cleared first) and records one message + payload bytes + reception
-  /// count.
-  void broadcast(NodeId from, MessageKind kind, std::size_t payload_bytes,
-                 std::vector<NodeId>& out);
-
-  /// Broadcast without materializing the receiver set: records exactly the
-  /// statistics broadcast() would and returns the receiver count. Falls back
-  /// to the materializing path (into an internal scratch buffer) when energy
-  /// accounting has to charge each receiver.
-  std::size_t broadcast_count(NodeId from, MessageKind kind,
-                              std::size_t payload_bytes);
+  /// Broadcast `payload_bytes` from `from`; every active node within r_c of
+  /// its true position (excluding the sender) receives it. Records one
+  /// message + payload bytes + reception count and returns the receiver
+  /// count, memoized by Network::active_comm_disk_count. With an energy
+  /// model the sender pays for transmitting and each receiver, visited
+  /// through Network::visit_active_within, for receiving.
+  std::size_t broadcast(NodeId from, MessageKind kind, std::size_t payload_bytes);
 
   /// One-hop unicast; requires the receiver to be active and in range.
   /// Returns false (recording nothing) when the link does not exist.
@@ -64,7 +57,6 @@ class Radio {
   PayloadSizes payloads_;
   CommStats stats_;
   EnergyModel* energy_;
-  std::vector<NodeId> scratch_;
 };
 
 }  // namespace cdpf::wsn

@@ -3,16 +3,21 @@
 // step possible (§IV-A).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "core/propagation.hpp"
 #include "random/rng.hpp"
 #include "support/check.hpp"
+#include "tracking/detection.hpp"
 #include "tracking/motion_model.hpp"
 #include "wsn/deployment.hpp"
+#include "wsn/localization.hpp"
 #include "wsn/radio.hpp"
 
 namespace cdpf::core {
@@ -312,7 +317,8 @@ TEST(Propagation, DisplacementVelocityPointsAlongHop) {
 TEST(Propagation, CoLocatedRecorderKeepsTheSampledHeading) {
   // Node 1 sits on the host, so its hop has no direction: the recorded copy
   // keeps the heading the proposal sampled, and its velocity is sample()'s
-  // bit for bit, on both recorder routes, with the same RNG consumption.
+  // bit for bit, with and without believed positions, with the same RNG
+  // consumption.
   const std::vector<geom::Vec2> positions{{100.0, 100.0}, {100.0, 100.0}};
   wsn::Network net(positions, paper_config());
   const tracking::RandomTurnMotionModel motion = tracking::make_motion_model(5.0);
@@ -320,7 +326,7 @@ TEST(Propagation, CoLocatedRecorderKeepsTheSampledHeading) {
   ParticleStore store;
   store.add(0, host_velocity, 1.3);
   for (const bool believed : {false, true}) {
-    SCOPED_TRACE(believed ? "receiver list" : "direct scan");
+    SCOPED_TRACE(believed ? "believed == true positions" : "true positions");
     if (believed) {
       net.set_believed_positions(positions);
     }
@@ -340,13 +346,12 @@ TEST(Propagation, CoLocatedRecorderKeepsTheSampledHeading) {
   }
 }
 
-TEST(Propagation, ReceiverListRouteMatchesDirectScan) {
-  // Believed positions route a round through the broadcast receiver list;
-  // without them it scans the record disk directly. With believed == true
-  // positions both routes must give bit-identical rounds: the same
-  // recorders in the same order, weights, velocities, aggregate, statistics
-  // and RNG consumption. The sparse density exercises the nearest-receiver
-  // fallback, and one host in nine plus a few bystanders sleep.
+TEST(Propagation, BelievedEqualTruePositionsLeaveRoundBitIdentical) {
+  // Installing believed positions equal to the true ones must leave a round
+  // bit-identical: the same recorders in the same order, weights,
+  // velocities, aggregate, statistics and RNG consumption. The sparse
+  // density exercises the nearest-receiver fallback, and one host in nine
+  // plus a few bystanders sleep.
   const geom::Aabb field = geom::Aabb::square(200.0);
   for (const double density : {0.5, 5.0, 20.0, 40.0}) {
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
@@ -382,6 +387,7 @@ TEST(Propagation, ReceiverListRouteMatchesDirectScan) {
           direct_round.run(store, net, direct_radio, motion, direct_rng);
 
       net.set_believed_positions(positions);
+      ASSERT_EQ(net.max_believed_displacement(), 0.0);
       wsn::Radio listed_radio(net, wsn::PayloadSizes{});
       rng::Rng listed_rng(seed + 100);
       Round listed_round;
@@ -418,6 +424,150 @@ TEST(Propagation, ReceiverListRouteMatchesDirectScan) {
       }
       EXPECT_EQ(direct_rng.uniform(), listed_rng.uniform());
     }
+  }
+}
+
+/// Expect a one-particle round from `host` to record on the brute-force
+/// recorders, in order and with their weights: the nodes active_nodes_within
+/// lists within r_c of the host's true position, minus the host, whose
+/// believed position lies in the predicted area by the linear model (a NaN
+/// one never does). Counts the rounds compared in `recorded`; a host with
+/// no such node is skipped (its round falls back to the nearest receiver).
+void expect_round_matches_brute_force(wsn::Network& net, wsn::NodeId host,
+                                      geom::Vec2 velocity, std::uint64_t seed,
+                                      std::size_t& recorded) {
+  SCOPED_TRACE(::testing::Message() << "host " << host);
+  const tracking::RandomTurnMotionModel motion = tracking::make_motion_model(5.0);
+  const tracking::LinearProbabilityModel lin_prob(net.config().sensing_radius);
+  const geom::Vec2 predicted = net.position(host) + velocity * motion.dt();
+  std::vector<wsn::NodeId> receivers;
+  net.active_nodes_within(net.true_position(host), net.config().comm_radius, receivers);
+  std::vector<wsn::NodeId> expected;
+  std::vector<double> probabilities;
+  double probability_sum = 0.0;
+  for (const wsn::NodeId r : receivers) {
+    const geom::Vec2 d = net.position(r) - predicted;
+    const double d2 = d.x * d.x + d.y * d.y;
+    if (r == host || std::isnan(d2)) {
+      continue;
+    }
+    const double p = lin_prob.probability(std::sqrt(d2));
+    if (p > 0.0) {
+      expected.push_back(r);
+      probabilities.push_back(p);
+      probability_sum += p;
+    }
+  }
+  if (expected.empty()) {
+    return;
+  }
+  ParticleStore store;
+  store.add(host, velocity, 1.7);
+  wsn::Radio radio(net, wsn::PayloadSizes{});
+  rng::Rng rng(seed);
+  Round round;
+  const PropagationOutcome& outcome = round.run(store, net, radio, motion, rng);
+  ASSERT_EQ(outcome.next.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(outcome.next.particles()[i].host, expected[i]) << "recorder " << i;
+    EXPECT_EQ(outcome.next.particles()[i].weight,
+              1.7 * probabilities[i] / probability_sum)
+        << "recorder " << i;
+  }
+  ++recorded;
+}
+
+/// A particle velocity whose predicted area, 5 s ahead, may lie anywhere
+/// from on the host to straddling the edge of its radio disk.
+geom::Vec2 random_velocity(rng::Rng& rng) {
+  return geom::Vec2::from_angle(rng.uniform(-3.14159, 3.14159)) * rng.uniform(0.0, 5.5);
+}
+
+/// Rounds from random active hosts, each against the brute-force
+/// recorders, with one node in seven asleep.
+void expect_rounds_match_brute_force(wsn::Network& net, std::uint64_t seed) {
+  for (wsn::NodeId id = 0; id < net.size(); ++id) {
+    if (id % 7 == 2) {
+      net.set_power(id, wsn::PowerState::kAsleep);
+    }
+  }
+  rng::Rng rng(seed);
+  std::size_t recorded = 0;
+  for (std::uint64_t i = 0; i < 80; ++i) {
+    const auto host = static_cast<wsn::NodeId>(rng.uniform_index(net.size()));
+    if (!net.is_active(host)) {
+      continue;
+    }
+    expect_round_matches_brute_force(net, host, random_velocity(rng), seed + i, recorded);
+  }
+  EXPECT_GT(recorded, 20u);
+}
+
+TEST(Propagation, RoundMatchesBruteForceUnderBelievedPositions) {
+  // One route for every deployment: a round scans the smaller of the
+  // predicted area grown by the largest believed-vs-true displacement and
+  // the host's radio disk. Localized positions whose largest displacement
+  // is below r_c - r_s take the first; larger ones, and a NaN believed
+  // position, the second. Either way the recorders are the host's radio
+  // neighbours in the predicted area, in the grid's order.
+  const geom::Aabb field = geom::Aabb::square(200.0);
+  const double rs = paper_config().sensing_radius;
+  const double rc = paper_config().comm_radius;
+  auto localized = [&](double density, std::uint64_t seed, double sigma) {
+    rng::Rng rng(seed);
+    wsn::Network net(wsn::deploy_uniform_random(
+                         wsn::node_count_for_density(density, field), field, rng),
+                     paper_config());
+    wsn::LocalizationConfig config;
+    config.range_sigma_m = sigma;
+    net.set_believed_positions(wsn::localize(net, config, rng).positions);
+    return net;
+  };
+  {
+    SCOPED_TRACE("prediction disk");
+    wsn::Network net = localized(20.0, 1, 0.5);
+    ASSERT_GT(net.max_believed_displacement(), 0.0);
+    ASSERT_LT((rs + net.max_believed_displacement()) * (1.0 + 1e-9), rc);
+    expect_rounds_match_brute_force(net, 11);
+  }
+  {
+    SCOPED_TRACE("radio disk");
+    wsn::Network net = localized(10.0, 2, 2.0);
+    ASSERT_GT(net.max_believed_displacement(), rc - rs);
+    ASSERT_TRUE(std::isfinite(net.max_believed_displacement()));
+    expect_rounds_match_brute_force(net, 12);
+  }
+  {
+    SCOPED_TRACE("NaN believed position");
+    wsn::Network net = localized(20.0, 3, 0.5);
+    std::vector<geom::Vec2> believed;
+    for (wsn::NodeId id = 0; id < net.size(); ++id) {
+      believed.push_back(net.position(id));
+    }
+    // An awake node in the middle of the field (expect_rounds_match_brute_force
+    // puts ids 2 mod 7 to sleep).
+    std::vector<wsn::NodeId> middle;
+    net.nodes_within({100.0, 100.0}, 10.0, middle);
+    const auto lost = std::find_if(middle.begin(), middle.end(),
+                                   [](wsn::NodeId id) { return id % 7 != 2; });
+    ASSERT_NE(lost, middle.end());
+    const wsn::NodeId nan_node = *lost;
+    believed[nan_node] = {std::numeric_limits<double>::quiet_NaN(), 100.0};
+    net.set_believed_positions(std::move(believed));
+    ASSERT_EQ(net.max_believed_displacement(), std::numeric_limits<double>::infinity());
+    expect_rounds_match_brute_force(net, 13);
+    // Every host within r_c of the NaN node visits it.
+    rng::Rng rng(14);
+    std::size_t recorded = 0;
+    std::vector<wsn::NodeId> around;
+    net.active_nodes_within(net.true_position(nan_node), rc, around);
+    for (const wsn::NodeId host : around) {
+      if (host != nan_node) {
+        expect_round_matches_brute_force(net, host, random_velocity(rng), 14 + host,
+                                         recorded);
+      }
+    }
+    EXPECT_GT(recorded, 0u);
   }
 }
 

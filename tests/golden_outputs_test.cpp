@@ -42,11 +42,11 @@
 // SDPF under a randomized 50% duty cycle with TDSS wake-ups (sink kept
 // awake, as perfbench's churn-dense workload does), and CPF and SDPF running
 // on believed positions from wsn::localize. CDPF and CDPF-NE run under both
-// environments too. Believed positions drive CDPF's receiver-list
-// propagation route and CDPF-NE's believed-position neighbour gather. The
-// duty cycle stays on the direct record-disk scan, whose grid query skips
-// sleeping nodes (Network::visit_active_within); it exercises the
-// activity filter, not the receiver list.
+// environments too. Believed positions drive CDPF's record-disk scan, grown
+// by the network's largest believed-vs-true displacement, with its record
+// gate on believed coordinates, and CDPF-NE's believed-position neighbour
+// gather. The duty cycle exercises the grid query's filter of sleeping
+// nodes (Network::visit_active_within).
 //
 // A change that moves numbers ON PURPOSE must update the table in the same
 // change and say why; a failing cell prints the digest it produced in the

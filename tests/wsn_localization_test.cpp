@@ -1,6 +1,10 @@
 // Unit tests for anchor-based localization and believed-position support.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "random/rng.hpp"
 #include "support/check.hpp"
 #include "wsn/deployment.hpp"
@@ -84,7 +88,7 @@ TEST(Localization, InvalidConfigRejected) {
 
 TEST(BelievedPositions, DefaultIsTruePosition) {
   Network net = dense_network(11, 50);
-  EXPECT_FALSE(net.has_believed_positions());
+  EXPECT_EQ(net.max_believed_displacement(), 0.0);
   for (NodeId id = 0; id < net.size(); ++id) {
     EXPECT_EQ(net.position(id), net.true_position(id));
   }
@@ -97,13 +101,14 @@ TEST(BelievedPositions, InstallAndClear) {
     believed.push_back(net.true_position(id) + geom::Vec2{1.0, -1.0});
   }
   net.set_believed_positions(believed);
-  EXPECT_TRUE(net.has_believed_positions());
+  EXPECT_DOUBLE_EQ(net.max_believed_displacement(), std::sqrt(2.0));
   EXPECT_EQ(net.position(7), net.true_position(7) + geom::Vec2(1.0, -1.0));
   // Physical queries (detection) still run on true positions.
   std::vector<NodeId> at_true;
   net.detecting_nodes(net.true_position(7), at_true);
   EXPECT_NE(std::find(at_true.begin(), at_true.end(), NodeId{7}), at_true.end());
   net.clear_believed_positions();
+  EXPECT_EQ(net.max_believed_displacement(), 0.0);
   EXPECT_EQ(net.position(7), net.true_position(7));
 }
 

@@ -111,9 +111,13 @@ TEST(Network, CommNeighborsExcludeSelfAndOutOfRange) {
   Network net(positions, paper_config());
   Radio radio(net, PayloadSizes{});
   std::vector<NodeId> receivers;
-  radio.broadcast(0, MessageKind::kControl, 1, receivers);
+  EXPECT_EQ(radio.broadcast(0, MessageKind::kControl, 1), 1u);
+  net.active_nodes_within(net.true_position(0), 30.0, receivers);
+  std::erase(receivers, 0);
   EXPECT_EQ(receivers, (std::vector<NodeId>{1}));
-  radio.broadcast(1, MessageKind::kControl, 1, receivers);
+  EXPECT_EQ(radio.broadcast(1, MessageKind::kControl, 1), 2u);
+  net.active_nodes_within(net.true_position(1), 30.0, receivers);
+  std::erase(receivers, 1);
   std::sort(receivers.begin(), receivers.end());
   EXPECT_EQ(receivers, (std::vector<NodeId>{0, 2}));
 }
@@ -487,12 +491,52 @@ TEST(NearestCommNeighbour, OneFarDisplacedNodeWidensEveryRing) {
   expect_query_matches_scan(field, 12);
 }
 
-TEST(Network, VisitActiveWithinRefusesBelievedPositions) {
-  const std::vector<geom::Vec2> positions{{10.0, 10.0}, {20.0, 10.0}};
-  Network net(positions, NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
-  net.set_believed_positions(positions);
-  EXPECT_THROW(net.visit_active_within({10.0, 10.0}, 30.0, [](NodeId, double, double) {}),
-               Error);
+TEST(Network, VisitActiveWithinHandsTrueAndBelievedPositions) {
+  // The disk test runs on true positions; each visited node comes with its
+  // true position and position(id), believed positions included (one of
+  // them NaN), in active_nodes_within's order.
+  rng::Rng rng(23);
+  const geom::Aabb field = geom::Aabb::square(200.0);
+  const auto positions =
+      deploy_uniform_random(node_count_for_density(10.0, field), field, rng);
+  Network net(positions, paper_config());
+  std::vector<geom::Vec2> believed = positions;
+  for (geom::Vec2& b : believed) {
+    b += geom::Vec2{rng.gaussian(0.0, 4.0), rng.gaussian(0.0, 4.0)};
+  }
+  believed[7] = {std::numeric_limits<double>::quiet_NaN(), 0.0};
+  net.set_believed_positions(believed);
+  for (NodeId id = 0; id < net.size(); id += 5) {
+    net.set_power(id, PowerState::kAsleep);
+  }
+  std::vector<NodeId> expected;
+  std::vector<NodeId> visited;
+  for (int q = 0; q < 50; ++q) {
+    // The first query holds the NaN node.
+    const geom::Vec2 center = q == 0 ? net.true_position(7)
+                                     : geom::Vec2{rng.uniform(0.0, 200.0),
+                                                  rng.uniform(0.0, 200.0)};
+    const double radius = q == 0 ? 30.0 : rng.uniform(0.0, 40.0);
+    net.active_nodes_within(center, radius, expected);
+    if (q == 0) {
+      ASSERT_NE(std::find(expected.begin(), expected.end(), 7u), expected.end());
+    }
+    visited.clear();
+    net.visit_active_within(center, radius, [&](NodeId id, geom::Vec2 at, geom::Vec2 b) {
+      visited.push_back(id);
+      EXPECT_EQ(at, net.true_position(id));
+      if (std::isnan(b.x)) {
+        EXPECT_TRUE(std::isnan(net.position(id).x));
+        EXPECT_EQ(b.y, net.position(id).y);
+      } else {
+        EXPECT_EQ(b, net.position(id));
+      }
+    });
+    EXPECT_EQ(visited, expected) << "query " << q;
+  }
+  EXPECT_EQ(net.max_believed_displacement(), std::numeric_limits<double>::infinity());
+  net.clear_believed_positions();
+  EXPECT_EQ(net.max_believed_displacement(), 0.0);
 }
 
 // -- Activity mirror ----------------------------------------------------------
@@ -535,10 +579,10 @@ void expect_active_queries_match_brute_force(const Network& net, std::uint64_t s
     EXPECT_EQ(net.count_active_within(center, radius), expected.size()) << "query " << q;
     net.active_nodes_within(center, radius, got);
     visited.clear();
-    net.visit_active_within(center, radius, [&](NodeId id, double x, double y) {
+    net.visit_active_within(center, radius, [&](NodeId id, geom::Vec2 at, geom::Vec2 b) {
       visited.push_back(id);
-      EXPECT_EQ(x, net.true_position(id).x);
-      EXPECT_EQ(y, net.true_position(id).y);
+      EXPECT_EQ(at, net.true_position(id));
+      EXPECT_EQ(b, at);
     });
     EXPECT_EQ(visited, got) << "query " << q;
     std::sort(got.begin(), got.end());
