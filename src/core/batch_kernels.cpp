@@ -4,22 +4,7 @@
 #include <array>
 #include <cstdint>
 
-// The kernel is compiled three times, for AVX-512F, for AVX2 and for the
-// baseline ISA, and the loader picks one per process (GNU ifunc). The file
-// is compiled with -ffp-contract=off, so no clone fuses a multiply-add, even
-// where the target has FMA: every lane of every vector width rounds exactly
-// as the scalar code does. ThreadSanitizer builds keep the baseline clone
-// only: the loader runs the ifunc resolver before the TSan runtime is set
-// up, and the instrumented resolver crashes there.
-#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute) && \
-    !defined(__SANITIZE_THREAD__)
-#if __has_attribute(target_clones)
-#define CDPF_KERNEL_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
-#endif
-#endif
-#ifndef CDPF_KERNEL_CLONES
-#define CDPF_KERNEL_CLONES
-#endif
+#include "support/kernel_clones.hpp"
 
 namespace cdpf::core {
 

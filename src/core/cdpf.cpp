@@ -46,7 +46,9 @@ Cdpf::Cdpf(wsn::Network& network, wsn::Radio& radio, CdpfConfig config)
   const std::size_t nodes = network_.size();
   store_.reserve(nodes);
   propagation_.next.reserve(nodes);
-  propagation_scratch_.reserve(nodes);
+  // A host's recorders are radio neighbours of it, or its one nearest
+  // receiver.
+  propagation_scratch_.reserve(network_.max_nodes_within(network_.config().comm_radius) + 1);
   last_recorders_.reserve(nodes);
   sensed_.detections.reserve(nodes);
   evidence_.reserve(nodes);

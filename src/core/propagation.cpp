@@ -1,9 +1,10 @@
 #include "core/propagation.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <vector>
 
+#include "core/propagation_kernels.hpp"
 #include "support/check.hpp"
 #include "support/trace.hpp"
 
@@ -28,6 +29,22 @@ tracking::TargetState OverheardAggregate::estimate() const {
     velocity = mean_velocity.normalized() * mean_speed;
   }
   return {weighted_position / total_weight, velocity};
+}
+
+void PropagationScratch::reserve(std::size_t copies, std::size_t kept) {
+  if (copies <= capacity_) {
+    return;
+  }
+  CDPF_CHECK_MSG(kept <= capacity_, "cannot keep more copies than the scratch holds");
+  auto recorders = std::make_unique_for_overwrite<wsn::NodeId[]>(copies);
+  auto columns = std::make_unique_for_overwrite<double[]>(5 * copies);
+  std::copy_n(recorders_.get(), kept, recorders.get());
+  for (std::size_t c = 0; c < 5; ++c) {
+    std::copy_n(columns_.get() + c * capacity_, kept, columns.get() + c * copies);
+  }
+  recorders_ = std::move(recorders);
+  columns_ = std::move(columns);
+  capacity_ = copies;
 }
 
 void PropagationOutcome::reset() {
@@ -57,33 +74,19 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
   // the input total the overheard global aggregate legitimately misses.
   support::NeumaierSum silent_lost_weight;
 #endif
-  std::vector<wsn::NodeId>& recorders = scratch.recorders;
-  std::vector<double>& probabilities = scratch.probabilities;
-  std::vector<double>& rec_dx = scratch.rec_dx;
-  std::vector<double>& rec_dy = scratch.rec_dy;
-  std::vector<double>& rec_d2 = scratch.rec_d2;
 
-  // A recorder is an active radio neighbour of the host (true positions,
-  // by the grid's own d^2 <= r_c^2 arithmetic) that lies in the predicted
-  // area (believed positions). The squared-distance record gate is
-  // deliberately loose (record_radius inflated by a few ulp): it only ever
-  // skips nodes the exact linear-model test would reject with certainty,
-  // and a node with a NaN believed position, which cannot lie in the area.
+  // A recorder is an active radio neighbour of the host (true positions)
+  // that lies in the predicted area (believed positions): see
+  // record_probabilities(). The scan reads the cells of the host's radio
+  // disk that can hold one — those within r_s plus their own nodes' largest
+  // believed-vs-true displacement of the predicted position — in the grid's
+  // cell-major order, so which cells are read never changes the recorders,
+  // their order or the RNG draws. With believed == true positions that is
+  // the predicted area's cells: O(r_s^2) nodes per host instead of
+  // O(r_c^2), ~100 against ~1000 at paper densities.
   const double comm_radius = network.config().comm_radius;
   const double comm_radius_sq = comm_radius * comm_radius;
   const double record_gate_sq = record_radius * record_radius * (1.0 + 1e-12);
-  // Two disks hold every node that passes both gates: the predicted area
-  // grown by the largest believed-vs-true displacement (the grid indexes
-  // true positions), and the host's radio disk. The round scans the smaller;
-  // both are visited in the grid's global cell-major order, so the choice
-  // changes which nodes are visited, never the recorders, their order or
-  // the RNG draws. The 1e-9 relative slack dominates the record gate's
-  // margin and the rounding of the displacement. With believed == true
-  // positions it is the record disk: O(r_s^2) points touched per host
-  // instead of O(r_c^2), ~100 against ~1000 nodes at paper densities.
-  const double record_query_radius =
-      (record_radius + network.max_believed_displacement()) * (1.0 + 1e-9);
-  const bool scan_record_disk = record_query_radius < comm_radius;
 
   // Deterministic host order so rng consumption is reproducible.
   for (const wsn::NodeId host : store.sorted_hosts()) {
@@ -111,43 +114,41 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
     // node heard.
     outcome.global.add(particle.weight, host_position, particle.velocity);
 
-    // Recorders, in visiting order, as parallel arrays (recorder id, record
-    // probability, believed displacement from the host) for the division
-    // loop. A broadcaster never receives its own transmission.
-    recorders.clear();
-    probabilities.clear();
-    rec_dx.clear();
-    rec_dy.clear();
-    rec_d2.clear();
-    double probability_sum = 0.0;
-    auto accept = [&](wsn::NodeId r, double p, double dxh, double dyh) {
-      recorders.push_back(r);
-      probabilities.push_back(p);
-      probability_sum += p;
-      rec_dx.push_back(dxh);
-      rec_dy.push_back(dyh);
-      rec_d2.push_back(dxh * dxh + dyh * dyh);
-    };
-    network.visit_active_within(
-        scan_record_disk ? predicted : host_true,
-        scan_record_disk ? record_query_radius : comm_radius,
-        [&](wsn::NodeId r, geom::Vec2 at, geom::Vec2 believed) {
-          const double dxt = at.x - host_true.x;
-          const double dyt = at.y - host_true.y;
-          const double dxp = believed.x - predicted.x;
-          const double dyp = believed.y - predicted.y;
-          const double d2p = dxp * dxp + dyp * dyp;
-          if (r == host || dxt * dxt + dyt * dyt > comm_radius_sq ||
-              !(d2p <= record_gate_sq)) {
-            return;
+    // Per cell, the gate writes every node's probability after the
+    // recorders so far, and the compaction moves the recorders down over
+    // the rest: it writes every entry and advances only past a recorder, an
+    // active node other than the host with a positive probability, so it
+    // has no branch either. A broadcaster never receives its own
+    // transmission.
+    std::size_t count = 0;
+    network.visit_cells_believed_near(
+        host_true, comm_radius, predicted, record_radius,
+        [&](const wsn::Network::SlotBlock& block) {
+          if (count + block.size > scratch.capacity()) {
+            scratch.reserve(std::max(count + block.size, 2 * scratch.capacity()), count);
           }
-          const double p = lin_prob.probability(std::sqrt(d2p));
-          if (p > 0.0) {
-            accept(r, p, believed.x - host_position.x, believed.y - host_position.y);
+          double* const probabilities = scratch.weights();
+          double* const hop_x = scratch.hop_x();
+          double* const hop_y = scratch.hop_y();
+          record_probabilities(block, host_true, comm_radius_sq, predicted, record_gate_sq,
+                               lin_prob, probabilities + count);
+          for (std::size_t j = 0, read = count; j < block.size; ++j, ++read) {
+            const double p = probabilities[read];
+            const bool records = (p > 0.0) & (block.active[j] != 0) & (block.ids[j] != host);
+            scratch.recorders()[count] = static_cast<wsn::NodeId>(block.ids[j]);
+            probabilities[count] = p;
+            hop_x[count] = block.believed_x[j] - host_position.x;
+            hop_y[count] = block.believed_y[j] - host_position.y;
+            count += static_cast<std::size_t>(records);
           }
         });
+    // The probability sum, in recorder order.
+    double probability_sum = 0.0;
+    for (std::size_t i = 0; i < count; ++i) {
+      probability_sum += scratch.weights()[i];
+    }
 
-    if (recorders.empty()) {
+    if (count == 0) {
       // No receiver inside the predicted area: hand the whole particle to
       // the receiver nearest the predicted position instead of losing it
       // (keeps the filter alive in sparse deployments). The receivers are
@@ -159,43 +160,53 @@ void propagate_particles_into(const ParticleStore& store, const wsn::Network& ne
         lost_weight.add(particle.weight);
         continue;
       }
+      scratch.reserve(1);
       const geom::Vec2 hop = network.position(nearest) - host_position;
-      accept(nearest, 1.0, hop.x, hop.y);
+      scratch.recorders()[0] = nearest;
+      scratch.weights()[0] = 1.0;
+      scratch.hop_x()[0] = hop.x;
+      scratch.hop_y()[0] = hop.y;
       probability_sum = 1.0;
+      count = 1;
     }
 
     // Division rule (paper §III-B): total weight preserved; weight ratios
     // equal the linear-model probability ratios. Each recorded copy draws
     // its own process-noise realization (prior as importance density) as a
-    // polar walk from the host particle's heading and speed, taken once
-    // here for all of its copies. The recorder's position is the copy's
-    // new position, so no position is integrated, and the sampled heading
-    // is used only when the recorder sits on the host.
-    const double host_heading = particle.velocity.angle();
-    const double host_speed = particle.velocity.norm();
+    // polar walk from the host particle's heading and speed, all of the
+    // host's copies in one batch. The recorder's position is the copy's new
+    // position, so no position is integrated. The recorded heading is the
+    // hop's actual displacement (recorder minus broadcaster position), at
+    // the sampled speed: with particles snapped to node positions this
+    // keeps position and velocity consistent within a particle, so the
+    // weight update exerts selection pressure on velocity, not just
+    // position. A recorder on the host has no hop direction and keeps the
+    // sampled heading.
+    double* const weights = scratch.weights();
+    double* const velocity_x = scratch.velocity_x();
+    double* const velocity_y = scratch.velocity_y();
+    motion.sample_polar(particle.velocity.angle(), particle.velocity.norm(), rng,
+                        {velocity_y, count}, {velocity_x, count});
+    if (divide_copies(count, particle.weight, probability_sum, weights, scratch.hop_x(),
+                      scratch.hop_y(), velocity_x, velocity_y)) {
+      for (std::size_t i = 0; i < count; ++i) {
+        const double hx = scratch.hop_x()[i];
+        const double hy = scratch.hop_y()[i];
+        if (!(hx * hx + hy * hy > 1e-12)) {
+          const geom::Vec2 v = geom::Vec2::from_angle(velocity_y[i]) * velocity_x[i];
+          velocity_x[i] = v.x;
+          velocity_y[i] = v.y;
+        }
+      }
+    }
 #ifndef NDEBUG
     support::NeumaierSum divided;
 #endif
-    for (std::size_t i = 0; i < recorders.size(); ++i) {
-      const double weight = particle.weight * probabilities[i] / probability_sum;
-      const tracking::PolarVelocity sampled = motion.sample_polar(host_heading, host_speed, rng);
-      // The recorded heading is the hop's actual displacement (recorder
-      // minus broadcaster position), at the sampled speed. With particles
-      // snapped to node positions this keeps position and velocity
-      // consistent within a particle, so the weight update exerts selection
-      // pressure on velocity, not just position. A recorder on the host
-      // has no hop direction and keeps the sampled heading.
-      geom::Vec2 velocity;
-      if (rec_d2[i] > 1e-12) {
-        const double scale = sampled.speed / std::sqrt(rec_d2[i]);
-        velocity = {rec_dx[i] * scale, rec_dy[i] * scale};
-      } else {
-        velocity = geom::Vec2::from_angle(sampled.heading) * sampled.speed;
-      }
+    for (std::size_t i = 0; i < count; ++i) {
 #ifndef NDEBUG
-      divided.add(weight);
+      divided.add(weights[i]);
 #endif
-      outcome.next.add(recorders[i], velocity, weight);
+      outcome.next.add(scratch.recorders()[i], {velocity_x[i], velocity_y[i]}, weights[i]);
     }
     // Division rule 1: the recorded copies carry exactly the divided
     // particle's mass.

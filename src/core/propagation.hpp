@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "core/node_particle.hpp"
@@ -81,29 +82,41 @@ struct PropagationOutcome {
 };
 
 /// Reusable buffers for propagate_particles_into(); hand the same instance
-/// to every round so the recorder staging vectors stay warm.
+/// to every round so they stay warm. They hold one host's copies at a time:
+/// its recorders and, for each, five doubles in one block — the record
+/// probability (then the copy's weight), the believed hop from the host
+/// (x, y), and the copy's sampled speed and heading (then its velocity's x
+/// and y).
 struct PropagationScratch {
-  std::vector<wsn::NodeId> recorders;
-  std::vector<double> probabilities;
-  // Accepted-recorder displacements from the host, consumed by the division
-  // loop (recorded headings).
-  std::vector<double> rec_dx;
-  std::vector<double> rec_dy;
-  std::vector<double> rec_d2;
+  /// Copies one host's round can hold without growing.
+  std::size_t capacity() const { return capacity_; }
+  wsn::NodeId* recorders() { return recorders_.get(); }
+  double* weights() { return columns_.get(); }
+  double* hop_x() { return columns_.get() + capacity_; }
+  double* hop_y() { return columns_.get() + 2 * capacity_; }
+  double* velocity_x() { return columns_.get() + 3 * capacity_; }
+  double* velocity_y() { return columns_.get() + 4 * capacity_; }
 
-  /// Pre-size every buffer for networks of up to `nodes` nodes so steady-
-  /// state rounds never touch the allocator.
-  void reserve(std::size_t nodes) {
-    recorders.reserve(nodes);
-    probabilities.reserve(nodes);
-    rec_dx.reserve(nodes);
-    rec_dy.reserve(nodes);
-    rec_d2.reserve(nodes);
-  }
+  /// Hold at least `copies` copies, keeping the first `kept` entries of the
+  /// recorders and of every column. Cdpf reserves
+  /// Network::max_nodes_within(r_c) + 1 up front, so steady-state rounds
+  /// never touch the allocator; a round grows the buffers itself when a
+  /// host needs more. The storage is left uninitialized, so reserving
+  /// faults in no page: a round writes each entry before it reads it.
+  void reserve(std::size_t copies, std::size_t kept = 0);
+
+ private:
+  std::unique_ptr<wsn::NodeId[]> recorders_;
+  std::unique_ptr<double[]> columns_;
+  std::size_t capacity_ = 0;
 };
 
 /// Run one propagation round for `store` over `network`, charging the
-/// broadcasts to `radio`. The predicted area is the disk of the network's
+/// broadcasts to `radio`. Each host's round is a few batched passes: the
+/// recorder gate over the slot-ordered nodes of the cells that can hold a
+/// recorder, one motion.sample_polar() call for all of the host's copies,
+/// one pass for their weights and velocities, then the combine into
+/// `outcome.next` in recorder order. The predicted area is the disk of the network's
 /// sensing radius r_s around each broadcaster's predicted target position;
 /// every receiver strictly inside it records. `motion` supplies dt (the
 /// filter iteration step) and the process noise applied to recorded

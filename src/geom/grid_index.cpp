@@ -4,8 +4,36 @@
 #include <cmath>
 
 #include "support/check.hpp"
+#include "support/kernel_clones.hpp"
 
 namespace cdpf::geom {
+
+namespace {
+
+/// The marked points of one boundary cell that lie within the disk: the
+/// sum of marks[k] over the n slots whose point (xs[k], ys[k]) passes
+/// visit_disk's test d^2 <= r2, with d^2 rounded as visit_disk rounds it (no
+/// contraction: the file is compiled with CDPF_BATCH_KERNEL_FLAGS). Every
+/// mark is read and multiplied by its test, so the loop has no
+/// data-dependent branch. The simd directive only sets the vector length: a
+/// byte mark would otherwise size the AVX-512F clone's vectors by the byte
+/// lanes it lacks; the integer sum is exact in any order.
+CDPF_KERNEL_CLONES
+std::size_t count_marked_within(const double* __restrict xs, const double* __restrict ys,
+                                const std::uint8_t* __restrict marks, std::size_t n,
+                                double cx, double cy, double r2) {
+  std::size_t count = 0;
+#pragma omp simd simdlen(8) reduction(+ : count)  // cdpf-check: vectorized
+  for (std::size_t k = 0; k < n; ++k) {
+    const double dx = xs[k] - cx;
+    const double dy = ys[k] - cy;
+    count += static_cast<std::size_t>(marks[k]) *
+             static_cast<std::size_t>(dx * dx + dy * dy <= r2);
+  }
+  return count;
+}
+
+}  // namespace
 
 GridIndex::GridIndex(std::span<const Vec2> points, Aabb bounds, double cell_size)
     : bounds_(bounds), cell_size_(cell_size) {
@@ -39,6 +67,47 @@ GridIndex::GridIndex(std::span<const Vec2> points, Aabb bounds, double cell_size
     xs_[k] = points[ids_[k]].x;
     ys_[k] = points[ids_[k]].y;
   }
+}
+
+std::size_t GridIndex::count_disk_marked(Vec2 center, double radius,
+                                         std::span<const std::uint8_t> slot_marks,
+                                         std::span<const std::uint32_t> cell_marks) const {
+  CDPF_ASSERT(slot_marks.size() == size() &&
+              (cell_marks.empty() || cell_marks.size() == num_cells()));
+  const double r2 = radius * radius;
+  std::size_t count = 0;
+  // Boundary cells that follow each other in slot order (neighbours in a
+  // row, no fully-inside cell between) form one run of slots, counted in one
+  // kernel call.
+  std::size_t run_begin = 0;
+  std::size_t run_end = 0;
+  auto flush = [&] {
+    count += count_marked_within(xs_.data() + run_begin, ys_.data() + run_begin,
+                                 slot_marks.data() + run_begin, run_end - run_begin,
+                                 center.x, center.y, r2);
+    run_begin = run_end;
+  };
+  for_each_cell(center, radius, [&](std::size_t c, bool fully_inside) {
+    if (fully_inside) {
+      count += cell_marks.empty() ? cell_population(c) : std::size_t{cell_marks[c]};
+      return;
+    }
+    if (cell_start_[c] != run_end) {
+      flush();
+      run_begin = cell_start_[c];
+    }
+    run_end = cell_start_[c + 1];
+  });
+  flush();
+  return count;
+}
+
+std::size_t GridIndex::max_cell_population() const {
+  std::size_t most = 0;
+  for (std::size_t c = 0; c < num_cells(); ++c) {
+    most = std::max(most, cell_population(c));
+  }
+  return most;
 }
 
 std::size_t GridIndex::cell_of(Vec2 p) const {

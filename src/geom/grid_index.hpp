@@ -77,32 +77,65 @@ class GridIndex {
     });
   }
 
-  /// Number of points within the disk, without visiting them: fully-inside
-  /// cells contribute their occupancy straight from the CSR offsets, so only
-  /// boundary cells pay per-point distance checks — and those run branch-free
-  /// over the contiguous coordinate arrays. They stay scalar: GCC 12 at the
-  /// default build's -O2 reports the boundary loop "couldn't vectorize loop"
-  /// under -fopt-info-vec-all, and so does -O3. Counts exactly the ids
-  /// visit_disk would visit.
-  std::size_t count_disk(Vec2 center, double radius) const {
-    return count_disk_by(
-        center, radius, [this](std::size_t c) { return cell_population(c); },
-        [](std::size_t) { return std::size_t{1}; });
-  }
-
-  /// count_disk over the marked points only: `slot_marks[k]` (0 or 1) marks
-  /// the point at slot k, and `cell_marks[c]` must equal the sum of the
-  /// marks of cell c's slots. Fully-inside cells add their tally; boundary
-  /// cells select each point's mark by its disk test, branch-free over
-  /// contiguous bytes. Counts exactly the marked ids visit_disk would visit.
+  /// Number of marked points within the disk, without visiting them:
+  /// `slot_marks[k]` (0 or 1) marks the point at slot k, and `cell_marks[c]`
+  /// must equal the sum of the marks of cell c's slots, or `cell_marks` be
+  /// empty when every point is marked. Fully-inside cells add their tally
+  /// (their population when `cell_marks` is empty); boundary cells add the
+  /// mark of each point that passes its disk test, in a kernel cloned per
+  /// ISA and vectorized like the batch bearing kernel (grid_index.cpp). The
+  /// disk test rounds as visit_disk's does, so the count is exactly the
+  /// number of marked ids visit_disk would visit.
   std::size_t count_disk_marked(Vec2 center, double radius,
                                 std::span<const std::uint8_t> slot_marks,
-                                std::span<const std::uint32_t> cell_marks) const {
-    CDPF_ASSERT(slot_marks.size() == size() && cell_marks.size() == num_cells());
-    return count_disk_by(
-        center, radius, [cell_marks](std::size_t c) { return std::size_t{cell_marks[c]}; },
-        [slot_marks](std::size_t k) { return std::size_t{slot_marks[k]}; });
+                                std::span<const std::uint32_t> cell_marks) const;
+
+  /// The cells of visit_disk's disk, in its cell-major order, that lie
+  /// within `reach` of `target` along both axes and that `keep(c, near)`
+  /// accepts, where `near` is the distance from `target` to cell c's box:
+  /// `visit(c, slot_begin, slot_end)` with the slot range of each, so the
+  /// caller reads the points off slot_ids(), slot_xs() and slot_ys() and
+  /// applies its own per-point tests. The axis window is only a shortcut
+  /// for `keep`: the caller must pass a `reach` beyond which keep() would
+  /// reject a cell anyway, with margin for the rounding of the cell bounds.
+  /// A NaN `target` offers every cell of the disk, with a NaN `near`.
+  template <typename Keep, typename Visitor>
+  void visit_disk_cells_near(Vec2 center, double radius, Vec2 target, double reach,
+                             Keep&& keep, Visitor&& visit) const {
+    const DiskCells disk = disk_cells(center, radius);
+    // clamp_cell maps NaN to the low end; a NaN high end is the disk's.
+    auto window_hi = [this](double v, double lo, std::ptrdiff_t c0, std::ptrdiff_t c1) {
+      return std::isnan(v) ? c1 : clamp_cell(v, lo, c0, c1);
+    };
+    const std::ptrdiff_t cx0 = clamp_cell(target.x - reach, bounds_.lo.x, disk.cx0, disk.cx1);
+    const std::ptrdiff_t cx1 = window_hi(target.x + reach, bounds_.lo.x, disk.cx0, disk.cx1);
+    const std::ptrdiff_t cy0 = clamp_cell(target.y - reach, bounds_.lo.y, disk.cy0, disk.cy1);
+    const std::ptrdiff_t cy1 = window_hi(target.y + reach, bounds_.lo.y, disk.cy0, disk.cy1);
+    for (std::ptrdiff_t cy = cy0; cy <= cy1; ++cy) {
+      const AxisExtent row = axis_extent(center.y, bounds_.lo.y, cy);
+      const double near_y = axis_extent(target.y, bounds_.lo.y, cy).near;
+      for (std::ptrdiff_t cx = cx0; cx <= cx1; ++cx) {
+        if (!disk.test_cell(row, axis_extent(center.x, bounds_.lo.x, cx))) {
+          continue;
+        }
+        const double near_x = axis_extent(target.x, bounds_.lo.x, cx).near;
+        const std::size_t c =
+            cell_at(static_cast<std::size_t>(cx), static_cast<std::size_t>(cy));
+        if (keep(c, std::sqrt(near_x * near_x + near_y * near_y))) {
+          visit(c, cell_start_[c], cell_start_[c + 1]);
+        }
+      }
+    }
   }
+
+  /// The CSR-ordered point ids and coordinates (slot k holds point
+  /// slot_ids()[k] at (slot_xs()[k], slot_ys()[k])).
+  std::span<const std::size_t> slot_ids() const { return ids_; }
+  std::span<const double> slot_xs() const { return xs_; }
+  std::span<const double> slot_ys() const { return ys_; }
+
+  /// The most points any one cell holds, O(num_cells()).
+  std::size_t max_cell_population() const;
 
   /// The point of visit_disk's disk (same cells, same per-point test) with
   /// the smallest `key(id, slot, x, y)` strictly below `bound`, where x and
@@ -193,31 +226,6 @@ class GridIndex {
   std::size_t cell_of(Vec2 p) const;
 
  private:
-  /// The body of count_disk and count_disk_marked: a fully-inside cell c
-  /// adds `cell_count(c)`, a boundary cell adds `slot_count(k)` for each of
-  /// its slots k whose point passes the disk test.
-  template <typename CellCount, typename SlotCount>
-  std::size_t count_disk_by(Vec2 center, double radius, CellCount&& cell_count,
-                            SlotCount&& slot_count) const {
-    const double r2 = radius * radius;
-    std::size_t count = 0;
-    for_each_cell(center, radius, [&](std::size_t c, bool fully_inside) {
-      if (fully_inside) {
-        count += cell_count(c);
-        return;
-      }
-      const std::size_t k_end = cell_start_[c + 1];
-      for (std::size_t k = cell_start_[c]; k < k_end; ++k) {
-        const double dx = xs_[k] - center.x;
-        const double dy = ys_[k] - center.y;
-        // A product, not a select: the mark is read whether or not the
-        // point is inside, so the loop has no data-dependent branch.
-        count += slot_count(k) * static_cast<std::size_t>(dx * dx + dy * dy <= r2);
-      }
-    });
-    return count;
-  }
-
   /// The farthest and nearest distance, along one axis, from coordinate
   /// `v` to the cell slab of index `c` on that axis, whose low edge is
   /// `lo + c * cell_size`.
@@ -264,7 +272,7 @@ class GridIndex {
             radius * radius * (1.0 - 1e-12), radius * radius * (1.0 + 1e-12)};
   }
 
-  /// Shared traversal of visit_disk/count_disk: calls `visit_cell(c,
+  /// Shared traversal of visit_disk/count_disk_marked: calls `visit_cell(c,
   /// fully_inside)` for every grid cell that may intersect the disk, in
   /// row-major order, by DiskCells::test_cell. Cells whose nearest point
   /// already lies outside the disk are skipped outright (the bounding box's

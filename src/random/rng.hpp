@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "random/engine.hpp"
@@ -58,6 +59,15 @@ class Rng {
     has_cached_gaussian_ = true;
     return u * factor;
   }
+
+  /// uniforms[i] = uniform() and normals[i] = gaussian() for every i, as
+  /// the 2n calls uniform(), gaussian(), uniform(), gaussian(), ... would
+  /// return them: the batch consumes exactly those calls' engine draws, in
+  /// their order, and leaves the cached normal as they would. It runs in two
+  /// phases: Marsaglia's accept/reject loop first, with the engine held in
+  /// registers, then the scalar libm log and sqrt of every accepted pair.
+  /// The spans have one length (an empty batch draws nothing).
+  void uniform_normal_pairs(std::span<double> uniforms, std::span<double> normals);
 
   /// Normal with the given mean / standard deviation (sigma >= 0).
   double gaussian(double mean, double sigma) {

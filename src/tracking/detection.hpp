@@ -8,6 +8,10 @@
 // particle.
 #pragma once
 
+#include <algorithm>
+
+#include "support/check.hpp"
+
 namespace cdpf::tracking {
 
 /// Linear probability model: the probability that a node participates in
@@ -21,8 +25,20 @@ class LinearProbabilityModel {
 
   double radius() const { return radius_; }
 
-  /// p(d) as defined above; clamped to [0, 1].
-  double probability(double distance) const;
+  /// p(d) as defined above; clamped to [0, 1]. Requires d >= 0. Inline:
+  /// CDPF's recorder gate evaluates it for every candidate of every host.
+  double probability(double distance) const {
+    CDPF_CHECK_MSG(distance >= 0.0, "distance must be non-negative");
+    return probability_unchecked(distance);
+  }
+
+  /// probability() without its precondition, for a batch loop that
+  /// evaluates every candidate and gates the result itself (a check that
+  /// may throw keeps a loop from vectorizing): a negative distance gives 1
+  /// and a NaN one NaN, which no `p > 0` gate accepts.
+  double probability_unchecked(double distance) const {
+    return std::clamp(1.0 - distance / radius_, 0.0, 1.0);
+  }
 
  private:
   double radius_;

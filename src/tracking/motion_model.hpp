@@ -5,19 +5,13 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "geom/vec2.hpp"
 #include "random/rng.hpp"
 #include "tracking/state.hpp"
 
 namespace cdpf::tracking {
-
-/// A velocity in polar form: heading (rad from +x) and speed (m/s), as the
-/// random-turn walk carries it between substeps.
-struct PolarVelocity {
-  double heading = 0.0;
-  double speed = 0.0;
-};
 
 /// Random-turn (coordinated-turn-style) motion model matching the paper's
 /// ground-truth target process: per `substep_dt` the heading turns a random
@@ -41,25 +35,27 @@ class RandomTurnMotionModel {
   /// Stochastic propagation: one draw from p(x_k | x_{k-1}).
   TargetState sample(const TargetState& state, rng::Rng& rng) const;
 
-  /// The velocity walk of sample() in polar form: starting from
-  /// (heading, speed) — sample() starts from (velocity.angle(),
-  /// velocity.norm()) — it runs sample()'s own substep walk, so it consumes
-  /// EXACTLY sample()'s RNG draws, in the same order, and returns the final
-  /// substep's heading and speed: from_angle(heading) * speed is sample()'s
-  /// next.velocity bit for bit. It computes no trigonometry and integrates
-  /// no position. CDPF's particle division draws one per recorded copy: the
-  /// recorder's position becomes the copy's and the hop's direction its
-  /// heading, so the caller takes the host's angle() and norm() once for all
-  /// of its copies and builds a velocity from the heading only when the
-  /// recorder sits on the host. Breaking the RNG-stream or bitwise contract
-  /// moves the golden outputs.
-  PolarVelocity sample_polar(double heading, double speed, rng::Rng& rng) const;
+  /// The velocity walk of sample() in polar form, for a batch of copies:
+  /// each copy starts from (heading, speed) — sample() starts from
+  /// (velocity.angle(), velocity.norm()) — and runs sample()'s own substep
+  /// walk, and headings[c] and speeds[c] receive copy c's final substep.
+  /// The batch consumes EXACTLY the RNG draws of one sample() per copy, in
+  /// copy order, and a batch of one lands on sample()'s velocity bit for
+  /// bit: from_angle(headings[0]) * speeds[0] == sample().velocity. It
+  /// computes no trigonometry and integrates no position. CDPF's particle
+  /// division draws one copy per recorder, all of a host's copies in one
+  /// call: the recorder's position becomes the copy's and the hop's
+  /// direction its heading, so the caller builds a velocity from the heading
+  /// only when the recorder sits on the host. The spans have one length.
+  /// Breaking the RNG-stream or bitwise contract moves the golden outputs.
+  void sample_polar(double heading, double speed, rng::Rng& rng,
+                    std::span<double> headings, std::span<double> speeds) const;
 
  private:
-  /// The substep walk of sample() and sample_polar(): per substep the turn
-  /// draw, then the speed draw, then `step(v)` with the substep's velocity.
-  template <typename Step>
-  PolarVelocity walk(PolarVelocity v, rng::Rng& rng, Step&& step) const;
+  /// Draw `turns.size()` substeps' draws in the order the per-substep calls
+  /// make them: per substep the turn uniform, then (with speed noise) the
+  /// speed normal, through rng::Rng::uniform_normal_pairs.
+  void draw(rng::Rng& rng, std::span<double> turns, std::span<double> normals) const;
 
   double dt_;
   double substep_dt_;

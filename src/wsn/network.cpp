@@ -44,6 +44,13 @@ void Network::set_believed_positions(std::vector<geom::Vec2> believed) {
   CDPF_CHECK_MSG(believed.size() == nodes_.size(),
                  "need one believed position per node");
   believed_positions_ = std::move(believed);
+  believed_slot_x_.resize(nodes_.size());
+  believed_slot_y_.resize(nodes_.size());
+  for (std::size_t k = 0; k < nodes_.size(); ++k) {
+    const geom::Vec2 b = believed_positions_[index_->id_at(k)];
+    believed_slot_x_[k] = b.x;
+    believed_slot_y_[k] = b.y;
+  }
   cell_displacement_.assign(index_->num_cells() + 1, 0.0);
   double& largest = cell_displacement_.back();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -58,6 +65,8 @@ void Network::set_believed_positions(std::vector<geom::Vec2> believed) {
 
 void Network::clear_believed_positions() {
   believed_positions_.clear();
+  believed_slot_x_.clear();
+  believed_slot_y_.clear();
   cell_displacement_.clear();
   ++activity_epoch_;
 }
@@ -141,10 +150,20 @@ std::size_t Network::active_nodes_within(geom::Vec2 center, double radius,
 }
 
 std::size_t Network::count_active_within(geom::Vec2 center, double radius) const {
-  if (inactive_count_ == 0) {
-    return index_->count_disk(center, radius);
-  }
+  // The tallies exist from the first deactivation on; before it every node
+  // is active and a fully-inside cell adds its population.
   return index_->count_disk_marked(center, radius, slot_active_, cell_active_);
+}
+
+std::size_t Network::max_nodes_within(double radius) const {
+  CDPF_CHECK_MSG(radius >= 0.0, "radius must be non-negative");
+  // A disk of diameter 2r spans at most floor(2r / cell) + 2 cells along
+  // each axis.
+  const double span = std::floor(2.0 * radius / index_->cell_size()) + 2.0;
+  const double cells = span * span;
+  const double bound = static_cast<double>(index_->max_cell_population()) * cells;
+  return bound < static_cast<double>(nodes_.size()) ? static_cast<std::size_t>(bound)
+                                                     : nodes_.size();
 }
 
 template <double (*Distance)(geom::Vec2, geom::Vec2)>

@@ -8,9 +8,11 @@
 // all nodes directly).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "geom/grid_index.hpp"
@@ -127,11 +129,46 @@ class Network {
   }
 
   /// Number of active nodes within `radius` of `center`, without
-  /// materializing the id list. With all nodes active this is a pure
-  /// grid-occupancy count (no per-node memory traffic at all); otherwise
-  /// fully-inside cells add their active tally and only boundary cells read
-  /// activity bytes, contiguous in slot order.
+  /// materializing the id list: fully-inside cells add their active tally
+  /// (their population while every node is active) and only boundary cells
+  /// read activity bytes, contiguous in slot order, in the grid's vectorized
+  /// count kernel (GridIndex::count_disk_marked).
   std::size_t count_active_within(geom::Vec2 center, double radius) const;
+
+  /// The nodes of one grid cell as contiguous slot-ordered arrays: slot j
+  /// of the block holds node ids[j], at true position (x[j], y[j]) and
+  /// believed position (believed_x[j], believed_y[j]), active when
+  /// active[j] != 0. Read-only views into the network; valid until its
+  /// believed positions or activity change.
+  struct SlotBlock {
+    const std::size_t* ids;
+    const double* x;
+    const double* y;
+    const double* believed_x;
+    const double* believed_y;
+    const std::uint8_t* active;
+    std::size_t size;
+  };
+
+  /// Every node, active or not, that may lie within `radius` of `center`
+  /// (true positions) and believe itself within `reach` of `target`, by
+  /// cell: visit(SlotBlock) for each cell of the grid's `radius` disk around
+  /// `center`, in its cell-major order, except the cells whose box lies
+  /// farther from `target` than `reach` plus the largest believed-vs-true
+  /// displacement of the cell's own nodes (with a 1e-9 relative margin for
+  /// rounding). The caller applies the exact tests to each node: every node
+  /// that passes both lies in a visited block, in the grid's order. With
+  /// believed == true positions that is the `reach` disk's cells; one badly
+  /// localized node widens only its own cell's test. Allocation-free.
+  template <typename Visitor>
+  void visit_cells_believed_near(geom::Vec2 center, double radius, geom::Vec2 target,
+                                 double reach, Visitor&& visit) const;
+
+  /// An upper bound on the number of nodes within `radius` of any point:
+  /// the most nodes one grid cell holds times the cells such a disk can
+  /// touch, capped at size(). Bounds a broadcast's receivers and a
+  /// propagation round's recorders per host at r_c. O(grid cells).
+  std::size_t max_nodes_within(double radius) const;
 
   /// The radio neighbour of `u` nearest `target`, or kInvalidNodeId when
   /// none is strictly nearer than `bound`. Candidates are the active nodes
@@ -184,6 +221,11 @@ class Network {
   NetworkConfig config_;
   std::vector<Node> nodes_;
   std::vector<geom::Vec2> believed_positions_;  // empty => believed == true
+  // The believed coordinates again, in grid-slot order (empty with
+  // believed_positions_), so a cell's believed positions are contiguous
+  // like its true ones.
+  std::vector<double> believed_slot_x_;
+  std::vector<double> believed_slot_y_;
   // Per grid cell, the largest |believed - true| of the nodes whose true
   // position the cell holds (+inf when a believed position is NaN; empty,
   // i.e. 0 everywhere, when believed == true): how far a believed distance
@@ -213,5 +255,41 @@ class Network {
   mutable std::vector<std::size_t> comm_count_;
   mutable std::vector<std::uint64_t> comm_count_epoch_;
 };
+
+template <typename Visitor>
+void Network::visit_cells_believed_near(geom::Vec2 center, double radius,
+                                        geom::Vec2 target, double reach,
+                                        Visitor&& visit) const {
+  // A node of cell c within `reach` of `target` by its believed position
+  // lies within reach + cell_displacement_[c] of it by its true one
+  // (triangle inequality), so its cell's box does too. The rounding in the
+  // cell bounds, the grid's cell assignment and the displacement is a few
+  // ulp of the coordinates involved; the margin, 1e-9 of their scale,
+  // dwarfs it, as in nearest_comm_neighbour. The axis window adds the
+  // largest displacement and twice the margin, so it never cuts a cell the
+  // per-cell test keeps.
+  const geom::Aabb& field = config_.field;
+  const double scale = std::abs(target.x) + std::abs(target.y) + std::abs(field.lo.x) +
+                       std::abs(field.lo.y) + std::abs(field.hi.x) + std::abs(field.hi.y) +
+                       radius + reach + index_->cell_size();
+  const double largest = max_believed_displacement();
+  const double window = reach + largest + 2e-9 * (scale + largest);
+  const std::span<const std::size_t> ids = index_->slot_ids();
+  const std::span<const double> xs = index_->slot_xs();
+  const std::span<const double> ys = index_->slot_ys();
+  const bool believed = !believed_positions_.empty();
+  const double* bx = believed ? believed_slot_x_.data() : xs.data();
+  const double* by = believed ? believed_slot_y_.data() : ys.data();
+  index_->visit_disk_cells_near(
+      center, radius, target, window,
+      [&](std::size_t c, double near) {
+        const double displacement = believed ? cell_displacement_[c] : 0.0;
+        return !(near > reach + displacement + 1e-9 * (scale + displacement));
+      },
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        visit(SlotBlock{ids.data() + begin, xs.data() + begin, ys.data() + begin,
+                        bx + begin, by + begin, slot_active_.data() + begin, end - begin});
+      });
+}
 
 }  // namespace cdpf::wsn

@@ -1,7 +1,6 @@
 #include "wsn/radio.hpp"
 
 #include "support/check.hpp"
-#include "support/trace.hpp"
 
 namespace cdpf::wsn {
 
@@ -13,7 +12,6 @@ bool Radio::in_range(NodeId u, NodeId v) const {
 }
 
 std::size_t Radio::broadcast(NodeId from, MessageKind kind, std::size_t payload_bytes) {
-  CDPF_TRACE_INSTANT("radio-broadcast");
   CDPF_CHECK_MSG(network_.is_active(from), "only active nodes can transmit");
   // The sender is active and at distance zero from its own position, so the
   // disk count always includes it; receivers exclude it.
@@ -33,7 +31,6 @@ std::size_t Radio::broadcast(NodeId from, MessageKind kind, std::size_t payload_
 }
 
 bool Radio::unicast(NodeId from, NodeId to, MessageKind kind, std::size_t payload_bytes) {
-  CDPF_TRACE_INSTANT("radio-unicast");
   CDPF_CHECK_MSG(network_.is_active(from), "only active nodes can transmit");
   if (!network_.is_active(to) || !in_range(from, to)) {
     return false;
@@ -49,7 +46,6 @@ bool Radio::unicast(NodeId from, NodeId to, MessageKind kind, std::size_t payloa
 }
 
 void Radio::transceiver_broadcast(MessageKind kind, std::size_t payload_bytes) {
-  CDPF_TRACE_INSTANT("radio-transceiver-broadcast");
   if (energy_ != nullptr) {
     for (const Node& n : network_.nodes()) {
       if (n.active()) {
@@ -62,7 +58,6 @@ void Radio::transceiver_broadcast(MessageKind kind, std::size_t payload_bytes) {
 
 void Radio::send_to_transceiver(NodeId from, MessageKind kind,
                                 std::size_t payload_bytes) {
-  CDPF_TRACE_INSTANT("radio-send-to-transceiver");
   CDPF_CHECK_MSG(network_.is_active(from), "only active nodes can transmit");
   stats_.record(kind, payload_bytes, 1);
   if (energy_ != nullptr) {

@@ -17,6 +17,11 @@
 // take_estimates() intentionally stays OUTSIDE the measured window: handing
 // the pending estimates to the caller materializes a fresh vector by
 // design (the internal buffer keeps its capacity).
+//
+// Construction is the other side of that contract: a tracker pre-sizes its
+// buffers up front, and perfbench's setup_s times those allocations (page
+// faults included), so ConstructionAllocation pins the blocks and bytes that
+// constructing CDPF, CDPF-NE and CPF on a density-40 network requests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,16 +35,19 @@
 #include "core/cpf.hpp"
 #include "core/gmm_dpf.hpp"
 #include "core/sdpf.hpp"
+#include "sim/experiment.hpp"
 #include "wsn/deployment.hpp"
 
 namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
@@ -50,6 +58,7 @@ void* counted_alloc(std::size_t size) {
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align), size == 0 ? 1 : size) != 0) {
@@ -232,6 +241,62 @@ std::size_t gmm_dpf_steady_state_allocations(int& quiet_iterations) {
     (void)filter.take_estimates();
   }
   return allocations;
+}
+
+/// Heap blocks and bytes requested while constructing one tracker.
+struct Footprint {
+  std::size_t blocks = 0;
+  std::size_t bytes = 0;
+};
+
+/// What constructing `kind`'s tracker on the paper's density-40 network
+/// (16 000 nodes, seed 424242) requests from the heap.
+Footprint construction_footprint(sim::AlgorithmKind kind) {
+  rng::Rng rng(424242);
+  const geom::Aabb field = geom::Aabb::square(200.0);
+  const auto positions = wsn::deploy_uniform_random(
+      wsn::node_count_for_density(40.0, field), field, rng);
+  wsn::Network network(positions, wsn::NetworkConfig{field, 10.0, 30.0});
+  wsn::Radio radio(network, wsn::PayloadSizes{});
+  const sim::AlgorithmParams params;
+  g_allocations.store(0);
+  g_bytes.store(0);
+  g_counting.store(true);
+  auto tracker = sim::make_tracker(kind, network, radio, params);
+  g_counting.store(false);
+  return {g_allocations.load(), g_bytes.load()};
+}
+
+// The ceilings are the footprints of the parent of the change that added
+// this test (04cf480), measured by this test's construction_footprint()
+// built against that tree (RelWithDebInfo, GCC 12, libstdc++). A change may
+// lower them; raising one needs a reason, since perfbench's setup_s moves
+// with construction-time allocations. At 04cf480 CDPF reserved every
+// per-round buffer for all 16 000 nodes; its propagation scratch is now
+// sized by Network::max_nodes_within(r_c) (13 blocks, 2 086 772 bytes).
+constexpr std::size_t kCdpfBlocks = 16;
+constexpr std::size_t kCdpfBytes = 2499472;
+constexpr std::size_t kCdpfNeBlocks = 22;
+constexpr std::size_t kCdpfNeBytes = 3331472;
+constexpr std::size_t kCpfBlocks = 3;
+constexpr std::size_t kCpfBytes = 576584;
+
+TEST(ConstructionAllocation, CdpfDoesNotGrow) {
+  const Footprint f = construction_footprint(sim::AlgorithmKind::kCdpf);
+  EXPECT_LE(f.blocks, kCdpfBlocks);
+  EXPECT_LE(f.bytes, kCdpfBytes);
+}
+
+TEST(ConstructionAllocation, CdpfNeDoesNotGrow) {
+  const Footprint f = construction_footprint(sim::AlgorithmKind::kCdpfNe);
+  EXPECT_LE(f.blocks, kCdpfNeBlocks);
+  EXPECT_LE(f.bytes, kCdpfNeBytes);
+}
+
+TEST(ConstructionAllocation, CpfDoesNotGrow) {
+  const Footprint f = construction_footprint(sim::AlgorithmKind::kCpf);
+  EXPECT_LE(f.blocks, kCpfBlocks);
+  EXPECT_LE(f.bytes, kCpfBytes);
 }
 
 TEST(SteadyStateAllocation, CpfIterationIsAllocationFree) {

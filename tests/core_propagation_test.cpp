@@ -13,6 +13,7 @@
 
 #include "core/propagation.hpp"
 #include "random/rng.hpp"
+#include "support/statistics.hpp"
 #include "support/check.hpp"
 #include "tracking/detection.hpp"
 #include "tracking/motion_model.hpp"
@@ -568,6 +569,223 @@ TEST(Propagation, RoundMatchesBruteForceUnderBelievedPositions) {
       }
     }
     EXPECT_GT(recorded, 0u);
+  }
+}
+
+/// The round as the paper states it, one copy at a time: a host's
+/// recorders come from a scan of its whole radio disk (every active node
+/// within r_c of its true position, in the grid's order), each copy draws
+/// its own sample_polar() batch of one, and the division and the combine
+/// run recorder by recorder. The oracle the batched round must match bit
+/// for bit.
+void reference_round(const ParticleStore& store, const wsn::Network& net, wsn::Radio& radio,
+                     const tracking::RandomTurnMotionModel& motion, rng::Rng& rng,
+                     PropagationOutcome& out) {
+  const double rs = net.config().sensing_radius;
+  const double rc = net.config().comm_radius;
+  const tracking::LinearProbabilityModel lin_prob(rs);
+  const double record_gate_sq = rs * rs * (1.0 + 1e-12);
+  const std::size_t payload = radio.payloads().particle + radio.payloads().weight;
+  support::NeumaierSum lost;
+  out.reset();
+  for (const wsn::NodeId host : store.sorted_hosts()) {
+    const NodeParticle& particle = *store.find(host);
+    if (!net.is_active(host)) {
+      ++out.lost_particles;
+      lost.add(particle.weight);
+      continue;
+    }
+    const geom::Vec2 host_position = net.position(host);
+    const geom::Vec2 host_true = net.true_position(host);
+    const geom::Vec2 predicted = host_position + particle.velocity * motion.dt();
+    radio.broadcast(host, wsn::MessageKind::kParticle, payload);
+    ++out.num_broadcasts;
+    out.global.add(particle.weight, host_position, particle.velocity);
+    std::vector<wsn::NodeId> recorders;
+    std::vector<double> probabilities;
+    double probability_sum = 0.0;
+    net.visit_active_within(host_true, rc, [&](wsn::NodeId r, geom::Vec2 at, geom::Vec2 b) {
+      const double dxt = at.x - host_true.x;
+      const double dyt = at.y - host_true.y;
+      const double dxp = b.x - predicted.x;
+      const double dyp = b.y - predicted.y;
+      const double d2p = dxp * dxp + dyp * dyp;
+      if (r == host || dxt * dxt + dyt * dyt > rc * rc || !(d2p <= record_gate_sq)) {
+        return;
+      }
+      const double p = lin_prob.probability(std::sqrt(d2p));
+      if (p > 0.0) {
+        recorders.push_back(r);
+        probabilities.push_back(p);
+        probability_sum += p;
+      }
+    });
+    if (recorders.empty()) {
+      const wsn::NodeId nearest = net.nearest_comm_neighbour<geom::distance_squared>(
+          host, predicted, std::numeric_limits<double>::infinity());
+      if (nearest == wsn::kInvalidNodeId) {
+        ++out.lost_particles;
+        lost.add(particle.weight);
+        continue;
+      }
+      recorders.push_back(nearest);
+      probabilities.push_back(1.0);
+      probability_sum = 1.0;
+    }
+    for (std::size_t i = 0; i < recorders.size(); ++i) {
+      const double weight = particle.weight * probabilities[i] / probability_sum;
+      double heading = 0.0;
+      double speed = 0.0;
+      motion.sample_polar(particle.velocity.angle(), particle.velocity.norm(), rng,
+                          {&heading, 1}, {&speed, 1});
+      const geom::Vec2 hop = net.position(recorders[i]) - host_position;
+      const double d2 = hop.x * hop.x + hop.y * hop.y;
+      geom::Vec2 velocity;
+      if (d2 > 1e-12) {
+        const double scale = speed / std::sqrt(d2);
+        velocity = {hop.x * scale, hop.y * scale};
+      } else {
+        velocity = geom::Vec2::from_angle(heading) * speed;
+      }
+      out.next.add(recorders[i], velocity, weight);
+    }
+  }
+  out.lost_weight = lost.value();
+}
+
+/// Expect two rounds over the same input to agree bit for bit: the recorded
+/// particles in order, the overheard aggregate, the counters, the radios'
+/// CommStats and the next draw of their generators.
+void expect_identical_rounds(const PropagationOutcome& a, const PropagationOutcome& b,
+                             wsn::Radio& radio_a, wsn::Radio& radio_b, rng::Rng& rng_a,
+                             rng::Rng& rng_b) {
+  ASSERT_EQ(a.next.size(), b.next.size());
+  for (std::size_t i = 0; i < a.next.size(); ++i) {
+    const NodeParticle& pa = a.next.particles()[i];
+    const NodeParticle& pb = b.next.particles()[i];
+    EXPECT_EQ(pa.host, pb.host) << "particle " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pa.weight), std::bit_cast<std::uint64_t>(pb.weight))
+        << "particle " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pa.velocity.x),
+              std::bit_cast<std::uint64_t>(pb.velocity.x))
+        << "particle " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pa.velocity.y),
+              std::bit_cast<std::uint64_t>(pb.velocity.y))
+        << "particle " << i;
+  }
+  EXPECT_EQ(a.global.total_weight, b.global.total_weight);
+  EXPECT_EQ(a.global.weighted_position.x, b.global.weighted_position.x);
+  EXPECT_EQ(a.global.weighted_position.y, b.global.weighted_position.y);
+  EXPECT_EQ(a.global.weighted_velocity.x, b.global.weighted_velocity.x);
+  EXPECT_EQ(a.global.weighted_velocity.y, b.global.weighted_velocity.y);
+  EXPECT_EQ(a.global.weighted_speed, b.global.weighted_speed);
+  EXPECT_EQ(a.global.particles_heard, b.global.particles_heard);
+  EXPECT_EQ(a.num_broadcasts, b.num_broadcasts);
+  EXPECT_EQ(a.lost_particles, b.lost_particles);
+  EXPECT_EQ(a.lost_weight, b.lost_weight);
+  for (std::size_t k = 0; k < wsn::kNumMessageKinds; ++k) {
+    const auto kind = static_cast<wsn::MessageKind>(k);
+    EXPECT_EQ(radio_a.stats().messages(kind), radio_b.stats().messages(kind));
+    EXPECT_EQ(radio_a.stats().bytes(kind), radio_b.stats().bytes(kind));
+    EXPECT_EQ(radio_a.stats().receptions(kind), radio_b.stats().receptions(kind));
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(rng_a.gaussian()),
+            std::bit_cast<std::uint64_t>(rng_b.gaussian()));
+  EXPECT_EQ(rng_a.uniform(), rng_b.uniform());
+}
+
+TEST(Propagation, DisplacedNodeRoundMatchesCommDiskScan) {
+  // One node believes itself 120 m from where it is, and a second one 15 m;
+  // every other believed position is exact. The round skips a radio-disk
+  // cell only when its box lies farther than r_s plus its own nodes' largest
+  // displacement from the predicted position, so a displaced node widens
+  // the scan of its own cell only, yet every host must record exactly what
+  // a scan of its whole radio disk finds: the same recorders in the same
+  // order, weights, velocities, aggregate, CommStats and next draw. Hosts
+  // sit around both displaced nodes' true and believed positions, some
+  // aimed at the believed ones, and elsewhere; a few bystanders sleep, and
+  // four nodes sit exactly on a host (co-located recorders keep their
+  // sampled heading). The 120 m node can only record alone (no other radio
+  // neighbour of its hosts lies within r_s of its believed position); the
+  // 15 m one records among others, where a scan that ignored its
+  // displacement would miss it.
+  const geom::Aabb field = geom::Aabb::square(200.0);
+  for (const double density : {10.0, 40.0}) {
+    SCOPED_TRACE(::testing::Message() << "density " << density);
+    rng::Rng setup(91);
+    auto positions = wsn::deploy_uniform_random(
+        wsn::node_count_for_density(density, field), field, setup);
+    std::vector<wsn::NodeId> near_start;
+    {
+      wsn::Network probe(positions, paper_config());
+      probe.nodes_within({40.0, 100.0}, 6.0, near_start);
+    }
+    std::vector<wsn::NodeId> near_second;
+    {
+      wsn::Network probe(positions, paper_config());
+      probe.nodes_within({150.0, 60.0}, 6.0, near_second);
+    }
+    ASSERT_GE(near_start.size(), 5u);
+    ASSERT_FALSE(near_second.empty());
+    const wsn::NodeId displaced = near_start[0];
+    const wsn::NodeId second = near_second[0];
+    // Co-located nodes: four more nodes moved onto hosts' positions.
+    for (std::size_t k = 1; k < 5; ++k) {
+      positions[near_start[k]] = positions[near_start[k - 1]];
+    }
+    wsn::Network net(positions, paper_config());
+    std::vector<geom::Vec2> believed = positions;
+    believed[displaced] = positions[displaced] + geom::Vec2{120.0, 3.0};
+    believed[second] = positions[second] + geom::Vec2{-12.0, 9.0};
+    net.set_believed_positions(believed);
+    ASSERT_GE(net.max_believed_displacement(), 100.0);
+
+    ParticleStore store;
+    std::vector<wsn::NodeId> ids;
+    for (const geom::Vec2 center : {positions[displaced], believed[displaced],
+                                    positions[second], believed[second],
+                                    geom::Vec2{100.0, 40.0}}) {
+      net.nodes_within(center, 14.0, ids);
+      for (const wsn::NodeId id : ids) {
+        if (!store.contains(id)) {
+          store.add(id, {setup.uniform(-3.0, 3.0), setup.uniform(-3.0, 3.0)},
+                    setup.uniform(0.1, 2.0));
+        }
+      }
+    }
+    // Particles pointed at each displaced node's believed position, from
+    // hosts within r_c of its true one.
+    for (const wsn::NodeId target : {displaced, second}) {
+      net.nodes_within(positions[target], 25.0, ids);
+      for (const wsn::NodeId id : ids) {
+        if (id != target && !store.contains(id)) {
+          store.add(id, (believed[target] - positions[id]) / 5.0, 0.7);
+        }
+      }
+    }
+    net.nodes_within({40.0, 100.0}, 30.0, ids);
+    for (const wsn::NodeId id : ids) {
+      if (id % 11 == 3 && id != displaced) {
+        net.set_power(id, wsn::PowerState::kAsleep);
+      }
+    }
+    const tracking::RandomTurnMotionModel motion = tracking::make_motion_model(5.0);
+
+    wsn::Radio batched_radio(net, wsn::PayloadSizes{});
+    rng::Rng batched_rng(5);
+    Round batched;
+    batched.run(store, net, batched_radio, motion, batched_rng);
+
+    wsn::Radio reference_radio(net, wsn::PayloadSizes{});
+    rng::Rng reference_rng(5);
+    PropagationOutcome reference;
+    reference_round(store, net, reference_radio, motion, reference_rng, reference);
+
+    EXPECT_GT(batched.outcome.next.size(), 50u);
+    EXPECT_TRUE(batched.outcome.next.contains(displaced)) << "nothing recorded on it";
+    EXPECT_TRUE(batched.outcome.next.contains(second)) << "nothing recorded on it";
+    expect_identical_rounds(batched.outcome, reference, batched_radio, reference_radio,
+                            batched_rng, reference_rng);
   }
 }
 

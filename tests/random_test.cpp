@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -106,6 +108,54 @@ TEST(Rng, GaussianScaling) {
   EXPECT_NEAR(sum / n, 10.0, 0.05);
   EXPECT_NEAR(std::sqrt(sum_sq / n), 2.0, 0.05);
   EXPECT_THROW(rng.gaussian(0.0, -1.0), Error);
+}
+
+TEST(Rng, UniformNormalPairsMatchSequentialCalls) {
+  // A batch of n (uniform, normal) pairs returns what n sequential
+  // uniform(), gaussian() call pairs return, bit for bit, and leaves the
+  // stream where they leave it: the next gaussian() (the cached second half
+  // of a pair, or a fresh pair) and the next uniform() agree. Both parities
+  // of the cached normal at entry, every short length (odd and even, so the
+  // batch ends on either half of a pair), and lengths past a few hundred.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 41; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(256);
+  lengths.push_back(1001);
+  for (const bool cached : {false, true}) {
+    for (const std::size_t n : lengths) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << (cached ? ", cached" : ""));
+      Rng batch(77 + n);
+      Rng sequential(77 + n);
+      batch.uniform();
+      sequential.uniform();
+      if (cached) {
+        // One gaussian() leaves the second half of its pair cached.
+        ASSERT_EQ(batch.gaussian(), sequential.gaussian());
+      }
+      std::vector<double> uniforms(n);
+      std::vector<double> normals(n);
+      batch.uniform_normal_pairs(uniforms, normals);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(uniforms[i]),
+                  std::bit_cast<std::uint64_t>(sequential.uniform()))
+            << "uniform " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(normals[i]),
+                  std::bit_cast<std::uint64_t>(sequential.gaussian()))
+            << "normal " << i;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch.gaussian()),
+                std::bit_cast<std::uint64_t>(sequential.gaussian()));
+      EXPECT_EQ(batch.uniform(), sequential.uniform());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch.gaussian()),
+                std::bit_cast<std::uint64_t>(sequential.gaussian()));
+    }
+  }
+  Rng rng(1);
+  std::vector<double> three(3);
+  std::vector<double> two(2);
+  EXPECT_THROW(rng.uniform_normal_pairs(three, two), Error);
 }
 
 TEST(Rng, UniformIndexCoversRangeUniformly) {

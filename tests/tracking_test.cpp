@@ -60,7 +60,7 @@ TEST(RandomTurnModel, InvalidConfigThrows) {
 TEST(RandomTurnModel, SamplePolarMatchesSample) {
   // sample_polar() from the state's (angle(), norm()) must consume exactly
   // sample()'s RNG draws and land on its velocity bit for bit: CDPF's
-  // division loop calls it in place of sample(), so any drift here moves
+  // division batch calls it in place of sample(), so any drift here moves
   // every CDPF output.
   rng::Rng states(137);
   for (const RandomTurnMotionModel& m :
@@ -74,16 +74,19 @@ TEST(RandomTurnModel, SamplePolarMatchesSample) {
         state.velocity = {};  // standing still: heading atan2(0, 0)
       }
       const geom::Vec2 expected = m.sample(state, sample_rng).velocity;
-      const PolarVelocity got =
-          m.sample_polar(state.velocity.angle(), state.velocity.norm(), polar_rng);
-      const geom::Vec2 velocity = geom::Vec2::from_angle(got.heading) * got.speed;
+      // A batch of one.
+      double heading = 0.0;
+      double speed = 0.0;
+      m.sample_polar(state.velocity.angle(), state.velocity.norm(), polar_rng,
+                     {&heading, 1}, {&speed, 1});
+      const geom::Vec2 velocity = geom::Vec2::from_angle(heading) * speed;
       ASSERT_EQ(std::bit_cast<std::uint64_t>(velocity.x),
                 std::bit_cast<std::uint64_t>(expected.x))
           << "draw " << i;
       ASSERT_EQ(std::bit_cast<std::uint64_t>(velocity.y),
                 std::bit_cast<std::uint64_t>(expected.y))
           << "draw " << i;
-      ASSERT_NEAR(got.speed, expected.norm(), 1e-12 * (1.0 + got.speed)) << "draw " << i;
+      ASSERT_NEAR(speed, expected.norm(), 1e-12 * (1.0 + speed)) << "draw " << i;
       // The streams stay in lockstep, cached Gaussian included.
       ASSERT_EQ(std::bit_cast<std::uint64_t>(polar_rng.gaussian()),
                 std::bit_cast<std::uint64_t>(sample_rng.gaussian()))
@@ -91,6 +94,55 @@ TEST(RandomTurnModel, SamplePolarMatchesSample) {
       ASSERT_EQ(polar_rng.uniform(), sample_rng.uniform()) << "draw " << i;
     }
   }
+}
+
+TEST(RandomTurnModel, SamplePolarBatchMatchesSequentialSamples) {
+  // A batch of n copies is n sample() calls from one state: copy c lands on
+  // the c-th call's velocity bit for bit, and the streams stay in lockstep
+  // after the batch, cached Gaussian included. The paper's model, a zero
+  // speed-sigma one (its walk draws no normal) and a 600-substep one (a
+  // copy spans several draw blocks); each entered with and without a
+  // cached normal, over batch sizes that end on either half of a pair.
+  const std::vector<RandomTurnMotionModel> models{
+      make_motion_model(5.0), RandomTurnMotionModel(5.0, 1.0, 0.26, 0.0),
+      RandomTurnMotionModel(600.0, 1.0, 0.26, 0.02)};
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    const RandomTurnMotionModel& m = models[k];
+    for (const bool cached : {false, true}) {
+      for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                                  std::size_t{7}, std::size_t{125}, std::size_t{300}}) {
+        SCOPED_TRACE(::testing::Message() << "model " << k << " n " << n
+                                          << (cached ? ", cached" : ""));
+        rng::Rng batch_rng(311 + n);
+        rng::Rng sample_rng(311 + n);
+        if (cached) {
+          ASSERT_EQ(batch_rng.gaussian(), sample_rng.gaussian());
+        }
+        const TargetState state{{50.0, 60.0}, {-1.3, 2.4}};
+        std::vector<double> headings(n);
+        std::vector<double> speeds(n);
+        m.sample_polar(state.velocity.angle(), state.velocity.norm(), batch_rng, headings,
+                       speeds);
+        for (std::size_t c = 0; c < n; ++c) {
+          const geom::Vec2 expected = m.sample(state, sample_rng).velocity;
+          const geom::Vec2 velocity = geom::Vec2::from_angle(headings[c]) * speeds[c];
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(velocity.x),
+                    std::bit_cast<std::uint64_t>(expected.x))
+              << "copy " << c;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(velocity.y),
+                    std::bit_cast<std::uint64_t>(expected.y))
+              << "copy " << c;
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(batch_rng.gaussian()),
+                  std::bit_cast<std::uint64_t>(sample_rng.gaussian()));
+        EXPECT_EQ(batch_rng.uniform(), sample_rng.uniform());
+      }
+    }
+  }
+  rng::Rng rng(1);
+  std::vector<double> three(3);
+  std::vector<double> two(2);
+  EXPECT_THROW(make_motion_model(5.0).sample_polar(0.0, 1.0, rng, three, two), Error);
 }
 
 TEST(MotionModelFactory, BuildsConfiguredKind) {

@@ -61,7 +61,10 @@ compiler warnings) cannot express:
                        hands to tools/check_vectorized.py (`--source`), since
                        that gate compiles the file with its own flags
                        (-ffp-contract=off among them) and fails if the object
-                       holds any fused multiply-add.
+                       holds any fused multiply-add. The shared attribute
+                       macro CDPF_KERNEL_CLONES (src/support/kernel_clones.hpp,
+                       which waives its own definition) clones for avx512f,
+                       so it may be used only in such a file as well.
 
 A finding can be waived on a specific line with a trailing or preceding
 comment `// cdpf-lint: allow(<rule>)` — use sparingly and say why.
@@ -98,8 +101,10 @@ TARGET_ATTR_RE = re.compile(r"\btarget(?:_clones)?\s*\((?P<targets>[^()]*)\)")
 TARGET_NAME_RE = re.compile(r'"([^"]*)"')
 # The source files the object gate (tools/check_vectorized.py) compiles and
 # disassembles, as the root CMakeLists.txt registers them.
-GATED_SOURCE_RE = re.compile(
-    r"check_vectorized\.py[^)]*?--source\s+\$\{CMAKE_CURRENT_SOURCE_DIR\}/(\S+)")
+GATED_COMMAND_RE = re.compile(r"check_vectorized\.py([^)]*)")
+GATED_SOURCE_RE = re.compile(r"--source\s+\$\{CMAKE_CURRENT_SOURCE_DIR\}/(\S+)")
+# A use of the macro: any mention outside a preprocessor line.
+KERNEL_CLONES_USE_RE = re.compile(r"^(?!\s*#).*\bCDPF_KERNEL_CLONES\b")
 
 FMOD_RE = re.compile(r"(?<![\w.>])(?:std::)?fmod[fl]?\s*\(")
 
@@ -177,6 +182,11 @@ def lint_no_explicit_simd(path: pathlib.Path, lines: list[str],
                 Finding(path, i + 1, "no-explicit-simd",
                         "SIMD intrinsics are banned; write scalar loops the "
                         "compiler vectorizes"))
+        if KERNEL_CLONES_USE_RE.search(code) and not object_gated:
+            findings.append(
+                Finding(path, i + 1, "no-explicit-simd",
+                        "CDPF_KERNEL_CLONES clones for avx512f; use it only in a "
+                        "file tools/check_vectorized.py checks"))
         for m in TARGET_ATTR_RE.finditer(code):
             banned = fma_capable_targets(m.group("targets"), object_gated)
             if banned:
@@ -366,8 +376,10 @@ def main() -> int:
     findings: list[Finding] = []
 
     cmake_lists = root / "CMakeLists.txt"
-    object_gated = set(GATED_SOURCE_RE.findall(cmake_lists.read_text())
-                       if cmake_lists.is_file() else [])
+    object_gated = set()
+    if cmake_lists.is_file():
+        for command in GATED_COMMAND_RE.findall(cmake_lists.read_text()):
+            object_gated.update(GATED_SOURCE_RE.findall(command))
 
     rand_scope = []
     for sub in ("src", "examples", "bench", "tests"):

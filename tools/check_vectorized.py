@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
-"""Vectorization gate: the marked loops of a source file must vectorize, and
-the compiled object must hold no fused multiply-add.
+"""Vectorization gate: the marked loops of each source file must vectorize,
+and no compiled object may hold a fused multiply-add.
 
-Compiles SOURCE with the given compiler flags plus -fopt-info-vec-optimized
-and reads GCC's report. Every line of SOURCE that carries the marker comment
-`cdpf-check: vectorized` must be reported as a vectorized loop three times:
-with 64-byte vectors (the AVX-512F clone of a target_clones function), with
-32-byte vectors (its AVX2 clone) and with 16-byte vectors (its baseline
-x86-64 clone, SSE2).
+Compiles every SOURCE (--source, repeated) with the given compiler flags
+plus -fopt-info-vec-optimized and reads GCC's report. Every line of a SOURCE
+that carries the marker comment `cdpf-check: vectorized` must be reported as
+a vectorized loop three times: with 64-byte vectors (the AVX-512F clone of a
+target_clones function), with 32-byte vectors (its AVX2 clone) and with
+16-byte vectors (its baseline x86-64 clone, SSE2). GCC reports a loop under
+`#pragma omp simd` at the pragma's line, so such a loop carries the marker
+there. Each SOURCE must mark at least one loop.
 
-The object is then disassembled with objdump, and any vfmadd*, vfmsub*,
+Each object is then disassembled with objdump, and any vfmadd*, vfmsub*,
 vfnmadd* or vfnmsub* instruction fails the gate. A fused multiply-add rounds
 once where the scalar source rounds twice, so a clone that contracts one
-changes results bit for bit; the source file is compiled with
+changes results bit for bit; the source files are compiled with
 -ffp-contract=off so that no clone does, even where its target has FMA.
 
     tools/check_vectorized.py --compiler g++ --source src/core/batch_kernels.cpp \\
+        --source src/geom/grid_index.cpp \\
         -- -std=c++20 -Isrc -O2 -g -DNDEBUG -ffp-contract=off \\
-           -fno-trapping-math -fvect-cost-model=dynamic
+           -fno-trapping-math -fvect-cost-model=dynamic -fno-math-errno -fopenmp-simd
 
 The report format is GCC's, so with any other compiler the gate prints
 why it skipped and exits 0, as the other lint gates do when their tool is
@@ -54,35 +57,13 @@ def is_gcc(compiler: str) -> bool:
     return "Free Software Foundation" in out and "clang" not in out.lower()
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--compiler", required=True)
-    parser.add_argument("--source", required=True, type=pathlib.Path)
-    parser.add_argument("flags", nargs="*", help="compiler flags (after --)")
-    args = parser.parse_args()
-
-    if not args.source.is_file():
-        print(f"check_vectorized: no such source: {args.source}", file=sys.stderr)
-        return 2
-    marked = [i + 1 for i, line in enumerate(args.source.read_text().splitlines())
-              if MARKER in line]
-    if not marked:
-        print(f"check_vectorized: {args.source} marks no loop ({MARKER!r})", file=sys.stderr)
-        return 2
-    if not is_gcc(args.compiler):
-        print(f"check_vectorized: skipped, {args.compiler} is not GCC")
-        return 0
-
-    objdump = shutil.which("objdump")
-    if objdump is None:
-        print("check_vectorized: no objdump on PATH to disassemble the object",
-              file=sys.stderr)
-        return 2
-
+def check_source(compiler: str, objdump: str, source: pathlib.Path,
+                 marked: list[int], flags: list[str]) -> int:
+    """Compile one source and check its marked loops and its object: 0 when
+    they pass, 1 when they fail, 2 on a failed compile or disassembly."""
     with tempfile.TemporaryDirectory() as tmp:
         obj = os.path.join(tmp, "kernel.o")
-        cmd = [args.compiler, *args.flags, "-fopt-info-vec-optimized", "-c",
-               str(args.source), "-o", obj]
+        cmd = [compiler, *flags, "-fopt-info-vec-optimized", "-c", str(source), "-o", obj]
         run = subprocess.run(cmd, capture_output=True, text=True, check=False)
         if run.returncode != 0:
             print(" ".join(cmd), file=sys.stderr)
@@ -95,7 +76,7 @@ def main() -> int:
         return 2
 
     widths: dict[int, set[int]] = {}
-    name = args.source.name
+    name = source.name
     for line in run.stderr.splitlines():
         if name not in line:
             continue
@@ -108,7 +89,7 @@ def main() -> int:
         missing = [w for w in REQUIRED_WIDTHS if w not in widths.get(line_no, set())]
         if missing:
             failed = True
-            print(f"{args.source}:{line_no}: loop not vectorized with "
+            print(f"{source}:{line_no}: loop not vectorized with "
                   f"{', '.join(f'{w}-byte' for w in missing)} vectors")
     if failed:
         print(run.stderr, file=sys.stderr)
@@ -116,7 +97,7 @@ def main() -> int:
              if FMA_RE.search(line)]
     if fused:
         failed = True
-        print(f"{args.source}: object holds {len(fused)} fused multiply-add "
+        print(f"{source}: object holds {len(fused)} fused multiply-add "
               f"instruction(s), e.g. {fused[0]!r}; compile it with -ffp-contract=off")
     if failed:
         return 1
@@ -124,6 +105,40 @@ def main() -> int:
           f"with {', '.join(f'{w}-byte' for w in REQUIRED_WIDTHS)} vectors; "
           "no fused multiply-add in the object")
     return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compiler", required=True)
+    parser.add_argument("--source", required=True, type=pathlib.Path, action="append",
+                        help="a kernel source file; repeat for several")
+    parser.add_argument("flags", nargs="*", help="compiler flags (after --)")
+    args = parser.parse_args()
+
+    marked: dict[pathlib.Path, list[int]] = {}
+    for source in args.source:
+        if not source.is_file():
+            print(f"check_vectorized: no such source: {source}", file=sys.stderr)
+            return 2
+        marked[source] = [i + 1 for i, line in enumerate(source.read_text().splitlines())
+                          if MARKER in line]
+        if not marked[source]:
+            print(f"check_vectorized: {source} marks no loop ({MARKER!r})", file=sys.stderr)
+            return 2
+    if not is_gcc(args.compiler):
+        print(f"check_vectorized: skipped, {args.compiler} is not GCC")
+        return 0
+
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        print("check_vectorized: no objdump on PATH to disassemble the object",
+              file=sys.stderr)
+        return 2
+
+    status = 0
+    for source, lines in marked.items():
+        status = max(status, check_source(args.compiler, objdump, source, lines, args.flags))
+    return status
 
 
 if __name__ == "__main__":

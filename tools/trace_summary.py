@@ -13,7 +13,10 @@ Output (markdown, to stdout or --out):
     one row per filter iteration with its duration and the per-phase
     breakdown (propagate / correct / likelihood / assign), attributing each
     phase span to the iteration span that contains it on the same thread;
-  * instant-event counts (radio transmissions et al.).
+  * instant-event counts by name, when the trace holds any (the library
+    records none of its own: radio traffic is counted by the `comm-*`
+    metrics counters and the `comm-bytes-total` counter track, not traced
+    per message).
 
 Requires only the Python standard library.
 
