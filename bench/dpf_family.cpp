@@ -1,7 +1,6 @@
 // Extension bench: the "compress the data, not the messages" DPF family the
-// paper contrasts CDPF with (§I, §VII) — CPF (raw measurements), DPF
-// (quantized measurements, Coates [10]) and GMM-DPF (Gaussian-mixture
-// posterior compression, Sheng et al. [5]) — against CDPF/CDPF-NE.
+// paper contrasts CDPF with (§I, §VII) — CPF (raw measurements) and DPF
+// (quantized measurements, Coates [10]) — against SDPF and CDPF/CDPF-NE.
 //
 // The point the paper makes analytically: the compression family reduces
 // BYTES but not MESSAGES, while the completely distributed family reduces
@@ -9,6 +8,7 @@
 //
 //   ./dpf_family [--density=20] [--trials=5]
 #include <iostream>
+#include <iterator>
 
 #include "bench_util.hpp"
 
@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
     support::CliArgs args(argc, argv);
     sim::CliSpec spec;
     spec.description =
-        "Compression-family DPF baselines (DPF, GMM-DPF) vs CDPF/CDPF-NE.";
+        "Compression-family baseline DPF vs CDPF/CDPF-NE.";
     spec.extra = {{"--density=20", "node density per 100 m^2"}};
     spec.sweep = false;
     spec.default_trials = 5;
@@ -40,12 +40,11 @@ int main(int argc, char** argv) {
     const Entry entries[] = {
         {sim::AlgorithmKind::kCpf, "centralized"},
         {sim::AlgorithmKind::kDpf, "compression (quantized)"},
-        {sim::AlgorithmKind::kGmmDpf, "compression (GMM)"},
         {sim::AlgorithmKind::kSdpf, "semi-distributed"},
         {sim::AlgorithmKind::kCdpf, "completely distributed"},
         {sim::AlgorithmKind::kCdpfNe, "completely distributed"},
     };
-    constexpr std::size_t kEntries = 6;
+    const std::size_t kEntries = std::size(entries);
 
     const sim::SweepGrid grid(1, kEntries, options.trials);
 
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
       table.commit_row(row);
     }
     bench::emit(table, options.csv_path, "DPF family");
-    std::cout << "\nThe compression family (DPF, GMM-DPF) shrinks bytes but"
+    std::cout << "\nThe compression family (DPF) shrinks bytes but"
                  " keeps per-measurement messages; the completely distributed"
                  " family shrinks both — the paper's core argument for CDPF"
                  " in duty-cycled networks.\n";

@@ -8,6 +8,7 @@
 //                    [--trace=out.json] [--metrics=out.json]
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "core/cdpf.hpp"
 #include "sim/cli_options.hpp"
@@ -19,8 +20,8 @@ int main(int argc, char** argv) {
     support::CliArgs args(argc, argv);
     sim::CliSpec spec;
     spec.description = "Per-iteration diagnostic of one algorithm on one run.";
-    spec.extra = {{"--algo=CDPF-NE", "algorithm name (CPF, DPF, SDPF, CDPF, "
-                                     "CDPF-NE, GMM-DPF)"},
+    const std::string algo_help = "algorithm name (" + sim::algorithm_names() + ")";
+    spec.extra = {{"--algo=CDPF-NE", algo_help.c_str()},
                   {"--density=20", "node density per 100 m^2"},
                   {"--seed=42", "root seed"},
                   {"--trial=0", "trial index within the seed stream"},

@@ -1,14 +1,14 @@
 // The one bearing-evidence path every tracker scores through.
 //
-// All six trackers use the same measurement model for a bearing (paper
+// All five trackers use the same measurement model for a bearing (paper
 // Eq. 5); they differ only in WHO evaluates it. BearingEvidence holds one
 // iteration's shared bearings (the (sensor position, bearing) records a
-// sink, a cluster head or a host hears) and scores a batch of points in the
-// two ways the trackers need:
+// sink or a host hears) and scores a batch of points in the two ways the
+// trackers need:
 //
 //  * log_likelihoods(xs, ys, out) — the ungated sum over every record: the
-//    sink or head filters (CPF/DPF, GMM-DPF) score their whole cloud in one
-//    call, as do the centralized benches.
+//    sink filter (CPF/DPF) scores its whole cloud in one call, as do the
+//    centralized benches.
 //  * host_factors(xs, ys, out) — the node-hosted filters (CDPF, SDPF) score
 //    all their hosts in one call: the sum over the records a host can hear
 //    (d^2 <= r_c^2), taken relative to the log-likelihood at the sender
@@ -89,7 +89,7 @@ inline double quantization_length(const wsn::Network& network) {
   return density_per_m2 > 0.0 ? 0.5 / std::sqrt(density_per_m2) : 0.0;
 }
 
-/// Spatial resolution (m) of the sink-side particle clouds (CPF, GMM-DPF)
+/// Spatial resolution (m) of the sink-side particle cloud (CPF and DPF)
 /// folded into the likelihood as extra angular noise delta/d per sensor.
 /// This keeps sensors that sit almost on top of the target (d -> 0, where
 /// any finite particle cloud is too coarse for the bearing geometry) from

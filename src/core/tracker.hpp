@@ -19,7 +19,7 @@ namespace cdpf::core {
 inline constexpr geom::Vec2 kInitialVelocityMean{3.0, 0.0};
 inline constexpr double kInitialVelocitySigma = 1.0;
 
-/// Position prior (m) of the sink-side particle clouds (CPF, GMM-DPF)
+/// Position prior (m) of the sink-side particle cloud (CPF and DPF)
 /// around the centroid of the first detecting nodes: ~ the sensing radius.
 inline constexpr double kInitialPositionSigma = 10.0;
 

@@ -17,10 +17,6 @@ void normalize_weights(std::span<Particle> particles, double total) {
   }
 }
 
-void normalize_weights(std::span<Particle> particles) {
-  normalize_weights(particles, total_weight(particles));
-}
-
 double effective_sample_size(std::span<const Particle> particles) {
   const double sum_sq = support::weight_total(
       particles, [](const Particle& p) { return p.weight * p.weight; });
@@ -37,21 +33,6 @@ tracking::TargetState weighted_mean_state(std::span<const Particle> particles) {
     velocity += p.state.velocity * p.weight;
   }
   return {position / total, velocity / total};
-}
-
-PositionCovariance weighted_position_covariance(std::span<const Particle> particles) {
-  const double total = total_weight(particles);
-  CDPF_CHECK_MSG(total > 0.0, "covariance needs a positive total weight");
-  const tracking::TargetState mean = weighted_mean_state(particles);
-  PositionCovariance cov;
-  for (const Particle& p : particles) {
-    const geom::Vec2 d = p.state.position - mean.position;
-    const double w = p.weight / total;
-    cov.xx += w * d.x * d.x;
-    cov.xy += w * d.x * d.y;
-    cov.yy += w * d.y * d.y;
-  }
-  return cov;
 }
 
 }  // namespace cdpf::filters

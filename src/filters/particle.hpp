@@ -24,9 +24,6 @@ double total_weight(std::span<const Particle> particles);
 /// Throws cdpf::Error when total <= 0.
 void normalize_weights(std::span<Particle> particles, double total);
 
-/// Normalize by the locally computed total.
-void normalize_weights(std::span<Particle> particles);
-
 /// Effective sample size 1 / sum(w_i^2) of *normalized* weights; the classic
 /// degeneracy diagnostic. Returns 0 for an empty set.
 double effective_sample_size(std::span<const Particle> particles);
@@ -34,14 +31,5 @@ double effective_sample_size(std::span<const Particle> particles);
 /// Weighted mean of particle states (positions and velocities). Requires a
 /// positive total weight.
 tracking::TargetState weighted_mean_state(std::span<const Particle> particles);
-
-/// Weighted position covariance (2x2, row-major {xx, xy, yx, yy}) around the
-/// weighted mean; used by tests and by the KLD-style diagnostics.
-struct PositionCovariance {
-  double xx = 0.0;
-  double xy = 0.0;
-  double yy = 0.0;
-};
-PositionCovariance weighted_position_covariance(std::span<const Particle> particles);
 
 }  // namespace cdpf::filters

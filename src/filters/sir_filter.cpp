@@ -28,12 +28,6 @@ void SirFilter::initialize(const tracking::TargetState& mean, geom::Vec2 positio
   }
 }
 
-void SirFilter::initialize(std::vector<Particle> particles) {
-  CDPF_CHECK_MSG(!particles.empty(), "cannot initialize from an empty particle set");
-  particles_ = std::move(particles);
-  normalize_weights(particles_);
-}
-
 void SirFilter::predict(rng::Rng& rng) {
   CDPF_CHECK_MSG(initialized(), "predict() before initialize()");
   for (Particle& p : particles_) {

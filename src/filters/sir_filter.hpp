@@ -6,8 +6,8 @@
 // iteration.
 //
 // The measurement update takes one log-likelihood per particle, scored by
-// the caller in whatever batch suits it (CPF and GMM-DPF score every
-// particle's position through core::BearingEvidence in one call), so one
+// the caller in whatever batch suits it (CPF scores every particle's
+// position through core::BearingEvidence in one call), so one
 // filter implementation serves bearings-only tracking, multi-sensor fusion
 // and the tests' synthetic models. Updates are performed in the log domain
 // with max-subtraction so products over many sensors cannot underflow.
@@ -40,9 +40,6 @@ class SirFilter {
   /// Draw the initial particle cloud from a Gaussian prior around `mean`.
   void initialize(const tracking::TargetState& mean, geom::Vec2 position_sigma,
                   geom::Vec2 velocity_sigma, rng::Rng& rng);
-
-  /// Adopt an externally built particle set (weights need not be normalized).
-  void initialize(std::vector<Particle> particles);
 
   bool initialized() const { return !particles_.empty(); }
 

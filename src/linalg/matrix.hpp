@@ -1,8 +1,7 @@
 // 2x2 dense linear algebra.
 //
 // Every tracker works in the plane, so the only systems any figure solves
-// are 2x2: the covariances of GMM-DPF's Gaussian mixture and the normal
-// equations of range-based localization.
+// are 2x2: the normal equations of range-based localization.
 #pragma once
 
 #include <array>
@@ -15,32 +14,19 @@
 
 namespace cdpf::linalg {
 
-/// Row-major 2x2 matrix; default-constructed to zero.
-class Mat2 {
- public:
-  constexpr Mat2() = default;
-  constexpr Mat2(double a00, double a01, double a10, double a11)
-      : data_{a00, a01, a10, a11} {}
+/// Row-major 2x2 matrix, an aggregate: Mat2{a00, a01, a10, a11}, zero when
+/// default-initialized.
+struct Mat2 {
+  std::array<double, 4> entries{};
 
   constexpr double& operator()(std::size_t r, std::size_t c) {
     CDPF_ASSERT(r < 2 && c < 2);
-    return data_[r * 2 + c];
+    return entries[r * 2 + c];
   }
   constexpr double operator()(std::size_t r, std::size_t c) const {
     CDPF_ASSERT(r < 2 && c < 2);
-    return data_[r * 2 + c];
+    return entries[r * 2 + c];
   }
-
-  constexpr Mat2 operator*(double s) const {
-    Mat2 out;
-    for (std::size_t i = 0; i < 4; ++i) {
-      out.data_[i] = data_[i] * s;
-    }
-    return out;
-  }
-
- private:
-  std::array<double, 4> data_{};
 };
 
 /// m * v; zero entries of m are skipped (a zero times an infinite or NaN
@@ -58,18 +44,6 @@ inline geom::Vec2 operator*(const Mat2& m, geom::Vec2 v) {
     }
   }
   return {out[0], out[1]};
-}
-
-/// Symmetric part; keeps covariance updates symmetric in the presence of
-/// floating-point drift.
-inline Mat2 symmetrized(const Mat2& m) {
-  Mat2 out;
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (std::size_t c = 0; c < 2; ++c) {
-      out(r, c) = (m(r, c) + m(c, r)) * 0.5;
-    }
-  }
-  return out;
 }
 
 /// Gauss-Jordan inverse with partial pivoting. Throws cdpf::Error when the
@@ -105,18 +79,6 @@ inline Mat2 inverse(const Mat2& m) {
     }
   }
   return inv;
-}
-
-/// Lower-triangular Cholesky factor L with m = L * L^T, read from m's lower
-/// triangle. Throws cdpf::Error when m is not (numerically) positive
-/// definite.
-inline Mat2 cholesky(const Mat2& m) {
-  CDPF_CHECK_MSG(m(0, 0) > 0.0, "matrix is not positive definite");
-  const double l00 = std::sqrt(m(0, 0));
-  const double l10 = m(1, 0) / l00;
-  const double s = m(1, 1) - l10 * l10;
-  CDPF_CHECK_MSG(s > 0.0, "matrix is not positive definite");
-  return {l00, 0.0, l10, std::sqrt(s)};
 }
 
 /// Determinant by elimination with partial pivoting; 0 when a pivot

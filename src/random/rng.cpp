@@ -77,29 +77,4 @@ void Rng::uniform_normal_pairs(std::span<double> uniforms, std::span<double> nor
   }
 }
 
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  CDPF_CHECK_MSG(!weights.empty(), "categorical needs at least one weight");
-  double total = 0.0;
-  for (const double w : weights) {
-    CDPF_CHECK_MSG(w >= 0.0, "categorical weights must be non-negative");
-    total += w;
-  }
-  CDPF_CHECK_MSG(total > 0.0, "categorical needs a positive total weight");
-  double u = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    u -= weights[i];
-    if (u < 0.0) {
-      return i;
-    }
-  }
-  // Floating-point accumulation can land exactly on the boundary; return the
-  // last index with positive weight.
-  for (std::size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0.0) {
-      return i;
-    }
-  }
-  return weights.size() - 1;
-}
-
 }  // namespace cdpf::rng

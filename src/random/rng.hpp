@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "random/engine.hpp"
 #include "support/check.hpp"
@@ -80,10 +79,6 @@ class Rng {
     CDPF_CHECK_MSG(p >= 0.0 && p <= 1.0, "bernoulli p must be within [0, 1]");
     return uniform() < p;
   }
-
-  /// Sample an index from unnormalized non-negative weights. Requires at
-  /// least one strictly positive weight.
-  std::size_t categorical(const std::vector<double>& weights);
 
  private:
   Xoshiro256StarStar engine_;

@@ -15,12 +15,6 @@ namespace {
 /// Bearing quantization levels of the DPF baseline: P = 1 byte.
 constexpr std::size_t kDpfQuantizationLevels = 256;
 
-/// Every tracker kind, in registry order: the names algorithm_from_name
-/// knows and make_tracker lists when it does not know one.
-constexpr AlgorithmKind kAllKinds[] = {AlgorithmKind::kCpf,    AlgorithmKind::kDpf,
-                                       AlgorithmKind::kSdpf,   AlgorithmKind::kCdpf,
-                                       AlgorithmKind::kCdpfNe, AlgorithmKind::kGmmDpf};
-
 }  // namespace
 
 std::size_t Scenario::node_count() const {
@@ -34,18 +28,26 @@ std::string_view algorithm_name(AlgorithmKind kind) {
     case AlgorithmKind::kSdpf: return "SDPF";
     case AlgorithmKind::kCdpf: return "CDPF";
     case AlgorithmKind::kCdpfNe: return "CDPF-NE";
-    case AlgorithmKind::kGmmDpf: return "GMM-DPF";
   }
   return "?";
 }
 
 std::optional<AlgorithmKind> algorithm_from_name(std::string_view name) {
-  for (const AlgorithmKind kind : kAllKinds) {
+  for (const AlgorithmKind kind : kAllAlgorithms) {
     if (algorithm_name(kind) == name) {
       return kind;
     }
   }
   return std::nullopt;
+}
+
+std::string algorithm_names() {
+  std::string names;
+  for (const AlgorithmKind kind : kAllAlgorithms) {
+    names += names.empty() ? "" : ", ";
+    names += algorithm_name(kind);
+  }
+  return names;
 }
 
 std::unique_ptr<core::TrackerAlgorithm> make_tracker(AlgorithmKind kind,
@@ -75,8 +77,6 @@ std::unique_ptr<core::TrackerAlgorithm> make_tracker(AlgorithmKind kind,
       config.use_neighborhood_estimation = true;
       return std::make_unique<core::Cdpf>(network, radio, config);
     }
-    case AlgorithmKind::kGmmDpf:
-      return std::make_unique<core::GmmDpf>(network, radio, params.gmm_dpf);
   }
   throw Error("unknown algorithm kind");
 }
@@ -87,13 +87,8 @@ std::unique_ptr<core::TrackerAlgorithm> make_tracker(std::string_view name,
                                                      const AlgorithmParams& params) {
   const std::optional<AlgorithmKind> kind = algorithm_from_name(name);
   if (!kind) {
-    std::string known;
-    for (const AlgorithmKind k : kAllKinds) {
-      known += known.empty() ? "" : ", ";
-      known += algorithm_name(k);
-    }
-    throw Error("unknown algorithm '" + std::string(name) + "' (known: " + known +
-                ")");
+    throw Error("unknown algorithm '" + std::string(name) +
+                "' (known: " + algorithm_names() + ")");
   }
   return make_tracker(*kind, network, radio, params);
 }

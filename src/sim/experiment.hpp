@@ -11,11 +11,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "core/cdpf.hpp"
 #include "core/cpf.hpp"
-#include "core/gmm_dpf.hpp"
 #include "core/sdpf.hpp"
 #include "core/tracker.hpp"
 #include "sim/engine.hpp"
@@ -42,10 +42,10 @@ enum class AlgorithmKind : std::uint8_t {
   kSdpf,
   kCdpf,
   kCdpfNe,
-  kGmmDpf,  // Sheng et al. [5]: GMM-compressed DPF (extension baseline)
 };
-/// The paper's own comparison set (GMM-DPF is an extension and is swept by
-/// its dedicated bench instead).
+/// Every tracker kind, in registry order: the paper's comparison set, the
+/// names algorithm_from_name() knows and make_tracker() lists when it does
+/// not know one.
 inline constexpr AlgorithmKind kAllAlgorithms[] = {
     AlgorithmKind::kCpf, AlgorithmKind::kDpf, AlgorithmKind::kSdpf,
     AlgorithmKind::kCdpf, AlgorithmKind::kCdpfNe};
@@ -53,16 +53,19 @@ inline constexpr AlgorithmKind kAllAlgorithms[] = {
 std::string_view algorithm_name(AlgorithmKind kind);
 
 /// Inverse of algorithm_name(): look an algorithm up by its registry-key
-/// name ("CPF", "DPF", "SDPF", "CDPF", "CDPF-NE", "GMM-DPF"); nullopt when
-/// the name is unknown.
+/// name ("CPF", "DPF", "SDPF", "CDPF", "CDPF-NE"); nullopt when the name is
+/// unknown.
 std::optional<AlgorithmKind> algorithm_from_name(std::string_view name);
+
+/// Every registry-key name in registry order, comma-separated: the list
+/// make_tracker() reports for an unknown name.
+std::string algorithm_names();
 
 /// Per-algorithm tuning knobs, defaulted to the paper's configuration.
 struct AlgorithmParams {
   core::CpfConfig cpf;     // also used by the DPF variant
   core::SdpfConfig sdpf;
   core::CdpfConfig cdpf;   // also used by CDPF-NE
-  core::GmmDpfConfig gmm_dpf;
 };
 
 /// Instantiate a tracker of the given kind over (network, radio).

@@ -45,6 +45,9 @@ ObservabilityScope::ObservabilityScope(std::string trace_path,
 ObservabilityScope::~ObservabilityScope() {
   if (!trace_path_.empty()) {
     support::Trace::stop();
+    if (const std::size_t dropped = support::Trace::dropped(); dropped > 0) {
+      std::fprintf(stderr, "warning: trace dropped %zu events\n", dropped);
+    }
     if (!support::Trace::write_chrome_json(trace_path_)) {
       std::fprintf(stderr, "warning: failed to write trace to %s\n",
                    trace_path_.c_str());

@@ -22,8 +22,9 @@ void observe_comm(const wsn::CommStats& stats,
 
 /// RAII observability session for a CLI run. On construction: resets the
 /// global metrics registry and, when a trace path is given, starts a trace
-/// session. On destruction: stops the session and writes the requested
-/// files — the trace as Chrome trace JSON, the metrics as a
+/// session. On destruction: stops the session, warns on stderr when the
+/// trace dropped events (a full per-thread buffer), and writes the
+/// requested files — the trace as Chrome trace JSON, the metrics as a
 /// `cdpf-metrics/1` snapshot.
 ///
 /// In a default build (tracing compiled out) a `--trace` file is still

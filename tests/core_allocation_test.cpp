@@ -4,14 +4,10 @@
 // drive it — that covers sensing the detecting set and its bearings from
 // ground truth, the propagation round and the weight-assignment step. The
 // same holds for CentralizedPf::iterate(): detection, the convergecast, the
-// SIR update and resampling; for Sdpf::iterate(): propagation and
+// SIR update and resampling; and for Sdpf::iterate(): propagation and
 // re-hosting, the regroup by host, pruning, seeding, the transceiver round
-// and local resampling; and for GmmDpf::iterate() in every iteration
-// without a head handoff: detection, head election, the members' unicasts,
-// the SIR step and the routed sink report. A handoff still allocates — the
-// EM mixture fit and the cloud redrawn from it — so those iterations are
-// not measured. The test swaps in counting replacements for the global
-// allocation functions and asserts the counter stays at zero across
+// and local resampling. The test swaps in counting replacements for the
+// global allocation functions and asserts the counter stays at zero across
 // measured iterations.
 //
 // take_estimates() intentionally stays OUTSIDE the measured window: handing
@@ -33,7 +29,6 @@
 
 #include "core/cdpf.hpp"
 #include "core/cpf.hpp"
-#include "core/gmm_dpf.hpp"
 #include "core/sdpf.hpp"
 #include "sim/experiment.hpp"
 #include "wsn/deployment.hpp"
@@ -198,51 +193,6 @@ std::size_t sdpf_steady_state_allocations() {
   return g_allocations.load();
 }
 
-/// Allocations performed inside the GmmDpf::iterate() calls after a warm-up
-/// phase that hand no cluster head over (handoffs() unchanged). Counts the
-/// measured iterations without a handoff into `quiet_iterations`.
-std::size_t gmm_dpf_steady_state_allocations(int& quiet_iterations) {
-  rng::Rng rng(424242);
-  const geom::Aabb field = geom::Aabb::square(200.0);
-  const auto positions = wsn::deploy_uniform_random(
-      wsn::node_count_for_density(20.0, field), field, rng);
-  wsn::Network network(positions, wsn::NetworkConfig{field, 10.0, 30.0});
-  wsn::Radio radio(network, wsn::PayloadSizes{});
-
-  core::GmmDpfConfig config;
-  config.dt = kDt;
-  core::GmmDpf filter(network, radio, config);
-  // A slow target keeps the head (the detecting node nearest the detecting
-  // centroid) in place for several steps at a time.
-  auto truth = [](int step) {
-    const double t = kDt * static_cast<double>(step);
-    return tracking::TargetState{{60.0 + 0.3 * t, 100.0}, {0.3, 0.0}};
-  };
-
-  constexpr int kGmmMeasuredSteps = 40;
-  for (int step = 0; step < kWarmupSteps; ++step) {
-    filter.iterate(truth(step), kDt * static_cast<double>(step), rng);
-    (void)filter.take_estimates();
-  }
-  EXPECT_NE(filter.head(), wsn::kInvalidNodeId) << "warm-up never elected a head";
-
-  std::size_t allocations = 0;
-  quiet_iterations = 0;
-  for (int step = kWarmupSteps; step < kWarmupSteps + kGmmMeasuredSteps; ++step) {
-    const std::size_t handoffs = filter.handoffs();
-    g_allocations.store(0);
-    g_counting.store(true);
-    filter.iterate(truth(step), kDt * static_cast<double>(step), rng);
-    g_counting.store(false);
-    if (filter.handoffs() == handoffs) {
-      allocations += g_allocations.load();
-      ++quiet_iterations;
-    }
-    (void)filter.take_estimates();
-  }
-  return allocations;
-}
-
 /// Heap blocks and bytes requested while constructing one tracker.
 struct Footprint {
   std::size_t blocks = 0;
@@ -317,12 +267,6 @@ TEST(SteadyStateAllocation, CdpfIterateFromTruthIsAllocationFree) {
 
 TEST(SteadyStateAllocation, CdpfNeIterateFromTruthIsAllocationFree) {
   EXPECT_EQ(cdpf_iterate_allocations(true), 0u);
-}
-
-TEST(SteadyStateAllocation, GmmDpfIterationWithoutHandoffIsAllocationFree) {
-  int quiet_iterations = 0;
-  EXPECT_EQ(gmm_dpf_steady_state_allocations(quiet_iterations), 0u);
-  EXPECT_GE(quiet_iterations, 10) << "too few iterations without a head handoff";
 }
 
 }  // namespace

@@ -29,12 +29,6 @@ TEST(ParticleSet, NormalizeByExplicitTotal) {
   EXPECT_THROW(normalize_weights(p, 0.0), Error);
 }
 
-TEST(ParticleSet, NormalizeByComputedTotal) {
-  auto p = three_particles();
-  normalize_weights(p);
-  EXPECT_NEAR(total_weight(p), 1.0, 1e-15);
-}
-
 TEST(ParticleSet, EffectiveSampleSizeBounds) {
   // Uniform weights: ESS == N. Degenerate: ESS == 1.
   std::vector<Particle> uniform(10, Particle{{{0.0, 0.0}, {0.0, 0.0}}, 0.1});
@@ -53,24 +47,6 @@ TEST(ParticleSet, WeightedMeanState) {
   EXPECT_NEAR(mean.velocity.x, (1.0 + 0.0 + 1.0) / 4.0, 1e-12);
   std::vector<Particle> zero{{{{1.0, 1.0}, {0.0, 0.0}}, 0.0}};
   EXPECT_THROW(weighted_mean_state(zero), Error);
-}
-
-TEST(ParticleSet, PositionCovarianceOfSymmetricCloud) {
-  std::vector<Particle> p{{{{-1.0, 0.0}, {}}, 1.0},
-                          {{{1.0, 0.0}, {}}, 1.0},
-                          {{{0.0, -2.0}, {}}, 1.0},
-                          {{{0.0, 2.0}, {}}, 1.0}};
-  const PositionCovariance cov = weighted_position_covariance(p);
-  EXPECT_NEAR(cov.xx, 0.5, 1e-12);
-  EXPECT_NEAR(cov.yy, 2.0, 1e-12);
-  EXPECT_NEAR(cov.xy, 0.0, 1e-12);
-}
-
-TEST(ParticleSet, CovarianceRespectsWeights) {
-  std::vector<Particle> p{{{{-1.0, 0.0}, {}}, 3.0}, {{{1.0, 0.0}, {}}, 1.0}};
-  // Mean = -0.5; E[(x-mean)^2] = (3*(0.25) + 1*(2.25)) / 4 = 0.75.
-  const PositionCovariance cov = weighted_position_covariance(p);
-  EXPECT_NEAR(cov.xx, 0.75, 1e-12);
 }
 
 }  // namespace

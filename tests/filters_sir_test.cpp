@@ -123,15 +123,6 @@ TEST(SirFilter, TracksStaticTargetWithBearings) {
   EXPECT_NEAR(geom::distance(filter.estimate().position, truth), 0.0, 1.0);
 }
 
-TEST(SirFilter, ExternalParticleInitializationNormalizes) {
-  SirFilter filter = make_filter(3);
-  std::vector<Particle> particles{{{{1.0, 0.0}, {}}, 2.0}, {{{3.0, 0.0}, {}}, 6.0}};
-  filter.initialize(std::move(particles));
-  EXPECT_NEAR(total_weight(filter.particles()), 1.0, 1e-12);
-  EXPECT_NEAR(filter.estimate().position.x, (1.0 * 0.25 + 3.0 * 0.75), 1e-12);
-  EXPECT_THROW(filter.initialize(std::vector<Particle>{}), Error);
-}
-
 TEST(SirFilter, ConfigValidation) {
   SirFilterConfig bad;
   bad.num_particles = 0;

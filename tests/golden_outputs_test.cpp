@@ -6,10 +6,10 @@
 // FNV-1a digest. The expected digests were recorded on the library before
 // any of the baselines' hot paths were optimized, so a refactor that claims
 // "same numbers, less time" is checked here rather than argued. The CPF,
-// DPF, GMM-DPF and SDPF cells were re-pinned once, on purpose, when those
+// DPF and SDPF cells were re-pinned once, on purpose, when those
 // trackers moved to CDPF's variance-form bearing kernel (rounding-level
 // drift; CommStats unchanged). The CPF and SDPF believed-position cells
-// were re-pinned once more when CPF/DPF, SDPF and GMM-DPF started measuring
+// were re-pinned once more when CPF/DPF and SDPF started measuring
 // bearings from each sensor's true position, as CDPF, the multi-target
 // tracker and the detection model do; they had measured from the believed
 // one. No other cell runs on believed positions, so no other cell moved.
@@ -24,10 +24,7 @@
 // (inverse variances) per evaluation point: the same model, rounded
 // differently, with CommStats unchanged. For CPF, DPF, SDPF and CDPF the
 // per-trial RMSE and mean error moved by at most 1e-13 relative (fig6 and
-// dpf_family; DPF estimates by at most 3.3e-13 m). GMM-DPF's EM mixture
-// refit at each head handoff amplifies rounding: its estimates moved by up to
-// 0.14 m and its per-trial RMSE by up to 2.5% relative, with dpf_family's
-// printed table unchanged.
+// dpf_family; DPF estimates by at most 3.3e-13 m).
 // CDPF-NE weighs particles by neighbourhood estimation, not by bearings, so
 // its cells did not move.
 // The eight believed-position cells were re-pinned once more when the radio
@@ -38,7 +35,7 @@
 // propagation; with believed == true positions the rule is the old one, so
 // no other cell moved.
 //
-// The grid covers all six trackers at two seeds and three densities, CPF and
+// The grid covers all five trackers at two seeds and three densities, CPF and
 // SDPF under a randomized 50% duty cycle with TDSS wake-ups (sink kept
 // awake, as perfbench's churn-dense workload does), and CPF and SDPF running
 // on believed positions from wsn::localize. CDPF and CDPF-NE run under both
@@ -186,12 +183,6 @@ constexpr GoldenCell kCells[] = {
     {"DPF_d20_b", kDpf, 20.0, kSeedB, kStatic, 0x2724566dd9cfab5aull},
     {"DPF_d40_a", kDpf, 40.0, kSeedA, kStatic, 0x426a622caa3cb167ull},
     {"DPF_d40_b", kDpf, 40.0, kSeedB, kStatic, 0x66f3544d3bacd7b8ull},
-    {"GMMDPF_d10_a", kGmmDpf, 10.0, kSeedA, kStatic, 0x94b82711e33b5082ull},
-    {"GMMDPF_d10_b", kGmmDpf, 10.0, kSeedB, kStatic, 0xaa7d2d97b9fa36d2ull},
-    {"GMMDPF_d20_a", kGmmDpf, 20.0, kSeedA, kStatic, 0x42a4d33ed561cc71ull},
-    {"GMMDPF_d20_b", kGmmDpf, 20.0, kSeedB, kStatic, 0x129a55dddc900273ull},
-    {"GMMDPF_d40_a", kGmmDpf, 40.0, kSeedA, kStatic, 0x8b7162cec8885bdbull},
-    {"GMMDPF_d40_b", kGmmDpf, 40.0, kSeedB, kStatic, 0x413972200004ac31ull},
     {"SDPF_d10_a", kSdpf, 10.0, kSeedA, kStatic, 0x02401ed79abe3535ull},
     {"SDPF_d10_b", kSdpf, 10.0, kSeedB, kStatic, 0xc6135358c464a607ull},
     {"SDPF_d20_a", kSdpf, 20.0, kSeedA, kStatic, 0x60516917801e6118ull},

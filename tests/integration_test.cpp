@@ -149,9 +149,7 @@ TEST(Integration, EveryTrackerEstimatesInTheBelievedFrame) {
   for (const double density : {10.0, 20.0}) {
     Scenario scenario;
     scenario.density_per_100m2 = density;
-    for (const AlgorithmKind kind :
-         {AlgorithmKind::kCpf, AlgorithmKind::kDpf, AlgorithmKind::kSdpf,
-          AlgorithmKind::kCdpf, AlgorithmKind::kCdpfNe, AlgorithmKind::kGmmDpf}) {
+    for (const AlgorithmKind kind : kAllAlgorithms) {
       geom::Vec2 error_sum{};
       std::size_t estimates = 0;
       for (std::size_t trial = 0; trial < 3; ++trial) {

@@ -120,7 +120,7 @@ TEST_P(ResamplingSweep, MassAndCountInvariants) {
   ASSERT_EQ(particles.size(), count);
   ASSERT_NEAR(filters::total_weight(particles), mass, 1e-9);
   // ESS is defined on normalized weights; after resampling it equals N.
-  filters::normalize_weights(particles);
+  filters::normalize_weights(particles, filters::total_weight(particles));
   ASSERT_NEAR(filters::effective_sample_size(particles), static_cast<double>(count),
               1e-6 * static_cast<double>(count));
 }

@@ -182,26 +182,5 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_THROW(rng.bernoulli(1.5), Error);
 }
 
-TEST(Rng, CategoricalMatchesWeights) {
-  Rng rng(43);
-  const std::vector<double> weights{1.0, 3.0, 0.0, 6.0};
-  std::array<int, 4> counts{};
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    counts[rng.categorical(weights)]++;
-  }
-  EXPECT_EQ(counts[2], 0);  // zero weight never drawn
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.01);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.01);
-}
-
-TEST(Rng, CategoricalRejectsInvalidWeights) {
-  Rng rng(47);
-  EXPECT_THROW(rng.categorical({}), Error);
-  EXPECT_THROW(rng.categorical({0.0, 0.0}), Error);
-  EXPECT_THROW(rng.categorical({1.0, -0.5}), Error);
-}
-
 }  // namespace
 }  // namespace cdpf::rng

@@ -400,7 +400,7 @@ TEST(AlgorithmRegistry, LooksUpEveryAlgorithmByName) {
     ASSERT_TRUE(back.has_value()) << sim::algorithm_name(kind);
     EXPECT_EQ(*back, kind);
   }
-  EXPECT_EQ(sim::algorithm_from_name("GMM-DPF"), sim::AlgorithmKind::kGmmDpf);
+  EXPECT_FALSE(sim::algorithm_from_name("GMM-DPF").has_value());  // retired
   EXPECT_FALSE(sim::algorithm_from_name("NOPE").has_value());
   EXPECT_FALSE(sim::algorithm_from_name("cdpf").has_value());  // case-exact
 }
@@ -416,12 +416,15 @@ TEST(AlgorithmRegistry, MakeTrackerByNameMatchesTrackerName) {
   const auto tracker = sim::make_tracker("CDPF-NE", network, radio, params);
   EXPECT_EQ(std::string(tracker->name()), "CDPF-NE");
 
-  try {
-    sim::make_tracker("bogus", network, radio, params);
-    FAIL() << "unknown name must throw";
-  } catch (const cdpf::Error& e) {
-    // The error lists the registry so typos are self-diagnosing.
-    EXPECT_NE(std::string(e.what()).find("CDPF-NE"), std::string::npos);
+  for (const char* unknown : {"bogus", "GMM-DPF"}) {
+    try {
+      sim::make_tracker(unknown, network, radio, params);
+      FAIL() << unknown << ": an unknown name must throw";
+    } catch (const cdpf::Error& e) {
+      // The error lists the registry, exactly, so typos are self-diagnosing.
+      const std::string what = e.what();
+      EXPECT_TRUE(what.ends_with("(known: CPF, DPF, SDPF, CDPF, CDPF-NE)")) << what;
+    }
   }
 }
 

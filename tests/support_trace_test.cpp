@@ -7,6 +7,7 @@
 // CDPF_TRACE_* instrumentation macros are compiled in (CDPF_TRACING).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -329,6 +330,24 @@ TEST(ObservabilityScope, WritesTraceAndMetricsFilesOnDestruction) {
   EXPECT_GT(member(metrics_doc, "metrics").array.size(), 0u);
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
+}
+
+TEST(ObservabilityScope, WarnsOnStderrWhenTheTraceDroppedEvents) {
+  const std::string trace_path = temp_path("scope_dropped.json");
+  for (const int records : {4, 10}) {
+    testing::internal::CaptureStderr();
+    {
+      sim::ObservabilityScope scope(trace_path, "");
+      support::Trace::start(4);  // a 4-event buffer: 10 records drop 6
+      for (int i = 0; i < records; ++i) {
+        support::Trace::record_counter("scope-fill", 1.0);
+      }
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    const std::string expected = records == 10 ? "warning: trace dropped 6 events\n" : "";
+    EXPECT_EQ(err.substr(std::min(err.find("warning: trace dropped"), err.size())), expected);
+  }
+  std::remove(trace_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ Chrome trace format JSON (an object with a `traceEvents` array).
 
 Output (markdown, to stdout or --out):
 
+  * a header with the event count, the events the writer dropped (from the
+    trace's `otherData.dropped`; "not recorded" when the trace has no such
+    field) and the number of `trial-run` spans;
   * a per-stage table: for every span name, the event count and the total /
     mean / min / max duration in milliseconds, sorted by total time — the
     "where does the iteration go" view;
@@ -18,7 +21,8 @@ Output (markdown, to stdout or --out):
     metrics counters and the `comm-bytes-total` counter track, not traced
     per message).
 
-Requires only the Python standard library.
+Requires only the Python standard library. Exits 1 when the trace dropped
+any event (the summary is still written), 2 on a missing file.
 
 Usage:
   tools/trace_summary.py trace.json [--out summary.md]
@@ -38,17 +42,21 @@ from collections import defaultdict
 PHASE_NAMES = ["cdpf-propagate", "cdpf-correct", "cdpf-likelihood",
                "cdpf-ne-assign", "cdpf-assign"]
 ITERATION_SPAN = "cdpf-iteration"
+TRIAL_SPAN = "trial-run"
 
 
-def load_events(path: pathlib.Path) -> list[dict]:
-    """Load the Chrome trace's events with timestamps and durations
-    normalized to ns (`ts_ns` / `dur_ns` keys)."""
-    events = json.loads(path.read_text()).get("traceEvents", [])
+def load_trace(path: pathlib.Path) -> tuple[list[dict], int | None]:
+    """Load the Chrome trace's events, with timestamps and durations
+    normalized to ns (`ts_ns` / `dur_ns` keys), and the writer's dropped
+    event count (None when the trace does not record one)."""
+    trace = json.loads(path.read_text())
+    events = trace.get("traceEvents", [])
     for e in events:
         # Chrome format carries microseconds; normalize back to ns.
         e["ts_ns"] = e.get("ts", 0.0) * 1e3
         e["dur_ns"] = e.get("dur", 0.0) * 1e3
-    return events
+    dropped = trace.get("otherData", {}).get("dropped")
+    return events, None if dropped is None else int(dropped)
 
 
 def fmt_ms(ns: float) -> str:
@@ -131,10 +139,14 @@ def main() -> int:
     if not args.trace.is_file():
         print(f"trace_summary: no such file: {args.trace}", file=sys.stderr)
         return 2
-    events = load_events(args.trace)
+    events, dropped = load_trace(args.trace)
+    trials = sum(1 for e in events
+                 if e.get("ph") == "X" and e["name"] == TRIAL_SPAN)
 
     sections = [f"# Trace summary: `{args.trace.name}`\n",
-                f"{len(events)} events\n",
+                f"{len(events)} events; dropped: "
+                f"{'not recorded' if dropped is None else dropped}; "
+                f"`{TRIAL_SPAN}` spans: {trials}\n",
                 "## Per-stage\n", stage_table(events)]
     iteration = iteration_table(events)
     if iteration:
@@ -150,7 +162,11 @@ def main() -> int:
         try:
             print(output)
         except BrokenPipeError:  # e.g. piped into `head`
-            return 0
+            pass
+    if dropped:
+        print(f"trace_summary: the trace dropped {dropped} events; its spans "
+              "do not cover the whole run", file=sys.stderr)
+        return 1
     return 0
 
 
