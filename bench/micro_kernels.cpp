@@ -89,27 +89,45 @@ BENCHMARK(BM_GridIndexQuery)
 /// Greedy routing's memo miss: a route from a random node to the sink, each
 /// hop one Network::nearest_comm_neighbour query. The activity epoch bumps
 /// before every route (clear_believed_positions moves no position), so no
-/// hop is served from the router's memo. Items are hops.
-void BM_GreedyNextHop(benchmark::State& state) {
+/// hop is served from the router's memo. `half_asleep` puts each node but
+/// the sink to sleep with probability 1/2 and routes from awake nodes only,
+/// as CPF routes under the churn workloads' duty cycle. Items are hops.
+void greedy_next_hop(benchmark::State& state, bool half_asleep) {
   rng::Rng rng(7);
   sim::Scenario scenario;
   scenario.density_per_100m2 = static_cast<double>(state.range(0));
   wsn::Network network = sim::build_network(scenario, rng);
+  if (half_asleep) {
+    for (wsn::NodeId id = 0; id < network.size(); ++id) {
+      if (id != network.sink() && rng.bernoulli(0.5)) {
+        network.set_power(id, wsn::PowerState::kAsleep);
+      }
+    }
+  }
   const wsn::GreedyGeographicRouter router(network);
   std::vector<wsn::NodeId> path;
   std::int64_t hops = 0;
   for (auto _ : state) {
     network.clear_believed_positions();
-    const auto from = static_cast<wsn::NodeId>(rng.uniform_index(network.size()));
+    auto from = static_cast<wsn::NodeId>(rng.uniform_index(network.size()));
+    while (!network.is_active(from)) {
+      from = static_cast<wsn::NodeId>(rng.uniform_index(network.size()));
+    }
     if (router.route_into(from, network.sink(), path)) {
       hops += static_cast<std::int64_t>(path.size() - 1);
     }
   }
   state.SetItemsProcessed(hops);
 }
+void BM_GreedyNextHop(benchmark::State& state) { greedy_next_hop(state, false); }
 BENCHMARK(BM_GreedyNextHop)
     ->Arg(5)
     ->Arg(20)
+    ->Arg(40)
+    ->ArgName("density")
+    ->ComputeStatistics("min", min_of);
+void BM_GreedyNextHopHalfAsleep(benchmark::State& state) { greedy_next_hop(state, true); }
+BENCHMARK(BM_GreedyNextHopHalfAsleep)
     ->Arg(40)
     ->ArgName("density")
     ->ComputeStatistics("min", min_of);

@@ -50,8 +50,11 @@ Cdpf::Cdpf(wsn::Network& network, wsn::Radio& radio, CdpfConfig config)
   // receiver.
   propagation_scratch_.reserve(network_.max_nodes_within(network_.config().comm_radius) + 1);
   last_recorders_.reserve(nodes);
-  sensed_.detections.reserve(nodes);
-  evidence_.reserve(nodes);
+  // One detection and one bearing per node within the sensing radius of
+  // the target.
+  const std::size_t detecting = network_.max_nodes_within(network_.config().sensing_radius);
+  sensed_.detections.reserve(detecting);
+  evidence_.reserve(detecting);
   pending_estimates_.reserve(64);
   if (config_.use_neighborhood_estimation) {
     area_nodes_.reserve(nodes);

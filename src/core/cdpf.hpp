@@ -135,8 +135,9 @@ class Cdpf final : public TrackerAlgorithm {
 
   // Iteration-local workspaces, members so they stay warm across rounds.
   /// What iterate() senses from ground truth. The detecting set is
-  /// pre-sized to the node count; the measurements grow to the largest
-  /// detecting set seen and are then reused.
+  /// pre-sized to the most nodes within the sensing radius of a point; the
+  /// measurements grow to the largest detecting set seen and are then
+  /// reused.
   SensingSnapshot sensed_;
   /// The likelihood step's shared measurements, sender positions resolved
   /// once per iteration.

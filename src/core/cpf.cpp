@@ -44,12 +44,12 @@ CentralizedPf::CentralizedPf(wsn::Network& network, wsn::Radio& radio, CpfConfig
     CDPF_CHECK_MSG(*config_.quantization_levels >= 2,
                    "quantization needs at least two levels");
   }
-  // Size the per-iteration buffers for the worst case (every node detects)
-  // so steady-state iterations never allocate. Reserving does not touch the
-  // pages, so it costs no resident memory.
-  const std::size_t nodes = network_.size();
-  detecting_.reserve(nodes);
-  received_.reserve(nodes);
+  // Size the per-iteration buffers for the worst case (every node within
+  // the sensing radius of the target detects) so steady-state iterations
+  // never allocate.
+  const std::size_t detecting = network_.max_nodes_within(network_.config().sensing_radius);
+  detecting_.reserve(detecting);
+  received_.reserve(detecting);
   if (config_.adaptive_encoding) {
     CDPF_CHECK_MSG(config_.quantization_levels.has_value(),
                    "adaptive encoding requires quantization");

@@ -1,36 +1,38 @@
 #include "geom/grid_index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "support/check.hpp"
 #include "support/kernel_clones.hpp"
+#include "support/lane_bits.hpp"
 
 namespace cdpf::geom {
 
 namespace {
 
-/// The marked points of one boundary cell that lie within the disk: the
-/// sum of marks[k] over the n slots whose point (xs[k], ys[k]) passes
-/// visit_disk's test d^2 <= r2, with d^2 rounded as visit_disk rounds it (no
-/// contraction: the file is compiled with CDPF_BATCH_KERNEL_FLAGS). Every
-/// mark is read and multiplied by its test, so the loop has no
-/// data-dependent branch. The simd directive only sets the vector length: a
-/// byte mark would otherwise size the AVX-512F clone's vectors by the byte
-/// lanes it lacks; the integer sum is exact in any order.
+/// Bit k set when the point (xs[k], ys[k]) passes visit_disk's test
+/// d^2 <= r2, for the n <= 64 slots of a block, with d^2 rounded as
+/// visit_disk rounds it (no contraction: the file is compiled with
+/// CDPF_BATCH_KERNEL_FLAGS). The comparison is the sign of r2 - d^2 (+0 when
+/// they are equal); the caller passes no NaN. Every lane is computed, so
+/// the loop has no data-dependent branch, and only 64-bit lanes are mixed,
+/// so every clone vectorizes at full width (a byte lane would not: AVX-512F
+/// has no byte-vector widening or narrowing).
 CDPF_KERNEL_CLONES
-std::size_t count_marked_within(const double* __restrict xs, const double* __restrict ys,
-                                const std::uint8_t* __restrict marks, std::size_t n,
-                                double cx, double cy, double r2) {
-  std::size_t count = 0;
-#pragma omp simd simdlen(8) reduction(+ : count)  // cdpf-check: vectorized
-  for (std::size_t k = 0; k < n; ++k) {
+std::uint64_t within_mask(const double* __restrict xs, const double* __restrict ys,
+                          std::size_t n, double cx, double cy, double r2) {
+  CDPF_ASSERT(n <= support::kLaneBits.size());
+  std::uint64_t mask = 0;
+  for (std::size_t k = 0; k < n; ++k) {  // cdpf-check: vectorized
     const double dx = xs[k] - cx;
     const double dy = ys[k] - cy;
-    count += static_cast<std::size_t>(marks[k]) *
-             static_cast<std::size_t>(dx * dx + dy * dy <= r2);
+    const std::uint64_t outside = std::bit_cast<std::uint64_t>(r2 - (dx * dx + dy * dy)) >> 63;
+    mask |= support::kLaneBits[k] & (outside - 1);
   }
-  return count;
+  return mask;
 }
 
 }  // namespace
@@ -76,15 +78,24 @@ std::size_t GridIndex::count_disk_marked(Vec2 center, double radius,
               (cell_marks.empty() || cell_marks.size() == num_cells()));
   const double r2 = radius * radius;
   std::size_t count = 0;
+  if (std::isnan(center.x) || std::isnan(center.y)) {
+    return count;  // no point passes a test against a NaN center
+  }
   // Boundary cells that follow each other in slot order (neighbours in a
-  // row, no fully-inside cell between) form one run of slots, counted in one
-  // kernel call.
+  // row, no fully-inside cell between) form one run of slots, counted 64
+  // slots at a time: the kernel's bit mask of the slots in the disk, ANDed
+  // with the marks' bits unless every point is marked.
   std::size_t run_begin = 0;
   std::size_t run_end = 0;
   auto flush = [&] {
-    count += count_marked_within(xs_.data() + run_begin, ys_.data() + run_begin,
-                                 slot_marks.data() + run_begin, run_end - run_begin,
-                                 center.x, center.y, r2);
+    for (std::size_t begin = run_begin; begin < run_end; begin += support::kLaneBits.size()) {
+      const std::size_t n = std::min(support::kLaneBits.size(), run_end - begin);
+      const std::uint64_t within =
+          within_mask(xs_.data() + begin, ys_.data() + begin, n, center.x, center.y, r2);
+      count += static_cast<std::size_t>(std::popcount(
+          cell_marks.empty() ? within
+                             : within & support::pack_bytes(slot_marks.data() + begin, n)));
+    }
     run_begin = run_end;
   };
   for_each_cell(center, radius, [&](std::size_t c, bool fully_inside) {

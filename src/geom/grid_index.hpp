@@ -151,12 +151,18 @@ class GridIndex {
   /// of every point at distance d or more, each with enough margin to
   /// absorb the rounding of the cell bounds. A cell is skipped when its
   /// floor exceeds the best key so far, and the search stops before ring
-  /// k >= 2 once the floor of (k - 1) cell sizes does: every cell of ring k
-  /// or beyond lies that far from the target. The ring distance is shrunk
-  /// by a relative slack, since the target's cell index is itself rounded.
-  /// So no candidate that could win or tie is ever passed over, and the
-  /// answer does not depend on the visiting order. A NaN floor never skips.
-  /// The query never allocates.
+  /// k >= 1 once the floor of the ring's distance does: every cell of ring
+  /// k or beyond lies (k - 1) cell sizes off the target's cell along one
+  /// axis, plus the target's gap to the clamped cell, and a cell more along
+  /// an axis on which the target lies beyond the disk's range (a greedy
+  /// route's far sink), so such a search ends after a ring or two. The ring
+  /// distance is shrunk by a relative slack, since the target's cell index
+  /// and gaps are themselves rounded. So no candidate that could win or tie
+  /// is ever passed over, and the answer does not depend on the visiting
+  /// order. A NaN floor never skips. The query never allocates. The `key`
+  /// may keep state across the calls of one query: it is called once per
+  /// point that passes the disk test, and may answer +inf for a point it can
+  /// tell cannot win or tie a point it was called on before.
   template <typename Key, typename Floor>
   std::size_t nearest_in_disk(Vec2 center, double radius, Vec2 target, double bound,
                               Key&& key, Floor&& floor) const {
@@ -165,21 +171,37 @@ class GridIndex {
     bool found = false;
     double best = bound;
     std::size_t best_slot = 0;
+    auto consider = [&](std::size_t k) {
+      const double d = key(ids_[k], k, xs_[k], ys_[k]);
+      if (d < best || (found && d == best && k < best_slot)) {
+        best = d;
+        best_slot = k;
+        found = true;
+      }
+    };
     auto scan = [&](std::size_t c, bool fully_inside) {
       const std::size_t k_end = cell_start_[c + 1];
-      for (std::size_t k = cell_start_[c]; k < k_end; ++k) {
-        if (!fully_inside) {
+      if (fully_inside) {
+        for (std::size_t k = cell_start_[c]; k < k_end; ++k) {
+          consider(k);
+        }
+        return;
+      }
+      // The disk test passes points at random; gather the slots that pass
+      // without a branch, then rank them in slot order.
+      constexpr std::size_t kChunk = 64;
+      std::size_t passed[kChunk];
+      for (std::size_t begin = cell_start_[c]; begin < k_end; begin += kChunk) {
+        const std::size_t end = std::min(begin + kChunk, k_end);
+        std::size_t n = 0;
+        for (std::size_t k = begin; k < end; ++k) {
           const double dx = xs_[k] - center.x;
           const double dy = ys_[k] - center.y;
-          if (!(dx * dx + dy * dy <= r2)) {
-            continue;
-          }
+          passed[n] = k;
+          n += dx * dx + dy * dy <= r2 ? 1 : 0;
         }
-        const double d = key(ids_[k], k, xs_[k], ys_[k]);
-        if (d < best || (found && d == best && k < best_slot)) {
-          best = d;
-          best_slot = k;
-          found = true;
+        for (std::size_t i = 0; i < n; ++i) {
+          consider(passed[i]);
         }
       }
     };
@@ -187,9 +209,33 @@ class GridIndex {
     const std::ptrdiff_t ty = clamp_cell(target.y, bounds_.lo.y, disk.cy0, disk.cy1);
     const std::ptrdiff_t rings =
         std::max({tx - disk.cx0, disk.cx1 - tx, ty - disk.cy0, disk.cy1 - ty});
+    // Per axis, `gap` is the distance from target to the clamped cell's slab
+    // and `first` a lower bound on its distance to the slabs one cell away:
+    // when the target's own slab is in the range (it is the clamped one) a
+    // slab i >= 1 away lies (i - 1) cell sizes off; when the target lies
+    // beyond the range every slab of it lies on one side, gap + i off.
+    struct Gap {
+      double gap;
+      double first;
+    };
+    auto axis_gap = [this](double v, double lo, std::ptrdiff_t t, std::ptrdiff_t c0,
+                           std::ptrdiff_t c1) {
+      const double gap = axis_extent(v, lo, t).near;
+      const double c = std::floor((v - lo) / cell_size_);
+      const bool beyond = c < static_cast<double>(c0) || c > static_cast<double>(c1);
+      return Gap{gap, beyond ? gap + cell_size_ : gap};
+    };
+    const Gap gx = axis_gap(target.x, bounds_.lo.x, tx, disk.cx0, disk.cx1);
+    const Gap gy = axis_gap(target.y, bounds_.lo.y, ty, disk.cy0, disk.cy1);
     for (std::ptrdiff_t k = 0; k <= rings; ++k) {
-      if (k >= 2 && floor(static_cast<double>(k - 1) * cell_size_ * (1.0 - 1e-9),
-                          num_cells()) > best) {
+      // A cell of ring k lies k slabs off along one axis and at least the
+      // gap off along the other.
+      const double off = static_cast<double>(k - 1) * cell_size_;
+      const double along_x = gx.first + off;
+      const double along_y = gy.first + off;
+      const double ring = std::sqrt(std::min(along_x * along_x + gy.gap * gy.gap,
+                                             gx.gap * gx.gap + along_y * along_y));
+      if (k >= 1 && floor(ring * (1.0 - 1e-9), num_cells()) > best) {
         break;
       }
       const std::ptrdiff_t cy_end = std::min(ty + k, disk.cy1);
@@ -203,13 +249,14 @@ class GridIndex {
           if (cx < disk.cx0 || cx > disk.cx1) {
             continue;
           }
-          const std::optional<bool> fully_inside =
-              disk.test_cell(row, axis_extent(center.x, bounds_.lo.x, cx));
           const double near_x = axis_extent(target.x, bounds_.lo.x, cx).near;
           const std::size_t c =
               cell_at(static_cast<std::size_t>(cx), static_cast<std::size_t>(cy));
-          if (fully_inside &&
-              !(floor(std::sqrt(near_x * near_x + near_y * near_y), c) > best)) {
+          if (floor(std::sqrt(near_x * near_x + near_y * near_y), c) > best) {
+            continue;
+          }
+          if (const std::optional<bool> fully_inside =
+                  disk.test_cell(row, axis_extent(center.x, bounds_.lo.x, cx))) {
             scan(c, *fully_inside);
           }
         }

@@ -61,6 +61,7 @@ RunOutcome run_tracking(core::TrackerAlgorithm& tracker,
     for (double t = 0.0; t <= duration + 1e-9; t += dt) {
       CDPF_TRACE_SPAN("engine-iteration");
       if (hook) {
+        CDPF_TRACE_SPAN("engine-step-hook");
         hook(t);
       }
       tracker.iterate(trajectory.at_time(t), t, rng);

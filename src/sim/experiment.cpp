@@ -1,5 +1,7 @@
 #include "sim/experiment.hpp"
 
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,24 @@ namespace {
 
 /// Bearing quantization levels of the DPF baseline: P = 1 byte.
 constexpr std::size_t kDpfQuantizationLevels = 256;
+
+/// What a trial runs on, built in the order the trial's random stream
+/// draws it: deployment, radio, trajectory, tracker, step hook.
+struct TrialWorld {
+  TrialWorld(const Scenario& scenario, AlgorithmKind kind, const AlgorithmParams& params,
+             rng::Rng& rng, const HookFactory& hook_factory)
+      : network(build_network(scenario, rng)),
+        radio(network, scenario.payloads),
+        trajectory(tracking::generate_random_turn_trajectory(scenario.trajectory, rng)),
+        tracker(make_tracker(kind, network, radio, params)),
+        hook(hook_factory ? hook_factory(network, rng) : StepHook{}) {}
+
+  wsn::Network network;
+  wsn::Radio radio;
+  const tracking::Trajectory trajectory;
+  const std::unique_ptr<core::TrackerAlgorithm> tracker;
+  const StepHook hook;
+};
 
 }  // namespace
 
@@ -104,19 +124,14 @@ TrialResult run_trial(const Scenario& scenario, AlgorithmKind kind,
                       std::size_t trial_index, const HookFactory& hook_factory) {
   CDPF_TRACE_SPAN("trial-run");
   rng::Rng rng(rng::derive_stream_seed(root_seed, trial_index));
-  wsn::Network network = build_network(scenario, rng);
-  wsn::Radio radio(network, scenario.payloads);
-  const tracking::Trajectory trajectory =
-      tracking::generate_random_turn_trajectory(scenario.trajectory, rng);
-  const std::unique_ptr<core::TrackerAlgorithm> tracker =
-      make_tracker(kind, network, radio, params);
-  StepHook hook;
-  if (hook_factory) {
-    hook = hook_factory(network, rng);
+  std::optional<TrialWorld> world;
+  {
+    CDPF_TRACE_SPAN("trial-setup");
+    world.emplace(scenario, kind, params, rng, hook_factory);
   }
   TrialResult result;
-  result.node_count = network.size();
-  result.outcome = run_tracking(*tracker, trajectory, rng, hook);
+  result.node_count = world->network.size();
+  result.outcome = run_tracking(*world->tracker, world->trajectory, rng, world->hook);
   return result;
 }
 

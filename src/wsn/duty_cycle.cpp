@@ -1,13 +1,68 @@
 #include "wsn/duty_cycle.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "support/check.hpp"
+#include "support/kernel_clones.hpp"
+#include "support/lane_bits.hpp"
 
 namespace cdpf::wsn {
+
+namespace {
+
+/// The exact double of a whole number below 2^53: its high and low 32 bits
+/// are planted in the mantissas of 2^84 and 2^52, and the biases
+/// subtracted. Every step is exact, and unlike a 64-bit integer conversion
+/// it needs no AVX-512DQ, so it vectorizes in every clone.
+inline double whole_to_double(std::uint64_t v) {
+  const double hi = std::bit_cast<double>((v >> 32) | 0x4530000000000000ULL) - 0x1.0p84;
+  const double lo = std::bit_cast<double>((v & 0xffffffffULL) | 0x4330000000000000ULL) - 0x1.0p52;
+  return hi + lo;
+}
+
+/// Bit j set when node ids[j] is scheduled awake at time t, for the n <= 64
+/// ids of a block: DutyCycleSchedule::is_awake bit for bit, with the
+/// schedule's checks hoisted into apply(). The phase is phase()'s SplitMix64
+/// hash, lane by lane. The remainder takes the quotient by the reciprocal,
+/// rounds it down to a whole number without a 64-bit conversion (adding and
+/// subtracting 2^52 rounds a quotient below 2^52 to the nearest whole
+/// number, and one step down floors it) and then applies is_awake's
+/// correction. The whole number is off the exact quotient's floor by at most
+/// one: at period 1 the quotient is x itself, floored exactly below 2^52 and
+/// rounded to an even neighbour above; for a longer whole period it lies
+/// below 2^51 + 2^25, off the exact one by at most 2^-52 of itself, under 1.
+/// So the remainder lies in [-period, 2 * period) and is exact (by
+/// is_awake's argument, or by Sterbenz's lemma when the period exceeds half
+/// of x), and one correction lands it on fmod's. The sign of the remainder
+/// minus the threshold is the comparison, as a bit.
+CDPF_KERNEL_CLONES
+std::uint64_t awake_mask(const std::size_t* __restrict ids, std::size_t n, std::uint64_t seed,
+                         double t, double period, double inv_period, double threshold) {
+  CDPF_ASSERT(n <= support::kLaneBits.size());
+  // phase() scales the hash by 2^-53 and then by the period; scaling by a
+  // power of two is exact, so one multiply by period * 2^-53 rounds alike.
+  const double phase_unit = period * 0x1.0p-53;
+  std::uint64_t mask = 0;
+  for (std::size_t j = 0; j < n; ++j) {  // cdpf-check: vectorized
+    const std::uint64_t z0 = (seed ^ (ids[j] + 1)) + 0x9e3779b97f4a7c15ULL;
+    const std::uint64_t z1 = (z0 ^ (z0 >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    const std::uint64_t z2 = (z1 ^ (z1 >> 27)) * 0x94d049bb133111ebULL;
+    const double x = t + whole_to_double((z2 ^ (z2 >> 31)) >> 11) * phase_unit;
+    const double q = x * inv_period;
+    const double nearest = (q + 0x1.0p52) - 0x1.0p52;
+    const double whole = nearest > q ? nearest - 1.0 : nearest;
+    const double rem = x - whole * period;
+    const double local = rem < 0.0 ? rem + period : rem >= period ? rem - period : rem;
+    const std::uint64_t awake = std::bit_cast<std::uint64_t>(local - threshold) >> 63;
+    mask |= support::kLaneBits[j] & (0 - awake);
+  }
+  return mask;
+}
+
+}  // namespace
 
 DutyCycleSchedule::DutyCycleSchedule(double period, double awake_fraction,
                                      std::uint64_t random_phase_seed)
@@ -19,28 +74,14 @@ DutyCycleSchedule::DutyCycleSchedule(double period, double awake_fraction,
 }
 
 void DutyCycleSchedule::apply(Network& network, double t) const {
-  // Blocks of 64 nodes: first the schedule decides every node of the block
-  // into a bit mask of flips, then only the flipped nodes are written. The
-  // flips (a fifth of the nodes per 1 s step at a 10 s period) fall at
-  // random, so a branch on each decision would mispredict and discard the
-  // decisions of the nodes after it already in flight.
-  const std::vector<Node>& nodes = network.nodes();
-  constexpr std::size_t kBlock = 64;
-  for (std::size_t begin = 0; begin < nodes.size(); begin += kBlock) {
-    const std::size_t end = std::min(nodes.size(), begin + kBlock);
-    std::uint64_t flips = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const Node& n = nodes[i];
-      const bool awake = is_awake(n.id, t);
-      const bool flip = n.alive & (awake != (n.power == PowerState::kAwake));
-      flips |= std::uint64_t{flip} << (i - begin);
-    }
-    for (; flips != 0; flips &= flips - 1) {
-      const Node& n = nodes[begin + static_cast<std::size_t>(std::countr_zero(flips))];
-      network.set_power(n.id, n.power == PowerState::kAwake ? PowerState::kAsleep
-                                                            : PowerState::kAwake);
-    }
-  }
+  CDPF_CHECK_MSG(t >= 0.0 && t <= kMaxTime, "duty-cycle time must be within [0, 2^52] s");
+  // is_awake's two early answers are the formula's own: with the fraction
+  // at 1 every remainder lies below the period, and at 0 none lies below 0.
+  const double inv_period = 1.0 / period_;
+  const double threshold = awake_fraction_ * period_;
+  network.set_power_by_slot([&](const std::size_t* ids, std::size_t n) {
+    return awake_mask(ids, n, seed_, t, period_, inv_period, threshold);
+  });
 }
 
 TdssScheduler::TdssScheduler(Network& network, double wake_radius)

@@ -51,8 +51,10 @@ class DutyCycleSchedule {
   double phase(NodeId node) const;
 
   /// Apply the schedule to every alive node of `network` at time `t`
-  /// (nodes woken by TDSS overrides should be re-applied afterwards). Only
-  /// the nodes whose power state flips are written.
+  /// (nodes woken by TDSS overrides should be re-applied afterwards):
+  /// is_awake for every node, decided 64 at a time in a vectorized kernel,
+  /// with only the nodes whose power state flips written
+  /// (Network::set_power_by_slot). Precondition: 0 <= t <= kMaxTime.
   void apply(Network& network, double t) const;
 
  private:
@@ -61,8 +63,8 @@ class DutyCycleSchedule {
   std::uint64_t seed_;
 };
 
-// phase() and is_awake() are defined here so that apply() and every other
-// caller inline them: apply() evaluates them for every node at every step.
+// phase() and is_awake() are the per-node form of the schedule; apply()
+// computes the same bits in a kernel (duty_cycle.cpp).
 inline double DutyCycleSchedule::phase(NodeId node) const {
   // splitmix64 as a deterministic hash; when seed_ == 0 the phase still
   // depends only on the id, i.e. the pattern is fixed and anticipatable.

@@ -1,12 +1,24 @@
 #include "wsn/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "support/check.hpp"
 
 namespace cdpf::wsn {
+
+namespace {
+
+/// Whether nearest_comm_neighbour<Distance> ranks by geom::distance (hypot)
+/// rather than geom::distance_squared.
+template <double (*Distance)(geom::Vec2, geom::Vec2)>
+constexpr bool kRanksByHypot = false;
+template <>
+constexpr bool kRanksByHypot<geom::distance> = true;
+
+}  // namespace
 
 Network::Network(std::vector<geom::Vec2> positions, NetworkConfig config)
     : config_(config) {
@@ -111,6 +123,51 @@ void Network::refresh_active(NodeId id) {
   ++activity_epoch_;
 }
 
+bool Network::flip_power(std::size_t begin, std::uint64_t flips) {
+  if (flips == 0) {
+    return false;
+  }
+  if (cell_active_.empty()) {
+    // The first deactivation (a flip while every node is alive and awake).
+    fill_cell_tallies();
+  }
+  // Locals, so the byte stores below cannot make the compiler reload them.
+  // Slots run in cell order, so a cell's flips are summed before its tally
+  // is written.
+  Node* const nodes = nodes_.data();
+  const std::size_t* const ids = index_->slot_ids().data();
+  std::uint8_t* const active = slot_active_.data();
+  std::uint32_t* const tally = cell_active_.data();
+  std::size_t flipped = 0;
+  std::size_t woken = 0;
+  std::uint32_t cell = 0;
+  std::uint32_t cell_change = 0;
+  for (; flips != 0; flips &= flips - 1) {
+    const std::size_t slot = begin + static_cast<std::size_t>(std::countr_zero(flips));
+    Node& n = nodes[ids[slot]];
+    if (!n.alive) {
+      continue;
+    }
+    const std::uint8_t now = active[slot] ^ 1;
+    n.power = now != 0 ? PowerState::kAwake : PowerState::kAsleep;
+    active[slot] = now;
+    if (n.grid_cell != cell) {
+      tally[cell] += cell_change;
+      cell = n.grid_cell;
+      cell_change = 0;
+    }
+    // +1 or -1 (modulo 2^32), without a branch on the direction.
+    cell_change += now != 0 ? 1u : ~0u;
+    woken += now;
+    ++flipped;
+  }
+  tally[cell] += cell_change;
+  // Each woken node is one inactive fewer, each sent to sleep one more
+  // (modulo 2^64).
+  inactive_count_ += flipped - 2 * woken;
+  return flipped != 0;
+}
+
 void Network::set_alive(NodeId id, bool alive) {
   CDPF_CHECK_MSG(id < nodes_.size(), "node id out of range");
   nodes_[id].alive = alive;
@@ -185,7 +242,41 @@ NodeId Network::nearest_comm_neighbour(NodeId u, geom::Vec2 target, double bound
     const double displacement =
         cell_displacement_.empty() ? 0.0 : cell_displacement_[cell];
     const double reach = cell_distance - displacement - 1e-9 * (scale + displacement);
-    return reach > 0.0 ? Distance(geom::Vec2{}, geom::Vec2{reach, 0.0}) : -kInf;
+    // Distance({0, 0}, {reach, 0}) without libm: hypot(x, +-0) is |x| (C
+    // Annex F), and the squared distance is reach * reach + 0.
+    if constexpr (kRanksByHypot<Distance>) {
+      return reach > 0.0 ? reach : -kInf;
+    } else {
+      return reach > 0.0 ? reach * reach : -kInf;
+    }
+  };
+  // geom::distance ranks by hypot, a libm call; the squared distance costs
+  // two multiplies. A point whose squared distance exceeds the least one
+  // seen so far (or the squared bound) by more than a 1e-12 relative margin
+  // lies farther than that point by far more than hypot's error of an ulp
+  // (the 2^-1000 covers squares that underflow), so it can neither win nor
+  // tie: it gets +inf and no hypot. Every point that could is still ranked
+  // by hypot, and the lowest slot still wins a tie. u itself and inactive
+  // nodes get +inf too, decided by a select rather than a branch: under
+  // duty cycling they fall at random.
+  auto limit_of = [](double squared) { return squared * (1.0 + 1e-12) + 0x1.0p-1000; };
+  double least_squared = bound * bound;
+  double limit = limit_of(least_squared);
+  auto rank = [&](std::size_t v, std::size_t slot, geom::Vec2 p) {
+    const bool candidate = (v != u) & (slot_active_[slot] != 0);
+    const double squared = geom::distance_squared(p, target);
+    if constexpr (kRanksByHypot<Distance>) {
+      if (!candidate | (squared > limit)) {
+        return kInf;
+      }
+      if (squared < least_squared) {
+        least_squared = squared;
+        limit = limit_of(squared);
+      }
+      return geom::distance(p, target);
+    } else {
+      return candidate ? squared : kInf;
+    }
   };
   // Ranked by believed positions when installed, else by the grid's own
   // copy of the true ones (the same doubles as nodes_[v].position).
@@ -193,9 +284,7 @@ NodeId Network::nearest_comm_neighbour(NodeId u, geom::Vec2 target, double bound
     return index_->nearest_in_disk(
         nodes_[u].position, config_.comm_radius, target, bound,
         [&](std::size_t v, std::size_t slot, double x, double y) {
-          return v == u || slot_active_[slot] == 0
-                     ? kInf
-                     : Distance(position_of(v, x, y), target);
+          return rank(v, slot, position_of(v, x, y));
         },
         floor);
   };

@@ -8,6 +8,7 @@
 // all nodes directly).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include "geom/shapes.hpp"
 #include "geom/vec2.hpp"
 #include "support/check.hpp"
+#include "support/lane_bits.hpp"
 #include "wsn/node.hpp"
 
 namespace cdpf::wsn {
@@ -97,9 +99,17 @@ class Network {
   bool is_active(NodeId id) const { return node(id).active(); }
   /// Number of active nodes, O(1).
   std::size_t active_count() const { return nodes_.size() - inactive_count_; }
+  /// Set every alive node awake or asleep as a schedule decides, block by
+  /// block of grid slots: `awake_mask(ids, n)` returns the bit mask of the
+  /// nodes to be awake among the n <= 64 node ids ids[0..n) of one block
+  /// (bit j for ids[j]). The states end as set_power on each alive node
+  /// would leave them, and dead nodes keep theirs, but only the nodes that
+  /// change are written and the activity epoch bumps once, when any did.
+  template <typename AwakeMask>
+  void set_power_by_slot(AwakeMask&& awake_mask);
   /// Bumps on every change a position-reading query can observe: an
-  /// activity transition (set_alive / set_power) or a change of believed
-  /// positions. Caches keyed on it are never stale.
+  /// activity transition (set_alive / set_power / set_power_by_slot) or a
+  /// change of believed positions. Caches keyed on it are never stale.
   std::uint64_t activity_epoch() const { return activity_epoch_; }
 
   // -- Spatial queries (include inactive nodes; callers filter) -----------
@@ -217,6 +227,10 @@ class Network {
   /// Set every cell's active tally to its population, allocating the
   /// tallies (and setting every node's grid slot and cell) on first use.
   void fill_cell_tallies();
+  /// Toggle the power state of the alive nodes at the slots `begin + j` for
+  /// each bit j of `flips`, with their activity bytes, tallies and
+  /// inactive_count_, but not the epoch; true when any node flipped.
+  bool flip_power(std::size_t begin, std::uint64_t flips);
 
   NetworkConfig config_;
   std::vector<Node> nodes_;
@@ -255,6 +269,21 @@ class Network {
   mutable std::vector<std::size_t> comm_count_;
   mutable std::vector<std::uint64_t> comm_count_epoch_;
 };
+
+template <typename AwakeMask>
+void Network::set_power_by_slot(AwakeMask&& awake_mask) {
+  const std::span<const std::size_t> ids = index_->slot_ids();
+  constexpr std::size_t kBlock = 64;
+  bool flipped = false;
+  for (std::size_t begin = 0; begin < ids.size(); begin += kBlock) {
+    const std::size_t n = std::min(kBlock, ids.size() - begin);
+    const std::uint64_t awake = awake_mask(ids.data() + begin, n);
+    flipped |= flip_power(begin, awake ^ support::pack_bytes(slot_active_.data() + begin, n));
+  }
+  if (flipped) {
+    ++activity_epoch_;
+  }
+}
 
 template <typename Visitor>
 void Network::visit_cells_believed_near(geom::Vec2 center, double radius,

@@ -217,19 +217,21 @@ Footprint construction_footprint(sim::AlgorithmKind kind) {
   return {g_allocations.load(), g_bytes.load()};
 }
 
-// The ceilings are the footprints of the parent of the change that added
-// this test (04cf480), measured by this test's construction_footprint()
-// built against that tree (RelWithDebInfo, GCC 12, libstdc++). A change may
-// lower them; raising one needs a reason, since perfbench's setup_s moves
-// with construction-time allocations. At 04cf480 CDPF reserved every
-// per-round buffer for all 16 000 nodes; its propagation scratch is now
-// sized by Network::max_nodes_within(r_c) (13 blocks, 2 086 772 bytes).
-constexpr std::size_t kCdpfBlocks = 16;
-constexpr std::size_t kCdpfBytes = 2499472;
-constexpr std::size_t kCdpfNeBlocks = 22;
-constexpr std::size_t kCdpfNeBytes = 3331472;
+// The ceilings are footprints measured by this test's construction_footprint()
+// (RelWithDebInfo, GCC 12, libstdc++). A change may lower them; raising one
+// needs a reason, since perfbench's setup_s moves with construction-time
+// allocations. They were first the footprints at 04cf480, where CDPF
+// reserved every per-round buffer for all 16 000 nodes (16 blocks and
+// 2 499 472 bytes; CDPF-NE 22 and 3 331 472; CPF 3 and 576 584). Since then
+// CDPF's propagation scratch is sized by Network::max_nodes_within(r_c), and
+// the detecting set and bearing buffers of CDPF and CPF by
+// max_nodes_within(r_s); the ceilings are the footprints after that.
+constexpr std::size_t kCdpfBlocks = 13;
+constexpr std::size_t kCdpfBytes = 1544156;
+constexpr std::size_t kCdpfNeBlocks = 19;
+constexpr std::size_t kCdpfNeBytes = 2376156;
 constexpr std::size_t kCpfBlocks = 3;
-constexpr std::size_t kCpfBytes = 576584;
+constexpr std::size_t kCpfBytes = 33992;
 
 TEST(ConstructionAllocation, CdpfDoesNotGrow) {
   const Footprint f = construction_footprint(sim::AlgorithmKind::kCdpf);

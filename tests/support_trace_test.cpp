@@ -423,5 +423,40 @@ TEST(TraceMacros, SdpfAndCpfStagesSpanOncePerIteration) {
   }
 }
 
+// The step hook's span: once per engine iteration when a hook is set, never
+// when it is not; the trial's set-up span once per trial either way.
+TEST(TraceMacros, StepHookSpansOncePerIterationWhenSet) {
+  for (const bool with_hook : {true, false}) {
+    sim::Scenario scenario;
+    scenario.density_per_100m2 = 5.0;
+    sim::HookFactory hook_factory;
+    std::size_t hook_calls = 0;
+    if (with_hook) {
+      hook_factory = [&hook_calls](wsn::Network&, rng::Rng&) {
+        return sim::StepHook([&hook_calls](double) { ++hook_calls; });
+      };
+    }
+    support::Trace::start(std::size_t{1} << 18);
+    const sim::TrialResult result =
+        sim::run_trial(scenario, sim::AlgorithmKind::kCpf, {}, 11, 0, hook_factory);
+    support::Trace::stop();
+    ASSERT_EQ(support::Trace::dropped(), 0u);
+    ASSERT_GT(result.outcome.iterations, 0u);
+    EXPECT_EQ(hook_calls, with_hook ? result.outcome.iterations : 0u);
+    const std::map<std::string, std::size_t> counts =
+        span_counts(support::Trace::events());
+    auto count_of = [&counts](const std::string& name) {
+      return counts.count(name) ? counts.at(name) : 0u;
+    };
+#ifdef CDPF_TRACING
+    EXPECT_EQ(count_of("engine-step-hook"), with_hook ? result.outcome.iterations : 0u);
+    EXPECT_EQ(count_of("trial-setup"), 1u);
+#else
+    EXPECT_EQ(count_of("engine-step-hook"), 0u);
+    EXPECT_EQ(count_of("trial-setup"), 0u);
+#endif
+  }
+}
+
 }  // namespace
 }  // namespace cdpf

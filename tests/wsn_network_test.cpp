@@ -539,6 +539,112 @@ TEST(Network, VisitActiveWithinHandsTrueAndBelievedPositions) {
   EXPECT_EQ(net.max_believed_displacement(), 0.0);
 }
 
+// Greedy routing's case: the target (the sink, or any far point) lies
+// beyond the disk's cell range, where the ring bound adds the target's gap
+// to the clamped cell. Targets far along an axis (a grid row or column
+// through u, so one gap is 0) and far diagonally, with half the nodes
+// asleep, under exact and localized positions.
+TEST(NearestCommNeighbour, MatchesScanForFarTargetsHalfAsleepAndLocalized) {
+  Network net = density_40_field(35);
+  rng::Rng rng(8);
+  for (NodeId id = 0; id < net.size(); ++id) {
+    if (rng.bernoulli(0.5)) {
+      net.set_power(id, PowerState::kAsleep);
+    }
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto run = [&](std::uint64_t seed) {
+    rng::Rng draws(seed);
+    std::vector<NodeId> disk;
+    QueryTally tally;
+    for (int i = 0; i < 6000; ++i) {
+      auto u = static_cast<NodeId>(draws.uniform_index(net.size()));
+      while (!net.is_active(u)) {
+        u = static_cast<NodeId>(draws.uniform_index(net.size()));
+      }
+      const geom::Vec2 at = net.true_position(u);
+      const double far = draws.uniform(35.0, 300.0);
+      geom::Vec2 target;
+      switch (i % 4) {
+        case 0: target = net.position(net.sink()); break;
+        case 1: target = at + geom::Vec2{i % 8 == 1 ? far : -far, 0.0}; break;
+        case 2: target = at + geom::Vec2{0.0, i % 8 == 2 ? far : -far}; break;
+        default:
+          target = at + geom::Vec2::from_angle(draws.uniform(0.0, geom::kTwoPi)) * far;
+      }
+      net.active_nodes_within(at, net.config().comm_radius, disk);
+      const geom::Vec2 own = net.position(u);
+      check_query<geom::distance>(net, disk, u, target, geom::distance(own, target), tally);
+      check_query<geom::distance>(net, disk, u, target, kInf, tally);
+      check_query<geom::distance_squared>(net, disk, u, target,
+                                          geom::distance_squared(own, target), tally);
+    }
+    EXPECT_EQ(tally.mismatches, 0u) << tally.first_mismatch;
+    EXPECT_GT(tally.winners, tally.queries / 4);
+  };
+  run(1);
+  net.set_believed_positions(localize(net, LocalizationConfig{}, rng).positions);
+  run(2);
+}
+
+// Pairs whose squared distances and hypot distances to the target rank
+// differently (kDisagree: a nearer by squares, b by hypot) or tie by hypot
+// with different squares (kTie), found by a seeded search over points of
+// one grid cell (a, which holds the target) and the cell to its left (b,
+// earlier in slot order). a is ranked first, so a pre-rank without its
+// margin would pass b over; the scan picks b either way, by hypot or, on
+// the tie, as the first of the two in disk order.
+TEST(NearestCommNeighbour, HypotDecidesWhereSquaredDistancesDisagreeOrTie) {
+  enum Kind { kDisagree, kTie };
+  struct Case {
+    Kind kind;
+    geom::Vec2 target;
+    geom::Vec2 a;
+    geom::Vec2 b;
+  };
+  const Case cases[] = {
+      {kTie, {0x1.43beeb93272p+5, 0x1.56bda09029fc4p+5},
+       {0x1.790ab98b810b8p+5, 0x1.6a944963d2a92p+5},
+       {0x1.2545d78b56e14p+5, 0x1.86c177f228806p+5}},
+      {kTie, {0x1.87a1052bee40ap+5, 0x1.6d6beaad5ad3p+5},
+       {0x1.49196b5ea673ep+5, 0x1.40f38c35cb789p+5},
+       {0x1.3f277ace02656p+5, 0x1.869ec082a137ap+5}},
+      {kTie, {0x1.4a93bcc3525a8p+5, 0x1.471d1101cee93p+5},
+       {0x1.7716403ee47c8p+5, 0x1.5ad9cf1c0aee7p+5},
+       {0x1.354d9e590aaa1p+5, 0x1.72e8e3456b0c7p+5}},
+      {kDisagree, {0x1.68d1bd720a2cp+5, 0x1.5cc70e257f8cp+5},
+       {0x1.5cca15c75ba3ep+5, 0x1.89687fbe5cc0bp+5},
+       {0x1.3fb3fed07fe3fp+5, 0x1.47a83b5e6c26p+5}},
+      {kDisagree, {0x1.49a050e53dc9fp+5, 0x1.5a0f4c6098394p+5},
+       {0x1.649c47953e4f3p+5, 0x1.8a7b7a39099aep+5},
+       {0x1.1b028ea5a93dbp+5, 0x1.780e8802d7dc2p+5}},
+      {kDisagree, {0x1.40952be9ddc28p+5, 0x1.4768a7e53752cp+5},
+       {0x1.82fd3eb578941p+5, 0x1.6152b9ca2e6b4p+5},
+       {0x1.f3c051653d149p+4, 0x1.50754660e5fe5p+5}},
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const Case& c : cases) {
+    // The premises: b is farther by squares, nearer or equal by hypot.
+    ASSERT_LT(geom::distance_squared(c.a, c.target), geom::distance_squared(c.b, c.target));
+    if (c.kind == kDisagree) {
+      ASSERT_LT(geom::distance(c.b, c.target), geom::distance(c.a, c.target));
+    } else {
+      ASSERT_EQ(geom::distance(c.b, c.target), geom::distance(c.a, c.target));
+    }
+    // u (cell (4, 2)) has a (cell (4, 4)) and b (cell (3, 4)) within r_c.
+    const Network net({{40.0, 25.0}, c.a, c.b},
+                      NetworkConfig{geom::Aabb::square(100.0), 10.0, 30.0});
+    std::vector<NodeId> disk;
+    net.active_nodes_within(net.true_position(0), 30.0, disk);
+    ASSERT_EQ(disk, (std::vector<NodeId>{0, 2, 1}));
+    const double own = geom::distance(net.position(0), c.target);
+    for (const double bound : {own, kInf}) {
+      EXPECT_EQ(scan_nearest<geom::distance>(net, disk, 0, c.target, bound), 2u);
+      EXPECT_EQ(net.nearest_comm_neighbour<geom::distance>(0, c.target, bound), 2u);
+    }
+  }
+}
+
 // -- Activity mirror ----------------------------------------------------------
 // The network keeps node activity as bytes in grid-slot order plus per-cell
 // active tallies, built at the first deactivation and updated per transition.
@@ -638,6 +744,46 @@ TEST(Network, ActiveQueriesMatchBruteForceAcrossTransitionsAndReset) {
   expect_active_queries_match_brute_force(net, 8);
   net.set_power(0, PowerState::kAwake);
   expect_active_queries_match_brute_force(net, 9);
+}
+
+// The receiver count against a brute-force scan where the grid's cells are
+// cut short or the disk leaves the field: a field whose last row and
+// column of cells are partial, centers on its corners, edges and outside
+// it, radius 0 (a node exactly at the center counts) and a radius beyond
+// the field, with every node active and then with half asleep and some
+// dead.
+TEST(Network, CountActiveWithinMatchesBruteForceAtEdgesAndExtremes) {
+  rng::Rng rng(12);
+  const geom::Aabb field{{0.0, 0.0}, {95.0, 87.5}};
+  std::vector<geom::Vec2> positions = deploy_uniform_random(1500, field, rng);
+  const std::vector<geom::Vec2> centers{
+      {0.0, 0.0},   {95.0, 0.0},  {0.0, 87.5},  {95.0, 87.5}, {47.5, 0.0},  {95.0, 43.0},
+      {90.0, 85.0}, {-4.0, -6.0}, {99.0, 91.0}, {120.0, 40.0}, {47.5, 43.75}};
+  // Nodes exactly on some centers, for radius 0.
+  positions.push_back({95.0, 87.5});
+  positions.push_back({47.5, 43.75});
+  positions.push_back({0.0, 0.0});
+  Network net(positions, NetworkConfig{field, 10.0, 30.0});
+  const auto check = [&] {
+    for (const geom::Vec2 center : centers) {
+      for (const double radius : {0.0, 4.5, 10.0, 30.0, 47.0, 500.0}) {
+        EXPECT_EQ(net.count_active_within(center, radius),
+                  brute_active_within(net, center, radius).size())
+            << "center (" << center.x << ", " << center.y << ") radius " << radius;
+      }
+    }
+  };
+  check();
+  for (NodeId id = 0; id < net.size(); ++id) {
+    if (rng.bernoulli(0.5)) {
+      net.set_power(id, PowerState::kAsleep);
+    } else if (rng.bernoulli(0.1)) {
+      net.set_alive(id, false);
+    }
+  }
+  net.set_power(static_cast<NodeId>(net.size() - 1), PowerState::kAwake);
+  net.set_alive(static_cast<NodeId>(net.size() - 1), true);
+  check();
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "random/rng.hpp"
 #include "support/check.hpp"
@@ -143,6 +144,117 @@ TEST(DutyCycle, ApplySkipsDeadNodes) {
   const DutyCycleSchedule schedule(10.0, 1.0);
   schedule.apply(net, 0.0);
   EXPECT_FALSE(net.is_active(0));  // dead stays dead
+}
+
+/// The per-node form of apply(): set_power on every alive node, as
+/// is_awake decides.
+void apply_per_node(const DutyCycleSchedule& schedule, Network& net, double t) {
+  for (const Node& n : net.nodes()) {
+    if (n.alive) {
+      net.set_power(n.id, schedule.is_awake(n.id, t) ? PowerState::kAwake
+                                                     : PowerState::kAsleep);
+    }
+  }
+}
+
+std::vector<PowerState> power_states(const Network& net) {
+  std::vector<PowerState> states;
+  for (const Node& n : net.nodes()) {
+    states.push_back(n.power);
+  }
+  return states;
+}
+
+/// Same power and activity per node, the same active count and, when
+/// `tallies`, receiver counts (which read the per-cell active tallies for
+/// the cells a disk covers whole) equal to a scan of the node table.
+void expect_same_activity(const Network& got, const Network& want, bool tallies) {
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t mismatches = 0;
+  for (NodeId id = 0; id < got.size(); ++id) {
+    mismatches += got.node(id).power != want.node(id).power ||
+                  got.is_active(id) != want.is_active(id);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(got.active_count(), want.active_count());
+  if (!tallies) {
+    return;
+  }
+  for (double x = 5.0; x < 100.0; x += 15.0) {
+    for (double y = 5.0; y < 100.0; y += 30.0) {
+      for (const double radius : {15.0, 30.0, 45.0}) {
+        std::size_t expected = 0;
+        for (const Node& n : got.nodes()) {
+          expected += n.active() &&
+                      geom::distance_squared(n.position, {x, y}) <= radius * radius;
+        }
+        EXPECT_EQ(got.count_active_within({x, y}, radius), expected)
+            << "(" << x << ", " << y << ") radius " << radius;
+      }
+    }
+  }
+}
+
+// apply() against the per-node form, node by node: at whole periods, at
+// the times where a node's t + phase lands on a whole period (its
+// remainder wraps from ~period to 0) or on the awake threshold, at times up
+// to kMaxTime, with dead nodes, after TDSS overrides, and from a network
+// that never slept (its tallies built by the first flip). The epoch moves
+// exactly when a node changed state.
+TEST(DutyCycle, ApplyMatchesPerNodeScheduleAndBumpsEpochOnlyOnChange) {
+  rng::Rng rng(21);
+  const auto positions = deploy_uniform_random(3000, geom::Aabb::square(100.0), rng);
+  struct Shape {
+    double period;
+    double fraction;
+  };
+  for (const Shape shape : {Shape{10.0, 0.5}, Shape{1.0, 0.3}, Shape{7.0, 0.9},
+                            Shape{86400.0, 0.25}, Shape{3.0, 0.0}, Shape{5.0, 1.0}}) {
+    const DutyCycleSchedule schedule(shape.period, shape.fraction,
+                                     rng.uniform_index(1u << 30) | 1u);
+    Network got(positions, config100());
+    Network want(positions, config100());
+    std::vector<double> times{0.0, shape.period, 3.0 * shape.period,
+                              1e6 * shape.period, DutyCycleSchedule::kMaxTime};
+    for (int k = 0; k < 40; ++k) {
+      const auto node = static_cast<NodeId>(rng.uniform_index(got.size()));
+      const double cycles = static_cast<double>(1 + rng.uniform_index(1u << 20));
+      const double phase = schedule.phase(node);
+      times.push_back(cycles * shape.period - phase);
+      times.push_back(cycles * shape.period + shape.fraction * shape.period - phase);
+      times.push_back(rng.uniform(0.0, 1e5));
+    }
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      const double t = times[i];
+      if (i == 3) {
+        // Some nodes die; apply() must leave their state alone.
+        for (NodeId id = 0; id < got.size(); id += 17) {
+          got.set_alive(id, false);
+          want.set_alive(id, false);
+        }
+      }
+      const std::vector<PowerState> before = power_states(got);
+      const std::uint64_t epoch = got.activity_epoch();
+      schedule.apply(got, t);
+      apply_per_node(schedule, want, t);
+      expect_same_activity(got, want, i % 10 == 0);
+      EXPECT_EQ(got.activity_epoch() != epoch, power_states(got) != before) << "t " << t;
+      // Applying again changes nothing.
+      const std::uint64_t settled = got.activity_epoch();
+      schedule.apply(got, t);
+      EXPECT_EQ(got.activity_epoch(), settled);
+      if (i % 7 == 3) {
+        // TDSS wakes an area; the next apply() puts it back on schedule.
+        const geom::Vec2 predicted{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
+        TdssScheduler(got, 20.0).wake_predicted_area(predicted);
+        TdssScheduler(want, 20.0).wake_predicted_area(predicted);
+        expect_same_activity(got, want, false);
+        schedule.apply(got, t);
+        apply_per_node(schedule, want, t);
+        expect_same_activity(got, want, true);
+      }
+    }
+  }
 }
 
 TEST(Tdss, WakesSleepingNodesInPredictedArea) {

@@ -34,9 +34,18 @@ skips the builds and reads the two symbol lists a build writes,
 DIR/candidates.txt and DIR/products.txt (one demangled signature a line).
 A build also leaves its compiler output in DIR/build.log.
 
+The test binaries are the ones the build's configured test list runs
+(`ctest --show-only=json-v1`), not every executable in its tests/
+directory, so the stale binary of a deleted test reaches nothing.
+
+    python3 tools/dead_symbols.py --test-listing FILE --tests-dir DIR
+
+prints the test binaries a saved listing runs from DIR.
+
 Exit codes: 0 clean, 1 findings, 2 bad usage or a failed build.
 """
 import argparse
+import json
 import os
 import pathlib
 import re
@@ -90,6 +99,35 @@ def configure_and_build(source, build, jobs, log, target=None):
 def executables(directory):
     return sorted(p for p in directory.iterdir()
                   if p.is_file() and os.access(p, os.X_OK))
+
+
+def test_executables(listing, tests_dir, base):
+    """The executables in `tests_dir` that the tests of `listing` (parsed
+    `ctest --show-only=json-v1` output) run, sorted. A command path that is
+    not absolute is taken relative to `base`. A binary that no configured
+    test runs (left behind by a deleted test in a reused build directory) is
+    not among them, nor is a test whose command is an interpreter or a
+    bench."""
+    tests_dir = tests_dir.resolve()
+    found = set()
+    for test in listing.get("tests", []):
+        command = test.get("command") or []
+        if not command:
+            continue
+        path = (base / command[0]).resolve()
+        if path.parent == tests_dir and path.is_file() and os.access(path, os.X_OK):
+            found.add(path)
+    return sorted(found)
+
+
+def ctest_executables(tree):
+    """The test executables of a configured build tree, from its test list."""
+    done = subprocess.run(["ctest", "--show-only=json-v1"], cwd=tree,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr[-8000:])
+        fail(f"cannot list the tests of {tree}")
+    return test_executables(json.loads(done.stdout), tree / "tests", tree)
 
 
 def cdpf_symbols(paths, with_lines):
@@ -165,7 +203,7 @@ def collect(build):
     tree = build / "tree"
     src = str(ROOT / "src") + os.sep
     libraries = sorted((tree / "src").rglob("libcdpf_*.a"))
-    tests = executables(tree / "tests")
+    tests = ctest_executables(tree)
     benches = executables(tree / "bench")
     products = [b for b in benches if b.name not in NOT_A_PRODUCT]
     products += executables(tree / "examples")
@@ -247,8 +285,23 @@ def main():
                         help="read candidates.txt and products.txt from here "
                              "instead of building")
     parser.add_argument("--allow", type=pathlib.Path, default=DEFAULT_ALLOW)
+    parser.add_argument("--test-listing", type=pathlib.Path,
+                        help="print the test executables that this `ctest "
+                             "--show-only=json-v1` output runs from "
+                             "--tests-dir, and exit")
+    parser.add_argument("--tests-dir", type=pathlib.Path)
     args = parser.parse_args()
 
+    if args.test_listing:
+        if not args.tests_dir:
+            fail("--test-listing needs --tests-dir")
+        try:
+            listing = json.loads(args.test_listing.read_text())
+        except (OSError, ValueError) as err:
+            fail(f"cannot read {args.test_listing}: {err}")
+        found = test_executables(listing, args.tests_dir, args.test_listing.parent)
+        print("dead_symbols: test reachers: " + " ".join(p.name for p in found))
+        return 0
     if args.lists:
         candidates = read_list(args.lists / "candidates.txt")
         reached = read_list(args.lists / "products.txt")
